@@ -20,17 +20,14 @@ pub struct Placement {
     pub cluster: ClusterId,
 }
 
-#[derive(Debug, Clone, Default)]
-struct CycleRow {
-    /// fu_used[cluster][class]
-    fu_used: Vec<[u8; 4]>,
-    /// Total ops issued per cluster (for the issue-width cap).
-    issued: Vec<u8>,
-    branches: u8,
-    bus_used: u8,
-}
-
 /// Tracks resource usage per cycle for one machine.
+///
+/// The whole table is one flat byte vector: a header with each cluster's
+/// functional-unit counts, then one fixed-stride row per cycle. A row
+/// holds, per cluster, the four FU-class counters and the issued-op count,
+/// followed by the cycle's branch and bus counters. Rows grow on demand
+/// and a cycle past the last row reads as empty, so cloning a table (the
+/// per-cluster trial of the list schedulers) is a single `memcpy`.
 ///
 /// # Example
 ///
@@ -46,35 +43,80 @@ struct CycleRow {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReservationTable {
-    config: MachineConfig,
-    rows: Vec<CycleRow>,
+    /// `FU_SLOTS` capacities per cluster, then the cycle rows.
+    cells: Vec<u8>,
+    clusters: usize,
+    issue_cap: Option<u8>,
+    branch_cap: u8,
+    bus_cap: u8,
+    bus_occupancy: u32,
 }
+
+/// Bytes per cluster in the header (FU capacities) and in a row (FU
+/// counters plus the issued-op count at [`ISSUED`]).
+const FU_SLOTS: usize = 4;
+const CLUSTER_STRIDE: usize = FU_SLOTS + 1;
+const ISSUED: usize = FU_SLOTS;
 
 impl ReservationTable {
     /// Creates an empty table for `config`.
     pub fn new(config: &MachineConfig) -> Self {
+        let clusters = config.cluster_count();
+        let mut cells = Vec::with_capacity(clusters * FU_SLOTS);
+        for c in 0..clusters {
+            for class in OpClass::FU_CLASSES {
+                cells.push(config.cluster_capacity(ClusterId(c as u8), class) as u8);
+            }
+        }
         ReservationTable {
-            config: config.clone(),
-            rows: Vec::new(),
+            cells,
+            clusters,
+            issue_cap: config.issue_per_cluster().map(|w| w as u8),
+            branch_cap: config.branches_per_cycle() as u8,
+            bus_cap: config.bus_count() as u8,
+            bus_occupancy: config.bus_occupancy(),
         }
     }
 
-    /// The machine this table tracks.
-    pub fn config(&self) -> &MachineConfig {
-        &self.config
+    fn header(&self) -> usize {
+        self.clusters * FU_SLOTS
     }
 
-    fn row(&mut self, cycle: u32) -> &mut CycleRow {
-        let idx = cycle as usize;
-        while self.rows.len() <= idx {
-            self.rows.push(CycleRow {
-                fu_used: vec![[0; 4]; self.config.cluster_count()],
-                issued: vec![0; self.config.cluster_count()],
-                branches: 0,
-                bus_used: 0,
-            });
+    fn stride(&self) -> usize {
+        self.clusters * CLUSTER_STRIDE + 2
+    }
+
+    /// Byte offset of `cycle`'s row, which may lie past the end (an empty
+    /// row).
+    fn row_at(&self, cycle: u32) -> usize {
+        self.header() + cycle as usize * self.stride()
+    }
+
+    /// Counter at `offset` within `cycle`'s row; rows not yet grown read 0.
+    fn used(&self, cycle: u32, offset: usize) -> u8 {
+        self.cells
+            .get(self.row_at(cycle) + offset)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Increments the counter at `offset` within `cycle`'s row, growing the
+    /// table to reach it.
+    fn bump(&mut self, cycle: u32, offset: usize) {
+        let row = self.row_at(cycle);
+        let end = row + self.stride();
+        if self.cells.len() < end {
+            self.cells.resize(end, 0);
         }
-        &mut self.rows[idx]
+        self.cells[row + offset] += 1;
+    }
+
+    fn branch_offset(&self) -> usize {
+        self.clusters * CLUSTER_STRIDE
+    }
+
+    fn bus_offset(&self) -> usize {
+        self.clusters * CLUSTER_STRIDE + 1
     }
 
     /// Returns `true` if an operation of `class` can issue on `cluster` at
@@ -84,25 +126,22 @@ impl ReservationTable {
     ///
     /// Panics if `class` is [`OpClass::Copy`] (use [`Self::can_use_bus`]) or
     /// the cluster index is out of range.
-    pub fn can_place(&mut self, cycle: u32, cluster: ClusterId, class: OpClass) -> bool {
+    pub fn can_place(&self, cycle: u32, cluster: ClusterId, class: OpClass) -> bool {
         let fu = class
             .fu_index()
             .expect("copies are placed with try_reserve_bus");
         let cl = cluster.0 as usize;
-        assert!(cl < self.config.cluster_count(), "cluster out of range");
-        let cap = self.config.cluster_capacity(cluster, class) as u8;
-        let issue_cap = self.config.issue_per_cluster();
-        let branch_cap = self.config.branches_per_cycle() as u8;
-        let row = self.row(cycle);
-        if row.fu_used[cl][fu] >= cap {
+        assert!(cl < self.clusters, "cluster out of range");
+        let base = cl * CLUSTER_STRIDE;
+        if self.used(cycle, base + fu) >= self.cells[cl * FU_SLOTS + fu] {
             return false;
         }
-        if let Some(w) = issue_cap {
-            if row.issued[cl] >= w as u8 {
+        if let Some(w) = self.issue_cap {
+            if self.used(cycle, base + ISSUED) >= w {
                 return false;
             }
         }
-        if class == OpClass::Branch && row.branches >= branch_cap {
+        if class == OpClass::Branch && self.used(cycle, self.branch_offset()) >= self.branch_cap {
             return false;
         }
         true
@@ -114,23 +153,20 @@ impl ReservationTable {
             return false;
         }
         let fu = class.fu_index().expect("checked in can_place");
-        let cl = cluster.0 as usize;
-        let is_branch = class == OpClass::Branch;
-        let row = self.row(cycle);
-        row.fu_used[cl][fu] += 1;
-        row.issued[cl] += 1;
-        if is_branch {
-            row.branches += 1;
+        let base = cluster.0 as usize * CLUSTER_STRIDE;
+        self.bump(cycle, base + fu);
+        self.bump(cycle, base + ISSUED);
+        if class == OpClass::Branch {
+            self.bump(cycle, self.branch_offset());
         }
         true
     }
 
     /// Returns `true` if a bus transfer starting at `cycle` fits: the bus
     /// must be free for [`MachineConfig::bus_occupancy`] consecutive cycles.
-    pub fn can_use_bus(&mut self, cycle: u32) -> bool {
-        let occ = self.config.bus_occupancy();
-        let cap = self.config.bus_count() as u8;
-        (cycle..cycle + occ).all(|c| self.row(c).bus_used < cap)
+    pub fn can_use_bus(&self, cycle: u32) -> bool {
+        let bus = self.bus_offset();
+        (cycle..cycle + self.bus_occupancy).all(|c| self.used(c, bus) < self.bus_cap)
     }
 
     /// Attempts to reserve a bus transfer starting at `cycle`.
@@ -138,9 +174,9 @@ impl ReservationTable {
         if !self.can_use_bus(cycle) {
             return false;
         }
-        let occ = self.config.bus_occupancy();
-        for c in cycle..cycle + occ {
-            self.row(c).bus_used += 1;
+        let bus = self.bus_offset();
+        for c in cycle..cycle + self.bus_occupancy {
+            self.bump(c, bus);
         }
         true
     }
@@ -148,22 +184,23 @@ impl ReservationTable {
     /// First cycle `>= from` where `class` can issue on `cluster`.
     ///
     /// Always succeeds eventually because future rows are empty.
-    pub fn earliest_slot(&mut self, from: u32, cluster: ClusterId, class: OpClass) -> u32 {
+    pub fn earliest_slot(&self, from: u32, cluster: ClusterId, class: OpClass) -> u32 {
         (from..)
             .find(|&c| self.can_place(c, cluster, class))
             .expect("an empty future cycle always exists")
     }
 
     /// First cycle `>= from` where a bus transfer can start.
-    pub fn earliest_bus_slot(&mut self, from: u32) -> u32 {
+    pub fn earliest_bus_slot(&self, from: u32) -> u32 {
         (from..)
             .find(|&c| self.can_use_bus(c))
             .expect("an empty future cycle always exists")
     }
 
-    /// Number of cycles with any reservation (table height).
+    /// Number of cycle rows holding a reservation (one past the latest
+    /// reserved cycle).
     pub fn horizon(&self) -> usize {
-        self.rows.len()
+        (self.cells.len() - self.header()) / self.stride()
     }
 }
 

@@ -330,13 +330,20 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.s[self.pos..])
+                    // Copy the run of plain characters up to the next quote
+                    // or escape as one slice. Both delimiters are ASCII, so
+                    // the run ends on a char boundary of the input `&str`,
+                    // and validating it costs the run's length — never the
+                    // rest of the input.
+                    let rest = &self.s[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| Error("invalid UTF-8".to_owned()))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -420,6 +427,51 @@ mod tests {
     fn pretty_prints_with_two_space_indent() {
         let v: Vec<u32> = vec![1, 2];
         assert_eq!(to_string_pretty(&v).unwrap(), "[\n  1,\n  2\n]");
+    }
+
+    #[test]
+    fn strings_decode_runs_escapes_and_surrogates() {
+        let cases = [
+            (r#""héllo wörld ✓ 𝄞""#, "héllo wörld ✓ 𝄞"),
+            (r#""ünï\ncödé""#, "ünï\ncödé"),
+            (r#""\u00e9tude é\t""#, "étude é\t"),
+            (r#""x\"y\\z\/""#, "x\"y\\z/"),
+            (r#""a\ud834\udd1eb𝄞""#, "a𝄞b𝄞"),
+            (r#""\b\f\r""#, "\u{8}\u{c}\r"),
+            (r#""""#, ""),
+        ];
+        for (json, want) in cases {
+            assert_eq!(from_str::<String>(json).unwrap(), want, "{json}");
+            // Every string the writer emits reads back unchanged.
+            assert_eq!(
+                from_str::<String>(&to_string(&want).unwrap()).unwrap(),
+                want
+            );
+        }
+        // Object keys take the same path.
+        let v: Value = from_str(r#"{"clé ✓":1,"k\u00e9y":[]}"#).unwrap();
+        let Value::Object(entries) = v else {
+            panic!("object expected")
+        };
+        assert_eq!(entries[0].0, "clé ✓");
+        assert_eq!(entries[1].0, "kéy");
+        // A long plain run decodes in one piece.
+        let long = "ab✓".repeat(100_000);
+        assert_eq!(from_str::<String>(&format!("\"{long}\"")).unwrap(), long);
+    }
+
+    #[test]
+    fn string_errors_are_unchanged() {
+        let err = |json: &str| from_str::<String>(json).unwrap_err().0;
+        assert_eq!(err(r#""abc"#), "unterminated string");
+        assert_eq!(err(r#""é✓"#), "unterminated string");
+        assert_eq!(err(r#""ab\"#), "invalid escape None at byte 4");
+        assert_eq!(err(r#""ab\x""#), "invalid escape Some('x') at byte 4");
+        assert_eq!(err(r#""é\q""#), "invalid escape Some('q') at byte 4");
+        assert_eq!(err(r#""\ud834x""#), "lone high surrogate");
+        assert_eq!(err(r#""\ud834\u0041""#), "invalid low surrogate");
+        assert_eq!(err(r#""\u12zz""#), "invalid \\u escape");
+        assert_eq!(err(r#""\u12""#), "truncated \\u escape");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! differential tests and `speculation_bench` can prove the engines
 //! byte-identical.
 
-use crate::dp::{self, Budget, DpAbort, Queue};
+use crate::dp::{self, Budget, DpAbort};
 use crate::state::{NodeId, SchedulingState, StateScore};
 use crate::trail::RedoLog;
 
@@ -70,41 +70,42 @@ pub fn apply_decision(
     decision: &Decision,
     budget: &mut Budget,
 ) -> Result<(), DpAbort> {
-    let mut q: Queue = Queue::new();
-    match decision {
-        Decision::ChooseComb { u, v, d } => {
-            let e_idx = st
-                .edge_of
-                .get(*u, *v)
-                .expect("decision references an existing edge");
-            dp::choose_comb(st, &mut q, e_idx, *d)?;
-        }
-        Decision::DiscardComb { u, v, d } => {
-            let e_idx = st
-                .edge_of
-                .get(*u, *v)
-                .expect("decision references an existing edge");
-            dp::discard_comb(st, &mut q, e_idx, *d)?;
-        }
-        Decision::Pin { node, cycle } => {
-            dp::tighten_est(st, &mut q, *node, *cycle)?;
-            dp::tighten_lst(st, &mut q, *node, *cycle)?;
-        }
-        Decision::Fuse(a, b) => {
-            dp::fuse_vcs(st, &mut q, *a, *b)?;
-        }
-        Decision::FuseSet(pairs) => {
-            for &(a, b) in pairs {
-                dp::fuse_vcs(st, &mut q, a, b)?;
+    dp::with_queue(st, |st, q| {
+        match decision {
+            Decision::ChooseComb { u, v, d } => {
+                let e_idx = st
+                    .edge_of
+                    .get(*u, *v)
+                    .expect("decision references an existing edge");
+                dp::choose_comb(st, q, e_idx, *d)?;
+            }
+            Decision::DiscardComb { u, v, d } => {
+                let e_idx = st
+                    .edge_of
+                    .get(*u, *v)
+                    .expect("decision references an existing edge");
+                dp::discard_comb(st, q, e_idx, *d)?;
+            }
+            Decision::Pin { node, cycle } => {
+                dp::tighten_est(st, q, *node, *cycle)?;
+                dp::tighten_lst(st, q, *node, *cycle)?;
+            }
+            Decision::Fuse(a, b) => {
+                dp::fuse_vcs(st, q, *a, *b)?;
+            }
+            Decision::FuseSet(pairs) => {
+                for &(a, b) in pairs {
+                    dp::fuse_vcs(st, q, a, b)?;
+                }
+            }
+            Decision::Incompat(a, b) => {
+                dp::make_incompat(st, q, *a, *b)?;
             }
         }
-        Decision::Incompat(a, b) => {
-            dp::make_incompat(st, &mut q, *a, *b)?;
-        }
-    }
-    dp::drain(st, &mut q, budget)?;
-    dp::check_colorable(st)?;
-    Ok(())
+        dp::drain(st, q, budget)?;
+        dp::check_colorable(st)?;
+        Ok(())
+    })
 }
 
 /// Studies `decision` on `st` itself through the trail (§4.4.2, delta
@@ -136,7 +137,8 @@ pub fn study_decision(
 /// # Errors
 ///
 /// As [`apply_decision`]; the state is rolled back (and the partial log
-/// discarded) on error too.
+/// discarded) on error too. Hand the log back with [`crate::Trail::recycle`]
+/// once it has been replayed or lost, so the next study reuses its buffer.
 pub fn study_decision_with_redo(
     st: &mut SchedulingState,
     decision: &Decision,
@@ -147,12 +149,15 @@ pub fn study_decision_with_redo(
     st.trail.redo_on = true;
     let applied = apply_decision(st, decision, budget);
     st.trail.redo_on = false;
-    let outcome = applied.map(|()| st.score());
-    let log = RedoLog {
-        entries: std::mem::take(&mut st.trail.redo),
+    let outcome = match applied {
+        Ok(()) => Ok((st.score(), st.trail.take_redo())),
+        Err(e) => {
+            st.trail.redo.clear();
+            Err(e)
+        }
     };
     st.rollback(mark);
-    outcome.map(|score| (score, log))
+    outcome
 }
 
 /// Studies `decision` and, on success, keeps the applied deltas (commits

@@ -28,9 +28,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use vcsched_arch::{ClusterId, OpClass};
-use vcsched_graph::coloring::is_k_colorable;
 
-use crate::state::{Comm, CommKind, EdgeState, NodeId, NodeKind, SchedulingState};
+use crate::state::{move_members, Comm, CommKind, EdgeState, NodeId, SchedulingState, StateCtx};
 use crate::trail::{RedoEntry, TrailEntry};
 
 /// A contradiction: the current state admits no valid schedule.
@@ -204,6 +203,44 @@ impl Budget {
 
 /// Worklist of pending bound changes.
 pub type Queue = VecDeque<NodeId>;
+
+/// Runs `f` with the state's reusable worklist (empty on entry), so a
+/// decision's drain allocates no queue once the buffer has grown.
+pub(crate) fn with_queue<R>(
+    st: &mut SchedulingState,
+    f: impl FnOnce(&mut SchedulingState, &mut Queue) -> R,
+) -> R {
+    let mut q = std::mem::take(&mut st.scratch.queue);
+    let out = f(st, &mut q);
+    q.clear();
+    st.scratch.queue = q;
+    out
+}
+
+/// Runs `f` with `N` empty node lists from the state's scratch pool and
+/// returns them afterwards — on the contradiction path too, which is why
+/// rule bodies run inside the closure rather than around `?`.
+fn with_lists<const N: usize, R>(
+    st: &mut SchedulingState,
+    f: impl FnOnce(&mut SchedulingState, &mut [Vec<NodeId>; N]) -> R,
+) -> R {
+    // Every rule's list holds at most one entry per node, so sizing each
+    // to the node count up front stops it growing list by list as the
+    // pool hands buffers to different rules.
+    let nodes = st.kind.len();
+    let mut lists: [Vec<NodeId>; N] = std::array::from_fn(|_| {
+        let mut list = st.scratch.lists.take();
+        list.reserve(nodes);
+        list
+    });
+    let out = f(st, &mut lists);
+    // Back in reverse, so the next call gets each buffer in the same role
+    // (and so at the capacity that role needed).
+    for list in lists.into_iter().rev() {
+        st.scratch.lists.give(list);
+    }
+    out
+}
 
 // ---------------------------------------------------------------------------
 // Bound tightening primitives
@@ -499,49 +536,49 @@ pub fn merge_cc(
     }
     let ru = st.cc.root(u);
     let rv = st.cc.root(v);
-    let a_members: Vec<NodeId> = st.cc_list[ru].clone();
-    let b_members: Vec<NodeId> = st.cc_list[rv].clone();
-    match st.cc.union_with_offset(u, v, delta) {
-        OffsetUnion::Conflict => return Err(Contradiction::OffsetConflict(u, v)),
-        OffsetUnion::Merged | OffsetUnion::Consistent => {}
-    }
-    st.trail.redo(RedoEntry::CcUnion { u, v, delta });
-    let new_root = st.cc.root(u);
-    let minor_root = if new_root == ru { rv } else { ru };
-    let moved = std::mem::take(&mut st.cc_list[minor_root]);
-    if st.trail.active {
-        st.trail.push(TrailEntry::CcListMove {
+    with_lists(st, |st, [a_members, b_members, audited]| {
+        a_members.extend_from_slice(&st.cc_list[ru]);
+        b_members.extend_from_slice(&st.cc_list[rv]);
+        match st.cc.union_with_offset(u, v, delta) {
+            OffsetUnion::Conflict => return Err(Contradiction::OffsetConflict(u, v)),
+            OffsetUnion::Merged | OffsetUnion::Consistent => {}
+        }
+        st.trail.redo(RedoEntry::CcUnion { u, v, delta });
+        let new_root = st.cc.root(u);
+        let minor_root = if new_root == ru { rv } else { ru };
+        let moved = move_members(&mut st.cc_list, minor_root, new_root);
+        if st.trail.active {
+            st.trail.push(TrailEntry::CcListMove {
+                root: new_root,
+                minor: minor_root,
+                moved,
+            });
+        }
+        st.trail.redo(RedoEntry::CcListMove {
             root: new_root,
             minor: minor_root,
-            moved: moved.len(),
         });
-    }
-    st.trail.redo(RedoEntry::CcListMove {
-        root: new_root,
-        minor: minor_root,
-    });
-    st.trail.charge_bytes(16 + moved.len() as u64 * 8);
-    st.cc_list[new_root].extend(moved);
-    // Bounds will re-synchronise through the worklist.
-    q.push_back(u);
-    q.push_back(v);
-    // Cross pairs now have fixed offsets: resolve their edges and audit
-    // freshly formed same-cycle groups.
-    let mut audited: Vec<NodeId> = Vec::new();
-    for &x in &a_members {
-        for &y in &b_members {
-            let dxy = st
-                .cc
-                .relative_offset(x, y)
-                .expect("members of a merged component");
-            resolve_fixed_pair(st, q, x, y, dxy)?;
-            if dxy == 0 && !audited.contains(&x) {
-                audited.push(x);
-                audit_cycle_group(st, q, x)?;
+        st.trail.charge_bytes(16 + moved as u64 * 8);
+        // Bounds will re-synchronise through the worklist.
+        q.push_back(u);
+        q.push_back(v);
+        // Cross pairs now have fixed offsets: resolve their edges and audit
+        // freshly formed same-cycle groups.
+        for &x in a_members.iter() {
+            for &y in b_members.iter() {
+                let dxy = st
+                    .cc
+                    .relative_offset(x, y)
+                    .expect("members of a merged component");
+                resolve_fixed_pair(st, q, x, y, dxy)?;
+                if dxy == 0 && !audited.contains(&x) {
+                    audited.push(x);
+                    audit_cycle_group(st, q, x)?;
+                }
             }
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Called when the relative offset of `x` and `y` becomes fixed: resolves
@@ -609,80 +646,83 @@ pub fn audit_cycle_group(
     // the old full scan produced, so Rule 2 fires in the same sequence.
     let total_nodes = st.kind.len();
     let (root_n, off_n) = st.cc.find_const(n);
-    let mut group: Vec<NodeId> = Vec::new();
-    for i in 0..st.cc_list[root_n].len() {
-        let m = st.cc_list[root_n][i];
-        if st.uses_resources(m) && st.cc.find_const(m).1 == off_n {
-            group.push(m);
-        }
-    }
-    if st.pinned(n) {
-        let cycle = st.est[n];
-        for m in 0..total_nodes {
-            if st.est[m] == cycle
-                && st.lst[m] == cycle
-                && st.uses_resources(m)
-                && st.cc.find_const(m).0 != root_n
-            {
+    with_lists(st, |st, [group, fu_members]| {
+        for i in 0..st.cc_list[root_n].len() {
+            let m = st.cc_list[root_n][i];
+            if st.uses_resources(m) && st.cc.find_const(m).1 == off_n {
                 group.push(m);
             }
         }
-    }
-    if group.len() < 2 {
-        return Ok(());
-    }
-    group.sort_unstable();
-    // Machine-wide per-class totals.
-    for class in [
-        OpClass::Int,
-        OpClass::Fp,
-        OpClass::Mem,
-        OpClass::Branch,
-        OpClass::Copy,
-    ] {
-        let count = group
-            .iter()
-            .filter(|&&m| st.class(m) == Some(class))
-            .count();
-        if count > st.ctx.machine.total_capacity(class) {
-            return Err(Contradiction::ResourceOverflow(class));
-        }
-    }
-    // Per-VC class counts and issue widths; Rule 2 for capacity-1 classes.
-    let fu_members: Vec<NodeId> = group
-        .iter()
-        .copied()
-        .filter(|&m| st.class(m).is_some_and(|c| c.uses_fu()))
-        .collect();
-    for i in 0..fu_members.len() {
-        for j in i + 1..fu_members.len() {
-            let (a, b) = (fu_members[i], fu_members[j]);
-            let (ca, cb) = (st.class(a).expect("fu"), st.class(b).expect("fu"));
-            if st.same_vc(a, b) {
-                // Count same-VC same-cycle instructions of each class.
-                if ca == cb {
-                    let cap = st.ctx.machine.capacity(ca);
-                    let cnt = fu_members
-                        .iter()
-                        .filter(|&&m| st.class(m) == Some(ca) && st.same_vc(m, a))
-                        .count();
-                    if cnt > cap {
-                        return Err(Contradiction::ResourceOverflow(ca));
-                    }
+        if st.pinned(n) {
+            let cycle = st.est[n];
+            for m in 0..total_nodes {
+                if st.est[m] == cycle
+                    && st.lst[m] == cycle
+                    && st.uses_resources(m)
+                    && st.cc.find_const(m).0 != root_n
+                {
+                    group.push(m);
                 }
-                if let Some(w) = st.ctx.machine.issue_per_cluster() {
-                    let cnt = fu_members.iter().filter(|&&m| st.same_vc(m, a)).count();
-                    if cnt > w {
-                        return Err(Contradiction::ResourceOverflow(ca));
-                    }
-                }
-            } else if ca == cb && st.ctx.machine.capacity(ca) == 1 && !st.vcs_incompatible(a, b) {
-                // Rule 2: same cycle, one unit per cluster ⇒ different PCs.
-                make_incompat(st, q, a, b)?;
             }
         }
-    }
-    Ok(())
+        if group.len() < 2 {
+            return Ok(());
+        }
+        group.sort_unstable();
+        // Machine-wide per-class totals.
+        for class in [
+            OpClass::Int,
+            OpClass::Fp,
+            OpClass::Mem,
+            OpClass::Branch,
+            OpClass::Copy,
+        ] {
+            let count = group
+                .iter()
+                .filter(|&&m| st.class(m) == Some(class))
+                .count();
+            if count > st.ctx.machine.total_capacity(class) {
+                return Err(Contradiction::ResourceOverflow(class));
+            }
+        }
+        // Per-VC class counts and issue widths; Rule 2 for capacity-1 classes.
+        fu_members.extend(
+            group
+                .iter()
+                .copied()
+                .filter(|&m| st.class(m).is_some_and(|c| c.uses_fu())),
+        );
+        for i in 0..fu_members.len() {
+            for j in i + 1..fu_members.len() {
+                let (a, b) = (fu_members[i], fu_members[j]);
+                let (ca, cb) = (st.class(a).expect("fu"), st.class(b).expect("fu"));
+                if st.same_vc(a, b) {
+                    // Count same-VC same-cycle instructions of each class.
+                    if ca == cb {
+                        let cap = st.ctx.machine.capacity(ca);
+                        let cnt = fu_members
+                            .iter()
+                            .filter(|&&m| st.class(m) == Some(ca) && st.same_vc(m, a))
+                            .count();
+                        if cnt > cap {
+                            return Err(Contradiction::ResourceOverflow(ca));
+                        }
+                    }
+                    if let Some(w) = st.ctx.machine.issue_per_cluster() {
+                        let cnt = fu_members.iter().filter(|&&m| st.same_vc(m, a)).count();
+                        if cnt > w {
+                            return Err(Contradiction::ResourceOverflow(ca));
+                        }
+                    }
+                } else if ca == cb && st.ctx.machine.capacity(ca) == 1 && !st.vcs_incompatible(a, b)
+                {
+                    // Rule 2: same cycle, one unit per cluster ⇒ different PCs.
+                    make_incompat(st, q, a, b)?;
+                }
+            }
+        }
+        Ok(())
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -706,124 +746,118 @@ pub fn fuse_vcs(
     }
     st.dirty = true;
     st.vcg_dirty = true;
-    let a_members = st.vc_members(ra);
-    let b_members = st.vc_members(rb);
-    let root = st.vc.union(ra, rb);
-    st.trail.redo(RedoEntry::VcUnion { a: ra, b: rb });
-    let minor = if root == ra { rb } else { ra };
-    let moved = std::mem::take(&mut st.vc_list[minor]);
-    if st.trail.active {
-        st.trail.push(TrailEntry::VcListMove {
-            root,
-            minor,
-            moved: moved.len(),
-        });
-    }
-    st.trail.redo(RedoEntry::VcListMove { root, minor });
-    st.trail.charge_bytes(16 + moved.len() as u64 * 8);
-    st.vc_list[root].extend(moved);
-    // Fused VC inherits all incompatibilities (§3.2).
-    let minor_adj: Vec<usize> = st.vc_adj[minor].iter().collect();
-    for nb in minor_adj {
-        if st.vc_adj[nb].remove(minor) {
-            if st.trail.active {
-                st.trail.push(TrailEntry::VcAdjRemove { a: nb, b: minor });
-            }
-            st.trail.redo(RedoEntry::VcAdjRemove { a: nb, b: minor });
-        }
-        if st.vc_adj[nb].insert(root) {
-            if st.trail.active {
-                st.trail.push(TrailEntry::VcAdjInsert { a: nb, b: root });
-            }
-            st.trail.redo(RedoEntry::VcAdjInsert { a: nb, b: root });
-        }
-        if st.vc_adj[root].insert(nb) {
-            if st.trail.active {
-                st.trail.push(TrailEntry::VcAdjInsert { a: root, b: nb });
-            }
-            st.trail.redo(RedoEntry::VcAdjInsert { a: root, b: nb });
-        }
+    let ctx = Arc::clone(&st.ctx);
+    with_lists(st, |st, [a_members, b_members, scan, audited]| {
+        a_members.extend_from_slice(&st.vc_list[ra]);
+        b_members.extend_from_slice(&st.vc_list[rb]);
+        let root = st.vc.union(ra, rb);
+        st.trail.redo(RedoEntry::VcUnion { a: ra, b: rb });
+        let minor = if root == ra { rb } else { ra };
+        let moved = move_members(&mut st.vc_list, minor, root);
         if st.trail.active {
-            st.trail.push(TrailEntry::VcAdjRemove { a: minor, b: nb });
+            st.trail.push(TrailEntry::VcListMove { root, minor, moved });
         }
-        st.trail.redo(RedoEntry::VcAdjRemove { a: minor, b: nb });
-        st.trail.charge_bytes(32);
-    }
-    st.vc_adj[minor].clear();
-    if st.vc_adj[root].contains(root) {
-        return Err(Contradiction::VcConflict(a, b));
-    }
-    // Heterogeneous machines (the paper's §2.1 extension): the merged
-    // membership must fit on the anchor's cluster when already mapped, or
-    // on at least one cluster otherwise — classes with no shared capable
-    // cluster can never share a VC.
-    if !st.ctx.machine.is_homogeneous() {
-        let anchor_cluster = st.cluster_of(a);
-        let mut classes: Vec<OpClass> = Vec::new();
-        for &m in &st.vc_list[root] {
-            if let Some(class) = st.class(m) {
-                if class.uses_fu() && !classes.contains(&class) {
-                    classes.push(class);
+        st.trail.redo(RedoEntry::VcListMove { root, minor });
+        st.trail.charge_bytes(16 + moved as u64 * 8);
+        // Fused VC inherits all incompatibilities (§3.2).
+        scan.extend(st.vc_adj[minor].iter());
+        for &nb in scan.iter() {
+            if st.vc_adj[nb].remove(minor) {
+                if st.trail.active {
+                    st.trail.push(TrailEntry::VcAdjRemove { a: nb, b: minor });
+                }
+                st.trail.redo(RedoEntry::VcAdjRemove { a: nb, b: minor });
+            }
+            if st.vc_adj[nb].insert(root) {
+                if st.trail.active {
+                    st.trail.push(TrailEntry::VcAdjInsert { a: nb, b: root });
+                }
+                st.trail.redo(RedoEntry::VcAdjInsert { a: nb, b: root });
+            }
+            if st.vc_adj[root].insert(nb) {
+                if st.trail.active {
+                    st.trail.push(TrailEntry::VcAdjInsert { a: root, b: nb });
+                }
+                st.trail.redo(RedoEntry::VcAdjInsert { a: root, b: nb });
+            }
+            if st.trail.active {
+                st.trail.push(TrailEntry::VcAdjRemove { a: minor, b: nb });
+            }
+            st.trail.redo(RedoEntry::VcAdjRemove { a: minor, b: nb });
+            st.trail.charge_bytes(32);
+        }
+        st.vc_adj[minor].clear();
+        if st.vc_adj[root].contains(root) {
+            return Err(Contradiction::VcConflict(a, b));
+        }
+        // Heterogeneous machines (the paper's §2.1 extension): the merged
+        // membership must fit on the anchor's cluster when already mapped,
+        // or on at least one cluster otherwise — classes with no shared
+        // capable cluster can never share a VC.
+        if !ctx.machine.is_homogeneous() {
+            let anchor_cluster = st.cluster_of(a);
+            let mut needed = [false; OpClass::FU_CLASSES.len()];
+            for &m in &st.vc_list[root] {
+                if let Some(fu) = st.class(m).and_then(OpClass::fu_index) {
+                    needed[fu] = true;
+                }
+            }
+            let fits = |c: ClusterId| {
+                OpClass::FU_CLASSES
+                    .iter()
+                    .zip(needed)
+                    .all(|(&cl, need)| !need || ctx.machine.cluster_capacity(c, cl) > 0)
+            };
+            let ok = match anchor_cluster {
+                Some(c) => fits(c),
+                None => (0..ctx.machine.cluster_count()).any(|c| fits(ClusterId(c as u8))),
+            };
+            if !ok {
+                return Err(Contradiction::VcConflict(a, b));
+            }
+        }
+        // Same-cycle capacity audit across the merged membership.
+        for &x in a_members.iter() {
+            for &y in b_members.iter() {
+                if st.fixed_delta(x, y) == Some(0) && !audited.contains(&x) {
+                    audited.push(x);
+                    audit_cycle_group(st, q, x)?;
                 }
             }
         }
-        let fits = |c: ClusterId| {
-            classes
+        // Rule 1 may fire for data edges whose slack was already too small.
+        for &x in a_members.iter().chain(b_members.iter()) {
+            rule1_slack_check(st, &ctx, q, x)?;
+        }
+        // Fusing inherits incompatibilities, so data edges that now cross an
+        // incompatible pair (e.g. after fusing with a cluster anchor) need
+        // their communication just as if `make_incompat` had run.
+        ensure_comms_for_incompatible_edges(st, &ctx, q)?;
+        // Inherited incompatibilities also expose new Rule-5 / dual pairs:
+        // members of the merged VC against members of every incompatible
+        // neighbour (e.g. live-ins pre-placed on distinct cluster anchors
+        // with a common consumer). `plc_seen` makes the sweep idempotent.
+        let root_now = st.vc.find(a);
+        a_members.clear();
+        a_members.extend(
+            st.vc_list[root_now]
                 .iter()
-                .all(|&cl| st.ctx.machine.cluster_capacity(c, cl) > 0)
-        };
-        let ok = match anchor_cluster {
-            Some(c) => fits(c),
-            None => (0..st.ctx.machine.cluster_count()).any(|c| fits(ClusterId(c as u8))),
-        };
-        if !ok {
-            return Err(Contradiction::VcConflict(a, b));
-        }
-    }
-    // Same-cycle capacity audit across the merged membership.
-    let mut audited: Vec<NodeId> = Vec::new();
-    for &x in &a_members {
-        for &y in &b_members {
-            if st.fixed_delta(x, y) == Some(0) && !audited.contains(&x) {
-                audited.push(x);
-                audit_cycle_group(st, q, x)?;
+                .copied()
+                .filter(|&m| m < ctx.n_insts),
+        );
+        scan.clear();
+        scan.extend(st.vc_adj[root_now].iter());
+        for &nb in scan.iter() {
+            b_members.clear();
+            b_members.extend(st.vc_list[nb].iter().copied().filter(|&m| m < ctx.n_insts));
+            for &x in a_members.iter() {
+                for &y in b_members.iter() {
+                    create_plcs_for_pair(st, &ctx, q, x, y)?;
+                }
             }
         }
-    }
-    // Rule 1 may fire for data edges whose slack was already too small.
-    for &x in a_members.iter().chain(&b_members) {
-        if x < st.ctx.n_insts {
-            rule1_slack_check(st, q, x)?;
-        }
-    }
-    // Fusing inherits incompatibilities, so data edges that now cross an
-    // incompatible pair (e.g. after fusing with a cluster anchor) need
-    // their communication just as if `make_incompat` had run.
-    ensure_comms_for_incompatible_edges(st, q)?;
-    // Inherited incompatibilities also expose new Rule-5 / dual pairs:
-    // members of the merged VC against members of every incompatible
-    // neighbour (e.g. live-ins pre-placed on distinct cluster anchors with
-    // a common consumer). `plc_seen` makes the sweep idempotent.
-    let root_now = st.vc.find(a);
-    let members: Vec<NodeId> = st.vc_list[root_now]
-        .iter()
-        .copied()
-        .filter(|&m| m < st.ctx.n_insts)
-        .collect();
-    let neighbours: Vec<usize> = st.vc_adj[root_now].iter().collect();
-    for nb in neighbours {
-        let nb_members: Vec<NodeId> = st.vc_list[nb]
-            .iter()
-            .copied()
-            .filter(|&m| m < st.ctx.n_insts)
-            .collect();
-        for &x in &members {
-            for &y in &nb_members {
-                create_plcs_for_pair(st, q, x, y)?;
-            }
-        }
-    }
-    promote_plcs(st, q)
+        promote_plcs(st, q)
+    })
 }
 
 /// Repair pass: every data edge whose endpoints sit in incompatible VCs
@@ -831,29 +865,32 @@ pub fn fuse_vcs(
 /// already served.
 fn ensure_comms_for_incompatible_edges(
     st: &mut SchedulingState,
+    ctx: &StateCtx,
     q: &mut Queue,
 ) -> Result<(), Contradiction> {
-    // Borrow the shared context through its own `Arc` (a refcount bump)
-    // instead of deep-copying the edge list on every repair pass. VC
-    // roots are memoised across the sweep and flushed whenever a
+    // VC roots are memoised across the sweep and flushed whenever a
     // `require_comm` fires (it may fuse a consumer and move roots); the
     // adjacency probe always reads live state.
-    let ctx = Arc::clone(&st.ctx);
-    let mut root = vec![usize::MAX; st.kind.len()];
-    for &(p, c) in &ctx.data_edges {
-        if root[p] == usize::MAX {
-            root[p] = st.vc.find(p);
+    let mut root = st.scratch.take_memo(st.kind.len());
+    let mut sweep = || {
+        for &(p, c) in &ctx.data_edges {
+            if root[p] == usize::MAX {
+                root[p] = st.vc.find(p);
+            }
+            if root[c] == usize::MAX {
+                root[c] = st.vc.find(c);
+            }
+            let (rp, rc) = (root[p], root[c]);
+            if rp != rc && st.vc_adj[rp].contains(rc) {
+                require_comm(st, q, p, c)?;
+                root.fill(usize::MAX);
+            }
         }
-        if root[c] == usize::MAX {
-            root[c] = st.vc.find(c);
-        }
-        let (rp, rc) = (root[p], root[c]);
-        if rp != rc && st.vc_adj[rp].contains(rc) {
-            require_comm(st, q, p, c)?;
-            root.fill(usize::MAX);
-        }
-    }
-    Ok(())
+        Ok(())
+    };
+    let swept = sweep();
+    st.scratch.put_memo(root);
+    swept
 }
 
 /// Marks the VCs of `a` and `b` incompatible (§3.2): inserts the VCG edge,
@@ -883,51 +920,45 @@ pub fn make_incompat(
     st.trail.charge_bytes(16);
     st.vc_adj[ra].insert(rb);
     st.vc_adj[rb].insert(ra);
-    let a_members: Vec<NodeId> = st
-        .vc_members(ra)
-        .into_iter()
-        .filter(|&m| m < st.ctx.n_insts)
-        .collect();
-    let b_members: Vec<NodeId> = st
-        .vc_members(rb)
-        .into_iter()
-        .filter(|&m| m < st.ctx.n_insts)
-        .collect();
-    // Crossing data edges need a communication. The two side roots only
-    // move when a `require_comm` fires (it may fuse a consumer), so they
-    // are cached across iterations and refreshed after each hit instead
-    // of re-walked four times per edge.
     let ctx = Arc::clone(&st.ctx);
-    let (mut wa, mut wb) = (st.vc.find(ra), st.vc.find(rb));
-    for &(p, c) in &ctx.data_edges {
-        let (rp, rc) = (st.vc.find(p), st.vc.find(c));
-        if (rp == wa && rc == wb) || (rp == wb && rc == wa) {
-            require_comm(st, q, p, c)?;
-            wa = st.vc.find(ra);
-            wb = st.vc.find(rb);
+    with_lists(st, |st, [a_members, b_members]| {
+        a_members.extend(st.vc_list[ra].iter().copied().filter(|&m| m < ctx.n_insts));
+        b_members.extend(st.vc_list[rb].iter().copied().filter(|&m| m < ctx.n_insts));
+        // Crossing data edges need a communication. The two side roots only
+        // move when a `require_comm` fires (it may fuse a consumer), so they
+        // are cached across iterations and refreshed after each hit instead
+        // of re-walked four times per edge.
+        let (mut wa, mut wb) = (st.vc.find(ra), st.vc.find(rb));
+        for &(p, c) in &ctx.data_edges {
+            let (rp, rc) = (st.vc.find(p), st.vc.find(c));
+            if (rp == wa && rc == wb) || (rp == wb && rc == wa) {
+                require_comm(st, q, p, c)?;
+                wa = st.vc.find(ra);
+                wb = st.vc.find(rb);
+            }
         }
-    }
-    // Rule 5 (P-PLC) and the consumer dual (C-PLC).
-    for &x in &a_members {
-        for &y in &b_members {
-            create_plcs_for_pair(st, q, x, y)?;
+        // Rule 5 (P-PLC) and the consumer dual (C-PLC).
+        for &x in a_members.iter() {
+            for &y in b_members.iter() {
+                create_plcs_for_pair(st, &ctx, q, x, y)?;
+            }
         }
-    }
-    promote_plcs(st, q)
+        promote_plcs(st, q)
+    })
 }
 
 /// Rule 1 (§3.3.1): if a data edge at `n` has too little slack for a bus
 /// transfer, producer and consumer must share a cluster.
 pub fn rule1_slack_check(
     st: &mut SchedulingState,
+    ctx: &StateCtx,
     q: &mut Queue,
     n: NodeId,
 ) -> Result<(), Contradiction> {
-    if n >= st.ctx.n_insts {
+    if n >= ctx.n_insts {
         return Ok(());
     }
-    let bus = st.ctx.machine.bus_latency() as i64;
-    let ctx = Arc::clone(&st.ctx);
+    let bus = ctx.machine.bus_latency() as i64;
     // Slack first: the arithmetic test is branch-predictable and usually
     // false, the VC probes cost union-find walks. The conjunction is
     // pure, so the reorder cannot change which pairs fuse. `n`'s own root
@@ -967,7 +998,7 @@ pub fn rule1_slack_check(
 /// turned decisions into frequent false dead ends (fusing consumers that
 /// other rules had already separated), so communications are keyed by
 /// *(value, destination virtual cluster)*: consumers in the same VC share
-/// one transfer, consumers elsewhere get their own (see DESIGN.md).
+/// one transfer, consumers elsewhere get their own.
 pub fn require_comm(
     st: &mut SchedulingState,
     q: &mut Queue,
@@ -975,34 +1006,39 @@ pub fn require_comm(
     c: NodeId,
 ) -> Result<(), Contradiction> {
     let bus = st.ctx.machine.bus_latency() as i64;
-    let existing: Vec<usize> = st.flc_by_value.get(&p).cloned().unwrap_or_default();
-    for ci in existing {
-        let (node, first_consumer, present) = {
-            let comm = &st.comms[ci];
-            match &comm.kind {
-                CommKind::Flc { consumers, .. } => {
-                    (comm.node, consumers[0], consumers.contains(&c))
+    let shared = with_lists(st, |st, [existing]| {
+        existing.extend_from_slice(&st.flc_by_value[p]);
+        for &ci in existing.iter() {
+            let (node, first_consumer, present) = {
+                let comm = &st.comms[ci];
+                match &comm.kind {
+                    CommKind::Flc { consumers, .. } => {
+                        (comm.node, consumers[0], consumers.contains(&c))
+                    }
+                    _ => unreachable!("flc registry holds only FLCs"),
                 }
-                _ => unreachable!("flc registry holds only FLCs"),
+            };
+            if present {
+                return Ok(true);
             }
-        };
-        if present {
-            return Ok(());
+            if st.same_vc(first_consumer, c) {
+                // Same destination register file: share the transfer.
+                if st.trail.active {
+                    st.trail.push(TrailEntry::CommConsumerPush { ci });
+                }
+                st.trail.redo(RedoEntry::CommConsumerPush { ci, c });
+                st.trail.charge_bytes(16);
+                if let CommKind::Flc { consumers, .. } = &mut st.comms[ci].kind {
+                    consumers.push(c);
+                }
+                add_dep_edge(st, q, node, c, bus)?;
+                return Ok(true);
+            }
         }
-        if st.same_vc(first_consumer, c) {
-            // Same destination register file: share the transfer.
-            if st.trail.active {
-                let old = st.comms[ci].kind.clone();
-                st.trail.push(TrailEntry::CommKind { ci, old });
-            }
-            st.trail.redo(RedoEntry::CommConsumerPush { ci, c });
-            st.trail.charge_bytes(16);
-            if let CommKind::Flc { consumers, .. } = &mut st.comms[ci].kind {
-                consumers.push(c);
-            }
-            add_dep_edge(st, q, node, c, bus)?;
-            return Ok(());
-        }
+        Ok(false)
+    })?;
+    if shared {
+        return Ok(());
     }
     // New destination: a fresh communication node.
     let lat_p = st.latency(p);
@@ -1020,20 +1056,21 @@ pub fn require_comm(
         consumer: c,
     });
     st.trail.charge_bytes(48);
+    let mut consumers = st.scratch.rows.take();
+    consumers.push(c);
     st.comms.push(Comm {
         node,
         kind: CommKind::Flc {
             value: p,
-            consumers: vec![c],
+            consumers,
         },
     });
-    let created = !st.flc_by_value.contains_key(&p);
     if st.trail.active {
-        st.trail.push(TrailEntry::FlcPush { value: p, created });
+        st.trail.push(TrailEntry::FlcPush { value: p });
     }
     st.trail.redo(RedoEntry::FlcPush { value: p, ci });
     st.trail.charge_bytes(16);
-    st.flc_by_value.entry(p).or_default().push(ci);
+    st.flc_by_value[p].push(ci);
     add_dep_edge(st, q, p, node, lat_p)?;
     add_dep_edge(st, q, node, c, bus)?;
     q.push_back(node);
@@ -1043,7 +1080,6 @@ pub fn require_comm(
 }
 
 fn new_comm_node(st: &mut SchedulingState, est: i64, lst: i64) -> NodeId {
-    let node = st.kind.len();
     if st.trail.active {
         st.trail.push(TrailEntry::NewNode);
     }
@@ -1052,19 +1088,7 @@ fn new_comm_node(st: &mut SchedulingState, est: i64, lst: i64) -> NodeId {
         lst: lst.min(st.horizon),
     });
     st.trail.charge_bytes(128);
-    st.kind.push(NodeKind::Comm(st.comms.len()));
-    st.est.push(est.max(0));
-    st.lst.push(lst.min(st.horizon));
-    st.succ.push(Vec::new());
-    st.pred.push(Vec::new());
-    let cc_id = st.cc.push();
-    debug_assert_eq!(cc_id, node);
-    let vc_id = st.vc.push();
-    debug_assert_eq!(vc_id, node);
-    st.vc_adj.push(Default::default());
-    st.edges_at.push(Vec::new());
-    st.cc_list.push(vec![node]);
-    st.vc_list.push(vec![node]);
+    let node = st.push_comm_node(est.max(0), lst.min(st.horizon));
     st.dirty = true;
     node
 }
@@ -1096,15 +1120,15 @@ fn kill_plcs_subsumed_by(st: &mut SchedulingState, p: NodeId, c: NodeId) {
 /// sitting in third VCs.
 fn create_plcs_for_pair(
     st: &mut SchedulingState,
+    ctx: &StateCtx,
     q: &mut Queue,
     x: NodeId,
     y: NodeId,
 ) -> Result<(), Contradiction> {
-    if st.ctx.tuning.disable_plc || x >= st.ctx.n_insts || y >= st.ctx.n_insts {
+    if ctx.tuning.disable_plc || x >= ctx.n_insts || y >= ctx.n_insts {
         return Ok(());
     }
-    let bus = st.ctx.machine.bus_latency() as i64;
-    let ctx = Arc::clone(&st.ctx);
+    let bus = ctx.machine.bus_latency() as i64;
     // Rule 5: common data successor s in a third VC ⇒ at least one of the
     // two values will be communicated to s.
     for &s in &ctx.consumers_of[x] {
@@ -1116,10 +1140,7 @@ fn create_plcs_for_pair(
             continue;
         }
         let key = (0u8, x.min(y), x.max(y), s);
-        if st.plc_seen.contains(&key)
-            || st.flc_by_value.contains_key(&x)
-            || st.flc_by_value.contains_key(&y)
-        {
+        if st.has_plc(&key) || !st.flc_by_value[x].is_empty() || !st.flc_by_value[y].is_empty() {
             continue;
         }
         if st.trail.active {
@@ -1127,7 +1148,7 @@ fn create_plcs_for_pair(
         }
         st.trail.redo(RedoEntry::PlcInsert { key });
         st.trail.charge_bytes(32);
-        st.plc_seen.insert(key);
+        st.insert_plc(key);
         let est = (st.est[x] + st.latency(x)).min(st.est[y] + st.latency(y));
         let lst = st.lst[s] - bus;
         let node = new_comm_node(st, est, lst);
@@ -1166,7 +1187,7 @@ fn create_plcs_for_pair(
             continue;
         }
         let key = (1u8, x.min(y), x.max(y), p);
-        if st.plc_seen.contains(&key) || st.flc_by_value.contains_key(&p) {
+        if st.has_plc(&key) || !st.flc_by_value[p].is_empty() {
             continue;
         }
         if st.trail.active {
@@ -1174,7 +1195,7 @@ fn create_plcs_for_pair(
         }
         st.trail.redo(RedoEntry::PlcInsert { key });
         st.trail.charge_bytes(32);
-        st.plc_seen.insert(key);
+        st.insert_plc(key);
         let est = st.est[p] + st.latency(p);
         let lst = st.lst[x].max(st.lst[y]) - bus;
         let node = new_comm_node(st, est, lst);
@@ -1309,34 +1330,43 @@ pub fn refresh_plc_bounds(
 /// One pass of windowed resource reasoning over every class: detects
 /// saturation contradictions and tightens bounds of excluded instructions.
 /// Returns `true` if any bound changed.
-pub fn resource_pass(st: &mut SchedulingState, q: &mut Queue) -> Result<bool, Contradiction> {
+pub fn resource_pass(
+    st: &mut SchedulingState,
+    ctx: &StateCtx,
+    q: &mut Queue,
+) -> Result<bool, Contradiction> {
     let before = q.len();
-    let tighten = !st.ctx.tuning.disable_resource_tightening;
+    let mut scratch = std::mem::take(&mut st.scratch.pigeon);
+    let passed = with_lists(st, |st, [members, of_class, comms]| {
+        resource_rules(st, ctx, q, &mut scratch, members, of_class, comms)
+    });
+    st.scratch.pigeon = scratch;
+    passed.map(|()| q.len() > before)
+}
+
+/// The body of [`resource_pass`], over its scratch buffers.
+fn resource_rules(
+    st: &mut SchedulingState,
+    ctx: &StateCtx,
+    q: &mut Queue,
+    scratch: &mut PigeonScratch,
+    members: &mut Vec<NodeId>,
+    of_class: &mut Vec<NodeId>,
+    comms: &mut Vec<NodeId>,
+) -> Result<(), Contradiction> {
+    let tighten = !ctx.tuning.disable_resource_tightening;
     // Machine-wide, per FU class; the contender lists are static (comm
     // nodes are `Copy`-class, live-ins never compete).
-    let ctx = Arc::clone(&st.ctx);
-    let mut scratch = PigeonScratch::default();
     for (ci, &class) in OpClass::FU_CLASSES.iter().enumerate() {
         let cap = ctx.machine.total_capacity(class);
-        pigeonhole(
-            st,
-            q,
-            &mut scratch,
-            &ctx.fu_nodes[ci],
-            cap,
-            1,
-            tighten,
-            class,
-        )?;
+        pigeonhole(st, q, scratch, &ctx.fu_nodes[ci], cap, 1, tighten, class)?;
     }
     // Per-VC, per FU class and per issue width. Roots are scanned in the
     // same ascending order `vc_roots()` returns, and the member/class
     // buffers are reused across roots — pigeonhole only tightens bounds,
     // never VC structure, so membership is stable across the loop.
-    let mut members: Vec<NodeId> = Vec::new();
-    let mut of_class: Vec<NodeId> = Vec::new();
     for root in 0..st.kind.len() {
-        if st.vc_list[root].is_empty() || matches!(st.kind[root], NodeKind::Comm(_)) {
+        if !st.is_vc_root(root) {
             continue;
         }
         members.clear();
@@ -1358,12 +1388,12 @@ pub fn resource_pass(st: &mut SchedulingState, q: &mut Queue) -> Result<bool, Co
                     .filter(|&m| st.class(m) == Some(class)),
             );
             if of_class.len() > 1 {
-                let cap = st.ctx.machine.capacity(class);
-                pigeonhole(st, q, &mut scratch, &of_class, cap, 1, tighten, class)?;
+                let cap = ctx.machine.capacity(class);
+                pigeonhole(st, q, scratch, of_class, cap, 1, tighten, class)?;
             }
         }
-        if let Some(w) = st.ctx.machine.issue_per_cluster() {
-            pigeonhole(st, q, &mut scratch, &members, w, 1, tighten, OpClass::Int)?;
+        if let Some(w) = ctx.machine.issue_per_cluster() {
+            pigeonhole(st, q, scratch, members, w, 1, tighten, OpClass::Int)?;
         }
     }
     // Precedence rule: a group of same-class predecessors larger than the
@@ -1371,43 +1401,35 @@ pub fn resource_pass(st: &mut SchedulingState, q: &mut Queue) -> Result<bool, Co
     // start (and symmetrically before its successors must end). This is
     // what turns "78 int ops feed this exit" into a real lower bound.
     if tighten {
-        precedence_resource_rule(st, q)?;
+        precedence_resource_rule(st, ctx, q)?;
     }
     // Bus: live communications, with occupancy.
-    let comms: Vec<NodeId> = st.live_comms().map(|c| c.node).collect();
-    let buses = st.ctx.machine.bus_count();
-    let occ = st.ctx.machine.bus_occupancy() as i64;
-    pigeonhole(
-        st,
-        q,
-        &mut scratch,
-        &comms,
-        buses,
-        occ,
-        false,
-        OpClass::Copy,
-    )?;
+    comms.extend(st.live_comms().map(|c| c.node));
+    let buses = ctx.machine.bus_count();
+    let occ = ctx.machine.bus_occupancy() as i64;
+    pigeonhole(st, q, scratch, comms, buses, occ, false, OpClass::Copy)?;
     // Pinned copies: exact sliding-window conflict for non-pipelined buses.
-    let pinned: Vec<i64> = comms
-        .iter()
-        .filter(|&&n| st.pinned(n))
-        .map(|&n| st.est[n])
-        .collect();
-    for &t in &pinned {
+    let pinned = &mut scratch.pinned;
+    pinned.clear();
+    pinned.extend(comms.iter().filter(|&&n| st.pinned(n)).map(|&n| st.est[n]));
+    for &t in pinned.iter() {
         let overlapping = pinned.iter().filter(|&&u| u <= t && t < u + occ).count();
         if overlapping > buses {
             return Err(Contradiction::ResourceOverflow(OpClass::Copy));
         }
     }
-    Ok(q.len() > before)
+    Ok(())
 }
 
 /// Precedence-based resource bounds (see [`resource_pass`]): folds each
 /// precomputed [`vcsched_core::state` `PrecRule`] group's current EST/LST
 /// over its static membership. Group discovery (reachability, class,
 /// capacity overflow, path slack) happened once at context build.
-fn precedence_resource_rule(st: &mut SchedulingState, q: &mut Queue) -> Result<(), Contradiction> {
-    let ctx = Arc::clone(&st.ctx);
+fn precedence_resource_rule(
+    st: &mut SchedulingState,
+    ctx: &StateCtx,
+    q: &mut Queue,
+) -> Result<(), Contradiction> {
     for rule in &ctx.prec_rules {
         if rule.succ_side {
             let group_lst = rule
@@ -1437,16 +1459,19 @@ fn precedence_resource_rule(st: &mut SchedulingState, q: &mut Queue) -> Result<(
 /// Windows longer than `|confined|/cap` cycles can be neither overfull nor
 /// saturated, so for each window start only the first `n/cap` end values
 /// matter — that bound keeps the pass near-linear in practice.
-/// Reusable buffers for [`pigeonhole`]: one set per [`resource_pass`]
-/// call, shared across its dozens of per-class / per-VC invocations so
-/// the window scan allocates nothing in steady state.
-#[derive(Default)]
-struct PigeonScratch {
+/// Reusable buffers for [`pigeonhole`], kept in the state's scratch and
+/// shared across the dozens of per-class / per-VC invocations of each
+/// [`resource_pass`], so the window scan allocates nothing in steady
+/// state.
+#[derive(Debug, Default)]
+pub(crate) struct PigeonScratch {
     starts: Vec<i64>,
     ends: Vec<i64>,
     by_est: Vec<(i64, i64)>,
     lsts: Vec<i64>,
     saturated: Vec<(i64, i64)>,
+    /// Cycles of the pinned copies (the bus sliding-window check).
+    pinned: Vec<i64>,
 }
 
 #[allow(clippy::too_many_arguments)] // one scratch handle on top of the rule's natural shape
@@ -1555,14 +1580,18 @@ fn pigeonhole(
 
 /// Processes one bound change: dependence propagation, CC sync, edge
 /// pruning, pinned-pair resolution, Rule 1, PLC refresh, cycle audits.
-fn on_bound(st: &mut SchedulingState, q: &mut Queue, n: NodeId) -> Result<(), Contradiction> {
+fn on_bound(
+    st: &mut SchedulingState,
+    ctx: &StateCtx,
+    q: &mut Queue,
+    n: NodeId,
+) -> Result<(), Contradiction> {
     // Dependence propagation: the static CSR adjacency first, then the
     // per-search extras (communication dependence edges) — together in
     // exactly the order the old per-node `Vec`s held them. The CSR rows
     // live in the shared context, so no clone is needed to iterate them;
     // the extras use length-snapshot index loops for the same reason
     // (tightening only queues work, it never grows these rows).
-    let ctx = Arc::clone(&st.ctx);
     if n < ctx.succ_csr.rows() {
         for &(s, lat) in ctx.succ_csr.row(n) {
             tighten_est(st, q, s, st.est[n] + lat)?;
@@ -1619,7 +1648,7 @@ fn on_bound(st: &mut SchedulingState, q: &mut Queue, n: NodeId) -> Result<(), Co
         }
     }
     // Rule 1 on data edges at n.
-    rule1_slack_check(st, q, n)?;
+    rule1_slack_check(st, ctx, q, n)?;
     // PLC bound refresh.
     refresh_plc_bounds(st, q, n)
 }
@@ -1628,11 +1657,14 @@ fn on_bound(st: &mut SchedulingState, q: &mut Queue, n: NodeId) -> Result<(), Co
 /// The resource rules only re-run when bounds, clusters or communications
 /// changed since the last pass (`SchedulingState::dirty`).
 pub fn drain(st: &mut SchedulingState, q: &mut Queue, budget: &mut Budget) -> Result<(), DpAbort> {
+    // One handle on the shared context for the whole drain: the rules
+    // borrow it while they mutate the state.
+    let ctx = Arc::clone(&st.ctx);
     loop {
         while let Some(n) = q.pop_front() {
             budget.spend(1)?;
             budget.check_bytes(st.trail.work_bytes())?;
-            on_bound(st, q, n)?;
+            on_bound(st, &ctx, q, n)?;
         }
         if !st.dirty {
             return Ok(());
@@ -1640,7 +1672,7 @@ pub fn drain(st: &mut SchedulingState, q: &mut Queue, budget: &mut Budget) -> Re
         budget.spend(8)?;
         budget.check_bytes(st.trail.work_bytes())?;
         st.dirty = false;
-        resource_pass(st, q)?;
+        resource_pass(st, &ctx, q)?;
         if q.is_empty() && !st.dirty {
             return Ok(());
         }
@@ -1659,8 +1691,7 @@ pub fn check_colorable(st: &mut SchedulingState) -> Result<(), Contradiction> {
         return Ok(());
     }
     let k = st.ctx.machine.cluster_count();
-    let (g, _) = st.vcg_view();
-    if is_k_colorable(&g, k, 22) {
+    if st.vcg_colorable(k) {
         st.vcg_dirty = false;
         Ok(())
     } else {

@@ -30,7 +30,7 @@ pub fn sg_windows(ctx: &StateCtx) -> Vec<(usize, usize, CombRange)> {
     // for a same-cycle resource, so their combinations carry no scheduling
     // information — the pinning stage places them directly. Restricting the
     // scheduling graph to same-class pairs keeps every deduction intact
-    // while shrinking the combination search space (see DESIGN.md).
+    // while shrinking the combination search space.
     let cross_class = ctx.machine.issue_per_cluster().is_some();
     let mut out = Vec::new();
     for u in 0..n {
@@ -146,7 +146,11 @@ fn reset_into(
         }
     }
     st.comms.clear();
-    st.flc_by_value.clear();
+    st.flc_by_value.truncate(n);
+    for cis in &mut st.flc_by_value {
+        cis.clear();
+    }
+    st.flc_by_value.resize_with(n, Vec::new);
     st.plc_seen.clear();
     st.horizon = horizon;
     st.cc_list.truncate(n_nodes);
@@ -230,6 +234,7 @@ fn empty_state(ctx: &Arc<StateCtx>) -> SchedulingState {
         dirty: true,
         vcg_dirty: true,
         trail: Default::default(),
+        scratch: Default::default(),
     }
 }
 

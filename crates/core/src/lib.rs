@@ -20,7 +20,7 @@
 //! The driver ([`VcScheduler`]) enumerates AWCT values from an enhanced
 //! minimum (§4.2) and runs the six-stage search of §4.4 for each value.
 //!
-//! See `DESIGN.md` at the repository root for the reproduction notes, and
+//! The repository README maps the crates and their verify commands; see
 //! [`VcScheduler`] for a usage example.
 
 #![warn(missing_docs)]

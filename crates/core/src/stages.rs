@@ -122,8 +122,17 @@ fn adopt(st: &mut SchedulingState, d: &Decision, studied: Studied) {
         *st = *future;
     } else if let Some(redo) = studied.redo {
         st.apply_redo(&redo);
+        st.trail.recycle(redo);
     } else {
         replay_decision(st, d);
+    }
+}
+
+/// Drops a studied candidate that will not be adopted, returning its redo
+/// buffer to the trail.
+fn release(st: &mut SchedulingState, studied: Studied) {
+    if let Some(redo) = studied.redo {
+        st.trail.recycle(redo);
     }
 }
 
@@ -239,13 +248,15 @@ fn combination_stage(
                     survivors.push((choose, c));
                     survivors.push((discard, dd));
                 }
-                (Some(_), None) => {
+                (Some(c), None) => {
                     // Discard impossible ⇒ choosing is mandatory.
+                    release(st, c);
                     apply_decision(st, &choose, budget).map_err(map_abort)?;
                     any_mandatory = true;
                 }
-                (None, Some(_)) => {
+                (None, Some(dd)) => {
                     // Choice impossible ⇒ discarding is mandatory.
+                    release(st, dd);
                     apply_decision(st, &discard, budget).map_err(map_abort)?;
                     any_mandatory = true;
                 }
@@ -253,9 +264,13 @@ fn combination_stage(
             }
         }
         if any_mandatory {
-            continue; // re-select candidates on the updated state
+            // Re-select candidates on the updated state.
+            for (_, studied) in survivors {
+                release(st, studied);
+            }
+            continue;
         }
-        match pick_best(survivors) {
+        match pick_best(st, survivors) {
             Some((d, best)) => adopt(st, &d, best),
             None => return Err(StageFail::Restart),
         }
@@ -263,15 +278,22 @@ fn combination_stage(
 }
 
 /// Best survivor by the §4.4.3 heuristic; ties keep the earliest entry
-/// (callers push the *choose* future first).
-fn pick_best(mut survivors: Vec<(Decision, Studied)>) -> Option<(Decision, Studied)> {
+/// (callers push the *choose* future first). The losers are released.
+fn pick_best(
+    st: &mut SchedulingState,
+    mut survivors: Vec<(Decision, Studied)>,
+) -> Option<(Decision, Studied)> {
     let mut best: Option<(StateScore, usize)> = None;
     for (i, (_, s)) in survivors.iter().enumerate() {
         if best.is_none_or(|(b, _)| s.score.better_than(&b)) {
             best = Some((s.score, i));
         }
     }
-    best.map(|(_, i)| survivors.swap_remove(i))
+    let winner = best.map(|(_, i)| survivors.swap_remove(i));
+    for (_, studied) in survivors {
+        release(st, studied);
+    }
+    winner
 }
 
 /// Stage 1: treat combinations among original (non-communication)
@@ -297,10 +319,11 @@ fn mandatory_tighten(
     apply: impl FnOnce(&mut SchedulingState, &mut Queue) -> Result<(), Contradiction>,
 ) -> Result<(), StageFail> {
     let mark = discard_after.then(|| st.begin_speculation());
-    let mut q: Queue = Queue::new();
-    let drained = apply(st, &mut q)
-        .map_err(DpAbort::from)
-        .and_then(|()| dp::drain(st, &mut q, budget));
+    let drained = dp::with_queue(st, |st, q| {
+        apply(st, q)
+            .map_err(DpAbort::from)
+            .and_then(|()| dp::drain(st, q, budget))
+    });
     if let Some(m) = mark {
         st.rollback(m);
     }
@@ -356,7 +379,7 @@ fn pinning_stage(
                 }
             }
         }
-        if let Some((d, best)) = pick_best(survivors) {
+        if let Some((d, best)) = pick_best(st, survivors) {
             adopt(st, &d, best);
         } else if !tightened {
             return Err(StageFail::Restart);
@@ -464,7 +487,7 @@ pub fn stage4_map_clusters(st: &mut SchedulingState, budget: &mut Budget) -> Res
                 Err(DpAbort::Contradiction(_)) => {}
             }
         }
-        match pick_best(survivors) {
+        match pick_best(st, survivors) {
             Some((d, best)) => adopt(st, &d, best),
             None => return Err(StageFail::Restart),
         }
@@ -475,8 +498,7 @@ pub fn stage4_map_clusters(st: &mut SchedulingState, budget: &mut Budget) -> Res
 ///
 /// Communication pairs can only overlap on machines with more than one bus;
 /// on the single-bus machines of the paper the stage reduces to a no-op and
-/// the bus is serialised by the resource rules during stage 6 (see
-/// DESIGN.md).
+/// the bus is serialised by the resource rules during stage 6.
 pub fn stage5_comm_combinations(
     st: &mut SchedulingState,
     budget: &mut Budget,
@@ -536,7 +558,7 @@ pub fn stage6_pin_comms(st: &mut SchedulingState, budget: &mut Budget) -> Result
 /// ending stage 3 at every AWCT value. Eliminating outedges while bounds
 /// are still wide preserves the postponed-assignment property — cluster
 /// decisions are still driven by the accumulated combination constraints —
-/// and the communication nodes then shape the final pins. See DESIGN.md.
+/// and the communication nodes then shape the final pins.
 pub fn run_all_stages(st: &mut SchedulingState, budget: &mut Budget) -> Result<(), StageFail> {
     stage1_combinations(st, budget)?;
     stage2_pin_instructions(st, budget)?;

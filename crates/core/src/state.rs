@@ -14,15 +14,20 @@
 //! decisions. Live-in values pre-placed in a register file are fused with
 //! their home anchor during initialisation.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use vcsched_arch::{ClusterId, MachineConfig, OpClass};
+use vcsched_graph::coloring::DenseColoring;
 use vcsched_graph::{Csr, GrowSet, OffsetUnionFind, Ungraph, UnionFind};
 use vcsched_ir::{DepGraph, DepKind, InstId, Superblock};
 
 use crate::combination::{CombDomain, CombRange};
+use crate::dp::{PigeonScratch, Queue};
 use crate::trail::{RedoEntry, RedoLog, Trail, TrailEntry, TrailMark};
+
+/// Identity of a partially-linked communication: `(kind_tag, x, y, z)`,
+/// tag 0 for producer-partial and 1 for consumer-partial.
+pub type PlcKey = (u8, NodeId, NodeId, NodeId);
 
 /// Dense node index inside a scheduling state.
 ///
@@ -109,7 +114,8 @@ pub struct Comm {
 }
 
 /// Ablation switches for the deduction process and stages, used by the
-/// `ablations` experiment to quantify each design choice (see DESIGN.md).
+/// `ablations` experiment (`crates/bench/src/bin/ablations.rs`) to
+/// quantify each design choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Tuning {
     /// Disable partially-linked communications (Rules 5–7 reservations).
@@ -427,6 +433,108 @@ impl StateScore {
     }
 }
 
+/// A free list of emptied vectors, handed out again instead of
+/// allocating fresh ones.
+#[derive(Debug)]
+pub(crate) struct Pool<T>(Vec<Vec<T>>);
+
+impl<T> Default for Pool<T> {
+    fn default() -> Self {
+        Pool(Vec::new())
+    }
+}
+
+impl<T> Pool<T> {
+    /// An empty vector, recycled when one is free.
+    pub(crate) fn take(&mut self) -> Vec<T> {
+        self.0.pop().unwrap_or_default()
+    }
+
+    /// Empties `v` and keeps it for the next [`Pool::take`].
+    pub(crate) fn give(&mut self, mut v: Vec<T>) {
+        v.clear();
+        self.0.push(v);
+    }
+}
+
+/// Reusable buffers for the deduction rules, owned by the state so that a
+/// study allocates nothing once the buffers have grown: the search arena
+/// keeps one state, and with it these buffers, across AWCT attempts.
+/// Contents carry no meaning between calls, so a clone starts empty.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Work lists for the rules. Rules nest (a fuse fires Rule 1, which
+    /// fuses again), so the lists are a pool rather than one buffer per
+    /// rule.
+    pub(crate) lists: Pool<NodeId>,
+    /// Per-node rows (member lists, edge lists, FLC consumer lists) of
+    /// comm nodes a rollback discarded, for the next comm node.
+    pub(crate) rows: Pool<NodeId>,
+    /// Dependence rows, recycled the same way.
+    pub(crate) dep_rows: Pool<(NodeId, i64)>,
+    /// One slot per node for the sweeps that memoise VC roots or view
+    /// indices; none of them nests, so one buffer serves them all.
+    memo: Vec<usize>,
+    /// The worklist a decision drains.
+    pub(crate) queue: Queue,
+    /// Window-scan buffers of the resource rules.
+    pub(crate) pigeon: PigeonScratch,
+    /// The colourability check's graph.
+    vcg: DenseColoring,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Scratch {
+        Scratch::default()
+    }
+}
+
+impl Scratch {
+    /// The node memo, filled with `usize::MAX` for `nodes` nodes; hand it
+    /// back with [`Scratch::put_memo`].
+    pub(crate) fn take_memo(&mut self, nodes: usize) -> Vec<usize> {
+        let mut memo = std::mem::take(&mut self.memo);
+        memo.clear();
+        memo.resize(nodes, usize::MAX);
+        memo
+    }
+
+    /// Returns the node memo.
+    pub(crate) fn put_memo(&mut self, memo: Vec<usize>) {
+        self.memo = memo;
+    }
+}
+
+/// `(&mut lists[a], &mut lists[b])` for `a != b`.
+fn two_mut(lists: &mut [Vec<NodeId>], a: usize, b: usize) -> (&mut Vec<NodeId>, &mut Vec<NodeId>) {
+    if a < b {
+        let (lo, hi) = lists.split_at_mut(b);
+        (&mut lo[a], &mut hi[0])
+    } else {
+        let (lo, hi) = lists.split_at_mut(a);
+        (&mut hi[0], &mut lo[b])
+    }
+}
+
+/// Appends `lists[from]` to `lists[to]` and empties `lists[from]`, keeping
+/// both allocations; returns how many members moved.
+pub(crate) fn move_members(lists: &mut [Vec<NodeId>], from: usize, to: usize) -> usize {
+    let (src, dst) = two_mut(lists, from, to);
+    dst.extend_from_slice(src);
+    let moved = src.len();
+    src.clear();
+    moved
+}
+
+/// Undoes [`move_members`]: moves the last `moved` members of `lists[to]`
+/// back into the emptied `lists[from]`.
+fn unmove_members(lists: &mut [Vec<NodeId>], from: usize, to: usize, moved: usize) {
+    let (dst, src) = two_mut(lists, from, to);
+    let at = src.len() - moved;
+    dst.extend_from_slice(&src[at..]);
+    src.truncate(at);
+}
+
 /// The mutable scheduling state.
 ///
 /// Candidate study is trail-based by default (apply on this state, then
@@ -466,12 +574,13 @@ pub struct SchedulingState {
     pub edges_at: Vec<Vec<usize>>,
     /// Communication table.
     pub comms: Vec<Comm>,
-    /// FLC registry: producer node → communication indices (one per
-    /// destination virtual cluster).
-    pub flc_by_value: BTreeMap<NodeId, Vec<usize>>,
+    /// FLC registry: per producer instruction, the communication indices
+    /// carrying its value (one per destination virtual cluster); empty
+    /// while the value has none.
+    pub flc_by_value: Vec<Vec<usize>>,
     /// PLC dedup registry: `(kind_tag, x, y, z)` identities already created
-    /// (tag 0 = producer-partial, 1 = consumer-partial).
-    pub plc_seen: std::collections::BTreeSet<(u8, NodeId, NodeId, NodeId)>,
+    /// (tag 0 = producer-partial, 1 = consumer-partial), kept sorted.
+    pub plc_seen: Vec<PlcKey>,
     /// Scheduling horizon: upper bound for every lstart this attempt.
     pub horizon: i64,
     /// Connected-component member lists, authoritative at CC roots
@@ -489,6 +598,8 @@ pub struct SchedulingState {
     pub vcg_dirty: bool,
     /// The speculation trail: undo log plus lifetime telemetry.
     pub trail: Trail,
+    /// Reusable buffers for the deduction rules.
+    pub(crate) scratch: Scratch,
 }
 
 impl SchedulingState {
@@ -562,28 +673,23 @@ impl SchedulingState {
         ra != rb && self.vc_adj[ra].contains(rb)
     }
 
-    /// Members of the VC containing `n`.
-    pub fn vc_members(&mut self, n: NodeId) -> Vec<NodeId> {
-        let root = self.vc.find(n);
-        self.vc_list[root].clone()
+    /// Whether `m` roots a virtual cluster. Comm nodes live outside the
+    /// VC world, so their singletons do not count.
+    pub fn is_vc_root(&self, m: NodeId) -> bool {
+        !self.vc_list[m].is_empty() && !matches!(self.kind[m], NodeKind::Comm(_))
     }
 
     /// All current VC roots (anchors always included).
-    pub fn vc_roots(&mut self) -> Vec<usize> {
+    pub fn vc_roots(&self) -> Vec<usize> {
         (0..self.kind.len())
-            .filter(|&m| {
-                // Comm nodes live outside the VC world; skip their singletons.
-                !self.vc_list[m].is_empty() && !matches!(self.kind[m], NodeKind::Comm(_))
-            })
+            .filter(|&m| self.is_vc_root(m))
             .collect()
     }
 
     /// Number of current VC roots — `vc_roots().len()` without the
     /// allocation (the score heuristic calls this once per study).
     pub fn vc_root_count(&self) -> usize {
-        (0..self.kind.len())
-            .filter(|&m| !self.vc_list[m].is_empty() && !matches!(self.kind[m], NodeKind::Comm(_)))
-            .count()
+        (0..self.kind.len()).filter(|&m| self.is_vc_root(m)).count()
     }
 
     /// The anchor cluster a node's VC is mapped to, if any.
@@ -611,48 +717,38 @@ impl SchedulingState {
     /// Data edges whose endpoints sit in *different, compatible* VCs — the
     /// paper's *outedges* (§4.4.1.2), the edges stage 3 eliminates.
     pub fn outedges(&mut self) -> Vec<(NodeId, NodeId)> {
-        // Memoise VC roots across the edge walk: endpoints repeat across
-        // data edges, and with the trail journaling suspending path
-        // compression each `find` would otherwise re-walk its chain.
-        let mut root = vec![usize::MAX; self.kind.len()];
-        let mut root_of = |vc: &mut UnionFind, n: NodeId| {
-            if root[n] == usize::MAX {
-                root[n] = vc.find(n);
-            }
-            root[n]
-        };
-        let ctx = Arc::clone(&self.ctx);
         let mut out = Vec::new();
-        for &(p, c) in &ctx.data_edges {
-            let rp = root_of(&mut self.vc, p);
-            let rc = root_of(&mut self.vc, c);
-            if rp != rc && !self.vc_adj[rp].contains(rc) {
-                out.push((p, c));
-            }
-        }
+        self.for_each_outedge(|p, c| out.push((p, c)));
         out
     }
 
     /// `outedges().len()` without materialising the pair list (the score
     /// heuristic only needs the count).
     pub fn outedge_count(&mut self) -> usize {
-        let mut root = vec![usize::MAX; self.kind.len()];
+        let mut count = 0;
+        self.for_each_outedge(|_, _| count += 1);
+        count
+    }
+
+    fn for_each_outedge(&mut self, mut f: impl FnMut(NodeId, NodeId)) {
+        // Memoise VC roots across the edge walk: endpoints repeat across
+        // data edges, and with the trail journaling suspending path
+        // compression each `find` would otherwise re-walk its chain.
+        let mut root = self.scratch.take_memo(self.kind.len());
         let mut root_of = |vc: &mut UnionFind, n: NodeId| {
             if root[n] == usize::MAX {
                 root[n] = vc.find(n);
             }
             root[n]
         };
-        let ctx = Arc::clone(&self.ctx);
-        let mut count = 0;
-        for &(p, c) in &ctx.data_edges {
+        for &(p, c) in &self.ctx.data_edges {
             let rp = root_of(&mut self.vc, p);
             let rc = root_of(&mut self.vc, c);
             if rp != rc && !self.vc_adj[rp].contains(rc) {
-                count += 1;
+                f(p, c);
             }
         }
-        count
+        self.scratch.put_memo(root);
     }
 
     /// Heuristic score of this state (§4.4.3).
@@ -717,14 +813,10 @@ impl SchedulingState {
                     self.pred[to].pop();
                 }
                 TrailEntry::CcListMove { root, minor, moved } => {
-                    let at = self.cc_list[root].len() - moved;
-                    let tail = self.cc_list[root].split_off(at);
-                    self.cc_list[minor] = tail;
+                    unmove_members(&mut self.cc_list, minor, root, moved);
                 }
                 TrailEntry::VcListMove { root, minor, moved } => {
-                    let at = self.vc_list[root].len() - moved;
-                    let tail = self.vc_list[root].split_off(at);
-                    self.vc_list[minor] = tail;
+                    unmove_members(&mut self.vc_list, minor, root, moved);
                 }
                 TrailEntry::VcAdjInsert { a, b } => {
                     self.vc_adj[a].remove(b);
@@ -733,32 +825,44 @@ impl SchedulingState {
                     self.vc_adj[a].insert(b);
                 }
                 TrailEntry::CommPush => {
-                    self.comms.pop();
-                }
-                TrailEntry::CommKind { ci, old } => self.comms[ci].kind = old,
-                TrailEntry::FlcPush { value, created } => {
-                    if created {
-                        self.flc_by_value.remove(&value);
-                    } else {
-                        self.flc_by_value
-                            .get_mut(&value)
-                            .expect("flc entry exists")
-                            .pop();
+                    if let Some(Comm {
+                        kind: CommKind::Flc { consumers, .. },
+                        ..
+                    }) = self.comms.pop()
+                    {
+                        self.scratch.rows.give(consumers);
                     }
                 }
+                TrailEntry::CommKind { ci, old } => self.comms[ci].kind = old,
+                TrailEntry::CommConsumerPush { ci } => {
+                    if let CommKind::Flc { consumers, .. } = &mut self.comms[ci].kind {
+                        consumers.pop();
+                    }
+                }
+                TrailEntry::FlcPush { value } => {
+                    self.flc_by_value[value].pop();
+                }
                 TrailEntry::PlcSeen { key } => {
-                    self.plc_seen.remove(&key);
+                    if let Ok(pos) = self.plc_seen.binary_search(&key) {
+                        self.plc_seen.remove(pos);
+                    }
                 }
                 TrailEntry::NewNode => {
                     self.kind.pop();
                     self.est.pop();
                     self.lst.pop();
-                    self.succ.pop();
-                    self.pred.pop();
                     self.vc_adj.pop();
-                    self.edges_at.pop();
-                    self.cc_list.pop();
-                    self.vc_list.pop();
+                    // Rows go back in the reverse of the order
+                    // `push_comm_node` takes them, so a re-created node
+                    // gets each row back in the same role.
+                    let rows = [self.pred.pop(), self.succ.pop()];
+                    for row in rows.into_iter().flatten() {
+                        self.scratch.dep_rows.give(row);
+                    }
+                    let lists = [self.vc_list.pop(), self.cc_list.pop(), self.edges_at.pop()];
+                    for list in lists.into_iter().flatten() {
+                        self.scratch.rows.give(list);
+                    }
                 }
             }
         }
@@ -780,6 +884,44 @@ impl SchedulingState {
         self.cc.end_journal();
         self.vc.end_journal();
         self.trail.active = false;
+    }
+
+    /// Whether the PLC `key` was already created.
+    pub(crate) fn has_plc(&self, key: &PlcKey) -> bool {
+        self.plc_seen.binary_search(key).is_ok()
+    }
+
+    /// Records the PLC `key` (absent until now) in sorted position.
+    pub(crate) fn insert_plc(&mut self, key: PlcKey) {
+        if let Err(pos) = self.plc_seen.binary_search(&key) {
+            self.plc_seen.insert(pos, key);
+        }
+    }
+
+    /// Appends a comm node row with the given bounds to every per-node
+    /// vector (rows come from the scratch pool) and returns its id. The
+    /// comm-table index it points at is the next `comms` slot.
+    pub(crate) fn push_comm_node(&mut self, est: i64, lst: i64) -> NodeId {
+        let node = self.kind.len();
+        self.kind.push(NodeKind::Comm(self.comms.len()));
+        self.est.push(est);
+        self.lst.push(lst);
+        let (succ, pred) = (self.scratch.dep_rows.take(), self.scratch.dep_rows.take());
+        self.succ.push(succ);
+        self.pred.push(pred);
+        let cc_id = self.cc.push();
+        debug_assert_eq!(cc_id, node);
+        let vc_id = self.vc.push();
+        debug_assert_eq!(vc_id, node);
+        self.vc_adj.push(Default::default());
+        let edges_at = self.scratch.rows.take();
+        self.edges_at.push(edges_at);
+        for lists in [&mut self.cc_list, &mut self.vc_list] {
+            let mut row = self.scratch.rows.take();
+            row.push(node);
+            lists.push(row);
+        }
+        node
     }
 
     /// Adopts a studied decision by replaying its captured forward deltas
@@ -820,18 +962,16 @@ impl SchedulingState {
                     bytes += 16;
                 }
                 RedoEntry::CcListMove { root, minor } => {
-                    let moved = std::mem::take(&mut self.cc_list[minor]);
-                    bytes += 16 + moved.len() as u64 * 8;
-                    self.cc_list[root].extend(moved);
+                    let moved = move_members(&mut self.cc_list, minor, root);
+                    bytes += 16 + moved as u64 * 8;
                 }
                 RedoEntry::VcUnion { a, b } => {
                     self.vc.union(a, b);
                     bytes += 16;
                 }
                 RedoEntry::VcListMove { root, minor } => {
-                    let moved = std::mem::take(&mut self.vc_list[minor]);
-                    bytes += 16 + moved.len() as u64 * 8;
-                    self.vc_list[root].extend(moved);
+                    let moved = move_members(&mut self.vc_list, minor, root);
+                    bytes += 16 + moved as u64 * 8;
                 }
                 RedoEntry::VcAdjInsert { a, b } => {
                     self.vc_adj[a].insert(b);
@@ -844,20 +984,7 @@ impl SchedulingState {
                 RedoEntry::NewNode { est, lst } => {
                     // Comm pushes replay in order, so the comm index the
                     // node will point at is again `comms.len()`.
-                    let node = self.kind.len();
-                    self.kind.push(NodeKind::Comm(self.comms.len()));
-                    self.est.push(est);
-                    self.lst.push(lst);
-                    self.succ.push(Vec::new());
-                    self.pred.push(Vec::new());
-                    let cc_id = self.cc.push();
-                    debug_assert_eq!(cc_id, node);
-                    let vc_id = self.vc.push();
-                    debug_assert_eq!(vc_id, node);
-                    self.vc_adj.push(Default::default());
-                    self.edges_at.push(Vec::new());
-                    self.cc_list.push(vec![node]);
-                    self.vc_list.push(vec![node]);
+                    self.push_comm_node(est, lst);
                     bytes += 128;
                 }
                 RedoEntry::CommPushFlc {
@@ -865,12 +992,11 @@ impl SchedulingState {
                     value,
                     consumer,
                 } => {
+                    let mut consumers = self.scratch.rows.take();
+                    consumers.push(consumer);
                     self.comms.push(Comm {
                         node,
-                        kind: CommKind::Flc {
-                            value,
-                            consumers: vec![consumer],
-                        },
+                        kind: CommKind::Flc { value, consumers },
                     });
                     bytes += 48;
                 }
@@ -910,11 +1036,11 @@ impl SchedulingState {
                     bytes += 16;
                 }
                 RedoEntry::FlcPush { value, ci } => {
-                    self.flc_by_value.entry(value).or_default().push(ci);
+                    self.flc_by_value[value].push(ci);
                     bytes += 16;
                 }
                 RedoEntry::PlcInsert { key } => {
-                    self.plc_seen.insert(key);
+                    self.insert_plc(key);
                     bytes += 32;
                 }
             }
@@ -958,30 +1084,46 @@ impl SchedulingState {
         bytes += (self.edges.len() * size_of::<SgEdge>()) as u64;
         bytes += (self.edge_of.len() * size_of::<(NodeId, NodeId, usize)>()) as u64;
         bytes += (self.comms.len() * size_of::<Comm>()) as u64;
-        bytes += (self.flc_by_value.len() * 3 * size_of::<usize>()) as u64;
-        bytes += (self.plc_seen.len() * size_of::<(u8, NodeId, NodeId, NodeId)>()) as u64;
+        let flc_values = self
+            .flc_by_value
+            .iter()
+            .filter(|cis| !cis.is_empty())
+            .count();
+        bytes += (flc_values * 3 * size_of::<usize>()) as u64;
+        bytes += (self.plc_seen.len() * size_of::<PlcKey>()) as u64;
         bytes
     }
 
-    /// Builds the VCG restricted to current roots, as `(graph, roots)` with
-    /// graph nodes indexing into `roots`.
-    pub fn vcg_view(&mut self) -> (Ungraph, Vec<usize>) {
-        let roots = self.vc_roots();
-        // Flat root → view-index table; adjacency rows may still name
-        // merged-away roots, which stay at the MAX sentinel and are skipped.
-        let mut index = vec![usize::MAX; self.kind.len()];
-        for (i, &r) in roots.iter().enumerate() {
-            index[r] = i;
+    /// Whether the VCG restricted to current roots can be coloured with
+    /// the physical clusters (§3.2), checked on the scratch dense graph:
+    /// graph node `i` is the `i`-th root in ascending order, and an edge
+    /// `{i, j}` (`i < j`) exists when root `j` is in root `i`'s adjacency
+    /// row (rows may still name merged-away roots; those are skipped).
+    pub(crate) fn vcg_colorable(&mut self, k: usize) -> bool {
+        let mut index = self.scratch.take_memo(self.kind.len());
+        let mut roots = 0;
+        for m in 0..self.kind.len() {
+            if self.is_vc_root(m) {
+                index[m] = roots;
+                roots += 1;
+            }
         }
-        let mut g = Ungraph::new(roots.len());
-        for (i, &r) in roots.iter().enumerate() {
+        let vcg = &mut self.scratch.vcg;
+        vcg.reset(roots);
+        for r in 0..self.kind.len() {
+            let i = index[r];
+            if i == usize::MAX {
+                continue;
+            }
             for n in self.vc_adj[r].iter() {
                 let j = index[n];
                 if j != usize::MAX && i < j {
-                    g.add_edge(i, j);
+                    vcg.add_edge(i, j);
                 }
             }
         }
-        (g, roots)
+        let colorable = vcg.is_k_colorable(k, 22);
+        self.scratch.put_memo(index);
+        colorable
     }
 }

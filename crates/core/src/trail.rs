@@ -31,7 +31,7 @@
 //! engine did *not* copy — surfaced as
 //! [`vcsched_policy::SpecStats`] through the scheduler.
 
-use crate::state::{CommKind, EdgeState, NodeId};
+use crate::state::{CommKind, EdgeState, NodeId, PlcKey};
 
 /// One undo record. Entries are deliberately small: the common cases
 /// (bound tightenings, edge-domain changes) are a pair of machine words.
@@ -69,14 +69,15 @@ pub(crate) enum TrailEntry {
     VcAdjRemove { a: usize, b: usize },
     /// A communication entry was pushed onto the comm table.
     CommPush,
-    /// Communication `ci` changed kind (consumer added, PLC promoted or
-    /// killed); `old` restores it.
+    /// Communication `ci` changed kind (PLC promoted or killed); `old`
+    /// restores it.
     CommKind { ci: usize, old: CommKind },
-    /// A comm index was appended to the FLC registry under `value`;
-    /// `created` records whether the map entry itself is new.
-    FlcPush { value: NodeId, created: bool },
+    /// A consumer was appended to FLC `ci`'s consumer list.
+    CommConsumerPush { ci: usize },
+    /// A comm index was appended to the FLC registry under `value`.
+    FlcPush { value: NodeId },
     /// `key` was inserted into the PLC dedup registry.
-    PlcSeen { key: (u8, NodeId, NodeId, NodeId) },
+    PlcSeen { key: PlcKey },
     /// A node row was pushed onto every per-node vector (comm creation).
     NewNode,
 }
@@ -139,7 +140,7 @@ pub(crate) enum RedoEntry {
     /// Comm index `ci` was appended to the FLC registry under `value`.
     FlcPush { value: NodeId, ci: usize },
     /// `key` was inserted into the PLC dedup registry.
-    PlcInsert { key: (u8, NodeId, NodeId, NodeId) },
+    PlcInsert { key: PlcKey },
 }
 
 /// A captured forward delta log from one successful study — replay it with
@@ -183,9 +184,12 @@ pub struct TrailMark {
 pub struct Trail {
     pub(crate) entries: Vec<TrailEntry>,
     pub(crate) active: bool,
-    /// Forward (redo) records captured while `redo_on`; drained into a
-    /// [`RedoLog`] by the study and cleared on rollback.
+    /// Forward (redo) records captured while `redo_on`; handed to a
+    /// [`RedoLog`] by a successful study, cleared by a failed one.
     pub(crate) redo: Vec<RedoEntry>,
+    /// Emptied redo buffers returned by [`Trail::recycle`], swapped in for
+    /// the next study's capture so a log costs no allocation once warm.
+    spare_redo: Vec<Vec<RedoEntry>>,
     /// Whether mutations should also append redo records.
     pub(crate) redo_on: bool,
     /// Cached estimate of one full-state clone, refreshed per state
@@ -226,6 +230,26 @@ impl Trail {
         if self.redo_on {
             self.redo.push(entry);
             self.redo_entries_total += 1;
+        }
+    }
+
+    /// Hands the captured redo records to a [`RedoLog`], leaving a
+    /// recycled (empty) buffer for the next capture.
+    pub(crate) fn take_redo(&mut self) -> RedoLog {
+        let spare = self.spare_redo.pop().unwrap_or_default();
+        RedoLog {
+            entries: std::mem::replace(&mut self.redo, spare),
+        }
+    }
+
+    /// Returns a log's buffer for reuse by later studies, once the log
+    /// has been replayed or its candidate lost.
+    pub fn recycle(&mut self, mut log: RedoLog) {
+        // A stage holds at most a handful of logs at once; keep that many.
+        const KEEP: usize = 8;
+        if self.spare_redo.len() < KEEP {
+            log.entries.clear();
+            self.spare_redo.push(log.entries);
         }
     }
 

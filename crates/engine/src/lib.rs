@@ -11,10 +11,10 @@
 //!   [`SchedulePolicy`] implementations per block — the default `vc,cars`
 //!   pair is the paper's §6.1 policy (the virtual-cluster scheduler under
 //!   a deduction-step budget with CARS fallback), `vc,cars,uas,two-phase`
-//!   the full portfolio. Single-pass members race on scoped threads,
-//!   every candidate is validated by `vcsched-sim`, ties break by the
-//!   set's canonical order, and a shared best-AWCT bound lets a provably
-//!   beaten exhaustive search abandon its work early;
+//!   the full portfolio. Single-pass members run in set order on the
+//!   solving thread, every candidate is validated by `vcsched-sim`, ties
+//!   break by the set's canonical order, and a shared best-AWCT bound
+//!   lets a provably beaten exhaustive search abandon its work early;
 //! * a [`registry`] owns the canonical name → constructor table
 //!   ([`PolicyRegistry`]), so CLI flags, wire requests and cache keys all
 //!   resolve policies the same way and a new policy is a one-file

@@ -11,10 +11,13 @@
 //!   service protocol's `"policies"` field); members resolve through the
 //!   [`PolicyRegistry`].
 //!
-//! The race is deterministic: single-pass policies run concurrently on
-//! scoped threads, every candidate is validated by `vcsched-sim`, and
-//! ties break toward the earlier entry of the set's canonical order —
-//! outcomes never depend on completion order. With
+//! The race is deterministic: single-pass policies run one after another
+//! in set order on the calling thread, every candidate is validated by
+//! `vcsched-sim`, and ties break toward the earlier entry of the set's
+//! canonical order. Parallelism comes from the block level instead (the
+//! batch scatter and the service's submit pool each solve many blocks at
+//! once), so a per-block thread fan-out would only add thread create/join
+//! cost and oversubscribe the workers. With
 //! [`PolicyOptions::early_cancel`] the validated single-pass results are
 //! sealed into a shared [`AwctBound`] *before* the exhaustive stage, so
 //! an exhaustive policy (VC) whose certified lower bound is already
@@ -253,31 +256,16 @@ pub fn schedule_block_bound(
         deadline_steps: options.deadline_steps,
     };
 
-    // Stage 1: single-pass policies race concurrently on scoped threads.
-    // Stage 2: exhaustive policies run on this thread with the stage-1
-    // results already validated — and, under `early_cancel`, sealed into
-    // the shared bound. Sealing *between* the stages is what keeps
-    // cancellation deterministic: the bound an exhaustive policy sees
-    // never depends on thread timing.
-    let mut raced: Vec<Option<Raced>> = Vec::with_capacity(policies.len());
-    raced.resize_with(policies.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<(usize, std::thread::ScopedJoinHandle<'_, Raced>)> = policies
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.exhaustive())
-            .map(|(i, p)| {
-                let budget = &budget;
-                (
-                    i,
-                    scope.spawn(move || race_one(p.as_ref(), sb, machine, homes, budget)),
-                )
-            })
-            .collect();
-        for (i, handle) in handles {
-            raced[i] = Some(handle.join().expect("policy worker panicked"));
-        }
-    });
+    // Stage 1: single-pass policies run in set order on this thread.
+    // Stage 2: exhaustive policies run with the stage-1 results already
+    // validated — and, under `early_cancel`, sealed into the shared
+    // bound. Sealing *between* the stages is what keeps cancellation
+    // deterministic: the bound an exhaustive policy sees is fixed before
+    // it starts.
+    let mut raced: Vec<Option<Raced>> = policies
+        .iter()
+        .map(|p| (!p.exhaustive()).then(|| race_one(p.as_ref(), sb, machine, homes, &budget)))
+        .collect();
     if options.early_cancel {
         for r in raced.iter().flatten() {
             if let Some(&(awct, _)) = r.candidate.as_ref() {

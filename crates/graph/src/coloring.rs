@@ -59,51 +59,146 @@ pub fn color_count(coloring: &[usize]) -> usize {
 /// is sound for "accept" but may spuriously reject — the same conservative
 /// behaviour the paper's heuristic clique check exhibits.
 pub fn is_k_colorable(g: &Ungraph, k: usize, exact_limit: usize) -> bool {
-    let n = g.node_count();
-    if k == 0 {
-        return g.edge_count() == 0 && n == 0;
+    let mut dense = DenseColoring::default();
+    dense.reset(g.node_count());
+    for (a, b) in g.edges() {
+        dense.add_edge(a, b);
     }
-    // Quick accept via greedy.
-    let order = degree_order(g);
-    let greedy = color_count(&greedy_coloring(g, &order));
-    if greedy <= k {
-        return true;
+    dense.is_k_colorable(k, exact_limit)
+}
+
+/// A graph held as a dense adjacency bit matrix, with the buffers of the
+/// [`is_k_colorable`] check. [`DenseColoring::reset`] keeps every
+/// allocation, so a caller that re-checks small graphs over and over (the
+/// §3.2 test after each studied decision) allocates nothing once warm.
+#[derive(Debug, Clone, Default)]
+pub struct DenseColoring {
+    nodes: usize,
+    /// Words per adjacency row.
+    words: usize,
+    adj: Vec<u64>,
+    order: Vec<usize>,
+    color: Vec<usize>,
+    taken: Vec<bool>,
+}
+
+impl DenseColoring {
+    /// Clears the graph to `n` isolated nodes.
+    pub fn reset(&mut self, n: usize) {
+        self.nodes = n;
+        self.words = n.div_ceil(64);
+        self.adj.clear();
+        self.adj.resize(n * self.words, 0);
     }
-    if n > exact_limit {
-        return false; // conservative
+
+    /// Adds the edge `{a, b}` (idempotent).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a == b` or an endpoint is out of range.
+    pub fn add_edge(&mut self, a: usize, b: usize) {
+        assert!(a != b, "self-loops are not allowed");
+        assert!(a < self.nodes && b < self.nodes);
+        self.adj[a * self.words + b / 64] |= 1 << (b % 64);
+        self.adj[b * self.words + a / 64] |= 1 << (a % 64);
     }
-    // Backtracking on nodes in decreasing-degree order.
-    let mut color = vec![usize::MAX; n];
-    fn bt(g: &Ungraph, order: &[usize], color: &mut [usize], i: usize, k: usize) -> bool {
+
+    fn row(&self, v: usize) -> &[u64] {
+        &self.adj[v * self.words..(v + 1) * self.words]
+    }
+
+    fn degree(&self, v: usize) -> usize {
+        self.row(v).iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Sets `taken[color[u]]` to `on` for every coloured neighbour `u` of `v`.
+    fn mark(adj: &[u64], color: &[usize], taken: &mut [bool], on: bool) {
+        for (wi, &word) in adj.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let u = wi * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if color[u] != usize::MAX {
+                    taken[color[u]] = on;
+                }
+            }
+        }
+    }
+
+    /// [`is_k_colorable`] on this graph: greedy colouring in
+    /// [`degree_order`] accepts at once; otherwise graphs of at most
+    /// `exact_limit` nodes are decided by backtracking and larger ones
+    /// are conservatively rejected.
+    pub fn is_k_colorable(&mut self, k: usize, exact_limit: usize) -> bool {
+        let n = self.nodes;
+        if k == 0 {
+            return n == 0;
+        }
+        // Quick accept via greedy, in decreasing-degree order (ties by
+        // index); the keys are unique, so the unstable sort is exact.
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        order.extend(0..n);
+        order.sort_unstable_by_key(|&v| (std::cmp::Reverse(self.degree(v)), v));
+        self.color.clear();
+        self.color.resize(n, usize::MAX);
+        self.taken.clear();
+        self.taken.resize(n.max(1), false);
+        let mut colors = 0;
+        for &v in &order {
+            let row = &self.adj[v * self.words..(v + 1) * self.words];
+            Self::mark(row, &self.color, &mut self.taken, true);
+            let c = (0..)
+                .find(|&c| !self.taken[c])
+                .expect("always a free colour");
+            Self::mark(row, &self.color, &mut self.taken, false);
+            self.color[v] = c;
+            colors = colors.max(c + 1);
+        }
+        let out = if colors <= k {
+            true
+        } else if n > exact_limit {
+            false // conservative
+        } else {
+            // Backtracking on nodes in decreasing-degree order; one
+            // `k`-wide taken row per depth.
+            self.color.fill(usize::MAX);
+            self.taken.clear();
+            self.taken.resize(n * k, false);
+            self.backtrack(&order, 0, k)
+        };
+        self.order = order;
+        out
+    }
+
+    fn backtrack(&mut self, order: &[usize], i: usize, k: usize) -> bool {
         if i == order.len() {
             return true;
         }
         let v = order[i];
-        let mut taken = vec![false; k];
-        for u in g.neighbors(v) {
-            if color[u] != usize::MAX {
-                taken[color[u]] = true;
-            }
-        }
+        let taken = &mut self.taken[i * k..(i + 1) * k];
+        taken.fill(false);
+        let row = &self.adj[v * self.words..(v + 1) * self.words];
+        Self::mark(row, &self.color, taken, true);
         // Symmetry breaking: only allow "one more than the max used so far".
-        let max_used = color
+        let max_used = self
+            .color
             .iter()
             .filter(|&&c| c != usize::MAX)
             .copied()
             .max()
             .map_or(0, |m| m + 1);
         for c in 0..k.min(max_used + 1) {
-            if !taken[c] {
-                color[v] = c;
-                if bt(g, order, color, i + 1, k) {
+            if !self.taken[i * k + c] {
+                self.color[v] = c;
+                if self.backtrack(order, i + 1, k) {
                     return true;
                 }
-                color[v] = usize::MAX;
+                self.color[v] = usize::MAX;
             }
         }
         false
     }
-    bt(g, &order, &mut color, 0, k)
 }
 
 /// Greedy lower bound on the maximum clique size.
@@ -232,6 +327,29 @@ mod tests {
             // Colour count never exceeds max degree + 1.
             let max_deg = (0..12).map(|v| g.degree(v)).max().unwrap_or(0);
             proptest::prop_assert!(color_count(&coloring) <= max_deg + 1);
+        }
+
+        #[test]
+        fn k_colorable_matches_brute_force(
+            n in 0usize..8,
+            k in 0usize..4,
+            edges in proptest::collection::vec((0usize..8, 0usize..8), 0..24)
+        ) {
+            let mut g = Ungraph::new(n);
+            for (a, b) in edges {
+                if a != b && a < n && b < n {
+                    g.add_edge(a, b);
+                }
+            }
+            // Every assignment of k colours to n nodes, as base-k digits.
+            let brute = (0..k.pow(n as u32)).any(|code| {
+                let color = |v: usize| code / k.pow(v as u32) % k;
+                g.edges().all(|(a, b)| color(a) != color(b))
+            }) || n == 0;
+            proptest::prop_assert_eq!(is_k_colorable(&g, k, 16), brute);
+            // Past the exact limit the answer is the greedy bound.
+            let greedy = color_count(&greedy_coloring(&g, &degree_order(&g)));
+            proptest::prop_assert_eq!(is_k_colorable(&g, k, 0), greedy <= k && (k > 0 || n == 0));
         }
 
         #[test]

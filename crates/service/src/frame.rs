@@ -59,6 +59,13 @@ pub const MAGIC: [u8; 8] = [0xF7, b'v', b'c', b'f', b'r', b'm', b'1', b'\n'];
 /// depth guard so a hostile frame cannot blow the stack.
 const MAX_DEPTH: usize = 128;
 
+/// Most elements an array or object reserves up front from its wire
+/// count. The count is only bounded by the bytes left in the frame, so
+/// trusting it fully would let every nesting level reserve
+/// `count × size_of::<Value>()` before decoding anything; past this cap
+/// the vector grows as elements actually decode, each consuming input.
+const MAX_PREALLOC: usize = 64;
+
 /// Value tag bytes (see the module-level grammar).
 const TAG_NULL: u8 = 0x00;
 const TAG_FALSE: u8 = 0x01;
@@ -287,12 +294,12 @@ impl<'a> Cursor<'a> {
             }
             TAG_ARRAY => {
                 let count = self.varint()? as usize;
-                // Guard allocation: each element needs at least one tag
-                // byte, so `count` can never exceed the remaining bytes.
+                // Each element needs at least one tag byte, so `count` can
+                // never exceed the remaining bytes.
                 if count > self.buf.len() - self.pos {
                     return Err("array count exceeds frame size".to_owned());
                 }
-                let mut items = Vec::with_capacity(count);
+                let mut items = Vec::with_capacity(count.min(MAX_PREALLOC));
                 for _ in 0..count {
                     items.push(self.value(depth + 1)?);
                 }
@@ -303,7 +310,7 @@ impl<'a> Cursor<'a> {
                 if count > self.buf.len() - self.pos {
                     return Err("object count exceeds frame size".to_owned());
                 }
-                let mut fields = Vec::with_capacity(count);
+                let mut fields = Vec::with_capacity(count.min(MAX_PREALLOC));
                 for _ in 0..count {
                     let key = self.string()?;
                     let value = self.value(depth + 1)?;
@@ -568,6 +575,45 @@ mod tests {
         frame.extend_from_slice(&payload);
         let err = decode_frame(&frame, 1 << 20).expect_err("too deep");
         assert!(err.contains("deeper"), "{err}");
+    }
+
+    /// A payload of `levels` nested containers whose every count claims
+    /// all the bytes left, padded to `len` with an invalid tag.
+    fn inflated_counts(tag: u8, levels: usize, len: usize) -> Vec<u8> {
+        let mut payload = Vec::new();
+        for _ in 0..levels {
+            payload.push(tag);
+            // A 3-byte varint keeps the arithmetic simple.
+            let count = len - payload.len() - 3;
+            payload.extend_from_slice(&[
+                0x80 | (count & 0x7f) as u8,
+                0x80 | (count >> 7 & 0x7f) as u8,
+                (count >> 14) as u8,
+            ]);
+            if tag == TAG_OBJECT {
+                payload.extend_from_slice(&[TAG_INTERNED, 0]);
+            }
+        }
+        payload.resize(len, 0xff);
+        let mut frame = Vec::new();
+        put_varint(payload.len() as u64, &mut frame);
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    #[test]
+    fn inflated_container_counts_fail_cleanly() {
+        for tag in [TAG_ARRAY, TAG_OBJECT] {
+            let frame = inflated_counts(tag, MAX_DEPTH, 64 << 10);
+            let err = decode_frame(&frame, 1 << 20).expect_err("invalid innermost tag");
+            assert!(err.contains("unknown value tag 0xff"), "{err}");
+        }
+        // Honest containers longer than the reservation cap still decode.
+        let big = Value::Array((0..1000).map(Value::UInt).collect());
+        let frame = encode_frame(&big);
+        let (back, used) = decode_frame(&frame, 1 << 20).expect("ok").expect("whole");
+        assert_eq!(back, big);
+        assert_eq!(used, frame.len());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use serde::Deserialize;
@@ -27,6 +27,15 @@ use vcsched_service::{
     serve, BlockReply, CacheReply, Client, Request, Response, ScheduleMode, ScheduleReply,
     ServerHandle, ServiceConfig, StatsReply,
 };
+
+/// Held by every test that opens binary connections.
+/// `service_binary_connections_total` is process-global, so the test that
+/// counts its own binary negotiations must not overlap the others.
+static BINARY_CLIENTS: Mutex<()> = Mutex::new(());
+
+fn binary_clients() -> MutexGuard<'static, ()> {
+    BINARY_CLIENTS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn small_server(jobs: usize, queue: usize) -> ServerHandle {
     serve(ServiceConfig {
@@ -106,7 +115,8 @@ fn every_request_type_roundtrips_identically_on_both_wires() {
         cases.push(Request::Schedule {
             block: test_block(),
             machine: ["2c", "4c1", "4c2", "hetero"][(rng.next() % 4) as usize].to_owned(),
-            policies: (rng.next().is_multiple_of(2)).then(|| vec!["vc".to_owned(), "cars".to_owned()]),
+            policies: (rng.next().is_multiple_of(2))
+                .then(|| vec!["vc".to_owned(), "cars".to_owned()]),
             mode: match rng.next() % 3 {
                 0 => None,
                 1 => Some(ScheduleMode::Single),
@@ -258,6 +268,7 @@ fn legacy_json_wire_stays_byte_identical() {
 /// result — fresh server per wire so cache state cannot differ.
 #[test]
 fn schedule_results_agree_across_wires() {
+    let _serial = binary_clients();
     let request = Request::Schedule {
         block: test_block(),
         machine: "2c".to_owned(),
@@ -321,6 +332,7 @@ fn counter(client: &mut Client, name: &str) -> u64 {
 /// counts — is exact.
 #[test]
 fn mixed_framing_clients_interleave_with_exact_accounting() {
+    let _serial = binary_clients();
     const CLIENTS: usize = 6; // alternating JSON / binary
     const PINGS: u64 = 25;
     let server = small_server(2, 32);
@@ -399,6 +411,7 @@ fn mixed_framing_clients_interleave_with_exact_accounting() {
 /// still finishes.
 #[test]
 fn pings_keep_flowing_while_a_batch_saturates_the_pool() {
+    let _serial = binary_clients();
     const PINGERS: usize = 3;
     const PINGS: u64 = 10;
     let server = small_server(1, 2);

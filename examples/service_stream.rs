@@ -38,10 +38,22 @@ fn main() {
     // Pipelining: a slow ping, a fast ping, and an inline stats request
     // go out back-to-back; ids let the replies come home out of order.
     client
-        .send(&Request::Ping { delay_ms: 400, priority: None }, Some(1))
+        .send(
+            &Request::Ping {
+                delay_ms: 400,
+                priority: None,
+            },
+            Some(1),
+        )
         .expect("send");
     client
-        .send(&Request::Ping { delay_ms: 0, priority: None }, Some(2))
+        .send(
+            &Request::Ping {
+                delay_ms: 0,
+                priority: None,
+            },
+            Some(2),
+        )
         .expect("send");
     client.send(&Request::Stats, Some(3)).expect("send");
     let mut order = Vec::new();

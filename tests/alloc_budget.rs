@@ -1,0 +1,266 @@
+//! Allocation budgets: exact, deterministic gates on heap traffic.
+//!
+//! A counting [`GlobalAlloc`] wrapper around the system allocator keeps
+//! per-thread counters, so tests running in parallel never see each
+//! other's allocations, and every figure below is a count the code
+//! either meets or does not — no timing involved.
+//!
+//! * A full-portfolio `schedule_block` over the golden corpus makes at
+//!   most half the allocations it made when the single-pass members ran
+//!   on scoped threads, deduction studies allocated their work lists and
+//!   the reservation table kept two heap rows per cycle.
+//! * A deduction study allocates nothing once the state's buffers are
+//!   warm.
+//! * Cloning a reservation table is one allocation.
+//! * A binary frame whose container counts claim the whole frame fails
+//!   without reserving memory for the claimed elements.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use vcsched::arch::{ClusterId, MachineConfig, OpClass, ReservationTable};
+use vcsched::core::decision::{study_decision_with_redo, Decision};
+use vcsched::core::init::{build_state, sg_windows};
+use vcsched::core::{Budget, EdgeState, SchedulingState, StateCtx};
+use vcsched::engine::{schedule_block, PolicyOptions, PolicySet, STEPS_1S};
+use vcsched::ir::Superblock;
+use vcsched::service::frame::decode_frame;
+use vcsched::workload::live_in_placement;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note(bytes: usize) {
+    // `try_with`: the allocator also runs while thread-locals are torn
+    // down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// `(allocations, bytes requested)` made on this thread by `f`.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let (a0, b0) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    let out = f();
+    let (a1, b1) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    (out, a1 - a0, b1 - b0)
+}
+
+fn golden_blocks() -> Vec<Superblock> {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/golden_corpus.jsonl"
+    );
+    std::fs::read_to_string(path)
+        .expect("golden corpus")
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("corpus block"))
+        .collect()
+}
+
+/// Allocations of one full-portfolio race per golden-corpus block
+/// (paper 2-cluster machine, 5k steps, the batch engine's placement
+/// seeds), summed over the corpus, before this budget existed. Counted
+/// process-wide with one test running, so the member threads' own
+/// allocations are included.
+const PORTFOLIO_ALLOCS_BEFORE: u64 = 330_908;
+
+#[test]
+fn portfolio_race_allocations_are_halved() {
+    let machine = MachineConfig::paper_2c_8w();
+    let options = PolicyOptions {
+        max_dp_steps: STEPS_1S,
+        policies: PolicySet::full(),
+        ..PolicyOptions::default()
+    };
+    let mut total = 0;
+    for (i, sb) in golden_blocks().iter().enumerate() {
+        let homes = live_in_placement(sb, machine.cluster_count(), 0xC60_2007 ^ i as u64);
+        // The first race also initialises process-wide registries.
+        let warm = schedule_block(sb, &machine, &homes, &options);
+        let (out, allocs, _) = counted(|| schedule_block(sb, &machine, &homes, &options));
+        assert_eq!(out, warm, "block {i}: races are deterministic");
+        total += allocs;
+    }
+    assert!(
+        total <= PORTFOLIO_ALLOCS_BEFORE / 2,
+        "{total} allocations over the golden corpus; the budget is {}",
+        PORTFOLIO_ALLOCS_BEFORE / 2
+    );
+}
+
+/// Every combination, pin and fuse decision the first stages could study
+/// on `st`.
+fn decisions(st: &SchedulingState) -> Vec<Decision> {
+    let mut out = Vec::new();
+    for e in &st.edges {
+        if let EdgeState::Open(dom) = &e.state {
+            for d in dom.iter() {
+                out.push(Decision::ChooseComb { u: e.u, v: e.v, d });
+                out.push(Decision::DiscardComb { u: e.u, v: e.v, d });
+            }
+        }
+    }
+    for node in 0..st.ctx.n_insts {
+        if !st.pinned(node) {
+            out.push(Decision::Pin {
+                node,
+                cycle: st.est[node],
+            });
+            out.push(Decision::Pin {
+                node,
+                cycle: st.lst[node],
+            });
+        }
+    }
+    for c in 0..st.ctx.machine.cluster_count() {
+        for node in 0..st.ctx.n_insts {
+            out.push(Decision::Fuse(node, st.ctx.anchor(c)));
+        }
+    }
+    out
+}
+
+/// Warm-up passes over the candidate decisions before counting: the
+/// first pass grows the state's buffers; a pooled buffer can serve a
+/// different rule on the second, and grow once more there.
+const PASSES: usize = 2;
+
+/// Most decisions studied per block (an even sample of the full list),
+/// to keep the debug-build run short on the 99-instruction blocks.
+const MAX_STUDIES: usize = 400;
+
+#[test]
+fn deduction_studies_allocate_nothing_when_warm() {
+    let machine = MachineConfig::paper_2c_8w();
+    let mut studied = 0;
+    for (i, sb) in golden_blocks().iter().enumerate() {
+        let ctx = StateCtx::new(sb, &machine);
+        let windows = sg_windows(&ctx);
+        let horizon = 4 + 2 * ctx.n_insts as i64;
+        let lstarts = vec![horizon; ctx.n_insts];
+        let homes = live_in_placement(sb, machine.cluster_count(), i as u64);
+        let Ok(mut st) = build_state(
+            &ctx,
+            &windows,
+            &lstarts,
+            horizon,
+            &homes,
+            &mut Budget::unlimited(),
+        ) else {
+            continue;
+        };
+        let all = decisions(&st);
+        let all: Vec<Decision> = all
+            .iter()
+            .step_by(all.len().div_ceil(MAX_STUDIES).max(1))
+            .cloned()
+            .collect();
+        let study_all = |st: &mut SchedulingState| {
+            for d in &all {
+                if let Ok((_, log)) = study_decision_with_redo(st, d, &mut Budget::unlimited()) {
+                    st.trail.recycle(log);
+                }
+            }
+        };
+        for _ in 0..PASSES {
+            study_all(&mut st);
+        }
+        let ((), allocs, _) = counted(|| study_all(&mut st));
+        assert_eq!(allocs, 0, "block {i}: {} warm studies allocated", all.len());
+        studied += all.len();
+    }
+    assert!(studied > 1000, "only {studied} studies exercised");
+}
+
+#[test]
+fn reservation_table_clone_is_one_allocation() {
+    for machine in [
+        MachineConfig::paper_2c_8w(),
+        MachineConfig::paper_4c_16w_lat2(),
+        MachineConfig::hetero_2c(),
+    ] {
+        let mut rt = ReservationTable::new(&machine);
+        for cycle in 0..200 {
+            rt.try_place(cycle, ClusterId((cycle % 2) as u8), OpClass::Mem);
+            rt.try_reserve_bus(cycle * 3);
+        }
+        let (copy, allocs, _) = counted(|| rt.clone());
+        assert!(
+            allocs <= 1,
+            "{}: clone made {allocs} allocations",
+            machine.name()
+        );
+        assert_eq!(copy.horizon(), rt.horizon());
+    }
+}
+
+/// A binary-wire frame of 128 nested containers (`tag` 0x08 arrays or
+/// 0x09 objects keyed by interned string 0), each announcing as many
+/// elements as there are bytes left, padded to `len` bytes with the
+/// invalid tag 0xff.
+fn inflated_frame(tag: u8, len: usize) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for _ in 0..128 {
+        payload.push(tag);
+        let count = len - payload.len() - 3;
+        payload.extend_from_slice(&[
+            0x80 | (count & 0x7f) as u8,
+            0x80 | (count >> 7 & 0x7f) as u8,
+            (count >> 14) as u8,
+        ]);
+        if tag == 0x09 {
+            payload.extend_from_slice(&[0x07, 0]);
+        }
+    }
+    payload.resize(len, 0xff);
+    let mut frame = vec![
+        0x80 | (len & 0x7f) as u8,
+        0x80 | (len >> 7 & 0x7f) as u8,
+        (len >> 14) as u8,
+    ];
+    frame.extend_from_slice(&payload);
+    frame
+}
+
+#[test]
+fn inflated_frame_counts_fail_with_bounded_allocation() {
+    const LEN: usize = 64 << 10;
+    for tag in [0x08, 0x09] {
+        let frame = inflated_frame(tag, LEN);
+        let (decoded, _, bytes) = counted(|| decode_frame(&frame, 1 << 20));
+        let err = decoded.expect_err("the innermost tag is invalid");
+        assert!(err.contains("unknown value tag"), "{err}");
+        assert!(
+            bytes <= 8 * LEN as u64,
+            "tag 0x{tag:02x}: decoding a {LEN}-byte frame reserved {bytes} bytes"
+        );
+    }
+}
