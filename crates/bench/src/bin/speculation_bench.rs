@@ -1,22 +1,19 @@
-//! `speculation_bench` — the three candidate-study engines raced over
-//! the golden corpus.
+//! `speculation_bench` — the two candidate-study engines raced over the
+//! golden corpus.
 //!
-//! Runs the virtual-cluster scheduler over every corpus block three
-//! times: with the legacy clone-and-discard study engine
-//! (`Tuning::clone_study`, compiled here via the `clone-study` feature),
-//! with the trail engine adopting winners by **re-deduction**
-//! (`Tuning::replay_deduction`), and with the default trail engine
-//! adopting winners by **redo replay** (recorded forward deltas, no
-//! re-deduction). All three are byte-identical by contract — same
-//! schedules, same AWCT, same deduction-step counts — so this driver is
-//! both the perf gate (blocks/sec, steps/sec, trail/redo stats,
-//! estimated clone bytes avoided) and the drift gate: it **exits
-//! non-zero** if any block's AWCT, schedule or step count differs
-//! between the engines.
+//! Runs the virtual-cluster scheduler over every corpus block twice: with
+//! the legacy clone-and-discard study engine (`Tuning::clone_study`,
+//! compiled here via the `clone-study` feature) and with the production
+//! trail engine (delta/rollback studies, winners adopted by
+//! re-deduction). Both are byte-identical by contract — same schedules,
+//! same AWCT, same deduction-step counts — so this driver is both the
+//! perf gate (blocks/sec, steps/sec, trail and adoption stats, estimated
+//! clone bytes avoided) and the drift gate: it **exits non-zero** if any
+//! block's AWCT, schedule or step count differs between the engines.
 //!
 //! Writes one stable-schema JSON document (`BENCH_speculation.json` by
 //! default); CI uploads it as an artifact, so the repository accumulates
-//! a perf trajectory over time. The headline `speedup` is the redo
+//! a perf trajectory over time. The headline `speedup` is the trail
 //! engine's wall-clock advantage over the clone baseline, measured
 //! **paired**: within each repeat the engines run back-to-back and the
 //! speedup is the median of the per-repeat wall ratios, so shared-box
@@ -24,7 +21,7 @@
 //!
 //! With `--history FILE` the run also appends one timestamped
 //! `vcsched-bench-history/v1` row (see [`vcsched_bench::history`]) to a
-//! rolling JSONL trajectory, and `--baseline FILE` gates the redo
+//! rolling JSONL trajectory, and `--baseline FILE` gates the trail
 //! engine's blocks/sec against the baseline's most recent `speculation`
 //! row — exiting non-zero on a >10% regression (tolerance overridable
 //! via `VCSCHED_BENCH_TOLERANCE`).
@@ -61,17 +58,15 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 enum Engine {
     /// Legacy clone-and-discard reference (`Tuning::clone_study`).
     Clone,
-    /// Trail study, winner adopted by re-deducing the decision.
-    Rededuce,
-    /// Trail study, winner adopted by replaying its redo log (default).
-    Redo,
+    /// Trail study, winner adopted by re-deducing the decision (the
+    /// production engine).
+    Trail,
 }
 
 impl Engine {
     fn tuning(self) -> Tuning {
         Tuning {
             clone_study: matches!(self, Engine::Clone),
-            replay_deduction: matches!(self, Engine::Rededuce),
             ..Tuning::default()
         }
     }
@@ -85,7 +80,7 @@ struct EnginePass {
     wall_ms: u64,
 }
 
-/// Races all three engines with **paired** timing: within each repeat the
+/// Races both engines with **paired** timing: within each repeat the
 /// engines run back-to-back over the whole corpus, so every repeat's
 /// ratio compares walls measured under the same machine conditions. The
 /// headline speedup is then a median over these paired ratios — robust
@@ -97,8 +92,8 @@ fn run_race(
     steps: u64,
     jobs: usize,
     repeats: u64,
-) -> [EnginePass; 3] {
-    const ENGINES: [Engine; 3] = [Engine::Clone, Engine::Rededuce, Engine::Redo];
+) -> [EnginePass; 2] {
+    const ENGINES: [Engine; 2] = [Engine::Clone, Engine::Trail];
     let mut passes = ENGINES.map(|_| EnginePass {
         attempts: Vec::new(),
         walls_ns: Vec::new(),
@@ -227,63 +222,60 @@ fn run(args: &[String]) -> Result<bool, String> {
         .max(1);
     let blocks = CorpusSource::Jsonl(corpus.clone()).load()?;
 
-    let [clone_pass, rededuce_pass, redo_pass] = run_race(&blocks, &machine, steps, jobs, repeats);
+    let [clone_pass, trail_pass] = run_race(&blocks, &machine, steps, jobs, repeats);
 
-    // Drift gate: per-block results must be bit-identical across all
-    // three engines, with the clone engine as the reference.
+    // Drift gate: per-block results must be bit-identical between the
+    // engines, with the clone engine as the reference.
     let mut drift = 0usize;
-    for (name, pass) in [("rededuce", &rededuce_pass), ("redo", &redo_pass)] {
-        for (i, (c, t)) in clone_pass.attempts.iter().zip(&pass.attempts).enumerate() {
-            let same = c.dp_steps == t.dp_steps
-                && match (&c.result, &t.result) {
-                    (Ok(a), Ok(b)) => {
-                        a.awct == b.awct
-                            && a.schedule == b.schedule
-                            && a.stats.awct_bumps == b.stats.awct_bumps
-                    }
-                    (Err(a), Err(b)) => a == b,
-                    _ => false,
-                };
-            if !same {
-                drift += 1;
-                eprintln!(
-                    "speculation_bench: DRIFT on block {} ({}): clone steps {} vs {name} steps {}",
-                    i,
-                    blocks[i].name(),
-                    c.dp_steps,
-                    t.dp_steps
-                );
-            }
+    for (i, (c, t)) in clone_pass
+        .attempts
+        .iter()
+        .zip(&trail_pass.attempts)
+        .enumerate()
+    {
+        let same = c.dp_steps == t.dp_steps
+            && match (&c.result, &t.result) {
+                (Ok(a), Ok(b)) => {
+                    a.awct == b.awct
+                        && a.schedule == b.schedule
+                        && a.stats.awct_bumps == b.stats.awct_bumps
+                }
+                (Err(a), Err(b)) => a == b,
+                _ => false,
+            };
+        if !same {
+            drift += 1;
+            eprintln!(
+                "speculation_bench: DRIFT on block {} ({}): clone steps {} vs trail steps {}",
+                i,
+                blocks[i].name(),
+                c.dp_steps,
+                t.dp_steps
+            );
         }
     }
     let clone_awct = aggregate_awct(&blocks, &clone_pass);
-    let rededuce_awct = aggregate_awct(&blocks, &rededuce_pass);
-    let redo_awct = aggregate_awct(&blocks, &redo_pass);
-    let awct_match = clone_awct.to_bits() == redo_awct.to_bits()
-        && clone_awct.to_bits() == rededuce_awct.to_bits()
-        && drift == 0;
+    let trail_awct = aggregate_awct(&blocks, &trail_pass);
+    let awct_match = clone_awct.to_bits() == trail_awct.to_bits() && drift == 0;
 
-    let spec_total =
-        |pass: &EnginePass, f: fn(&VcAttempt) -> u64| -> u64 { pass.attempts.iter().map(f).sum() };
-    let trail_entries = spec_total(&redo_pass, |a| a.spec.trail_entries);
-    let rollbacks = spec_total(&redo_pass, |a| a.spec.rollbacks);
-    let bytes_not_cloned = spec_total(&redo_pass, |a| a.spec.bytes_not_cloned);
-    let redo_entries = spec_total(&redo_pass, |a| a.spec.redo_entries);
-    let redo_replays = spec_total(&redo_pass, |a| a.spec.redo_replays);
-    let redo_bytes_replayed = spec_total(&redo_pass, |a| a.spec.redo_bytes_replayed);
-    let peak_depth = redo_pass
+    let spec_total = |f: fn(&VcAttempt) -> u64| -> u64 { trail_pass.attempts.iter().map(f).sum() };
+    let trail_entries = spec_total(|a| a.spec.trail_entries);
+    let rollbacks = spec_total(|a| a.spec.rollbacks);
+    let bytes_not_cloned = spec_total(|a| a.spec.bytes_not_cloned);
+    let adoptions = spec_total(|a| a.spec.redo_replays);
+    let adopted_bytes = spec_total(|a| a.spec.redo_bytes_replayed);
+    let peak_depth = trail_pass
         .attempts
         .iter()
         .map(|a| a.spec.peak_trail_depth)
         .max()
         .unwrap_or(0);
-    let speedup = median_paired_ratio(&clone_pass.walls_ns, &redo_pass.walls_ns);
-    let rededuce_speedup = median_paired_ratio(&clone_pass.walls_ns, &rededuce_pass.walls_ns);
+    let speedup = median_paired_ratio(&clone_pass.walls_ns, &trail_pass.walls_ns);
 
     let report = obj(vec![
         (
             "schema",
-            Value::String("vcsched-bench-speculation/v2".into()),
+            Value::String("vcsched-bench-speculation/v3".into()),
         ),
         ("corpus", Value::String(corpus.display().to_string())),
         ("machine", Value::String(machine_key.to_owned())),
@@ -296,31 +288,20 @@ fn run(args: &[String]) -> Result<bool, String> {
             obj(mode_report(blocks.len(), repeats, &clone_pass, clone_awct)),
         ),
         (
-            "rededuce",
-            obj(mode_report(
-                blocks.len(),
-                repeats,
-                &rededuce_pass,
-                rededuce_awct,
-            )),
-        ),
-        (
-            "redo",
+            "trail",
             obj({
-                let mut fields = mode_report(blocks.len(), repeats, &redo_pass, redo_awct);
+                let mut fields = mode_report(blocks.len(), repeats, &trail_pass, trail_awct);
                 fields.push(("trail_entries", Value::UInt(trail_entries)));
                 fields.push(("rollbacks", Value::UInt(rollbacks)));
                 fields.push(("peak_trail_depth", Value::UInt(peak_depth)));
                 fields.push(("bytes_not_cloned", Value::UInt(bytes_not_cloned)));
-                fields.push(("redo_entries", Value::UInt(redo_entries)));
-                fields.push(("redo_replays", Value::UInt(redo_replays)));
-                fields.push(("redo_bytes_replayed", Value::UInt(redo_bytes_replayed)));
+                fields.push(("adoptions", Value::UInt(adoptions)));
+                fields.push(("adopted_bytes", Value::UInt(adopted_bytes)));
                 fields
             }),
         ),
         ("awct_match", Value::Bool(awct_match)),
         ("speedup", Value::Float(speedup)),
-        ("rededuce_speedup", Value::Float(rededuce_speedup)),
     ]);
     let text = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())? + "\n";
     std::fs::write(&out, &text).map_err(|e| format!("{}: {e}", out.display()))?;
@@ -335,7 +316,7 @@ fn run(args: &[String]) -> Result<bool, String> {
     if !awct_match {
         eprintln!(
             "speculation_bench: FAIL — engines drifted ({drift} blocks; clone AWCT {clone_awct} \
-             vs rededuce AWCT {rededuce_awct} vs redo AWCT {redo_awct})"
+             vs trail AWCT {trail_awct})"
         );
     }
 
@@ -344,11 +325,11 @@ fn run(args: &[String]) -> Result<bool, String> {
     // may name the same rolling file; the row is appended even on a
     // regression so the trajectory records the bad run.
     let total_blocks = blocks.len() as u64 * repeats;
-    let redo_bps = total_blocks as f64 / (redo_pass.wall_ms.max(1) as f64 / 1_000.0);
+    let trail_bps = total_blocks as f64 / (trail_pass.wall_ms.max(1) as f64 / 1_000.0);
     let clone_bps = total_blocks as f64 / (clone_pass.wall_ms.max(1) as f64 / 1_000.0);
     let gate = match flag(args, "--baseline") {
         Some(baseline) => {
-            vcsched_bench::history::check_regression(Path::new(baseline), "speculation", redo_bps)
+            vcsched_bench::history::check_regression(Path::new(baseline), "speculation", trail_bps)
         }
         None => Ok(()),
     };
@@ -359,7 +340,7 @@ fn run(args: &[String]) -> Result<bool, String> {
             blocks.len() as u64,
             repeats,
             jobs.max(1) as u64,
-            redo_bps,
+            trail_bps,
             vec![
                 ("clone_blocks_per_sec", Value::Float(clone_bps)),
                 ("speedup", Value::Float(speedup)),

@@ -4,17 +4,15 @@
 //! real state under an active speculation
 //! ([`SchedulingState::begin_speculation`]), its resulting score is
 //! snapshotted, and the state is rolled back bit-exactly — no clone.
-//! [`study_decision_with_redo`] additionally captures the forward deltas
-//! so the winner can be adopted by replay
-//! ([`SchedulingState::apply_redo`]) instead of re-deduction. The paper's
-//! literal clone-and-discard mechanism survives as
-//! [`study_decision_cloned`] behind the `clone-study` feature so the
-//! differential tests and `speculation_bench` can prove the engines
-//! byte-identical.
+//! The winner is adopted by re-deducing it on the restored state
+//! ([`replay_decision`]), which reaches the studied state and charges the
+//! same work bytes the study did. The paper's literal clone-and-discard
+//! mechanism survives as `study_decision_cloned` behind the
+//! `clone-study` feature so the differential tests and
+//! `speculation_bench` can prove the engines byte-identical.
 
 use crate::dp::{self, Budget, DpAbort};
 use crate::state::{NodeId, SchedulingState, StateScore};
-use crate::trail::RedoLog;
 
 /// One candidate action over the scheduling state.
 ///
@@ -129,37 +127,6 @@ pub fn study_decision(
     outcome
 }
 
-/// Like [`study_decision`], but also captures the candidate's forward
-/// deltas as a [`RedoLog`]: if this candidate wins, the caller adopts it
-/// with [`SchedulingState::apply_redo`] — replaying the recorded
-/// mutations directly instead of re-running the whole deduction.
-///
-/// # Errors
-///
-/// As [`apply_decision`]; the state is rolled back (and the partial log
-/// discarded) on error too. Hand the log back with [`crate::Trail::recycle`]
-/// once it has been replayed or lost, so the next study reuses its buffer.
-pub fn study_decision_with_redo(
-    st: &mut SchedulingState,
-    decision: &Decision,
-    budget: &mut Budget,
-) -> Result<(StateScore, RedoLog), DpAbort> {
-    let mark = st.begin_speculation();
-    debug_assert!(st.trail.redo.is_empty(), "redo buffer drained per study");
-    st.trail.redo_on = true;
-    let applied = apply_decision(st, decision, budget);
-    st.trail.redo_on = false;
-    let outcome = match applied {
-        Ok(()) => Ok((st.score(), st.trail.take_redo())),
-        Err(e) => {
-            st.trail.redo.clear();
-            Err(e)
-        }
-    };
-    st.rollback(mark);
-    outcome
-}
-
 /// Studies `decision` and, on success, keeps the applied deltas (commits
 /// the speculation) — the adopt-unconditionally path of stage 3. On
 /// contradiction or budget exhaustion the state is rolled back.
@@ -190,11 +157,16 @@ pub fn study_and_keep(
 /// (full path compression, no recording) and against an *uncharged*
 /// budget: the study already paid the deduction steps, and the clone
 /// engine's adoption (moving the studied clone) was free too, so step
-/// telemetry stays identical between the engines.
+/// telemetry stays identical between the engines. The re-deduction does
+/// charge its work bytes, the same amount the study charged; each call
+/// counts as one adoption ([`crate::Trail::adoptions`]).
 pub fn replay_decision(st: &mut SchedulingState, decision: &Decision) {
-    let mut free = Budget::unlimited();
-    apply_decision(st, decision, &mut free)
+    debug_assert!(!st.trail.active, "adoption runs outside speculation");
+    let before = st.trail.work_bytes();
+    apply_decision(st, decision, &mut Budget::unlimited())
         .expect("replaying a studied decision on the identical state cannot fail");
+    st.trail.adoptions += 1;
+    st.trail.adopted_bytes += st.trail.work_bytes() - before;
 }
 
 /// Studies `decision` on a clone of `st` (the paper's literal §4.4.2

@@ -30,7 +30,7 @@ use std::time::Instant;
 use vcsched_arch::{ClusterId, OpClass};
 
 use crate::state::{move_members, Comm, CommKind, EdgeState, NodeId, SchedulingState, StateCtx};
-use crate::trail::{RedoEntry, TrailEntry};
+use crate::trail::TrailEntry;
 
 /// A contradiction: the current state admits no valid schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,7 +257,6 @@ pub fn tighten_est(
         if st.trail.active {
             st.trail.push(TrailEntry::Est { n, old: st.est[n] });
         }
-        st.trail.redo(RedoEntry::Est { n, new: v });
         st.trail.charge_bytes(16);
         st.est[n] = v;
         st.dirty = true;
@@ -280,7 +279,6 @@ pub fn tighten_lst(
         if st.trail.active {
             st.trail.push(TrailEntry::Lst { n, old: st.lst[n] });
         }
-        st.trail.redo(RedoEntry::Lst { n, new: v });
         st.trail.charge_bytes(16);
         st.lst[n] = v;
         st.dirty = true;
@@ -303,7 +301,6 @@ pub fn add_dep_edge(
     if st.trail.active {
         st.trail.push(TrailEntry::DepEdge { from, to });
     }
-    st.trail.redo(RedoEntry::DepEdge { from, to, lat });
     st.trail.charge_bytes(32);
     st.succ[from].push((to, lat));
     st.pred[to].push((from, lat));
@@ -312,16 +309,14 @@ pub fn add_dep_edge(
 }
 
 /// Writes `edges[e].state = new` through the trail: one undo record (the
-/// current resolution), one redo record (the new one), one work-bytes
-/// charge. Every edge-state mutation goes through here so the delta pair
-/// is always complete.
+/// current resolution) and one work-bytes charge. Every edge-state
+/// mutation goes through here so neither is ever missed.
 #[inline]
 fn set_edge_state(st: &mut SchedulingState, e: usize, new: EdgeState) {
     if st.trail.active {
         let old = st.edges[e].state;
         st.trail.push(TrailEntry::Edge { e, old });
     }
-    st.trail.redo(RedoEntry::Edge { e, new });
     st.trail
         .charge_bytes(std::mem::size_of::<EdgeState>() as u64);
     st.edges[e].state = new;
@@ -543,7 +538,6 @@ pub fn merge_cc(
             OffsetUnion::Conflict => return Err(Contradiction::OffsetConflict(u, v)),
             OffsetUnion::Merged | OffsetUnion::Consistent => {}
         }
-        st.trail.redo(RedoEntry::CcUnion { u, v, delta });
         let new_root = st.cc.root(u);
         let minor_root = if new_root == ru { rv } else { ru };
         let moved = move_members(&mut st.cc_list, minor_root, new_root);
@@ -554,10 +548,6 @@ pub fn merge_cc(
                 moved,
             });
         }
-        st.trail.redo(RedoEntry::CcListMove {
-            root: new_root,
-            minor: minor_root,
-        });
         st.trail.charge_bytes(16 + moved as u64 * 8);
         // Bounds will re-synchronise through the worklist.
         q.push_back(u);
@@ -751,39 +741,28 @@ pub fn fuse_vcs(
         a_members.extend_from_slice(&st.vc_list[ra]);
         b_members.extend_from_slice(&st.vc_list[rb]);
         let root = st.vc.union(ra, rb);
-        st.trail.redo(RedoEntry::VcUnion { a: ra, b: rb });
         let minor = if root == ra { rb } else { ra };
         let moved = move_members(&mut st.vc_list, minor, root);
         if st.trail.active {
             st.trail.push(TrailEntry::VcListMove { root, minor, moved });
         }
-        st.trail.redo(RedoEntry::VcListMove { root, minor });
         st.trail.charge_bytes(16 + moved as u64 * 8);
         // Fused VC inherits all incompatibilities (§3.2).
         scan.extend(st.vc_adj[minor].iter());
         for &nb in scan.iter() {
-            if st.vc_adj[nb].remove(minor) {
-                if st.trail.active {
-                    st.trail.push(TrailEntry::VcAdjRemove { a: nb, b: minor });
-                }
-                st.trail.redo(RedoEntry::VcAdjRemove { a: nb, b: minor });
+            // The set operations run first: `&&` only skips the record.
+            if st.vc_adj[nb].remove(minor) && st.trail.active {
+                st.trail.push(TrailEntry::VcAdjRemove { a: nb, b: minor });
             }
-            if st.vc_adj[nb].insert(root) {
-                if st.trail.active {
-                    st.trail.push(TrailEntry::VcAdjInsert { a: nb, b: root });
-                }
-                st.trail.redo(RedoEntry::VcAdjInsert { a: nb, b: root });
+            if st.vc_adj[nb].insert(root) && st.trail.active {
+                st.trail.push(TrailEntry::VcAdjInsert { a: nb, b: root });
             }
-            if st.vc_adj[root].insert(nb) {
-                if st.trail.active {
-                    st.trail.push(TrailEntry::VcAdjInsert { a: root, b: nb });
-                }
-                st.trail.redo(RedoEntry::VcAdjInsert { a: root, b: nb });
+            if st.vc_adj[root].insert(nb) && st.trail.active {
+                st.trail.push(TrailEntry::VcAdjInsert { a: root, b: nb });
             }
             if st.trail.active {
                 st.trail.push(TrailEntry::VcAdjRemove { a: minor, b: nb });
             }
-            st.trail.redo(RedoEntry::VcAdjRemove { a: minor, b: nb });
             st.trail.charge_bytes(32);
         }
         st.vc_adj[minor].clear();
@@ -915,8 +894,6 @@ pub fn make_incompat(
         st.trail.push(TrailEntry::VcAdjInsert { a: ra, b: rb });
         st.trail.push(TrailEntry::VcAdjInsert { a: rb, b: ra });
     }
-    st.trail.redo(RedoEntry::VcAdjInsert { a: ra, b: rb });
-    st.trail.redo(RedoEntry::VcAdjInsert { a: rb, b: ra });
     st.trail.charge_bytes(16);
     st.vc_adj[ra].insert(rb);
     st.vc_adj[rb].insert(ra);
@@ -1026,7 +1003,6 @@ pub fn require_comm(
                 if st.trail.active {
                     st.trail.push(TrailEntry::CommConsumerPush { ci });
                 }
-                st.trail.redo(RedoEntry::CommConsumerPush { ci, c });
                 st.trail.charge_bytes(16);
                 if let CommKind::Flc { consumers, .. } = &mut st.comms[ci].kind {
                     consumers.push(c);
@@ -1050,11 +1026,6 @@ pub fn require_comm(
     if st.trail.active {
         st.trail.push(TrailEntry::CommPush);
     }
-    st.trail.redo(RedoEntry::CommPushFlc {
-        node,
-        value: p,
-        consumer: c,
-    });
     st.trail.charge_bytes(48);
     let mut consumers = st.scratch.rows.take();
     consumers.push(c);
@@ -1068,7 +1039,6 @@ pub fn require_comm(
     if st.trail.active {
         st.trail.push(TrailEntry::FlcPush { value: p });
     }
-    st.trail.redo(RedoEntry::FlcPush { value: p, ci });
     st.trail.charge_bytes(16);
     st.flc_by_value[p].push(ci);
     add_dep_edge(st, q, p, node, lat_p)?;
@@ -1083,10 +1053,6 @@ fn new_comm_node(st: &mut SchedulingState, est: i64, lst: i64) -> NodeId {
     if st.trail.active {
         st.trail.push(TrailEntry::NewNode);
     }
-    st.trail.redo(RedoEntry::NewNode {
-        est: est.max(0),
-        lst: lst.min(st.horizon),
-    });
     st.trail.charge_bytes(128);
     let node = st.push_comm_node(est.max(0), lst.min(st.horizon));
     st.dirty = true;
@@ -1108,7 +1074,6 @@ fn kill_plcs_subsumed_by(st: &mut SchedulingState, p: NodeId, c: NodeId) {
                 let old = st.comms[ci].kind.clone();
                 st.trail.push(TrailEntry::CommKind { ci, old });
             }
-            st.trail.redo(RedoEntry::CommSetDead { ci });
             st.trail.charge_bytes(16);
             st.comms[ci].kind = CommKind::Dead;
         }
@@ -1146,7 +1111,6 @@ fn create_plcs_for_pair(
         if st.trail.active {
             st.trail.push(TrailEntry::PlcSeen { key });
         }
-        st.trail.redo(RedoEntry::PlcInsert { key });
         st.trail.charge_bytes(32);
         st.insert_plc(key);
         let est = (st.est[x] + st.latency(x)).min(st.est[y] + st.latency(y));
@@ -1158,11 +1122,6 @@ fn create_plcs_for_pair(
         if st.trail.active {
             st.trail.push(TrailEntry::CommPush);
         }
-        st.trail.redo(RedoEntry::CommPushPPlc {
-            node,
-            producers: (x.min(y), x.max(y)),
-            consumer: s,
-        });
         st.trail.charge_bytes(48);
         st.comms.push(Comm {
             node,
@@ -1193,7 +1152,6 @@ fn create_plcs_for_pair(
         if st.trail.active {
             st.trail.push(TrailEntry::PlcSeen { key });
         }
-        st.trail.redo(RedoEntry::PlcInsert { key });
         st.trail.charge_bytes(32);
         st.insert_plc(key);
         let est = st.est[p] + st.latency(p);
@@ -1205,11 +1163,6 @@ fn create_plcs_for_pair(
         if st.trail.active {
             st.trail.push(TrailEntry::CommPush);
         }
-        st.trail.redo(RedoEntry::CommPushCPlc {
-            node,
-            value: p,
-            consumers: (x.min(y), x.max(y)),
-        });
         st.trail.charge_bytes(48);
         st.comms.push(Comm {
             node,
@@ -1281,7 +1234,6 @@ pub fn promote_plcs(st: &mut SchedulingState, q: &mut Queue) -> Result<(), Contr
                     let old = st.comms[ci].kind.clone();
                     st.trail.push(TrailEntry::CommKind { ci, old });
                 }
-                st.trail.redo(RedoEntry::CommSetDead { ci });
                 st.trail.charge_bytes(16);
                 st.comms[ci].kind = CommKind::Dead;
                 require_comm(st, q, p, c)?;

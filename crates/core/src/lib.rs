@@ -47,4 +47,4 @@ pub use search::{SearchFail, SearchResult};
 pub use state::{
     Comm, CommKind, EdgeIndex, EdgeState, NodeId, NodeKind, SchedulingState, StateCtx, Tuning,
 };
-pub use trail::{RedoLog, Trail, TrailMark};
+pub use trail::{Trail, TrailMark};

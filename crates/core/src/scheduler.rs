@@ -248,9 +248,8 @@ impl VcScheduler {
                 rollbacks: st.trail.rollbacks(),
                 peak_trail_depth: st.trail.peak_depth() as u64,
                 bytes_not_cloned: st.trail.bytes_not_cloned(),
-                redo_entries: st.trail.redo_entries_total(),
-                redo_replays: st.trail.redo_replays(),
-                redo_bytes_replayed: st.trail.redo_bytes_replayed(),
+                redo_replays: st.trail.adoptions(),
+                redo_bytes_replayed: st.trail.adopted_bytes(),
             })
             .unwrap_or_default();
         let m = crate::telemetry::attempt_metrics();
@@ -259,7 +258,6 @@ impl VcScheduler {
         m.trail_rollbacks.record(spec.rollbacks);
         m.trail_peak_depth.record(spec.peak_trail_depth);
         m.bytes_not_cloned.add(spec.bytes_not_cloned);
-        m.redo_entries.record(spec.redo_entries);
         m.redo_replays.add(spec.redo_replays);
         m.redo_bytes_replayed.add(spec.redo_bytes_replayed);
         let result = match searched {

@@ -5,13 +5,11 @@
 //! discard candidates that contradict (a *mandatory* fact applied to the
 //! real state), and adopt the heuristically best survivor.
 //!
-//! Studying is trail-based by default — apply on the real state, score,
-//! roll back while capturing a forward [`RedoLog`], and adopt the winner
-//! by replaying its recorded deltas ([`SchedulingState::apply_redo`])
-//! instead of re-running deduction. Setting
-//! [`crate::state::Tuning::replay_deduction`] falls back to re-deducing
-//! the winner, and the paper's literal clone-based engine survives behind
-//! the `clone-study` feature; all three produce byte-identical schedules,
+//! Studying is trail-based — apply on the real state, score, roll back —
+//! and the winner is adopted by re-deducing it on the restored state
+//! ([`replay_decision`], uncharged in steps). The paper's literal
+//! clone-based engine survives behind the `clone-study` feature as a
+//! test reference; both engines produce byte-identical schedules,
 //! winners and step counts.
 //!
 //! | stage | candidates                              | decision kind |
@@ -28,13 +26,9 @@ use vcsched_graph::matching::{greedy_max_weight_matching, max_weight_matching};
 use crate::combination::{CombDomain, CombRange};
 #[cfg(feature = "clone-study")]
 use crate::decision::study_decision_cloned;
-use crate::decision::{
-    apply_decision, replay_decision, study_and_keep, study_decision, study_decision_with_redo,
-    Decision,
-};
+use crate::decision::{apply_decision, replay_decision, study_and_keep, study_decision, Decision};
 use crate::dp::{self, Budget, Contradiction, DpAbort, Queue};
 use crate::state::{CommKind, EdgeState, NodeId, NodeKind, SchedulingState, SgEdge, StateScore};
-use crate::trail::RedoLog;
 
 /// Why a stage could not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,13 +51,11 @@ fn map_abort(a: DpAbort) -> StageFail {
 const STUDY_WIDTH: usize = 2;
 
 /// One studied candidate: the heuristic score its future state would
-/// have, plus what adoption needs — the already-built future state
-/// (clone engine) or the captured forward deltas (redo engine). Both
+/// have, plus the already-built future state under the clone engine.
 /// `None` means adoption re-deduces ([`replay_decision`]).
 struct Studied {
     score: StateScore,
     future: Option<Box<SchedulingState>>,
-    redo: Option<RedoLog>,
 }
 
 /// Studies `d` on a clone (the `clone-study` reference engine).
@@ -77,7 +69,6 @@ fn study_cloned(
     Ok(Studied {
         score: future.score(),
         future: Some(Box::new(future)),
-        redo: None,
     })
 }
 
@@ -90,49 +81,25 @@ fn study_cloned(
     unreachable!("clone_study_enabled() is false without the clone-study feature")
 }
 
-/// Studies `d` with the engine the tuning selects: trail-based with redo
-/// capture (the default), trail-based with winner re-deduction
-/// ([`crate::state::Tuning::replay_deduction`]), or the legacy
-/// clone-based reference (`clone-study` feature).
+/// Studies `d` with the engine the tuning selects: trail-based (the
+/// production path) or the clone-based reference (`clone-study` feature).
 fn study(st: &mut SchedulingState, d: &Decision, budget: &mut Budget) -> Result<Studied, DpAbort> {
     if st.ctx.tuning.clone_study_enabled() {
         study_cloned(st, d, budget)
-    } else if st.ctx.tuning.replay_deduction {
+    } else {
         Ok(Studied {
             score: study_decision(st, d, budget)?,
             future: None,
-            redo: None,
-        })
-    } else {
-        let (score, redo) = study_decision_with_redo(st, d, budget)?;
-        Ok(Studied {
-            score,
-            future: None,
-            redo: Some(redo),
         })
     }
 }
 
-/// Adopts a studied winner: move the clone in (clone engine), replay the
-/// captured forward deltas (redo engine; see
-/// [`SchedulingState::apply_redo`]) or re-deduce the decision
-/// (re-deduction engine; uncharged, see [`replay_decision`]).
+/// Adopts a studied winner: move the clone in (clone engine) or re-deduce
+/// the decision (trail engine; uncharged, see [`replay_decision`]).
 fn adopt(st: &mut SchedulingState, d: &Decision, studied: Studied) {
-    if let Some(future) = studied.future {
-        *st = *future;
-    } else if let Some(redo) = studied.redo {
-        st.apply_redo(&redo);
-        st.trail.recycle(redo);
-    } else {
-        replay_decision(st, d);
-    }
-}
-
-/// Drops a studied candidate that will not be adopted, returning its redo
-/// buffer to the trail.
-fn release(st: &mut SchedulingState, studied: Studied) {
-    if let Some(redo) = studied.redo {
-        st.trail.recycle(redo);
+    match studied.future {
+        Some(future) => *st = *future,
+        None => replay_decision(st, d),
     }
 }
 
@@ -248,15 +215,13 @@ fn combination_stage(
                     survivors.push((choose, c));
                     survivors.push((discard, dd));
                 }
-                (Some(c), None) => {
+                (Some(_), None) => {
                     // Discard impossible ⇒ choosing is mandatory.
-                    release(st, c);
                     apply_decision(st, &choose, budget).map_err(map_abort)?;
                     any_mandatory = true;
                 }
-                (None, Some(dd)) => {
+                (None, Some(_)) => {
                     // Choice impossible ⇒ discarding is mandatory.
-                    release(st, dd);
                     apply_decision(st, &discard, budget).map_err(map_abort)?;
                     any_mandatory = true;
                 }
@@ -265,12 +230,9 @@ fn combination_stage(
         }
         if any_mandatory {
             // Re-select candidates on the updated state.
-            for (_, studied) in survivors {
-                release(st, studied);
-            }
             continue;
         }
-        match pick_best(st, survivors) {
+        match pick_best(survivors) {
             Some((d, best)) => adopt(st, &d, best),
             None => return Err(StageFail::Restart),
         }
@@ -278,22 +240,15 @@ fn combination_stage(
 }
 
 /// Best survivor by the §4.4.3 heuristic; ties keep the earliest entry
-/// (callers push the *choose* future first). The losers are released.
-fn pick_best(
-    st: &mut SchedulingState,
-    mut survivors: Vec<(Decision, Studied)>,
-) -> Option<(Decision, Studied)> {
+/// (callers push the *choose* future first).
+fn pick_best(mut survivors: Vec<(Decision, Studied)>) -> Option<(Decision, Studied)> {
     let mut best: Option<(StateScore, usize)> = None;
     for (i, (_, s)) in survivors.iter().enumerate() {
         if best.is_none_or(|(b, _)| s.score.better_than(&b)) {
             best = Some((s.score, i));
         }
     }
-    let winner = best.map(|(_, i)| survivors.swap_remove(i));
-    for (_, studied) in survivors {
-        release(st, studied);
-    }
-    winner
+    best.map(|(_, i)| survivors.swap_remove(i))
 }
 
 /// Stage 1: treat combinations among original (non-communication)
@@ -379,7 +334,7 @@ fn pinning_stage(
                 }
             }
         }
-        if let Some((d, best)) = pick_best(st, survivors) {
+        if let Some((d, best)) = pick_best(survivors) {
             adopt(st, &d, best);
         } else if !tightened {
             return Err(StageFail::Restart);
@@ -487,7 +442,7 @@ pub fn stage4_map_clusters(st: &mut SchedulingState, budget: &mut Budget) -> Res
                 Err(DpAbort::Contradiction(_)) => {}
             }
         }
-        match pick_best(st, survivors) {
+        match pick_best(survivors) {
             Some((d, best)) => adopt(st, &d, best),
             None => return Err(StageFail::Restart),
         }

@@ -23,7 +23,7 @@ use vcsched_ir::{DepGraph, DepKind, InstId, Superblock};
 
 use crate::combination::{CombDomain, CombRange};
 use crate::dp::{PigeonScratch, Queue};
-use crate::trail::{RedoEntry, RedoLog, Trail, TrailEntry, TrailMark};
+use crate::trail::{Trail, TrailEntry, TrailMark};
 
 /// Identity of a partially-linked communication: `(kind_tag, x, y, z)`,
 /// tag 0 for producer-partial and 1 for consumer-partial.
@@ -126,12 +126,6 @@ pub struct Tuning {
     /// Replace the exact maximum-weight matching of stage 3 by the greedy
     /// approximation.
     pub greedy_matching: bool,
-    /// Adopt stage winners by *re-running* their deduction (the pre-redo
-    /// trail engine) instead of replaying the captured redo log. Kept as a
-    /// live code path so `speculation_bench` can race adoption-by-replay
-    /// against adoption-by-re-deduction; results are byte-identical by
-    /// contract.
-    pub replay_deduction: bool,
     /// Study candidates on full state clones (the paper's literal §4.4.2
     /// mechanism) instead of the trail-based delta/rollback engine. A
     /// test-and-bench-only fixture: compiled only with the `clone-study`
@@ -539,7 +533,7 @@ fn unmove_members(lists: &mut [Vec<NodeId>], from: usize, to: usize, moved: usiz
 ///
 /// Candidate study is trail-based by default (apply on this state, then
 /// [`SchedulingState::rollback`]); the state remains cheap enough to clone
-/// for the legacy engine kept behind [`Tuning::clone_study`].
+/// for the legacy engine kept behind `Tuning::clone_study`.
 #[derive(Debug, Clone)]
 pub struct SchedulingState {
     /// Shared immutable context.
@@ -922,135 +916,6 @@ impl SchedulingState {
             lists.push(row);
         }
         node
-    }
-
-    /// Adopts a studied decision by replaying its captured forward deltas
-    /// (see [`RedoLog`]) instead of re-running deduction. The log was
-    /// captured on this exact state, so applying the records in order
-    /// reproduces the post-study state bit-exactly — uncharged against any
-    /// budget, leaving step telemetry untouched. Runs outside speculation
-    /// (like the re-deduction it replaces); ends with `dirty` clear, the
-    /// fixpoint the study's drain left behind.
-    pub fn apply_redo(&mut self, log: &RedoLog) {
-        debug_assert!(!self.trail.active, "adoption replays outside speculation");
-        use std::mem::size_of;
-        let mut bytes = 0u64;
-        for entry in &log.entries {
-            match *entry {
-                RedoEntry::Est { n, new } => {
-                    self.est[n] = new;
-                    bytes += 16;
-                }
-                RedoEntry::Lst { n, new } => {
-                    self.lst[n] = new;
-                    bytes += 16;
-                }
-                RedoEntry::Edge { e, new } => {
-                    self.edges[e].state = new;
-                    bytes += size_of::<EdgeState>() as u64;
-                }
-                RedoEntry::DepEdge { from, to, lat } => {
-                    self.succ[from].push((to, lat));
-                    self.pred[to].push((from, lat));
-                    bytes += 32;
-                }
-                RedoEntry::CcUnion { u, v, delta } => {
-                    use vcsched_graph::OffsetUnion;
-                    let r = self.cc.union_with_offset(u, v, delta);
-                    debug_assert!(matches!(r, OffsetUnion::Merged));
-                    let _ = r;
-                    bytes += 16;
-                }
-                RedoEntry::CcListMove { root, minor } => {
-                    let moved = move_members(&mut self.cc_list, minor, root);
-                    bytes += 16 + moved as u64 * 8;
-                }
-                RedoEntry::VcUnion { a, b } => {
-                    self.vc.union(a, b);
-                    bytes += 16;
-                }
-                RedoEntry::VcListMove { root, minor } => {
-                    let moved = move_members(&mut self.vc_list, minor, root);
-                    bytes += 16 + moved as u64 * 8;
-                }
-                RedoEntry::VcAdjInsert { a, b } => {
-                    self.vc_adj[a].insert(b);
-                    bytes += 16;
-                }
-                RedoEntry::VcAdjRemove { a, b } => {
-                    self.vc_adj[a].remove(b);
-                    bytes += 16;
-                }
-                RedoEntry::NewNode { est, lst } => {
-                    // Comm pushes replay in order, so the comm index the
-                    // node will point at is again `comms.len()`.
-                    self.push_comm_node(est, lst);
-                    bytes += 128;
-                }
-                RedoEntry::CommPushFlc {
-                    node,
-                    value,
-                    consumer,
-                } => {
-                    let mut consumers = self.scratch.rows.take();
-                    consumers.push(consumer);
-                    self.comms.push(Comm {
-                        node,
-                        kind: CommKind::Flc { value, consumers },
-                    });
-                    bytes += 48;
-                }
-                RedoEntry::CommPushPPlc {
-                    node,
-                    producers,
-                    consumer,
-                } => {
-                    self.comms.push(Comm {
-                        node,
-                        kind: CommKind::PPlc {
-                            producers,
-                            consumer,
-                        },
-                    });
-                    bytes += 48;
-                }
-                RedoEntry::CommPushCPlc {
-                    node,
-                    value,
-                    consumers,
-                } => {
-                    self.comms.push(Comm {
-                        node,
-                        kind: CommKind::CPlc { value, consumers },
-                    });
-                    bytes += 48;
-                }
-                RedoEntry::CommConsumerPush { ci, c } => {
-                    if let CommKind::Flc { consumers, .. } = &mut self.comms[ci].kind {
-                        consumers.push(c);
-                    }
-                    bytes += 16;
-                }
-                RedoEntry::CommSetDead { ci } => {
-                    self.comms[ci].kind = CommKind::Dead;
-                    bytes += 16;
-                }
-                RedoEntry::FlcPush { value, ci } => {
-                    self.flc_by_value[value].push(ci);
-                    bytes += 16;
-                }
-                RedoEntry::PlcInsert { key } => {
-                    self.insert_plc(key);
-                    bytes += 32;
-                }
-            }
-        }
-        self.dirty = false;
-        // The replayed study ended with a passing colourability check (it
-        // survived), and the replay reproduces that exact post-study VCG.
-        self.vcg_dirty = false;
-        self.trail.charge_bytes(bytes);
-        self.trail.note_redo_replay(bytes);
     }
 
     /// Estimated heap bytes a full clone of this state would copy — the

@@ -25,12 +25,9 @@ pub(crate) struct AttemptMetrics {
     pub trail_peak_depth: Histogram,
     /// `vc_bytes_not_cloned_total` — bytes the trail engine avoided cloning.
     pub bytes_not_cloned: Counter,
-    /// `vc_redo_entries` — forward (redo) records captured per attempt.
-    pub redo_entries: Histogram,
-    /// `vc_redo_replays_total` — winner adoptions performed by redo replay.
+    /// `vc_redo_replays_total` — stage winners adopted by re-deduction.
     pub redo_replays: Counter,
-    /// `vc_redo_bytes_replayed_total` — state bytes written back by redo
-    /// replays.
+    /// `vc_redo_bytes_replayed_total` — work bytes those adoptions charged.
     pub redo_bytes_replayed: Counter,
     /// `vc_attempts_total{outcome=…}` — attempts by outcome.
     pub outcome_ok: Counter,
@@ -55,7 +52,6 @@ pub(crate) fn attempt_metrics() -> &'static AttemptMetrics {
             trail_rollbacks: r.histogram("vc_trail_rollbacks"),
             trail_peak_depth: r.histogram("vc_trail_peak_depth"),
             bytes_not_cloned: r.counter("vc_bytes_not_cloned_total"),
-            redo_entries: r.histogram("vc_redo_entries"),
             redo_replays: r.counter("vc_redo_replays_total"),
             redo_bytes_replayed: r.counter("vc_redo_bytes_replayed_total"),
             outcome_ok: r.counter_with("vc_attempts_total", &[("outcome", "ok")]),

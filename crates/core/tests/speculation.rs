@@ -1,18 +1,18 @@
-//! Differential tests of the speculation engines (§4.4.2): the default
-//! redo-replay adoption against winner re-deduction (always compiled),
-//! and both against the legacy clone-based study (under the
-//! `clone-study` feature). Same contradictions, same scores,
-//! bit-identical states after rollback and adoption, and bit-identical
-//! schedules, winners and step counts from the full scheduler — over
-//! synthesized blocks × machines.
+//! Tests of the speculation engine (§4.4.2). Always compiled: a trail
+//! study rolls back bit-exactly, and adopting a winner by re-deduction
+//! reaches the kept state and charges the studied work bytes. Under the
+//! `clone-study` feature, the trail engine is checked against the legacy
+//! clone-based study: same contradictions, same scores, bit-identical
+//! states after adoption, and bit-identical schedules, winners and step
+//! counts from the full scheduler — over synthesized blocks × machines.
 
 use proptest::prelude::*;
 use vcsched_arch::{ClusterId, MachineConfig, OpClass};
 use vcsched_core::{
-    decision::{study_and_keep, study_decision, study_decision_with_redo},
+    decision::{replay_decision, study_and_keep, study_decision},
     dp::Budget,
     init::{build_state, sg_windows},
-    Decision, EdgeState, SchedulingState, StateCtx, Tuning, VcError, VcOptions, VcScheduler,
+    Decision, EdgeState, SchedulingState, StateCtx, VcError, VcOptions, VcScheduler,
 };
 use vcsched_ir::{Superblock, SuperblockBuilder};
 
@@ -167,83 +167,55 @@ fn built_state(sb: &Superblock, machine: &MachineConfig) -> Option<SchedulingSta
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Per candidate decision: the redo-capturing study agrees with the
-    /// plain trail study on viability and score, both roll back
-    /// bit-exactly, and adopting by redo replay equals adopting by
-    /// re-deducing the decision.
+    /// Per candidate decision: the trail study restores the state
+    /// bit-exactly, and adopting a viable decision by re-deduction
+    /// ([`replay_decision`]) reaches the studied score and the state
+    /// [`study_and_keep`] keeps.
     #[test]
-    fn redo_replay_matches_rededuction(sb in arb_superblock()) {
+    fn study_rolls_back_and_adoption_matches_keep(sb in arb_superblock()) {
         for machine in machines() {
             let Some(mut st) = built_state(&sb, &machine) else { continue };
             let before = fingerprint(&st);
             for decision in candidate_decisions(&st) {
-                let redo = study_decision_with_redo(&mut st, &decision, &mut Budget::unlimited());
+                let studied = study_decision(&mut st, &decision, &mut Budget::unlimited());
                 prop_assert_eq!(
                     fingerprint(&st), before.clone(),
-                    "redo study rollback must restore the state ({decision:?})"
+                    "study rollback must restore the state ({decision:?})"
                 );
-                let plain = study_decision(&mut st, &decision, &mut Budget::unlimited());
-                prop_assert_eq!(
-                    fingerprint(&st), before.clone(),
-                    "plain study rollback must restore the state ({decision:?})"
-                );
-                match (redo, plain) {
-                    (Ok((score, log)), Ok(plain_score)) => {
-                        prop_assert_eq!(score, plain_score,
-                            "redo capture must not change the score");
-                        // Adoption by replaying the captured deltas …
-                        let mut by_replay = st.clone();
-                        by_replay.apply_redo(&log);
-                        // … equals adoption by re-deducing the decision.
-                        let mut by_rededuce = st.clone();
-                        study_and_keep(&mut by_rededuce, &decision, &mut Budget::unlimited())
-                            .expect("viable decision");
-                        prop_assert_eq!(fingerprint(&by_replay), fingerprint(&by_rededuce),
-                            "redo replay must equal re-deduction ({decision:?})");
-                    }
-                    (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                    (a, b) => prop_assert!(false,
-                        "studies disagree on {decision:?}: redo {a:?} vs plain {b:?}"),
+                if let Ok(score) = studied {
+                    let mut adopted = st.clone();
+                    replay_decision(&mut adopted, &decision);
+                    prop_assert_eq!(adopted.score(), score,
+                        "the adopted state must have the studied score ({decision:?})");
+                    let mut kept = st.clone();
+                    study_and_keep(&mut kept, &decision, &mut Budget::unlimited())
+                        .expect("viable decision");
+                    prop_assert_eq!(fingerprint(&adopted), fingerprint(&kept),
+                        "adoption must equal keeping the study ({decision:?})");
                 }
             }
         }
     }
 
-    /// The full scheduler produces bit-identical outcomes — schedule,
-    /// AWCT, step count, bump count, minAWCT, trail telemetry — whether
-    /// winners are adopted by redo replay (default) or by re-deduction
-    /// ([`Tuning::replay_deduction`]).
+    /// Per candidate decision: adopting by re-deduction charges exactly
+    /// the work bytes the study charged, so a byte budget prices a
+    /// winner's adoption the same as its study.
     #[test]
-    fn full_search_is_adoption_invariant(sb in arb_superblock()) {
+    fn adoption_charges_the_studied_work_bytes(sb in arb_superblock()) {
         for machine in machines() {
-            let run = |replay_deduction: bool| {
-                VcScheduler::with_options(machine.clone(), VcOptions {
-                    max_dp_steps: 200_000,
-                    tuning: Tuning { replay_deduction, ..Tuning::default() },
-                    ..VcOptions::default()
-                })
-                .try_schedule_with_live_ins(&sb, &[ClusterId(0), ClusterId(1)])
-            };
-            let redo = run(false);
-            let rededuce = run(true);
-            prop_assert_eq!(redo.dp_steps, rededuce.dp_steps,
-                "step telemetry must be adoption-invariant");
-            prop_assert_eq!(redo.spec.trail_entries, rededuce.spec.trail_entries);
-            prop_assert_eq!(redo.spec.rollbacks, rededuce.spec.rollbacks);
-            prop_assert_eq!(redo.spec.peak_trail_depth, rededuce.spec.peak_trail_depth);
-            prop_assert_eq!(redo.spec.bytes_not_cloned, rededuce.spec.bytes_not_cloned);
-            prop_assert_eq!(rededuce.spec.redo_replays, 0,
-                "the re-deduction engine never replays a redo log");
-            match (redo.result, rededuce.result) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a.schedule, b.schedule);
-                    prop_assert_eq!(a.awct, b.awct);
-                    prop_assert_eq!(a.stats.awct_bumps, b.stats.awct_bumps);
-                    prop_assert_eq!(a.stats.min_awct, b.stats.min_awct);
-                    prop_assert_eq!(a.stats.dp_steps, b.stats.dp_steps);
+            let Some(mut st) = built_state(&sb, &machine) else { continue };
+            for decision in candidate_decisions(&st) {
+                let start = st.trail.work_bytes();
+                let studied = study_decision(&mut st, &decision, &mut Budget::unlimited());
+                let study_bytes = st.trail.work_bytes() - start;
+                if studied.is_ok() {
+                    let mut adopted = st.clone();
+                    let start = adopted.trail.work_bytes();
+                    replay_decision(&mut adopted, &decision);
+                    prop_assert_eq!(adopted.trail.work_bytes() - start, study_bytes,
+                        "adoption must charge the studied bytes ({decision:?})");
+                    prop_assert_eq!(adopted.trail.adopted_bytes(), study_bytes);
                 }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (a, b) => prop_assert!(false, "engines disagree: {a:?} vs {b:?}"),
             }
         }
     }
@@ -254,7 +226,7 @@ proptest! {
 #[cfg(feature = "clone-study")]
 mod clone_reference {
     use super::*;
-    use vcsched_core::decision::study_decision_cloned;
+    use vcsched_core::{decision::study_decision_cloned, Tuning};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
@@ -354,6 +326,11 @@ fn trail_telemetry_counts_rollbacks_and_saved_bytes() {
     assert!(
         spec.bytes_not_cloned > 0,
         "each rollback credits the clone it avoided"
+    );
+    assert!(spec.redo_replays > 0, "stage winners must be adopted");
+    assert!(
+        spec.redo_bytes_replayed > 0,
+        "adoptions charge their re-deduced work bytes"
     );
 }
 

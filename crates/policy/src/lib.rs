@@ -218,11 +218,11 @@ pub struct SpecStats {
     /// Estimated bytes the clone-based engine would have copied for the
     /// rolled-back studies.
     pub bytes_not_cloned: u64,
-    /// Forward (redo) records captured during studies.
-    pub redo_entries: u64,
-    /// Winner adoptions performed by redo replay (skipping re-deduction).
+    /// Stage winners adopted by re-deducing them after their study. The
+    /// name is historical, kept so existing readers of the field work.
     pub redo_replays: u64,
-    /// State bytes written back by those redo replays.
+    /// Work bytes those adoptions charged (the same bytes their studies
+    /// charged).
     pub redo_bytes_replayed: u64,
 }
 

@@ -19,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use vcsched::arch::{ClusterId, MachineConfig, OpClass, ReservationTable};
-use vcsched::core::decision::{study_decision_with_redo, Decision};
+use vcsched::core::decision::{study_decision, Decision};
 use vcsched::core::init::{build_state, sg_windows};
 use vcsched::core::{Budget, EdgeState, SchedulingState, StateCtx};
 use vcsched::engine::{schedule_block, PolicyOptions, PolicySet, STEPS_1S};
@@ -185,9 +185,7 @@ fn deduction_studies_allocate_nothing_when_warm() {
             .collect();
         let study_all = |st: &mut SchedulingState| {
             for d in &all {
-                if let Ok((_, log)) = study_decision_with_redo(st, d, &mut Budget::unlimited()) {
-                    st.trail.recycle(log);
-                }
+                let _ = study_decision(st, d, &mut Budget::unlimited());
             }
         };
         for _ in 0..PASSES {
