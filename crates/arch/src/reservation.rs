@@ -26,8 +26,8 @@ pub struct Placement {
 /// functional-unit counts, then one fixed-stride row per cycle. A row
 /// holds, per cluster, the four FU-class counters and the issued-op count,
 /// followed by the cycle's branch and bus counters. Rows grow on demand
-/// and a cycle past the last row reads as empty, so cloning a table (the
-/// per-cluster trial of the list schedulers) is a single `memcpy`.
+/// and a cycle past the last row reads as empty, so cloning a table is a
+/// single `memcpy`.
 ///
 /// # Example
 ///
@@ -181,6 +181,26 @@ impl ReservationTable {
         true
     }
 
+    /// Undoes a successful [`Self::try_reserve_bus`] at `cycle`, so a
+    /// list scheduler can trial copies on the live table instead of a
+    /// clone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no transfer starting at `cycle` is reserved.
+    pub fn release_bus(&mut self, cycle: u32) {
+        let bus = self.bus_offset();
+        for c in cycle..cycle + self.bus_occupancy {
+            let at = self.row_at(c) + bus;
+            let used = self
+                .cells
+                .get_mut(at)
+                .filter(|used| **used > 0)
+                .expect("release_bus without a matching reservation");
+            *used -= 1;
+        }
+    }
+
     /// First cycle `>= from` where `class` can issue on `cluster`.
     ///
     /// Always succeeds eventually because future rows are empty.
@@ -262,6 +282,24 @@ mod tests {
         assert!(!rt.try_reserve_bus(1), "bus busy during second cycle");
         assert!(rt.try_reserve_bus(2));
         assert_eq!(rt.earliest_bus_slot(3), 4);
+    }
+
+    #[test]
+    fn release_bus_undoes_a_reservation() {
+        let m = MachineConfig::paper_4c_16w_lat2();
+        let mut rt = ReservationTable::new(&m);
+        assert!(rt.try_reserve_bus(3));
+        assert!(!rt.can_use_bus(4));
+        rt.release_bus(3);
+        assert!(rt.can_use_bus(3) && rt.can_use_bus(4));
+        assert_eq!(rt.earliest_bus_slot(0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "without a matching reservation")]
+    fn release_bus_requires_a_reservation() {
+        let mut rt = ReservationTable::new(&MachineConfig::paper_2c_8w());
+        rt.release_bus(0);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use uas::{ClusterOrder, UasScheduler};
 // `UasPolicy` / `TwoPhasePolicy` (defined below) adapt both baselines to
 // the workspace-wide `vcsched_policy::SchedulePolicy` interface.
 
-use vcsched_ir::{InstId, Schedule, Superblock};
+use vcsched_ir::{Schedule, Superblock};
 
 /// Result of a baseline scheduling run. Like CARS, these list schedulers
 /// cannot fail — they only produce longer schedules.
@@ -151,26 +151,4 @@ impl SchedulePolicy for TwoPhasePolicy {
         let out = TwoPhaseScheduler::new(machine.clone()).schedule_with_live_ins(block, homes);
         PolicyOutcome::solved(out.schedule, out.awct, 0, start.elapsed())
     }
-}
-
-/// Weighted critical-path priorities shared by the baselines:
-/// `Σ_k P_k · (dist(u, exit_k) + λ_k)` over the exits `u` reaches.
-pub(crate) fn weighted_priorities(sb: &Superblock) -> Vec<f64> {
-    let dg = vcsched_ir::DepGraph::new(sb);
-    let exits: Vec<(InstId, f64)> = sb.exits().collect();
-    (0..sb.len())
-        .map(|u| {
-            exits
-                .iter()
-                .enumerate()
-                .map(|(k, &(x, p))| {
-                    let lam = sb.inst(x).latency() as f64;
-                    match dg.dist_to_exit(InstId(u as u32), k) {
-                        Some(d) => p * (d as f64 + lam),
-                        None => 0.0,
-                    }
-                })
-                .sum()
-        })
-        .collect()
 }

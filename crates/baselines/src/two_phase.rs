@@ -17,9 +17,9 @@
 //! the ablation benches measure.
 
 use vcsched_arch::{ClusterId, MachineConfig, ReservationTable};
-use vcsched_ir::{CopyOp, DepGraph, DepKind, InstId, Schedule, Superblock};
+use vcsched_ir::{CopyOp, DepGraph, DepKind, InstId, ReadyList, Schedule, Superblock};
 
-use crate::{weighted_priorities, BaselineOutcome};
+use crate::BaselineOutcome;
 
 /// The two-phase baseline scheduler.
 #[derive(Debug, Clone)]
@@ -66,17 +66,27 @@ impl TwoPhaseScheduler {
         sb: &Superblock,
         live_in_homes: &[ClusterId],
     ) -> BaselineOutcome {
-        let partition = self.partition(sb, live_in_homes);
-        self.schedule_fixed(sb, &partition)
+        let dg = DepGraph::new(sb);
+        let partition = self.partition_with(sb, &dg, live_in_homes);
+        self.schedule_fixed(sb, &dg, partition)
     }
 
     /// Phase 1: the cluster for every instruction.
     pub fn partition(&self, sb: &Superblock, live_in_homes: &[ClusterId]) -> Vec<ClusterId> {
+        self.partition_with(sb, &DepGraph::new(sb), live_in_homes)
+    }
+
+    fn partition_with(
+        &self,
+        sb: &Superblock,
+        dg: &DepGraph,
+        live_in_homes: &[ClusterId],
+    ) -> Vec<ClusterId> {
         let n = sb.len();
         let k = self.machine.cluster_count();
-        let dg = DepGraph::new(sb);
         let mut cluster: Vec<Option<ClusterId>> = vec![None; n];
         let mut load = vec![0f64; k];
+        let mut affinity = vec![0f64; k];
 
         for (order, li) in sb.live_ins().enumerate() {
             let home = live_in_homes
@@ -88,24 +98,20 @@ impl TwoPhaseScheduler {
 
         // Estart order approximates a topological order (ties: id order
         // keeps exits in program order); every predecessor of `i` is
-        // assigned before `i`.
+        // assigned before `i`. Ids make the keys unique, so an unstable
+        // sort yields that order exactly.
         let mut order: Vec<usize> = (0..n).filter(|&i| cluster[i].is_none()).collect();
-        order.sort_by_key(|&i| (dg.estart(InstId(i as u32)), i));
+        order.sort_unstable_by_key(|&i| (dg.estart(InstId(i as u32)), i));
 
         for i in order {
-            let mut affinity = vec![0f64; k];
-            for d in sb.deps() {
-                if d.to.index() == i && d.kind == DepKind::Data {
+            let id = InstId(i as u32);
+            affinity.fill(0.0);
+            for d in dg.preds(id) {
+                if d.kind == DepKind::Data {
                     if let Some(c) = cluster[d.from.index()] {
                         // Tight edges (no slack to hide a copy) weigh more.
-                        let tight = 1.0
-                            + 1.0
-                                / (1.0
-                                    + (dg.estart(InstId(i as u32))
-                                        - dg.estart(d.from)
-                                        - d.latency as i64)
-                                        .max(0) as f64);
-                        affinity[c.0 as usize] += tight;
+                        let slack = dg.estart(id) - dg.estart(d.from) - d.latency as i64;
+                        affinity[c.0 as usize] += 1.0 + 1.0 / (1.0 + slack.max(0) as f64);
                     }
                 }
             }
@@ -130,49 +136,35 @@ impl TwoPhaseScheduler {
     }
 
     /// Phase 2: list scheduling with the partition fixed.
-    fn schedule_fixed(&self, sb: &Superblock, partition: &[ClusterId]) -> BaselineOutcome {
+    fn schedule_fixed(
+        &self,
+        sb: &Superblock,
+        dg: &DepGraph,
+        partition: Vec<ClusterId>,
+    ) -> BaselineOutcome {
         let n = sb.len();
         let k = self.machine.cluster_count();
         let bus = self.machine.bus_latency() as i64;
-        let priorities = weighted_priorities(sb);
+        let mut ready = ReadyList::new(sb, dg);
 
         let mut rt = ReservationTable::new(&self.machine);
         let mut cycles: Vec<Option<i64>> = vec![None; n];
-        let mut avail: Vec<Vec<Option<i64>>> = vec![vec![None; k]; n];
+        // avail[v * k + c]: the cycle from which cluster c can read v.
+        let mut avail: Vec<Option<i64>> = vec![None; n * k];
         let mut copies: Vec<CopyOp> = Vec::new();
 
         for li in sb.live_ins() {
             cycles[li.index()] = Some(0);
-            avail[li.index()][partition[li.index()].0 as usize] = Some(0);
+            avail[li.index() * k + partition[li.index()].0 as usize] = Some(0);
         }
 
-        let mut remaining: Vec<usize> = (0..n).filter(|&i| !sb.insts()[i].is_live_in()).collect();
-
-        while !remaining.is_empty() {
-            let mut ready: Vec<usize> = remaining
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    sb.deps()
-                        .iter()
-                        .filter(|d| d.to.index() == i)
-                        .all(|d| cycles[d.from.index()].is_some())
-                })
-                .collect();
-            assert!(!ready.is_empty(), "acyclic blocks always have ready ops");
-            ready.sort_by(|&a, &b| {
-                priorities[b]
-                    .partial_cmp(&priorities[a])
-                    .expect("finite priorities")
-                    .then(a.cmp(&b))
-            });
-            let inst = ready[0];
+        while let Some(id) = ready.pop() {
+            let inst = id.index();
             let c = partition[inst].0 as usize;
             let class = sb.insts()[inst].class();
 
             let mut earliest: i64 = 0;
-            let mut new_copies: Vec<CopyOp> = Vec::new();
-            for d in sb.deps().iter().filter(|d| d.to.index() == inst) {
+            for d in dg.preds(id) {
                 let p = d.from.index();
                 let pc = cycles[p].expect("predecessor scheduled");
                 match d.kind {
@@ -180,7 +172,7 @@ impl TwoPhaseScheduler {
                     DepKind::Data => {
                         if partition[p].0 as usize == c || k == 1 {
                             earliest = earliest.max(pc + d.latency as i64);
-                        } else if let Some(t) = avail[p][c] {
+                        } else if let Some(t) = avail[p * k + c] {
                             earliest = earliest.max(t);
                         } else {
                             let ready_at = pc + sb.insts()[p].latency() as i64;
@@ -188,25 +180,24 @@ impl TwoPhaseScheduler {
                             let reserved = rt.try_reserve_bus(slot);
                             debug_assert!(reserved, "earliest_bus_slot returned free");
                             let arrival = slot as i64 + bus;
-                            new_copies.push(CopyOp {
-                                value: InstId(p as u32),
+                            copies.push(CopyOp {
+                                value: d.from,
                                 from: partition[p],
                                 to: ClusterId(c as u8),
                                 cycle: slot as i64,
                             });
-                            avail[p][c] = Some(arrival);
+                            avail[p * k + c] = Some(arrival);
                             earliest = earliest.max(arrival);
                         }
                     }
                 }
             }
-            copies.extend(new_copies);
             let slot = rt.earliest_slot(earliest.max(0) as u32, ClusterId(c as u8), class);
             let placed = rt.try_place(slot, ClusterId(c as u8), class);
             debug_assert!(placed, "earliest_slot returned a free slot");
             cycles[inst] = Some(slot as i64);
-            avail[inst][c] = Some(slot as i64 + sb.insts()[inst].latency() as i64);
-            remaining.retain(|&i| i != inst);
+            avail[inst * k + c] = Some(slot as i64 + sb.insts()[inst].latency() as i64);
+            ready.scheduled(dg, id);
         }
 
         let schedule = Schedule {
@@ -214,7 +205,7 @@ impl TwoPhaseScheduler {
                 .into_iter()
                 .map(|c| c.expect("all scheduled"))
                 .collect(),
-            clusters: partition.to_vec(),
+            clusters: partition,
             copies,
         };
         let awct = schedule.awct(sb);

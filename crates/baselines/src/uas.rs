@@ -12,10 +12,12 @@
 //! completion-weighted predecessors (CWP), plus a load-balance order as a
 //! sanity baseline.
 
-use vcsched_arch::{ClusterId, MachineConfig, ReservationTable};
-use vcsched_ir::{CopyOp, DepKind, InstId, Schedule, Superblock};
+use std::cmp::Reverse;
 
-use crate::{weighted_priorities, BaselineOutcome};
+use vcsched_arch::{ClusterId, MachineConfig, ReservationTable};
+use vcsched_ir::{CopyOp, Dep, DepGraph, DepKind, ReadyList, Schedule, Superblock};
+
+use crate::BaselineOutcome;
 
 /// Cluster-priority heuristic used by [`UasScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -80,6 +82,11 @@ impl UasScheduler {
     }
 
     /// Schedules `sb` with an explicit live-in placement.
+    ///
+    /// Each cycle serves a snapshot of the ready set in priority order;
+    /// an instruction made ready during the cycle waits for the next one.
+    /// Copies are trialled on the live reservation table and released
+    /// when the cluster is rejected.
     pub fn schedule_with_live_ins(
         &self,
         sb: &Superblock,
@@ -88,15 +95,18 @@ impl UasScheduler {
         let n = sb.len();
         let k = self.machine.cluster_count();
         let bus = self.machine.bus_latency() as i64;
-        let priorities = weighted_priorities(sb);
+        let dg = DepGraph::new(sb);
+        let mut ready = ReadyList::new(sb, &dg);
 
         let mut rt = ReservationTable::new(&self.machine);
         let mut cycles: Vec<Option<i64>> = vec![None; n];
         let mut clusters: Vec<ClusterId> = vec![ClusterId(0); n];
-        // avail[v][c] = cycle from which cluster c can read value v.
-        let mut avail: Vec<Vec<Option<i64>>> = vec![vec![None; k]; n];
+        // avail[v * k + c]: the cycle from which cluster c can read v.
+        let mut avail: Vec<Option<i64>> = vec![None; n * k];
         let mut copies: Vec<CopyOp> = Vec::new();
         let mut load: Vec<u64> = vec![0; k];
+        let mut snapshot = Vec::with_capacity(n);
+        let mut order = Vec::with_capacity(k);
 
         for (order, li) in sb.live_ins().enumerate() {
             let home = live_in_homes
@@ -106,50 +116,35 @@ impl UasScheduler {
             let i = li.index();
             cycles[i] = Some(0);
             clusters[i] = ClusterId(home.0 % k as u8);
-            avail[i][clusters[i].0 as usize] = Some(0);
+            avail[i * k + clusters[i].0 as usize] = Some(0);
         }
 
-        let mut unscheduled: Vec<usize> = (0..n).filter(|&i| !sb.insts()[i].is_live_in()).collect();
-
+        let mut unscheduled = sb.insts().iter().filter(|i| !i.is_live_in()).count();
         let mut cycle: i64 = 0;
         // Cycle-driven outer loop; the horizon only grows when nothing
         // fits, and something always fits eventually (a far-enough cycle
         // has free resources and satisfied dependences).
-        while !unscheduled.is_empty() {
-            let mut ready: Vec<usize> = unscheduled
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    sb.deps()
-                        .iter()
-                        .filter(|d| d.to.index() == i)
-                        .all(|d| cycles[d.from.index()].is_some())
-                })
-                .collect();
-            ready.sort_by(|&a, &b| {
-                priorities[b]
-                    .partial_cmp(&priorities[a])
-                    .expect("finite priorities")
-                    .then(a.cmp(&b))
-            });
+        while unscheduled > 0 {
+            snapshot.clear();
+            while let Some(id) = ready.pop() {
+                snapshot.push(id);
+            }
 
-            for inst in ready {
+            for &id in &snapshot {
+                let inst = id.index();
                 let class = sb.insts()[inst].class();
+                let preds = dg.preds(id);
                 // Dependence feasibility at this cycle, ignoring clusters:
                 // control edges must already be satisfied.
-                let preds: Vec<(usize, i64, DepKind)> = sb
-                    .deps()
-                    .iter()
-                    .filter(|d| d.to.index() == inst)
-                    .map(|d| (d.from.index(), d.latency as i64, d.kind))
-                    .collect();
-                if preds.iter().any(|&(p, lat, kind)| {
-                    kind == DepKind::Control && cycles[p].expect("sched") + lat > cycle
+                if preds.iter().any(|d| {
+                    d.kind == DepKind::Control
+                        && cycles[d.from.index()].expect("sched") + d.latency as i64 > cycle
                 }) {
                     continue;
                 }
 
-                for c in self.cluster_order(inst, &preds, &clusters, &cycles, sb, &load) {
+                self.cluster_order(preds, &clusters, &cycles, sb, &load, &mut order);
+                for &(_, c) in &order {
                     // Heterogeneous machines: skip incapable clusters.
                     if self.machine.cluster_capacity(ClusterId(c as u8), class) == 0
                         || !rt.can_place(cycle as u32, ClusterId(c as u8), class)
@@ -158,20 +153,20 @@ impl UasScheduler {
                     }
                     // Every data operand must be readable in cluster c at
                     // `cycle`, possibly via a new copy that fits the bus.
-                    let mut new_copies: Vec<CopyOp> = Vec::new();
-                    let mut trial_rt = rt.clone();
+                    let trial_start = copies.len();
                     let mut ok = true;
-                    for &(p, lat, kind) in &preds {
-                        if kind != DepKind::Data {
+                    for d in preds {
+                        if d.kind != DepKind::Data {
                             continue;
                         }
+                        let p = d.from.index();
                         let pc = cycles[p].expect("scheduled");
                         if clusters[p].0 as usize == c || k == 1 {
-                            if pc + lat > cycle {
+                            if pc + d.latency as i64 > cycle {
                                 ok = false;
                                 break;
                             }
-                        } else if let Some(t) = avail[p][c] {
+                        } else if let Some(t) = avail[p * k + c] {
                             if t > cycle {
                                 ok = false;
                                 break;
@@ -183,15 +178,15 @@ impl UasScheduler {
                             let mut found = None;
                             let mut slot = ready_at.max(0);
                             while slot <= deadline {
-                                if trial_rt.try_reserve_bus(slot as u32) {
+                                if rt.try_reserve_bus(slot as u32) {
                                     found = Some(slot);
                                     break;
                                 }
                                 slot += 1;
                             }
                             match found {
-                                Some(s) => new_copies.push(CopyOp {
-                                    value: InstId(p as u32),
+                                Some(s) => copies.push(CopyOp {
+                                    value: d.from,
                                     from: clusters[p],
                                     to: ClusterId(c as u8),
                                     cycle: s,
@@ -204,24 +199,31 @@ impl UasScheduler {
                         }
                     }
                     if !ok {
+                        for cp in copies.drain(trial_start..) {
+                            rt.release_bus(cp.cycle as u32);
+                        }
                         continue;
                     }
                     // Commit.
-                    rt = trial_rt;
-                    for cp in &new_copies {
-                        avail[cp.value.index()][cp.to.0 as usize] = Some(cp.cycle + bus);
+                    for cp in &copies[trial_start..] {
+                        avail[cp.value.index() * k + cp.to.0 as usize] = Some(cp.cycle + bus);
                     }
-                    copies.extend(new_copies);
                     let placed = rt.try_place(cycle as u32, ClusterId(c as u8), class);
                     debug_assert!(placed, "checked can_place above");
                     cycles[inst] = Some(cycle);
                     clusters[inst] = ClusterId(c as u8);
-                    avail[inst][c] = Some(cycle + sb.insts()[inst].latency() as i64);
+                    avail[inst * k + c] = Some(cycle + sb.insts()[inst].latency() as i64);
                     load[c] += 1;
+                    unscheduled -= 1;
+                    ready.scheduled(&dg, id);
                     break;
                 }
             }
-            unscheduled.retain(|&i| cycles[i].is_none());
+            for &id in &snapshot {
+                if cycles[id.index()].is_none() {
+                    ready.push(id);
+                }
+            }
             cycle += 1;
         }
 
@@ -237,49 +239,53 @@ impl UasScheduler {
         BaselineOutcome { schedule, awct }
     }
 
-    /// Cluster visiting order for `inst` under the configured heuristic.
+    /// Fills `order` with the cluster visiting order for an instruction
+    /// with dependences `preds` under the configured heuristic: one
+    /// `(key, cluster)` pair per cluster, highest key first, ties to the
+    /// lower cluster.
     fn cluster_order(
         &self,
-        _inst: usize,
-        preds: &[(usize, i64, DepKind)],
+        preds: &[Dep],
         clusters: &[ClusterId],
         cycles: &[Option<i64>],
         sb: &Superblock,
         load: &[u64],
-    ) -> Vec<usize> {
-        let k = self.machine.cluster_count();
-        let mut order: Vec<usize> = (0..k).collect();
+        order: &mut Vec<(i64, usize)>,
+    ) {
+        order.clear();
         match self.order {
-            ClusterOrder::None => {}
+            // Fixed order `PC0, PC1, …`.
+            ClusterOrder::None => order.extend((0..load.len()).map(|c| (0, c))),
             ClusterOrder::Mwp => {
                 // Operand count per cluster, descending.
-                let mut weight = vec![0u32; k];
-                for &(p, _, kind) in preds {
-                    if kind == DepKind::Data {
-                        weight[clusters[p].0 as usize] += 1;
+                order.extend((0..load.len()).map(|c| (0, c)));
+                for d in preds {
+                    if d.kind == DepKind::Data {
+                        order[clusters[d.from.index()].0 as usize].0 += 1;
                     }
                 }
-                order.sort_by_key(|&c| (std::cmp::Reverse(weight[c]), c));
             }
             ClusterOrder::Cwp => {
                 // The cluster of the operand completing last, first.
-                let mut completion = vec![i64::MIN; k];
-                for &(p, _, kind) in preds {
-                    if kind == DepKind::Data {
+                order.extend((0..load.len()).map(|c| (i64::MIN, c)));
+                for d in preds {
+                    if d.kind == DepKind::Data {
+                        let p = d.from.index();
                         if let Some(pc) = cycles[p] {
                             let done = pc + sb.insts()[p].latency() as i64;
-                            let c = clusters[p].0 as usize;
-                            completion[c] = completion[c].max(done);
+                            let key = &mut order[clusters[p].0 as usize].0;
+                            *key = (*key).max(done);
                         }
                     }
                 }
-                order.sort_by_key(|&c| (std::cmp::Reverse(completion[c]), c));
             }
+            // Least-loaded cluster first.
             ClusterOrder::LoadBalance => {
-                order.sort_by_key(|&c| (load[c], c));
+                order.extend(load.iter().enumerate().map(|(c, &l)| (-(l as i64), c)));
             }
         }
-        order
+        // Cluster ids break ties, so an unstable sort gives the one order.
+        order.sort_unstable_by_key(|&(key, c)| (Reverse(key), c));
     }
 }
 

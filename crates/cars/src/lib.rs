@@ -32,7 +32,7 @@
 #![warn(missing_docs)]
 
 use vcsched_arch::{ClusterId, MachineConfig, ReservationTable};
-use vcsched_ir::{CopyOp, DepKind, InstId, Schedule, Superblock};
+use vcsched_ir::{CopyOp, DepGraph, DepKind, ReadyList, Schedule, Superblock};
 
 /// Result of a CARS run. CARS always produces a schedule: list scheduling
 /// cannot fail, it only produces longer schedules.
@@ -48,13 +48,6 @@ pub struct CarsOutcome {
 #[derive(Debug, Clone)]
 pub struct CarsScheduler {
     machine: MachineConfig,
-}
-
-/// Per-value availability: the cycle from which each cluster can read the
-/// value, if it ever can.
-#[derive(Debug, Clone)]
-struct Availability {
-    at: Vec<Option<i64>>,
 }
 
 impl CarsScheduler {
@@ -82,6 +75,10 @@ impl CarsScheduler {
     /// Schedules `sb` with an explicit live-in placement — the same
     /// assignment handed to the virtual-cluster scheduler for a fair
     /// comparison (§6.1).
+    ///
+    /// Each step serves the highest-priority ready instruction and tries
+    /// every cluster, trialling the copies it would need on the live
+    /// reservation table and releasing them afterwards.
     pub fn schedule_with_live_ins(
         &self,
         sb: &Superblock,
@@ -90,14 +87,17 @@ impl CarsScheduler {
         let n = sb.len();
         let k = self.machine.cluster_count();
         let bus = self.machine.bus_latency() as i64;
-        let priorities = weighted_priorities(sb);
+        let dg = DepGraph::new(sb);
+        let mut ready = ReadyList::new(sb, &dg);
 
         let mut rt = ReservationTable::new(&self.machine);
         let mut cycles: Vec<Option<i64>> = vec![None; n];
         let mut clusters: Vec<ClusterId> = vec![ClusterId(0); n];
-        let mut avail: Vec<Availability> =
-            (0..n).map(|_| Availability { at: vec![None; k] }).collect();
+        // avail[v * k + c]: the cycle from which cluster c can read v.
+        let mut avail: Vec<Option<i64>> = vec![None; n * k];
         let mut copies: Vec<CopyOp> = Vec::new();
+        let mut trial: Vec<CopyOp> = Vec::new();
+        let mut best_copies: Vec<CopyOp> = Vec::new();
         let mut load: Vec<u64> = vec![0; k];
 
         // Live-ins sit in their home register file from cycle 0.
@@ -109,120 +109,83 @@ impl CarsScheduler {
             let i = li.index();
             cycles[i] = Some(0);
             clusters[i] = ClusterId(home.0 % k as u8);
-            avail[i].at[clusters[i].0 as usize] = Some(0);
+            avail[i * k + clusters[i].0 as usize] = Some(0);
         }
 
-        // Dependence bookkeeping.
-        let mut blockers: Vec<usize> = vec![0; n];
-        for d in sb.deps() {
-            blockers[d.to.index()] += 1;
-        }
-        for li in sb.live_ins() {
-            // Live-ins are pre-scheduled; anything they block is released.
-            let _ = li;
-        }
-        let mut remaining: Vec<usize> = (0..n).filter(|&i| !sb.insts()[i].is_live_in()).collect();
-
-        while !remaining.is_empty() {
-            // Ready: all predecessors scheduled.
-            let mut ready: Vec<usize> = remaining
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    sb.deps()
-                        .iter()
-                        .filter(|d| d.to.index() == i)
-                        .all(|d| cycles[d.from.index()].is_some())
-                })
-                .collect();
-            assert!(!ready.is_empty(), "acyclic blocks always have ready ops");
-            // Highest weighted-critical-path priority first (ties: id order
-            // keeps exits in program order).
-            ready.sort_by(|&a, &b| {
-                priorities[b]
-                    .partial_cmp(&priorities[a])
-                    .expect("finite priorities")
-                    .then(a.cmp(&b))
-            });
-            let inst = ready[0];
+        while let Some(id) = ready.pop() {
+            let inst = id.index();
             let class = sb.insts()[inst].class();
-            let lat_edges: Vec<(usize, i64, DepKind)> = sb
-                .deps()
-                .iter()
-                .filter(|d| d.to.index() == inst)
-                .map(|d| (d.from.index(), d.latency as i64, d.kind))
-                .collect();
 
             // For each cluster, the earliest issue cycle and the copies the
             // choice would need.
-            let mut best: Option<(i64, usize, u64, usize, Vec<CopyOp>)> = None;
+            let mut best: Option<(i64, usize, u64, usize)> = None;
             for c in 0..k {
                 // Heterogeneous machines: skip clusters lacking the unit.
                 if self.machine.cluster_capacity(ClusterId(c as u8), class) == 0 {
                     continue;
                 }
-                let mut trial_rt = rt.clone();
-                let mut new_copies: Vec<CopyOp> = Vec::new();
+                trial.clear();
                 let mut earliest: i64 = 0;
                 let mut feasible = true;
-                for &(p, lat, kind) in &lat_edges {
+                for d in dg.preds(id) {
+                    let p = d.from.index();
                     let pc = cycles[p].expect("predecessor scheduled");
-                    match kind {
+                    let lat = d.latency as i64;
+                    match d.kind {
                         DepKind::Control => earliest = earliest.max(pc + lat),
                         DepKind::Data => {
                             if clusters[p].0 as usize == c || k == 1 {
                                 earliest = earliest.max(pc + lat);
-                            } else if let Some(t) = avail[p].at[c] {
+                            } else if let Some(t) = avail[p * k + c] {
                                 earliest = earliest.max(t);
                             } else {
                                 // Insert a copy from the producer's cluster.
                                 let ready_at = pc + sb.insts()[p].latency() as i64;
-                                let slot = trial_rt.earliest_bus_slot(ready_at.max(0) as u32);
-                                if !trial_rt.try_reserve_bus(slot) {
+                                let slot = rt.earliest_bus_slot(ready_at.max(0) as u32);
+                                if !rt.try_reserve_bus(slot) {
                                     feasible = false;
                                     break;
                                 }
-                                let arrival = slot as i64 + bus;
-                                new_copies.push(CopyOp {
-                                    value: InstId(p as u32),
+                                trial.push(CopyOp {
+                                    value: d.from,
                                     from: clusters[p],
                                     to: ClusterId(c as u8),
                                     cycle: slot as i64,
                                 });
-                                earliest = earliest.max(arrival);
+                                earliest = earliest.max(slot as i64 + bus);
                             }
                         }
                     }
                 }
-                if !feasible {
+                let slot = feasible
+                    .then(|| rt.earliest_slot(earliest.max(0) as u32, ClusterId(c as u8), class));
+                for cp in &trial {
+                    rt.release_bus(cp.cycle as u32);
+                }
+                let Some(slot) = slot else {
                     continue;
-                }
-                let slot =
-                    trial_rt.earliest_slot(earliest.max(0) as u32, ClusterId(c as u8), class);
-                let key = (slot as i64, new_copies.len(), load[c], c);
-                if best
-                    .as_ref()
-                    .is_none_or(|(s, nc, l, bc, _)| key < (*s, *nc, *l, *bc))
-                {
-                    best = Some((slot as i64, new_copies.len(), load[c], c, new_copies));
+                };
+                let key = (slot as i64, trial.len(), load[c], c);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                    std::mem::swap(&mut best_copies, &mut trial);
                 }
             }
-            let (slot, _, _, c, new_copies) =
-                best.expect("some cluster always accepts an instruction");
+            let (slot, _, _, c) = best.expect("some cluster always accepts an instruction");
             // Commit: reserve the bus for the copies and the slot for the op.
-            for cp in &new_copies {
+            for cp in &best_copies {
                 let ok = rt.try_reserve_bus(cp.cycle as u32);
-                debug_assert!(ok, "trial table validated this reservation");
-                avail[cp.value.index()].at[cp.to.0 as usize] = Some(cp.cycle + bus);
+                debug_assert!(ok, "the trial validated this reservation");
+                avail[cp.value.index() * k + cp.to.0 as usize] = Some(cp.cycle + bus);
             }
-            copies.extend(new_copies);
+            copies.append(&mut best_copies);
             let ok = rt.try_place(slot as u32, ClusterId(c as u8), class);
             debug_assert!(ok, "earliest_slot returned a free slot");
             cycles[inst] = Some(slot);
             clusters[inst] = ClusterId(c as u8);
-            avail[inst].at[c] = Some(slot + sb.insts()[inst].latency() as i64);
+            avail[inst * k + c] = Some(slot + sb.insts()[inst].latency() as i64);
             load[c] += 1;
-            remaining.retain(|&i| i != inst);
+            ready.scheduled(&dg, id);
         }
 
         let schedule = Schedule {
@@ -236,29 +199,6 @@ impl CarsScheduler {
         let awct = schedule.awct(sb);
         CarsOutcome { schedule, awct }
     }
-}
-
-/// Weighted critical-path priorities: `Σ_k P_k · (dist(u, exit_k) + λ_k)`
-/// over the exits each instruction reaches — longer, more probable paths
-/// schedule first.
-fn weighted_priorities(sb: &Superblock) -> Vec<f64> {
-    let dg = vcsched_ir::DepGraph::new(sb);
-    let exits: Vec<(InstId, f64)> = sb.exits().collect();
-    (0..sb.len())
-        .map(|u| {
-            exits
-                .iter()
-                .enumerate()
-                .map(|(k, &(x, p))| {
-                    let lam = sb.inst(x).latency() as f64;
-                    match dg.dist_to_exit(InstId(u as u32), k) {
-                        Some(d) => p * (d as f64 + lam),
-                        None => 0.0,
-                    }
-                })
-                .sum()
-        })
-        .collect()
 }
 
 /// CARS as a portfolio policy. Single-pass list scheduling cannot fail,

@@ -311,7 +311,22 @@ impl StateCtx {
                 }
             }
         }
-        let paths: Vec<Vec<Option<i64>>> = (0..n).map(|v| dg.graph().longest_to(v)).collect();
+        // One reverse-id pass: dependences flow forward, so when `u` is
+        // reached every path out of its successors is already final.
+        let mut paths: Vec<Vec<Option<i64>>> = vec![vec![None; n]; n];
+        for u in (0..n).rev() {
+            paths[u][u] = Some(0);
+            for d in dg.succs(InstId(u as u32)) {
+                let (s, lat) = (d.to.index(), d.latency as i64);
+                for row in &mut paths[s..] {
+                    if let Some(tail) = row[s] {
+                        if row[u].is_none_or(|cur| tail + lat > cur) {
+                            row[u] = Some(tail + lat);
+                        }
+                    }
+                }
+            }
+        }
         // Static adjacency, flattened. Row-major over producers exactly as
         // the per-attempt reset used to push, so CSR iteration is
         // bit-compatible with the `Vec<Vec<…>>` it replaces; anchor rows
@@ -320,9 +335,10 @@ impl StateCtx {
         let mut succ_rows: Vec<Vec<(NodeId, i64)>> = vec![Vec::new(); fixed];
         let mut pred_rows: Vec<Vec<(NodeId, i64)>> = vec![Vec::new(); fixed];
         for u in 0..n {
-            for &(v, lat) in dg.graph().succs(u) {
-                succ_rows[u].push((v, lat as i64));
-                pred_rows[v].push((u, lat as i64));
+            for d in dg.succs(InstId(u as u32)) {
+                let (v, lat) = (d.to.index(), d.latency as i64);
+                succ_rows[u].push((v, lat));
+                pred_rows[v].push((u, lat));
             }
         }
         let succ_csr: Csr<(NodeId, i64)> = succ_rows.into_iter().collect();

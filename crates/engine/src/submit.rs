@@ -253,6 +253,13 @@ impl SubmitPool {
                     m.queue_depth.dec();
                     m.queue_wait.record_duration(task.enqueued.elapsed());
                     m.busy.inc();
+                    // Counted before the reply, so a caller that has its
+                    // answer also sees it in the pool's counters.
+                    let done = || {
+                        m.busy.dec();
+                        m.completed.inc();
+                        completed.fetch_add(1, Ordering::Relaxed);
+                    };
                     match task.kind {
                         TaskKind::Solve { problem, reply } => {
                             let (outcome, cached) = match problem.deadline {
@@ -273,18 +280,17 @@ impl SubmitPool {
                                 ),
                             };
                             record_policy_totals(&policy_totals, &outcome, cached);
+                            done();
                             reply.complete(Solved { outcome, cached });
                         }
                         TaskKind::Probe { delay, reply } => {
                             if !delay.is_zero() {
                                 std::thread::sleep(delay);
                             }
+                            done();
                             reply.complete(delay);
                         }
                     }
-                    m.busy.dec();
-                    m.completed.inc();
-                    completed.fetch_add(1, Ordering::Relaxed);
                     // Clone out of the lock so a slow hook never blocks
                     // hook (re-)installation or other workers.
                     let hook = completion_hook.lock().unwrap().clone();

@@ -1,154 +1,10 @@
-//! Dense bit sets: a fixed-capacity [`BitSet`] and a growable
-//! [`GrowSet`].
-
-/// A fixed-capacity set of small integers backed by `u64` words.
-///
-/// Used for dependence-graph reachability rows, per-cycle resource masks and
-/// similar dense index sets. The capacity is fixed at construction; all
-/// indices must be `< len`.
-///
-/// # Example
-///
-/// ```
-/// use vcsched_graph::BitSet;
-///
-/// let mut s = BitSet::new(100);
-/// s.insert(3);
-/// s.insert(64);
-/// assert!(s.contains(3) && s.contains(64) && !s.contains(4));
-/// assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 64]);
-/// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct BitSet {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl BitSet {
-    /// Creates an empty set able to hold values in `0..len`.
-    pub fn new(len: usize) -> Self {
-        BitSet {
-            words: vec![0; len.div_ceil(64)],
-            len,
-        }
-    }
-
-    /// Number of representable elements (the fixed capacity).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Inserts `i` into the set. Returns `true` if it was newly inserted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn insert(&mut self, i: usize) -> bool {
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        let (w, b) = (i / 64, i % 64);
-        let fresh = self.words[w] & (1 << b) == 0;
-        self.words[w] |= 1 << b;
-        fresh
-    }
-
-    /// Removes `i` from the set. Returns `true` if it was present.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn remove(&mut self, i: usize) -> bool {
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        let (w, b) = (i / 64, i % 64);
-        let present = self.words[w] & (1 << b) != 0;
-        self.words[w] &= !(1 << b);
-        present
-    }
-
-    /// Returns `true` if `i` is in the set.
-    pub fn contains(&self, i: usize) -> bool {
-        if i >= self.len {
-            return false;
-        }
-        self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// Number of elements currently in the set.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// In-place union: `self ← self ∪ other`. Returns `true` if `self` grew.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sets have different capacities.
-    pub fn union_with(&mut self, other: &BitSet) -> bool {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        let mut grew = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let before = *a;
-            *a |= b;
-            grew |= *a != before;
-        }
-        grew
-    }
-
-    /// Returns `true` if the two sets share at least one element.
-    pub fn intersects(&self, other: &BitSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
-
-    /// Iterates over set elements in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
-    }
-
-    /// Removes all elements.
-    pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
-}
-
-impl std::fmt::Debug for BitSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_set().entries(self.iter()).finish()
-    }
-}
-
-impl FromIterator<usize> for BitSet {
-    /// Builds a set sized to the maximum element (+1).
-    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
-        let items: Vec<usize> = iter.into_iter().collect();
-        let len = items.iter().max().map_or(0, |m| m + 1);
-        let mut s = BitSet::new(len);
-        for i in items {
-            s.insert(i);
-        }
-        s
-    }
-}
+//! A growable dense bit set, [`GrowSet`].
 
 /// A growable dense set of small integers backed by `u64` words.
 ///
-/// Unlike [`BitSet`], the capacity is not fixed: `insert` grows the word
-/// vector on demand, while `remove` and `contains` treat out-of-range
-/// indices as simply absent. Used for per-cluster incompatibility
+/// The capacity is not fixed: `insert` grows the word vector on demand,
+/// while `remove` and `contains` treat out-of-range indices as simply
+/// absent. Used for per-cluster incompatibility
 /// adjacency in the scheduler state, where membership churns under
 /// speculation rollback.
 ///
@@ -285,62 +141,6 @@ impl FromIterator<usize> for GrowSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn insert_remove_contains() {
-        let mut s = BitSet::new(130);
-        assert!(s.is_empty());
-        assert!(s.insert(0));
-        assert!(s.insert(129));
-        assert!(!s.insert(129));
-        assert!(s.contains(0));
-        assert!(s.contains(129));
-        assert!(!s.contains(64));
-        assert_eq!(s.count(), 2);
-        assert!(s.remove(0));
-        assert!(!s.remove(0));
-        assert_eq!(s.count(), 1);
-    }
-
-    #[test]
-    fn union_and_intersect() {
-        let mut a = BitSet::new(80);
-        let mut b = BitSet::new(80);
-        a.insert(3);
-        b.insert(70);
-        assert!(!a.intersects(&b));
-        assert!(a.union_with(&b));
-        assert!(!a.union_with(&b));
-        assert!(a.intersects(&b));
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![3, 70]);
-    }
-
-    #[test]
-    fn out_of_range_contains_is_false() {
-        let s = BitSet::new(10);
-        assert!(!s.contains(1000));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_insert_panics() {
-        BitSet::new(10).insert(10);
-    }
-
-    #[test]
-    fn from_iterator_and_debug() {
-        let s: BitSet = [5usize, 2, 9].into_iter().collect();
-        assert_eq!(s.len(), 10);
-        assert_eq!(format!("{s:?}"), "{2, 5, 9}");
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut s: BitSet = [1usize, 2, 3].into_iter().collect();
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.count(), 0);
-    }
 
     #[test]
     fn growset_grows_on_insert() {

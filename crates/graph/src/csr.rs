@@ -57,6 +57,41 @@ impl<T> Csr<T> {
         }
     }
 
+    /// Groups `items` into `rows` rows by `row_of`, keeping input order
+    /// within each row (a stable counting sort).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row_of` returns a row `>= rows`, or if there are more
+    /// than `u32::MAX` items.
+    pub fn grouped<S>(
+        rows: usize,
+        items: &[S],
+        row_of: impl Fn(&S) -> usize,
+        value: impl Fn(&S) -> T,
+    ) -> Csr<T> {
+        assert!(
+            u32::try_from(items.len()).is_ok(),
+            "CSR payload exceeds u32::MAX entries"
+        );
+        let mut offsets = vec![0u32; rows + 1];
+        for item in items {
+            offsets[row_of(item) + 1] += 1;
+        }
+        for r in 0..rows {
+            offsets[r + 1] += offsets[r];
+        }
+        let mut next = offsets.clone();
+        let mut order = vec![0u32; items.len()];
+        for (i, item) in items.iter().enumerate() {
+            let slot = &mut next[row_of(item)];
+            order[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        let data = order.iter().map(|&i| value(&items[i as usize])).collect();
+        Csr { offsets, data }
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.offsets.len() - 1
@@ -146,6 +181,17 @@ mod tests {
         // iteration for bit-identical propagation order.
         assert_eq!(csr.row(0), &[(4, -1), (2, 5)]);
         assert_eq!(csr.row(1), &[(0, 0)]);
+    }
+
+    #[test]
+    fn grouped_is_a_stable_sort_by_row() {
+        let items = [(2usize, 'a'), (0, 'b'), (2, 'c'), (0, 'd'), (3, 'e')];
+        let csr = Csr::grouped(4, &items, |it| it.0, |it| it.1);
+        assert_eq!(csr.rows(), 4);
+        assert_eq!(csr.row(0), &['b', 'd']);
+        assert!(csr.row(1).is_empty());
+        assert_eq!(csr.row(2), &['a', 'c']);
+        assert_eq!(csr.row(3), &['e']);
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! the from-scratch replacement for the slice of LEDA the paper actually
 //! uses:
 //!
-//! * dense **bit sets** ([`BitSet`]) used for reachability matrices,
+//! * a growable dense **bit set** ([`GrowSet`]) used for per-cluster
+//!   incompatibility adjacency,
 //! * **union-find** ([`UnionFind`]) and an **offset union-find**
 //!   ([`OffsetUnionFind`]) used for virtual-cluster fusion and for connected
 //!   components of chosen combinations (members keep fixed cycle offsets),
-//! * **directed graphs** ([`Digraph`]) with topological sorting, longest
-//!   paths and transitive closure, used by the dependence graph,
+//! * **compressed-sparse-row tables** ([`Csr`]) holding the dependence
+//!   graph's per-instruction rows and the scheduler's static adjacency,
 //! * **undirected graphs** ([`Ungraph`]) used by the scheduling graph, the
 //!   virtual cluster graph and the matching graph,
 //! * **maximum-weight matching** ([`matching::max_weight_matching`]) used to
@@ -22,12 +23,7 @@
 //! # Example
 //!
 //! ```
-//! use vcsched_graph::{Digraph, matching::max_weight_matching, Ungraph};
-//!
-//! let mut g = Digraph::new(3);
-//! g.add_edge(0, 1, 2);
-//! g.add_edge(1, 2, 3);
-//! assert_eq!(g.longest_from_sources(), vec![0, 2, 5]);
+//! use vcsched_graph::{matching::max_weight_matching, Ungraph};
 //!
 //! let mut u = Ungraph::new(4);
 //! u.add_edge(0, 1);
@@ -41,15 +37,13 @@
 mod bitset;
 pub mod coloring;
 mod csr;
-mod digraph;
 pub mod matching;
 mod sortedset;
 mod undirected;
 mod union_find;
 
-pub use bitset::{BitSet, GrowSet};
+pub use bitset::GrowSet;
 pub use csr::{Csr, CsrBuilder};
-pub use digraph::Digraph;
 pub use sortedset::SortedSet;
 pub use undirected::Ungraph;
 pub use union_find::{OffsetUnion, OffsetUnionFind, UnionFind};

@@ -1,9 +1,9 @@
 //! Dependence-graph queries: bounds, reachability, per-exit path lengths.
 
-use vcsched_graph::{BitSet, Digraph};
+use vcsched_graph::Csr;
 
 use crate::awct::ExitTargets;
-use crate::inst::InstId;
+use crate::inst::{Dep, InstId};
 use crate::superblock::Superblock;
 
 /// Precomputed dependence-graph facts for one superblock.
@@ -18,6 +18,13 @@ use crate::superblock::Superblock;
 ///   target cycles.
 /// * `reaches(u, v)` — whether a dependence path forces `u` before `v`
 ///   (kills every combination between the pair, §3.1).
+/// * `preds(v)` / `succs(u)` — the dependences into `v` / out of `u`, in
+///   dependence order.
+///
+/// Every dependence of a [`Superblock`] flows from a lower id to a higher
+/// one, so id order is a topological order: construction is one forward
+/// pass (`estart`) and one backward pass (reachability and exit distances)
+/// over ids.
 ///
 /// # Example
 ///
@@ -38,38 +45,81 @@ use crate::superblock::Superblock;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DepGraph {
-    graph: Digraph,
+    preds: Csr<Dep>,
+    succs: Csr<Dep>,
     estart: Vec<i64>,
-    reach: Vec<BitSet>,
+    /// Transitive closure, one bit row of `words` words per instruction.
+    reach: Vec<u64>,
+    words: usize,
     exits: Vec<InstId>,
-    /// dist_to_exit[k][u] = longest path u → exit k (None: no path).
-    dist_to_exit: Vec<Vec<Option<i64>>>,
+    /// `dist_to_exit[u * exits.len() + k]` = longest path u → exit k
+    /// (`None`: no path).
+    dist_to_exit: Vec<Option<i64>>,
 }
 
 impl DepGraph {
     /// Builds the dependence facts for `sb`.
     pub fn new(sb: &Superblock) -> Self {
         let n = sb.len();
-        let mut graph = Digraph::new(n);
-        for d in sb.deps() {
-            graph.add_edge(d.from.index(), d.to.index(), d.latency as i32);
+        let preds = Csr::grouped(n, sb.deps(), |d| d.to.index(), |d| *d);
+        let succs = Csr::grouped(n, sb.deps(), |d| d.from.index(), |d| *d);
+        let mut estart = vec![0i64; n];
+        for v in 0..n {
+            for d in preds.row(v) {
+                estart[v] = estart[v].max(estart[d.from.index()] + d.latency as i64);
+            }
         }
-        let estart = graph.longest_from_sources();
-        let reach = graph.reachability();
         let exits: Vec<InstId> = sb.exits().map(|(id, _)| id).collect();
-        let dist_to_exit = exits.iter().map(|x| graph.longest_to(x.index())).collect();
+        let x = exits.len();
+        let words = n.div_ceil(64);
+        let mut reach = vec![0u64; n * words];
+        let mut dist_to_exit: Vec<Option<i64>> = vec![None; n * x];
+        for u in (0..n).rev() {
+            // Successors have higher ids: their rows are final.
+            let (head, done) = reach.split_at_mut((u + 1) * words);
+            let row = &mut head[u * words..];
+            for d in succs.row(u) {
+                let s = d.to.index();
+                row[s / 64] |= 1 << (s % 64);
+                let succ_row = &done[(s - u - 1) * words..(s - u) * words];
+                for (w, &bits) in row.iter_mut().zip(succ_row) {
+                    *w |= bits;
+                }
+            }
+            for k in 0..x {
+                let best = if exits[k].index() == u {
+                    Some(0)
+                } else {
+                    succs
+                        .row(u)
+                        .iter()
+                        .filter_map(|d| {
+                            dist_to_exit[d.to.index() * x + k].map(|t| t + d.latency as i64)
+                        })
+                        .max()
+                };
+                dist_to_exit[u * x + k] = best;
+            }
+        }
         DepGraph {
-            graph,
+            preds,
+            succs,
             estart,
             reach,
+            words,
             exits,
             dist_to_exit,
         }
     }
 
-    /// The underlying weighted digraph.
-    pub fn graph(&self) -> &Digraph {
-        &self.graph
+    /// The dependences into `v`, in dependence order.
+    pub fn preds(&self, v: InstId) -> &[Dep] {
+        self.preds.row(v.index())
+    }
+
+    /// The dependences out of `u`, in dependence order.
+    pub fn succs(&self, u: InstId) -> &[Dep] {
+        self.succs.row(u.index())
     }
 
     /// Earliest start of `u` from dependences alone.
@@ -84,7 +134,8 @@ impl DepGraph {
 
     /// Returns `true` if a dependence path forces `u` strictly before `v`.
     pub fn reaches(&self, u: InstId, v: InstId) -> bool {
-        self.reach[u.index()].contains(v.index())
+        let v = v.index();
+        self.reach[u.index() * self.words + v / 64] >> (v % 64) & 1 == 1
     }
 
     /// Returns `true` if some dependence path connects the pair in either
@@ -101,7 +152,8 @@ impl DepGraph {
     /// Longest dependence path from `u` to exit number `k` (program order),
     /// `None` when exit `k` does not require `u`.
     pub fn dist_to_exit(&self, u: InstId, k: usize) -> Option<i64> {
-        self.dist_to_exit[k][u.index()]
+        assert!(k < self.exits.len(), "exit {k} out of range");
+        self.dist_to_exit[u.index() * self.exits.len() + k]
     }
 
     /// Latest start of `u` induced by the per-exit target cycles: the
@@ -111,8 +163,8 @@ impl DepGraph {
     /// reaching no exit (only live-ins can be such) get `i64::MAX`.
     pub fn lstart(&self, u: InstId, targets: &ExitTargets) -> i64 {
         let mut best = i64::MAX;
-        for (k, _) in self.exits.iter().enumerate() {
-            if let Some(d) = self.dist_to_exit[k][u.index()] {
+        for k in 0..self.exits.len() {
+            if let Some(d) = self.dist_to_exit(u, k) {
                 best = best.min(targets.cycle(k) - d);
             }
         }
@@ -135,6 +187,29 @@ impl DepGraph {
     /// The critical-path length to the final exit.
     pub fn critical_path(&self) -> i64 {
         self.min_exit_cycles().into_iter().max().unwrap_or(0)
+    }
+
+    /// Weighted critical-path priorities of the list schedulers:
+    /// `Σ_k P_k · (dist(u, exit_k) + λ_k)` over the exits `u` reaches —
+    /// longer, more probable paths schedule first. `sb` must be the block
+    /// this graph was built from.
+    pub fn weighted_priorities(&self, sb: &Superblock) -> Vec<f64> {
+        let exits: Vec<(InstId, f64)> = sb.exits().collect();
+        (0..sb.len())
+            .map(|u| {
+                exits
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &(x, p))| {
+                        let lam = sb.inst(x).latency() as f64;
+                        match self.dist_to_exit(InstId(u as u32), k) {
+                            Some(d) => p * (d as f64 + lam),
+                            None => 0.0,
+                        }
+                    })
+                    .sum()
+            })
+            .collect()
     }
 }
 

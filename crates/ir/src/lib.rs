@@ -18,6 +18,9 @@
 //!   validation (exit probabilities, dependence sanity, branch ordering),
 //! * [`DepGraph`] — dependence-graph queries: `estart`/`lstart` bounds,
 //!   per-exit path lengths (the paper's `LBx` encoding), reachability,
+//!   per-instruction dependence rows and the list schedulers' weighted
+//!   critical-path priorities,
+//! * [`ReadyList`] — the incremental ready set of those list schedulers,
 //! * [`awct`] — the AWCT metric and exit-target bookkeeping,
 //! * live-in pseudo-instructions, which model values that are live on entry
 //!   and pre-placed in a register file (the paper randomises these
@@ -52,11 +55,13 @@
 pub mod awct;
 mod depgraph;
 mod inst;
+mod ready;
 mod schedule;
 mod superblock;
 
 pub use awct::{awct_of_cycles, ExitTargets};
 pub use depgraph::DepGraph;
 pub use inst::{Dep, DepKind, InstId, Instruction};
+pub use ready::ReadyList;
 pub use schedule::{CopyOp, Schedule};
 pub use superblock::{BuildError, Superblock, SuperblockBuilder};

@@ -1,11 +1,12 @@
 //! Superblock container and validating builder.
 
-use serde::{Deserialize, Serialize};
+use serde::{field, DeError, Deserialize, Serialize, Value};
 use vcsched_arch::OpClass;
 
 use crate::inst::{Dep, DepKind, InstId, Instruction};
 
-/// Validation failure produced by [`SuperblockBuilder::build`].
+/// Validation failure produced by [`SuperblockBuilder::build`] and by
+/// decoding a [`Superblock`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum BuildError {
     /// A superblock needs at least one exit branch.
@@ -55,10 +56,15 @@ impl std::error::Error for BuildError {}
 
 /// An immutable, validated superblock.
 ///
-/// Create with [`SuperblockBuilder`]. Instruction ids are dense indices in
-/// program order; exit branches appear in program order and their
-/// probabilities sum to 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Create with [`SuperblockBuilder`], or decode one (JSON lines, binary
+/// frames, corpus JSONL, `--block` files). Both paths run the same checks,
+/// so every `Superblock` holds the invariants listed on [`BuildError`]:
+/// instruction ids are dense indices in program order, every dependence
+/// flows forward from a lower id to a higher one (so id order is a
+/// topological order), exit probabilities sum to 1, and every instruction
+/// reaches an exit. A decoded block is otherwise kept exactly as sent: the
+/// builder's exit-order control edges are not added to it.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Superblock {
     name: String,
     insts: Vec<Instruction>,
@@ -134,6 +140,85 @@ impl Superblock {
     pub fn ids(&self) -> impl Iterator<Item = InstId> + '_ {
         (0..self.insts.len() as u32).map(InstId)
     }
+}
+
+impl Deserialize for Superblock {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        if v.as_object().is_none() {
+            return Err(DeError::expected("Superblock", v));
+        }
+        let sb = Superblock {
+            name: Deserialize::from_value(field(v, "Superblock", "name")?)?,
+            insts: Deserialize::from_value(field(v, "Superblock", "insts")?)?,
+            deps: Deserialize::from_value(field(v, "Superblock", "deps")?)?,
+            weight: Deserialize::from_value(field(v, "Superblock", "weight")?)?,
+        };
+        validate(&sb.insts, &sb.deps)
+            .map_err(|e| DeError(format!("invalid superblock `{}`: {e}", sb.name)))?;
+        Ok(sb)
+    }
+}
+
+/// Checks every [`BuildError`] invariant of a block; the first violation
+/// wins, in the order the variants are declared.
+fn validate(insts: &[Instruction], deps: &[Dep]) -> Result<(), BuildError> {
+    let n = insts.len();
+    let mut exits = insts
+        .iter()
+        .enumerate()
+        .filter_map(|(i, inst)| inst.exit_prob().map(|p| (InstId(i as u32), p)))
+        .peekable();
+    if exits.peek().is_none() {
+        return Err(BuildError::NoExit);
+    }
+    let mut sum = 0.0;
+    for (id, p) in exits {
+        if !(p > 0.0 && p <= 1.0) {
+            return Err(BuildError::BadProbability(id, p));
+        }
+        sum += p;
+    }
+    if (sum - 1.0).abs() > 1e-6 {
+        return Err(BuildError::ProbabilitySum(sum));
+    }
+    for d in deps {
+        if d.from.index() >= n || d.to.index() >= n {
+            let bad = if d.from.index() >= n { d.from } else { d.to };
+            return Err(BuildError::DanglingDep(bad));
+        }
+        if d.from == d.to {
+            return Err(BuildError::SelfDep(d.from));
+        }
+        if d.from > d.to {
+            return Err(BuildError::BackwardDep(d.from, d.to));
+        }
+        if insts[d.to.index()].is_live_in() {
+            return Err(BuildError::DepIntoLiveIn(d.to));
+        }
+    }
+    match dead_instructions(insts, deps).first() {
+        Some(&id) => Err(BuildError::DeadInstruction(id)),
+        None => Ok(()),
+    }
+}
+
+/// Non-exit, non-live-in instructions with no dependence path to an exit,
+/// ascending. Dependences must already be valid (in range and forward).
+fn dead_instructions(insts: &[Instruction], deps: &[Dep]) -> Vec<InstId> {
+    let mut reaches_exit: Vec<bool> = insts.iter().map(Instruction::is_exit).collect();
+    // Deps flow forward, so one pass in decreasing `from` order
+    // propagates reachability completely.
+    let mut sorted: Vec<&Dep> = deps.iter().collect();
+    sorted.sort_by_key(|d| std::cmp::Reverse(d.from));
+    for d in sorted {
+        if reaches_exit[d.to.index()] {
+            reaches_exit[d.from.index()] = true;
+        }
+    }
+    (0..insts.len())
+        .filter(|&i| !reaches_exit[i] && !insts[i].is_live_in())
+        .map(|i| InstId(i as u32))
+        .collect()
 }
 
 /// Builder for [`Superblock`] (see the [crate docs](crate) for an example).
@@ -249,46 +334,17 @@ impl SuperblockBuilder {
     /// Returns the first [`BuildError`] encountered; see that type for the
     /// full list of enforced invariants.
     pub fn build(&self) -> Result<Superblock, BuildError> {
-        let n = self.insts.len();
-        // Exits exist, probabilities are sane.
-        let exits: Vec<(InstId, f64)> = self
+        // Branch ordering: control edges between consecutive exits.
+        let exits: Vec<InstId> = self
             .insts
             .iter()
             .enumerate()
-            .filter_map(|(i, inst)| inst.exit_prob().map(|p| (InstId(i as u32), p)))
+            .filter(|(_, inst)| inst.is_exit())
+            .map(|(i, _)| InstId(i as u32))
             .collect();
-        if exits.is_empty() {
-            return Err(BuildError::NoExit);
-        }
-        for &(id, p) in &exits {
-            if !(p > 0.0 && p <= 1.0) {
-                return Err(BuildError::BadProbability(id, p));
-            }
-        }
-        let sum: f64 = exits.iter().map(|&(_, p)| p).sum();
-        if (sum - 1.0).abs() > 1e-6 {
-            return Err(BuildError::ProbabilitySum(sum));
-        }
-        // Dependence sanity.
-        for d in &self.deps {
-            if d.from.index() >= n || d.to.index() >= n {
-                let bad = if d.from.index() >= n { d.from } else { d.to };
-                return Err(BuildError::DanglingDep(bad));
-            }
-            if d.from == d.to {
-                return Err(BuildError::SelfDep(d.from));
-            }
-            if d.from > d.to {
-                return Err(BuildError::BackwardDep(d.from, d.to));
-            }
-            if self.insts[d.to.index()].is_live_in() {
-                return Err(BuildError::DepIntoLiveIn(d.to));
-            }
-        }
-        // Branch ordering: control edges between consecutive exits.
         let mut deps = self.deps.clone();
         for pair in exits.windows(2) {
-            let (a, b) = (pair[0].0, pair[1].0);
+            let (a, b) = (pair[0], pair[1]);
             let present = deps
                 .iter()
                 .any(|d| d.from == a && d.to == b && d.kind == DepKind::Control);
@@ -301,32 +357,21 @@ impl SuperblockBuilder {
                 });
             }
         }
-        // Every non-exit reaches an exit (forward edges ⇒ acyclic; simple
-        // reverse-reachability walk suffices).
-        let mut reaches_exit = vec![false; n];
-        for &(id, _) in &exits {
-            reaches_exit[id.index()] = true;
-        }
-        // Deps flow forward, so one reverse pass in decreasing `from` order
-        // propagates reachability completely.
-        let mut sorted: Vec<&Dep> = deps.iter().collect();
-        sorted.sort_by_key(|d| std::cmp::Reverse(d.from));
-        for d in sorted {
-            if reaches_exit[d.to.index()] {
-                reaches_exit[d.from.index()] = true;
-            }
-        }
-        for (i, inst) in self.insts.iter().enumerate() {
-            if !reaches_exit[i] && !inst.is_exit() && !inst.is_live_in() {
-                return Err(BuildError::DeadInstruction(InstId(i as u32)));
-            }
-        }
+        validate(&self.insts, &deps)?;
         Ok(Superblock {
             name: self.name.clone(),
             insts: self.insts.clone(),
             deps,
             weight: self.weight,
         })
+    }
+
+    /// The instructions [`Self::build`] would reject as
+    /// [`BuildError::DeadInstruction`], ascending — all of them, where
+    /// `build` reports the first. Meaningful once `build` fails with
+    /// nothing but dead instructions: the dependences must be valid.
+    pub fn dead_instructions(&self) -> Vec<InstId> {
+        dead_instructions(&self.insts, &self.deps)
     }
 }
 

@@ -500,3 +500,70 @@ fn pings_keep_flowing_while_a_batch_saturates_the_pool() {
     batch_client.request(&Request::Shutdown).expect("shutdown");
     server.join();
 }
+
+/// `test_block()` as a wire value with one dependence edited: `dep` is
+/// the index into its `deps` (`i0 → i1`, `i1 → x`), set to
+/// `from → to`.
+fn hostile_block(dep: usize, from: u64, to: u64) -> Value {
+    let mut block = serde::Serialize::to_value(&test_block());
+    let Value::Object(fields) = &mut block else {
+        unreachable!("a block serializes as an object")
+    };
+    let (_, Value::Array(deps)) = fields.iter_mut().find(|(k, _)| k == "deps").expect("deps")
+    else {
+        unreachable!("deps serialize as an array")
+    };
+    let Value::Object(edge) = &mut deps[dep] else {
+        unreachable!("a dependence serializes as an object")
+    };
+    for (k, v) in edge.iter_mut() {
+        match k.as_str() {
+            "from" => *v = Value::UInt(from),
+            "to" => *v = Value::UInt(to),
+            _ => {}
+        }
+    }
+    block
+}
+
+/// A decoded block runs the builder's checks: a dangling, a self and a
+/// backward dependence each end in a typed error reply on either wire,
+/// and the server's only worker survives to answer the next request.
+#[test]
+fn hostile_blocks_get_typed_errors_and_the_pool_survives() {
+    let _serial = binary_clients();
+    let server = small_server(1, 4);
+    let cases = [
+        (hostile_block(1, 1, 9), "dependence references missing i9"),
+        (hostile_block(0, 0, 0), "self-dependence on i0"),
+        (hostile_block(1, 2, 1), "backward dependence i2 -> i1"),
+    ];
+    for binary in [false, true] {
+        let mut client = if binary {
+            Client::connect_binary(server.addr()).expect("connect binary")
+        } else {
+            Client::connect(server.addr()).expect("connect")
+        };
+        for (block, expected) in &cases {
+            let request = serde_json::to_string(&Value::Object(vec![
+                ("type".to_owned(), Value::String("schedule".to_owned())),
+                ("block".to_owned(), block.clone()),
+            ]))
+            .expect("serializes");
+            let reply = client.request_raw(&request).expect("a reply");
+            assert!(
+                reply.contains("\"type\":\"error\"") && reply.contains(expected),
+                "binary={binary}: expected `{expected}`, got {reply}"
+            );
+            let pong = client
+                .request_raw("{\"type\":\"ping\",\"delay_ms\":0}")
+                .expect("a reply");
+            assert!(
+                pong.contains("\"type\":\"pong\""),
+                "binary={binary}: {pong}"
+            );
+        }
+    }
+    server.shutdown();
+    server.join();
+}

@@ -98,57 +98,68 @@ pub struct BenchmarkSpec {
     pub seed_salt: u64,
 }
 
+const fn spec(
+    name: &'static str,
+    salt: u64,
+    size_mu: f64,
+    ilp: f64,
+    exits: usize,
+) -> BenchmarkSpec {
+    BenchmarkSpec {
+        name,
+        suite: Suite::SpecInt95,
+        size_mu,
+        size_sigma: 0.55,
+        ilp_width: ilp,
+        mem_frac: 0.30,
+        fp_frac: 0.01,
+        max_side_exits: exits,
+        max_live_ins: 4,
+        seed_salt: salt,
+    }
+}
+
+const fn media(name: &'static str, salt: u64, size_mu: f64, ilp: f64, fp: f64) -> BenchmarkSpec {
+    BenchmarkSpec {
+        name,
+        suite: Suite::MediaBench,
+        size_mu,
+        size_sigma: 0.65,
+        ilp_width: ilp,
+        mem_frac: 0.35,
+        fp_frac: fp,
+        max_side_exits: 2,
+        max_live_ins: 6,
+        seed_salt: salt,
+    }
+}
+
+/// The paper's 14 applications, in [`benchmarks`] order.
+const BENCHMARKS: [BenchmarkSpec; 14] = [
+    spec("099.go", 11, 2.5, 2.2, 3),
+    spec("124.m88ksim", 12, 2.3, 1.9, 3),
+    spec("129.compress", 13, 2.4, 2.1, 2),
+    spec("130.li", 14, 2.2, 1.8, 3),
+    spec("132.ijpeg", 15, 2.8, 2.8, 2),
+    spec("134.perl", 16, 2.4, 2.0, 3),
+    spec("147.vortex", 17, 2.5, 1.9, 3),
+    media("epicdec", 21, 2.9, 3.2, 0.10),
+    media("epicenc", 22, 3.0, 3.4, 0.12),
+    media("g721dec", 23, 2.6, 2.4, 0.02),
+    media("g721enc", 24, 2.6, 2.5, 0.02),
+    media("mpeg2dec", 25, 3.0, 3.3, 0.05),
+    media("mpeg2enc", 26, 3.1, 3.6, 0.08),
+    media("rasta", 27, 2.8, 2.7, 0.25),
+];
+
 /// The paper's 14 applications (7 SpecInt95 + 7 MediaBench), §6.1.
 pub fn benchmarks() -> Vec<BenchmarkSpec> {
-    fn spec(name: &'static str, salt: u64, size_mu: f64, ilp: f64, exits: usize) -> BenchmarkSpec {
-        BenchmarkSpec {
-            name,
-            suite: Suite::SpecInt95,
-            size_mu,
-            size_sigma: 0.55,
-            ilp_width: ilp,
-            mem_frac: 0.30,
-            fp_frac: 0.01,
-            max_side_exits: exits,
-            max_live_ins: 4,
-            seed_salt: salt,
-        }
-    }
-    fn media(name: &'static str, salt: u64, size_mu: f64, ilp: f64, fp: f64) -> BenchmarkSpec {
-        BenchmarkSpec {
-            name,
-            suite: Suite::MediaBench,
-            size_mu,
-            size_sigma: 0.65,
-            ilp_width: ilp,
-            mem_frac: 0.35,
-            fp_frac: fp,
-            max_side_exits: 2,
-            max_live_ins: 6,
-            seed_salt: salt,
-        }
-    }
-    vec![
-        spec("099.go", 11, 2.5, 2.2, 3),
-        spec("124.m88ksim", 12, 2.3, 1.9, 3),
-        spec("129.compress", 13, 2.4, 2.1, 2),
-        spec("130.li", 14, 2.2, 1.8, 3),
-        spec("132.ijpeg", 15, 2.8, 2.8, 2),
-        spec("134.perl", 16, 2.4, 2.0, 3),
-        spec("147.vortex", 17, 2.5, 1.9, 3),
-        media("epicdec", 21, 2.9, 3.2, 0.10),
-        media("epicenc", 22, 3.0, 3.4, 0.12),
-        media("g721dec", 23, 2.6, 2.4, 0.02),
-        media("g721enc", 24, 2.6, 2.5, 0.02),
-        media("mpeg2dec", 25, 3.0, 3.3, 0.05),
-        media("mpeg2enc", 26, 3.1, 3.6, 0.08),
-        media("rasta", 27, 2.8, 2.7, 0.25),
-    ]
+    BENCHMARKS.to_vec()
 }
 
 /// Look up a benchmark by name.
 pub fn benchmark(name: &str) -> Option<BenchmarkSpec> {
-    benchmarks().into_iter().find(|b| b.name == name)
+    BENCHMARKS.iter().find(|b| b.name == name).cloned()
 }
 
 /// Corpus generation options.
@@ -289,25 +300,17 @@ pub fn generate_block(spec: &BenchmarkSpec, seed: u64, index: u64, input: InputS
     match b.build() {
         Ok(sb) => sb,
         Err(vcsched_ir::BuildError::DeadInstruction(_)) => {
-            // Rare: an op chain missed every exit. Rebuild with the dead
-            // ops wired to the final exit.
-            repair_and_build(b, last)
-        }
-        Err(e) => unreachable!("generator emits well-formed blocks: {e}"),
-    }
-}
-
-/// Wires every dead instruction to `last` and rebuilds (the builder
-/// re-validates).
-fn repair_and_build(mut b: SuperblockBuilder, last: vcsched_ir::InstId) -> Superblock {
-    loop {
-        match b.build() {
-            Ok(sb) => return sb,
-            Err(vcsched_ir::BuildError::DeadInstruction(id)) => {
+            // Rare: an op chain missed every exit. Wire each dead op to
+            // the final exit. One pass suffices: a new edge `id → last`
+            // revives only `id` and ops reaching it, which have lower ids
+            // and so were live or already wired.
+            for id in b.dead_instructions() {
                 b.data_dep(id, last);
             }
-            Err(e) => unreachable!("repair loop only sees dead instructions: {e}"),
+            b.build()
+                .expect("wiring dead ops to the final exit revives them")
         }
+        Err(e) => unreachable!("generator emits well-formed blocks: {e}"),
     }
 }
 
