@@ -298,18 +298,6 @@ impl SelectorTable {
         options: &AdaptiveOptions,
         draw: f64,
     ) -> (DecisionKind, PolicySet) {
-        let out = self.select_inner(class, configured, options, draw);
-        crate::telemetry::decision_counter(out.0).inc();
-        out
-    }
-
-    fn select_inner(
-        &self,
-        class: &BlockClass,
-        configured: &PolicySet,
-        options: &AdaptiveOptions,
-        draw: f64,
-    ) -> (DecisionKind, PolicySet) {
         let full = || configured.clone();
         let Some(stats) = self.class(class) else {
             return (DecisionKind::FullUnseen, full());

@@ -13,7 +13,9 @@
 //!   lock per shard, so concurrent lookups/inserts from the worker pool or
 //!   the service front end stop serializing on a single cache lock;
 //! * per-shard hit / miss / insertion / eviction counters ([`ShardStats`]),
-//!   surfaced through `vcsched serve`'s `stats` request;
+//!   kept under the shard lock — the only count of them: `vcsched
+//!   serve` renders both its `stats` reply and its `engine_cache_*`
+//!   series from [`ScheduleCache::shard_stats`];
 //! * an optional on-disk JSONL journal (`schedules.jsonl` in the cache
 //!   directory, guarded by its own lock): entries are appended as they are
 //!   produced and replayed into memory when the cache is opened, so a
@@ -188,7 +190,6 @@ impl Shard {
         self.tick += 1;
         let tick = self.tick;
         self.insertions += 1;
-        crate::telemetry::cache_metrics().insertions.inc();
         self.map.insert(key, (entry, tick));
         self.recency.push_back((key, tick));
         while self.map.len() > capacity {
@@ -203,7 +204,6 @@ impl Shard {
                     {
                         self.map.remove(&old_key);
                         self.evictions += 1;
-                        crate::telemetry::cache_metrics().evictions.inc();
                     }
                 }
                 None => break,
@@ -368,12 +368,10 @@ impl ScheduleCache {
                 let entry = entry.clone();
                 shard.recency.push_back((key, tick));
                 shard.hits += 1;
-                crate::telemetry::cache_metrics().hits.inc();
                 Some(entry)
             }
             _ => {
                 shard.misses += 1;
-                crate::telemetry::cache_metrics().misses.inc();
                 None
             }
         };

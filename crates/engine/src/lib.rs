@@ -29,6 +29,14 @@
 //! * [`corpus`] streams superblocks from JSONL files or synthesizes them
 //!   via `vcsched-workload`.
 //!
+//! Every figure lives in the instance that produces it: a
+//! [`SubmitPool`] counts its admissions and times its queue waits and
+//! solves, a [`ScheduleCache`] counts hits, misses, insertions and
+//! evictions per shard, and an [`OnlineSummary`] carries a replay's
+//! misses and shed. Nothing here records into the process-global
+//! `vcsched_obs` registry; `vcsched serve` renders its metrics from
+//! these instances.
+//!
 //! The crate also owns the deduction-step analogues of the paper's
 //! compile-time buckets ([`STEPS_1S`], [`STEPS_1M`], [`STEPS_4M`]);
 //! `vcsched-bench` re-exports them and drives its figure corpora through
@@ -58,7 +66,6 @@ pub mod pool;
 pub mod portfolio;
 pub mod registry;
 pub mod submit;
-pub(crate) mod telemetry;
 
 use std::path::PathBuf;
 
@@ -321,8 +328,8 @@ fn problem_key(
 /// the canonical problem is known, otherwise run the policy and remember
 /// the outcome. Returns the outcome and whether it came from the cache.
 ///
-/// This is the single per-problem step shared by [`run_batch_with_cache`]
-/// and the service's [`SubmitPool`] workers.
+/// This is the per-problem step of [`run_batch_with_cache`] and
+/// [`run_trace`]; the service's [`SubmitPool`] workers share its body.
 pub fn solve_one(
     sb: &vcsched_ir::Superblock,
     machine: &MachineConfig,
@@ -352,69 +359,33 @@ pub fn solve_one_with(
     options: &PolicyOptions,
     cache: &ScheduleCache,
 ) -> (BlockOutcome, bool) {
-    let solve_start = std::time::Instant::now();
-    let mut span = vcsched_obs::span!("engine_solve", insts = sb.len());
-    let sb_json = serde_json::to_string(sb).expect("superblocks serialize");
-    let (key, check) = problem_key(registry, &sb_json, machine, homes, options);
-    if let Some(entry) = cache.get(key, check) {
-        telemetry::solve_latency().record_duration(solve_start.elapsed());
-        span.field("cached", true);
-        return (
-            BlockOutcome {
-                winner: entry.winner,
-                awct: entry.awct,
-                vc_steps: entry.vc_steps,
-                vc_timed_out: entry.vc_timed_out,
-                schedule: entry.schedule,
-                policy_stats: entry.stats,
-            },
-            true,
-        );
-    }
-    let outcome = portfolio::schedule_block_with(registry, sb, machine, homes, options);
-    telemetry::solve_latency().record_duration(solve_start.elapsed());
-    span.field("cached", false);
-    span.field("winner", outcome.winner.as_str());
-    cache.put(
-        key,
-        CacheEntry {
-            key: format!("{key:016x}"),
-            check: format!("{check:016x}"),
-            winner: outcome.winner.clone(),
-            awct: outcome.awct,
-            vc_steps: outcome.vc_steps,
-            vc_timed_out: outcome.vc_timed_out,
-            schedule: outcome.schedule.clone(),
-            stats: outcome.policy_stats.clone(),
-        },
-    );
-    (outcome, false)
+    solve_through_cache(registry, sb, machine, homes, options, cache, None)
 }
 
-/// [`solve_one`] with a wall-clock backstop: on a cache miss the race
-/// runs against an externally sealed [`AwctBound`] watched by a
-/// [`DeadlineTimer`]; if the timer fires first, every racing search
-/// abandons to best-so-far and the outcome is tagged
-/// [`vcsched_policy::PolicyFallback::Deadline`].
-/// Cache reads are shared with the deterministic path, but a
-/// wall-preempted result is **never written back** — wall time is not
-/// part of the problem key, and a preempted race must not masquerade as
-/// the full race's answer for the next caller.
-pub fn solve_one_deadline(
+/// The one solve body behind [`solve_one`], [`solve_one_with`] and the
+/// [`SubmitPool`] workers: key the canonical problem, answer a hit from
+/// the cache, otherwise race the portfolio and remember the outcome.
+///
+/// With a wall-clock `deadline`, the race runs against a sealed
+/// [`AwctBound`] watched by a [`DeadlineTimer`]; if the timer fires
+/// first, every racing search abandons to best-so-far and the outcome
+/// is tagged [`vcsched_policy::PolicyFallback::Deadline`]. Such a result
+/// is **never written back**: wall time is not part of the problem key,
+/// and a preempted race must not masquerade as the full race's answer
+/// for the next caller.
+pub(crate) fn solve_through_cache(
+    registry: &PolicyRegistry,
     sb: &vcsched_ir::Superblock,
     machine: &MachineConfig,
     homes: &[vcsched_arch::ClusterId],
     options: &PolicyOptions,
     cache: &ScheduleCache,
-    deadline: std::time::Duration,
+    deadline: Option<std::time::Duration>,
 ) -> (BlockOutcome, bool) {
-    let registry = PolicyRegistry::builtin();
-    let solve_start = std::time::Instant::now();
     let mut span = vcsched_obs::span!("engine_solve", insts = sb.len());
     let sb_json = serde_json::to_string(sb).expect("superblocks serialize");
     let (key, check) = problem_key(registry, &sb_json, machine, homes, options);
     if let Some(entry) = cache.get(key, check) {
-        telemetry::solve_latency().record_duration(solve_start.elapsed());
         span.field("cached", true);
         return (
             BlockOutcome {
@@ -430,10 +401,9 @@ pub fn solve_one_deadline(
     }
     let bound = AwctBound::new();
     let outcome = {
-        let _timer = DeadlineTimer::arm(&bound, deadline);
+        let _timer = deadline.map(|wall| DeadlineTimer::arm(&bound, wall));
         portfolio::schedule_block_bound(registry, sb, machine, homes, options, &bound)
     };
-    telemetry::solve_latency().record_duration(solve_start.elapsed());
     span.field("cached", false);
     span.field("winner", outcome.winner.as_str());
     if bound.preempted() {
@@ -760,6 +730,38 @@ mod tests {
                     ..l.clone()
                 })
                 .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn deadline_fired_outcome_never_reaches_the_cache() {
+        // The largest block the generator makes, raced under a budget far
+        // beyond what a 0 ms wall deadline lets it spend.
+        let spec = vcsched_workload::BenchmarkSpec {
+            size_mu: 6.0,
+            ..vcsched_workload::benchmark("mpeg2enc").expect("known benchmark")
+        };
+        let sb = vcsched_workload::generate_block(&spec, 7, 0, vcsched_workload::InputSet::Ref);
+        let machine = MachineConfig::paper_4c_16w_lat2();
+        let homes = live_in_placement(&sb, machine.cluster_count(), 7);
+        let options = PolicyOptions {
+            max_dp_steps: STEPS_4M,
+            ..PolicyOptions::default()
+        };
+        let cache = ScheduleCache::in_memory(8);
+        let solve = || {
+            let registry = PolicyRegistry::builtin();
+            let deadline = Some(std::time::Duration::ZERO);
+            solve_through_cache(registry, &sb, &machine, &homes, &options, &cache, deadline)
+        };
+        let (outcome, cached) = solve();
+        assert!(!cached);
+        assert!(outcome.deadline_fired(), "{:?}", outcome.policy_stats);
+        assert_eq!(cache.len(), 0, "a preempted race must not be remembered");
+        let (_, cached) = solve();
+        assert!(
+            !cached,
+            "the repeat must race again, not hit a preempted entry"
         );
     }
 }

@@ -28,6 +28,9 @@
 //! and "missed" (the queue delivered late) are deliberately distinct:
 //! the first is the engine degrading gracefully, the second is the
 //! workload exceeding capacity.
+//! Both, and the shed count, are reported in the returned
+//! [`OnlineSummary`] only: a replay records nothing into the series of
+//! a live server.
 //!
 //! [`DeadlineTimer`] is the *wall-clock* counterpart used by the live
 //! service path: it arms a watchdog thread that fires
@@ -47,7 +50,7 @@ use vcsched_workload::live_in_placement;
 use vcsched_workload::trace::TraceEvent;
 
 use crate::registry::PolicySet;
-use crate::{pool::scatter, solve_one, telemetry, PolicyOptions, ScheduleCache, STEPS_1M};
+use crate::{pool::scatter, solve_one, PolicyOptions, ScheduleCache, STEPS_1M};
 
 /// Options of one online replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -234,15 +237,11 @@ pub fn run_trace(
 ) -> (OnlineSummary, Vec<BlockResult>) {
     let t0 = Instant::now();
     let machine = &options.machine;
-    let metrics = telemetry::online_metrics();
 
     // Phase A: price every event's slack into a step budget.
     let priced: Vec<u64> = events
         .iter()
-        .map(|e| {
-            metrics.slack_ms.record(e.slack_ms());
-            options.price_steps(e.slack_ms())
-        })
+        .map(|e| options.price_steps(e.slack_ms()))
         .collect();
 
     // Phase B: race every block in parallel under its priced deadline.
@@ -365,7 +364,6 @@ pub fn run_trace(
         if r.shed {
             shed += 1;
             band.1 += 1;
-            metrics.shed.inc();
             continue;
         }
         served += 1;
@@ -376,11 +374,9 @@ pub fn run_trace(
         if r.missed {
             misses += 1;
             band.2 += 1;
-            metrics.deadline_misses.inc();
         }
         if r.deadline_fired {
             fired += 1;
-            metrics.preemptions.inc();
         }
     }
     virt.sort_unstable();
@@ -422,27 +418,6 @@ pub fn run_trace(
         per_priority,
     };
     (summary, results)
-}
-
-/// Records a deadline miss on `engine_deadline_misses_total` (live
-/// service path; [`run_trace`] counts its own).
-pub fn note_deadline_miss() {
-    telemetry::online_metrics().deadline_misses.inc();
-}
-
-/// Records a preemption on `engine_preemptions_total`.
-pub fn note_preemption() {
-    telemetry::online_metrics().preemptions.inc();
-}
-
-/// Records a shed admission on `engine_shed_total`.
-pub fn note_shed() {
-    telemetry::online_metrics().shed.inc();
-}
-
-/// Records an observed deadline slack on the `engine_slack_ms` histogram.
-pub fn note_slack_ms(slack_ms: u64) {
-    telemetry::online_metrics().slack_ms.record(slack_ms);
 }
 
 /// A wall-clock deadline watchdog for live (service-path) races.

@@ -28,6 +28,12 @@
 //!
 //! Every solve goes through the shared sharded [`ScheduleCache`], so a
 //! repeated request is answered from memory and counted as a hit.
+//!
+//! The pool is the one home of its own figures: the admission counters
+//! ([`SubmitPool::counters`]), queue depth, busy workers, and the
+//! queue-wait and solve-latency histograms. `vcsched serve` renders its
+//! `stats` reply and its `engine_pool_*`, `engine_queue_*` and
+//! `engine_solve_us` series from these accessors.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -36,6 +42,7 @@ use std::time::{Duration, Instant};
 
 use vcsched_arch::{ClusterId, MachineConfig};
 use vcsched_ir::Superblock;
+use vcsched_obs::Histogram;
 
 use crate::cache::ScheduleCache;
 use crate::portfolio::{BlockOutcome, PolicyOptions};
@@ -54,9 +61,8 @@ pub struct Problem {
     pub options: PolicyOptions,
     /// Optional wall-clock backstop: the worker arms a
     /// [`DeadlineTimer`](crate::DeadlineTimer) that preempts the race's
-    /// sealed bound when it expires, returning best-so-far (see
-    /// [`solve_one_deadline`](crate::solve_one_deadline)). `None` keeps
-    /// the fully deterministic path.
+    /// sealed bound when it expires, returning best-so-far; a preempted
+    /// result is not cached. `None` keeps the fully deterministic path.
     pub deadline: Option<Duration>,
 }
 
@@ -150,7 +156,7 @@ enum TaskKind {
 struct Task {
     kind: TaskKind,
     /// When the task entered the admission queue — the worker records the
-    /// elapsed wait into the `engine_queue_wait_us` histogram on pickup.
+    /// elapsed wait into the pool's queue-wait histogram on pickup.
     enqueued: Instant,
 }
 
@@ -208,9 +214,12 @@ pub struct SubmitPool {
     queue_capacity: usize,
     jobs: usize,
     depth: Arc<AtomicUsize>,
+    busy: Arc<AtomicUsize>,
     accepted: AtomicU64,
     rejected: AtomicU64,
     completed: Arc<AtomicU64>,
+    queue_wait: Histogram,
+    solve_latency: Histogram,
     policy_totals: Arc<Mutex<Vec<PolicyTotals>>>,
     completion_hook: Arc<Mutex<Option<CompletionHook>>>,
 }
@@ -228,7 +237,10 @@ impl SubmitPool {
         let (tx, rx) = mpsc::sync_channel::<Task>(queue_capacity);
         let rx = Arc::new(Mutex::new(rx));
         let depth = Arc::new(AtomicUsize::new(0));
+        let busy = Arc::new(AtomicUsize::new(0));
         let completed = Arc::new(AtomicU64::new(0));
+        let queue_wait = Histogram::new();
+        let solve_latency = Histogram::new();
         let policy_totals: Arc<Mutex<Vec<PolicyTotals>>> = Arc::new(Mutex::new(Vec::new()));
         let completion_hook: Arc<Mutex<Option<CompletionHook>>> = Arc::new(Mutex::new(None));
         let workers = (0..jobs)
@@ -236,7 +248,10 @@ impl SubmitPool {
                 let rx = Arc::clone(&rx);
                 let cache = Arc::clone(&cache);
                 let depth = Arc::clone(&depth);
+                let busy = Arc::clone(&busy);
                 let completed = Arc::clone(&completed);
+                let queue_wait = queue_wait.clone();
+                let solve_latency = solve_latency.clone();
                 let policy_totals = Arc::clone(&policy_totals);
                 let completion_hook = Arc::clone(&completion_hook);
                 std::thread::spawn(move || loop {
@@ -249,36 +264,27 @@ impl SubmitPool {
                         Err(_) => break, // admission closed and queue drained
                     };
                     depth.fetch_sub(1, Ordering::Relaxed);
-                    let m = crate::telemetry::pool_metrics();
-                    m.queue_depth.dec();
-                    m.queue_wait.record_duration(task.enqueued.elapsed());
-                    m.busy.inc();
+                    queue_wait.record_duration(task.enqueued.elapsed());
+                    busy.fetch_add(1, Ordering::Relaxed);
                     // Counted before the reply, so a caller that has its
                     // answer also sees it in the pool's counters.
                     let done = || {
-                        m.busy.dec();
-                        m.completed.inc();
+                        busy.fetch_sub(1, Ordering::Relaxed);
                         completed.fetch_add(1, Ordering::Relaxed);
                     };
                     match task.kind {
                         TaskKind::Solve { problem, reply } => {
-                            let (outcome, cached) = match problem.deadline {
-                                Some(wall) => crate::solve_one_deadline(
-                                    &problem.block,
-                                    &problem.machine,
-                                    &problem.homes,
-                                    &problem.options,
-                                    &cache,
-                                    wall,
-                                ),
-                                None => crate::solve_one(
-                                    &problem.block,
-                                    &problem.machine,
-                                    &problem.homes,
-                                    &problem.options,
-                                    &cache,
-                                ),
-                            };
+                            let solve_start = Instant::now();
+                            let (outcome, cached) = crate::solve_through_cache(
+                                crate::PolicyRegistry::builtin(),
+                                &problem.block,
+                                &problem.machine,
+                                &problem.homes,
+                                &problem.options,
+                                &cache,
+                                problem.deadline,
+                            );
+                            solve_latency.record_duration(solve_start.elapsed());
                             record_policy_totals(&policy_totals, &outcome, cached);
                             done();
                             reply.complete(Solved { outcome, cached });
@@ -307,9 +313,12 @@ impl SubmitPool {
             queue_capacity,
             jobs,
             depth,
+            busy,
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             completed,
+            queue_wait,
+            solve_latency,
             policy_totals,
             completion_hook,
         }
@@ -345,6 +354,23 @@ impl SubmitPool {
     /// Jobs currently waiting in the admission queue (not yet picked up).
     pub fn queue_depth(&self) -> usize {
         self.depth.load(Ordering::Relaxed)
+    }
+
+    /// Workers currently running a task.
+    pub fn busy(&self) -> usize {
+        self.busy.load(Ordering::Relaxed)
+    }
+
+    /// Time each task waited in the admission queue before a worker
+    /// picked it up, in microseconds.
+    pub fn queue_wait(&self) -> &Histogram {
+        &self.queue_wait
+    }
+
+    /// Wall time of each solve on a worker (cache hit or fresh race), in
+    /// microseconds. Probes are not solves and record nothing here.
+    pub fn solve_latency(&self) -> &Histogram {
+        &self.solve_latency
     }
 
     /// Per-policy lifetime counters, in first-encounter order. Wins count
@@ -388,7 +414,6 @@ impl SubmitPool {
         // Count the slot before sending so a racing depth reader never
         // sees fewer waiters than the channel holds.
         self.depth.fetch_add(1, Ordering::Relaxed);
-        crate::telemetry::pool_metrics().queue_depth.inc();
         let result = if block_for_space {
             tx.send(task).map_err(|_| SubmitError::ShutDown)
         } else {
@@ -400,18 +425,14 @@ impl SubmitPool {
                 TrySendError::Disconnected(_) => SubmitError::ShutDown,
             })
         };
-        let m = crate::telemetry::pool_metrics();
         match result {
             Ok(()) => {
                 self.accepted.fetch_add(1, Ordering::Relaxed);
-                m.accepted.inc();
                 Ok(())
             }
             Err(e) => {
                 self.depth.fetch_sub(1, Ordering::Relaxed);
-                m.queue_depth.dec();
                 self.rejected.fetch_add(1, Ordering::Relaxed);
-                m.rejected.inc();
                 Err(e)
             }
         }

@@ -2,9 +2,11 @@
 //!
 //! Two halves, both dependency-light (std + the vendored serde compat):
 //!
-//! * **Metrics** — a process-global, sharded [`Registry`] of striped
-//!   atomic [`Counter`]s, [`Gauge`]s and fixed-bucket log-scale
-//!   [`Histogram`]s with deterministic p50/p90/p99/p999 readout.
+//! * **Metrics** — a sharded [`Registry`] of striped atomic
+//!   [`Counter`]s, [`Gauge`]s and fixed-bucket log-scale [`Histogram`]s
+//!   with deterministic p50/p90/p99/p999 readout. An instance that
+//!   produces figures owns its own registry or standalone handles;
+//!   [`global()`] holds only the series with no instance to own them.
 //!   [`Registry::snapshot`] produces a sorted, wire-serializable
 //!   [`Snapshot`] that renders to Prometheus-style text.
 //! * **Tracing** — the [`span!`] macro records name, duration and

@@ -41,9 +41,10 @@ struct Entry {
 /// Handles returned by [`counter`](Registry::counter) /
 /// [`gauge`](Registry::gauge) / [`histogram`](Registry::histogram) (and
 /// their `_with` labeled variants) are cheap clones of shared atomic
-/// state: fetch once, cache, and update lock-free. The process-global
-/// instance lives behind [`global()`]; tests that need isolation create
-/// their own with [`Registry::new`].
+/// state: fetch once, cache, and update lock-free. An instance that
+/// produces figures (a server) creates its own with [`Registry::new`];
+/// the process-global instance behind [`global()`] holds only series
+/// with no instance to own them.
 #[derive(Default)]
 pub struct Registry {
     shards: [Mutex<HashMap<String, Entry>>; REGISTRY_SHARDS],
@@ -159,27 +160,20 @@ impl Registry {
     pub fn snapshot(&self) -> Snapshot {
         let mut metrics = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock().unwrap();
-            for (key, entry) in shard.iter() {
+            for entry in shard.lock().unwrap().values() {
                 let value = match &entry.metric {
                     Metric::Counter(c) => MetricValue::Counter(c.get()),
                     Metric::Gauge(g) => MetricValue::Gauge(g.get()),
                     Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
                 };
-                metrics.push((
-                    key.clone(),
-                    MetricSnapshot {
-                        name: entry.name.clone(),
-                        labels: entry.labels.clone(),
-                        value,
-                    },
-                ));
+                metrics.push(MetricSnapshot {
+                    name: entry.name.clone(),
+                    labels: entry.labels.clone(),
+                    value,
+                });
             }
         }
-        metrics.sort_by(|a, b| a.0.cmp(&b.0));
-        Snapshot {
-            metrics: metrics.into_iter().map(|(_, m)| m).collect(),
-        }
+        Snapshot::from_series(metrics)
     }
 
     /// Zeroes every counter and histogram. Gauges are left alone — they
@@ -199,7 +193,11 @@ impl Registry {
     }
 }
 
-/// The process-global registry every vcsched layer records into.
+/// The process-global registry, for series with no instance to own them:
+/// the core search's `vc_*` counters and the tracer's
+/// `obs_trace_dropped_total`. Everything an instance produces (a
+/// server's request series, a pool's or a cache's counts) belongs to
+/// that instance instead.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
@@ -269,6 +267,14 @@ fn render_labels(labels: &[(String, String)], extra: Option<(&str, String)>) -> 
 }
 
 impl Snapshot {
+    /// Assembles series rendered from several sources (registries,
+    /// instance counters) into one snapshot, sorted by identity
+    /// (`name{labels}`) like [`Registry::snapshot`].
+    pub fn from_series(mut metrics: Vec<MetricSnapshot>) -> Snapshot {
+        metrics.sort_by_cached_key(|m| identity(&m.name, &m.labels));
+        Snapshot { metrics }
+    }
+
     /// Renders the snapshot in the Prometheus text exposition format:
     /// `# TYPE` headers, one `name{labels} value` line per sample,
     /// histograms as cumulative `_bucket{le=…}` / `_sum` / `_count`
@@ -530,6 +536,28 @@ mod tests {
         let text = serde_json::to_string(&snap).unwrap();
         let reparsed: Snapshot = serde_json::from_str(&text).unwrap();
         assert_eq!(reparsed, snap);
+    }
+
+    #[test]
+    fn from_series_merges_sources_in_identity_order() {
+        let a = Registry::new();
+        a.counter_with("req", &[("type", "b")]).inc();
+        a.gauge("zeta").set(1);
+        let b = Registry::new();
+        b.counter_with("req", &[("type", "a")]).inc();
+        b.histogram("alpha").record(3);
+        let mut series = a.snapshot().metrics;
+        series.extend(b.snapshot().metrics);
+        let merged = Snapshot::from_series(series);
+        let keys: Vec<String> = merged
+            .metrics
+            .iter()
+            .map(|m| identity(&m.name, &m.labels))
+            .collect();
+        assert_eq!(
+            keys,
+            ["alpha", "req{type=\"a\"}", "req{type=\"b\"}", "zeta"]
+        );
     }
 
     #[test]

@@ -35,6 +35,13 @@
 //! is closed as a slow reader (counted) instead of buffering without
 //! bound.
 //!
+//! Each server owns its figures: its request, reactor, selector-decision
+//! and online series live in a registry of its own, and the pool and
+//! cache figures come from its own pool and cache. `stats` and `metrics`
+//! both read those, so two servers in one process never share a count;
+//! only the core search's `vc_*` series and the tracer's
+//! `obs_trace_dropped_total` are process-wide.
+//!
 //! Shutdown (a `shutdown` request or [`ServerHandle::shutdown`]) is
 //! *draining*: the listener closes, every admitted job completes and
 //! its reply is flushed, then workers are joined and the cache
@@ -59,6 +66,7 @@ use vcsched_engine::{
     SubmitError, SubmitPool, Ticket, STEPS_1M,
 };
 use vcsched_ir::Superblock;
+use vcsched_obs::{MetricSnapshot, MetricValue, Snapshot};
 use vcsched_workload::live_in_placement;
 
 use crate::frame;
@@ -67,7 +75,7 @@ use crate::protocol::{
     Response, ScheduleMode, ScheduleReply, SelectorStatsReply, ShardReply, StatsReply,
 };
 use crate::reactor::{Poller, WakePipe};
-use crate::telemetry::RequestMetrics;
+use crate::telemetry::ServerMetrics;
 
 /// Poller token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
@@ -179,10 +187,10 @@ const DEADLINE_FLOOR_STEPS: u64 = 1_000;
 /// `[DEADLINE_FLOOR_STEPS, max_steps]`. `None` means the deadline is so
 /// far out that the plain step budget binds first — no deadline
 /// pressure on the search.
-fn price_deadline_steps(deadline_ms: u64, max_steps: u64, config: &ServiceConfig) -> Option<u64> {
-    vcsched_engine::online::note_slack_ms(deadline_ms);
+fn price_deadline_steps(shared: &Shared, deadline_ms: u64, max_steps: u64) -> Option<u64> {
+    shared.metrics.slack_ms.record(deadline_ms);
     let priced = deadline_ms
-        .saturating_mul(config.steps_per_ms)
+        .saturating_mul(shared.config.steps_per_ms)
         .clamp(DEADLINE_FLOOR_STEPS.min(max_steps), max_steps);
     (priced < max_steps).then_some(priced)
 }
@@ -206,26 +214,6 @@ fn resolve_policies(
             .find(|(preset, _)| preset == machine)
             .map(|(_, set)| set.clone())
             .unwrap_or_else(|| config.default_policies.clone())),
-    }
-}
-
-/// Lifetime counters over adaptive decisions (narrowed / full-unseen /
-/// full-explore).
-#[derive(Default)]
-struct DecisionCounters {
-    narrowed: AtomicU64,
-    full_unseen: AtomicU64,
-    full_explore: AtomicU64,
-}
-
-impl DecisionCounters {
-    fn count(&self, kind: DecisionKind) {
-        let counter = match kind {
-            DecisionKind::Narrowed => &self.narrowed,
-            DecisionKind::FullUnseen => &self.full_unseen,
-            DecisionKind::FullExplore => &self.full_explore,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -286,8 +274,8 @@ struct ProbeWork {
 /// `admit_one`).
 struct ScheduleWork {
     priority: u8,
-    /// Signal online admission control (`note_shed`) if this request is
-    /// shed — set when the request carried a priority or deadline.
+    /// Count a shed on `engine_shed_total` if this request is shed — set
+    /// when the request carried a priority or deadline.
     shed_signal: bool,
     adaptive: bool,
     /// The request's configured (pre-narrowing) policy set.
@@ -316,9 +304,6 @@ struct FairQueues {
     /// Token the last drain pass ended on; the next pass starts after
     /// it, rotating which connection admits first.
     cursor: u64,
-    /// Parked count last published to the `service_fair_queue_parked`
-    /// gauge (process-global; publish deltas).
-    published: i64,
 }
 
 struct Shared {
@@ -335,11 +320,12 @@ struct Shared {
     /// requests (batches use their own corpus indices). Advanced only
     /// after the pool admits the job — see `admit_one`.
     explore_seq: AtomicU64,
-    decisions: DecisionCounters,
+    /// This server's request, reactor, decision and online series.
+    metrics: ServerMetrics,
     /// When the server started, for the stats reply's `uptime_ms`.
     started: Instant,
-    /// Currently open client connections (exact, per-server — the
-    /// `service_connections` gauge aggregates across servers).
+    /// Currently open client connections (`stats` and the
+    /// `service_connections` gauge).
     conns_open: AtomicU64,
     /// Lifetime accepted connections.
     conns_total: AtomicU64,
@@ -381,8 +367,9 @@ fn install_completion_hook(shared: &Arc<Shared>) {
 }
 
 /// An in-flight async request's reply duct: carries everything needed
-/// to finish the request (route, ordering slot, envelope id, latency
-/// metrics, span) into the worker's completion callback.
+/// to finish the request (route, ordering slot, envelope id, request
+/// type and priority for the latency series, span) into the worker's
+/// completion callback.
 ///
 /// Exactly one done-reply is guaranteed: the success path sends it, the
 /// admission-failure path reclaims the value and sends the rejection,
@@ -393,12 +380,13 @@ struct PendingReply {
     token: u64,
     slot: Option<u64>,
     id: Option<u64>,
-    metrics: &'static RequestMetrics,
+    /// Wire request type.
+    ty: &'static str,
+    /// The request's wire `priority`: its latency is recorded under the
+    /// priority band too.
+    priority: Option<u8>,
     start: Instant,
     span: Option<vcsched_obs::SpanGuard>,
-    /// Per-priority latency series recorded alongside the per-type one
-    /// (set when the request carried a wire `priority`).
-    priority_latency: Option<&'static vcsched_obs::Histogram>,
     done: bool,
 }
 
@@ -415,7 +403,20 @@ fn reply_cell(pending: PendingReply) -> ReplyCell {
 /// wire error for a failed admission.
 fn reply_submit_error(cell: &ReplyCell, e: SubmitError) {
     if let Some(mut p) = cell.lock().unwrap().take() {
-        p.send(submit_error(e), true);
+        let retry_after_ms = match &e {
+            SubmitError::Saturated { retry_after_ms, .. } => {
+                p.shared.metrics.rejections.inc();
+                Some(*retry_after_ms)
+            }
+            SubmitError::ShutDown => None,
+        };
+        p.send(
+            Response::Error {
+                error: e.to_string(),
+                retry_after_ms,
+            },
+            true,
+        );
     }
 }
 
@@ -423,10 +424,9 @@ impl PendingReply {
     fn send(&mut self, response: Response, done: bool) {
         if done {
             self.done = true;
-            self.metrics.latency.record_duration(self.start.elapsed());
-            if let Some(h) = self.priority_latency {
-                h.record_duration(self.start.elapsed());
-            }
+            self.shared
+                .metrics
+                .record_latency(self.ty, self.priority, self.start.elapsed());
             if let Some(mut span) = self.span.take() {
                 span.field("ok", response.is_ok());
             }
@@ -522,7 +522,7 @@ pub fn serve(config: ServiceConfig) -> Result<ServerHandle, String> {
         stop: AtomicBool::new(false),
         selector: Mutex::new(selector),
         explore_seq: AtomicU64::new(0),
-        decisions: DecisionCounters::default(),
+        metrics: ServerMetrics::new(),
         started: Instant::now(),
         conns_open: AtomicU64::new(0),
         conns_total: AtomicU64::new(0),
@@ -781,19 +781,12 @@ impl Conn {
 /// The reactor: multiplexes the listener, the wakeup pipe, and every
 /// connection until a draining shutdown completes.
 fn event_loop(shared: &Arc<Shared>, listener: TcpListener, mut poller: Poller) {
-    let fds_gauge = crate::telemetry::reactor_fds();
-    let wbuf_gauge = crate::telemetry::reactor_write_buffer();
-    let wakeups = crate::telemetry::reactor_wakeups();
+    let metrics = &shared.metrics;
     let mut conns: BTreeMap<u64, Conn> = BTreeMap::new();
     let mut next_token = TOKEN_CONN0;
     let mut listener = Some(listener);
     let mut draining = false;
     let mut events = Vec::new();
-    // Gauges are process-global; track this server's contribution and
-    // publish deltas so embedded multi-server tests stay consistent.
-    let mut last_fds = poller.registered() as i64;
-    let mut last_wbuf: i64 = 0;
-    fds_gauge.add(last_fds);
     loop {
         // Route every reply pushed by workers since the last doorbell in
         // one pass — streamed batch frames queued together coalesce into
@@ -829,7 +822,7 @@ fn event_loop(shared: &Arc<Shared>, listener: TcpListener, mut poller: Poller) {
         let mut wbuf_total: i64 = 0;
         for (&token, conn) in conns.iter_mut() {
             if conn.overflowed {
-                crate::telemetry::slow_reader_closed().inc();
+                metrics.slow_reader_closed.inc();
                 dead.push(token);
                 continue;
             }
@@ -853,13 +846,9 @@ fn event_loop(shared: &Arc<Shared>, listener: TcpListener, mut poller: Poller) {
         for token in dead {
             close_conn(shared, &mut poller, &mut conns, token);
         }
-        fds_gauge.add(poller.registered() as i64 - last_fds);
-        last_fds = poller.registered() as i64;
-        wbuf_gauge.add(wbuf_total - last_wbuf);
-        last_wbuf = wbuf_total;
+        metrics.reactor_fds.set(poller.registered() as i64);
+        metrics.reactor_write_buffer.set(wbuf_total);
         if draining && conns.is_empty() {
-            fds_gauge.add(-last_fds);
-            wbuf_gauge.add(-last_wbuf);
             return;
         }
         if poller.wait(&mut events, -1).is_err() {
@@ -877,7 +866,7 @@ fn event_loop(shared: &Arc<Shared>, listener: TcpListener, mut poller: Poller) {
                     }
                 }
                 TOKEN_WAKER => {
-                    wakeups.inc();
+                    metrics.reactor_wakeups.inc();
                     shared.waker.drain();
                 }
                 token => {
@@ -953,7 +942,6 @@ fn accept_ready(
         conns.insert(token, Conn::new(stream, shared.config.max_write_buffer));
         shared.conns_open.fetch_add(1, Ordering::Relaxed);
         shared.conns_total.fetch_add(1, Ordering::Relaxed);
-        crate::telemetry::connections().inc();
     }
 }
 
@@ -966,7 +954,6 @@ fn close_conn(shared: &Shared, poller: &mut Poller, conns: &mut BTreeMap<u64, Co
         let abandoned = shared.queues.lock().unwrap().rings.remove(&token);
         drop(abandoned);
         shared.conns_open.fetch_sub(1, Ordering::Relaxed);
-        crate::telemetry::connections().dec();
     }
 }
 
@@ -996,7 +983,7 @@ fn process_buffered(shared: &Arc<Shared>, token: u64, conn: &mut Conn) {
                 // Ack by echoing the preamble, so the client knows the
                 // negotiation landed before its first reply frame.
                 conn.wbuf.extend_from_slice(&frame::MAGIC);
-                crate::telemetry::binary_connections().inc();
+                shared.metrics.binary_connections.inc();
             }
             // A near-miss preamble falls through as JSON and fails
             // parsing like any other bad line.
@@ -1013,7 +1000,7 @@ fn process_buffered(shared: &Arc<Shared>, token: u64, conn: &mut Conn) {
         // stream cannot be re-synchronized, so answer and hang up.
         // (Binary frames announce their length up front; `decode_frame`
         // enforces the same cap before buffering a payload.)
-        crate::telemetry::invalid_requests().inc();
+        shared.metrics.invalid_requests.inc();
         let slot = Some(conn.take_slot());
         conn.emit(
             slot,
@@ -1056,7 +1043,7 @@ fn process_json(shared: &Arc<Shared>, token: u64, conn: &mut Conn) {
                 // The line was consumed up to its newline, so the
                 // stream stays in sync; answer in slot order and keep
                 // the connection.
-                crate::telemetry::invalid_requests().inc();
+                shared.metrics.invalid_requests.inc();
                 let slot = Some(conn.take_slot());
                 conn.emit(
                     slot,
@@ -1093,7 +1080,7 @@ fn process_frames(shared: &Arc<Shared>, token: u64, conn: &mut Conn) {
             }
             Ok(None) => break,
             Err(e) => {
-                crate::telemetry::invalid_requests().inc();
+                shared.metrics.invalid_requests.inc();
                 let slot = Some(conn.take_slot());
                 conn.emit(
                     slot,
@@ -1115,28 +1102,13 @@ fn process_frames(shared: &Arc<Shared>, token: u64, conn: &mut Conn) {
     conn.rbuf = buf;
 }
 
-/// Records an inline (reactor-thread) reply's metrics and queues it.
-fn finish_inline(
-    conn: &mut Conn,
-    slot: Option<u64>,
-    id: Option<u64>,
-    rm: &'static RequestMetrics,
-    start: Instant,
-    mut span: vcsched_obs::SpanGuard,
-    response: &Response,
-) {
-    rm.latency.record_duration(start.elapsed());
-    span.field("ok", response.is_ok());
-    conn.emit(slot, response, id);
-}
-
 /// Parses and executes one JSON request line (the JSON-wire twin of the
 /// binary path's direct `handle_value`).
 fn handle_line(shared: &Arc<Shared>, token: u64, conn: &mut Conn, line: &str) {
     let value: Value = match serde_json::from_str(line) {
         Ok(v) => v,
         Err(e) => {
-            crate::telemetry::invalid_requests().inc();
+            shared.metrics.invalid_requests.inc();
             let slot = Some(conn.take_slot());
             conn.emit(
                 slot,
@@ -1161,8 +1133,8 @@ fn handle_line(shared: &Arc<Shared>, token: u64, conn: &mut Conn, line: &str) {
 /// type (`service_requests_total{type=…}`, `service_request_us{type=…}`)
 /// and wrapped in a `service_request` span.
 fn handle_value(shared: &Arc<Shared>, token: u64, conn: &mut Conn, value: &Value) {
-    fn invalid(conn: &mut Conn, id: Option<u64>, msg: String) {
-        crate::telemetry::invalid_requests().inc();
+    fn invalid(shared: &Shared, conn: &mut Conn, id: Option<u64>, msg: String) {
+        shared.metrics.invalid_requests.inc();
         let slot = if id.is_some() {
             None
         } else {
@@ -1179,11 +1151,11 @@ fn handle_value(shared: &Arc<Shared>, token: u64, conn: &mut Conn, value: &Value
     }
     let id = match envelope_id(value) {
         Ok(id) => id,
-        Err(e) => return invalid(conn, None, format!("invalid request: {e}")),
+        Err(e) => return invalid(shared, conn, None, format!("invalid request: {e}")),
     };
     let request = match Request::from_value(value) {
         Ok(r) => r,
-        Err(e) => return invalid(conn, id, format!("invalid request: {e}")),
+        Err(e) => return invalid(shared, conn, id, format!("invalid request: {e}")),
     };
     let ty = match &request {
         Request::Schedule { .. } => "schedule",
@@ -1193,8 +1165,7 @@ fn handle_value(shared: &Arc<Shared>, token: u64, conn: &mut Conn, value: &Value
         Request::Ping { .. } => "ping",
         Request::Shutdown => "shutdown",
     };
-    let rm = crate::telemetry::request_metrics(ty);
-    rm.total.inc();
+    shared.metrics.request(ty).total.inc();
     let start = Instant::now();
     let mut span = vcsched_obs::span!("service_request");
     span.field("request", ty);
@@ -1203,43 +1174,35 @@ fn handle_value(shared: &Arc<Shared>, token: u64, conn: &mut Conn, value: &Value
     } else {
         Some(conn.take_slot())
     };
-    let pending = |span| PendingReply {
+    let pending = |span, priority| PendingReply {
         shared: Arc::clone(shared),
         token,
         slot,
         id,
-        metrics: rm,
+        ty,
+        priority,
         start,
         span: Some(span),
-        priority_latency: None,
         done: false,
     };
+    // An inline (reactor-thread) reply: record its latency and queue it.
+    let finish_inline = |conn: &mut Conn, mut span: vcsched_obs::SpanGuard, response: &Response| {
+        shared.metrics.record_latency(ty, None, start.elapsed());
+        span.field("ok", response.is_ok());
+        conn.emit(slot, response, id);
+    };
     match request {
-        Request::Stats => {
-            finish_inline(
-                conn,
-                slot,
-                id,
-                rm,
-                start,
-                span,
-                &Response::Stats(stats(shared)),
-            );
-        }
+        Request::Stats => finish_inline(conn, span, &Response::Stats(stats(shared))),
         Request::Metrics => finish_inline(
             conn,
-            slot,
-            id,
-            rm,
-            start,
             span,
             &Response::Metrics {
-                metrics: serde_json::to_value(&vcsched_obs::global().snapshot()),
+                metrics: serde_json::to_value(&metrics(shared)),
             },
         ),
         Request::Shutdown => {
             shared.request_stop();
-            finish_inline(conn, slot, id, rm, start, span, &Response::Bye);
+            finish_inline(conn, span, &Response::Bye);
             // Terminal: drop any pipelined requests after the shutdown.
             conn.closing = true;
         }
@@ -1251,7 +1214,7 @@ fn handle_value(shared: &Arc<Shared>, token: u64, conn: &mut Conn, value: &Value
                 Work::Probe(ProbeWork {
                     delay_ms,
                     priority: priority.unwrap_or(0),
-                    cell: reply_cell(pending(span)),
+                    cell: reply_cell(pending(span, None)),
                 }),
             );
         }
@@ -1270,8 +1233,6 @@ fn handle_value(shared: &Arc<Shared>, token: u64, conn: &mut Conn, value: &Value
             priority,
         } => {
             conn.open += 1;
-            let mut reply = pending(span);
-            reply.priority_latency = priority.map(|p| crate::telemetry::priority_latency(ty, p));
             schedule_request(
                 shared,
                 block,
@@ -1286,7 +1247,7 @@ fn handle_value(shared: &Arc<Shared>, token: u64, conn: &mut Conn, value: &Value
                 return_schedule,
                 deadline_ms,
                 priority,
-                reply,
+                pending(span, priority),
             );
         }
         Request::Batch {
@@ -1307,10 +1268,6 @@ fn handle_value(shared: &Arc<Shared>, token: u64, conn: &mut Conn, value: &Value
             if stream && id.is_none() {
                 finish_inline(
                     conn,
-                    slot,
-                    id,
-                    rm,
-                    start,
                     span,
                     &Response::Error {
                         error: "streaming batches need a request id (block frames are \
@@ -1321,9 +1278,6 @@ fn handle_value(shared: &Arc<Shared>, token: u64, conn: &mut Conn, value: &Value
                 );
             } else {
                 conn.open += 1;
-                let mut reply = pending(span);
-                reply.priority_latency =
-                    priority.map(|p| crate::telemetry::priority_latency(ty, p));
                 batch_request(
                     shared,
                     BatchArgs {
@@ -1341,7 +1295,7 @@ fn handle_value(shared: &Arc<Shared>, token: u64, conn: &mut Conn, value: &Value
                         priority,
                     },
                     stream,
-                    reply,
+                    pending(span, priority),
                 );
             }
         }
@@ -1413,9 +1367,6 @@ fn drain_fair_queues(shared: &Shared) {
         }
     }
     queues.rings.retain(|_, ring| !ring.is_empty());
-    let parked: i64 = queues.rings.values().map(|r| r.len() as i64).sum();
-    crate::telemetry::fair_queue_parked().add(parked - queues.published);
-    queues.published = parked;
 }
 
 /// One admission attempt. Returns the work back when it parked (pool
@@ -1502,7 +1453,7 @@ fn admit_one(shared: &Shared, work: Work) -> Option<Work> {
                             // Online admission control: a low-priority
                             // request is shed, not queued behind the
                             // saturation.
-                            vcsched_engine::online::note_shed();
+                            shared.metrics.shed.inc();
                         }
                         reply_submit_error(&w.cell, e);
                         None
@@ -1579,8 +1530,7 @@ fn schedule_request(
         placement_seed.unwrap_or(shared.config.default_placement_seed),
     );
     let max_steps = steps.unwrap_or(shared.config.default_steps);
-    let deadline_steps =
-        deadline_ms.and_then(|ms| price_deadline_steps(ms, max_steps, &shared.config));
+    let deadline_steps = deadline_ms.and_then(|ms| price_deadline_steps(shared, ms, max_steps));
     let problem = Problem {
         block,
         machine,
@@ -1629,7 +1579,7 @@ fn schedule_completion(
             // rejected or lost job never reached the race, so it must
             // not skew the selector counters.
             if let Some(kind) = decision {
-                p.shared.decisions.count(kind);
+                p.shared.metrics.decision(kind).inc();
             }
             p.shared
                 .selector
@@ -1639,11 +1589,11 @@ fn schedule_completion(
             let copies = solved.outcome.schedule.copy_count();
             let deadline_fired = solved.outcome.deadline_fired();
             if deadline_fired {
-                vcsched_engine::online::note_preemption();
+                p.shared.metrics.preemptions.inc();
             }
             if let Some(ms) = deadline_ms {
                 if p.start.elapsed().as_millis() as u64 > ms {
-                    vcsched_engine::online::note_deadline_miss();
+                    p.shared.metrics.deadline_misses.inc();
                 }
             }
             p.send(
@@ -1697,20 +1647,6 @@ fn batch_request(shared: &Arc<Shared>, args: BatchArgs, stream: bool, pending: P
         });
         pending.send(response, true);
     });
-}
-
-fn submit_error(e: SubmitError) -> Response {
-    let retry = match &e {
-        SubmitError::Saturated { retry_after_ms, .. } => {
-            crate::telemetry::rejections().inc();
-            Some(*retry_after_ms)
-        }
-        SubmitError::ShutDown => None,
-    };
-    Response::Error {
-        error: e.to_string(),
-        retry_after_ms: retry,
-    }
 }
 
 /// Admits one batch block through the connection's fair-queue ring and
@@ -1798,8 +1734,7 @@ fn run_service_batch(
     // A batch deadline prices every block's budget identically (one
     // shared slack), so a seeded batch stays bit-deterministic; no
     // wall-clock timer is armed for batches.
-    let deadline_steps =
-        deadline_ms.and_then(|ms| price_deadline_steps(ms, max_dp_steps, &shared.config));
+    let deadline_steps = deadline_ms.and_then(|ms| price_deadline_steps(shared, ms, max_dp_steps));
     let config = BatchConfig {
         source: CorpusSource::Synth { bench, count, seed },
         machine,
@@ -1890,7 +1825,7 @@ fn run_service_batch(
     // completed — an aborted batch must not skew the selector counters.
     if let Some((plan, _)) = &decisions {
         for d in plan {
-            shared.decisions.count(d.kind);
+            shared.metrics.decision(d.kind).inc();
         }
     }
     {
@@ -1961,14 +1896,68 @@ fn stats(shared: &Shared) -> StatsReply {
             SelectorStatsReply {
                 classes: selector.classes.len(),
                 blocks_observed: selector.blocks_observed(),
-                narrowed: shared.decisions.narrowed.load(Ordering::Relaxed),
-                full_unseen: shared.decisions.full_unseen.load(Ordering::Relaxed),
-                full_explore: shared.decisions.full_explore.load(Ordering::Relaxed),
+                narrowed: shared.metrics.decision(DecisionKind::Narrowed).get(),
+                full_unseen: shared.metrics.decision(DecisionKind::FullUnseen).get(),
+                full_explore: shared.metrics.decision(DecisionKind::FullExplore).get(),
             }
         }),
         uptime_ms: shared.started.elapsed().as_millis() as u64,
-        latency: crate::telemetry::latency_replies(),
+        latency: shared.metrics.latency_replies(),
     }
+}
+
+/// The `metrics` reply, rendered in identity order from three sources:
+/// this server's registry; the figures its pool and cache keep (under
+/// the `engine_*` names), its connection count and its parked fair-queue
+/// work; and the process-wide `vc_*` and `obs_*` series.
+fn metrics(shared: &Shared) -> Snapshot {
+    fn series(name: &str, labels: &[(&str, &str)], value: MetricValue) -> MetricSnapshot {
+        MetricSnapshot {
+            name: name.to_owned(),
+            labels: labels
+                .iter()
+                .map(|&(k, v)| (k.to_owned(), v.to_owned()))
+                .collect(),
+            value,
+        }
+    }
+    let counter = |name, n| series(name, &[], MetricValue::Counter(n));
+    let gauge = |name, n: usize| series(name, &[], MetricValue::Gauge(n as i64));
+    let histogram =
+        |name, h: &vcsched_obs::Histogram| series(name, &[], MetricValue::Histogram(h.snapshot()));
+    let pool = &shared.pool;
+    let (accepted, rejected, completed) = pool.counters();
+    let shards = pool.cache().shard_stats();
+    let cache = |f: fn(&vcsched_engine::ShardStats) -> u64| shards.iter().map(f).sum::<u64>();
+    let parked: usize = shared
+        .queues
+        .lock()
+        .expect("fair-queue lock poisoned")
+        .rings
+        .values()
+        .map(VecDeque::len)
+        .sum();
+    let mut all = shared.metrics.registry.snapshot().metrics;
+    all.extend([
+        counter("engine_pool_accepted_total", accepted),
+        counter("engine_pool_rejected_total", rejected),
+        counter("engine_pool_completed_total", completed),
+        gauge("engine_pool_busy", pool.busy()),
+        gauge("engine_queue_depth", pool.queue_depth()),
+        histogram("engine_queue_wait_us", pool.queue_wait()),
+        histogram("engine_solve_us", pool.solve_latency()),
+        counter("engine_cache_hits_total", cache(|s| s.hits)),
+        counter("engine_cache_misses_total", cache(|s| s.misses)),
+        counter("engine_cache_insertions_total", cache(|s| s.insertions)),
+        counter("engine_cache_evictions_total", cache(|s| s.evictions)),
+        gauge(
+            "service_connections",
+            shared.conns_open.load(Ordering::Relaxed) as usize,
+        ),
+        gauge("service_fair_queue_parked", parked),
+    ]);
+    all.extend(vcsched_obs::global().snapshot().metrics);
+    Snapshot::from_series(all)
 }
 
 #[cfg(test)]
@@ -1986,7 +1975,7 @@ mod tests {
             stop: AtomicBool::new(false),
             selector: Mutex::new(SelectorTable::default()),
             explore_seq: AtomicU64::new(0),
-            decisions: DecisionCounters::default(),
+            metrics: ServerMetrics::new(),
             started: Instant::now(),
             conns_open: AtomicU64::new(0),
             conns_total: AtomicU64::new(0),
@@ -2012,10 +2001,10 @@ mod tests {
             token,
             slot: None,
             id: None,
-            metrics: crate::telemetry::request_metrics("schedule"),
+            ty: "schedule",
+            priority: None,
             start: Instant::now(),
             span: None,
-            priority_latency: None,
             done: false,
         }
     }

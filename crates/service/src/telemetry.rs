@@ -1,201 +1,210 @@
-//! Service-layer handles into the process-global obs registry.
+//! One server's own metrics.
 //!
-//! Everything here is process-global: multiple servers embedded in one
-//! process (as the test suite does) share these metrics. The per-server
-//! exact counters in [`crate::StatsReply`] stay authoritative for the
-//! `stats` verb; the registry aggregates for the `metrics` verb and the
-//! Prometheus exposition.
+//! Every server owns a private [`Registry`] and fetches its handles from
+//! it once, at start: the per-type and per-priority request series, the
+//! reactor's series, the rejection and invalid-line counters, the
+//! selector decisions, and the online deadline series. Two servers in
+//! one process therefore never share a count. The `stats` reply and the
+//! `metrics` snapshot both read these handles; the pool and cache
+//! figures come from the engine instances themselves (see
+//! `server::metrics`).
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::time::Duration;
 
-use vcsched_obs::{Counter, Gauge, Histogram};
+use vcsched_engine::adaptive::DecisionKind;
+use vcsched_obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::protocol::{LatencyReply, PriorityLatencyReply};
 
 /// Request types with per-type dispatch metrics, in wire order.
-pub(crate) const REQUEST_TYPES: &[&str] =
-    &["schedule", "batch", "stats", "metrics", "ping", "shutdown"];
+const REQUEST_TYPES: &[&str] = &["schedule", "batch", "stats", "metrics", "ping", "shutdown"];
+
+/// Request types that can carry a wire `priority` (per-priority latency
+/// histograms exist only for these).
+const PRIORITY_TYPES: &[&str] = &["schedule", "batch"];
+
+/// Adaptive decision kinds, in `decisions` order.
+const DECISION_KINDS: [DecisionKind; 3] = [
+    DecisionKind::FullUnseen,
+    DecisionKind::FullExplore,
+    DecisionKind::Narrowed,
+];
 
 /// Per-request-type dispatch metrics.
 pub(crate) struct RequestMetrics {
     /// `service_requests_total{type=…}`: requests dispatched.
     pub total: Counter,
     /// `service_request_us{type=…}`: end-to-end dispatch latency.
-    pub latency: Histogram,
+    latency: Histogram,
 }
 
-/// The dispatch metrics for one request type (a [`REQUEST_TYPES`] name).
-pub(crate) fn request_metrics(ty: &str) -> &'static RequestMetrics {
-    static CELL: OnceLock<Vec<RequestMetrics>> = OnceLock::new();
-    let all = CELL.get_or_init(|| {
-        let reg = vcsched_obs::global();
-        REQUEST_TYPES
-            .iter()
-            .map(|&t| RequestMetrics {
-                total: reg.counter_with("service_requests_total", &[("type", t)]),
-                latency: reg.histogram_with("service_request_us", &[("type", t)]),
-            })
-            .collect()
-    });
-    let idx = REQUEST_TYPES
-        .iter()
-        .position(|&t| t == ty)
-        .expect("known request type");
-    &all[idx]
-}
-
-/// Request types that can carry a wire `priority` (per-priority latency
-/// histograms exist only for these).
-pub(crate) const PRIORITY_TYPES: &[&str] = &["schedule", "batch"];
-
-/// Per-priority latency histograms for one priority-carrying request
-/// type, plus a bitmask of the bands actually used (so `stats` reports
-/// only live series).
-struct PriorityCell {
+/// `service_request_us{type=…,priority=…}` for one priority-carrying
+/// request type, plus a bitmask of the bands that recorded a request
+/// (so `stats` reports only live bands).
+struct PriorityLatency {
     latency: [Histogram; 4],
     used: AtomicU8,
 }
 
-static PRIORITY_CELLS: OnceLock<Vec<PriorityCell>> = OnceLock::new();
+/// A server's metric handles (see the module docs).
+pub(crate) struct ServerMetrics {
+    /// The registry every handle below was fetched from.
+    pub registry: Registry,
+    requests: Vec<RequestMetrics>,
+    by_priority: Vec<PriorityLatency>,
+    /// `service_rejections_total`: requests answered with a backpressure
+    /// rejection (`error` + `retry_after_ms`).
+    pub rejections: Counter,
+    /// `service_invalid_requests_total`: lines and frames that failed to
+    /// parse as a request.
+    pub invalid_requests: Counter,
+    /// `service_reactor_fds`: descriptors registered with the reactor's
+    /// poller (listener + wakeup pipe + connections).
+    pub reactor_fds: Gauge,
+    /// `service_reactor_wakeups_total`: times the reactor's wakeup pipe
+    /// became readable (completion batches and stop signals, coalesced).
+    pub reactor_wakeups: Counter,
+    /// `service_reactor_write_buffer_bytes`: reply bytes buffered on
+    /// connections whose sockets have not yet accepted them.
+    pub reactor_write_buffer: Gauge,
+    /// `service_slow_reader_closed_total`: connections closed because
+    /// their buffered replies exceeded `--max-write-buffer`.
+    pub slow_reader_closed: Counter,
+    /// `service_binary_connections_total`: connections that negotiated
+    /// the `vcsched-frame/v1` binary framing.
+    pub binary_connections: Counter,
+    /// `engine_selector_decisions_total{kind=…}`: adaptive decisions of
+    /// solved requests, by kind (see [`ServerMetrics::decision`]).
+    decisions: [Counter; 3],
+    /// `engine_deadline_misses_total`: deadline requests answered past
+    /// their deadline.
+    pub deadline_misses: Counter,
+    /// `engine_preemptions_total`: races a fired deadline cut to
+    /// best-so-far.
+    pub preemptions: Counter,
+    /// `engine_shed_total`: priority or deadline requests shed at
+    /// saturation.
+    pub shed: Counter,
+    /// `engine_slack_ms`: deadline slack requested at admission.
+    pub slack_ms: Histogram,
+}
 
-fn priority_cells() -> &'static [PriorityCell] {
-    PRIORITY_CELLS.get_or_init(|| {
-        let reg = vcsched_obs::global();
-        PRIORITY_TYPES
+impl ServerMetrics {
+    pub(crate) fn new() -> ServerMetrics {
+        let registry = Registry::new();
+        ServerMetrics {
+            requests: REQUEST_TYPES
+                .iter()
+                .map(|&t| RequestMetrics {
+                    total: registry.counter_with("service_requests_total", &[("type", t)]),
+                    latency: registry.histogram_with("service_request_us", &[("type", t)]),
+                })
+                .collect(),
+            by_priority: PRIORITY_TYPES
+                .iter()
+                .map(|&t| PriorityLatency {
+                    latency: ["0", "1", "2", "3"].map(|p| {
+                        registry
+                            .histogram_with("service_request_us", &[("type", t), ("priority", p)])
+                    }),
+                    used: AtomicU8::new(0),
+                })
+                .collect(),
+            rejections: registry.counter("service_rejections_total"),
+            invalid_requests: registry.counter("service_invalid_requests_total"),
+            reactor_fds: registry.gauge("service_reactor_fds"),
+            reactor_wakeups: registry.counter("service_reactor_wakeups_total"),
+            reactor_write_buffer: registry.gauge("service_reactor_write_buffer_bytes"),
+            slow_reader_closed: registry.counter("service_slow_reader_closed_total"),
+            binary_connections: registry.counter("service_binary_connections_total"),
+            decisions: DECISION_KINDS.map(|kind| {
+                registry.counter_with("engine_selector_decisions_total", &[("kind", kind.name())])
+            }),
+            deadline_misses: registry.counter("engine_deadline_misses_total"),
+            preemptions: registry.counter("engine_preemptions_total"),
+            shed: registry.counter("engine_shed_total"),
+            slack_ms: registry.histogram("engine_slack_ms"),
+            registry,
+        }
+    }
+
+    /// The dispatch metrics for one request type (a wire type name).
+    pub(crate) fn request(&self, ty: &str) -> &RequestMetrics {
+        let idx = REQUEST_TYPES
             .iter()
-            .map(|&t| PriorityCell {
-                latency: ["0", "1", "2", "3"].map(|p| {
-                    reg.histogram_with("service_request_us", &[("type", t), ("priority", p)])
-                }),
-                used: AtomicU8::new(0),
+            .position(|&t| t == ty)
+            .expect("known request type");
+        &self.requests[idx]
+    }
+
+    /// The decision counter for one kind. A decision counts once its
+    /// request is solved: a shed or lost request never reached the race.
+    pub(crate) fn decision(&self, kind: DecisionKind) -> &Counter {
+        let idx = DECISION_KINDS
+            .iter()
+            .position(|&k| k == kind)
+            .expect("every decision kind is listed");
+        &self.decisions[idx]
+    }
+
+    /// Records a finished request's latency under its type and, when it
+    /// carried a wire `priority`, under its priority band too.
+    pub(crate) fn record_latency(&self, ty: &str, priority: Option<u8>, elapsed: Duration) {
+        self.request(ty).latency.record_duration(elapsed);
+        let Some(priority) = priority else {
+            return;
+        };
+        if let Some(idx) = PRIORITY_TYPES.iter().position(|&t| t == ty) {
+            let cell = &self.by_priority[idx];
+            let band = priority.min(3);
+            cell.used.fetch_or(1 << band, Ordering::Relaxed);
+            cell.latency[band as usize].record_duration(elapsed);
+        }
+    }
+
+    /// The `stats` reply's latency section: one row per request type,
+    /// with per-priority rows only for bands that recorded a request
+    /// (empty until the online path is used, keeping the pre-online
+    /// `stats` shape).
+    pub(crate) fn latency_replies(&self) -> Vec<LatencyReply> {
+        REQUEST_TYPES
+            .iter()
+            .zip(&self.requests)
+            .map(|(&t, m)| {
+                let snap = m.latency.snapshot();
+                LatencyReply {
+                    request: t.to_owned(),
+                    count: snap.count,
+                    p50_us: snap.p50,
+                    p90_us: snap.p90,
+                    p99_us: snap.p99,
+                    p999_us: snap.p999,
+                    by_priority: self.priority_replies(t),
+                }
             })
             .collect()
-    })
-}
+    }
 
-/// The `service_request_us{type=…,priority=…}` histogram for a
-/// priority-carrying request. Marks the band live for
-/// [`latency_replies`].
-pub(crate) fn priority_latency(ty: &str, priority: u8) -> &'static Histogram {
-    let idx = PRIORITY_TYPES
-        .iter()
-        .position(|&t| t == ty)
-        .expect("priority-carrying request type");
-    let cell = &priority_cells()[idx];
-    let band = priority.min(3) as usize;
-    cell.used.fetch_or(1 << band, Ordering::Relaxed);
-    &cell.latency[band]
-}
-
-/// The per-priority latency rows for one request type: only bands that
-/// have actually recorded a request (empty until the online path is
-/// used, keeping the pre-online `stats` shape).
-fn priority_replies(ty: &str) -> Vec<PriorityLatencyReply> {
-    let Some(cells) = PRIORITY_CELLS.get() else {
-        return Vec::new();
-    };
-    let Some(idx) = PRIORITY_TYPES.iter().position(|&t| t == ty) else {
-        return Vec::new();
-    };
-    let cell = &cells[idx];
-    let used = cell.used.load(Ordering::Relaxed);
-    (0u8..4)
-        .filter(|&p| used & (1 << p) != 0)
-        .map(|p| {
-            let snap = cell.latency[p as usize].snapshot();
-            PriorityLatencyReply {
-                priority: p,
-                count: snap.count,
-                p50_us: snap.p50,
-                p90_us: snap.p90,
-                p99_us: snap.p99,
-                p999_us: snap.p999,
-            }
-        })
-        .collect()
-}
-
-/// `service_connections`: currently open client connections.
-pub(crate) fn connections() -> &'static Gauge {
-    static CELL: OnceLock<Gauge> = OnceLock::new();
-    CELL.get_or_init(|| vcsched_obs::global().gauge("service_connections"))
-}
-
-/// `service_rejections_total`: requests answered with a backpressure
-/// rejection (`error` + `retry_after_ms`).
-pub(crate) fn rejections() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    CELL.get_or_init(|| vcsched_obs::global().counter("service_rejections_total"))
-}
-
-/// `service_invalid_requests_total`: lines that failed to parse as a
-/// request.
-pub(crate) fn invalid_requests() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    CELL.get_or_init(|| vcsched_obs::global().counter("service_invalid_requests_total"))
-}
-
-/// `service_reactor_fds`: descriptors registered with the reactor's
-/// poller (listener + wakeup pipe + connections), summed over in-process
-/// servers.
-pub(crate) fn reactor_fds() -> &'static Gauge {
-    static CELL: OnceLock<Gauge> = OnceLock::new();
-    CELL.get_or_init(|| vcsched_obs::global().gauge("service_reactor_fds"))
-}
-
-/// `service_reactor_wakeups_total`: times the reactor's wakeup pipe
-/// became readable (completion batches and stop signals, coalesced).
-pub(crate) fn reactor_wakeups() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    CELL.get_or_init(|| vcsched_obs::global().counter("service_reactor_wakeups_total"))
-}
-
-/// `service_reactor_write_buffer_bytes`: reply bytes buffered on
-/// connections whose sockets have not yet accepted them.
-pub(crate) fn reactor_write_buffer() -> &'static Gauge {
-    static CELL: OnceLock<Gauge> = OnceLock::new();
-    CELL.get_or_init(|| vcsched_obs::global().gauge("service_reactor_write_buffer_bytes"))
-}
-
-/// `service_slow_reader_closed_total`: connections closed because their
-/// buffered replies exceeded the per-connection write-buffer cap
-/// (`--max-write-buffer`) — a reader too slow for what it requested.
-pub(crate) fn slow_reader_closed() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    CELL.get_or_init(|| vcsched_obs::global().counter("service_slow_reader_closed_total"))
-}
-
-/// `service_binary_connections_total`: connections that negotiated the
-/// `vcsched-frame/v1` binary framing via the magic preamble.
-pub(crate) fn binary_connections() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    CELL.get_or_init(|| vcsched_obs::global().counter("service_binary_connections_total"))
-}
-
-/// `service_fair_queue_parked`: requests currently parked in
-/// per-connection fair-queue rings waiting for admission capacity.
-pub(crate) fn fair_queue_parked() -> &'static Gauge {
-    static CELL: OnceLock<Gauge> = OnceLock::new();
-    CELL.get_or_init(|| vcsched_obs::global().gauge("service_fair_queue_parked"))
-}
-
-/// The `stats` reply's latency section: one row per request type, read
-/// from the registry's `service_request_us` histograms.
-pub(crate) fn latency_replies() -> Vec<LatencyReply> {
-    REQUEST_TYPES
-        .iter()
-        .map(|&t| {
-            let snap = request_metrics(t).latency.snapshot();
-            LatencyReply {
-                request: t.to_owned(),
-                count: snap.count,
-                p50_us: snap.p50,
-                p90_us: snap.p90,
-                p99_us: snap.p99,
-                p999_us: snap.p999,
-                by_priority: priority_replies(t),
-            }
-        })
-        .collect()
+    fn priority_replies(&self, ty: &str) -> Vec<PriorityLatencyReply> {
+        let Some(idx) = PRIORITY_TYPES.iter().position(|&t| t == ty) else {
+            return Vec::new();
+        };
+        let cell = &self.by_priority[idx];
+        let used = cell.used.load(Ordering::Relaxed);
+        (0u8..4)
+            .filter(|&p| used & (1 << p) != 0)
+            .map(|p| {
+                let snap = cell.latency[p as usize].snapshot();
+                PriorityLatencyReply {
+                    priority: p,
+                    count: snap.count,
+                    p50_us: snap.p50,
+                    p90_us: snap.p90,
+                    p99_us: snap.p99,
+                    p999_us: snap.p999,
+                }
+            })
+            .collect()
+    }
 }

@@ -1,16 +1,19 @@
 //! Observability through the wire: the `metrics` verb, the Prometheus
 //! exposition derived from it, the stats reply's latency section, and
-//! rejection accounting in the global registry.
+//! rejection and decision accounting.
 //!
-//! The obs registry is process-global and these tests run in one test
-//! binary, so every assertion is a delta or a lower bound — never an
-//! exact global count.
+//! Every `engine_*` and `service_*` series belongs to the server that
+//! produced it, so each test asserts exact counts against its own
+//! server — also with a second server live in the same process.
 
-use std::time::Duration;
+use std::io::Write;
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use serde::Deserialize;
+use vcsched_obs::{MetricValue, Snapshot};
 use vcsched_service::{
-    serve, Client, Request, Response, ScheduleMode, ServerHandle, ServiceConfig,
+    serve, Client, Request, Response, ScheduleMode, ServerHandle, ServiceConfig, StatsReply,
 };
 use vcsched_workload::{benchmark, generate_block, InputSet};
 
@@ -43,6 +46,129 @@ fn block_request(index: u64) -> Request {
     }
 }
 
+/// An adaptive `schedule` at the given priority.
+fn adaptive_request(index: u64, priority: Option<u8>) -> Request {
+    let mut request = block_request(index);
+    if let Request::Schedule {
+        mode,
+        adaptive,
+        priority: p,
+        ..
+    } = &mut request
+    {
+        *mode = Some(ScheduleMode::Portfolio);
+        *adaptive = Some(true);
+        *p = priority;
+    }
+    request
+}
+
+fn ping(delay_ms: u64, priority: Option<u8>) -> Request {
+    Request::Ping { delay_ms, priority }
+}
+
+/// This server's snapshot, read through its own `metrics` verb.
+fn snapshot(client: &mut Client) -> Snapshot {
+    match client.request(&Request::Metrics).expect("reply") {
+        Response::Metrics { metrics } => Snapshot::from_value(&metrics).expect("snapshot parses"),
+        other => panic!("expected metrics reply, got {other:?}"),
+    }
+}
+
+fn stats(client: &mut Client) -> StatsReply {
+    match client.request(&Request::Stats).expect("reply") {
+        Response::Stats(stats) => stats,
+        other => panic!("expected stats, got {other:?}"),
+    }
+}
+
+/// A counter's or gauge's value; 0 when the series is absent.
+fn value(snapshot: &Snapshot, name: &str, labels: &[(&str, &str)]) -> i64 {
+    match snapshot.find(name, labels).map(|m| &m.value) {
+        Some(MetricValue::Counter(n)) => *n as i64,
+        Some(MetricValue::Gauge(n)) => *n,
+        Some(other) => panic!("{name} is a histogram: {other:?}"),
+        None => 0,
+    }
+}
+
+/// A histogram's sample count; 0 when the series is absent.
+fn histogram_count(snapshot: &Snapshot, name: &str, labels: &[(&str, &str)]) -> u64 {
+    match snapshot.find(name, labels).map(|m| &m.value) {
+        Some(MetricValue::Histogram(h)) => h.count,
+        Some(other) => panic!("{name} is not a histogram: {other:?}"),
+        None => 0,
+    }
+}
+
+fn latency_count(stats: &StatsReply, ty: &str) -> u64 {
+    stats
+        .latency
+        .iter()
+        .find(|l| l.request == ty)
+        .unwrap_or_else(|| panic!("latency row for {ty}"))
+        .count
+}
+
+/// Decisions the selector made, as `stats` reports them and as the
+/// `engine_selector_decisions_total` series does.
+fn decisions(client: &mut Client) -> (u64, u64) {
+    let adaptive = stats(client).adaptive.expect("adaptive stats");
+    let from_stats = adaptive.narrowed + adaptive.full_unseen + adaptive.full_explore;
+    let snap = snapshot(client);
+    let from_metrics = ["full-unseen", "full-explore", "narrowed"]
+        .iter()
+        .map(|kind| value(&snap, "engine_selector_decisions_total", &[("kind", kind)]) as u64)
+        .sum();
+    (from_stats, from_metrics)
+}
+
+/// Occupies a 1-worker/1-slot server: a ping holding the worker for
+/// `hold_ms`, then a second ping in the queue slot. Returns once `stats`
+/// (read through `client`) shows both in place, with both client
+/// threads.
+fn saturate(
+    server: &ServerHandle,
+    client: &mut Client,
+    hold_ms: u64,
+) -> Vec<std::thread::JoinHandle<Response>> {
+    let addr = server.addr();
+    let admitted = stats(client).accepted;
+    let mut holders = Vec::new();
+    for (delay_ms, queued) in [(hold_ms, 0), (0, 1)] {
+        holders.push(std::thread::spawn(move || {
+            let mut c = Client::connect(addr).expect("connect");
+            c.request(&ping(delay_ms, None)).expect("pong")
+        }));
+        let want = admitted + holders.len() as u64;
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let s = stats(client);
+            if s.accepted == want && s.queue_depth == queued {
+                break;
+            }
+            assert!(Instant::now() < deadline, "holder {want} never admitted");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    holders
+}
+
+fn join_pongs(holders: Vec<std::thread::JoinHandle<Response>>) {
+    for h in holders {
+        assert!(matches!(h.join().expect("holder"), Response::Pong { .. }));
+    }
+}
+
+/// Polls this server's metrics until `name` reads `want`.
+fn wait_for_value(client: &mut Client, name: &str, want: i64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while value(&snapshot(client), name, &[]) != want {
+        assert!(Instant::now() < deadline, "{name} never reached {want}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 #[test]
 fn metrics_verb_roundtrips_and_renders_prometheus_text() {
     let server = small_server(2, 8);
@@ -52,20 +178,17 @@ fn metrics_verb_roundtrips_and_renders_prometheus_text() {
     assert!(client.request(&block_request(1)).expect("reply").is_ok());
     assert!(client.request(&Request::Stats).expect("reply").is_ok());
 
-    let metrics = match client.request(&Request::Metrics).expect("reply") {
-        Response::Metrics { metrics } => metrics,
-        other => panic!("expected metrics reply, got {other:?}"),
-    };
-    let snapshot = vcsched_obs::Snapshot::from_value(&metrics).expect("snapshot parses");
+    let snapshot = snapshot(&mut client);
     assert!(!snapshot.metrics.is_empty(), "snapshot must not be empty");
-    // The service's own dispatch counter must be visible, with the
-    // requests this test already made.
-    let schedule_total = snapshot
-        .find("service_requests_total", &[("type", "schedule")])
-        .expect("service_requests_total{type=schedule} present");
-    match schedule_total.value {
-        vcsched_obs::MetricValue::Counter(n) => assert!(n >= 1, "counted {n}"),
-        ref other => panic!("expected a counter, got {other:?}"),
+    // The service's own dispatch counter carries exactly the requests
+    // this test made of this server (the `metrics` request itself is
+    // counted at dispatch, before the snapshot is taken).
+    for (ty, want) in [("schedule", 1), ("stats", 1), ("metrics", 1), ("ping", 0)] {
+        assert_eq!(
+            value(&snapshot, "service_requests_total", &[("type", ty)]),
+            want,
+            "service_requests_total{{type={ty}}}"
+        );
     }
 
     // The exposition derived from the snapshot parses line by line:
@@ -138,21 +261,15 @@ fn stats_reply_reports_uptime_and_latency_quantiles() {
     };
     assert!(client.request(&batch).expect("reply").is_ok());
 
-    let stats = match client.request(&Request::Stats).expect("reply") {
-        Response::Stats(stats) => stats,
-        other => panic!("expected stats, got {other:?}"),
-    };
-    let by_type = |ty: &str| {
-        stats
-            .latency
-            .iter()
-            .find(|l| l.request == ty)
-            .unwrap_or_else(|| panic!("latency row for {ty}"))
-    };
-    // Latency histograms are process-global, so only lower bounds hold.
-    assert!(by_type("schedule").count >= 1, "{:?}", stats.latency);
-    assert!(by_type("batch").count >= 1, "{:?}", stats.latency);
-    let schedule = by_type("schedule");
+    let stats = stats(&mut client);
+    assert_eq!(latency_count(&stats, "schedule"), 1, "{:?}", stats.latency);
+    assert_eq!(latency_count(&stats, "batch"), 1, "{:?}", stats.latency);
+    assert_eq!(latency_count(&stats, "ping"), 0, "{:?}", stats.latency);
+    let schedule = stats
+        .latency
+        .iter()
+        .find(|l| l.request == "schedule")
+        .expect("schedule row");
     assert!(
         schedule.p50_us <= schedule.p90_us
             && schedule.p90_us <= schedule.p99_us
@@ -165,40 +282,12 @@ fn stats_reply_reports_uptime_and_latency_quantiles() {
 }
 
 #[test]
-fn queue_full_rejection_counts_in_the_global_registry() {
-    let rejections = vcsched_obs::global().counter("service_rejections_total");
-    let before = rejections.get();
-
+fn queue_full_rejection_counts_in_the_server_registry() {
     // One worker, one queue slot: deterministic saturation.
     let server = small_server(1, 1);
-    let addr = server.addr();
-    let busy = std::thread::spawn(move || {
-        let mut c = Client::connect(addr).expect("connect");
-        c.request(&Request::Ping {
-            delay_ms: 1_500,
-            priority: None,
-        })
-        .expect("pong")
-    });
-    std::thread::sleep(Duration::from_millis(300));
-    let queued = std::thread::spawn(move || {
-        let mut c = Client::connect(addr).expect("connect");
-        c.request(&Request::Ping {
-            delay_ms: 0,
-            priority: None,
-        })
-        .expect("pong")
-    });
-    std::thread::sleep(Duration::from_millis(300));
-
     let mut client = Client::connect(server.addr()).expect("connect");
-    match client
-        .request(&Request::Ping {
-            delay_ms: 0,
-            priority: None,
-        })
-        .expect("reply")
-    {
+    let holders = saturate(&server, &mut client, 1_000);
+    match client.request(&ping(0, None)).expect("reply") {
         Response::Error {
             error,
             retry_after_ms,
@@ -211,16 +300,278 @@ fn queue_full_rejection_counts_in_the_global_registry() {
         }
         other => panic!("expected backpressure error, got {other:?}"),
     }
-    assert!(
-        rejections.get() > before,
-        "the global rejection counter must move"
-    );
+    let snap = snapshot(&mut client);
+    assert_eq!(value(&snap, "service_rejections_total", &[]), 1);
+    assert_eq!(value(&snap, "engine_pool_rejected_total", &[]), 1);
+    assert_eq!(stats(&mut client).rejected, 1);
 
-    assert!(matches!(busy.join().expect("busy"), Response::Pong { .. }));
-    assert!(matches!(
-        queued.join().expect("queued"),
-        Response::Pong { .. }
-    ));
+    join_pongs(holders);
     client.request(&Request::Shutdown).expect("shutdown");
     server.join();
+}
+
+/// Every `engine_*` and `service_*` identity (name, labels, kind) the
+/// `metrics` verb exposes after [`drive_every_path`], sorted. perfbench,
+/// CI and `vcsched top` read these series by name, so none may be
+/// added, dropped or retyped without updating this list.
+const PINNED_IDENTITIES: &[&str] = &[
+    "engine_cache_evictions_total counter",
+    "engine_cache_hits_total counter",
+    "engine_cache_insertions_total counter",
+    "engine_cache_misses_total counter",
+    "engine_deadline_misses_total counter",
+    "engine_pool_accepted_total counter",
+    "engine_pool_busy gauge",
+    "engine_pool_completed_total counter",
+    "engine_pool_rejected_total counter",
+    "engine_preemptions_total counter",
+    "engine_queue_depth gauge",
+    "engine_queue_wait_us histogram",
+    "engine_selector_decisions_total{kind=full-explore} counter",
+    "engine_selector_decisions_total{kind=full-unseen} counter",
+    "engine_selector_decisions_total{kind=narrowed} counter",
+    "engine_shed_total counter",
+    "engine_slack_ms histogram",
+    "engine_solve_us histogram",
+    "service_binary_connections_total counter",
+    "service_connections gauge",
+    "service_fair_queue_parked gauge",
+    "service_invalid_requests_total counter",
+    "service_reactor_fds gauge",
+    "service_reactor_wakeups_total counter",
+    "service_reactor_write_buffer_bytes gauge",
+    "service_rejections_total counter",
+    "service_request_us{type=batch,priority=0} histogram",
+    "service_request_us{type=batch,priority=1} histogram",
+    "service_request_us{type=batch,priority=2} histogram",
+    "service_request_us{type=batch,priority=3} histogram",
+    "service_request_us{type=batch} histogram",
+    "service_request_us{type=metrics} histogram",
+    "service_request_us{type=ping} histogram",
+    "service_request_us{type=schedule,priority=0} histogram",
+    "service_request_us{type=schedule,priority=1} histogram",
+    "service_request_us{type=schedule,priority=2} histogram",
+    "service_request_us{type=schedule,priority=3} histogram",
+    "service_request_us{type=schedule} histogram",
+    "service_request_us{type=shutdown} histogram",
+    "service_request_us{type=stats} histogram",
+    "service_requests_total{type=batch} counter",
+    "service_requests_total{type=metrics} counter",
+    "service_requests_total{type=ping} counter",
+    "service_requests_total{type=schedule} counter",
+    "service_requests_total{type=shutdown} counter",
+    "service_requests_total{type=stats} counter",
+    "service_slow_reader_closed_total counter",
+];
+
+/// Drives every request path that produces an `engine_*` or
+/// `service_*` series through a 1-worker/1-slot server whose write
+/// buffer cap is 64 KiB.
+fn drive_every_path(server: &ServerHandle, client: &mut Client) {
+    // A single, a portfolio and an adaptive schedule.
+    assert!(client.request(&block_request(1)).expect("reply").is_ok());
+    let mut portfolio = block_request(2);
+    if let Request::Schedule { mode, .. } = &mut portfolio {
+        *mode = Some(ScheduleMode::Portfolio);
+    }
+    assert!(client.request(&portfolio).expect("reply").is_ok());
+    assert!(client
+        .request(&adaptive_request(3, None))
+        .expect("reply")
+        .is_ok());
+    // A streamed batch.
+    client
+        .send(
+            &Request::Batch {
+                bench: "130.li".into(),
+                count: 3,
+                seed: 5,
+                machine: "2c".into(),
+                policies: None,
+                portfolio: Some(false),
+                steps: Some(5_000),
+                budget_bytes: None,
+                early_cancel: None,
+                adaptive: None,
+                stream: true,
+                deadline_ms: None,
+                priority: None,
+            },
+            Some(7),
+        )
+        .expect("send batch");
+    loop {
+        match client.recv().expect("batch frame") {
+            (Some(7), Response::Block(_)) => {}
+            (Some(7), Response::Batch { .. }) => break,
+            other => panic!("unexpected batch frame {other:?}"),
+        }
+    }
+    // A ping with a priority, and a schedule with a deadline.
+    assert!(client.request(&ping(0, Some(2))).expect("reply").is_ok());
+    let mut deadline = block_request(4);
+    if let Request::Schedule {
+        deadline_ms,
+        priority,
+        ..
+    } = &mut deadline
+    {
+        *deadline_ms = Some(60_000);
+        *priority = Some(1);
+    }
+    assert!(client.request(&deadline).expect("reply").is_ok());
+    // A queue-full rejection.
+    let holders = saturate(server, client, 1_000);
+    assert!(matches!(
+        client.request(&ping(0, None)).expect("reply"),
+        Response::Error { .. }
+    ));
+    join_pongs(holders);
+    // One binary-wire connection.
+    let mut binary = Client::connect_binary(server.addr()).expect("connect binary");
+    assert!(binary.request(&ping(0, None)).expect("reply").is_ok());
+    drop(binary);
+    // One invalid line.
+    let raw = client.request_raw("{not json").expect("error reply");
+    assert!(raw.contains("invalid request"), "{raw}");
+    // One slow reader: pipelined `stats` requests whose replies are
+    // never read overflow the write-buffer cap in one reactor pass.
+    let mut slow = TcpStream::connect(server.addr()).expect("connect slow reader");
+    slow.write_all(&b"{\"type\":\"stats\"}\n".repeat(2_000))
+        .expect("send stats burst");
+    wait_for_value(client, "service_slow_reader_closed_total", 1);
+    drop(slow);
+}
+
+/// Sorted `name{labels} kind` identities of every `engine_*` and
+/// `service_*` series in a snapshot.
+fn identities(snapshot: &Snapshot) -> Vec<String> {
+    let mut ids: Vec<String> = snapshot
+        .metrics
+        .iter()
+        .filter(|m| m.name.starts_with("engine_") || m.name.starts_with("service_"))
+        .map(|m| {
+            let labels: Vec<String> = m.labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            let kind = match m.value {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge(_) => "gauge",
+                MetricValue::Histogram(_) => "histogram",
+            };
+            if labels.is_empty() {
+                format!("{} {kind}", m.name)
+            } else {
+                format!("{}{{{}}} {kind}", m.name, labels.join(","))
+            }
+        })
+        .collect();
+    ids.sort();
+    ids
+}
+
+#[test]
+fn metrics_exposition_identities_match_the_pinned_list() {
+    let server = serve(ServiceConfig {
+        addr: "127.0.0.1:0".into(),
+        jobs: 1,
+        queue_capacity: 1,
+        cache_shards: 4,
+        max_write_buffer: 64 << 10,
+        ..ServiceConfig::default()
+    })
+    .expect("server starts");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    drive_every_path(&server, &mut client);
+    let got = identities(&snapshot(&mut client));
+    assert_eq!(got, PINNED_IDENTITIES, "\n{}", got.join("\n"));
+    client.request(&Request::Shutdown).expect("shutdown");
+    server.join();
+}
+
+/// Two servers live in one process: each one's latency counts, client
+/// count and request counters describe only its own traffic.
+#[test]
+fn two_live_servers_report_only_their_own_traffic() {
+    let quiet = small_server(1, 4);
+    let busy = small_server(1, 4);
+    let mut quiet_client = Client::connect(quiet.addr()).expect("connect quiet");
+    let mut busy_client = Client::connect(busy.addr()).expect("connect busy");
+    let mut second = Client::connect(busy.addr()).expect("connect busy again");
+    for _ in 0..5 {
+        assert!(busy_client.request(&ping(0, None)).expect("pong").is_ok());
+    }
+    assert!(second.request(&ping(0, None)).expect("pong").is_ok());
+
+    let quiet_stats = stats(&mut quiet_client);
+    assert_eq!(latency_count(&quiet_stats, "ping"), 0);
+    assert_eq!(quiet_stats.connections_open, 1);
+    let busy_stats = stats(&mut busy_client);
+    assert_eq!(latency_count(&busy_stats, "ping"), 6);
+    assert_eq!(busy_stats.connections_open, 2);
+
+    let quiet_snap = snapshot(&mut quiet_client);
+    assert_eq!(value(&quiet_snap, "service_connections", &[]), 1);
+    assert_eq!(
+        histogram_count(&quiet_snap, "service_request_us", &[("type", "ping")]),
+        0
+    );
+    assert_eq!(value(&quiet_snap, "engine_pool_completed_total", &[]), 0);
+    let busy_snap = snapshot(&mut busy_client);
+    assert_eq!(value(&busy_snap, "service_connections", &[]), 2);
+    assert_eq!(
+        histogram_count(&busy_snap, "service_request_us", &[("type", "ping")]),
+        6
+    );
+    assert_eq!(
+        value(&busy_snap, "service_requests_total", &[("type", "ping")]),
+        6
+    );
+    assert_eq!(value(&busy_snap, "engine_pool_completed_total", &[]), 6);
+    assert_eq!(histogram_count(&busy_snap, "engine_queue_wait_us", &[]), 6);
+
+    drop(second);
+    quiet_client.request(&Request::Shutdown).expect("shutdown");
+    busy_client.request(&Request::Shutdown).expect("shutdown");
+    quiet.join();
+    busy.join();
+}
+
+/// A shed adaptive request never reached the race, so it counts no
+/// selector decision; a parked priority-2 request retried through
+/// saturation counts exactly one, once it is solved. A second server is
+/// live throughout and counts none.
+#[test]
+fn selector_decisions_count_solved_requests_only() {
+    let other = small_server(1, 4);
+    let mut other_client = Client::connect(other.addr()).expect("connect other");
+    let server = small_server(1, 1);
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    let holders = saturate(&server, &mut client, 1_000);
+    for i in 0..6 {
+        match client
+            .request(&adaptive_request(10 + i, None))
+            .expect("reply")
+        {
+            Response::Error { retry_after_ms, .. } => assert!(retry_after_ms.is_some()),
+            other => panic!("expected a shed, got {other:?}"),
+        }
+    }
+    assert_eq!(decisions(&mut client), (0, 0));
+
+    // Parked at saturation, retried as the holders complete, then solved.
+    let parked = client
+        .request(&adaptive_request(20, Some(2)))
+        .expect("reply");
+    assert!(
+        matches!(parked, Response::Schedule(_)),
+        "expected a schedule reply, got {parked:?}"
+    );
+    join_pongs(holders);
+    assert_eq!(decisions(&mut client), (1, 1));
+    assert_eq!(decisions(&mut other_client), (0, 0));
+
+    client.request(&Request::Shutdown).expect("shutdown");
+    other_client.request(&Request::Shutdown).expect("shutdown");
+    server.join();
+    other.join();
 }

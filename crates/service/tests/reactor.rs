@@ -42,8 +42,8 @@ fn batch_request(stream: bool) -> Request {
     }
 }
 
-/// Reads the process-global invalid-request counter through the
-/// `metrics` verb (process-global, so tests assert deltas).
+/// Reads the server's invalid-request counter through the `metrics`
+/// verb.
 fn invalid_requests(client: &mut Client) -> u64 {
     let Response::Metrics { metrics } = client.request(&Request::Metrics).expect("metrics") else {
         panic!("expected metrics reply");
@@ -229,13 +229,13 @@ fn streamed_batch_frames_precede_an_identical_summary() {
 }
 
 /// All three rejection paths — non-UTF-8 lines, oversized lines, and
-/// parse failures — count toward `service_invalid_requests_total`.
-/// (The counter is process-global, so the assertion is a delta.)
+/// parse failures — count toward `service_invalid_requests_total`,
+/// exactly once each.
 #[test]
 fn every_rejection_path_counts_an_invalid_request() {
     let server = small_server(1, 4);
     let mut client = Client::connect(server.addr()).expect("connect");
-    let before = invalid_requests(&mut client);
+    assert_eq!(invalid_requests(&mut client), 0);
 
     let mut raw = TcpStream::connect(server.addr()).expect("connect");
     let mut reader = BufReader::new(raw.try_clone().unwrap());
@@ -261,10 +261,10 @@ fn every_rejection_path_counts_an_invalid_request() {
     reader.read_line(&mut line).expect("reply");
     assert!(line.contains("exceeds"), "{line}");
 
-    let after = invalid_requests(&mut client);
-    assert!(
-        after >= before + 3,
-        "all three rejection paths must count: before={before} after={after}"
+    assert_eq!(
+        invalid_requests(&mut client),
+        3,
+        "each rejection path must count once"
     );
 
     client.request(&Request::Shutdown).expect("shutdown");

@@ -14,7 +14,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::Deserialize;
@@ -27,15 +27,6 @@ use vcsched_service::{
     serve, BlockReply, CacheReply, Client, Request, Response, ScheduleMode, ScheduleReply,
     ServerHandle, ServiceConfig, StatsReply,
 };
-
-/// Held by every test that opens binary connections.
-/// `service_binary_connections_total` is process-global, so the test that
-/// counts its own binary negotiations must not overlap the others.
-static BINARY_CLIENTS: Mutex<()> = Mutex::new(());
-
-fn binary_clients() -> MutexGuard<'static, ()> {
-    BINARY_CLIENTS.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn small_server(jobs: usize, queue: usize) -> ServerHandle {
     serve(ServiceConfig {
@@ -268,7 +259,6 @@ fn legacy_json_wire_stays_byte_identical() {
 /// result — fresh server per wire so cache state cannot differ.
 #[test]
 fn schedule_results_agree_across_wires() {
-    let _serial = binary_clients();
     let request = Request::Schedule {
         block: test_block(),
         machine: "2c".to_owned(),
@@ -309,7 +299,7 @@ fn schedule_results_agree_across_wires() {
     assert_eq!(json.schedule, binary.schedule);
 }
 
-/// Reads one process-global counter through a client's `metrics` verb.
+/// Reads one of the server's counters through a client's `metrics` verb.
 fn counter(client: &mut Client, name: &str) -> u64 {
     let Response::Metrics { metrics } = client.request(&Request::Metrics).expect("metrics") else {
         panic!("expected metrics reply");
@@ -332,13 +322,11 @@ fn counter(client: &mut Client, name: &str) -> u64 {
 /// counts — is exact.
 #[test]
 fn mixed_framing_clients_interleave_with_exact_accounting() {
-    let _serial = binary_clients();
     const CLIENTS: usize = 6; // alternating JSON / binary
     const PINGS: u64 = 25;
     let server = small_server(2, 32);
     let addr = server.addr();
     let mut probe = Client::connect(addr).expect("connect probe");
-    let binary_before = counter(&mut probe, "service_binary_connections_total");
     let replies = Arc::new(AtomicU64::new(0));
     let workers: Vec<_> = (0..CLIENTS)
         .map(|c| {
@@ -386,9 +374,8 @@ fn mixed_framing_clients_interleave_with_exact_accounting() {
         w.join().expect("client thread");
     }
     assert_eq!(replies.load(Ordering::Relaxed), CLIENTS as u64 * PINGS);
-    let binary_after = counter(&mut probe, "service_binary_connections_total");
     assert_eq!(
-        binary_after - binary_before,
+        counter(&mut probe, "service_binary_connections_total"),
         CLIENTS as u64 / 2,
         "every binary client (and nothing else) negotiates the preamble"
     );
@@ -411,7 +398,6 @@ fn mixed_framing_clients_interleave_with_exact_accounting() {
 /// still finishes.
 #[test]
 fn pings_keep_flowing_while_a_batch_saturates_the_pool() {
-    let _serial = binary_clients();
     const PINGERS: usize = 3;
     const PINGS: u64 = 10;
     let server = small_server(1, 2);
@@ -531,7 +517,6 @@ fn hostile_block(dep: usize, from: u64, to: u64) -> Value {
 /// and the server's only worker survives to answer the next request.
 #[test]
 fn hostile_blocks_get_typed_errors_and_the_pool_survives() {
-    let _serial = binary_clients();
     let server = small_server(1, 4);
     let cases = [
         (hostile_block(1, 1, 9), "dependence references missing i9"),

@@ -20,8 +20,8 @@
 //!   schedule cache;
 //! * [`service`] — the long-running daemon: TCP server speaking
 //!   newline-delimited JSON over a bounded admission queue;
-//! * [`obs`] — the observability core: process-global metrics registry
-//!   (counters, gauges, latency histograms) and span-based tracing;
+//! * [`obs`] — the observability core: metrics registries (counters,
+//!   gauges, latency histograms) and span-based tracing;
 //! * [`arch`], [`ir`], [`graph`] — machine model, superblock IR, graph
 //!   algorithms.
 

@@ -167,9 +167,11 @@ ONLINE / REPLAY:
     engine_shed_total counters and engine_slack_ms histogram.
 
 OBSERVABILITY:
-    Every layer dual-writes into a process-global metrics registry
-    (counters, gauges, log-scale latency histograms with deterministic
-    p50/p90/p99/p999). `vcsched request metrics` dumps the full
+    Series belong to their server: each `serve` keeps its engine_* and
+    service_* counters, gauges and log-scale latency histograms
+    (deterministic p50/p90/p99/p999) itself and renders `stats` and
+    `metrics` from them; only the vc_* and obs_* series are
+    process-wide. `vcsched request metrics` dumps the full
     snapshot as JSON; add --metrics-text for Prometheus exposition
     text. `vcsched top` renders the same snapshot as a terminal view —
     one-shot by default, repeating with --interval SECS (--count N
