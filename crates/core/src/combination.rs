@@ -124,28 +124,36 @@ impl CombDomain {
         present
     }
 
+    /// Bits of the window's values whose offset from `range.lo` is below
+    /// `offset` (clamped to the window).
+    fn offsets_below(&self, offset: i64) -> u64 {
+        let n = offset.clamp(0, self.range.len() as i64);
+        if n == 64 {
+            u64::MAX
+        } else {
+            (1u64 << n) - 1
+        }
+    }
+
+    /// Discards every value in `mask` (bits of the window); returns `true`
+    /// if any was present.
+    fn discard_mask(&mut self, mask: u64) -> bool {
+        let present = mask & !self.discarded != 0;
+        self.discarded |= mask;
+        present
+    }
+
     /// Discards every value strictly below `d`. Returns `true` if any was
     /// present.
     pub fn discard_below(&mut self, d: i64) -> bool {
-        let mut any = false;
-        for v in self.range.iter() {
-            if v < d {
-                any |= self.discard(v);
-            }
-        }
-        any
+        self.discard_mask(self.offsets_below(d.saturating_sub(self.range.lo)))
     }
 
     /// Discards every value strictly above `d`. Returns `true` if any was
     /// present.
     pub fn discard_above(&mut self, d: i64) -> bool {
-        let mut any = false;
-        for v in self.range.iter() {
-            if v > d {
-                any |= self.discard(v);
-            }
-        }
-        any
+        let keep = self.offsets_below(d.saturating_sub(self.range.lo).saturating_add(1));
+        self.discard_mask(self.offsets_below(64) & !keep)
     }
 
     /// Returns `true` if `d` is still possible.
@@ -170,11 +178,8 @@ impl CombDomain {
 
     /// The single remaining value, if exactly one is left.
     pub fn singleton(&self) -> Option<i64> {
-        let mut it = self.iter();
-        match (it.next(), it.next()) {
-            (Some(d), None) => Some(d),
-            _ => None,
-        }
+        let left = self.offsets_below(64) & !self.discarded;
+        (left.count_ones() == 1).then(|| self.range.lo + left.trailing_zeros() as i64)
     }
 }
 
@@ -237,6 +242,49 @@ mod tests {
         assert!(d.discard_above(1));
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![-1, 0, 1]);
         assert!(!d.discard_below(-1), "idempotent");
+    }
+
+    /// Per-value reference for [`CombDomain::discard_below`] /
+    /// [`CombDomain::discard_above`]: discards each value `drop` selects.
+    fn discard_where(dom: &mut CombDomain, drop: impl Fn(i64) -> bool) -> bool {
+        let mut any = false;
+        for v in dom.range().iter() {
+            if drop(v) {
+                any |= dom.discard(v);
+            }
+        }
+        any
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn mask_discards_match_the_per_value_reference(
+            lo in -70i64..70,
+            len in 1i64..65,
+            pre in proptest::collection::vec(0i64..64, 0..6),
+            cut in -150i64..150,
+            above in proptest::any::<bool>(),
+        ) {
+            let range = CombRange { lo, hi: lo + len - 1 };
+            let mut dom = CombDomain::new(range);
+            for p in pre {
+                dom.discard(lo + p);
+            }
+            let mut reference = dom;
+            let (got, want) = if above {
+                (dom.discard_above(cut), discard_where(&mut reference, |v| v > cut))
+            } else {
+                (dom.discard_below(cut), discard_where(&mut reference, |v| v < cut))
+            };
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(dom, reference);
+            let mut it = reference.iter();
+            let single = match (it.next(), it.next()) {
+                (Some(d), None) => Some(d),
+                _ => None,
+            };
+            proptest::prop_assert_eq!(dom.singleton(), single);
+        }
     }
 
     #[test]

@@ -122,6 +122,10 @@ pub fn study_decision(
 ) -> Result<StateScore, DpAbort> {
     let mark = st.begin_speculation();
     let applied = apply_decision(st, decision, budget);
+    #[cfg(test)]
+    if applied.is_ok() {
+        crate::dp::tests::assert_crossing_edges_served(st);
+    }
     let outcome = applied.map(|()| st.score());
     st.rollback(mark);
     outcome

@@ -247,28 +247,42 @@ fn with_lists<const N: usize, R>(
 // ---------------------------------------------------------------------------
 
 /// Raises `est[n]` to at least `v`; queues the node when it changed.
+#[inline]
 pub fn tighten_est(
     st: &mut SchedulingState,
     q: &mut Queue,
     n: NodeId,
     v: i64,
 ) -> Result<(), Contradiction> {
+    // Most calls move nothing: only the comparison is inlined.
     if v > st.est[n] {
-        if st.trail.active {
-            st.trail.push(TrailEntry::Est { n, old: st.est[n] });
-        }
-        st.trail.charge_bytes(16);
-        st.est[n] = v;
-        st.dirty = true;
-        if st.est[n] > st.lst[n] {
-            return Err(Contradiction::BoundsCrossed(n));
-        }
-        q.push_back(n);
+        raise_est(st, q, n, v)
+    } else {
+        Ok(())
     }
+}
+
+fn raise_est(
+    st: &mut SchedulingState,
+    q: &mut Queue,
+    n: NodeId,
+    v: i64,
+) -> Result<(), Contradiction> {
+    if st.trail.active {
+        st.trail.push(TrailEntry::Est { n, old: st.est[n] });
+    }
+    st.trail.charge_bytes(16);
+    st.est[n] = v;
+    st.dirty = true;
+    if st.est[n] > st.lst[n] {
+        return Err(Contradiction::BoundsCrossed(n));
+    }
+    q.push_back(n);
     Ok(())
 }
 
 /// Lowers `lst[n]` to at most `v`; queues the node when it changed.
+#[inline]
 pub fn tighten_lst(
     st: &mut SchedulingState,
     q: &mut Queue,
@@ -276,17 +290,28 @@ pub fn tighten_lst(
     v: i64,
 ) -> Result<(), Contradiction> {
     if v < st.lst[n] {
-        if st.trail.active {
-            st.trail.push(TrailEntry::Lst { n, old: st.lst[n] });
-        }
-        st.trail.charge_bytes(16);
-        st.lst[n] = v;
-        st.dirty = true;
-        if st.est[n] > st.lst[n] {
-            return Err(Contradiction::BoundsCrossed(n));
-        }
-        q.push_back(n);
+        lower_lst(st, q, n, v)
+    } else {
+        Ok(())
     }
+}
+
+fn lower_lst(
+    st: &mut SchedulingState,
+    q: &mut Queue,
+    n: NodeId,
+    v: i64,
+) -> Result<(), Contradiction> {
+    if st.trail.active {
+        st.trail.push(TrailEntry::Lst { n, old: st.lst[n] });
+    }
+    st.trail.charge_bytes(16);
+    st.lst[n] = v;
+    st.dirty = true;
+    if st.est[n] > st.lst[n] {
+        return Err(Contradiction::BoundsCrossed(n));
+    }
+    q.push_back(n);
     Ok(())
 }
 
@@ -326,11 +351,14 @@ fn set_edge_state(st: &mut SchedulingState, e: usize, new: EdgeState) {
 // Combination / connected-component rules
 // ---------------------------------------------------------------------------
 
-fn must_overlap(st: &SchedulingState, e_idx: usize) -> bool {
+/// The range `[lo, hi]` of `cycle(u) − cycle(v)` the bounds allow on edge
+/// `e_idx`, and whether the pair must overlap (the whole range lies inside
+/// the combination window).
+fn placements(st: &SchedulingState, e_idx: usize) -> (i64, i64, bool) {
     let e = &st.edges[e_idx];
-    let lo_possible = st.est[e.u] - st.lst[e.v];
-    let hi_possible = st.lst[e.u] - st.est[e.v];
-    lo_possible >= e.window.lo && hi_possible <= e.window.hi
+    let lo = st.est[e.u] - st.lst[e.v];
+    let hi = st.lst[e.u] - st.est[e.v];
+    (lo, hi, lo >= e.window.lo && hi <= e.window.hi)
 }
 
 /// Prunes the edge's domain against current bounds; resolves or contradicts
@@ -340,66 +368,35 @@ pub fn prune_edge(
     q: &mut Queue,
     e_idx: usize,
 ) -> Result<(), Contradiction> {
-    let (u, v) = (st.edges[e_idx].u, st.edges[e_idx].v);
-    let lo = st.est[u] - st.lst[v];
-    let hi = st.lst[u] - st.est[v];
-    let forced = must_overlap(st, e_idx);
-    enum Next {
-        Nothing,
-        SetNoOverlap,
-        Choose(i64),
-    }
-    // Narrow a local copy (EdgeState is `Copy`), then write back through
-    // the trail so speculative pruning is undone exactly.
-    let old = st.edges[e_idx].state;
-    let mut state = old;
-    let next = match &mut state {
-        EdgeState::Open(dom) => {
-            dom.discard_below(lo);
-            dom.discard_above(hi);
-            if dom.is_empty() {
-                if forced {
-                    return Err(Contradiction::EdgeConflict(u, v));
-                }
-                Next::SetNoOverlap
-            } else if forced {
-                match dom.singleton() {
-                    // Mandatory: the pair must overlap, one relation left.
-                    Some(d) => Next::Choose(d),
-                    None => Next::Nothing,
-                }
-            } else {
-                Next::Nothing
-            }
+    let (lo, hi, forced) = placements(st, e_idx);
+    let e = &st.edges[e_idx];
+    let (u, v) = (e.u, e.v);
+    let mut dom = match e.state {
+        EdgeState::Open(dom) => dom,
+        EdgeState::Chosen(d) if d < lo || d > hi => {
+            return Err(Contradiction::EdgeConflict(u, v));
         }
-        EdgeState::Chosen(d) => {
-            if *d < lo || *d > hi {
-                return Err(Contradiction::EdgeConflict(u, v));
-            }
-            Next::Nothing
-        }
-        EdgeState::NoOverlap => {
-            if forced {
-                return Err(Contradiction::EdgeConflict(u, v));
-            }
-            Next::Nothing
-        }
+        EdgeState::Chosen(_) => return Ok(()),
+        EdgeState::NoOverlap if forced => return Err(Contradiction::EdgeConflict(u, v)),
+        EdgeState::NoOverlap => return propagate_no_overlap(st, q, e_idx),
     };
-    if state != old {
-        set_edge_state(st, e_idx, state);
+    // Narrow a local copy (`CombDomain` is `Copy`), then write back
+    // through the trail so speculative pruning is undone exactly.
+    let narrowed = dom.discard_below(lo) | dom.discard_above(hi);
+    if dom.is_empty() && forced {
+        return Err(Contradiction::EdgeConflict(u, v));
     }
-    match next {
-        Next::Nothing => {
-            if matches!(st.edges[e_idx].state, EdgeState::NoOverlap) {
-                propagate_no_overlap(st, q, e_idx)?;
-            }
-            Ok(())
-        }
-        Next::SetNoOverlap => {
-            set_edge_state(st, e_idx, EdgeState::NoOverlap);
-            propagate_no_overlap(st, q, e_idx)
-        }
-        Next::Choose(d) => choose_comb(st, q, e_idx, d),
+    if narrowed {
+        set_edge_state(st, e_idx, EdgeState::Open(dom));
+    }
+    if dom.is_empty() {
+        set_edge_state(st, e_idx, EdgeState::NoOverlap);
+        return propagate_no_overlap(st, q, e_idx);
+    }
+    match dom.singleton() {
+        // Mandatory: the pair must overlap, one relation left.
+        Some(d) if forced => choose_comb(st, q, e_idx, d),
+        _ => Ok(()),
     }
 }
 
@@ -416,8 +413,7 @@ fn propagate_no_overlap(
 ) -> Result<(), Contradiction> {
     let (u, v) = (st.edges[e_idx].u, st.edges[e_idx].v);
     let w = st.edges[e_idx].window;
-    let lo_poss = st.est[u] - st.lst[v];
-    let hi_poss = st.lst[u] - st.est[v];
+    let (lo_poss, hi_poss, _) = placements(st, e_idx);
     let left_possible = lo_poss < w.lo;
     let right_possible = hi_poss > w.hi;
     match (left_possible, right_possible) {
@@ -466,7 +462,7 @@ pub fn discard_comb(
     d: i64,
 ) -> Result<(), Contradiction> {
     let (u, v) = (st.edges[e_idx].u, st.edges[e_idx].v);
-    let forced = must_overlap(st, e_idx);
+    let (_, _, forced) = placements(st, e_idx);
     enum Next {
         Nothing,
         SetNoOverlap,
@@ -531,7 +527,7 @@ pub fn merge_cc(
     }
     let ru = st.cc.root(u);
     let rv = st.cc.root(v);
-    with_lists(st, |st, [a_members, b_members, audited]| {
+    with_lists(st, |st, [a_members, b_members]| {
         a_members.extend_from_slice(&st.cc_list[ru]);
         b_members.extend_from_slice(&st.cc_list[rv]);
         match st.cc.union_with_offset(u, v, delta) {
@@ -553,21 +549,30 @@ pub fn merge_cc(
         q.push_back(u);
         q.push_back(v);
         // Cross pairs now have fixed offsets: resolve their edges and audit
-        // freshly formed same-cycle groups.
-        for &x in a_members.iter() {
-            for &y in b_members.iter() {
-                let dxy = st
-                    .cc
-                    .relative_offset(x, y)
-                    .expect("members of a merged component");
-                resolve_fixed_pair(st, q, x, y, dxy)?;
-                if dxy == 0 && !audited.contains(&x) {
-                    audited.push(x);
-                    audit_cycle_group(st, q, x)?;
+        // freshly formed same-cycle groups. Neither step merges components,
+        // so each member's offset is read once.
+        let mut pos = std::mem::take(&mut st.scratch.cc_pos);
+        pos.clear();
+        for &y in b_members.iter() {
+            pos.push(st.cc.find(y));
+        }
+        let resolved = (|| {
+            for &x in a_members.iter() {
+                let off_x = st.cc.find(x).1;
+                let mut audited = false;
+                for (&y, &(_, off_y)) in b_members.iter().zip(&pos) {
+                    let dxy = off_x - off_y;
+                    resolve_fixed_pair(st, x, y, dxy)?;
+                    if dxy == 0 && !audited {
+                        audited = true;
+                        audit_cycle_group(st, q, x)?;
+                    }
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        })();
+        st.scratch.cc_pos = pos;
+        resolved
     })
 }
 
@@ -575,7 +580,6 @@ pub fn merge_cc(
 /// their scheduling-graph edge accordingly.
 pub fn resolve_fixed_pair(
     st: &mut SchedulingState,
-    q: &mut Queue,
     x: NodeId,
     y: NodeId,
     delta_xy: i64,
@@ -585,33 +589,31 @@ pub fn resolve_fixed_pair(
     } else {
         (y, x, -delta_xy)
     };
-    let Some(e_idx) = st.edge_of.get(u, v) else {
-        return Ok(());
-    };
-    let within = st.edges[e_idx].window.contains(d);
-    match &st.edges[e_idx].state {
+    match st.edge_of.get(u, v) {
+        Some(e_idx) => resolve_fixed_edge(st, e_idx, d),
+        None => Ok(()),
+    }
+}
+
+/// [`resolve_fixed_pair`] on a known edge, `d` = `cycle(u) − cycle(v)`.
+fn resolve_fixed_edge(st: &mut SchedulingState, e_idx: usize, d: i64) -> Result<(), Contradiction> {
+    let e = &st.edges[e_idx];
+    let within = e.window.contains(d);
+    match e.state {
         EdgeState::Open(dom) => {
             if within {
                 if !dom.contains(d) {
-                    return Err(Contradiction::EdgeConflict(u, v));
+                    return Err(Contradiction::EdgeConflict(e.u, e.v));
                 }
                 set_edge_state(st, e_idx, EdgeState::Chosen(d));
             } else {
                 set_edge_state(st, e_idx, EdgeState::NoOverlap);
             }
         }
-        EdgeState::Chosen(d0) => {
-            if *d0 != d {
-                return Err(Contradiction::EdgeConflict(u, v));
-            }
-        }
-        EdgeState::NoOverlap => {
-            if within {
-                return Err(Contradiction::EdgeConflict(u, v));
-            }
-        }
+        EdgeState::Chosen(d0) if d0 != d => return Err(Contradiction::EdgeConflict(e.u, e.v)),
+        EdgeState::NoOverlap if within => return Err(Contradiction::EdgeConflict(e.u, e.v)),
+        EdgeState::Chosen(_) | EdgeState::NoOverlap => {}
     }
-    let _ = q;
     Ok(())
 }
 
@@ -636,7 +638,7 @@ pub fn audit_cycle_group(
     // the old full scan produced, so Rule 2 fires in the same sequence.
     let total_nodes = st.kind.len();
     let (root_n, off_n) = st.cc.find_const(n);
-    with_lists(st, |st, [group, fu_members]| {
+    with_lists(st, |st, [group, fu_members, roots]| {
         for i in 0..st.cc_list[root_n].len() {
             let m = st.cc_list[root_n][i];
             if st.uses_resources(m) && st.cc.find_const(m).1 == off_n {
@@ -659,7 +661,13 @@ pub fn audit_cycle_group(
             return Ok(());
         }
         group.sort_unstable();
-        // Machine-wide per-class totals.
+        // Machine-wide per-class totals, checked in class order.
+        let mut per_class = [0; 5];
+        for &m in group.iter() {
+            if let Some(c) = st.class(m) {
+                per_class[c as usize] += 1;
+            }
+        }
         for class in [
             OpClass::Int,
             OpClass::Fp,
@@ -667,47 +675,49 @@ pub fn audit_cycle_group(
             OpClass::Branch,
             OpClass::Copy,
         ] {
-            let count = group
-                .iter()
-                .filter(|&&m| st.class(m) == Some(class))
-                .count();
-            if count > st.ctx.machine.total_capacity(class) {
+            if per_class[class as usize] > st.ctx.machine.total_capacity(class) {
                 return Err(Contradiction::ResourceOverflow(class));
             }
         }
-        // Per-VC class counts and issue widths; Rule 2 for capacity-1 classes.
+        // Per-VC class counts and issue widths; Rule 2 for capacity-1
+        // classes. Rule 2 never fuses, so each member's VC root is read
+        // once.
         fu_members.extend(
             group
                 .iter()
                 .copied()
                 .filter(|&m| st.class(m).is_some_and(|c| c.uses_fu())),
         );
+        for &m in fu_members.iter() {
+            roots.push(st.vc.find(m));
+        }
+        let class_of = |st: &SchedulingState, i: usize| st.class(fu_members[i]).expect("fu");
         for i in 0..fu_members.len() {
             for j in i + 1..fu_members.len() {
-                let (a, b) = (fu_members[i], fu_members[j]);
-                let (ca, cb) = (st.class(a).expect("fu"), st.class(b).expect("fu"));
-                if st.same_vc(a, b) {
+                let (ca, cb) = (class_of(st, i), class_of(st, j));
+                if roots[i] == roots[j] {
                     // Count same-VC same-cycle instructions of each class.
                     if ca == cb {
                         let cap = st.ctx.machine.capacity(ca);
-                        let cnt = fu_members
-                            .iter()
-                            .filter(|&&m| st.class(m) == Some(ca) && st.same_vc(m, a))
+                        let cnt = (0..fu_members.len())
+                            .filter(|&k| roots[k] == roots[i] && class_of(st, k) == ca)
                             .count();
                         if cnt > cap {
                             return Err(Contradiction::ResourceOverflow(ca));
                         }
                     }
                     if let Some(w) = st.ctx.machine.issue_per_cluster() {
-                        let cnt = fu_members.iter().filter(|&&m| st.same_vc(m, a)).count();
+                        let cnt = roots.iter().filter(|&&r| r == roots[i]).count();
                         if cnt > w {
                             return Err(Contradiction::ResourceOverflow(ca));
                         }
                     }
-                } else if ca == cb && st.ctx.machine.capacity(ca) == 1 && !st.vcs_incompatible(a, b)
+                } else if ca == cb
+                    && st.ctx.machine.capacity(ca) == 1
+                    && !st.vc_adj[roots[i]].contains(roots[j])
                 {
                     // Rule 2: same cycle, one unit per cluster ⇒ different PCs.
-                    make_incompat(st, q, a, b)?;
+                    make_incompat(st, q, fu_members[i], fu_members[j])?;
                 }
             }
         }
@@ -737,7 +747,7 @@ pub fn fuse_vcs(
     st.dirty = true;
     st.vcg_dirty = true;
     let ctx = Arc::clone(&st.ctx);
-    with_lists(st, |st, [a_members, b_members, scan, audited]| {
+    with_lists(st, |st, [a_members, b_members, scan]| {
         a_members.extend_from_slice(&st.vc_list[ra]);
         b_members.extend_from_slice(&st.vc_list[rb]);
         let root = st.vc.union(ra, rb);
@@ -795,15 +805,35 @@ pub fn fuse_vcs(
                 return Err(Contradiction::VcConflict(a, b));
             }
         }
-        // Same-cycle capacity audit across the merged membership.
-        for &x in a_members.iter() {
-            for &y in b_members.iter() {
-                if st.fixed_delta(x, y) == Some(0) && !audited.contains(&x) {
-                    audited.push(x);
-                    audit_cycle_group(st, q, x)?;
+        // Same-cycle capacity audit across the merged membership: audit
+        // each `x` of one side that provably shares a cycle with some `y`
+        // of the other. Audits never merge components, so each member's
+        // (component, offset) is read once; pins can move, so those are
+        // read live.
+        let mut pos = std::mem::take(&mut st.scratch.cc_pos);
+        pos.clear();
+        for &y in b_members.iter() {
+            pos.push(st.cc.find(y));
+        }
+        let audited = (|| {
+            for &x in a_members.iter() {
+                let (root_x, off_x) = st.cc.find(x);
+                for (&y, &(root_y, off_y)) in b_members.iter().zip(&pos) {
+                    let same_cycle = if root_x == root_y {
+                        off_x == off_y
+                    } else {
+                        st.pinned(x) && st.pinned(y) && st.est[x] == st.est[y]
+                    };
+                    if same_cycle {
+                        audit_cycle_group(st, q, x)?;
+                        break;
+                    }
                 }
             }
-        }
+            Ok(())
+        })();
+        st.scratch.cc_pos = pos;
+        audited?;
         // Rule 1 may fire for data edges whose slack was already too small.
         for &x in a_members.iter().chain(b_members.iter()) {
             rule1_slack_check(st, &ctx, q, x)?;
@@ -811,7 +841,8 @@ pub fn fuse_vcs(
         // Fusing inherits incompatibilities, so data edges that now cross an
         // incompatible pair (e.g. after fusing with a cluster anchor) need
         // their communication just as if `make_incompat` had run.
-        ensure_comms_for_incompatible_edges(st, &ctx, q)?;
+        let merged = st.vc.find(a);
+        serve_crossing_edges(st, &ctx, q, merged, |_, _| true)?;
         // Inherited incompatibilities also expose new Rule-5 / dual pairs:
         // members of the merged VC against members of every incompatible
         // neighbour (e.g. live-ins pre-placed on distinct cluster anchors
@@ -829,46 +860,61 @@ pub fn fuse_vcs(
         for &nb in scan.iter() {
             b_members.clear();
             b_members.extend(st.vc_list[nb].iter().copied().filter(|&m| m < ctx.n_insts));
-            for &x in a_members.iter() {
-                for &y in b_members.iter() {
-                    create_plcs_for_pair(st, &ctx, q, x, y)?;
-                }
-            }
+            create_plcs_across(st, &ctx, q, a_members, b_members)?;
         }
         promote_plcs(st, q)
     })
 }
 
-/// Repair pass: every data edge whose endpoints sit in incompatible VCs
-/// must be served by a communication. `require_comm` is a no-op for edges
-/// already served.
-fn ensure_comms_for_incompatible_edges(
+/// Calls [`require_comm`] on every data edge at an instruction of the VC
+/// rooted at `root`, in [`StateCtx::data_edges`] order, whose endpoints'
+/// VC roots `(rp, rc)` are incompatible and pass `only`. Communications
+/// never move VCs, so the roots are stable across the sweep.
+///
+/// Visiting only the edges at one VC is exact by the *served-crossing-
+/// edge invariant*: outside a fuse in progress, `require_comm` is a no-op
+/// on every crossing edge. An edge starts crossing only when its two VCs
+/// become incompatible — [`make_incompat`] on that pair, or a fuse of one
+/// of them — and both serve it there (`make_incompat` the edges between
+/// its pair, a fuse those at the merged VC); nothing but a fuse of `c`'s
+/// VC can then make `require_comm(p, c)` act again (it acts only while no
+/// earlier communication of `p` holds `c` and one has a first consumer in
+/// `c`'s VC). Every fuse nested inside another merges into the same VC,
+/// so the edges pending at the outer fuse's sweep are all at its VC.
+fn serve_crossing_edges(
     st: &mut SchedulingState,
     ctx: &StateCtx,
     q: &mut Queue,
+    root: usize,
+    only: impl Fn(usize, usize) -> bool,
 ) -> Result<(), Contradiction> {
-    // VC roots are memoised across the sweep and flushed whenever a
-    // `require_comm` fires (it may fuse a consumer and move roots); the
-    // adjacency probe always reads live state.
-    let mut root = st.scratch.take_memo(st.kind.len());
-    let mut sweep = || {
-        for &(p, c) in &ctx.data_edges {
-            if root[p] == usize::MAX {
-                root[p] = st.vc.find(p);
+    // One bit per data edge, set for the edges at the VC's members and
+    // cleared as the sweep visits them.
+    let mut marks = std::mem::take(&mut st.scratch.edge_marks);
+    marks.clear();
+    marks.resize(ctx.data_edges.len().div_ceil(64), 0);
+    for &m in &st.vc_list[root] {
+        if m < ctx.n_insts {
+            for &ei in ctx.data_edges_at.row(m) {
+                marks[ei / 64] |= 1 << (ei % 64);
             }
-            if root[c] == usize::MAX {
-                root[c] = st.vc.find(c);
-            }
-            let (rp, rc) = (root[p], root[c]);
-            if rp != rc && st.vc_adj[rp].contains(rc) {
-                require_comm(st, q, p, c)?;
-                root.fill(usize::MAX);
+        }
+    }
+    let swept = (|| {
+        for w in 0..marks.len() {
+            while marks[w] != 0 {
+                let ei = w * 64 + marks[w].trailing_zeros() as usize;
+                marks[w] &= marks[w] - 1;
+                let (p, c) = ctx.data_edges[ei];
+                let (rp, rc) = (st.vc.find(p), st.vc.find(c));
+                if rp != rc && st.vc_adj[rp].contains(rc) && only(rp, rc) {
+                    require_comm(st, q, p, c)?;
+                }
             }
         }
         Ok(())
-    };
-    let swept = sweep();
-    st.scratch.put_memo(root);
+    })();
+    st.scratch.edge_marks = marks;
     swept
 }
 
@@ -901,25 +947,18 @@ pub fn make_incompat(
     with_lists(st, |st, [a_members, b_members]| {
         a_members.extend(st.vc_list[ra].iter().copied().filter(|&m| m < ctx.n_insts));
         b_members.extend(st.vc_list[rb].iter().copied().filter(|&m| m < ctx.n_insts));
-        // Crossing data edges need a communication. The two side roots only
-        // move when a `require_comm` fires (it may fuse a consumer), so they
-        // are cached across iterations and refreshed after each hit instead
-        // of re-walked four times per edge.
-        let (mut wa, mut wb) = (st.vc.find(ra), st.vc.find(rb));
-        for &(p, c) in &ctx.data_edges {
-            let (rp, rc) = (st.vc.find(p), st.vc.find(c));
-            if (rp == wa && rc == wb) || (rp == wb && rc == wa) {
-                require_comm(st, q, p, c)?;
-                wa = st.vc.find(ra);
-                wb = st.vc.find(rb);
-            }
-        }
+        // Crossing data edges need a communication: the edges between the
+        // two VCs, found among those at the smaller one.
+        let side = if st.vc_list[ra].len() <= st.vc_list[rb].len() {
+            ra
+        } else {
+            rb
+        };
+        serve_crossing_edges(st, &ctx, q, side, |rp, rc| {
+            (rp == ra && rc == rb) || (rp == rb && rc == ra)
+        })?;
         // Rule 5 (P-PLC) and the consumer dual (C-PLC).
-        for &x in a_members.iter() {
-            for &y in b_members.iter() {
-                create_plcs_for_pair(st, &ctx, q, x, y)?;
-            }
-        }
+        create_plcs_across(st, &ctx, q, a_members, b_members)?;
         promote_plcs(st, q)
     })
 }
@@ -939,27 +978,28 @@ pub fn rule1_slack_check(
     // Slack first: the arithmetic test is branch-predictable and usually
     // false, the VC probes cost union-find walks. The conjunction is
     // pure, so the reorder cannot change which pairs fuse. `n`'s own root
-    // is walked once and refreshed only when a fuse can move it;
-    // `same_vc(a, b) || vcs_incompatible(a, b)` is exactly
+    // is walked on the first probe and refreshed only when a fuse can
+    // move it; `same_vc(a, b) || vcs_incompatible(a, b)` is exactly
     // `ra == rb || vc_adj[ra].contains(rb)` on the two roots.
-    let lat_n = st.latency(n);
-    let mut rn = st.vc.find(n);
+    let lat_n = ctx.latencies[n] as i64;
+    let mut rn = None;
     for &c in &ctx.consumers_of[n] {
         if st.lst[c] - (st.est[n] + lat_n) < bus {
+            let r = *rn.get_or_insert_with(|| st.vc.find(n));
             let rc = st.vc.find(c);
-            if rn != rc && !st.vc_adj[rn].contains(rc) {
+            if r != rc && !st.vc_adj[r].contains(rc) {
                 fuse_vcs(st, q, n, c)?;
-                rn = st.vc.find(n);
+                rn = None;
             }
         }
     }
     for &p in &ctx.producers_of[n] {
-        let lat = st.latency(p);
-        if st.lst[n] - (st.est[p] + lat) < bus {
+        if st.lst[n] - (st.est[p] + ctx.latencies[p] as i64) < bus {
+            let r = *rn.get_or_insert_with(|| st.vc.find(n));
             let rp = st.vc.find(p);
-            if rp != rn && !st.vc_adj[rp].contains(rn) {
+            if rp != r && !st.vc_adj[rp].contains(r) {
                 fuse_vcs(st, q, p, n)?;
-                rn = st.vc.find(n);
+                rn = None;
             }
         }
     }
@@ -1080,6 +1120,45 @@ fn kill_plcs_subsumed_by(st: &mut SchedulingState, p: NodeId, c: NodeId) {
     }
 }
 
+/// [`create_plcs_for_pair`] for every instruction pair of `xs × ys`, `x`
+/// outermost, both in slice order. Only pairs with a common data
+/// neighbour ([`StateCtx::is_plc_pair`]) have one to act on, so an `x`
+/// with no such partner in `ys` costs one mask test.
+fn create_plcs_across(
+    st: &mut SchedulingState,
+    ctx: &StateCtx,
+    q: &mut Queue,
+    xs: &[NodeId],
+    ys: &[NodeId],
+) -> Result<(), Contradiction> {
+    if ctx.tuning.disable_plc {
+        return Ok(());
+    }
+    let words = ctx.pair_words();
+    let mut in_ys = std::mem::take(&mut st.scratch.pair_mask);
+    in_ys.clear();
+    in_ys.resize(words, 0);
+    for &y in ys {
+        in_ys[y / 64] |= 1 << (y % 64);
+    }
+    let created = (|| {
+        for &x in xs {
+            let partners = &ctx.plc_pairs[x * words..(x + 1) * words];
+            if partners.iter().zip(&in_ys).all(|(p, y)| p & y == 0) {
+                continue;
+            }
+            for &y in ys {
+                if ctx.is_plc_pair(x, y) {
+                    create_plcs_for_pair(st, ctx, q, x, y)?;
+                }
+            }
+        }
+        Ok(())
+    })();
+    st.scratch.pair_mask = in_ys;
+    created
+}
+
 /// Creates the partially-linked communications implied by `x ⊥ y` (Rule 5
 /// and the consumer-side dual): common successors and common predecessors
 /// sitting in third VCs.
@@ -1090,13 +1169,13 @@ fn create_plcs_for_pair(
     x: NodeId,
     y: NodeId,
 ) -> Result<(), Contradiction> {
-    if ctx.tuning.disable_plc || x >= ctx.n_insts || y >= ctx.n_insts {
-        return Ok(());
-    }
     let bus = ctx.machine.bus_latency() as i64;
     // Rule 5: common data successor s in a third VC ⇒ at least one of the
-    // two values will be communicated to s.
-    for &s in &ctx.consumers_of[x] {
+    // two values will be communicated to s. Not once either value already
+    // has a communication (no rule here creates one, so that holds for
+    // the whole loop).
+    let p_plcs = st.flc_by_value[x].is_empty() && st.flc_by_value[y].is_empty();
+    for &s in ctx.consumers_of[x].iter().filter(|_| p_plcs) {
         if !ctx.consumers_of[y].contains(&s) {
             continue;
         }
@@ -1105,7 +1184,7 @@ fn create_plcs_for_pair(
             continue;
         }
         let key = (0u8, x.min(y), x.max(y), s);
-        if st.has_plc(&key) || !st.flc_by_value[x].is_empty() || !st.flc_by_value[y].is_empty() {
+        if st.has_plc(&key) {
             continue;
         }
         if st.trail.active {
@@ -1138,7 +1217,7 @@ fn create_plcs_for_pair(
     // Dual: common data predecessor p in a third VC ⇒ p's single
     // communication will serve x or y.
     for &p in &ctx.producers_of[x] {
-        if !ctx.producers_of[y].contains(&p) {
+        if !st.flc_by_value[p].is_empty() || !ctx.producers_of[y].contains(&p) {
             continue;
         }
         let rp = st.vc.find(p);
@@ -1146,7 +1225,7 @@ fn create_plcs_for_pair(
             continue;
         }
         let key = (1u8, x.min(y), x.max(y), p);
-        if st.has_plc(&key) || !st.flc_by_value[p].is_empty() {
+        if st.has_plc(&key) {
             continue;
         }
         if st.trail.active {
@@ -1248,6 +1327,10 @@ pub fn refresh_plc_bounds(
     q: &mut Queue,
     n: NodeId,
 ) -> Result<(), Contradiction> {
+    // PLCs link instruction pairs, and none exists before the first.
+    if n >= st.ctx.n_insts || st.plc_seen.is_empty() {
+        return Ok(());
+    }
     let bus = st.ctx.machine.bus_latency() as i64;
     for ci in 0..st.comms.len() {
         match st.comms[ci].kind {
@@ -1289,7 +1372,8 @@ pub fn resource_pass(
 ) -> Result<bool, Contradiction> {
     let before = q.len();
     let mut scratch = std::mem::take(&mut st.scratch.pigeon);
-    let passed = with_lists(st, |st, [members, of_class, comms]| {
+    let passed = with_lists(st, |st, lists: &mut [Vec<NodeId>; 6]| {
+        let [members, comms, of_class @ ..] = lists;
         resource_rules(st, ctx, q, &mut scratch, members, of_class, comms)
     });
     st.scratch.pigeon = scratch;
@@ -1303,49 +1387,71 @@ fn resource_rules(
     q: &mut Queue,
     scratch: &mut PigeonScratch,
     members: &mut Vec<NodeId>,
-    of_class: &mut Vec<NodeId>,
+    of_class: &mut [Vec<NodeId>; 4],
     comms: &mut Vec<NodeId>,
 ) -> Result<(), Contradiction> {
     let tighten = !ctx.tuning.disable_resource_tightening;
     // Machine-wide, per FU class; the contender lists are static (comm
     // nodes are `Copy`-class, live-ins never compete).
     for (ci, &class) in OpClass::FU_CLASSES.iter().enumerate() {
-        let cap = ctx.machine.total_capacity(class);
-        pigeonhole(st, q, scratch, &ctx.fu_nodes[ci], cap, 1, tighten, class)?;
+        let pool = Pool {
+            cap: ctx.machine.total_capacity(class),
+            occupancy: 1,
+            tighten,
+            class,
+            group: Group::Machine(ci),
+        };
+        pigeonhole(st, q, scratch, &ctx.fu_nodes[ci], pool)?;
     }
-    // Per-VC, per FU class and per issue width. Roots are scanned in the
-    // same ascending order `vc_roots()` returns, and the member/class
-    // buffers are reused across roots — pigeonhole only tightens bounds,
-    // never VC structure, so membership is stable across the loop.
-    for root in 0..st.kind.len() {
-        if !st.is_vc_root(root) {
+    // Per-VC, per FU class and per issue width. Roots are scanned in
+    // ascending order, as `vc_roots()` returns them (comm nodes never root
+    // a VC, so only fixed nodes can), and the member/class buffers are
+    // reused across roots — pigeonhole only tightens bounds, never VC
+    // structure, so membership is stable across the loop.
+    for root in 0..ctx.fixed_nodes() {
+        // A root's list is non-empty; fewer than two members form no
+        // group.
+        if st.vc_list[root].len() < 2 {
             continue;
         }
+        // The VC's FU users, and the same split by class, in one pass.
         members.clear();
+        for list in of_class.iter_mut() {
+            list.clear();
+        }
         for i in 0..st.vc_list[root].len() {
             let m = st.vc_list[root][i];
-            if st.uses_resources(m) && st.class(m).is_some_and(|c| c.uses_fu()) {
-                members.push(m);
+            if st.uses_resources(m) {
+                if let Some(ci) = st.class(m).and_then(OpClass::fu_index) {
+                    members.push(m);
+                    of_class[ci].push(m);
+                }
             }
         }
         if members.len() < 2 {
             continue;
         }
-        for class in OpClass::FU_CLASSES {
-            of_class.clear();
-            of_class.extend(
-                members
-                    .iter()
-                    .copied()
-                    .filter(|&m| st.class(m) == Some(class)),
-            );
-            if of_class.len() > 1 {
-                let cap = ctx.machine.capacity(class);
-                pigeonhole(st, q, scratch, of_class, cap, 1, tighten, class)?;
+        for (ci, &class) in OpClass::FU_CLASSES.iter().enumerate() {
+            if of_class[ci].len() > 1 {
+                let pool = Pool {
+                    cap: ctx.machine.capacity(class),
+                    occupancy: 1,
+                    tighten,
+                    class,
+                    group: Group::VcClass(root, ci),
+                };
+                pigeonhole(st, q, scratch, &of_class[ci], pool)?;
             }
         }
         if let Some(w) = ctx.machine.issue_per_cluster() {
-            pigeonhole(st, q, scratch, members, w, 1, tighten, OpClass::Int)?;
+            let pool = Pool {
+                cap: w,
+                occupancy: 1,
+                tighten,
+                class: OpClass::Int,
+                group: Group::VcIssue(root),
+            };
+            pigeonhole(st, q, scratch, members, pool)?;
         }
     }
     // Precedence rule: a group of same-class predecessors larger than the
@@ -1359,7 +1465,14 @@ fn resource_rules(
     comms.extend(st.live_comms().map(|c| c.node));
     let buses = ctx.machine.bus_count();
     let occ = ctx.machine.bus_occupancy() as i64;
-    pigeonhole(st, q, scratch, comms, buses, occ, false, OpClass::Copy)?;
+    let pool = Pool {
+        cap: buses,
+        occupancy: occ,
+        tighten: false,
+        class: OpClass::Copy,
+        group: Group::Bus,
+    };
+    pigeonhole(st, q, scratch, comms, pool)?;
     // Pinned copies: exact sliding-window conflict for non-pipelined buses.
     let pinned = &mut scratch.pinned;
     pinned.clear();
@@ -1404,13 +1517,50 @@ fn precedence_resource_rule(
     Ok(())
 }
 
-/// Windowed pigeonhole over `nodes` with `cap` units: for windows `[a, b]`,
-/// instructions confined to the window must fit; when a window is saturated,
-/// instructions merely *starting* inside it are pushed out (if `tighten`).
-///
-/// Windows longer than `|confined|/cap` cycles can be neither overfull nor
-/// saturated, so for each window start only the first `n/cap` end values
-/// matter — that bound keeps the pass near-linear in practice.
+/// Which contender group a [`pigeonhole`] call covers: its slot in the
+/// no-op memo.
+#[derive(Debug, Clone, Copy)]
+enum Group {
+    /// Machine-wide, FU class index.
+    Machine(usize),
+    /// The live communications on the bus.
+    Bus,
+    /// One virtual cluster (by root), FU class index.
+    VcClass(NodeId, usize),
+    /// One virtual cluster's issue width.
+    VcIssue(NodeId),
+}
+
+/// Per-node stamp kinds of the no-op memo: a node sits in at most one
+/// group of each kind at a time (a comm node only in the bus group, an
+/// instruction in one machine-wide group, so the two share a kind).
+const STAMP_KINDS: usize = 3;
+
+impl Group {
+    /// `(memo slot, stamp kind)`.
+    fn slot(self) -> (usize, usize) {
+        let fu = OpClass::FU_CLASSES.len();
+        match self {
+            Group::Machine(ci) => (ci, 0),
+            Group::Bus => (fu, 0),
+            Group::VcClass(root, ci) => (fu + 1 + root * (fu + 1) + ci, 1),
+            Group::VcIssue(root) => (fu + 1 + root * (fu + 1) + fu, 2),
+        }
+    }
+}
+
+/// One [`pigeonhole`] evaluation's resource: `cap` units, each member
+/// holding one for `occupancy` cycles; `tighten` enables the saturated-
+/// window bound moves; `class` names an overflow.
+#[derive(Debug, Clone, Copy)]
+struct Pool {
+    cap: usize,
+    occupancy: i64,
+    tighten: bool,
+    class: OpClass,
+    group: Group,
+}
+
 /// Reusable buffers for [`pigeonhole`], kept in the state's scratch and
 /// shared across the dozens of per-class / per-VC invocations of each
 /// [`resource_pass`], so the window scan allocates nothing in steady
@@ -1424,22 +1574,119 @@ pub(crate) struct PigeonScratch {
     saturated: Vec<(i64, i64)>,
     /// Cycles of the pinned copies (the bus sliding-window check).
     pinned: Vec<i64>,
+    /// No-op memo, per group slot: the epoch and member count of the
+    /// group's last evaluation that neither contradicted nor tightened.
+    memo_groups: Vec<(u64, usize)>,
+    /// No-op memo, per node and stamp kind: the epoch of the last such
+    /// evaluation of the group holding the node, and the bounds it read.
+    memo_nodes: Vec<(u64, i64, i64)>,
+    /// Last epoch handed out (0: none).
+    epoch: u64,
+    /// Members per slack, for the precheck of [`PigeonScratch::skips`].
+    by_slack: Vec<u32>,
 }
 
-#[allow(clippy::too_many_arguments)] // one scratch handle on top of the rule's natural shape
+impl PigeonScratch {
+    /// Whether evaluating `nodes` under `pool` provably neither
+    /// contradicts nor tightens, so the window scan can be skipped:
+    ///
+    /// * **memo** — the group's members and their bounds are exactly
+    ///   those of its last no-op evaluation (the scan is a pure function
+    ///   of them). Every member stamped with that evaluation's epoch, and
+    ///   as many members as it had, means the same member set;
+    /// * **precheck** — for every window length `L + 1`, fewer members
+    ///   have slack `≤ L` than would fill such a window
+    ///   (`count·occ < cap·(L + occ)`). A member confined to a window
+    ///   spans at least its slack, so no window's demand reaches its
+    ///   supply.
+    fn skips(&mut self, st: &SchedulingState, nodes: &[NodeId], pool: Pool) -> bool {
+        let (slot, kind) = pool.group.slot();
+        let (epoch, count) = self.memo_groups.get(slot).copied().unwrap_or_default();
+        let mut same = epoch != 0 && count == nodes.len();
+        let (cap, occ) = (pool.cap as i64, pool.occupancy);
+        // Longest `L` whose windows `n` members could fill.
+        let top = nodes.len() as i64 * occ / cap - occ;
+        self.by_slack.clear();
+        self.by_slack.resize(top.max(-1) as usize + 1, 0);
+        for &n in nodes {
+            let (e, l) = (st.est[n], st.lst[n]);
+            if l - e <= top {
+                self.by_slack[(l - e) as usize] += 1;
+            }
+            same = same && self.memo_nodes.get(n * STAMP_KINDS + kind) == Some(&(epoch, e, l));
+        }
+        let mut confined = 0;
+        same || self.by_slack.iter().zip(0..).all(|(&k, l)| {
+            confined += k as i64;
+            confined * occ < cap * (l + occ)
+        })
+    }
+
+    /// Records a no-op evaluation of `nodes` under `pool`.
+    fn remember(&mut self, st: &SchedulingState, nodes: &[NodeId], pool: Pool) {
+        let (slot, kind) = pool.group.slot();
+        self.epoch += 1;
+        if self.memo_groups.len() <= slot {
+            self.memo_groups.resize(slot + 1, (0, 0));
+        }
+        self.memo_groups[slot] = (self.epoch, nodes.len());
+        let rows = st.kind.len() * STAMP_KINDS;
+        if self.memo_nodes.len() < rows {
+            self.memo_nodes.resize(rows, (0, 0, 0));
+        }
+        for &n in nodes {
+            self.memo_nodes[n * STAMP_KINDS + kind] = (self.epoch, st.est[n], st.lst[n]);
+        }
+    }
+}
+
+/// Windowed pigeonhole over `nodes` with `pool.cap` units: for windows
+/// `[a, b]`, instructions confined to the window must fit; when a window
+/// is saturated, instructions merely *starting* inside it are pushed out
+/// (if `pool.tighten`).
+///
+/// Groups [`PigeonScratch::skips`] proves inert are not scanned. Windows
+/// longer than `|confined|/cap` cycles can be neither overfull nor
+/// saturated, so for each window start only the first `n/cap` end values
+/// matter — that bound keeps the pass near-linear in practice.
 fn pigeonhole(
     st: &mut SchedulingState,
     q: &mut Queue,
     scratch: &mut PigeonScratch,
     nodes: &[NodeId],
-    cap: usize,
-    occupancy: i64,
-    tighten: bool,
-    class: OpClass,
+    pool: Pool,
 ) -> Result<(), Contradiction> {
-    if nodes.len() <= cap || cap == 0 {
+    if nodes.len() <= pool.cap || pool.cap == 0 {
         return Ok(());
     }
+    if scratch.skips(st, nodes, pool) {
+        #[cfg(test)]
+        tests::assert_skip_is_noop(st, scratch, nodes, pool);
+        return Ok(());
+    }
+    let before = q.len();
+    window_scan(st, q, scratch, nodes, pool)?;
+    if q.len() == before {
+        scratch.remember(st, nodes, pool);
+    }
+    Ok(())
+}
+
+/// The full window scan of [`pigeonhole`].
+fn window_scan(
+    st: &mut SchedulingState,
+    q: &mut Queue,
+    scratch: &mut PigeonScratch,
+    nodes: &[NodeId],
+    pool: Pool,
+) -> Result<(), Contradiction> {
+    let Pool {
+        cap,
+        occupancy,
+        tighten,
+        class,
+        ..
+    } = pool;
     // Nodes that could belong to a window starting at `a` are those with
     // `est >= a`, ordered by their latest start so `must(a, b)` grows
     // incrementally with `b`. One sorted LST list serves every start: as
@@ -1448,10 +1695,28 @@ fn pigeonhole(
     // rebuild (the window scan reads bounds, it never tightens them).
     // Two sorts feed all four views: the deduped window boundaries
     // `starts` / `ends` are linear projections of `by_est` / `lsts`.
+    //
+    // Only *tight* members enter the views: those whose slack fits the
+    // longest window any start considers. A loose member is confined to
+    // no such window, so it adds to no `must`. It can still bound one,
+    // as its EST `a` or its LST `b`; but if such a window saturates, the
+    // window spanned by its confined members' own extreme bounds holds
+    // the same members in fewer cycles and overflows, so the scan ends in
+    // the same contradiction without the loose member, having tightened
+    // nothing. What remains is the count of members left at `a`, which
+    // decides whether start `a` is scanned at all: `loose_est` settles
+    // the one case where loose members change that decision.
+    let longest = nodes.len() as i64 * occupancy / cap as i64 + occupancy - 1;
+    let mut loose_est = i64::MIN;
     scratch.by_est.clear();
-    scratch
-        .by_est
-        .extend(nodes.iter().map(|&n| (st.est[n], st.lst[n])));
+    for &n in nodes {
+        let (e, l) = (st.est[n], st.lst[n]);
+        if l - e <= longest {
+            scratch.by_est.push((e, l));
+        } else {
+            loose_est = loose_est.max(e);
+        }
+    }
     scratch.by_est.sort_unstable();
     scratch.lsts.clear();
     scratch.lsts.extend(scratch.by_est.iter().map(|&(_, l)| l));
@@ -1476,16 +1741,20 @@ fn pigeonhole(
             scratch.lsts.remove(pos);
             dropped += 1;
         }
-        if (scratch.lsts.len() as i64) * occupancy <= cap as i64 * occupancy {
+        // Starts with at most `cap` members left (tight or loose) are not
+        // scanned. Fewer than `cap` tight ones can fill no window either
+        // way; exactly `cap` can, so there the loose ones decide.
+        let tight = scratch.lsts.len();
+        if tight < cap || (tight == cap && loose_est < a) {
             continue;
         }
         // Longest window that can still overflow or saturate.
-        let max_len = (scratch.lsts.len() as i64 * occupancy) / cap as i64 + occupancy;
+        let max_len = (tight as i64 * occupancy) / cap as i64 + occupancy;
+        // Ends below `a` bound no window starting at `a`: begin past
+        // them. (No remaining latest start is below `a`: each member has
+        // `lst >= est >= a`.)
         let mut idx = 0;
-        for &b in &scratch.ends {
-            if b < a {
-                continue;
-            }
+        for &b in &scratch.ends[scratch.ends.partition_point(|&b| b < a)..] {
             if b - a + 1 > max_len {
                 break;
             }
@@ -1589,10 +1858,8 @@ fn on_bound(
         for i in 0..st.edges_at[n].len() {
             let e_idx = st.edges_at[n][i];
             let (u, v) = (st.edges[e_idx].u, st.edges[e_idx].v);
-            let other = if u == n { v } else { u };
-            if st.pinned(other) {
-                let delta = st.est[n] - st.est[other];
-                resolve_fixed_pair(st, q, n, other, delta)?;
+            if st.pinned(u) && st.pinned(v) {
+                resolve_fixed_edge(st, e_idx, st.est[u] - st.est[v])?;
             }
         }
         if st.uses_resources(n) {
@@ -1648,5 +1915,325 @@ pub fn check_colorable(st: &mut SchedulingState) -> Result<(), Contradiction> {
         Ok(())
     } else {
         Err(Contradiction::Uncolorable)
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    //! Oracles for the deduction kernels that skip work: each skip is
+    //! checked against the full computation it replaces, on every
+    //! occurrence while the scheduler searches random blocks.
+
+    use std::cell::Cell;
+
+    use proptest::prelude::*;
+    use vcsched_arch::{MachineConfig, OpClass};
+    use vcsched_ir::{Superblock, SuperblockBuilder};
+
+    use super::*;
+    use crate::{VcOptions, VcScheduler};
+
+    thread_local! {
+        /// Pigeonhole groups skipped, and studies checked, on this thread.
+        static SKIPS: Cell<u64> = const { Cell::new(0) };
+        static STUDIES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Called whenever [`PigeonScratch::skips`] skips a group: the full
+    /// window scan on the same bounds must neither contradict nor
+    /// tighten.
+    pub(super) fn assert_skip_is_noop(
+        st: &mut SchedulingState,
+        scratch: &mut PigeonScratch,
+        nodes: &[NodeId],
+        pool: Pool,
+    ) {
+        let mut q = Queue::new();
+        let scanned = window_scan(st, &mut q, scratch, nodes, pool);
+        assert_eq!(scanned, Ok(()), "a skipped {pool:?} group overflows");
+        assert!(q.is_empty(), "a skipped {pool:?} group tightens {q:?}");
+        SKIPS.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Called after every successful study: every data edge whose
+    /// endpoints sit in incompatible VCs has a communication carrying
+    /// the producer's value to its consumer.
+    pub(crate) fn assert_crossing_edges_served(st: &SchedulingState) {
+        for &(p, c) in &st.ctx.data_edges {
+            let (rp, rc) = (st.vc.find_const(p), st.vc.find_const(c));
+            if rp == rc || !st.vc_adj[rp].contains(rc) {
+                continue;
+            }
+            let served = st.flc_by_value[p].iter().any(|&ci| {
+                matches!(&st.comms[ci].kind, CommKind::Flc { consumers, .. } if consumers.contains(&c))
+            });
+            assert!(
+                served,
+                "data edge {p} -> {c} crosses incompatible VCs unserved"
+            );
+        }
+        STUDIES.with(|c| c.set(c.get() + 1));
+    }
+
+    /// A random block of `n` ops: mixed classes and latencies, one or
+    /// two producers per op (live-ins among them), a side exit halfway.
+    fn random_block(n: usize, seed: u64) -> Superblock {
+        let mut s = seed | 1;
+        let mut next = move |m: u64| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) % m
+        };
+        let mut b = SuperblockBuilder::new("oracle");
+        let mut ids: Vec<_> = (0..next(4)).map(|_| b.live_in()).collect();
+        let side = n / 2;
+        let mut side_exit = None;
+        for i in 0..n {
+            let class = match next(10) {
+                0..=2 => OpClass::Mem,
+                3 => OpClass::Fp,
+                _ => OpClass::Int,
+            };
+            let id = b.inst(class, 1 + next(3) as u32);
+            for _ in 0..=next(2) {
+                if !ids.is_empty() {
+                    let p = ids[next(ids.len() as u64) as usize];
+                    b.data_dep(p, id);
+                }
+            }
+            ids.push(id);
+            if i == side {
+                let x = b.exit(1, 0.3);
+                b.data_dep(id, x);
+                side_exit = Some(x);
+            }
+        }
+        let exit = b.exit(1 + next(2) as u32, 0.7);
+        for &id in &ids {
+            b.data_dep(id, exit);
+        }
+        if let Some(x) = side_exit {
+            b.data_dep(x, exit);
+        }
+        b.build().expect("generated block is valid")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Pigeonhole skips (memo and precheck) and the served-crossing-
+        /// edge invariant hold on every occurrence during real searches.
+        #[test]
+        fn kernel_skips_match_the_full_computation(
+            n in 6usize..26,
+            seed in any::<u64>(),
+            m in 0usize..4,
+        ) {
+            let mut machines = MachineConfig::paper_eval_configs();
+            machines.push(MachineConfig::hetero_2c());
+            let sb = random_block(n, seed);
+            let vc = VcScheduler::with_options(machines[m].clone(), VcOptions {
+                max_dp_steps: 20_000,
+                ..VcOptions::default()
+            });
+            let _ = vc.schedule(&sb);
+        }
+    }
+
+    /// The window scan with every member in the views: the reference
+    /// [`window_scan`] must match.
+    fn reference_window_scan(
+        st: &mut SchedulingState,
+        q: &mut Queue,
+        nodes: &[NodeId],
+        pool: Pool,
+    ) -> Result<(), Contradiction> {
+        let Pool {
+            cap,
+            occupancy,
+            tighten,
+            class,
+            ..
+        } = pool;
+        let mut by_est: Vec<(i64, i64)> = nodes.iter().map(|&n| (st.est[n], st.lst[n])).collect();
+        by_est.sort_unstable();
+        let mut lsts: Vec<i64> = by_est.iter().map(|&(_, l)| l).collect();
+        lsts.sort_unstable();
+        let mut starts: Vec<i64> = by_est.iter().map(|&(e, _)| e).collect();
+        starts.dedup();
+        let mut ends = lsts.clone();
+        ends.dedup();
+        let mut saturated = Vec::new();
+        let mut dropped = 0;
+        for &a in &starts {
+            while dropped < by_est.len() && by_est[dropped].0 < a {
+                let pos = lsts.binary_search(&by_est[dropped].1).unwrap();
+                lsts.remove(pos);
+                dropped += 1;
+            }
+            if (lsts.len() as i64) * occupancy <= cap as i64 * occupancy {
+                continue;
+            }
+            let max_len = (lsts.len() as i64 * occupancy) / cap as i64 + occupancy;
+            let mut idx = 0;
+            for &b in &ends {
+                if b < a {
+                    continue;
+                }
+                if b - a + 1 > max_len {
+                    break;
+                }
+                while idx < lsts.len() && lsts[idx] <= b {
+                    idx += 1;
+                }
+                let must = idx as i64;
+                let supply = cap as i64 * (b - a + occupancy);
+                if must * occupancy > supply {
+                    return Err(Contradiction::ResourceOverflow(class));
+                }
+                if tighten && must * occupancy == supply && must > 0 {
+                    saturated.push((a, b));
+                }
+            }
+        }
+        for (a, b) in saturated {
+            let must = nodes
+                .iter()
+                .filter(|&&n| st.est[n] >= a && st.lst[n] <= b)
+                .count() as i64;
+            if must * occupancy != cap as i64 * (b - a + occupancy) {
+                continue;
+            }
+            for &n in nodes {
+                if st.est[n] >= a && st.lst[n] <= b {
+                    continue;
+                }
+                if st.est[n] >= a && st.est[n] <= b {
+                    tighten_est(st, q, n, b + 1)?;
+                } else if st.lst[n] >= a && st.lst[n] <= b {
+                    tighten_lst(st, q, n, a - 1)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A state over `n` independent integer ops (one exit), whose bounds
+    /// the caller overwrites.
+    fn bare_state(n: usize) -> SchedulingState {
+        let mut b = SuperblockBuilder::new("bounds");
+        let ops: Vec<_> = (0..n).map(|_| b.inst(OpClass::Int, 1)).collect();
+        let exit = b.exit(1, 1.0);
+        for &op in &ops {
+            b.data_dep(op, exit);
+        }
+        let sb = b.build().expect("valid block");
+        let ctx = StateCtx::new(&sb, &MachineConfig::paper_2c_8w());
+        let windows = crate::init::sg_windows(&ctx);
+        let lstarts = vec![64; ctx.n_insts];
+        crate::init::build_state(&ctx, &windows, &lstarts, 64, &[], &mut Budget::unlimited())
+            .expect("an unconstrained block closes")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Directly on random bounds, tight enough that windows often
+        /// fill exactly: whenever the precheck or the memo skips a
+        /// group, the full scan neither contradicts nor tightens.
+        #[test]
+        fn pigeonhole_skips_only_inert_groups(
+            bounds in proptest::collection::vec((0i64..4, 0i64..3), 3..12),
+            cap in 1usize..4,
+            occupancy in 1i64..3,
+            moved in any::<u64>(),
+        ) {
+            let n = bounds.len();
+            let mut st = bare_state(n);
+            for (i, &(e, slack)) in bounds.iter().enumerate() {
+                st.est[i] = e;
+                st.lst[i] = e + slack;
+            }
+            let nodes: Vec<NodeId> = (0..n).collect();
+            let pool = Pool {
+                cap,
+                occupancy,
+                tighten: true,
+                class: OpClass::Int,
+                group: Group::Machine(0),
+            };
+            let mut scratch = PigeonScratch::default();
+            if scratch.skips(&st, &nodes, pool) {
+                assert_skip_is_noop(&mut st, &mut scratch, &nodes, pool);
+                return Ok(());
+            }
+            // Not skipped: scan for real; a no-op scan is remembered and
+            // must be skipped on the same bounds, and a moved bound must
+            // only be skipped if inert.
+            let mut q = Queue::new();
+            let scanned = window_scan(&mut st, &mut q, &mut scratch, &nodes, pool);
+            if scanned.is_err() || !q.is_empty() {
+                return Ok(());
+            }
+            scratch.remember(&st, &nodes, pool);
+            prop_assert!(scratch.skips(&st, &nodes, pool));
+            let m = (moved % n as u64) as usize;
+            st.est[m] = st.lst[m];
+            if scratch.skips(&st, &nodes, pool) {
+                assert_skip_is_noop(&mut st, &mut scratch, &nodes, pool);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The window scan, which leaves loose members out of its views,
+        /// contradicts, tightens and queues exactly as the full scan.
+        #[test]
+        fn window_scan_matches_the_full_scan(
+            bounds in proptest::collection::vec((0i64..6, 0i64..5), 3..14),
+            cap in 1usize..4,
+            occupancy in 1i64..3,
+        ) {
+            let n = bounds.len();
+            let mut st = bare_state(n);
+            for (i, &(e, slack)) in bounds.iter().enumerate() {
+                st.est[i] = e;
+                st.lst[i] = e + slack;
+            }
+            let nodes: Vec<NodeId> = (0..n).collect();
+            let pool = Pool {
+                cap,
+                occupancy,
+                tighten: true,
+                class: OpClass::Int,
+                group: Group::Machine(0),
+            };
+            let mut reference = st.clone();
+            let (mut q, mut q_ref) = (Queue::new(), Queue::new());
+            let got = window_scan(&mut st, &mut q, &mut PigeonScratch::default(), &nodes, pool);
+            let want = reference_window_scan(&mut reference, &mut q_ref, &nodes, pool);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(q, q_ref);
+            prop_assert_eq!(&st.est, &reference.est);
+            prop_assert_eq!(&st.lst, &reference.lst);
+        }
+    }
+
+    #[test]
+    fn the_oracles_see_skips_and_studies() {
+        let sb = random_block(24, 7);
+        let vc = VcScheduler::with_options(
+            MachineConfig::paper_2c_8w(),
+            VcOptions {
+                max_dp_steps: 20_000,
+                ..VcOptions::default()
+            },
+        );
+        let _ = vc.schedule(&sb);
+        assert!(SKIPS.with(Cell::get) > 0, "no pigeonhole group was skipped");
+        assert!(STUDIES.with(Cell::get) > 0, "no study was checked");
     }
 }

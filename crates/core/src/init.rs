@@ -103,7 +103,7 @@ fn reset_into(
     // impossible for a class the whole machine issues once per cycle
     // (the paper's "single branch per cycle" example, §3.1).
     st.edges.clear();
-    st.edge_of.clear();
+    st.edge_of.reset(n);
     st.edges_at.truncate(n_nodes);
     for v in &mut st.edges_at {
         v.clear();

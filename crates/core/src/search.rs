@@ -9,7 +9,7 @@ use crate::combination::CombRange;
 use crate::dp::{Budget, DpAbort};
 use crate::init::{sg_windows, StateArena};
 use crate::stages::{run_all_stages_indexed, StageFail};
-use crate::state::{CommKind, EdgeState, NodeKind, SchedulingState, StateCtx};
+use crate::state::{CommKind, EdgeState, SchedulingState, StateCtx};
 
 /// Result of a successful search.
 #[derive(Debug, Clone)]
@@ -99,7 +99,7 @@ fn enhanced_min_targets_inner(
         Err(DpAbort::Budget) => return Err(DpAbort::Budget),
         Err(DpAbort::Contradiction(_)) => exits.iter().map(|&x| ctx.dg.estart(x)).collect(),
     };
-    for (k, &exit) in exits.iter().enumerate() {
+    for k in 0..exits.len() {
         let mut steps = 0;
         loop {
             // Latest starts with only exit k constrained.
@@ -122,7 +122,6 @@ fn enhanced_min_targets_inner(
                 }
             }
         }
-        let _ = exit;
     }
     // Exit order consistency: a later exit can never precede what an
     // earlier one forces.
@@ -343,10 +342,4 @@ pub fn search(
             Ok(()) => unreachable!(),
         }
     }
-}
-
-// Quiet the unused-import warning for NodeKind, used only in debug asserts.
-#[allow(unused)]
-fn _node_kind_witness(k: &NodeKind) -> bool {
-    matches!(k, NodeKind::Inst(_))
 }

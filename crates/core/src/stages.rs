@@ -159,18 +159,36 @@ fn combination_stage(
     budget: &mut Budget,
     edge_filter: impl Fn(&SchedulingState, &SgEdge) -> bool,
 ) -> Result<(), StageFail> {
+    // The stage's edges that are still open. The state the stage moves
+    // only ever resolves edges (studies roll back), so each round keeps
+    // the ones still open instead of rescanning every edge.
+    let mut open = st.scratch.lists.take();
+    open.extend((0..st.edges.len()).filter(|&e| {
+        matches!(st.edges[e].state, EdgeState::Open(_)) && edge_filter(st, &st.edges[e])
+    }));
+    let out = combination_rounds(st, budget, &mut open);
+    st.scratch.lists.give(open);
+    out
+}
+
+/// The rounds of [`combination_stage`] over its `open` edges.
+fn combination_rounds(
+    st: &mut SchedulingState,
+    budget: &mut Budget,
+    open: &mut Vec<usize>,
+) -> Result<(), StageFail> {
     loop {
         budget.spend(1).map_err(map_abort)?;
         // Candidates: the lowest-slack open combinations. Only the
         // STUDY_WIDTH smallest are ever studied, so keep a sorted
         // best-of array instead of materialising and sorting the full
         // candidate list each round. Tuples are unique per (u, v, d),
-        // so lexicographic `<` reproduces the old full-sort order.
+        // so lexicographic `<` reproduces the old full-sort order (and
+        // the visiting order does not matter).
         let mut cands: [Option<(i64, NodeId, NodeId, i64)>; STUDY_WIDTH] = [None; STUDY_WIDTH];
-        for e in &st.edges {
-            if !edge_filter(st, e) {
-                continue;
-            }
+        open.retain(|&e| matches!(st.edges[e].state, EdgeState::Open(_)));
+        for &e in open.iter() {
+            let e = &st.edges[e];
             if let EdgeState::Open(dom) = &e.state {
                 for d in dom.iter() {
                     let t = (comb_slack(st, e.u, e.v, d), e.u, e.v, d);

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use vcsched_arch::{ClusterId, MachineConfig, OpClass};
 use vcsched_graph::coloring::DenseColoring;
-use vcsched_graph::{Csr, GrowSet, OffsetUnionFind, Ungraph, UnionFind};
+use vcsched_graph::{Csr, GrowSet, OffsetUnionFind, UnionFind};
 use vcsched_ir::{DepGraph, DepKind, InstId, Superblock};
 
 use crate::combination::{CombDomain, CombRange};
@@ -151,15 +151,26 @@ impl Tuning {
     }
 }
 
-/// Scheduling-graph edge lookup by node pair, kept as a `Vec` sorted by
-/// `(u, v)` — the flat replacement for the former
-/// `BTreeMap<(NodeId, NodeId), usize>`. Lookups are a binary search over
-/// contiguous memory and a clone is one `memcpy`; insertion order during
-/// state construction is already sorted, so building it is append-only.
+/// Scheduling-graph edge lookup by node pair `(u, v)`, `u < v`.
+///
+/// Pairs of instructions — every edge the state builds — sit in a dense
+/// per-attempt table, one slot per pair, sized by [`EdgeIndex::reset`]:
+/// a lookup is one load. The comm-comm pairs stage 5 adds later keep a
+/// `Vec` sorted by `(u, v)`, binary-searched.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeIndex {
+    /// Instructions covered by `dense`.
+    insts: usize,
+    /// Edge of instruction pair `(u, v)` at `u * insts + v`; `NO_EDGE`
+    /// when the pair has none.
+    dense: Vec<u32>,
+    /// Pairs indexed in `dense`.
+    dense_len: usize,
+    /// Every other pair, sorted.
     entries: Vec<(NodeId, NodeId, usize)>,
 }
+
+const NO_EDGE: u32 = u32::MAX;
 
 impl EdgeIndex {
     /// An empty index.
@@ -169,16 +180,21 @@ impl EdgeIndex {
 
     /// Number of indexed pairs.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.dense_len + self.entries.len()
     }
 
     /// Returns `true` if no pair is indexed.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
-    /// Removes every entry, keeping the allocation.
-    pub fn clear(&mut self) {
+    /// Removes every entry and sizes the dense table for pairs among
+    /// `insts` instructions, keeping the allocations.
+    pub fn reset(&mut self, insts: usize) {
+        self.insts = insts;
+        self.dense.clear();
+        self.dense.resize(insts * insts, NO_EDGE);
+        self.dense_len = 0;
         self.entries.clear();
     }
 
@@ -187,19 +203,31 @@ impl EdgeIndex {
             .binary_search_by(|&(a, b, _)| (a, b).cmp(&(u, v)))
     }
 
-    /// The edge index stored for pair `(u, v)`, if any.
+    /// The edge index stored for pair `(u, v)`, `u < v`, if any.
     pub fn get(&self, u: NodeId, v: NodeId) -> Option<usize> {
-        self.position(u, v).ok().map(|i| self.entries[i].2)
+        if v < self.insts {
+            let e = self.dense[u * self.insts + v];
+            (e != NO_EDGE).then_some(e as usize)
+        } else {
+            self.position(u, v).ok().map(|i| self.entries[i].2)
+        }
     }
 
     /// Returns `true` if pair `(u, v)` is indexed.
     pub fn contains(&self, u: NodeId, v: NodeId) -> bool {
-        self.position(u, v).is_ok()
+        self.get(u, v).is_some()
     }
 
     /// Inserts `(u, v) → e`. The pair must not be present yet. Appending
     /// in ascending pair order is O(1); out-of-order inserts shift.
     pub fn insert(&mut self, u: NodeId, v: NodeId, e: usize) {
+        if v < self.insts {
+            let slot = &mut self.dense[u * self.insts + v];
+            assert_eq!(*slot, NO_EDGE, "pair already indexed");
+            *slot = u32::try_from(e).expect("edge index fits in u32");
+            self.dense_len += 1;
+            return;
+        }
         match self.entries.last() {
             Some(&(a, b, _)) if (a, b) < (u, v) => self.entries.push((u, v, e)),
             None => self.entries.push((u, v, e)),
@@ -207,13 +235,6 @@ impl EdgeIndex {
                 let pos = self.position(u, v).expect_err("pair already indexed");
                 self.entries.insert(pos, (u, v, e));
             }
-        }
-    }
-
-    /// Removes pair `(u, v)` if present.
-    pub fn remove(&mut self, u: NodeId, v: NodeId) {
-        if let Ok(pos) = self.position(u, v) {
-            self.entries.remove(pos);
         }
     }
 }
@@ -244,6 +265,14 @@ pub struct StateCtx {
     pub consumers_of: Vec<Vec<usize>>,
     /// Data producers per consumer.
     pub producers_of: Vec<Vec<usize>>,
+    /// Indices into [`StateCtx::data_edges`] of the edges at each
+    /// instruction (as producer or consumer), ascending.
+    pub data_edges_at: Csr<usize>,
+    /// Instruction pairs with a common data consumer or a common data
+    /// producer — the only pairs Rule 5 and its dual can act on — as a
+    /// bit matrix: bit `y` of row `x`, rows [`StateCtx::pair_words`]
+    /// words wide.
+    pub plc_pairs: Vec<u64>,
     /// Pairwise longest dependence paths: `paths[v][u]` is the heaviest
     /// path `u → v`, `None` when unreachable. Computed once per block.
     pub paths: Vec<Vec<Option<i64>>>,
@@ -345,6 +374,29 @@ impl StateCtx {
         let pred_csr: Csr<(NodeId, i64)> = pred_rows.into_iter().collect();
         let classes: Vec<OpClass> = sb.insts().iter().map(|i| i.class()).collect();
         let live_in: Vec<bool> = sb.insts().iter().map(|i| i.is_live_in()).collect();
+        let data_edges_at = Csr::grouped(
+            n,
+            &data_edges
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &(p, c))| [(p, i), (c, i)])
+                .collect::<Vec<_>>(),
+            |&(node, _)| node,
+            |&(_, i)| i,
+        );
+        let words = n.div_ceil(64);
+        let mut plc_pairs = vec![0u64; n * words];
+        for side in [&consumers_of, &producers_of] {
+            for common in side {
+                for &x in common {
+                    for &y in common {
+                        if x != y {
+                            plc_pairs[x * words + y / 64] |= 1 << (y % 64);
+                        }
+                    }
+                }
+            }
+        }
         let mut fu_nodes: [Vec<NodeId>; 4] = Default::default();
         for (ci, &class) in OpClass::FU_CLASSES.iter().enumerate() {
             fu_nodes[ci] = (0..n)
@@ -353,38 +405,48 @@ impl StateCtx {
         }
         // Same visit order as the per-round rescan this replaces: node
         // ascending, FU class order, predecessor side before successor
-        // side — the deduction queue is order-sensitive.
+        // side — the deduction queue is order-sensitive. One pass over
+        // the instructions per node fills every (class, side) group.
         let mut prec_rules = Vec::new();
         let inst = |i: usize| vcsched_ir::InstId(i as u32);
+        let mut groups: [[Vec<usize>; 2]; 4] = Default::default();
+        let mut min_paths = [[i64::MAX; 2]; 4];
         for x in 0..n {
-            for class in OpClass::FU_CLASSES {
+            for (g, p) in groups.iter_mut().zip(&mut min_paths) {
+                g[0].clear();
+                g[1].clear();
+                *p = [i64::MAX; 2];
+            }
+            for m in 0..n {
+                let Some(ci) = classes[m].fu_index().filter(|_| !live_in[m]) else {
+                    continue;
+                };
+                for (side, forced, d) in [
+                    (0, dg.reaches(inst(m), inst(x)), paths[x][m]),
+                    (1, dg.reaches(inst(x), inst(m)), paths[m][x]),
+                ] {
+                    if forced {
+                        groups[ci][side].push(m);
+                        if let Some(d) = d {
+                            min_paths[ci][side] = min_paths[ci][side].min(d);
+                        }
+                    }
+                }
+            }
+            for (ci, class) in OpClass::FU_CLASSES.into_iter().enumerate() {
                 let cap = machine.total_capacity(class) as i64;
                 if cap == 0 {
                     continue;
                 }
-                for succ_side in [false, true] {
-                    let mut members = Vec::new();
-                    let mut min_path = i64::MAX;
-                    for m in 0..n {
-                        let forced = if succ_side {
-                            dg.reaches(inst(x), inst(m))
-                        } else {
-                            dg.reaches(inst(m), inst(x))
-                        };
-                        if classes[m] == class && !live_in[m] && forced {
-                            members.push(m);
-                            let d = if succ_side { paths[m][x] } else { paths[x][m] };
-                            if let Some(d) = d {
-                                min_path = min_path.min(d);
-                            }
-                        }
-                    }
+                for side in 0..2 {
+                    let members = &groups[ci][side];
+                    let min_path = min_paths[ci][side];
                     if members.len() as i64 > cap && min_path != i64::MAX {
                         let rounds = (members.len() as i64 + cap - 1) / cap;
                         prec_rules.push(PrecRule {
                             node: x,
-                            succ_side,
-                            members,
+                            succ_side: side == 1,
+                            members: members.clone(),
                             slack: (rounds - 1) + min_path,
                         });
                     }
@@ -403,6 +465,8 @@ impl StateCtx {
             dg,
             consumers_of,
             producers_of,
+            data_edges_at,
+            plc_pairs,
             paths,
             succ_csr,
             pred_csr,
@@ -419,6 +483,17 @@ impl StateCtx {
     /// Number of fixed nodes (instructions + anchors).
     pub fn fixed_nodes(&self) -> usize {
         self.n_insts + self.machine.cluster_count()
+    }
+
+    /// Words per row of [`StateCtx::plc_pairs`].
+    pub fn pair_words(&self) -> usize {
+        self.n_insts.div_ceil(64)
+    }
+
+    /// Whether instructions `x` and `y` share a data consumer or a data
+    /// producer (see [`StateCtx::plc_pairs`]).
+    pub fn is_plc_pair(&self, x: usize, y: usize) -> bool {
+        self.plc_pairs[x * self.pair_words() + y / 64] & (1 << (y % 64)) != 0
     }
 }
 
@@ -485,6 +560,16 @@ pub(crate) struct Scratch {
     /// One slot per node for the sweeps that memoise VC roots or view
     /// indices; none of them nests, so one buffer serves them all.
     memo: Vec<usize>,
+    /// One bit per data edge: the edges a crossing-edge sweep visits
+    /// (sweeps do not nest).
+    pub(crate) edge_marks: Vec<u64>,
+    /// One bit per instruction: the members of the VC a PLC sweep pairs
+    /// against (the sweep does not nest).
+    pub(crate) pair_mask: Vec<u64>,
+    /// `(component root, offset)` per member, read once by the
+    /// same-cycle audit loops of a merge or fuse (those loops do not
+    /// nest).
+    pub(crate) cc_pos: Vec<(usize, i64)>,
     /// The worklist a decision drains.
     pub(crate) queue: Queue,
     /// Window-scan buffers of the resource rules.
@@ -578,7 +663,7 @@ pub struct SchedulingState {
     pub vc_adj: Vec<GrowSet>,
     /// Scheduling-graph edges.
     pub edges: Vec<SgEdge>,
-    /// Edge index by node pair `(min, max)`, flat and binary-searched.
+    /// Edge index by node pair `(min, max)`.
     pub edge_of: EdgeIndex,
     /// Edges incident to each node.
     pub edges_at: Vec<Vec<usize>>,
@@ -696,10 +781,11 @@ impl SchedulingState {
             .collect()
     }
 
-    /// Number of current VC roots — `vc_roots().len()` without the
-    /// allocation (the score heuristic calls this once per study).
+    /// Number of current VC roots — `vc_roots().len()` in O(1): comm
+    /// nodes are never fused, so each is one singleton set of the VC
+    /// union-find and every other set is rooted at a fixed node.
     pub fn vc_root_count(&self) -> usize {
-        (0..self.kind.len()).filter(|&m| self.is_vc_root(m)).count()
+        self.vc.set_count() - (self.kind.len() - self.ctx.fixed_nodes())
     }
 
     /// The anchor cluster a node's VC is mapped to, if any.
@@ -764,9 +850,12 @@ impl SchedulingState {
     /// Heuristic score of this state (§4.4.3).
     pub fn score(&mut self) -> StateScore {
         let comms = self.comm_count();
-        let compactness: i64 = (0..self.ctx.n_insts)
-            .filter(|&n| self.ctx.exit[n])
-            .map(|n| self.est[n])
+        let compactness: i64 = self
+            .ctx
+            .dg
+            .exits()
+            .iter()
+            .map(|x| self.est[x.index()])
             .sum();
         let outedges = self.outedge_count() as i64;
         let vcs = self.vc_root_count() as i64;
@@ -775,16 +864,6 @@ impl SchedulingState {
             compactness,
             outedge_ratio_milli: if vcs > 0 { outedges * 1000 / vcs } else { 0 },
         }
-    }
-
-    /// The scheduling-graph view as an undirected graph over instruction
-    /// nodes (for inspection and tests).
-    pub fn sg_ungraph(&self) -> Ungraph {
-        let mut g = Ungraph::new(self.kind.len());
-        for e in &self.edges {
-            g.add_edge(e.u, e.v);
-        }
-        g
     }
 
     /// Starts a speculation: subsequent mutations are recorded on the
@@ -981,9 +1060,11 @@ impl SchedulingState {
     /// `{i, j}` (`i < j`) exists when root `j` is in root `i`'s adjacency
     /// row (rows may still name merged-away roots; those are skipped).
     pub(crate) fn vcg_colorable(&mut self, k: usize) -> bool {
+        // Comm nodes never root a VC: only fixed nodes can.
+        let fixed = self.ctx.fixed_nodes();
         let mut index = self.scratch.take_memo(self.kind.len());
         let mut roots = 0;
-        for m in 0..self.kind.len() {
+        for m in 0..fixed {
             if self.is_vc_root(m) {
                 index[m] = roots;
                 roots += 1;
@@ -991,7 +1072,7 @@ impl SchedulingState {
         }
         let vcg = &mut self.scratch.vcg;
         vcg.reset(roots);
-        for r in 0..self.kind.len() {
+        for r in 0..fixed {
             let i = index[r];
             if i == usize::MAX {
                 continue;

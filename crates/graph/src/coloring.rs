@@ -77,6 +77,8 @@ pub struct DenseColoring {
     /// Words per adjacency row.
     words: usize,
     adj: Vec<u64>,
+    /// Degree per node, counted once per check for the ordering sort.
+    degree: Vec<usize>,
     order: Vec<usize>,
     color: Vec<usize>,
     taken: Vec<bool>,
@@ -136,10 +138,15 @@ impl DenseColoring {
         }
         // Quick accept via greedy, in decreasing-degree order (ties by
         // index); the keys are unique, so the unstable sort is exact.
+        // Degrees are counted once up front, not per comparison.
+        let mut degree = std::mem::take(&mut self.degree);
+        degree.clear();
+        degree.extend((0..n).map(|v| self.degree(v)));
         let mut order = std::mem::take(&mut self.order);
         order.clear();
         order.extend(0..n);
-        order.sort_unstable_by_key(|&v| (std::cmp::Reverse(self.degree(v)), v));
+        order.sort_unstable_by_key(|&v| (std::cmp::Reverse(degree[v]), v));
+        self.degree = degree;
         self.color.clear();
         self.color.resize(n, usize::MAX);
         self.taken.clear();

@@ -3,8 +3,9 @@
 //! The paper's outedge-elimination stage (§4.4.1.2) selects virtual-cluster
 //! pairs with a *maximum weight matching* (via LEDA). We replace that with:
 //!
-//! * an **exact** solver (bitmask dynamic programming over vertex subsets)
-//!   for graphs with at most [`EXACT_NODE_LIMIT`] *matchable* nodes — the
+//! * an **exact** solver (dynamic programming over vertex subsets,
+//!   memoised top-down over the subsets reachable from the full set) for
+//!   graphs with at most [`EXACT_NODE_LIMIT`] *matchable* nodes — the
 //!   matching graph shrinks every stage-3 round as clusters fuse, so the vast
 //!   majority of calls are exact, and
 //! * a **greedy + local-improvement** heuristic beyond that, guaranteed to be
@@ -12,8 +13,11 @@
 //!
 //! Property tests compare the two against brute force on random graphs.
 
-/// Maximum number of nodes *incident to an edge* for which the exact bitmask
-/// DP is used. `2^20` subsets × a few machine words is well within budget.
+use crate::Csr;
+
+/// Maximum number of nodes *incident to an edge* for which the exact subset
+/// DP is used. Its memo holds only the subsets reachable from the full set,
+/// at most `2^20` at this limit and far fewer on sparse graphs.
 pub const EXACT_NODE_LIMIT: usize = 20;
 
 /// A matching: chosen edges and their total weight.
@@ -83,42 +87,43 @@ fn dedup_edges(n: usize, edges: &[(usize, usize, u64)]) -> Vec<(usize, usize, u6
     best.into_iter().map(|((a, b), w)| (a, b, w)).collect()
 }
 
+/// The exact path: the subset recurrence over the compressed nodes,
+/// evaluated top-down from the full set.
+///
+/// `best(mask)` is the heaviest matching inside `mask`: either its lowest
+/// node stays unmatched (`best(mask − low)`), or it is matched to a
+/// neighbour `hi` still in the mask (`w + best(mask − low − hi)`),
+/// neighbours tried in edge order and a candidate kept only when strictly
+/// heavier. Memoising only the masks reachable from the full set gives the
+/// same values, the same choices and so the same [`Matching`] as filling a
+/// table over all `2^k` subsets, at a cost proportional to the reachable
+/// masks — few on the sparse matching graphs of stage 3.
 fn exact_matching(touched: &[usize], edges: &[(usize, usize, u64)]) -> Matching {
     let k = touched.len();
-    let index_of = |v: usize| touched.binary_search(&v).unwrap();
-    // dp[mask] = best weight using only nodes in `mask`.
-    // choice[mask] = Some(edge idx) if the lowest set bit is matched.
-    let mut dp = vec![0u64; 1 << k];
-    let mut choice: Vec<Option<usize>> = vec![None; 1 << k];
-    // Pre-bucket edges by their lower compressed endpoint for speed.
-    let mut by_low: Vec<Vec<(usize, usize)>> = vec![Vec::new(); k]; // (other, edge idx)
-    for (ei, &(a, b, _)) in edges.iter().enumerate() {
-        let (ia, ib) = (index_of(a), index_of(b));
-        let (lo, hi) = (ia.min(ib), ia.max(ib));
-        by_low[lo].push((hi, ei));
-    }
-    for mask in 1usize..(1 << k) {
-        let low = mask.trailing_zeros() as usize;
-        // Option 1: leave `low` unmatched.
-        let rest = mask & (mask - 1);
-        dp[mask] = dp[rest];
-        // Option 2: match `low` with a neighbour present in the mask.
-        for &(hi, ei) in &by_low[low] {
-            if mask & (1 << hi) != 0 {
-                let sub = mask & !(1 << low) & !(1 << hi);
-                let cand = dp[sub] + edges[ei].2;
-                if cand > dp[mask] {
-                    dp[mask] = cand;
-                    choice[mask] = Some(ei);
-                }
-            }
-        }
-    }
-    // Reconstruct.
+    let index_of = |v: usize| touched.binary_search(&v).expect("endpoint is touched");
+    // Edges bucketed by their lower compressed endpoint, as `(other, edge)`
+    // in edge order.
+    let ends: Vec<(usize, usize, usize)> = edges
+        .iter()
+        .enumerate()
+        .map(|(ei, &(a, b, _))| {
+            let (ia, ib) = (index_of(a), index_of(b));
+            (ia.min(ib), ia.max(ib), ei)
+        })
+        .collect();
+    let by_low = Csr::grouped(k, &ends, |&(lo, _, _)| lo, |&(_, hi, ei)| (hi, ei));
+    let mut dp = SubsetMemo {
+        edges,
+        by_low: &by_low,
+        memo: std::collections::HashMap::new(),
+    };
+    let full = (1usize << k) - 1;
+    let total_weight = dp.best(full);
+    // Reconstruct along the memoised choices.
     let mut sel = Vec::new();
-    let mut mask = (1usize << k) - 1;
+    let mut mask = full;
     while mask != 0 {
-        match choice[mask] {
+        match dp.memo[&mask].1 {
             Some(ei) => {
                 let (a, b, w) = edges[ei];
                 sel.push((a.min(b), a.max(b), w));
@@ -129,9 +134,44 @@ fn exact_matching(touched: &[usize], edges: &[(usize, usize, u64)]) -> Matching 
     }
     sel.sort_unstable();
     Matching {
-        total_weight: dp[(1 << k) - 1],
+        total_weight,
         edges: sel,
         exact: true,
+    }
+}
+
+/// The memo of [`exact_matching`]: per reached mask, the best weight and
+/// the edge matching its lowest node (`None`: left unmatched).
+struct SubsetMemo<'a> {
+    edges: &'a [(usize, usize, u64)],
+    by_low: &'a Csr<(usize, usize)>,
+    memo: std::collections::HashMap<usize, (u64, Option<usize>)>,
+}
+
+impl SubsetMemo<'_> {
+    fn best(&mut self, mask: usize) -> u64 {
+        if mask == 0 {
+            return 0;
+        }
+        if let Some(&(w, _)) = self.memo.get(&mask) {
+            return w;
+        }
+        let low = mask.trailing_zeros() as usize;
+        // Option 1: leave `low` unmatched.
+        let mut best = self.best(mask & (mask - 1));
+        let mut choice = None;
+        // Option 2: match `low` with a neighbour present in the mask.
+        for &(hi, ei) in self.by_low.row(low) {
+            if mask & (1 << hi) != 0 {
+                let cand = self.best(mask & !(1 << low) & !(1 << hi)) + self.edges[ei].2;
+                if cand > best {
+                    best = cand;
+                    choice = Some(ei);
+                }
+            }
+        }
+        self.memo.insert(mask, (best, choice));
+        best
     }
 }
 
@@ -251,6 +291,52 @@ mod tests {
         best
     }
 
+    /// The bottom-up form of the exact recurrence: `dp` and `choice`
+    /// tables over all `2^k` subsets. The reference the memoised solver
+    /// must reproduce exactly.
+    fn bottom_up_matching(touched: &[usize], edges: &[(usize, usize, u64)]) -> Matching {
+        let k = touched.len();
+        let index_of = |v: usize| touched.binary_search(&v).unwrap();
+        let mut dp = vec![0u64; 1 << k];
+        let mut choice: Vec<Option<usize>> = vec![None; 1 << k];
+        let mut by_low: Vec<Vec<(usize, usize)>> = vec![Vec::new(); k];
+        for (ei, &(a, b, _)) in edges.iter().enumerate() {
+            let (ia, ib) = (index_of(a), index_of(b));
+            by_low[ia.min(ib)].push((ia.max(ib), ei));
+        }
+        for mask in 1usize..(1 << k) {
+            let low = mask.trailing_zeros() as usize;
+            dp[mask] = dp[mask & (mask - 1)];
+            for &(hi, ei) in &by_low[low] {
+                if mask & (1 << hi) != 0 {
+                    let cand = dp[mask & !(1 << low) & !(1 << hi)] + edges[ei].2;
+                    if cand > dp[mask] {
+                        dp[mask] = cand;
+                        choice[mask] = Some(ei);
+                    }
+                }
+            }
+        }
+        let mut sel = Vec::new();
+        let mut mask = (1usize << k) - 1;
+        while mask != 0 {
+            match choice[mask] {
+                Some(ei) => {
+                    let (a, b, w) = edges[ei];
+                    sel.push((a.min(b), a.max(b), w));
+                    mask &= !(1 << index_of(a)) & !(1 << index_of(b));
+                }
+                None => mask &= mask - 1,
+            }
+        }
+        sel.sort_unstable();
+        Matching {
+            total_weight: dp[(1 << k) - 1],
+            edges: sel,
+            exact: true,
+        }
+    }
+
     #[test]
     fn empty_graph() {
         let m = max_weight_matching(5, &[]);
@@ -346,6 +432,26 @@ mod tests {
                 proptest::prop_assert!(used.insert(a));
                 proptest::prop_assert!(used.insert(b));
             }
+        }
+
+        #[test]
+        fn memoised_matching_equals_the_bottom_up_table(
+            edges in proptest::collection::vec(
+                (0usize..EXACT_NODE_LIMIT, 0usize..EXACT_NODE_LIMIT, 1u64..6),
+                0..36,
+            )
+        ) {
+            // Small weights force ties, so the strict tie-breaks are
+            // exercised, not only the optimum.
+            let edges: Vec<_> = edges.into_iter().filter(|(a, b, _)| a != b).collect();
+            let edges = dedup_edges(EXACT_NODE_LIMIT, &edges);
+            let mut touched: Vec<usize> = edges.iter().flat_map(|&(a, b, _)| [a, b]).collect();
+            touched.sort_unstable();
+            touched.dedup();
+            proptest::prop_assert_eq!(
+                exact_matching(&touched, &edges),
+                bottom_up_matching(&touched, &edges)
+            );
         }
 
         #[test]

@@ -14,6 +14,8 @@
 //! * Cloning a reservation table is one allocation.
 //! * A binary frame whose container counts claim the whole frame fails
 //!   without reserving memory for the claimed elements.
+//! * An exact stage-3 matching on 20 matchable nodes requests under
+//!   1 MiB.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -25,6 +27,7 @@ use vcsched::core::decision::{study_decision, Decision};
 use vcsched::core::init::{build_state, sg_windows};
 use vcsched::core::{Budget, EdgeState, SchedulingState, StateCtx};
 use vcsched::engine::{schedule_block, PolicyOptions, PolicySet, STEPS_1S};
+use vcsched::graph::matching::{max_weight_matching, EXACT_NODE_LIMIT};
 use vcsched::ir::Superblock;
 use vcsched::service::frame::decode_frame;
 use vcsched::workload::live_in_placement;
@@ -310,4 +313,28 @@ fn inflated_frame_counts_fail_with_bounded_allocation() {
             "tag 0x{tag:02x}: decoding a {LEN}-byte frame reserved {bytes} bytes"
         );
     }
+}
+
+/// Most bytes one exact matching on [`EXACT_NODE_LIMIT`] matchable nodes
+/// may request. A table over every subset (`2^20` weights and choices)
+/// requested about 24 MiB per call.
+const MATCHING_BYTES_BUDGET: u64 = 1 << 20;
+
+#[test]
+fn exact_matching_memory_is_bounded_by_reachable_subsets() {
+    // Stage 3's matching graph: virtual clusters joined by their outedge
+    // counts — a sparse graph, here a weighted chain over every root with
+    // a few chords between clusters that share several values.
+    let n = EXACT_NODE_LIMIT;
+    let mut edges: Vec<(usize, usize, u64)> = (0..n - 1)
+        .map(|i| (i, i + 1, 1 + (i as u64 * 7) % 4))
+        .collect();
+    edges.extend([(0, 5, 3), (3, 11, 2), (8, 17, 4), (12, 19, 1)]);
+    let (m, _, bytes) = counted(|| max_weight_matching(n, &edges));
+    assert!(m.exact, "{n} matchable nodes take the exact path");
+    assert!(
+        bytes < MATCHING_BYTES_BUDGET,
+        "an exact matching on {n} nodes requested {bytes} bytes; \
+         the budget is {MATCHING_BYTES_BUDGET}"
+    );
 }
