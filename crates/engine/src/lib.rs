@@ -328,8 +328,11 @@ fn problem_key(
 /// the canonical problem is known, otherwise run the policy and remember
 /// the outcome. Returns the outcome and whether it came from the cache.
 ///
-/// This is the per-problem step of [`run_batch_with_cache`] and
-/// [`run_trace`]; the service's [`SubmitPool`] workers share its body.
+/// This is the per-problem step of [`run_batch_with_cache`]; the
+/// service's [`SubmitPool`] workers share its body. [`run_trace`] races
+/// without a cache: it salts each event's live-in homes with the event's
+/// index, so a trace does not repeat a problem (a per-trace cache hit 0
+/// of 7,200 `online-deadline` events).
 pub fn solve_one(
     sb: &vcsched_ir::Superblock,
     machine: &MachineConfig,

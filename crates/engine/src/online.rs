@@ -4,25 +4,32 @@
 //! The offline engine answers "schedule this corpus as fast as
 //! possible"; the online executor answers "survive this corpus
 //! *arriving*". [`run_trace`] drives a synthesized arrival trace (see
-//! [`vcsched_workload::trace`]) through three deterministic phases:
+//! [`vcsched_workload::trace`]) through a single virtual server:
 //!
 //! 1. **Price** — each event's deadline slack is converted into a
 //!    deduction-step budget (`slack_ms × steps_per_ms`, clamped to
 //!    `[step_floor, base_steps]`). Slack is trace-static, so pricing is
 //!    a pure function of the event — no wall clock involved.
-//! 2. **Solve** — every block races its portfolio under
-//!    [`PolicyOptions::deadline_steps`]. A race whose priced budget
-//!    fires returns its best-so-far *validated* schedule tagged
+//! 2. **Admit** — the server replays the arrivals in virtual time, in
+//!    arrival order. When the waiting queue is full, admission sheds by
+//!    priority: the incoming event is dropped unless it strictly
+//!    outranks the lowest-priority waiter, which is evicted instead.
+//! 3. **Race on service** — an event's block races its portfolio under
+//!    [`PolicyOptions::deadline_steps`] only when the server serves it;
+//!    a shed or evicted event is never raced. A race whose priced
+//!    budget fires returns its best-so-far *validated* schedule tagged
 //!    [`PolicyFallback::Deadline`] (the implicit CARS fallback runs on
-//!    a fresh budget, so a schedule always exists). Solves fan out over
-//!    [`scatter`] — results are byte-identical at any `--jobs`.
-//! 3. **Simulate** — a single virtual server replays the arrivals in
-//!    virtual time. Service cost is the solve's consumed deduction
-//!    steps at the same `steps_per_ms` exchange rate. When the waiting
-//!    queue is full, admission sheds by priority: the incoming event is
-//!    dropped unless it strictly outranks the lowest-priority waiter,
-//!    which is evicted instead. A served block whose virtual finish
-//!    lands past its deadline is a **miss**.
+//!    a fresh budget, so a schedule always exists). Service cost is the
+//!    race's consumed deduction steps at the same `steps_per_ms`
+//!    exchange rate, and a served block whose virtual finish lands past
+//!    its deadline is a **miss**.
+//!
+//! With `jobs > 1`, workers of an [`ordered`] pool race ahead of the
+//! server in arrival order, but no further than `queue_capacity`
+//! arrivals past the one being admitted, and skip every event the
+//! server has already shed. A race is a pure function of its event and
+//! the options, so every [`BlockResult`] is byte-identical at any
+//! `--jobs`; only how many shed events were raced in vain varies.
 //!
 //! "Deadline fired" (the race was preempted and returned best-so-far)
 //! and "missed" (the queue delivered late) are deliberately distinct:
@@ -49,8 +56,9 @@ use vcsched_policy::AwctBound;
 use vcsched_workload::live_in_placement;
 use vcsched_workload::trace::TraceEvent;
 
+use crate::pool::{ordered, Ordered};
 use crate::registry::PolicySet;
-use crate::{pool::scatter, solve_one, PolicyOptions, ScheduleCache, STEPS_1M};
+use crate::{schedule_block, PolicyOptions, STEPS_1M};
 
 /// Options of one online replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,15 +78,17 @@ pub struct OnlineOptions {
     /// this many steps before its race is abandoned to best-so-far.
     pub step_floor: u64,
     /// Waiting-queue capacity of the virtual server; admissions beyond
-    /// it shed by priority.
+    /// it shed by priority. It also bounds how many arrivals past the
+    /// one being admitted the workers may race ahead.
     pub queue_capacity: usize,
-    /// Worker threads for the solve phase (never changes results).
+    /// Worker threads that race events ahead of the virtual server
+    /// (never changes results).
     pub jobs: usize,
     /// Salt for live-in home placement, XORed with the event position.
     pub placement_seed: u64,
     /// Optional trail-byte budget forwarded to every race.
     pub max_trail_bytes: Option<u64>,
-    /// Forwarded to every race (part of the cache key).
+    /// Forwarded to every race.
     pub early_cancel: bool,
 }
 
@@ -136,7 +146,8 @@ pub struct BlockResult {
     pub deadline_ms: u64,
     /// Priced deduction-step budget of this event's race.
     pub priced_steps: u64,
-    /// Whether admission shed this event (never solved counts below).
+    /// Whether admission shed this event (never raced: the fields below
+    /// stay empty).
     pub shed: bool,
     /// Winning policy (empty when shed).
     pub winner: String,
@@ -195,16 +206,17 @@ pub struct OnlineSummary {
     pub virt_p99_ms: u64,
     /// 99.9th-percentile virtual latency.
     pub virt_p999_ms: u64,
-    /// Median wall solve latency per event, microseconds (bench-only;
-    /// wall readings are *not* deterministic, unlike everything above).
+    /// Median wall race latency over served events, microseconds
+    /// (bench-only; wall readings are *not* deterministic, unlike
+    /// everything above).
     pub wall_p50_us: u64,
-    /// 99th-percentile wall solve latency, microseconds.
+    /// 99th-percentile wall race latency, microseconds.
     pub wall_p99_us: u64,
-    /// 99.9th-percentile wall solve latency, microseconds.
+    /// 99.9th-percentile wall race latency, microseconds.
     pub wall_p999_us: u64,
     /// Wall time of the whole replay, milliseconds.
     pub wall_ms: u64,
-    /// Solve throughput over the whole replay (events / wall second).
+    /// Throughput over the whole replay (events / wall second).
     pub blocks_per_sec: f64,
     /// Outcomes and latency quantiles per priority band.
     pub per_priority: Vec<PriorityLatency>,
@@ -226,6 +238,57 @@ struct Waiting {
     priority: u8,
 }
 
+/// What the virtual server reads of one event's race.
+struct Race {
+    winner: String,
+    awct: f64,
+    vc_steps: u64,
+    deadline_fired: bool,
+    /// Wall time of the race, microseconds.
+    wall_us: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Races run on this thread (at `jobs == 1`, every race of a replay).
+    static RACES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Queued events evicted by a stronger arrival on this thread.
+    static EVICTIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Races event `i`'s block under its priced deadline.
+fn race(events: &[TraceEvent], options: &OnlineOptions, i: usize) -> Race {
+    #[cfg(test)]
+    RACES.with(|c| c.set(c.get() + 1));
+    let e = &events[i];
+    let machine = &options.machine;
+    let sb = e.block();
+    let homes = live_in_placement(
+        &sb,
+        machine.cluster_count(),
+        options.placement_seed ^ i as u64,
+    );
+    let policy_options = PolicyOptions {
+        max_dp_steps: options.base_steps,
+        max_trail_bytes: options.max_trail_bytes,
+        policies: options.policies.clone(),
+        early_cancel: options.early_cancel,
+        deadline_steps: options.deadline_steps(e.slack_ms()),
+    };
+    let start = Instant::now();
+    let mut span = vcsched_obs::span!("engine_solve", insts = sb.len());
+    let outcome = schedule_block(&sb, machine, &homes, &policy_options);
+    span.field("cached", false);
+    span.field("winner", outcome.winner.as_str());
+    Race {
+        deadline_fired: outcome.deadline_fired(),
+        winner: outcome.winner,
+        awct: outcome.awct,
+        vc_steps: outcome.vc_steps,
+        wall_us: start.elapsed().as_micros() as u64,
+    }
+}
+
 /// Replays a trace through the online executor. Returns the aggregate
 /// summary plus one [`BlockResult`] per event, in arrival order.
 ///
@@ -236,42 +299,6 @@ pub fn run_trace(
     options: &OnlineOptions,
 ) -> (OnlineSummary, Vec<BlockResult>) {
     let t0 = Instant::now();
-    let machine = &options.machine;
-
-    // Phase A: price every event's slack into a step budget.
-    let priced: Vec<u64> = events
-        .iter()
-        .map(|e| options.price_steps(e.slack_ms()))
-        .collect();
-
-    // Phase B: race every block in parallel under its priced deadline.
-    // Shed events waste their solve, but shedding depends on earlier
-    // service times, and solving everything keeps the phase a flat
-    // `scatter` — deterministic at any job count.
-    let cache = ScheduleCache::in_memory(events.len().max(1));
-    let solved: Vec<(crate::BlockOutcome, u64)> = scatter(events.len(), options.jobs, |i| {
-        let e = &events[i];
-        let sb = e.block();
-        let homes = live_in_placement(
-            &sb,
-            machine.cluster_count(),
-            options.placement_seed ^ i as u64,
-        );
-        let policy_options = PolicyOptions {
-            max_dp_steps: options.base_steps,
-            max_trail_bytes: options.max_trail_bytes,
-            policies: options.policies.clone(),
-            early_cancel: options.early_cancel,
-            deadline_steps: options.deadline_steps(e.slack_ms()),
-        };
-        let solve_start = Instant::now();
-        let (outcome, _cached) = solve_one(&sb, machine, &homes, &policy_options, &cache);
-        (outcome, solve_start.elapsed().as_micros() as u64)
-    });
-
-    // Phase C: virtual-time admission and service. One server, FIFO
-    // service order; priority decides only who sheds when the waiting
-    // queue saturates.
     let mut results: Vec<BlockResult> = events
         .iter()
         .enumerate()
@@ -280,7 +307,7 @@ pub fn run_trace(
             priority: e.priority,
             arrival_ms: e.arrival_ms,
             deadline_ms: e.deadline_ms,
-            priced_steps: priced[i],
+            priced_steps: options.price_steps(e.slack_ms()),
             shed: false,
             winner: String::new(),
             awct: 0.0,
@@ -290,64 +317,14 @@ pub fn run_trace(
             finish_ms: 0,
         })
         .collect();
-
-    let service_ms = |i: usize| -> u64 {
-        let consumed = solved[i].0.vc_steps;
-        (consumed / options.steps_per_ms.max(1)).max(1)
-    };
-    let mut queue: Vec<Waiting> = Vec::new();
-    let mut server_free_at: u64 = 0;
-    let finish = |i: usize, start: u64, results: &mut Vec<BlockResult>| -> u64 {
-        let done = start.max(results[i].arrival_ms) + service_ms(i);
-        let outcome = &solved[i].0;
-        let r = &mut results[i];
-        r.winner = outcome.winner.clone();
-        r.awct = outcome.awct;
-        r.vc_steps = outcome.vc_steps;
-        r.deadline_fired = outcome.deadline_fired();
-        r.finish_ms = done;
-        r.missed = done > r.deadline_ms;
-        done
-    };
-
-    for (i, e) in events.iter().enumerate() {
-        let now = e.arrival_ms;
-        // Serve everyone whose turn comes before this arrival.
-        while !queue.is_empty() && server_free_at <= now {
-            let head = queue.remove(0);
-            server_free_at = finish(head.event, server_free_at, &mut results);
-        }
-        if queue.len() < options.queue_capacity {
-            queue.push(Waiting {
-                event: i,
-                priority: e.priority,
-            });
-            continue;
-        }
-        // Saturated: shed by priority. The incoming event is dropped
-        // unless it strictly outranks the weakest waiter; ties favour
-        // the earlier arrival (evict the most recent weakest).
-        let weakest = queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(pos, w)| (w.priority, usize::MAX - pos))
-            .map(|(pos, w)| (pos, w.priority))
-            .expect("queue is non-empty when saturated");
-        if e.priority > weakest.1 {
-            let evicted = queue.remove(weakest.0);
-            results[evicted.event].shed = true;
-            queue.push(Waiting {
-                event: i,
-                priority: e.priority,
-            });
-        } else {
-            results[i].shed = true;
-        }
-    }
-    while !queue.is_empty() {
-        let head = queue.remove(0);
-        server_free_at = finish(head.event, server_free_at, &mut results);
-    }
+    // The server moves the workers' fence as it admits arrivals.
+    let mut wall = ordered(
+        events.len(),
+        options.jobs,
+        0,
+        |i| race(events, options, i),
+        |races| admit_and_serve(events, options, races, &mut results),
+    );
 
     // Aggregate.
     let mut virt: Vec<u64> = Vec::new();
@@ -396,7 +373,6 @@ pub fn run_trace(
             }
         })
         .collect();
-    let mut wall: Vec<u64> = solved.iter().map(|(_, us)| *us).collect();
     wall.sort_unstable();
     let wall_ms = t0.elapsed().as_millis() as u64;
     let summary = OnlineSummary {
@@ -418,6 +394,84 @@ pub fn run_trace(
         per_priority,
     };
     (summary, results)
+}
+
+/// The virtual server: admits arrivals in order, serves its queue FIFO,
+/// and takes a race from `races` only for an event it serves; every
+/// shed or evicted event is cancelled there. Fills `results` and
+/// returns the wall time of each served event's race.
+fn admit_and_serve(
+    events: &[TraceEvent],
+    options: &OnlineOptions,
+    races: &Ordered<'_, Race>,
+    results: &mut [BlockResult],
+) -> Vec<u64> {
+    let mut wall = Vec::new();
+    let mut serve = |i: usize, start: u64, results: &mut [BlockResult]| -> u64 {
+        let race = races.get(i);
+        let service_ms = (race.vc_steps / options.steps_per_ms.max(1)).max(1);
+        let r = &mut results[i];
+        let done = start.max(r.arrival_ms) + service_ms;
+        r.winner = race.winner;
+        r.awct = race.awct;
+        r.vc_steps = race.vc_steps;
+        r.deadline_fired = race.deadline_fired;
+        r.finish_ms = done;
+        r.missed = done > r.deadline_ms;
+        wall.push(race.wall_us);
+        done
+    };
+    // One server, FIFO service order; priority decides only who sheds
+    // when the waiting queue saturates.
+    let mut queue: Vec<Waiting> = Vec::new();
+    let mut server_free_at: u64 = 0;
+    for (i, e) in events.iter().enumerate() {
+        // Workers may race this arrival and up to `queue_capacity`
+        // beyond it while the server decides its fate.
+        races.advance(i + 1 + options.queue_capacity);
+        let now = e.arrival_ms;
+        // Serve everyone whose turn comes before this arrival.
+        while !queue.is_empty() && server_free_at <= now {
+            let head = queue.remove(0);
+            server_free_at = serve(head.event, server_free_at, results);
+        }
+        if queue.len() < options.queue_capacity {
+            queue.push(Waiting {
+                event: i,
+                priority: e.priority,
+            });
+            continue;
+        }
+        // Saturated: shed by priority. The incoming event is dropped
+        // unless it strictly outranks the weakest waiter; ties favour
+        // the earlier arrival (evict the most recent weakest). A queue
+        // of capacity 0 has no waiter, so every arrival is dropped.
+        let weakest = queue
+            .iter()
+            .enumerate()
+            .min_by_key(|(pos, w)| (w.priority, usize::MAX - pos))
+            .map(|(pos, w)| (pos, w.priority));
+        let dropped = match weakest {
+            Some((pos, priority)) if e.priority > priority => {
+                let evicted = queue.remove(pos);
+                #[cfg(test)]
+                EVICTIONS.with(|c| c.set(c.get() + 1));
+                queue.push(Waiting {
+                    event: i,
+                    priority: e.priority,
+                });
+                evicted.event
+            }
+            _ => i,
+        };
+        results[dropped].shed = true;
+        races.cancel(dropped);
+    }
+    while !queue.is_empty() {
+        let head = queue.remove(0);
+        server_free_at = serve(head.event, server_free_at, results);
+    }
+    wall
 }
 
 /// A wall-clock deadline watchdog for live (service-path) races.
@@ -481,6 +535,8 @@ impl Drop for DeadlineTimer {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use vcsched_workload::trace::{synthesize_trace, ArrivalProfile, TraceOptions};
 
@@ -575,6 +631,52 @@ mod tests {
             vec![(0, 0), (3, 3), (7, 3)],
             "the in-service head plus the two priority-3 waiters survive"
         );
+    }
+
+    /// Replays `events` at `jobs == 1`; returns the summary with the
+    /// races run and the queued events evicted.
+    fn counted_replay(events: &[TraceEvent], options: &OnlineOptions) -> (OnlineSummary, u64, u64) {
+        assert_eq!(
+            options.jobs, 1,
+            "races run on the calling thread only serially"
+        );
+        let read = || (RACES.with(Cell::get), EVICTIONS.with(Cell::get));
+        let before = read();
+        let (summary, _) = run_trace(events, options);
+        let after = read();
+        (summary, after.0 - before.0, after.1 - before.1)
+    }
+
+    #[test]
+    fn only_served_events_are_raced() {
+        for mean_slack_ms in [1, 400] {
+            let (summary, races, _) = counted_replay(&small_trace(mean_slack_ms), &fast_options(1));
+            assert_eq!(races, summary.served as u64);
+        }
+        // A saturating adversarial spike into a queue of two: arrivals
+        // shed and queued events are evicted, and neither is raced.
+        let events = synthesize_trace(&TraceOptions {
+            profile: ArrivalProfile::AdversarialSpike,
+            events: 48,
+            seed: 7,
+            horizon_ms: 6_000,
+            mean_slack_ms: 400,
+        });
+        let options = OnlineOptions {
+            queue_capacity: 2,
+            ..fast_options(1)
+        };
+        let (summary, races, evictions) = counted_replay(&events, &options);
+        assert!(evictions > 0, "the spike must evict a queued event");
+        assert!(summary.shed > evictions as usize, "and shed arrivals");
+        assert_eq!(races, summary.served as u64, "a shed event was raced");
+        // No waiting room at all: every arrival sheds, nothing races.
+        let options = OnlineOptions {
+            queue_capacity: 0,
+            ..fast_options(1)
+        };
+        let (summary, races, _) = counted_replay(&events, &options);
+        assert_eq!((summary.shed, races), (events.len(), 0));
     }
 
     #[test]

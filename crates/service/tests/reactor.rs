@@ -67,8 +67,11 @@ fn pipelined_ids_complete_out_of_order() {
     let server = small_server(2, 8);
     let mut client = Client::connect(server.addr()).expect("connect");
 
-    // One slow ping, one instant ping, one inline stats — sent
+    // One slow ping, one fast ping, one inline stats — sent
     // back-to-back without reading. The slow ping must come back last.
+    // The fast ping still takes 150 ms on the pool: at 0 ms it could
+    // finish before the reactor had even read the stats line, and
+    // overtake it on a loaded host.
     client
         .send(
             &Request::Ping {
@@ -81,7 +84,7 @@ fn pipelined_ids_complete_out_of_order() {
     client
         .send(
             &Request::Ping {
-                delay_ms: 0,
+                delay_ms: 150,
                 priority: None,
             },
             Some(2),
@@ -94,7 +97,7 @@ fn pipelined_ids_complete_out_of_order() {
     assert!(matches!(first, Response::Stats(_)));
     let (id, second) = client.recv().expect("second reply");
     assert_eq!(id, Some(2), "the fast ping overtakes the slow one");
-    assert!(matches!(second, Response::Pong { delay_ms: 0 }));
+    assert!(matches!(second, Response::Pong { delay_ms: 150 }));
     let (id, third) = client.recv().expect("third reply");
     assert_eq!(id, Some(1));
     assert!(matches!(third, Response::Pong { delay_ms: 600 }));

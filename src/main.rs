@@ -146,10 +146,14 @@ ONLINE / REPLAY:
     and deadline fields, then replays it. Offline (default) the engine's
     online executor runs the whole trace in *virtual* time: each event's
     deadline slack is priced into a deduction-step budget
-    (slack × --steps-per-ms, clamped to [--step-floor, --steps]); a race
-    whose priced budget fires returns its best-so-far validated schedule
-    tagged deadline_fired; a bounded virtual server (--queue) sheds by
-    priority under saturation. Results are byte-identical at any --jobs.
+    (slack × --steps-per-ms, clamped to [--step-floor, --steps]); a
+    bounded virtual server (--queue) admits arrivals in order and sheds
+    by priority under saturation; an event's block races only when the
+    server serves it (a shed event is never raced), and a race whose
+    priced budget fires returns its best-so-far validated schedule
+    tagged deadline_fired. --jobs workers race ahead of the server, at
+    most --queue arrivals past the one being admitted. Results are
+    byte-identical at any --jobs.
     Prints a summary JSON (p50/p99/p999 latency, miss/shed rates,
     per-priority quantiles); --details adds per-block JSONL on stderr.
     With --addr the trace instead drives a *live* server: each event is
