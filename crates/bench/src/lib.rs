@@ -40,8 +40,6 @@
 
 #![warn(missing_docs)]
 
-pub mod history;
-
 use std::time::Duration;
 
 use vcsched_arch::MachineConfig;

@@ -7,9 +7,9 @@
 //! The winner is adopted by re-deducing it on the restored state
 //! ([`replay_decision`]), which reaches the studied state and charges the
 //! same work bytes the study did. The paper's literal clone-and-discard
-//! mechanism survives as `study_decision_cloned` behind the
-//! `clone-study` feature so the differential tests and
-//! `speculation_bench` can prove the engines byte-identical.
+//! mechanism (§4.4.2) is kept only as a test reference: clone the state
+//! and [`apply_decision`] to it. `crates/core/tests/speculation.rs`
+//! checks that a study and a replay match it, decision by decision.
 
 use crate::dp::{self, Budget, DpAbort};
 use crate::state::{NodeId, SchedulingState, StateScore};
@@ -159,9 +159,9 @@ pub fn study_and_keep(
 /// Re-applies a decision that a study already proved viable — the adopted
 /// winner after every candidate was rolled back. Runs outside speculation
 /// (full path compression, no recording) and against an *uncharged*
-/// budget: the study already paid the deduction steps, and the clone
-/// engine's adoption (moving the studied clone) was free too, so step
-/// telemetry stays identical between the engines. The re-deduction does
+/// budget: the study already paid the deduction steps, just as adopting
+/// a studied clone in the paper's mechanism costs none, so step
+/// telemetry matches that mechanism. The re-deduction does
 /// charge its work bytes, the same amount the study charged; each call
 /// counts as one adoption ([`crate::Trail::adoptions`]).
 pub fn replay_decision(st: &mut SchedulingState, decision: &Decision) {
@@ -171,24 +171,4 @@ pub fn replay_decision(st: &mut SchedulingState, decision: &Decision) {
         .expect("replaying a studied decision on the identical state cannot fail");
     st.trail.adoptions += 1;
     st.trail.adopted_bytes += st.trail.work_bytes() - before;
-}
-
-/// Studies `decision` on a clone of `st` (the paper's literal §4.4.2
-/// mechanism): returns the resulting state on success so the caller can
-/// compare scores and adopt the winner without recomputing. A
-/// test-and-bench-only reference engine, compiled only with the
-/// `clone-study` feature.
-///
-/// # Errors
-///
-/// As [`apply_decision`].
-#[cfg(feature = "clone-study")]
-pub fn study_decision_cloned(
-    st: &SchedulingState,
-    decision: &Decision,
-    budget: &mut Budget,
-) -> Result<SchedulingState, DpAbort> {
-    let mut future = st.clone();
-    apply_decision(&mut future, decision, budget)?;
-    Ok(future)
 }

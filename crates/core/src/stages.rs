@@ -7,10 +7,10 @@
 //!
 //! Studying is trail-based — apply on the real state, score, roll back —
 //! and the winner is adopted by re-deducing it on the restored state
-//! ([`replay_decision`], uncharged in steps). The paper's literal
-//! clone-based engine survives behind the `clone-study` feature as a
-//! test reference; both engines produce byte-identical schedules,
-//! winners and step counts.
+//! ([`replay_decision`], uncharged in steps). This reaches the same
+//! state, winner and step count as the paper's literal clone-and-discard
+//! study (§4.4.2); `crates/core/tests/speculation.rs` keeps a clone
+//! reference and checks the two agree decision by decision.
 //!
 //! | stage | candidates                              | decision kind |
 //! |-------|------------------------------------------|---------------|
@@ -24,8 +24,6 @@
 use vcsched_graph::matching::{greedy_max_weight_matching, max_weight_matching};
 
 use crate::combination::{CombDomain, CombRange};
-#[cfg(feature = "clone-study")]
-use crate::decision::study_decision_cloned;
 use crate::decision::{apply_decision, replay_decision, study_and_keep, study_decision, Decision};
 use crate::dp::{self, Budget, Contradiction, DpAbort, Queue};
 use crate::state::{CommKind, EdgeState, NodeId, NodeKind, SchedulingState, SgEdge, StateScore};
@@ -50,79 +48,6 @@ fn map_abort(a: DpAbort) -> StageFail {
 /// How many candidates each iteration studies in depth.
 const STUDY_WIDTH: usize = 2;
 
-/// One studied candidate: the heuristic score its future state would
-/// have, plus the already-built future state under the clone engine.
-/// `None` means adoption re-deduces ([`replay_decision`]).
-struct Studied {
-    score: StateScore,
-    future: Option<Box<SchedulingState>>,
-}
-
-/// Studies `d` on a clone (the `clone-study` reference engine).
-#[cfg(feature = "clone-study")]
-fn study_cloned(
-    st: &mut SchedulingState,
-    d: &Decision,
-    budget: &mut Budget,
-) -> Result<Studied, DpAbort> {
-    let mut future = study_decision_cloned(st, d, budget)?;
-    Ok(Studied {
-        score: future.score(),
-        future: Some(Box::new(future)),
-    })
-}
-
-#[cfg(not(feature = "clone-study"))]
-fn study_cloned(
-    _st: &mut SchedulingState,
-    _d: &Decision,
-    _budget: &mut Budget,
-) -> Result<Studied, DpAbort> {
-    unreachable!("clone_study_enabled() is false without the clone-study feature")
-}
-
-/// Studies `d` with the engine the tuning selects: trail-based (the
-/// production path) or the clone-based reference (`clone-study` feature).
-fn study(st: &mut SchedulingState, d: &Decision, budget: &mut Budget) -> Result<Studied, DpAbort> {
-    if st.ctx.tuning.clone_study_enabled() {
-        study_cloned(st, d, budget)
-    } else {
-        Ok(Studied {
-            score: study_decision(st, d, budget)?,
-            future: None,
-        })
-    }
-}
-
-/// Adopts a studied winner: move the clone in (clone engine) or re-deduce
-/// the decision (trail engine; uncharged, see [`replay_decision`]).
-fn adopt(st: &mut SchedulingState, d: &Decision, studied: Studied) {
-    match studied.future {
-        Some(future) => *st = *future,
-        None => replay_decision(st, d),
-    }
-}
-
-/// Studies `d` on a clone and adopts it by moving the clone in (the
-/// `clone-study` stage-3 path).
-#[cfg(feature = "clone-study")]
-fn study_adopt_cloned(
-    st: &mut SchedulingState,
-    d: &Decision,
-    budget: &mut Budget,
-) -> Result<(), DpAbort> {
-    study_decision_cloned(st, d, budget).map(|future| *st = future)
-}
-
-#[cfg(not(feature = "clone-study"))]
-fn study_adopt_cloned(
-    _st: &mut SchedulingState,
-    _d: &Decision,
-    _budget: &mut Budget,
-) -> Result<(), DpAbort> {
-    unreachable!("clone_study_enabled() is false without the clone-study feature")
-}
-
 /// Studies `d` and adopts it immediately on success (the stage-3 path).
 /// `Ok(None)` means adopted; `Ok(Some(c))` reports the contradiction that
 /// discarded the candidate (state untouched).
@@ -131,12 +56,7 @@ fn study_adopt(
     d: &Decision,
     budget: &mut Budget,
 ) -> Result<Option<Contradiction>, StageFail> {
-    let outcome = if st.ctx.tuning.clone_study_enabled() {
-        study_adopt_cloned(st, d, budget)
-    } else {
-        study_and_keep(st, d, budget)
-    };
-    match outcome {
+    match study_and_keep(st, d, budget) {
         Ok(()) => Ok(None),
         Err(DpAbort::Budget) => Err(StageFail::Budget),
         Err(DpAbort::Contradiction(c)) => Ok(Some(c)),
@@ -210,7 +130,7 @@ fn combination_rounds(
         if cands[0].is_none() {
             return Ok(());
         }
-        let mut survivors: Vec<(Decision, Studied)> = Vec::new();
+        let mut survivors: Vec<(Decision, StateScore)> = Vec::new();
         let mut any_mandatory = false;
         for (_, u, v, d) in cands.iter().flatten().copied() {
             // Study both actions on the candidate (§4.4: "choose or
@@ -218,12 +138,12 @@ fn combination_rounds(
             // mandatory; two viable futures go to the heuristics.
             let choose = Decision::ChooseComb { u, v, d };
             let discard = Decision::DiscardComb { u, v, d };
-            let chosen = match study(st, &choose, budget) {
+            let chosen = match study_decision(st, &choose, budget) {
                 Ok(f) => Some(f),
                 Err(DpAbort::Budget) => return Err(StageFail::Budget),
                 Err(DpAbort::Contradiction(_)) => None,
             };
-            let discarded = match study(st, &discard, budget) {
+            let discarded = match study_decision(st, &discard, budget) {
                 Ok(f) => Some(f),
                 Err(DpAbort::Budget) => return Err(StageFail::Budget),
                 Err(DpAbort::Contradiction(_)) => None,
@@ -251,7 +171,7 @@ fn combination_rounds(
             continue;
         }
         match pick_best(survivors) {
-            Some((d, best)) => adopt(st, &d, best),
+            Some(d) => replay_decision(st, &d),
             None => return Err(StageFail::Restart),
         }
     }
@@ -259,14 +179,14 @@ fn combination_rounds(
 
 /// Best survivor by the §4.4.3 heuristic; ties keep the earliest entry
 /// (callers push the *choose* future first).
-fn pick_best(mut survivors: Vec<(Decision, Studied)>) -> Option<(Decision, Studied)> {
+fn pick_best(mut survivors: Vec<(Decision, StateScore)>) -> Option<Decision> {
     let mut best: Option<(StateScore, usize)> = None;
-    for (i, (_, s)) in survivors.iter().enumerate() {
-        if best.is_none_or(|(b, _)| s.score.better_than(&b)) {
-            best = Some((s.score, i));
+    for (i, &(_, score)) in survivors.iter().enumerate() {
+        if best.is_none_or(|(b, _)| score.better_than(&b)) {
+            best = Some((score, i));
         }
     }
-    best.map(|(_, i)| survivors.swap_remove(i))
+    best.map(|(_, i)| survivors.swap_remove(i).0)
 }
 
 /// Stage 1: treat combinations among original (non-communication)
@@ -279,12 +199,12 @@ pub fn stage1_combinations(st: &mut SchedulingState, budget: &mut Budget) -> Res
 
 /// Applies a mandatory bound move (the pinning stage's contradiction
 /// path) and drains it to a fixpoint. With `discard_after` the move runs
-/// under a speculation and is rolled back once drained — used by the
-/// trail engine when a viable survivor is already in hand: the legacy
-/// clone engine adopts that survivor's *pre-tighten* future wholesale,
-/// discarding the tighten's side effects, so the trail engine must
-/// charge the identical deduction work but restore the pre-tighten state
-/// before replaying the winner.
+/// under a speculation and is rolled back once drained — used when a
+/// viable survivor is already in hand. That survivor's future was
+/// studied on the *pre-tighten* state, and the paper's clone-and-discard
+/// study adopts it wholesale, dropping the tighten's side effects; so
+/// the move's deduction work is charged but the pre-tighten state is
+/// restored before the winner is replayed.
 fn mandatory_tighten(
     st: &mut SchedulingState,
     budget: &mut Budget,
@@ -319,10 +239,10 @@ fn pinning_stage(
             return Ok(());
         };
         let (est, lst) = (st.est[node], st.lst[node]);
-        let mut survivors: Vec<(Decision, Studied)> = Vec::new();
+        let mut survivors: Vec<(Decision, StateScore)> = Vec::new();
         let mut tightened = false;
         let pin_est = Decision::Pin { node, cycle: est };
-        match study(st, &pin_est, budget) {
+        match study_decision(st, &pin_est, budget) {
             Ok(f) => survivors.push((pin_est, f)),
             Err(DpAbort::Budget) => return Err(StageFail::Budget),
             Err(DpAbort::Contradiction(_)) => {
@@ -336,15 +256,15 @@ fn pinning_stage(
         }
         if !tightened && lst != est {
             let pin_lst = Decision::Pin { node, cycle: lst };
-            match study(st, &pin_lst, budget) {
+            match study_decision(st, &pin_lst, budget) {
                 Ok(f) => survivors.push((pin_lst, f)),
                 Err(DpAbort::Budget) => return Err(StageFail::Budget),
                 Err(DpAbort::Contradiction(_)) => {
                     // A viable est future may already be in hand; its
                     // adoption below supersedes this mandatory move, so
-                    // the trail engine discards the move after charging
-                    // it (see `mandatory_tighten`).
-                    let discard = !survivors.is_empty() && !st.ctx.tuning.clone_study_enabled();
+                    // the move is discarded after being charged (see
+                    // `mandatory_tighten`).
+                    let discard = !survivors.is_empty();
                     mandatory_tighten(st, budget, discard, |st, q| {
                         dp::tighten_lst(st, q, node, lst - 1)
                     })?;
@@ -352,8 +272,8 @@ fn pinning_stage(
                 }
             }
         }
-        if let Some((d, best)) = pick_best(survivors) {
-            adopt(st, &d, best);
+        if let Some(d) = pick_best(survivors) {
+            replay_decision(st, &d);
         } else if !tightened {
             return Err(StageFail::Restart);
         }
@@ -450,18 +370,18 @@ pub fn stage4_map_clusters(st: &mut SchedulingState, budget: &mut Budget) -> Res
         // Highest incompatibility degree first (graph-colouring order).
         unmapped.sort_by_key(|&(deg, r)| (std::cmp::Reverse(deg), r));
         let (_, vc_root) = unmapped[0];
-        let mut survivors: Vec<(Decision, Studied)> = Vec::new();
+        let mut survivors: Vec<(Decision, StateScore)> = Vec::new();
         for c in 0..k {
             let anchor = st.ctx.anchor(c);
             let fuse = Decision::Fuse(vc_root, anchor);
-            match study(st, &fuse, budget) {
+            match study_decision(st, &fuse, budget) {
                 Ok(f) => survivors.push((fuse, f)),
                 Err(DpAbort::Budget) => return Err(StageFail::Budget),
                 Err(DpAbort::Contradiction(_)) => {}
             }
         }
         match pick_best(survivors) {
-            Some((d, best)) => adopt(st, &d, best),
+            Some(d) => replay_decision(st, &d),
             None => return Err(StageFail::Restart),
         }
     }

@@ -126,29 +126,6 @@ pub struct Tuning {
     /// Replace the exact maximum-weight matching of stage 3 by the greedy
     /// approximation.
     pub greedy_matching: bool,
-    /// Study candidates on full state clones (the paper's literal §4.4.2
-    /// mechanism) instead of the trail-based delta/rollback engine. A
-    /// test-and-bench-only fixture: compiled only with the `clone-study`
-    /// feature (enabled by the differential suite and
-    /// `speculation_bench`), absent from release hot paths.
-    #[cfg(feature = "clone-study")]
-    pub clone_study: bool,
-}
-
-impl Tuning {
-    /// Whether the clone-study reference engine is selected. Always
-    /// `false` when the `clone-study` feature is off (the engine is not
-    /// compiled in).
-    pub fn clone_study_enabled(&self) -> bool {
-        #[cfg(feature = "clone-study")]
-        {
-            self.clone_study
-        }
-        #[cfg(not(feature = "clone-study"))]
-        {
-            false
-        }
-    }
 }
 
 /// Scheduling-graph edge lookup by node pair `(u, v)`, `u < v`.
@@ -632,9 +609,10 @@ fn unmove_members(lists: &mut [Vec<NodeId>], from: usize, to: usize, moved: usiz
 
 /// The mutable scheduling state.
 ///
-/// Candidate study is trail-based by default (apply on this state, then
-/// [`SchedulingState::rollback`]); the state remains cheap enough to clone
-/// for the legacy engine kept behind `Tuning::clone_study`.
+/// Candidate study is trail-based (apply on this state, then
+/// [`SchedulingState::rollback`]). The state stays cloneable: the
+/// speculation tests study each decision on a clone, the paper's literal
+/// mechanism, as the reference the trail must match.
 #[derive(Debug, Clone)]
 pub struct SchedulingState {
     /// Shared immutable context.

@@ -16,7 +16,7 @@
 //! logs unions/pushes while speculating), or captured wholesale in the
 //! [`TrailMark`] (the `dirty` flag). Rollback therefore restores the exact
 //! pre-study state, which is what keeps trail-based search byte-identical
-//! to the legacy clone-based engine on the golden corpus.
+//! to the paper's clone-and-discard study.
 //!
 //! The stages adopt a winner by re-running its deduction on the restored
 //! state ([`crate::decision::replay_decision`]), which charges the same
@@ -161,7 +161,7 @@ impl Trail {
         self.peak_depth
     }
 
-    /// Estimated bytes the clone-based engine would have copied for the
+    /// Estimated bytes a clone-per-study engine would have copied for the
     /// studies this trail rolled back instead (rollback count × the
     /// per-build state-size estimate; comm nodes created mid-attempt are
     /// not re-measured, so this slightly underestimates).

@@ -1,15 +1,16 @@
-//! Tests of the speculation engine (§4.4.2). Always compiled: a trail
-//! study rolls back bit-exactly, and adopting a winner by re-deduction
-//! reaches the kept state and charges the studied work bytes. Under the
-//! `clone-study` feature, the trail engine is checked against the legacy
-//! clone-based study: same contradictions, same scores, bit-identical
-//! states after adoption, and bit-identical schedules, winners and step
-//! counts from the full scheduler — over synthesized blocks × machines.
+//! Tests of the speculation engine (§4.4.2), over synthesized blocks ×
+//! machines: a trail study rolls back bit-exactly, and adopting a winner
+//! by re-deduction reaches the kept state and charges the studied work
+//! bytes. Every candidate decision is also checked against the paper's
+//! literal clone-and-discard study — clone the state, apply the decision
+//! to the clone — as the reference: same contradictions, same scores,
+//! and bit-identical states after adoption. Whole-search identity
+//! (schedules, winners, step counts) is pinned by `tests/vc_pins.rs`.
 
 use proptest::prelude::*;
 use vcsched_arch::{ClusterId, MachineConfig, OpClass};
 use vcsched_core::{
-    decision::{replay_decision, study_and_keep, study_decision},
+    decision::{apply_decision, replay_decision, study_and_keep, study_decision},
     dp::Budget,
     init::{build_state, sg_windows},
     Decision, EdgeState, SchedulingState, StateCtx, VcError, VcOptions, VcScheduler,
@@ -219,86 +220,41 @@ proptest! {
             }
         }
     }
-}
 
-/// Differential tests against the paper's literal clone-based engine —
-/// the `clone-study` reference fixture.
-#[cfg(feature = "clone-study")]
-mod clone_reference {
-    use super::*;
-    use vcsched_core::{decision::study_decision_cloned, Tuning};
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Per candidate decision: the trail study and the clone study
-        /// agree on viability and score, the trail rollback restores the
-        /// state bit-exactly, and keeping the deltas equals adopting the
-        /// clone.
-        #[test]
-        fn trail_study_matches_clone_study(sb in arb_superblock()) {
-            for machine in machines() {
-                let Some(mut st) = built_state(&sb, &machine) else { continue };
-                let before = fingerprint(&st);
-                for decision in candidate_decisions(&st) {
-                    // Trail-based study: state must come back bit-exact.
-                    let trail = study_decision(&mut st, &decision, &mut Budget::unlimited());
-                    prop_assert_eq!(
-                        fingerprint(&st), before.clone(),
-                        "rollback must restore the state ({decision:?})"
-                    );
-                    // Clone-based study on the same state.
-                    let cloned = study_decision_cloned(&st, &decision, &mut Budget::unlimited());
-                    match (trail, cloned) {
-                        (Ok(score), Ok(mut future)) => {
-                            prop_assert_eq!(score, future.score(),
-                                "engines must score the future identically");
-                            // Keeping the deltas equals adopting the clone.
-                            let mut kept = st.clone();
-                            study_and_keep(&mut kept, &decision, &mut Budget::unlimited())
-                                .expect("viable decision");
-                            prop_assert_eq!(fingerprint(&kept), fingerprint(&future),
-                                "committed deltas must equal the adopted clone");
-                        }
-                        (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                        (a, b) => prop_assert!(false,
-                            "engines disagree on {decision:?}: trail {a:?} vs clone {b:?}"),
-                    }
-                }
-            }
-        }
-
-        /// The full scheduler produces bit-identical outcomes — schedule,
-        /// AWCT, step count, bump count, minAWCT — under both engines.
-        #[test]
-        fn full_search_is_engine_invariant(sb in arb_superblock()) {
-            for machine in machines() {
-                let run = |clone_study: bool| {
-                    VcScheduler::with_options(machine.clone(), VcOptions {
-                        max_dp_steps: 200_000,
-                        tuning: Tuning { clone_study, ..Tuning::default() },
-                        ..VcOptions::default()
-                    })
-                    .try_schedule_with_live_ins(&sb, &[ClusterId(0), ClusterId(1)])
-                };
-                let trail = run(false);
-                let clone = run(true);
-                prop_assert_eq!(trail.dp_steps, clone.dp_steps,
-                    "step telemetry must be engine-invariant");
-                match (trail.result, clone.result) {
-                    (Ok(a), Ok(b)) => {
-                        prop_assert_eq!(a.schedule, b.schedule);
-                        prop_assert_eq!(a.awct, b.awct);
-                        prop_assert_eq!(a.stats.awct_bumps, b.stats.awct_bumps);
-                        prop_assert_eq!(a.stats.min_awct, b.stats.min_awct);
-                        prop_assert_eq!(a.stats.dp_steps, b.stats.dp_steps);
-                        // Telemetry shape: the trail engine speculates, the
-                        // clone engine never touches the trail.
-                        prop_assert_eq!(b.stats.spec.trail_entries, 0);
-                        prop_assert_eq!(b.stats.spec.rollbacks, 0);
+    /// Per candidate decision, against the paper's literal §4.4.2
+    /// mechanism — clone the state and apply the decision to the clone:
+    /// the trail study and the clone agree on viability and score, the
+    /// trail rollback restores the state bit-exactly, and keeping the
+    /// deltas equals adopting the clone.
+    #[test]
+    fn trail_study_matches_clone_study(sb in arb_superblock()) {
+        for machine in machines() {
+            let Some(mut st) = built_state(&sb, &machine) else { continue };
+            let before = fingerprint(&st);
+            for decision in candidate_decisions(&st) {
+                // Trail-based study: state must come back bit-exact.
+                let trail = study_decision(&mut st, &decision, &mut Budget::unlimited());
+                prop_assert_eq!(
+                    fingerprint(&st), before.clone(),
+                    "rollback must restore the state ({decision:?})"
+                );
+                // Clone-based study on the same state.
+                let mut future = st.clone();
+                let cloned = apply_decision(&mut future, &decision, &mut Budget::unlimited());
+                match (trail, cloned) {
+                    (Ok(score), Ok(())) => {
+                        prop_assert_eq!(score, future.score(),
+                            "both studies must score the future identically");
+                        // Keeping the deltas equals adopting the clone.
+                        let mut kept = st.clone();
+                        study_and_keep(&mut kept, &decision, &mut Budget::unlimited())
+                            .expect("viable decision");
+                        prop_assert_eq!(fingerprint(&kept), fingerprint(&future),
+                            "committed deltas must equal the adopted clone");
                     }
                     (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                    (a, b) => prop_assert!(false, "engines disagree: {a:?} vs {b:?}"),
+                    (a, b) => prop_assert!(false,
+                        "studies disagree on {decision:?}: trail {a:?} vs clone {b:?}"),
                 }
             }
         }

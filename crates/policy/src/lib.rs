@@ -205,8 +205,7 @@ impl Deserialize for PolicyFallback {
 
 /// Speculation-engine telemetry for one scheduling attempt: what the
 /// trail-based delta/rollback study recorded instead of cloning states.
-/// All-zero for single-pass policies (no speculation) and for the legacy
-/// clone-based engine.
+/// All-zero for single-pass policies (no speculation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct SpecStats {
     /// Undo records appended to the trail over the whole attempt.
@@ -215,7 +214,7 @@ pub struct SpecStats {
     pub rollbacks: u64,
     /// Deepest the undo log grew (entries outstanding at once).
     pub peak_trail_depth: u64,
-    /// Estimated bytes the clone-based engine would have copied for the
+    /// Estimated bytes a clone-per-study engine would have copied for the
     /// rolled-back studies.
     pub bytes_not_cloned: u64,
     /// Stage winners adopted by re-deducing them after their study. The

@@ -4,7 +4,8 @@
 //! Covers — per the protocol's compatibility contract — a byte-level
 //! pin of the legacy JSON wire (so the binary fast path can never
 //! perturb existing clients), a proptest-style seeded round-trip of
-//! every request and response frame type through both framings, result
+//! every request and response frame type through both framings (each
+//! frame at most 2/3 the size of its JSON line), result
 //! equivalence for real scheduling work across the two wires, a
 //! mixed-framing soak (JSON and binary clients interleaved on one
 //! server with exact accounting), and a fair-queuing soak (high
@@ -92,6 +93,17 @@ fn assert_frame_equivalent(value: &Value) {
     assert_eq!(reparsed, decoded, "binary and JSON wires must agree");
 }
 
+/// The binary wire's size contract: a frame carries at most 2/3 of the
+/// bytes of the same value's JSON line (newline included).
+fn assert_binary_is_compact(value: &Value, json_line: &str) {
+    let frame_len = frame::encode_frame(value).len();
+    assert!(
+        frame_len * 3 <= (json_line.len() + 1) * 2,
+        "binary frame of {frame_len} bytes exceeds 2/3 of the {}-byte JSON line: {json_line}",
+        json_line.len() + 1
+    );
+}
+
 /// Every request frame type round-trips through the binary framing and
 /// agrees with its JSON-wire form, across seeded-random field draws.
 #[test]
@@ -147,6 +159,7 @@ fn every_request_type_roundtrips_identically_on_both_wires() {
         let line = request_line(request, id).expect("serializes");
         let from_line: Value = serde_json::from_str(&line).expect("line parses");
         assert_eq!(from_line, value);
+        assert_binary_is_compact(&value, &line);
     }
 }
 
@@ -224,6 +237,7 @@ fn every_response_type_roundtrips_identically_on_both_wires() {
         let line = response_line(response, id);
         let from_line: Value = serde_json::from_str(&line).expect("line parses");
         assert_eq!(from_line, value);
+        assert_binary_is_compact(&value, &line);
     }
 }
 
