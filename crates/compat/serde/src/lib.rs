@@ -9,13 +9,25 @@
 //!
 //! Design differences from real serde, deliberately accepted:
 //!
-//! * serialization goes through an owned [`Value`] tree instead of a
-//!   streaming `Serializer` — simpler, and fast enough for the corpus
-//!   sizes this workspace handles;
+//! * the data model is an owned [`Value`] tree instead of a streaming
+//!   `Serializer`. Compact JSON, the hot path, skips the tree:
+//!   [`Serialize::write_json`] prints derived structs, newtypes,
+//!   unit-only enums and the std types straight into a `String`, and
+//!   every other type falls back to printing its [`Serialize::to_value`]
+//!   tree with the one printer in [`json`]. Both paths emit the same
+//!   bytes. The tree cost one allocation per node on every cache key
+//!   and journal line: printing the 24 golden-corpus blocks made 12,241
+//!   allocations through it and makes 241 direct (pinned in
+//!   `tests/alloc_budget.rs`);
+//! * deserializing from text moves the parsed tree into the target
+//!   ([`Deserialize::from_owned_value`]), so a `Value` result is the
+//!   parse itself rather than a deep copy of it;
 //! * object keys keep insertion order, which makes serialized output
 //!   deterministic — the schedule cache relies on that.
 
 pub use serde_derive::{Deserialize, Serialize};
+
+pub mod json;
 
 /// A JSON-shaped value tree: the interchange format between `Serialize`
 /// and `Deserialize` impls and the `serde_json` printer/parser.
@@ -111,12 +123,26 @@ impl std::error::Error for DeError {}
 pub trait Serialize {
     /// Serializes `self` into the value model.
     fn to_value(&self) -> Value;
+
+    /// Appends `self` as compact JSON. The default prints
+    /// [`Serialize::to_value`] with [`json::write_value`]; an override
+    /// writes the same bytes without building the tree.
+    fn write_json(&self, out: &mut String) {
+        json::write_value(&self.to_value(), out, None, 0);
+    }
 }
 
 /// Types that can be rebuilt from a [`Value`].
 pub trait Deserialize: Sized {
     /// Deserializes from the value model.
     fn from_value(v: &Value) -> Result<Self, DeError>;
+
+    /// Deserializes from an owned tree. The default borrows it for
+    /// [`Deserialize::from_value`]; [`Value`] itself takes the tree as
+    /// is, with no copy.
+    fn from_owned_value(v: Value) -> Result<Self, DeError> {
+        Self::from_value(&v)
+    }
 }
 
 /// Fetches a required object field (used by derived impls).
@@ -128,11 +154,19 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
 }
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -150,6 +184,10 @@ macro_rules! impl_uint {
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::UInt(*self as u64)
+            }
+
+            fn write_json(&self, out: &mut String) {
+                json::write_u64(*self as u64, out);
             }
         }
         impl Deserialize for $t {
@@ -174,6 +212,10 @@ macro_rules! impl_int {
             fn to_value(&self) -> Value {
                 Value::Int(*self as i64)
             }
+
+            fn write_json(&self, out: &mut String) {
+                json::write_i64(*self as i64, out);
+            }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -196,6 +238,10 @@ impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Float(*self)
     }
+
+    fn write_json(&self, out: &mut String) {
+        json::write_f64(*self, out);
+    }
 }
 
 impl Deserialize for f64 {
@@ -213,6 +259,10 @@ impl Serialize for f32 {
     fn to_value(&self) -> Value {
         Value::Float(f64::from(*self))
     }
+
+    fn write_json(&self, out: &mut String) {
+        json::write_f64(f64::from(*self), out);
+    }
 }
 
 impl Deserialize for f32 {
@@ -225,11 +275,19 @@ impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::String(self.to_owned())
     }
+
+    fn write_json(&self, out: &mut String) {
+        json::write_str(self, out);
+    }
 }
 
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::String(self.clone())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        json::write_str(self, out);
     }
 }
 
@@ -238,6 +296,13 @@ impl Deserialize for String {
         match v {
             Value::String(s) => Ok(s.clone()),
             other => Err(DeError::expected("string", other)),
+        }
+    }
+
+    fn from_owned_value(v: Value) -> Result<Self, DeError> {
+        match v {
+            Value::String(s) => Ok(s),
+            other => Err(DeError::expected("string", &other)),
         }
     }
 }
@@ -266,6 +331,13 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Null,
         }
     }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(x) => x.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
@@ -281,11 +353,26 @@ impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
     }
 }
 
@@ -339,10 +426,18 @@ impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
+
+    fn write_json(&self, out: &mut String) {
+        json::write_value(self, out, None, 0);
+    }
 }
 
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         Ok(v.clone())
+    }
+
+    fn from_owned_value(v: Value) -> Result<Self, DeError> {
+        Ok(v)
     }
 }

@@ -15,6 +15,10 @@
 //!
 //! Generic types and `#[serde(...)]` attributes are not supported and
 //! produce a compile error pointing here.
+//!
+//! Named structs, newtypes and unit-only enums also get a direct
+//! `write_json` that prints compact JSON without building the `Value`
+//! tree; its bytes equal printing `to_value()`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -281,13 +285,63 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             format!("match self {{ {} }}", arms.join(" "))
         }
     };
+    let write_json = direct_writer(&shape)
+        .map(|w| format!("fn write_json(&self, out: &mut ::std::string::String) {{ {w} }}\n"))
+        .unwrap_or_default();
     format!(
         "impl ::serde::Serialize for {name} {{\n\
          fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+         {write_json}\
          }}"
     )
     .parse()
     .unwrap()
+}
+
+/// The body of a `write_json` that prints compact JSON straight from the
+/// fields, for the shapes on the hot wire paths: named structs, newtypes
+/// and unit-only enums. Other shapes keep the trait's default (print the
+/// `to_value` tree). Keys and variant names are Rust identifiers, so
+/// they never need escaping and are emitted as literal text.
+fn direct_writer(shape: &Shape) -> Option<String> {
+    match shape {
+        Shape::Named(fields) => {
+            let parts: Vec<String> = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| {
+                    let head = format!("{}\"{f}\":", if i == 0 { "" } else { "," });
+                    format!(
+                        "out.push_str({head:?}); \
+                         ::serde::Serialize::write_json(&self.{f}, out);"
+                    )
+                })
+                .collect();
+            Some(format!(
+                "out.push('{{'); {} out.push('}}');",
+                parts.join(" ")
+            ))
+        }
+        Shape::Tuple(1) => Some("::serde::Serialize::write_json(&self.0, out)".to_owned()),
+        Shape::Enum(variants)
+            if variants
+                .iter()
+                .all(|(_, vs)| matches!(vs, VariantShape::Unit)) =>
+        {
+            let arms: Vec<String> = variants
+                .iter()
+                .map(|(v, _)| {
+                    let quoted = format!("\"{v}\"");
+                    format!("Self::{v} => {quoted:?},")
+                })
+                .collect();
+            Some(format!(
+                "out.push_str(match self {{ {} }});",
+                arms.join(" ")
+            ))
+        }
+        _ => None,
+    }
 }
 
 /// Derives the workspace `serde::Deserialize` trait.

@@ -4,9 +4,9 @@
 //! Supports the surface this workspace uses — [`to_string`],
 //! [`to_string_pretty`], [`from_str`], [`to_value`], [`from_value`] — with
 //! deterministic output (object key order is preserved from the
-//! serializer, floats print via Rust's shortest round-trip `{:?}`).
-
-use std::fmt::Write as _;
+//! serializer, floats print via Rust's shortest round-trip `{:?}`). The
+//! printer itself lives in [`serde::json`], next to the
+//! [`Serialize::write_json`] writers that share it.
 
 pub use serde::Value;
 use serde::{Deserialize, Serialize};
@@ -39,21 +39,23 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
     Ok(T::from_value(value)?)
 }
 
-/// Serializes `value` as compact JSON.
+/// Serializes `value` as compact JSON, through [`Serialize::write_json`].
 pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    print_value(&value.to_value(), &mut out, None, 0);
+    value.write_json(&mut out);
     Ok(out)
 }
 
 /// Serializes `value` as indented JSON (two spaces, like real serde_json).
 pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    print_value(&value.to_value(), &mut out, Some("  "), 0);
+    serde::json::write_value(&value.to_value(), &mut out, Some("  "), 0);
     Ok(out)
 }
 
-/// Parses JSON text into a `T`.
+/// Parses JSON text into a `T`. The parsed tree moves into `T`
+/// ([`Deserialize::from_owned_value`]), so parsing to a [`Value`] copies
+/// nothing.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         s: s.as_bytes(),
@@ -65,98 +67,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     if p.pos != p.s.len() {
         return Err(Error(format!("trailing characters at byte {}", p.pos)));
     }
-    Ok(T::from_value(&v)?)
-}
-
-fn print_value(v: &Value, out: &mut String, indent: Option<&str>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Int(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::UInt(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::Float(x) => {
-            if x.is_finite() {
-                // `{:?}` is Rust's shortest round-trip float form and is
-                // valid JSON for finite values (e.g. `0.3`, `1.0`, `1e300`).
-                let _ = write!(out, "{x:?}");
-            } else {
-                // Real serde_json errors on non-finite floats; emitting
-                // null keeps printing infallible and never occurs for the
-                // workspace's data (probabilities and AWCTs are finite).
-                out.push_str("null");
-            }
-        }
-        Value::String(s) => print_string(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                print_value(item, out, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                print_string(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                print_value(item, out, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<&str>, depth: usize) {
-    if let Some(unit) = indent {
-        out.push('\n');
-        for _ in 0..depth {
-            out.push_str(unit);
-        }
-    }
-}
-
-fn print_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    Ok(T::from_owned_value(v)?)
 }
 
 const MAX_DEPTH: usize = 128;

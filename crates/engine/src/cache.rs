@@ -62,6 +62,19 @@ pub fn fnv1a_check(bytes: &[u8]) -> u64 {
     h
 }
 
+/// [`fnv1a`] and [`fnv1a_check`] of the same bytes, in one pass.
+pub fn fnv1a_pair(bytes: &[u8]) -> (u64, u64) {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut c: u64 = 0xcbf2_9ce4_8422_2325 ^ 0x5bd1_e995_7b12_6699;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        c = c.wrapping_mul(0x0000_0100_0000_01b3);
+        c ^= u64::from(b);
+    }
+    (h, c)
+}
+
 /// Whether a journal file is non-empty and missing its trailing newline
 /// (the signature of a line torn by a killed writer).
 fn journal_ends_mid_line(path: &Path) -> bool {
@@ -161,8 +174,24 @@ pub struct ShardStats {
     pub len: usize,
 }
 
+/// One remembered problem: its entry, the entry's verification hash
+/// as a number (`None` if the journal's text is not hex, so it never
+/// answers), and the tick of its latest touch.
+struct Slot {
+    entry: CacheEntry,
+    check: Option<u64>,
+    last: u64,
+}
+
+impl Slot {
+    fn new(entry: CacheEntry, last: u64) -> Slot {
+        let check = u64::from_str_radix(&entry.check, 16).ok();
+        Slot { entry, check, last }
+    }
+}
+
 struct Shard {
-    map: HashMap<u64, (CacheEntry, u64)>,
+    map: HashMap<u64, Slot>,
     /// Lazy LRU recency queue: keys are re-pushed on every touch and
     /// validated against the entry's tick when evicting.
     recency: VecDeque<(u64, u64)>,
@@ -190,7 +219,7 @@ impl Shard {
         self.tick += 1;
         let tick = self.tick;
         self.insertions += 1;
-        self.map.insert(key, (entry, tick));
+        self.map.insert(key, Slot::new(entry, tick));
         self.recency.push_back((key, tick));
         while self.map.len() > capacity {
             match self.recency.pop_front() {
@@ -200,7 +229,7 @@ impl Shard {
                     if self
                         .map
                         .get(&old_key)
-                        .is_some_and(|(_, last)| *last == old_tick)
+                        .is_some_and(|slot| slot.last == old_tick)
                     {
                         self.map.remove(&old_key);
                         self.evictions += 1;
@@ -219,13 +248,14 @@ impl Shard {
     /// hit-dominated steady state would grow the queue forever.
     fn drain_stale(&mut self) {
         while let Some(&(key, tick)) = self.recency.front() {
-            if self.map.get(&key).is_some_and(|(_, last)| *last == tick) {
+            if self.map.get(&key).is_some_and(|slot| slot.last == tick) {
                 break;
             }
             self.recency.pop_front();
         }
         if self.recency.len() > 2 * self.map.len() + 64 {
-            let mut live: Vec<(u64, u64)> = self.map.iter().map(|(k, (_, t))| (*k, *t)).collect();
+            let mut live: Vec<(u64, u64)> =
+                self.map.iter().map(|(k, slot)| (*k, slot.last)).collect();
             live.sort_by_key(|&(_, t)| t);
             self.recency = live.into();
         }
@@ -358,14 +388,13 @@ impl ScheduleCache {
     /// stored check hash differs is a primary-hash collision and is
     /// treated as a miss.
     pub fn get(&self, key: u64, check: u64) -> Option<CacheEntry> {
-        let check_hex = format!("{check:016x}");
         let mut shard = self.shard_of(key).lock().unwrap();
         shard.tick += 1;
         let tick = shard.tick;
         let hit = match shard.map.get_mut(&key) {
-            Some((entry, last)) if entry.check == check_hex => {
-                *last = tick;
-                let entry = entry.clone();
+            Some(slot) if slot.check == Some(check) => {
+                slot.last = tick;
+                let entry = slot.entry.clone();
                 shard.recency.push_back((key, tick));
                 shard.hits += 1;
                 Some(entry)
@@ -482,6 +511,9 @@ mod tests {
         // The check hash is independent of the primary.
         assert_ne!(fnv1a_check(b"foobar"), fnv1a(b"foobar"));
         assert_ne!(fnv1a_check(b"a"), fnv1a_check(b"b"));
+        for bytes in [&b""[..], b"a", b"foobar", "é|x".as_bytes()] {
+            assert_eq!(fnv1a_pair(bytes), (fnv1a(bytes), fnv1a_check(bytes)));
+        }
     }
 
     #[test]
@@ -503,6 +535,24 @@ mod tests {
         // Same primary key, different verification hash: another problem
         // colliding under FNV must not be served this entry's schedule.
         assert!(c.get(1, 999).is_none());
+        assert_eq!(c.stats().misses, 1);
+    }
+
+    /// Lookups compare the check hash as a number; a stored check that
+    /// is not hex never answers.
+    #[test]
+    fn check_hashes_compare_as_numbers() {
+        let c = ScheduleCache::in_memory(8);
+        c.put(1, entry(1, 5.0));
+        c.put(
+            2,
+            CacheEntry {
+                check: "not hex".to_owned(),
+                ..entry(2, 5.0)
+            },
+        );
+        assert!(c.get(1, 1).is_some());
+        assert!(c.get(2, 2).is_none());
         assert_eq!(c.stats().misses, 1);
     }
 

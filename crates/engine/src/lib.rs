@@ -85,7 +85,7 @@ pub use portfolio::{
     PolicyStat,
 };
 pub use registry::{PolicyRegistry, PolicySet};
-pub use submit::{PolicyTotals, Problem, Solved, SubmitError, SubmitPool, Ticket};
+pub use submit::{PolicyTotals, Problem, Rejected, Solved, SubmitError, SubmitPool, Ticket};
 pub use vcsched_policy::{AwctBound, PolicyBudget, PolicyFallback, PolicyOutcome, SchedulePolicy};
 
 /// Deduction-step analogue of the paper's "1 second" bucket (§6.1).
@@ -299,29 +299,39 @@ pub struct BatchResult {
 /// policy's entries — sets not containing it keep hitting.
 fn problem_key(
     registry: &PolicyRegistry,
-    sb_json: &str,
+    sb: &vcsched_ir::Superblock,
     machine: &MachineConfig,
     homes: &[vcsched_arch::ClusterId],
     options: &PolicyOptions,
 ) -> (u64, u64) {
-    // The machine's Debug form covers every field; options and homes are
-    // tiny, so a readable composite string is cheap and stable.
-    let mut composite = format!(
-        "{sb_json}|{machine:?}|{homes:?}|steps={}|bytes={:?}|policies={}|early_cancel={}",
-        options.max_dp_steps,
-        options.max_trail_bytes,
-        options.policies.versioned_key_with(registry),
-        options.early_cancel
-    );
-    // Appended only when armed, so every offline key is byte-identical
-    // to what it was before deadlines existed.
-    if let Some(deadline) = options.deadline_steps {
-        composite.push_str(&format!("|deadline_steps={deadline}"));
+    use std::fmt::Write as _;
+    thread_local! {
+        /// The composite's buffer, reused so a warm key allocates nothing.
+        static COMPOSITE: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
     }
-    (
-        cache::fnv1a(composite.as_bytes()),
-        cache::fnv1a_check(composite.as_bytes()),
-    )
+    COMPOSITE.with(|composite| {
+        let mut composite = composite.borrow_mut();
+        composite.clear();
+        // The block's compact JSON, then the machine's Debug form (which
+        // covers every field), the homes and the options:
+        // `{block}|{machine:?}|{homes:?}|steps=..|bytes=..|policies=..|early_cancel=..`.
+        serde::Serialize::write_json(sb, &mut composite);
+        let _ = write!(
+            composite,
+            "|{machine:?}|{homes:?}|steps={}|bytes={:?}|policies=",
+            options.max_dp_steps, options.max_trail_bytes,
+        );
+        options
+            .policies
+            .write_versioned_key_with(registry, &mut composite);
+        let _ = write!(composite, "|early_cancel={}", options.early_cancel);
+        // Appended only when armed, so every offline key is byte-identical
+        // to what it was before deadlines existed.
+        if let Some(deadline) = options.deadline_steps {
+            let _ = write!(composite, "|deadline_steps={deadline}");
+        }
+        cache::fnv1a_pair(composite.as_bytes())
+    })
 }
 
 /// Schedules one block through the cache: serve a remembered schedule if
@@ -386,8 +396,7 @@ pub(crate) fn solve_through_cache(
     deadline: Option<std::time::Duration>,
 ) -> (BlockOutcome, bool) {
     let mut span = vcsched_obs::span!("engine_solve", insts = sb.len());
-    let sb_json = serde_json::to_string(sb).expect("superblocks serialize");
-    let (key, check) = problem_key(registry, &sb_json, machine, homes, options);
+    let (key, check) = problem_key(registry, sb, machine, homes, options);
     if let Some(entry) = cache.get(key, check) {
         span.field("cached", true);
         return (
@@ -734,6 +743,56 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         );
+    }
+
+    /// The key streamed into one buffer hashes exactly the composite the
+    /// engine has always keyed on, so persisted journals keep hitting.
+    #[test]
+    fn problem_key_hashes_the_documented_composite() {
+        let spec = vcsched_workload::benchmark("g721dec").expect("known benchmark");
+        let sb = vcsched_workload::generate_block(&spec, 3, 1, vcsched_workload::InputSet::Ref);
+        // A name that needs escaping exercises the direct JSON writer.
+        let sb: vcsched_ir::Superblock = serde_json::from_str(
+            &serde_json::to_string(&sb)
+                .unwrap()
+                .replacen(sb.name(), r#"q\"uo\\te\ttab é"#, 1),
+        )
+        .unwrap();
+        assert_eq!(sb.name(), "q\"uo\\te\ttab é");
+        let machine = MachineConfig::paper_4c_16w_lat2();
+        let homes = live_in_placement(&sb, machine.cluster_count(), 3);
+        let registry = PolicyRegistry::builtin();
+        for (policies, deadline_steps, max_trail_bytes) in [
+            (PolicySet::single(), None, None),
+            (PolicySet::full(), Some(1234), Some(99)),
+        ] {
+            let options = PolicyOptions {
+                max_dp_steps: STEPS_1S,
+                max_trail_bytes,
+                policies,
+                early_cancel: deadline_steps.is_some(),
+                deadline_steps,
+            };
+            let sb_json = serde_json::to_string(&sb).unwrap();
+            let mut composite = format!(
+                "{sb_json}|{machine:?}|{homes:?}|steps={}|bytes={:?}|policies={}|early_cancel={}",
+                options.max_dp_steps,
+                options.max_trail_bytes,
+                options.policies.versioned_key_with(registry),
+                options.early_cancel
+            );
+            if let Some(deadline) = options.deadline_steps {
+                composite.push_str(&format!("|deadline_steps={deadline}"));
+            }
+            assert_eq!(
+                problem_key(registry, &sb, &machine, &homes, &options),
+                (
+                    cache::fnv1a(composite.as_bytes()),
+                    cache::fnv1a_check(composite.as_bytes())
+                ),
+                "deadline_steps {deadline_steps:?}"
+            );
+        }
     }
 
     #[test]

@@ -293,14 +293,24 @@ impl PolicySet {
     /// version invalidates exactly its own cached entries. Members the
     /// registry does not know keep their bare name.
     pub fn versioned_key_with(&self, registry: &PolicyRegistry) -> String {
-        self.names
-            .iter()
-            .map(|name| match registry.version_of(name) {
-                Some(v) => format!("{name}@{v}"),
-                None => name.clone(),
-            })
-            .collect::<Vec<_>>()
-            .join(",")
+        let mut out = String::new();
+        self.write_versioned_key_with(registry, &mut out);
+        out
+    }
+
+    /// Appends [`PolicySet::versioned_key_with`] to `out` (the cache key
+    /// builds its composite in one buffer).
+    pub fn write_versioned_key_with(&self, registry: &PolicyRegistry, out: &mut String) {
+        use std::fmt::Write as _;
+        for (i, name) in self.names.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(name);
+            if let Some(v) = registry.version_of(name) {
+                let _ = write!(out, "@{v}");
+            }
+        }
     }
 
     /// [`PolicySet::versioned_key_with`] against the built-in registry.

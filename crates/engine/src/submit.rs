@@ -8,7 +8,9 @@
 //! * [`SubmitPool::try_submit`] enqueues one scheduling [`Problem`] or
 //!   fails immediately with [`SubmitError::Saturated`] (carrying a
 //!   suggested retry delay) when the queue is full — the backpressure
-//!   signal `vcsched serve` forwards to clients as `retry_after_ms`;
+//!   signal `vcsched serve` forwards to clients as `retry_after_ms`.
+//!   The refusal ([`Rejected`]) hands the problem back, so a retry
+//!   resubmits the same allocation;
 //! * [`SubmitPool::submit`] blocks for queue space instead (used for
 //!   service-side batch fan-out, where the caller *is* the backpressure);
 //! * [`SubmitPool::try_submit_with`] / [`SubmitPool::submit_with`] /
@@ -103,6 +105,26 @@ impl std::fmt::Display for SubmitError {
             SubmitError::ShutDown => f.write_str("pool is shut down"),
         }
     }
+}
+
+/// A refused [`SubmitPool::try_submit`] or [`SubmitPool::try_submit_with`]:
+/// why, plus the problem handed back as submitted, so a caller that parks
+/// the request and retries keeps its one copy instead of submitting
+/// clones.
+#[derive(Debug)]
+pub struct Rejected {
+    /// Why the pool refused.
+    pub error: SubmitError,
+    /// The problem, unchanged.
+    pub problem: Box<Problem>,
+}
+
+/// Turns a refused solve dispatch back into its problem.
+fn rejected_solve((error, kind): (SubmitError, TaskKind)) -> Rejected {
+    let TaskKind::Solve { problem, .. } = kind else {
+        unreachable!("a solve dispatch hands back its solve task")
+    };
+    Rejected { error, problem }
 }
 
 /// A claim on one submitted job's eventual result.
@@ -396,7 +418,12 @@ impl SubmitPool {
         (25 * backlog / self.jobs as u64).clamp(25, 2_000)
     }
 
-    fn dispatch(&self, kind: TaskKind, block_for_space: bool) -> Result<(), SubmitError> {
+    /// Queues one task. A refusal hands the task back with its reason.
+    fn dispatch(
+        &self,
+        kind: TaskKind,
+        block_for_space: bool,
+    ) -> Result<(), (SubmitError, TaskKind)> {
         let task = Task {
             kind,
             enqueued: Instant::now(),
@@ -405,24 +432,24 @@ impl SubmitPool {
         // blocking send that waited for queue space while holding the
         // mutex would stall every concurrent try_submit behind it,
         // turning fail-fast backpressure into head-of-line blocking.
-        let tx = self
-            .tx
-            .lock()
-            .unwrap()
-            .clone()
-            .ok_or(SubmitError::ShutDown)?;
+        let Some(tx) = self.tx.lock().unwrap().clone() else {
+            return Err((SubmitError::ShutDown, task.kind));
+        };
         // Count the slot before sending so a racing depth reader never
         // sees fewer waiters than the channel holds.
         self.depth.fetch_add(1, Ordering::Relaxed);
         let result = if block_for_space {
-            tx.send(task).map_err(|_| SubmitError::ShutDown)
+            tx.send(task).map_err(|e| (SubmitError::ShutDown, e.0.kind))
         } else {
             tx.try_send(task).map_err(|e| match e {
-                TrySendError::Full(_) => SubmitError::Saturated {
-                    queue_capacity: self.queue_capacity,
-                    retry_after_ms: self.retry_after_ms(),
-                },
-                TrySendError::Disconnected(_) => SubmitError::ShutDown,
+                TrySendError::Full(task) => (
+                    SubmitError::Saturated {
+                        queue_capacity: self.queue_capacity,
+                        retry_after_ms: self.retry_after_ms(),
+                    },
+                    task.kind,
+                ),
+                TrySendError::Disconnected(task) => (SubmitError::ShutDown, task.kind),
             })
         };
         match result {
@@ -439,16 +466,17 @@ impl SubmitPool {
     }
 
     /// Admits a problem if the queue has space, else fails immediately
-    /// with the backpressure signal.
-    pub fn try_submit(&self, problem: Problem) -> Result<Ticket<Solved>, SubmitError> {
+    /// with the backpressure signal and hands the problem back.
+    pub fn try_submit(&self, problem: impl Into<Box<Problem>>) -> Result<Ticket<Solved>, Rejected> {
         let (reply, rx) = mpsc::channel();
         self.dispatch(
             TaskKind::Solve {
-                problem: Box::new(problem),
+                problem: problem.into(),
                 reply: Reply::Channel(reply),
             },
             false,
-        )?;
+        )
+        .map_err(rejected_solve)?;
         Ok(Ticket(rx))
     }
 
@@ -462,7 +490,8 @@ impl SubmitPool {
                 reply: Reply::Channel(reply),
             },
             true,
-        )?;
+        )
+        .map_err(|(e, _)| e)?;
         Ok(Ticket(rx))
     }
 
@@ -473,19 +502,21 @@ impl SubmitPool {
     /// thread can keep thousands of requests in flight with no thread
     /// per request. The callback should hand off quickly (push to a
     /// completion queue, wake an event loop); the worker is busy for as
-    /// long as it runs.
+    /// long as it runs. A refusal drops `notify` and hands the problem
+    /// back, as [`SubmitPool::try_submit`] does.
     pub fn try_submit_with(
         &self,
-        problem: Problem,
+        problem: impl Into<Box<Problem>>,
         notify: impl FnOnce(Solved) + Send + 'static,
-    ) -> Result<(), SubmitError> {
+    ) -> Result<(), Rejected> {
         self.dispatch(
             TaskKind::Solve {
-                problem: Box::new(problem),
+                problem: problem.into(),
                 reply: Reply::Callback(Box::new(notify)),
             },
             false,
         )
+        .map_err(rejected_solve)
     }
 
     /// [`SubmitPool::submit`], completion-callback form (blocks for
@@ -503,6 +534,7 @@ impl SubmitPool {
             },
             true,
         )
+        .map_err(|(e, _)| e)
     }
 
     /// Runs a no-op job (sleeping `delay_ms` on the worker) through the
@@ -516,7 +548,8 @@ impl SubmitPool {
                 reply: Reply::Channel(reply),
             },
             false,
-        )?;
+        )
+        .map_err(|(e, _)| e)?;
         Ok(Ticket(rx))
     }
 
@@ -534,6 +567,7 @@ impl SubmitPool {
             },
             false,
         )
+        .map_err(|(e, _)| e)
     }
 
     /// Closes admission, drains every accepted job, and joins the
@@ -620,6 +654,46 @@ mod tests {
         assert!(pool.counters().1 > 0);
     }
 
+    /// A refused submission hands back the problem's own allocation, so
+    /// a caller that retries never needs a copy.
+    #[test]
+    fn a_refused_problem_comes_back_as_the_same_allocation() {
+        let pool = SubmitPool::new(1, 1, Arc::new(ScheduleCache::in_memory(8)));
+        let busy = pool.probe(500).expect("worker probe accepted");
+        let queued = loop {
+            match pool.probe(0) {
+                Ok(ticket) => break ticket,
+                Err(SubmitError::Saturated { .. }) => std::thread::sleep(Duration::from_millis(1)),
+                Err(e) => panic!("probe failed: {e}"),
+            }
+        };
+        let mut problem = Box::new(problem(0));
+        let at = (&*problem as *const Problem, problem.block.insts().as_ptr());
+        for _ in 0..8 {
+            problem = match pool.try_submit_with(problem, |_| {}) {
+                Err(Rejected {
+                    error: SubmitError::Saturated { .. },
+                    problem,
+                }) => problem,
+                other => panic!("expected a saturation refusal, got {other:?}"),
+            };
+            assert_eq!(
+                (&*problem as *const Problem, problem.block.insts().as_ptr()),
+                at
+            );
+            problem = match pool.try_submit(problem) {
+                Err(Rejected { problem, .. }) => problem,
+                Ok(_) => panic!("a saturated pool admitted a solve"),
+            };
+            assert_eq!(
+                (&*problem as *const Problem, problem.block.insts().as_ptr()),
+                at
+            );
+        }
+        busy.wait().expect("busy probe completes");
+        queued.wait().expect("queued probe completes");
+    }
+
     #[test]
     fn blocking_submit_does_not_stall_try_submit() {
         let pool = Arc::new(SubmitPool::new(1, 1, Arc::new(ScheduleCache::in_memory(8))));
@@ -678,7 +752,10 @@ mod tests {
         // After shutdown the callback paths refuse like the ticket ones.
         assert!(matches!(
             pool.try_submit_with(problem(1), |_| {}),
-            Err(SubmitError::ShutDown)
+            Err(Rejected {
+                error: SubmitError::ShutDown,
+                ..
+            })
         ));
         assert!(matches!(
             pool.probe_with(0, |_| {}),
@@ -721,7 +798,10 @@ mod tests {
         assert!(matches!(pool.probe(0), Err(SubmitError::ShutDown)));
         assert!(matches!(
             pool.try_submit(problem(1)),
-            Err(SubmitError::ShutDown)
+            Err(Rejected {
+                error: SubmitError::ShutDown,
+                ..
+            })
         ));
     }
 }

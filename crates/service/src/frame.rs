@@ -180,14 +180,74 @@ pub const INTERNED: &[&str] = &[
     "unspecified",
 ];
 
-/// Table index for a string, if it is part of the fixed vocabulary.
+/// Slots in [`INTERN_SLOTS`]; kept at least twice the table's length so
+/// probe runs stay short.
+const INTERN_SLOT_COUNT: usize = 256;
+const _: () = assert!(INTERNED.len() * 2 <= INTERN_SLOT_COUNT && INTERNED.len() < 255);
+
+/// FNV-1a over `bytes`, folded to a slot of [`INTERN_SLOTS`].
+const fn intern_slot(bytes: &[u8]) -> usize {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        i += 1;
+    }
+    ((h ^ (h >> 32)) as usize) % INTERN_SLOT_COUNT
+}
+
+const fn bytes_eq(a: &[u8], b: &[u8]) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// Open-addressed lookup table over [`INTERNED`], built at compile
+/// time: each slot holds `index + 1` of a table entry, 0 when empty.
+/// Entries are placed in table order and a repeat of an earlier string
+/// is skipped, so a lookup always finds the first index, the one every
+/// frame has carried.
+const INTERN_SLOTS: [u8; INTERN_SLOT_COUNT] = {
+    let mut slots = [0u8; INTERN_SLOT_COUNT];
+    let mut i = 0;
+    while i < INTERNED.len() {
+        let word = INTERNED[i].as_bytes();
+        let mut at = intern_slot(word);
+        loop {
+            if slots[at] == 0 {
+                slots[at] = (i + 1) as u8;
+                break;
+            }
+            if bytes_eq(INTERNED[slots[at] as usize - 1].as_bytes(), word) {
+                break;
+            }
+            at = (at + 1) % INTERN_SLOT_COUNT;
+        }
+        i += 1;
+    }
+    slots
+};
+
+/// Table index for a string, if it is part of the fixed vocabulary: one
+/// hash of the string and, on average, about one comparison.
 fn intern_index(s: &str) -> Option<usize> {
-    // ~90 entries: a linear scan with a length pre-filter is measurably
-    // faster than hashing at this size and keeps the table trivially
-    // append-only.
-    INTERNED
-        .iter()
-        .position(|&cand| cand.len() == s.len() && cand == s)
+    let mut at = intern_slot(s.as_bytes());
+    loop {
+        let idx = usize::from(INTERN_SLOTS[at]).checked_sub(1)?;
+        if INTERNED[idx] == s {
+            return Some(idx);
+        }
+        at = (at + 1) % INTERN_SLOT_COUNT;
+    }
 }
 
 /// Appends a LEB128 varint.
@@ -503,6 +563,26 @@ mod tests {
             ),
         ]);
         assert_eq!(roundtrip(&v), v);
+    }
+
+    /// The hashed lookup answers exactly what a first-match scan of the
+    /// table answers, for every entry and for near misses.
+    #[test]
+    fn intern_lookup_matches_a_first_match_scan() {
+        let scan = |s: &str| INTERNED.iter().position(|&w| w == s);
+        for &word in INTERNED {
+            assert_eq!(intern_index(word), scan(word), "{word}");
+            for probe in [
+                format!("{word}x"),
+                word[..word.len() - 1].to_owned(),
+                word.to_uppercase(),
+            ] {
+                assert_eq!(intern_index(&probe), scan(&probe), "{probe}");
+            }
+        }
+        for probe in ["", "tyep", "two_phase", "αβγ", "retry_after_ms\0"] {
+            assert_eq!(intern_index(probe), scan(probe), "{probe}");
+        }
     }
 
     #[test]

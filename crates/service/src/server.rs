@@ -62,7 +62,7 @@ use serde_json::Value;
 use vcsched_engine::{
     adaptive::{explore_draw, summarize, DecisionKind},
     aggregate_batch, default_jobs, open_cache, selector_path, AdaptiveOptions, BatchConfig,
-    BlockClass, CorpusSource, PolicyOptions, PolicySet, Problem, SelectorTable, Solved,
+    BlockClass, CorpusSource, PolicyOptions, PolicySet, Problem, Rejected, SelectorTable, Solved,
     SubmitError, SubmitPool, Ticket, STEPS_1M,
 };
 use vcsched_ir::Superblock;
@@ -281,7 +281,9 @@ struct ScheduleWork {
     /// The request's configured (pre-narrowing) policy set.
     configured: PolicySet,
     class: BlockClass,
-    problem: Problem,
+    /// Boxed once at parse time; a saturated attempt hands the same box
+    /// back, so retries never copy the problem.
+    problem: Box<Problem>,
     return_schedule: bool,
     deadline_ms: Option<u64>,
     cell: ReplyCell,
@@ -1427,52 +1429,46 @@ fn admit_one(shared: &Shared, work: Work) -> Option<Work> {
                     shared.explore_seq.store(seq + 1, Ordering::Relaxed);
                 }
             };
-            if w.priority >= 2 {
-                // High priority rides out saturation parked at its
-                // ring's head; the attempt consumes a clone because a
-                // rejected `try_submit_with` drops the problem.
-                match shared.pool.try_submit_with(w.problem.clone(), callback) {
-                    Ok(()) => {
-                        advance(seq_used);
-                        None
-                    }
-                    Err(SubmitError::Saturated { .. }) => Some(Work::Schedule(w)),
-                    Err(e) => {
-                        reply_submit_error(&w.cell, e);
-                        None
-                    }
+            match shared.pool.try_submit_with(w.problem, callback) {
+                Ok(()) => {
+                    advance(seq_used);
+                    None
                 }
-            } else {
-                match shared.pool.try_submit_with(w.problem, callback) {
-                    Ok(()) => {
-                        advance(seq_used);
-                        None
+                // High priority rides out saturation parked at its
+                // ring's head, holding the problem the pool handed back.
+                Err(Rejected {
+                    error: SubmitError::Saturated { .. },
+                    problem,
+                }) if w.priority >= 2 => {
+                    w.problem = problem;
+                    Some(Work::Schedule(w))
+                }
+                Err(Rejected { error, .. }) => {
+                    if w.shed_signal && matches!(error, SubmitError::Saturated { .. }) {
+                        // Online admission control: a low-priority
+                        // request is shed, not queued behind the
+                        // saturation.
+                        shared.metrics.shed.inc();
                     }
-                    Err(e @ SubmitError::Saturated { .. }) => {
-                        if w.shed_signal {
-                            // Online admission control: a low-priority
-                            // request is shed, not queued behind the
-                            // saturation.
-                            shared.metrics.shed.inc();
-                        }
-                        reply_submit_error(&w.cell, e);
-                        None
-                    }
-                    Err(e) => {
-                        reply_submit_error(&w.cell, e);
-                        None
-                    }
+                    reply_submit_error(&w.cell, error);
+                    None
                 }
             }
         }
-        Work::BatchBlock(w) => match shared.pool.try_submit((*w.problem).clone()) {
+        Work::BatchBlock(mut w) => match shared.pool.try_submit(w.problem) {
             Ok(ticket) => {
                 let _ = w.ticket_tx.send(Ok(ticket));
                 None
             }
-            Err(SubmitError::Saturated { .. }) => Some(Work::BatchBlock(w)),
-            Err(e) => {
-                let _ = w.ticket_tx.send(Err(e));
+            Err(Rejected {
+                error: SubmitError::Saturated { .. },
+                problem,
+            }) => {
+                w.problem = problem;
+                Some(Work::BatchBlock(w))
+            }
+            Err(Rejected { error, .. }) => {
+                let _ = w.ticket_tx.send(Err(error));
                 None
             }
         },
@@ -1554,7 +1550,7 @@ fn schedule_request(
             adaptive: adaptive.unwrap_or(shared.config.default_adaptive),
             configured,
             class,
-            problem,
+            problem: Box::new(problem),
             return_schedule,
             deadline_ms,
             cell: reply_cell(pending),
@@ -2147,6 +2143,125 @@ mod tests {
             pong.response
         );
         assert!(shared.queues.lock().unwrap().rings.is_empty());
+    }
+
+    /// Counts the heap bytes each thread requests, so a test can show
+    /// that a code path's allocations do not grow with its input.
+    struct Counting;
+
+    thread_local! {
+        static BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    fn note(bytes: usize) {
+        // `try_with`: the allocator also runs while thread-locals are
+        // torn down.
+        let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds `GlobalAlloc`'s contract; counting only updates a
+    // thread-local `Cell` and never allocates.
+    unsafe impl std::alloc::GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note(layout.size());
+            std::alloc::System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note(layout.size());
+            std::alloc::System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(
+            &self,
+            ptr: *mut u8,
+            layout: std::alloc::Layout,
+            new_size: usize,
+        ) -> *mut u8 {
+            note(new_size);
+            std::alloc::System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
+
+    /// A priority ≥ 2 `schedule` parked through saturation is retried on
+    /// every drain without copying its problem: each refused attempt
+    /// hands back the allocation the request was parsed into, and the
+    /// retries together request fewer heap bytes than one copy of the
+    /// block would.
+    #[test]
+    fn parked_high_priority_schedule_retries_without_copying_its_problem() {
+        const RETRIES: usize = 16;
+        let spec = vcsched_workload::BenchmarkSpec {
+            size_mu: 6.0,
+            ..vcsched_workload::benchmark("mpeg2enc").expect("known benchmark")
+        };
+        let block = vcsched_workload::generate_block(&spec, 7, 0, vcsched_workload::InputSet::Ref);
+        let block_bytes =
+            std::mem::size_of_val(block.insts()) + std::mem::size_of_val(block.deps());
+        let shared = test_shared(1, 1);
+        let done_rx = saturate_pool(&shared);
+        schedule_request(
+            &shared,
+            block,
+            "2c".to_owned(),
+            Some(vec!["cars".to_owned()]),
+            None,
+            Some(1_000),
+            None,
+            None,
+            None,
+            None,
+            false,
+            None,
+            Some(2),
+            test_pending(&shared, 7),
+        );
+        let parked_problem = |shared: &Shared| -> (usize, usize) {
+            let queues = shared.queues.lock().unwrap();
+            match queues.rings.get(&7).and_then(|ring| ring.front()) {
+                Some(Work::Schedule(w)) => (
+                    &*w.problem as *const Problem as usize,
+                    w.problem.block.insts().as_ptr() as usize,
+                ),
+                _ => panic!("the schedule request is not parked"),
+            }
+        };
+        let first = parked_problem(&shared);
+        let rejected_before = shared.pool.counters().1;
+        let bytes_before = BYTES.with(std::cell::Cell::get);
+        for _ in 0..RETRIES {
+            drain_fair_queues(&shared);
+        }
+        let retry_bytes = BYTES.with(std::cell::Cell::get) - bytes_before;
+        assert_eq!(parked_problem(&shared), first);
+        assert_eq!(
+            shared.pool.counters().1 - rejected_before,
+            RETRIES as u64,
+            "every drain retried the parked request"
+        );
+        assert!(
+            retry_bytes < block_bytes as u64,
+            "{RETRIES} retries requested {retry_bytes} heap bytes; \
+             one copy of the block is {block_bytes}"
+        );
+        assert!(shared.completions.lock().unwrap().is_empty());
+        // Capacity frees: the same request is admitted and answered.
+        done_rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        done_rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        let solved = wait_completion(&shared);
+        assert!(
+            matches!(solved.response, Response::Schedule(_)),
+            "expected a schedule reply, got {:?}",
+            solved.response
+        );
     }
 
     /// Satellite fix: when admission fails mid-batch, the already

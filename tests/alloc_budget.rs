@@ -16,9 +16,14 @@
 //!   without reserving memory for the claimed elements.
 //! * An exact stage-3 matching on 20 matchable nodes requests under
 //!   1 MiB.
+//! * A cache-hit `solve_one`, parsing a `schedule` line into a `Value`
+//!   and printing a block each make an exact, pinned number of
+//!   allocations over the golden corpus.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+
+use serde::Value;
 
 use vcsched::arch::{ClusterId, MachineConfig, OpClass, ReservationTable};
 use vcsched::baselines::{ClusterOrder, TwoPhaseScheduler, UasScheduler};
@@ -26,10 +31,13 @@ use vcsched::cars::CarsScheduler;
 use vcsched::core::decision::{study_decision, Decision};
 use vcsched::core::init::{build_state, sg_windows};
 use vcsched::core::{Budget, EdgeState, SchedulingState, StateCtx};
-use vcsched::engine::{schedule_block, PolicyOptions, PolicySet, STEPS_1S};
+use vcsched::engine::{
+    schedule_block, solve_one, PolicyOptions, PolicySet, ScheduleCache, STEPS_1S,
+};
 use vcsched::graph::matching::{max_weight_matching, EXACT_NODE_LIMIT};
 use vcsched::ir::Superblock;
 use vcsched::service::frame::decode_frame;
+use vcsched::service::protocol::{request_line, Request};
 use vcsched::workload::live_in_placement;
 
 struct Counting;
@@ -336,5 +344,108 @@ fn exact_matching_memory_is_bounded_by_reachable_subsets() {
         bytes < MATCHING_BYTES_BUDGET,
         "an exact matching on {n} nodes requested {bytes} bytes; \
          the budget is {MATCHING_BYTES_BUDGET}"
+    );
+}
+
+/// A `schedule` request line for `sb`, as a client writes it.
+fn schedule_line(sb: &Superblock, id: u64) -> String {
+    request_line(
+        &Request::Schedule {
+            block: sb.clone(),
+            machine: "2c".to_owned(),
+            policies: None,
+            mode: None,
+            steps: None,
+            budget_bytes: None,
+            early_cancel: None,
+            adaptive: None,
+            placement_seed: None,
+            return_schedule: false,
+            deadline_ms: None,
+            priority: None,
+        },
+        Some(id),
+    )
+    .expect("requests serialize")
+}
+
+/// Allocations of a cache-hit `solve_one` per golden-corpus block
+/// (paper 2-cluster machine, full portfolio, 5k steps), summed over the
+/// corpus. It was 12,767 when the key was built from a `Value` tree, a
+/// printed copy and a `format!` composite; the key now streams into a
+/// reused buffer, so what is left is the hit's copy of the entry.
+const CACHE_HIT_ALLOCS: u64 = 261;
+
+#[test]
+fn cache_hit_solve_allocates_only_the_answer() {
+    let machine = MachineConfig::paper_2c_8w();
+    let options = PolicyOptions {
+        max_dp_steps: STEPS_1S,
+        policies: PolicySet::full(),
+        ..PolicyOptions::default()
+    };
+    let cache = ScheduleCache::in_memory(64);
+    let mut total = 0;
+    for (i, sb) in golden_blocks().iter().enumerate() {
+        let homes = live_in_placement(sb, machine.cluster_count(), i as u64);
+        let (cold, hit) = solve_one(sb, &machine, &homes, &options, &cache);
+        assert!(!hit, "block {i}: the first solve races");
+        let ((warm, hit), allocs, _) =
+            counted(|| solve_one(sb, &machine, &homes, &options, &cache));
+        assert!(hit, "block {i}: the second solve is a cache hit");
+        assert_eq!(warm, cold, "block {i}: the hit answers what the race did");
+        total += allocs;
+    }
+    assert_eq!(
+        total, CACHE_HIT_ALLOCS,
+        "cache hits over the golden corpus made {total} allocations"
+    );
+}
+
+/// Allocations of parsing one `schedule` line per golden-corpus block
+/// into a `Value`, summed over the corpus. It was 25,016, a parse plus
+/// a deep copy of its tree; the tree now moves out of the parser.
+const SCHEDULE_LINE_PARSE_ALLOCS: u64 = 12_608;
+
+#[test]
+fn parsing_a_request_line_allocates_one_tree() {
+    let (mut parse, mut copy) = (0, 0);
+    for (i, sb) in golden_blocks().iter().enumerate() {
+        let line = schedule_line(sb, i as u64);
+        let (v, allocs, _) = counted(|| serde_json::from_str::<Value>(&line).expect("parses"));
+        parse += allocs;
+        copy += counted(|| v.clone()).1;
+    }
+    // One tree's worth: its nodes plus the growth of its vectors, well
+    // under the two trees a parse followed by a copy would make.
+    assert!(
+        parse < 2 * copy,
+        "{parse} allocations; one tree copy is {copy}"
+    );
+    assert_eq!(
+        parse, SCHEDULE_LINE_PARSE_ALLOCS,
+        "parsing the golden corpus's schedule lines made {parse} allocations"
+    );
+}
+
+/// Allocations of `serde_json::to_string` per golden-corpus block,
+/// summed over the corpus. It was 12,241 through a `Value` tree; the
+/// direct writer only grows the output string.
+const BLOCK_PRINT_ALLOCS: u64 = 241;
+
+#[test]
+fn printing_a_block_allocates_only_its_text() {
+    let mut total = 0;
+    for sb in golden_blocks() {
+        let (text, allocs, _) = counted(|| serde_json::to_string(&sb).expect("prints"));
+        assert_eq!(
+            serde_json::from_str::<Superblock>(&text).expect("reads back"),
+            sb
+        );
+        total += allocs;
+    }
+    assert_eq!(
+        total, BLOCK_PRINT_ALLOCS,
+        "printing the golden corpus made {total} allocations"
     );
 }
