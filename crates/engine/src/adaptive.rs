@@ -327,9 +327,9 @@ impl SelectorTable {
         }
         winners.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         winners.truncate(options.top_k.max(1));
-        let names: Vec<&str> = winners.iter().map(|&(_, _, name)| name).collect();
-        let narrowed = PolicySet::from_names(&names)
-            .expect("winners are members of a validated configured set");
+        // Filtering the configured set keeps its canonical order and the
+        // registry it was validated against.
+        let narrowed = configured.filtered(|name| winners.iter().any(|w| w.2 == name));
         (DecisionKind::Narrowed, narrowed)
     }
 

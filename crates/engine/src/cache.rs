@@ -37,7 +37,7 @@ use std::sync::Mutex;
 use serde::{Deserialize, Serialize};
 use vcsched_ir::Schedule;
 
-use crate::portfolio::PolicyStat;
+use crate::portfolio::{BlockOutcome, PolicyStat};
 
 /// Stable FNV-1a over bytes; the cache's content hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -174,20 +174,30 @@ pub struct ShardStats {
     pub len: usize,
 }
 
-/// One remembered problem: its entry, the entry's verification hash
-/// as a number (`None` if the journal's text is not hex, so it never
-/// answers), and the tick of its latest touch.
+/// One remembered problem: the outcome a hit answers with, the entry's
+/// verification hash, and the tick of its latest touch.
 struct Slot {
-    entry: CacheEntry,
-    check: Option<u64>,
+    outcome: BlockOutcome,
+    check: u64,
     last: u64,
 }
 
-impl Slot {
-    fn new(entry: CacheEntry, last: u64) -> Slot {
-        let check = u64::from_str_radix(&entry.check, 16).ok();
-        Slot { entry, check, last }
-    }
+/// Splits an entry into its verification hash and the outcome a hit
+/// answers with. `None` when the check text is not hex: such an entry
+/// could never answer, so it is not kept.
+fn slot_parts(entry: CacheEntry) -> Option<(u64, BlockOutcome)> {
+    let check = u64::from_str_radix(&entry.check, 16).ok()?;
+    Some((
+        check,
+        BlockOutcome {
+            winner: entry.winner,
+            awct: entry.awct,
+            vc_steps: entry.vc_steps,
+            vc_timed_out: entry.vc_timed_out,
+            schedule: entry.schedule,
+            policy_stats: entry.stats,
+        },
+    ))
 }
 
 struct Shard {
@@ -215,11 +225,18 @@ impl Shard {
         }
     }
 
-    fn insert(&mut self, capacity: usize, key: u64, entry: CacheEntry) {
+    fn insert(&mut self, capacity: usize, key: u64, check: u64, outcome: BlockOutcome) {
         self.tick += 1;
         let tick = self.tick;
         self.insertions += 1;
-        self.map.insert(key, Slot::new(entry, tick));
+        self.map.insert(
+            key,
+            Slot {
+                outcome,
+                check,
+                last: tick,
+            },
+        );
         self.recency.push_back((key, tick));
         while self.map.len() > capacity {
             match self.recency.pop_front() {
@@ -301,26 +318,25 @@ impl ScheduleCache {
         }
     }
 
-    /// Opens (or creates) a single-shard persistent cache under `dir`
-    /// (see [`ScheduleCache::persistent_sharded`]).
-    pub fn persistent(dir: &Path, capacity: usize) -> Result<ScheduleCache, String> {
-        ScheduleCache::persistent_sharded(dir, capacity, 1)
-    }
-
-    /// Opens (or creates) a sharded persistent cache under `dir`,
-    /// replaying any existing `schedules.jsonl` into memory.
+    /// Opens the cache a run asks for: in-memory when `dir` is `None`,
+    /// otherwise persistent under `dir` (created if missing), replaying
+    /// any existing `schedules.jsonl` into memory. Either way it holds at
+    /// most `capacity` schedules over `shards` shards.
     ///
     /// Unparseable journal lines (e.g. a tail truncated by a killed run)
     /// are skipped with a warning rather than failing the open: a cache
     /// miss costs a recomputation, never correctness.
-    pub fn persistent_sharded(
-        dir: &Path,
+    pub fn open(
+        dir: Option<&Path>,
         capacity: usize,
         shards: usize,
     ) -> Result<ScheduleCache, String> {
+        let mut cache = ScheduleCache::in_memory_sharded(capacity, shards);
+        let Some(dir) = dir else {
+            return Ok(cache);
+        };
         std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         let path = dir.join("schedules.jsonl");
-        let mut cache = ScheduleCache::in_memory_sharded(capacity, shards);
         cache.dir = Some(dir.to_path_buf());
         if path.exists() {
             let file =
@@ -334,12 +350,11 @@ impl ScheduleCache {
                 let parsed = serde_json::from_str::<CacheEntry>(&line)
                     .ok()
                     .and_then(|entry| {
-                        u64::from_str_radix(&entry.key, 16)
-                            .ok()
-                            .map(|key| (key, entry))
+                        let key = u64::from_str_radix(&entry.key, 16).ok()?;
+                        Some((key, slot_parts(entry)?))
                     });
                 match parsed {
-                    Some((key, entry)) => cache.insert_silent(key, entry),
+                    Some((key, (check, outcome))) => cache.insert(key, check, outcome),
                     None => skipped += 1,
                 }
             }
@@ -383,21 +398,21 @@ impl ScheduleCache {
         &self.shards[(key % self.shards.len() as u64) as usize]
     }
 
-    /// Looks up a problem hash, counting a hit or miss on its shard.
-    /// `check` is the problem's [`fnv1a_check`] hash; an entry whose
-    /// stored check hash differs is a primary-hash collision and is
-    /// treated as a miss.
-    pub fn get(&self, key: u64, check: u64) -> Option<CacheEntry> {
+    /// Looks up a problem hash, counting a hit or miss on its shard; a
+    /// hit answers with a copy of the remembered outcome. `check` is the
+    /// problem's [`fnv1a_check`] hash; an entry whose stored check hash
+    /// differs is a primary-hash collision and is treated as a miss.
+    pub fn get(&self, key: u64, check: u64) -> Option<BlockOutcome> {
         let mut shard = self.shard_of(key).lock().unwrap();
         shard.tick += 1;
         let tick = shard.tick;
         let hit = match shard.map.get_mut(&key) {
-            Some(slot) if slot.check == Some(check) => {
+            Some(slot) if slot.check == check => {
                 slot.last = tick;
-                let entry = slot.entry.clone();
+                let outcome = slot.outcome.clone();
                 shard.recency.push_back((key, tick));
                 shard.hits += 1;
-                Some(entry)
+                Some(outcome)
             }
             _ => {
                 shard.misses += 1;
@@ -420,18 +435,17 @@ impl ScheduleCache {
                 let _ = writeln!(journal.lock().unwrap(), "{line}");
             }
         }
-        self.shard_of(key)
-            .lock()
-            .unwrap()
-            .insert(self.shard_capacity, key, entry);
+        if let Some((check, outcome)) = slot_parts(entry) {
+            self.insert(key, check, outcome);
+        }
     }
 
-    /// Inserts without journaling (used while replaying disk).
-    fn insert_silent(&self, key: u64, entry: CacheEntry) {
+    /// Inserts into the key's shard without journaling.
+    fn insert(&self, key: u64, check: u64, outcome: BlockOutcome) {
         self.shard_of(key)
             .lock()
             .unwrap()
-            .insert(self.shard_capacity, key, entry);
+            .insert(self.shard_capacity, key, check, outcome);
     }
 
     /// Flushes the disk journal (no-op for in-memory caches).
@@ -538,8 +552,8 @@ mod tests {
         assert_eq!(c.stats().misses, 1);
     }
 
-    /// Lookups compare the check hash as a number; a stored check that
-    /// is not hex never answers.
+    /// Lookups compare the check hash as a number; an entry whose check
+    /// is not hex is not kept, so it never answers.
     #[test]
     fn check_hashes_compare_as_numbers() {
         let c = ScheduleCache::in_memory(8);
@@ -643,12 +657,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("vcsched-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let c = ScheduleCache::persistent(&dir, 64).expect("open");
+            let c = ScheduleCache::open(Some(&dir), 64, 1).expect("open");
             c.put(42, entry(42, 7.5));
             c.flush();
         }
         // Replaying under a different shard count still finds the entry.
-        let c = ScheduleCache::persistent_sharded(&dir, 64, 4).expect("reopen");
+        let c = ScheduleCache::open(Some(&dir), 64, 4).expect("reopen");
         let hit = c.get(42, 42).expect("replayed from disk");
         assert_eq!(hit.awct, 7.5);
         assert_eq!(hit.winner, "cars");

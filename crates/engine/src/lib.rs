@@ -29,6 +29,23 @@
 //! * [`corpus`] streams superblocks from JSONL files or synthesizes them
 //!   via `vcsched-workload`.
 //!
+//! # Entry points
+//!
+//! * [`schedule_block`] — the one public uncached race of one block;
+//! * [`solve_one`] — the one cached solve: key the problem, answer a hit,
+//!   otherwise race and remember (the [`SubmitPool`] workers share its
+//!   body);
+//! * [`BatchPlan`] — the one batch pipeline: each block's homes and
+//!   [`PolicyOptions`], then the fold of the outcomes into a
+//!   [`BatchResult`]. [`run_batch`] drives it from a [`BatchConfig`]
+//!   (corpus, cache, persisted selector), [`run_batch_on`] over
+//!   caller-held blocks, cache and optional [`SelectorTable`], and
+//!   `vcsched serve`'s `batch` verb through its fair queue;
+//! * [`run_trace`] — the online executor, in virtual time.
+//!
+//! A [`PolicySet`] carries the [`PolicyRegistry`] it was validated
+//! against, so none of these takes a registry beside the set.
+//!
 //! Every figure lives in the instance that produces it: a
 //! [`SubmitPool`] counts its admissions and times its queue waits and
 //! solves, a [`ScheduleCache`] counts hits, misses, insertions and
@@ -67,12 +84,15 @@ pub mod portfolio;
 pub mod registry;
 pub mod submit;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use serde::Serialize;
-use vcsched_arch::MachineConfig;
+use vcsched_arch::{ClusterId, MachineConfig};
+use vcsched_ir::Superblock;
 use vcsched_workload::live_in_placement;
 
+use adaptive::Decision;
 pub use adaptive::{AdaptiveOptions, AdaptiveSummary, BlockClass, SelectorTable, SELECTOR_FILE};
 pub use cache::{CacheEntry, CacheStats, ScheduleCache, ShardStats};
 pub use corpus::CorpusSource;
@@ -80,10 +100,7 @@ pub use online::{
     run_trace, BlockResult, DeadlineTimer, OnlineOptions, OnlineSummary, PriorityLatency,
 };
 pub use pool::{default_jobs, scatter};
-pub use portfolio::{
-    schedule_block, schedule_block_bound, schedule_block_with, BlockOutcome, PolicyOptions,
-    PolicyStat,
-};
+pub use portfolio::{schedule_block, BlockOutcome, PolicyOptions, PolicyStat};
 pub use registry::{PolicyRegistry, PolicySet};
 pub use submit::{PolicyTotals, Problem, Rejected, Solved, SubmitError, SubmitPool, Ticket};
 pub use vcsched_policy::{AwctBound, PolicyBudget, PolicyFallback, PolicyOutcome, SchedulePolicy};
@@ -261,8 +278,9 @@ pub struct BatchSummary {
     pub total_weighted_cycles: f64,
     /// Cache accounting.
     pub cache: CacheSummary,
-    /// Wall-clock of the whole batch, in milliseconds. Zero this field
-    /// before comparing summaries across runs.
+    /// Wall-clock of the batch from its [`BatchPlan`] to this summary
+    /// (the race and the fold), in milliseconds. Zero this field before
+    /// comparing summaries across runs.
     pub wall_ms: u64,
     /// Per-policy win counts, step totals and fallback counts, in
     /// policy-set order (the authoritative table; [`Wins`] keeps the
@@ -290,18 +308,18 @@ pub struct BatchResult {
 ///
 /// The composite covers the *entire* policy configuration — the
 /// **version-qualified** policy-set spelling (each member as
-/// `name@algorithm_version`), the step budget and the early-cancel
-/// switch — so identical blocks scheduled under different portfolios
-/// never alias: a `vc`-only entry can never answer a full-portfolio
-/// request (whose winner could differ), telemetry-changing knobs
-/// (`early_cancel`) separate entries, and bumping one policy's
-/// [`SchedulePolicy::algorithm_version`] invalidates exactly that
-/// policy's entries — sets not containing it keep hitting.
+/// `name@algorithm_version`, resolved through the set's registry), the
+/// step budget and the early-cancel switch — so identical blocks
+/// scheduled under different portfolios never alias: a `vc`-only entry
+/// can never answer a full-portfolio request (whose winner could
+/// differ), telemetry-changing knobs (`early_cancel`) separate entries,
+/// and bumping one policy's [`SchedulePolicy::algorithm_version`]
+/// invalidates exactly that policy's entries — sets not containing it
+/// keep hitting.
 fn problem_key(
-    registry: &PolicyRegistry,
-    sb: &vcsched_ir::Superblock,
+    sb: &Superblock,
     machine: &MachineConfig,
-    homes: &[vcsched_arch::ClusterId],
+    homes: &[ClusterId],
     options: &PolicyOptions,
 ) -> (u64, u64) {
     use std::fmt::Write as _;
@@ -321,9 +339,7 @@ fn problem_key(
             "|{machine:?}|{homes:?}|steps={}|bytes={:?}|policies=",
             options.max_dp_steps, options.max_trail_bytes,
         );
-        options
-            .policies
-            .write_versioned_key_with(registry, &mut composite);
+        options.policies.write_versioned_key(&mut composite);
         let _ = write!(composite, "|early_cancel={}", options.early_cancel);
         // Appended only when armed, so every offline key is byte-identical
         // to what it was before deadlines existed.
@@ -335,49 +351,28 @@ fn problem_key(
 }
 
 /// Schedules one block through the cache: serve a remembered schedule if
-/// the canonical problem is known, otherwise run the policy and remember
-/// the outcome. Returns the outcome and whether it came from the cache.
+/// the canonical problem is known, otherwise race the policy set and
+/// remember the outcome. Returns the outcome and whether it came from
+/// the cache.
 ///
-/// This is the per-problem step of [`run_batch_with_cache`]; the
-/// service's [`SubmitPool`] workers share its body. [`run_trace`] races
-/// without a cache: it salts each event's live-in homes with the event's
-/// index, so a trace does not repeat a problem (a per-trace cache hit 0
-/// of 7,200 `online-deadline` events).
+/// This is the one cached solve: every batch block goes through it, and
+/// the service's [`SubmitPool`] workers share its body. [`run_trace`]
+/// races without a cache: it salts each event's live-in homes with the
+/// event's index, so a trace does not repeat a problem (a per-trace
+/// cache hit 0 of 7,200 `online-deadline` events).
 pub fn solve_one(
-    sb: &vcsched_ir::Superblock,
+    sb: &Superblock,
     machine: &MachineConfig,
-    homes: &[vcsched_arch::ClusterId],
+    homes: &[ClusterId],
     options: &PolicyOptions,
     cache: &ScheduleCache,
 ) -> (BlockOutcome, bool) {
-    solve_one_with(
-        PolicyRegistry::builtin(),
-        sb,
-        machine,
-        homes,
-        options,
-        cache,
-    )
+    solve_through_cache(sb, machine, homes, options, cache, None)
 }
 
-/// [`solve_one`] against an explicit registry: policy construction *and*
-/// the cache key's version qualifiers both resolve through `registry`,
-/// so custom policies participate in content addressing exactly like the
-/// built-ins.
-pub fn solve_one_with(
-    registry: &PolicyRegistry,
-    sb: &vcsched_ir::Superblock,
-    machine: &MachineConfig,
-    homes: &[vcsched_arch::ClusterId],
-    options: &PolicyOptions,
-    cache: &ScheduleCache,
-) -> (BlockOutcome, bool) {
-    solve_through_cache(registry, sb, machine, homes, options, cache, None)
-}
-
-/// The one solve body behind [`solve_one`], [`solve_one_with`] and the
-/// [`SubmitPool`] workers: key the canonical problem, answer a hit from
-/// the cache, otherwise race the portfolio and remember the outcome.
+/// The one solve body behind [`solve_one`] and the [`SubmitPool`]
+/// workers: key the canonical problem, answer a hit from the cache,
+/// otherwise race the portfolio and remember the outcome.
 ///
 /// With a wall-clock `deadline`, the race runs against a sealed
 /// [`AwctBound`] watched by a [`DeadlineTimer`]; if the timer fires
@@ -387,34 +382,23 @@ pub fn solve_one_with(
 /// and a preempted race must not masquerade as the full race's answer
 /// for the next caller.
 pub(crate) fn solve_through_cache(
-    registry: &PolicyRegistry,
-    sb: &vcsched_ir::Superblock,
+    sb: &Superblock,
     machine: &MachineConfig,
-    homes: &[vcsched_arch::ClusterId],
+    homes: &[ClusterId],
     options: &PolicyOptions,
     cache: &ScheduleCache,
-    deadline: Option<std::time::Duration>,
+    deadline: Option<Duration>,
 ) -> (BlockOutcome, bool) {
     let mut span = vcsched_obs::span!("engine_solve", insts = sb.len());
-    let (key, check) = problem_key(registry, sb, machine, homes, options);
-    if let Some(entry) = cache.get(key, check) {
+    let (key, check) = problem_key(sb, machine, homes, options);
+    if let Some(outcome) = cache.get(key, check) {
         span.field("cached", true);
-        return (
-            BlockOutcome {
-                winner: entry.winner,
-                awct: entry.awct,
-                vc_steps: entry.vc_steps,
-                vc_timed_out: entry.vc_timed_out,
-                schedule: entry.schedule,
-                policy_stats: entry.stats,
-            },
-            true,
-        );
+        return (outcome, true);
     }
     let bound = AwctBound::new();
     let outcome = {
         let _timer = deadline.map(|wall| DeadlineTimer::arm(&bound, wall));
-        portfolio::schedule_block_bound(registry, sb, machine, homes, options, &bound)
+        portfolio::schedule_block_bound(sb, machine, homes, options, &bound)
     };
     span.field("cached", false);
     span.field("winner", outcome.winner.as_str());
@@ -438,28 +422,14 @@ pub(crate) fn solve_through_cache(
     (outcome, false)
 }
 
-/// Builds the cache a [`BatchConfig`] asks for (persistent or in-memory,
-/// sharded as configured).
-pub fn open_cache(config: &BatchConfig) -> Result<ScheduleCache, String> {
-    match &config.cache_dir {
-        Some(dir) => {
-            ScheduleCache::persistent_sharded(dir, config.cache_capacity, config.cache_shards)
-        }
-        None => Ok(ScheduleCache::in_memory_sharded(
-            config.cache_capacity,
-            config.cache_shards,
-        )),
-    }
-}
-
 /// The path the selector table persists at for a [`BatchConfig`] with a
 /// cache directory (next to the schedule cache's journal).
-pub fn selector_path(cache_dir: &std::path::Path) -> PathBuf {
+pub fn selector_path(cache_dir: &Path) -> PathBuf {
     cache_dir.join(SELECTOR_FILE)
 }
 
-/// Runs a whole batch: load corpus, fan out over the pool, schedule each
-/// block under the policy (through the cache), aggregate.
+/// Runs a whole batch: load the corpus, open the cache the config asks
+/// for, race every block through [`run_batch_on`], flush the cache.
 ///
 /// With [`BatchConfig::adaptive`] set, the selector table is loaded from
 /// (and saved back to) [`selector_path`] when the cache is persistent,
@@ -468,213 +438,248 @@ pub fn selector_path(cache_dir: &std::path::Path) -> PathBuf {
 /// *before* any observation folds in, such a run can never narrow: it is
 /// a full race plus bookkeeping. Callers that want within-process
 /// learning across batches hold their own table and call
-/// [`run_batch_with_selector`].
+/// [`run_batch_on`].
 pub fn run_batch(config: &BatchConfig) -> Result<BatchResult, String> {
-    let t0 = std::time::Instant::now();
     let blocks = config.source.load()?;
-    let cache = open_cache(config)?;
-    let result = if config.adaptive.is_some() {
-        let table_path = config.cache_dir.as_deref().map(selector_path);
-        let mut selector = table_path
+    let dir = config.cache_dir.as_deref();
+    let cache = ScheduleCache::open(dir, config.cache_capacity, config.cache_shards)?;
+    let table_path = dir.map(selector_path);
+    let mut selector = config.adaptive.as_ref().map(|_| {
+        table_path
             .as_deref()
             .map(SelectorTable::load)
-            .unwrap_or_default();
-        let result = run_batch_with_selector(config, &blocks, &cache, &mut selector, t0)?;
-        if let Some(path) = &table_path {
-            selector.save(path)?;
-        }
-        result
-    } else {
-        run_batch_with_cache(config, &blocks, &cache, t0)?
-    };
+            .unwrap_or_default()
+    });
+    let result = run_batch_on(config, &blocks, &cache, selector.as_mut());
+    if let (Some(selector), Some(path)) = (&selector, &table_path) {
+        selector.save(path)?;
+    }
     cache.flush();
     Ok(result)
 }
 
-/// [`run_batch`] against a caller-managed cache (lets one cache serve many
-/// batches in a long-lived process). `t0` anchors the summary's wall
-/// clock. Ignores [`BatchConfig::adaptive`] — use
-/// [`run_batch_with_selector`] to race adaptively.
-pub fn run_batch_with_cache(
+/// Races `blocks` under `config` against a caller-managed cache (one
+/// cache can serve many batches in a long-lived process), fanning the
+/// blocks over [`BatchConfig::jobs`] workers.
+///
+/// With a `selector`, every outcome folds back into it in corpus order
+/// once the race is done; with [`BatchConfig::adaptive`] set as well,
+/// each block's set is first narrowed against the table as it stood
+/// when the batch started (see [`BatchPlan`]). Without a selector the
+/// configured set races on every block.
+pub fn run_batch_on(
     config: &BatchConfig,
-    blocks: &[vcsched_ir::Superblock],
+    blocks: &[Superblock],
     cache: &ScheduleCache,
-    t0: std::time::Instant,
-) -> Result<BatchResult, String> {
-    let options = PolicyOptions {
-        max_dp_steps: config.max_dp_steps,
-        max_trail_bytes: config.max_trail_bytes,
-        policies: config.policies.clone(),
-        early_cancel: config.early_cancel,
-        deadline_steps: None,
-    };
-    let machine = &config.machine;
-    let per_block: Vec<(BlockOutcome, bool)> = scatter(blocks.len(), config.jobs, |i| {
-        let sb = &blocks[i];
-        let homes = live_in_placement(
-            sb,
-            machine.cluster_count(),
-            config.placement_seed ^ i as u64,
-        );
-        solve_one(sb, machine, &homes, &options, cache)
-    });
-    Ok(aggregate_batch(config, blocks, per_block, t0))
-}
-
-/// Adaptive variant of [`run_batch_with_cache`]: plans each block's
-/// policy set against the `selector` snapshot taken at batch start,
-/// races the plan, then folds every outcome back into `selector` in
-/// corpus order — so the run (and the table it leaves behind) is
-/// deterministic at any `--jobs` value.
-pub fn run_batch_with_selector(
-    config: &BatchConfig,
-    blocks: &[vcsched_ir::Superblock],
-    cache: &ScheduleCache,
-    selector: &mut SelectorTable,
-    t0: std::time::Instant,
-) -> Result<BatchResult, String> {
-    let adaptive = config
-        .adaptive
-        .clone()
-        .ok_or("run_batch_with_selector needs BatchConfig::adaptive")?;
-    let machine = &config.machine;
-    let classes_known = selector.classes.len();
-    let decisions = selector.plan(blocks, machine, &config.policies, &adaptive);
-    let per_block: Vec<(BlockOutcome, bool)> = scatter(blocks.len(), config.jobs, |i| {
-        let sb = &blocks[i];
-        let homes = live_in_placement(
-            sb,
-            machine.cluster_count(),
-            config.placement_seed ^ i as u64,
-        );
-        let options = PolicyOptions {
-            max_dp_steps: config.max_dp_steps,
-            max_trail_bytes: config.max_trail_bytes,
-            policies: decisions[i].policies.clone(),
-            early_cancel: config.early_cancel,
-            deadline_steps: None,
-        };
-        solve_one(sb, machine, &homes, &options, cache)
-    });
-    for (decision, (outcome, _)) in decisions.iter().zip(&per_block) {
-        selector.observe(&decision.class, outcome);
-    }
-    let mut result = aggregate_batch(config, blocks, per_block, t0);
-    result.summary.adaptive = Some(adaptive::summarize(
-        &decisions,
-        &config.policies,
-        adaptive.seed,
-        classes_known,
-    ));
-    Ok(result)
-}
-
-/// Aggregates per-block outcomes (in corpus order) into a
-/// [`BatchResult`]. Cache accounting comes from the per-block
-/// cached flags, so a shared long-lived cache serving other traffic
-/// concurrently (the service case) cannot skew this batch's hit rate.
-pub fn aggregate_batch(
-    config: &BatchConfig,
-    blocks: &[vcsched_ir::Superblock],
-    per_block: Vec<(BlockOutcome, bool)>,
-    t0: std::time::Instant,
+    selector: Option<&mut SelectorTable>,
 ) -> BatchResult {
-    let mut wins = Wins::default();
-    let mut vc_timeouts = 0usize;
-    let mut weighted_cycles = 0.0f64;
-    let mut total_weight = 0u64;
-    let mut hits = 0u64;
-    let mut lines = Vec::with_capacity(per_block.len());
-    let mut outcomes = Vec::with_capacity(per_block.len());
-    // Per-policy aggregation: rows for the configured set up front (so
-    // they appear even with zero blocks), extras (the implicit fallback)
-    // appended in first-encounter order.
-    let mut policies: Vec<PolicySummary> = config
-        .policies
-        .names()
-        .iter()
-        .map(|name| PolicySummary {
-            policy: name.clone(),
-            wins: 0,
-            steps: 0,
-            fallbacks: 0,
-        })
-        .collect();
-    let tally = |policies: &mut Vec<PolicySummary>, name: &str| -> usize {
-        match policies.iter().position(|p| p.policy == name) {
-            Some(i) => i,
-            None => {
-                policies.push(PolicySummary {
-                    policy: name.to_owned(),
-                    wins: 0,
-                    steps: 0,
-                    fallbacks: 0,
-                });
-                policies.len() - 1
-            }
+    let plan = BatchPlan::new(config, blocks, selector.as_deref());
+    let per_block = scatter(blocks.len(), config.jobs, |i| {
+        solve_one(
+            &blocks[i],
+            &config.machine,
+            &plan.homes(i),
+            &plan.options(i),
+            cache,
+        )
+    });
+    plan.finish(per_block, selector)
+}
+
+/// One batch's plan: each block's live-in homes and policy options,
+/// fixed before any block races, and the fold of the outcomes into a
+/// [`BatchResult`] — aggregation, selector observations and the
+/// adaptive summary. [`run_batch_on`] and the service's `batch` verb
+/// both race through it, so the same problems yield the same summary.
+///
+/// An adaptive plan reads the selector once, when it is built, and
+/// decides each block by its corpus index, so a parallel batch makes
+/// exactly the decisions a serial one would.
+pub struct BatchPlan<'a> {
+    config: &'a BatchConfig,
+    blocks: &'a [Superblock],
+    /// Each block's adaptive decision and the classes the selector knew
+    /// when planning; `None` races the configured set everywhere.
+    decisions: Option<(Vec<Decision>, usize)>,
+    /// When the plan was made: the summary's `wall_ms` runs from here.
+    t0: Instant,
+}
+
+impl<'a> BatchPlan<'a> {
+    /// Plans `blocks` under `config`. Narrows each block's set against
+    /// `selector` when [`BatchConfig::adaptive`] is set and a selector
+    /// is given; otherwise every block races the configured set.
+    pub fn new(
+        config: &'a BatchConfig,
+        blocks: &'a [Superblock],
+        selector: Option<&SelectorTable>,
+    ) -> BatchPlan<'a> {
+        let decisions = config
+            .adaptive
+            .as_ref()
+            .zip(selector)
+            .map(|(options, table)| {
+                let plan = table.plan(blocks, &config.machine, &config.policies, options);
+                (plan, table.classes.len())
+            });
+        BatchPlan {
+            config,
+            blocks,
+            decisions,
+            t0: Instant::now(),
         }
-    };
-    for (sb, (outcome, cached)) in blocks.iter().zip(per_block) {
-        wins.add(&outcome.winner);
-        let i = tally(&mut policies, &outcome.winner);
-        policies[i].wins += 1;
-        for stat in &outcome.policy_stats {
-            let i = tally(&mut policies, &stat.policy);
-            policies[i].steps += stat.steps;
-            if stat.gave_up() {
-                policies[i].fallbacks += 1;
-            }
-        }
-        if outcome.vc_timed_out {
-            vc_timeouts += 1;
-        }
-        if cached {
-            hits += 1;
-        }
-        weighted_cycles += outcome.awct * sb.weight() as f64;
-        total_weight += sb.weight();
-        lines.push(BlockLine {
-            name: sb.name().to_owned(),
-            winner: outcome.winner.clone(),
-            awct: outcome.awct,
-            weight: sb.weight(),
-            cached,
-        });
-        outcomes.push(outcome);
     }
 
-    let stats = CacheStats {
-        hits,
-        misses: blocks.len() as u64 - hits,
-    };
-    let summary = BatchSummary {
-        corpus: config.source.describe(),
-        machine: config.machine.name().to_owned(),
-        jobs: config.jobs.max(1),
-        portfolio: config.policies == PolicySet::full(),
-        steps: config.max_dp_steps,
-        blocks: blocks.len(),
-        wins,
-        vc_timeouts,
-        aggregate_awct: if total_weight == 0 {
-            0.0
-        } else {
-            weighted_cycles / total_weight as f64
-        },
-        total_weighted_cycles: weighted_cycles,
-        cache: CacheSummary {
-            hits: stats.hits,
-            misses: stats.misses,
-            hit_rate: stats.hit_rate(),
-        },
-        wall_ms: t0.elapsed().as_millis() as u64,
-        policies,
-        adaptive: None,
-    };
-    BatchResult {
-        summary,
-        lines,
-        outcomes,
+    /// Block `i`'s live-in homes: the seeded §6.1 placement every racer
+    /// of the block shares.
+    pub fn homes(&self, i: usize) -> Vec<ClusterId> {
+        live_in_placement(
+            &self.blocks[i],
+            self.config.machine.cluster_count(),
+            self.config.placement_seed ^ i as u64,
+        )
+    }
+
+    /// Block `i`'s policy options: the configured budgets and the set
+    /// the plan races on it.
+    pub fn options(&self, i: usize) -> PolicyOptions {
+        let policies = match &self.decisions {
+            Some((plan, _)) => &plan[i].policies,
+            None => &self.config.policies,
+        };
+        PolicyOptions {
+            max_dp_steps: self.config.max_dp_steps,
+            max_trail_bytes: self.config.max_trail_bytes,
+            policies: policies.clone(),
+            early_cancel: self.config.early_cancel,
+            deadline_steps: None,
+        }
+    }
+
+    /// The per-block adaptive decisions, when the plan narrows.
+    pub fn decisions(&self) -> Option<&[Decision]> {
+        self.decisions.as_ref().map(|(plan, _)| plan.as_slice())
+    }
+
+    /// Folds the per-block outcomes (in corpus order, with whether the
+    /// cache answered each) into the batch's result, and each outcome
+    /// into `selector` when given. Cache accounting comes from the
+    /// per-block flags, so a shared long-lived cache serving other
+    /// traffic concurrently (the service case) cannot skew this batch's
+    /// hit rate.
+    pub fn finish(
+        self,
+        per_block: Vec<(BlockOutcome, bool)>,
+        selector: Option<&mut SelectorTable>,
+    ) -> BatchResult {
+        let config = self.config;
+        if let Some(selector) = selector {
+            for (sb, (outcome, _)) in self.blocks.iter().zip(&per_block) {
+                selector.observe(&BlockClass::of(sb, &config.machine), outcome);
+            }
+        }
+        let mut wins = Wins::default();
+        let mut vc_timeouts = 0usize;
+        let mut weighted_cycles = 0.0f64;
+        let mut total_weight = 0u64;
+        let mut hits = 0u64;
+        let mut lines = Vec::with_capacity(per_block.len());
+        let mut outcomes = Vec::with_capacity(per_block.len());
+        // Per-policy aggregation: rows for the configured set up front (so
+        // they appear even with zero blocks), extras (the implicit fallback)
+        // appended in first-encounter order.
+        let mut policies: Vec<PolicySummary> = config
+            .policies
+            .names()
+            .iter()
+            .map(|name| PolicySummary {
+                policy: name.clone(),
+                wins: 0,
+                steps: 0,
+                fallbacks: 0,
+            })
+            .collect();
+        let tally = |policies: &mut Vec<PolicySummary>, name: &str| -> usize {
+            match policies.iter().position(|p| p.policy == name) {
+                Some(i) => i,
+                None => {
+                    policies.push(PolicySummary {
+                        policy: name.to_owned(),
+                        wins: 0,
+                        steps: 0,
+                        fallbacks: 0,
+                    });
+                    policies.len() - 1
+                }
+            }
+        };
+        for (sb, (outcome, cached)) in self.blocks.iter().zip(per_block) {
+            wins.add(&outcome.winner);
+            let i = tally(&mut policies, &outcome.winner);
+            policies[i].wins += 1;
+            for stat in &outcome.policy_stats {
+                let i = tally(&mut policies, &stat.policy);
+                policies[i].steps += stat.steps;
+                if stat.gave_up() {
+                    policies[i].fallbacks += 1;
+                }
+            }
+            if outcome.vc_timed_out {
+                vc_timeouts += 1;
+            }
+            if cached {
+                hits += 1;
+            }
+            weighted_cycles += outcome.awct * sb.weight() as f64;
+            total_weight += sb.weight();
+            lines.push(BlockLine {
+                name: sb.name().to_owned(),
+                winner: outcome.winner.clone(),
+                awct: outcome.awct,
+                weight: sb.weight(),
+                cached,
+            });
+            outcomes.push(outcome);
+        }
+
+        let stats = CacheStats {
+            hits,
+            misses: self.blocks.len() as u64 - hits,
+        };
+        let adaptive = self.decisions.as_ref().zip(config.adaptive.as_ref()).map(
+            |((plan, classes_known), options)| {
+                adaptive::summarize(plan, &config.policies, options.seed, *classes_known)
+            },
+        );
+        let summary = BatchSummary {
+            corpus: config.source.describe(),
+            machine: config.machine.name().to_owned(),
+            jobs: config.jobs.max(1),
+            portfolio: config.policies == PolicySet::full(),
+            steps: config.max_dp_steps,
+            blocks: self.blocks.len(),
+            wins,
+            vc_timeouts,
+            aggregate_awct: if total_weight == 0 {
+                0.0
+            } else {
+                weighted_cycles / total_weight as f64
+            },
+            total_weighted_cycles: weighted_cycles,
+            cache: CacheSummary {
+                hits: stats.hits,
+                misses: stats.misses,
+                hit_rate: stats.hit_rate(),
+            },
+            wall_ms: self.t0.elapsed().as_millis() as u64,
+            policies,
+            adaptive,
+        };
+        BatchResult {
+            summary,
+            lines,
+            outcomes,
+        }
     }
 }
 
@@ -722,11 +727,10 @@ mod tests {
         };
         let blocks = config.source.load().unwrap();
         let cache = ScheduleCache::in_memory(64);
-        let t0 = std::time::Instant::now();
-        let first = run_batch_with_cache(&config, &blocks, &cache, t0).unwrap();
+        let first = run_batch_on(&config, &blocks, &cache, None);
         assert_eq!(first.summary.cache.hits, 0);
         assert_eq!(first.summary.cache.misses, 6);
-        let second = run_batch_with_cache(&config, &blocks, &cache, t0).unwrap();
+        let second = run_batch_on(&config, &blocks, &cache, None);
         assert_eq!(second.summary.cache.hits, 6);
         assert_eq!(
             second.summary.cache.misses, 0,
@@ -761,7 +765,6 @@ mod tests {
         assert_eq!(sb.name(), "q\"uo\\te\ttab é");
         let machine = MachineConfig::paper_4c_16w_lat2();
         let homes = live_in_placement(&sb, machine.cluster_count(), 3);
-        let registry = PolicyRegistry::builtin();
         for (policies, deadline_steps, max_trail_bytes) in [
             (PolicySet::single(), None, None),
             (PolicySet::full(), Some(1234), Some(99)),
@@ -778,14 +781,14 @@ mod tests {
                 "{sb_json}|{machine:?}|{homes:?}|steps={}|bytes={:?}|policies={}|early_cancel={}",
                 options.max_dp_steps,
                 options.max_trail_bytes,
-                options.policies.versioned_key_with(registry),
+                options.policies.versioned_key(),
                 options.early_cancel
             );
             if let Some(deadline) = options.deadline_steps {
                 composite.push_str(&format!("|deadline_steps={deadline}"));
             }
             assert_eq!(
-                problem_key(registry, &sb, &machine, &homes, &options),
+                problem_key(&sb, &machine, &homes, &options),
                 (
                     cache::fnv1a(composite.as_bytes()),
                     cache::fnv1a_check(composite.as_bytes())
@@ -812,9 +815,14 @@ mod tests {
         };
         let cache = ScheduleCache::in_memory(8);
         let solve = || {
-            let registry = PolicyRegistry::builtin();
-            let deadline = Some(std::time::Duration::ZERO);
-            solve_through_cache(registry, &sb, &machine, &homes, &options, &cache, deadline)
+            solve_through_cache(
+                &sb,
+                &machine,
+                &homes,
+                &options,
+                &cache,
+                Some(Duration::ZERO),
+            )
         };
         let (outcome, cached) = solve();
         assert!(!cached);

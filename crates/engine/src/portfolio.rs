@@ -9,7 +9,7 @@
 //!   the UAS (CWP order) and two-phase baselines.
 //! * Any other subset can be selected per request (`--policies`, the
 //!   service protocol's `"policies"` field); members resolve through the
-//!   [`PolicyRegistry`].
+//!   [`PolicyRegistry`](crate::PolicyRegistry) the set carries.
 //!
 //! The race is deterministic: single-pass policies run one after another
 //! in set order on the calling thread, every candidate is validated by
@@ -32,7 +32,7 @@ use vcsched_ir::{Schedule, Superblock};
 use vcsched_policy::{AwctBound, PolicyBudget, PolicyFallback, PolicyOutcome, SchedulePolicy};
 use vcsched_sim::validate;
 
-use crate::registry::{PolicyRegistry, PolicySet};
+use crate::registry::PolicySet;
 
 /// Per-block policy options.
 #[derive(Debug, Clone, PartialEq)]
@@ -190,63 +190,34 @@ fn stat_of(raced: &Raced) -> PolicyStat {
     }
 }
 
-/// Schedules one block under the policy set, resolving members through
-/// the built-in registry. `homes` pins the block's live-ins to register
-/// files; every racer member receives the same placement (§6.1).
+/// Schedules one block under the policy set, constructing its members
+/// through the set's registry. `homes` pins the block's live-ins to
+/// register files; every racer member receives the same placement
+/// (§6.1). This is the one public uncached race; [`crate::solve_one`]
+/// is the cached solve around it.
 pub fn schedule_block(
     sb: &Superblock,
     machine: &MachineConfig,
     homes: &[ClusterId],
     options: &PolicyOptions,
 ) -> BlockOutcome {
-    schedule_block_with(PolicyRegistry::builtin(), sb, machine, homes, options)
+    schedule_block_bound(sb, machine, homes, options, &AwctBound::new())
 }
 
-/// [`schedule_block`] against an explicit registry (custom policies).
-///
-/// # Panics
-///
-/// Panics if a set member is not registered — sets are validated at
-/// construction ([`PolicySet::parse_with`]), so this indicates a set
-/// built against a different registry.
-pub fn schedule_block_with(
-    registry: &PolicyRegistry,
-    sb: &Superblock,
-    machine: &MachineConfig,
-    homes: &[ClusterId],
-    options: &PolicyOptions,
-) -> BlockOutcome {
-    schedule_block_bound(registry, sb, machine, homes, options, &AwctBound::new())
-}
-
-/// [`schedule_block_with`] with a caller-supplied [`AwctBound`]: the
-/// preemptible entry point. A wall-clock deadline timer holding a clone
-/// of `bound` can call [`AwctBound::preempt`] mid-race; every policy
-/// sharing it aborts with [`PolicyFallback::Deadline`] and the race
-/// returns its best-so-far validated schedule (the implicit CARS
-/// fallback guarantees one exists).
-///
-/// # Panics
-///
-/// Panics if a set member is not registered (see [`schedule_block_with`]).
-pub fn schedule_block_bound(
-    registry: &PolicyRegistry,
+/// [`schedule_block`] with a caller-supplied [`AwctBound`]: the
+/// preemptible race behind the cached solve. A wall-clock deadline timer
+/// holding a clone of `bound` can call [`AwctBound::preempt`] mid-race;
+/// every policy sharing it aborts with [`PolicyFallback::Deadline`] and
+/// the race returns its best-so-far validated schedule (the implicit
+/// CARS fallback guarantees one exists).
+pub(crate) fn schedule_block_bound(
     sb: &Superblock,
     machine: &MachineConfig,
     homes: &[ClusterId],
     options: &PolicyOptions,
     bound: &AwctBound,
 ) -> BlockOutcome {
-    let policies: Vec<Box<dyn SchedulePolicy>> = options
-        .policies
-        .names()
-        .iter()
-        .map(|name| {
-            registry
-                .create(name)
-                .unwrap_or_else(|e| panic!("policy set not from this registry: {e}"))
-        })
-        .collect();
+    let policies = options.policies.create_all();
 
     let bound = bound.clone();
     let budget = PolicyBudget {
@@ -494,5 +465,32 @@ mod tests {
             },
         );
         assert_eq!(cancel, again);
+    }
+
+    /// A wall-clock preemption that fires *before* the race even starts
+    /// (the harshest deadline) still yields a validated best-so-far
+    /// schedule through the implicit CARS fallback, on every benchmark.
+    #[test]
+    fn prefired_preemption_still_validates() {
+        let machine = MachineConfig::paper_2c_8w();
+        let options = opts(5_000, PolicySet::full());
+        let specs = vcsched_workload::benchmarks();
+        assert_eq!(specs.len(), 14);
+        for spec in &specs {
+            for block in 0..40 {
+                let sb = generate_block(spec, 41, block, InputSet::Ref);
+                let homes = live_in_placement(&sb, machine.cluster_count(), block);
+                let bound = AwctBound::new();
+                bound.preempt();
+                let out = schedule_block_bound(&sb, &machine, &homes, &options, &bound);
+                assert!(!out.winner.is_empty());
+                assert!(out.awct > 0.0);
+                assert!(
+                    validate(&sb, &machine, &out.schedule).is_ok(),
+                    "preempted race leaked an invalid schedule on {}",
+                    sb.name()
+                );
+            }
+        }
     }
 }

@@ -167,46 +167,47 @@ impl PolicyRegistry {
 }
 
 /// A validated, deduplicated policy set in canonical (registry) order —
-/// the deterministic tie-break order the racer uses.
+/// the deterministic tie-break order the racer uses — carrying the
+/// registry it was validated against.
 ///
 /// Canonicalization makes `"cars,vc"` and `"vc,cars"` the *same* set:
-/// same race, same tie-breaks, same cache key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// same race, same tie-breaks, same cache key. Because the set carries
+/// its registry, the race constructs its members and the cache key
+/// spells their versions through that registry, with no registry
+/// argument beside the set. Two sets are equal when they name the same
+/// members of the same registry.
+#[derive(Clone)]
 pub struct PolicySet {
     names: Vec<String>,
+    registry: &'static PolicyRegistry,
 }
 
 impl PolicySet {
     /// The paper's §6.1 single mode: VC under the step budget with CARS
     /// riding along as fallback and comparison.
     pub fn single() -> PolicySet {
-        PolicySet {
-            names: vec!["vc".to_owned(), "cars".to_owned()],
-        }
+        PolicySet::builtin(&["vc", "cars"])
     }
 
     /// The paper's §6.1 four-scheduler portfolio: `vc`, `cars`, `uas`,
     /// `two-phase` — the fixed set `--portfolio` spells, regardless of
     /// what else is registered ([`PolicySet::all`] races everything).
     pub fn full() -> PolicySet {
-        PolicySet {
-            names: ["vc", "cars", "uas", "two-phase"]
-                .into_iter()
-                .map(str::to_owned)
-                .collect(),
-        }
+        PolicySet::builtin(&["vc", "cars", "uas", "two-phase"])
     }
 
     /// Every registered built-in policy (the §6.1 four plus the UAS
     /// cluster-order variants) — the widest portfolio the adaptive
     /// selector can learn over.
     pub fn all() -> PolicySet {
+        PolicySet::builtin(&PolicyRegistry::builtin().names())
+    }
+
+    /// Built-in names already in canonical order.
+    fn builtin(names: &[&str]) -> PolicySet {
         PolicySet {
-            names: PolicyRegistry::builtin()
-                .names()
-                .into_iter()
-                .map(str::to_owned)
-                .collect(),
+            names: names.iter().map(|&n| n.to_owned()).collect(),
+            registry: PolicyRegistry::builtin(),
         }
     }
 
@@ -217,8 +218,9 @@ impl PolicySet {
         PolicySet::parse_with(spec, PolicyRegistry::builtin())
     }
 
-    /// [`PolicySet::parse`] against an explicit registry.
-    pub fn parse_with(spec: &str, registry: &PolicyRegistry) -> Result<PolicySet, String> {
+    /// [`PolicySet::parse`] against an explicit registry, which the set
+    /// then carries.
+    pub fn parse_with(spec: &str, registry: &'static PolicyRegistry) -> Result<PolicySet, String> {
         PolicySet::from_names_with(&PolicySet::split_spec(spec), registry)
     }
 
@@ -241,10 +243,11 @@ impl PolicySet {
         PolicySet::from_names_with(names, PolicyRegistry::builtin())
     }
 
-    /// [`PolicySet::from_names`] against an explicit registry.
+    /// [`PolicySet::from_names`] against an explicit registry, which the
+    /// set then carries.
     pub fn from_names_with<S: AsRef<str>>(
         names: &[S],
-        registry: &PolicyRegistry,
+        registry: &'static PolicyRegistry,
     ) -> Result<PolicySet, String> {
         if names.is_empty() {
             return Err(format!(
@@ -268,7 +271,30 @@ impl PolicySet {
         indexed.sort_by_key(|&(i, _)| i);
         Ok(PolicySet {
             names: indexed.into_iter().map(|(_, n)| n.to_owned()).collect(),
+            registry,
         })
+    }
+
+    /// The members `keep` accepts, in the same canonical order and
+    /// against the same registry (the adaptive selector's narrowing).
+    pub(crate) fn filtered(&self, keep: impl Fn(&str) -> bool) -> PolicySet {
+        PolicySet {
+            names: self.names.iter().filter(|n| keep(n)).cloned().collect(),
+            registry: self.registry,
+        }
+    }
+
+    /// Constructs every member, in canonical order, through the set's
+    /// registry.
+    pub(crate) fn create_all(&self) -> Vec<Box<dyn SchedulePolicy>> {
+        self.names
+            .iter()
+            .map(|name| {
+                self.registry
+                    .create(name)
+                    .expect("a set's members are registered in its registry")
+            })
+            .collect()
     }
 
     /// The member names, in canonical (tie-break) order.
@@ -288,34 +314,45 @@ impl PolicySet {
     }
 
     /// The version-qualified spelling (`vc@1,cars@1`) used in the
-    /// schedule-cache key: each member carries its registered
-    /// [`SchedulePolicy::algorithm_version`], so bumping one policy's
-    /// version invalidates exactly its own cached entries. Members the
-    /// registry does not know keep their bare name.
-    pub fn versioned_key_with(&self, registry: &PolicyRegistry) -> String {
+    /// schedule-cache key: each member carries the
+    /// [`SchedulePolicy::algorithm_version`] its registry recorded, so
+    /// bumping one policy's version invalidates exactly its own cached
+    /// entries.
+    pub fn versioned_key(&self) -> String {
         let mut out = String::new();
-        self.write_versioned_key_with(registry, &mut out);
+        self.write_versioned_key(&mut out);
         out
     }
 
-    /// Appends [`PolicySet::versioned_key_with`] to `out` (the cache key
+    /// Appends [`PolicySet::versioned_key`] to `out` (the cache key
     /// builds its composite in one buffer).
-    pub fn write_versioned_key_with(&self, registry: &PolicyRegistry, out: &mut String) {
+    pub(crate) fn write_versioned_key(&self, out: &mut String) {
         use std::fmt::Write as _;
         for (i, name) in self.names.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(name);
-            if let Some(v) = registry.version_of(name) {
+            if let Some(v) = self.registry.version_of(name) {
                 let _ = write!(out, "@{v}");
             }
         }
     }
+}
 
-    /// [`PolicySet::versioned_key_with`] against the built-in registry.
-    pub fn versioned_key(&self) -> String {
-        self.versioned_key_with(PolicyRegistry::builtin())
+impl PartialEq for PolicySet {
+    fn eq(&self, other: &Self) -> bool {
+        self.names == other.names && std::ptr::eq(self.registry, other.registry)
+    }
+}
+
+impl Eq for PolicySet {}
+
+impl std::fmt::Debug for PolicySet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PolicySet")
+            .field("names", &self.names)
+            .finish()
     }
 }
 

@@ -11,19 +11,18 @@
 //!   signal `vcsched serve` forwards to clients as `retry_after_ms`.
 //!   The refusal ([`Rejected`]) hands the problem back, so a retry
 //!   resubmits the same allocation;
-//! * [`SubmitPool::submit`] blocks for queue space instead (used for
-//!   service-side batch fan-out, where the caller *is* the backpressure);
-//! * [`SubmitPool::try_submit_with`] / [`SubmitPool::submit_with`] /
-//!   [`SubmitPool::probe_with`] take a completion callback invoked on the
-//!   worker thread instead of handing back a [`Ticket`] — the service
-//!   reactor's path, where no thread may park per request;
+//! * [`SubmitPool::try_submit_with`] / [`SubmitPool::probe_with`] take
+//!   a completion callback invoked on the worker thread instead of
+//!   handing back a [`Ticket`] — the service reactor's path, where no
+//!   thread may park per request. The ticket forms are the same
+//!   callback with a channel sender behind it;
 //! * [`SubmitPool::probe`] runs a no-op (optionally delayed) job through
 //!   the same queue and workers, measuring true end-to-end service time —
 //!   and giving tests a deterministic way to hold workers busy;
 //! * [`SubmitPool::set_completion_hook`] installs a pool-wide observer
-//!   invoked on the worker after *every* finished task (ticket or
-//!   callback form) — the service reactor uses it to re-drain its
-//!   per-connection fair queues the moment capacity frees up;
+//!   invoked on the worker after *every* finished task — the service
+//!   reactor uses it to re-drain its per-connection fair queues the
+//!   moment capacity frees up;
 //! * [`SubmitPool::shutdown`] closes admission, drains every already
 //!   accepted job, and joins the workers — in-flight work is never
 //!   dropped.
@@ -142,24 +141,17 @@ impl<T> Ticket<T> {
     }
 }
 
-/// How a finished task hands back its result: a channel behind a
-/// [`Ticket`] for blocking callers, or a callback invoked on the worker
-/// thread for readiness-driven callers (the service reactor) that must
-/// never park a thread per request.
-enum Reply<T> {
-    Channel(mpsc::Sender<T>),
-    Callback(Box<dyn FnOnce(T) + Send>),
-}
+/// How a finished task hands back its result: a callback invoked on the
+/// worker thread. A [`Ticket`] is the callback that sends into a
+/// channel.
+type Reply<T> = Box<dyn FnOnce(T) + Send>;
 
-impl<T> Reply<T> {
-    fn complete(self, value: T) {
-        match self {
-            // A dropped ticket just means nobody is waiting anymore; the
-            // work (and its cache entry) still happened.
-            Reply::Channel(tx) => drop(tx.send(value)),
-            Reply::Callback(f) => f(value),
-        }
-    }
+/// The ticket form of a reply: the result goes down a channel whose
+/// receiver the [`Ticket`] holds. A dropped ticket just means nobody is
+/// waiting anymore; the work (and its cache entry) still happened.
+fn ticket<T: Send + 'static>() -> (impl FnOnce(T) + Send + 'static, Ticket<T>) {
+    let (tx, rx) = mpsc::channel();
+    (move |value| drop(tx.send(value)), Ticket(rx))
 }
 
 enum TaskKind {
@@ -298,7 +290,6 @@ impl SubmitPool {
                         TaskKind::Solve { problem, reply } => {
                             let solve_start = Instant::now();
                             let (outcome, cached) = crate::solve_through_cache(
-                                crate::PolicyRegistry::builtin(),
                                 &problem.block,
                                 &problem.machine,
                                 &problem.homes,
@@ -309,14 +300,14 @@ impl SubmitPool {
                             solve_latency.record_duration(solve_start.elapsed());
                             record_policy_totals(&policy_totals, &outcome, cached);
                             done();
-                            reply.complete(Solved { outcome, cached });
+                            reply(Solved { outcome, cached });
                         }
                         TaskKind::Probe { delay, reply } => {
                             if !delay.is_zero() {
                                 std::thread::sleep(delay);
                             }
                             done();
-                            reply.complete(delay);
+                            reply(delay);
                         }
                     }
                     // Clone out of the lock so a slow hook never blocks
@@ -347,11 +338,11 @@ impl SubmitPool {
     }
 
     /// Installs a pool-wide observer called on the worker thread after
-    /// *every* finished task — solve or probe, ticket or callback form —
-    /// once its result has been delivered and the completion counters
-    /// bumped. The service reactor hangs its fair-queue re-drain here:
-    /// a completion is the signal that admission capacity is about to
-    /// free up, so ring-parked work gets another shot without polling.
+    /// *every* finished task — solve or probe — once its result has been
+    /// delivered and the completion counters bumped. The service reactor
+    /// hangs its fair-queue re-drain here: a completion is the signal
+    /// that admission capacity is about to free up, so ring-parked work
+    /// gets another shot without polling.
     /// The hook must hand off quickly; the worker is busy while it runs.
     /// Installing replaces any previous hook.
     pub fn set_completion_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
@@ -418,40 +409,29 @@ impl SubmitPool {
         (25 * backlog / self.jobs as u64).clamp(25, 2_000)
     }
 
-    /// Queues one task. A refusal hands the task back with its reason.
-    fn dispatch(
-        &self,
-        kind: TaskKind,
-        block_for_space: bool,
-    ) -> Result<(), (SubmitError, TaskKind)> {
+    /// Queues one task if the queue has space. A refusal hands the task
+    /// back with its reason.
+    fn dispatch(&self, kind: TaskKind) -> Result<(), (SubmitError, TaskKind)> {
         let task = Task {
             kind,
             enqueued: Instant::now(),
         };
-        // Clone the sender and release the lock before sending: a
-        // blocking send that waited for queue space while holding the
-        // mutex would stall every concurrent try_submit behind it,
-        // turning fail-fast backpressure into head-of-line blocking.
         let Some(tx) = self.tx.lock().unwrap().clone() else {
             return Err((SubmitError::ShutDown, task.kind));
         };
         // Count the slot before sending so a racing depth reader never
         // sees fewer waiters than the channel holds.
         self.depth.fetch_add(1, Ordering::Relaxed);
-        let result = if block_for_space {
-            tx.send(task).map_err(|e| (SubmitError::ShutDown, e.0.kind))
-        } else {
-            tx.try_send(task).map_err(|e| match e {
-                TrySendError::Full(task) => (
-                    SubmitError::Saturated {
-                        queue_capacity: self.queue_capacity,
-                        retry_after_ms: self.retry_after_ms(),
-                    },
-                    task.kind,
-                ),
-                TrySendError::Disconnected(task) => (SubmitError::ShutDown, task.kind),
-            })
-        };
+        let result = tx.try_send(task).map_err(|e| match e {
+            TrySendError::Full(task) => (
+                SubmitError::Saturated {
+                    queue_capacity: self.queue_capacity,
+                    retry_after_ms: self.retry_after_ms(),
+                },
+                task.kind,
+            ),
+            TrySendError::Disconnected(task) => (SubmitError::ShutDown, task.kind),
+        });
         match result {
             Ok(()) => {
                 self.accepted.fetch_add(1, Ordering::Relaxed);
@@ -468,31 +448,9 @@ impl SubmitPool {
     /// Admits a problem if the queue has space, else fails immediately
     /// with the backpressure signal and hands the problem back.
     pub fn try_submit(&self, problem: impl Into<Box<Problem>>) -> Result<Ticket<Solved>, Rejected> {
-        let (reply, rx) = mpsc::channel();
-        self.dispatch(
-            TaskKind::Solve {
-                problem: problem.into(),
-                reply: Reply::Channel(reply),
-            },
-            false,
-        )
-        .map_err(rejected_solve)?;
-        Ok(Ticket(rx))
-    }
-
-    /// Admits a problem, waiting for queue space if necessary. Only fails
-    /// once the pool is shut down.
-    pub fn submit(&self, problem: Problem) -> Result<Ticket<Solved>, SubmitError> {
-        let (reply, rx) = mpsc::channel();
-        self.dispatch(
-            TaskKind::Solve {
-                problem: Box::new(problem),
-                reply: Reply::Channel(reply),
-            },
-            true,
-        )
-        .map_err(|(e, _)| e)?;
-        Ok(Ticket(rx))
+        let (reply, ticket) = ticket();
+        self.try_submit_with(problem, reply)?;
+        Ok(ticket)
     }
 
     /// [`SubmitPool::try_submit`], completion-callback form: `notify`
@@ -509,48 +467,20 @@ impl SubmitPool {
         problem: impl Into<Box<Problem>>,
         notify: impl FnOnce(Solved) + Send + 'static,
     ) -> Result<(), Rejected> {
-        self.dispatch(
-            TaskKind::Solve {
-                problem: problem.into(),
-                reply: Reply::Callback(Box::new(notify)),
-            },
-            false,
-        )
+        self.dispatch(TaskKind::Solve {
+            problem: problem.into(),
+            reply: Box::new(notify),
+        })
         .map_err(rejected_solve)
-    }
-
-    /// [`SubmitPool::submit`], completion-callback form (blocks for
-    /// queue space; see [`SubmitPool::try_submit_with`] for the callback
-    /// contract).
-    pub fn submit_with(
-        &self,
-        problem: Problem,
-        notify: impl FnOnce(Solved) + Send + 'static,
-    ) -> Result<(), SubmitError> {
-        self.dispatch(
-            TaskKind::Solve {
-                problem: Box::new(problem),
-                reply: Reply::Callback(Box::new(notify)),
-            },
-            true,
-        )
-        .map_err(|(e, _)| e)
     }
 
     /// Runs a no-op job (sleeping `delay_ms` on the worker) through the
     /// full queue + pool path. The ticket resolves when the worker is
     /// done, so `wait` measures true end-to-end service latency.
     pub fn probe(&self, delay_ms: u64) -> Result<Ticket<Duration>, SubmitError> {
-        let (reply, rx) = mpsc::channel();
-        self.dispatch(
-            TaskKind::Probe {
-                delay: Duration::from_millis(delay_ms),
-                reply: Reply::Channel(reply),
-            },
-            false,
-        )
-        .map_err(|(e, _)| e)?;
-        Ok(Ticket(rx))
+        let (reply, ticket) = ticket();
+        self.probe_with(delay_ms, reply)?;
+        Ok(ticket)
     }
 
     /// [`SubmitPool::probe`], completion-callback form (see
@@ -560,13 +490,10 @@ impl SubmitPool {
         delay_ms: u64,
         notify: impl FnOnce(Duration) + Send + 'static,
     ) -> Result<(), SubmitError> {
-        self.dispatch(
-            TaskKind::Probe {
-                delay: Duration::from_millis(delay_ms),
-                reply: Reply::Callback(Box::new(notify)),
-            },
-            false,
-        )
+        self.dispatch(TaskKind::Probe {
+            delay: Duration::from_millis(delay_ms),
+            reply: Box::new(notify),
+        })
         .map_err(|(e, _)| e)
     }
 
@@ -692,37 +619,6 @@ mod tests {
         }
         busy.wait().expect("busy probe completes");
         queued.wait().expect("queued probe completes");
-    }
-
-    #[test]
-    fn blocking_submit_does_not_stall_try_submit() {
-        let pool = Arc::new(SubmitPool::new(1, 1, Arc::new(ScheduleCache::in_memory(8))));
-        // Worker busy + queue full, then a blocking submit parks waiting
-        // for space.
-        let busy = pool.probe(800).expect("worker occupied");
-        std::thread::sleep(Duration::from_millis(50));
-        let queued = pool.probe(0).expect("queue filled");
-        let blocker = {
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || pool.submit(problem(3)).expect("eventually admitted"))
-        };
-        std::thread::sleep(Duration::from_millis(100));
-        // Fail-fast backpressure must stay fail-fast: the parked
-        // blocking submit may not hold a lock that serializes this.
-        let t0 = std::time::Instant::now();
-        assert!(matches!(pool.probe(0), Err(SubmitError::Saturated { .. })));
-        assert!(
-            t0.elapsed() < Duration::from_millis(250),
-            "try-path dispatch stalled {}ms behind a blocking submit",
-            t0.elapsed().as_millis()
-        );
-        busy.wait().expect("busy");
-        queued.wait().expect("queued");
-        blocker
-            .join()
-            .expect("blocker thread")
-            .wait()
-            .expect("blocked submit completes");
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn truncated_journal_line_recovers_to_a_miss() {
         std::env::temp_dir().join(format!("vcsched-journal-truncation-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
-        let cache = ScheduleCache::persistent_sharded(&dir, 64, 4).expect("open");
+        let cache = ScheduleCache::open(Some(&dir), 64, 4).expect("open");
         for key in 0..10u64 {
             cache.put(key, entry(key, value_of(key)));
         }
@@ -161,7 +161,7 @@ fn truncated_journal_line_recovers_to_a_miss() {
 
     // Reopen: the nine intact lines replay, the torn line degrades to a
     // miss — never an error, never a wrong schedule.
-    let cache = ScheduleCache::persistent_sharded(&dir, 64, 4).expect("reopen after truncation");
+    let cache = ScheduleCache::open(Some(&dir), 64, 4).expect("reopen after truncation");
     assert_eq!(cache.len(), 9, "intact journal lines must replay");
     for key in 0..9u64 {
         assert_eq!(
@@ -179,7 +179,7 @@ fn truncated_journal_line_recovers_to_a_miss() {
     cache.put(9, entry(9, value_of(9)));
     cache.flush();
     drop(cache);
-    let cache = ScheduleCache::persistent_sharded(&dir, 64, 1).expect("reopen again");
+    let cache = ScheduleCache::open(Some(&dir), 64, 1).expect("reopen again");
     assert_eq!(cache.len(), 10);
     for key in 0..10u64 {
         assert!(cache.get(key, key).is_some(), "key {key} after recovery");

@@ -5,7 +5,7 @@
 
 use vcsched_arch::{ClusterId, MachineConfig};
 use vcsched_engine::{
-    solve_one_with, PolicyBudget, PolicyOptions, PolicyOutcome, PolicyRegistry, PolicySet,
+    solve_one, PolicyBudget, PolicyOptions, PolicyOutcome, PolicyRegistry, PolicySet,
     ScheduleCache, SchedulePolicy,
 };
 use vcsched_ir::Superblock;
@@ -37,7 +37,9 @@ impl SchedulePolicy for VersionedCars {
     }
 }
 
-fn registry(mycars_version: &'static str) -> PolicyRegistry {
+/// A registry where `mycars` is at `mycars_version`. Leaked because a
+/// policy set carries its registry for the life of the process.
+fn registry(mycars_version: &'static str) -> &'static PolicyRegistry {
     let mut r = PolicyRegistry::empty();
     r.register("mycars", "versioned test policy", move || {
         Box::new(VersionedCars {
@@ -53,7 +55,7 @@ fn registry(mycars_version: &'static str) -> PolicyRegistry {
         })
     })
     .expect("fresh registry");
-    r
+    Box::leak(Box::new(r))
 }
 
 fn fixture() -> (Superblock, MachineConfig, Vec<ClusterId>) {
@@ -76,52 +78,47 @@ fn opts(set: PolicySet) -> PolicyOptions {
 
 #[test]
 fn versioned_keys_spell_each_members_version() {
-    let v1 = registry("1");
-    let v2 = registry("2");
-    let both = PolicySet::parse_with("mycars,othercars", &v1).expect("valid set");
-    assert_eq!(both.versioned_key_with(&v1), "mycars@1,othercars@1");
-    assert_eq!(both.versioned_key_with(&v2), "mycars@2,othercars@1");
+    let v1 = PolicySet::parse_with("mycars,othercars", registry("1")).expect("valid set");
+    let v2 = PolicySet::parse_with("mycars,othercars", registry("2")).expect("valid set");
+    assert_eq!(v1.versioned_key(), "mycars@1,othercars@1");
+    assert_eq!(v2.versioned_key(), "mycars@2,othercars@1");
     // The plain spelling (summaries, wire protocol) stays unqualified.
-    assert_eq!(both.key(), "mycars,othercars");
-    // Unknown members keep their bare name instead of failing.
-    assert_eq!(
-        PolicySet::single().versioned_key_with(&v1),
-        "vc,cars",
-        "names absent from the registry are unqualified"
-    );
-    // Built-in resolution goes through the built-in registry.
+    assert_eq!(v1.key(), "mycars,othercars");
+    // Same names from different registries are different sets.
+    assert_ne!(v1, v2);
+    // Built-in sets resolve through the built-in registry.
     assert_eq!(PolicySet::single().versioned_key(), "vc@1,cars@1");
 }
 
 #[test]
 fn version_bump_invalidates_exactly_its_own_entries() {
-    let v1 = registry("1");
-    let v2 = registry("2");
+    let (v1, v2) = (registry("1"), registry("2"));
     let (sb, machine, homes) = fixture();
-    let my = PolicySet::parse_with("mycars", &v1).expect("valid set");
-    let other = PolicySet::parse_with("othercars", &v1).expect("valid set");
+    let set =
+        |spec: &str, registry| opts(PolicySet::parse_with(spec, registry).expect("valid set"));
     let cache = ScheduleCache::in_memory(64);
+    let solve = |options: &PolicyOptions| solve_one(&sb, &machine, &homes, options, &cache);
 
     // Cold: both sets insert their entries under version 1.
-    let (out_my_v1, hit) = solve_one_with(&v1, &sb, &machine, &homes, &opts(my.clone()), &cache);
+    let (out_my_v1, hit) = solve(&set("mycars", v1));
     assert!(!hit, "cold cache");
-    let (_, hit) = solve_one_with(&v1, &sb, &machine, &homes, &opts(other.clone()), &cache);
+    let (_, hit) = solve(&set("othercars", v1));
     assert!(!hit, "different set, different entry");
 
     // Warm: same versions answer from cache.
-    let (_, hit) = solve_one_with(&v1, &sb, &machine, &homes, &opts(my.clone()), &cache);
+    let (_, hit) = solve(&set("mycars", v1));
     assert!(hit, "same version must hit");
-    let (_, hit) = solve_one_with(&v1, &sb, &machine, &homes, &opts(other.clone()), &cache);
+    let (_, hit) = solve(&set("othercars", v1));
     assert!(hit, "same version must hit");
 
     // Bump `mycars` to version 2: exactly its own entries stop matching.
-    let (out_my_v2, hit) = solve_one_with(&v2, &sb, &machine, &homes, &opts(my.clone()), &cache);
+    let (out_my_v2, hit) = solve(&set("mycars", v2));
     assert!(!hit, "bumped version must miss (entry invalidated)");
-    let (_, hit) = solve_one_with(&v2, &sb, &machine, &homes, &opts(other.clone()), &cache);
+    let (_, hit) = solve(&set("othercars", v2));
     assert!(hit, "untouched policy's entries keep hitting");
 
     // And the rescheduled result is remembered under the new version.
-    let (_, hit) = solve_one_with(&v2, &sb, &machine, &homes, &opts(my), &cache);
+    let (_, hit) = solve(&set("mycars", v2));
     assert!(hit, "new-version entry is cached in turn");
     assert_eq!(out_my_v1.schedule, out_my_v2.schedule, "same algorithm");
 }

@@ -60,10 +60,10 @@ use std::time::{Duration, Instant};
 use serde::Deserialize;
 use serde_json::Value;
 use vcsched_engine::{
-    adaptive::{explore_draw, summarize, DecisionKind},
-    aggregate_batch, default_jobs, open_cache, selector_path, AdaptiveOptions, BatchConfig,
-    BlockClass, CorpusSource, PolicyOptions, PolicySet, Problem, Rejected, SelectorTable, Solved,
-    SubmitError, SubmitPool, Ticket, STEPS_1M,
+    adaptive::{explore_draw, DecisionKind},
+    default_jobs, selector_path, AdaptiveOptions, BatchConfig, BatchPlan, BlockClass, CorpusSource,
+    PolicyOptions, PolicySet, Problem, Rejected, ScheduleCache, SelectorTable, Solved, SubmitError,
+    SubmitPool, Ticket, STEPS_1M,
 };
 use vcsched_ir::Superblock;
 use vcsched_obs::{MetricSnapshot, MetricValue, Snapshot};
@@ -487,12 +487,11 @@ impl ServerHandle {
 /// Binds the listener, sets up the poller, and spawns the reactor
 /// thread; returns once the server is ready to take connections.
 pub fn serve(config: ServiceConfig) -> Result<ServerHandle, String> {
-    let cache = Arc::new(open_cache(&BatchConfig {
-        cache_dir: config.cache_dir.clone(),
-        cache_capacity: config.cache_capacity,
-        cache_shards: config.cache_shards,
-        ..BatchConfig::default()
-    })?);
+    let cache = Arc::new(ScheduleCache::open(
+        config.cache_dir.as_deref(),
+        config.cache_capacity,
+        config.cache_shards,
+    )?);
     let pool = SubmitPool::new(config.jobs, config.queue_capacity, cache);
     let listener =
         TcpListener::bind(&config.addr).map_err(|e| format!("bind {}: {e}", config.addr))?;
@@ -1675,15 +1674,15 @@ fn submit_block(
     }
 }
 
-/// Runs a `batch` request: every block is admitted through the
-/// fair-queue ring into the shared pool, solved blocks are reported
-/// through `emit_block` in corpus order, and results are aggregated
-/// with the engine's summary code.
+/// Runs a `batch` request through the engine's [`BatchPlan`]: every
+/// block is admitted through the fair-queue ring into the shared pool,
+/// solved blocks are reported through `emit_block` in corpus order, and
+/// the plan folds the outcomes into the summary and the server's
+/// selector.
 ///
-/// An adaptive batch plans every block's set against a snapshot of the
-/// server's selector taken up front (the same snapshot-then-fold
-/// discipline as the engine's `run_batch_with_selector`), then folds the
-/// outcomes back into the live table.
+/// An adaptive batch plans every block's set against the server's
+/// selector as it stands when the batch starts, then folds the outcomes
+/// back into the live table.
 ///
 /// If admission fails mid-batch, every already-admitted ticket is still
 /// waited out before the error returns — abandoning live tickets would
@@ -1742,40 +1741,24 @@ fn run_service_batch(
         max_trail_bytes: budget_bytes.or(shared.config.default_budget_bytes),
         ..BatchConfig::default()
     };
-    let t0 = std::time::Instant::now();
     let blocks = match config.source.load() {
         Ok(b) => b,
         Err(e) => return error(e),
     };
-    let decisions = config.adaptive.as_ref().map(|options| {
-        let snapshot = shared.selector.lock().unwrap().clone();
-        let plan = snapshot.plan(&blocks, &config.machine, &config.policies, options);
-        (plan, snapshot.classes.len())
-    });
+    let plan = BatchPlan::new(&config, &blocks, Some(&shared.selector.lock().unwrap()));
     // Admit every block through the fair-queue ring, then collect in
     // corpus order — the same order-preserving contract as the batch
     // engine's scatter, so summaries match `vcsched batch` exactly.
     let mut tickets = Vec::with_capacity(blocks.len());
     let mut failure = None;
     for (i, sb) in blocks.iter().enumerate() {
-        let homes = live_in_placement(
-            sb,
-            config.machine.cluster_count(),
-            config.placement_seed ^ i as u64,
-        );
         let problem = Problem {
             block: sb.clone(),
             machine: config.machine.clone(),
-            homes,
+            homes: plan.homes(i),
             options: PolicyOptions {
-                max_dp_steps: config.max_dp_steps,
-                max_trail_bytes: config.max_trail_bytes,
-                policies: decisions
-                    .as_ref()
-                    .map(|(plan, _)| plan[i].policies.clone())
-                    .unwrap_or_else(|| config.policies.clone()),
-                early_cancel: config.early_cancel,
                 deadline_steps,
+                ..plan.options(i)
             },
             deadline: None,
         };
@@ -1819,28 +1802,12 @@ fn run_service_batch(
     }
     // Count decisions and fold observations only now that every block
     // completed — an aborted batch must not skew the selector counters.
-    if let Some((plan, _)) = &decisions {
-        for d in plan {
-            shared.metrics.decision(d.kind).inc();
-        }
+    // The fold runs adaptive or not: every full race seeds the table the
+    // next adaptive request narrows from.
+    for d in plan.decisions().unwrap_or_default() {
+        shared.metrics.decision(d.kind).inc();
     }
-    {
-        // Fold in corpus order, adaptive or not: every full race seeds
-        // the table the next adaptive request narrows from.
-        let mut selector = shared.selector.lock().unwrap();
-        for (sb, (outcome, _)) in blocks.iter().zip(&per_block) {
-            selector.observe(&BlockClass::of(sb, &config.machine), outcome);
-        }
-    }
-    let mut result = aggregate_batch(&config, &blocks, per_block, t0);
-    if let (Some((plan, classes_known)), Some(options)) = (decisions, &config.adaptive) {
-        result.summary.adaptive = Some(summarize(
-            &plan,
-            &config.policies,
-            options.seed,
-            classes_known,
-        ));
-    }
+    let result = plan.finish(per_block, Some(&mut shared.selector.lock().unwrap()));
     Response::Batch {
         summary: serde_json::to_value(&result.summary),
     }
@@ -1963,7 +1930,7 @@ mod tests {
     use vcsched_ir::SuperblockBuilder;
 
     fn test_shared(jobs: usize, queue: usize) -> Arc<Shared> {
-        let cache = Arc::new(open_cache(&BatchConfig::default()).unwrap());
+        let cache = Arc::new(ScheduleCache::in_memory_sharded(1 << 16, 8));
         let shared = Arc::new(Shared {
             pool: SubmitPool::new(jobs, queue, cache),
             config: ServiceConfig::default(),

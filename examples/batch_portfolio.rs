@@ -10,7 +10,7 @@
 
 use vcsched::arch::MachineConfig;
 use vcsched::engine::{
-    run_batch_with_cache, BatchConfig, CorpusSource, PolicySet, ScheduleCache, STEPS_1S,
+    run_batch_on, BatchConfig, CorpusSource, PolicySet, ScheduleCache, STEPS_1S,
 };
 
 fn main() -> Result<(), String> {
@@ -35,7 +35,7 @@ fn main() -> Result<(), String> {
         config.jobs
     );
 
-    let cold = run_batch_with_cache(&config, &blocks, &cache, std::time::Instant::now())?;
+    let cold = run_batch_on(&config, &blocks, &cache, None);
     let s = &cold.summary;
     println!("cold run: {} blocks in {} ms", s.blocks, s.wall_ms);
     println!(
@@ -44,7 +44,7 @@ fn main() -> Result<(), String> {
     );
     println!("  aggregate AWCT {:.3}", s.aggregate_awct);
 
-    let warm = run_batch_with_cache(&config, &blocks, &cache, std::time::Instant::now())?;
+    let warm = run_batch_on(&config, &blocks, &cache, None);
     let w = &warm.summary;
     println!(
         "\nwarm run: {} blocks in {} ms ({} hits, {} misses)",

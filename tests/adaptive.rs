@@ -15,10 +15,14 @@
 use std::path::PathBuf;
 
 use serde::Value;
+use vcsched::arch::{ClusterId, MachineConfig};
+use vcsched::engine::adaptive::DecisionKind;
 use vcsched::engine::{
-    run_batch, run_batch_with_cache, run_batch_with_selector, selector_path, AdaptiveOptions,
-    BatchConfig, BatchResult, CorpusSource, PolicySet, ScheduleCache, SelectorTable, STEPS_1S,
+    run_batch, run_batch_on, schedule_block, selector_path, AdaptiveOptions, BatchConfig,
+    BatchResult, BlockClass, CorpusSource, PolicyBudget, PolicyOptions, PolicyOutcome,
+    PolicyRegistry, PolicySet, ScheduleCache, SchedulePolicy, SelectorTable, STEPS_1S,
 };
+use vcsched::ir::Superblock;
 
 fn corpus_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_corpus.jsonl")
@@ -27,7 +31,7 @@ fn corpus_path() -> PathBuf {
 fn config(jobs: usize, adaptive: Option<AdaptiveOptions>) -> BatchConfig {
     BatchConfig {
         source: CorpusSource::Jsonl(corpus_path()),
-        machine: vcsched::arch::MachineConfig::paper_2c_8w(),
+        machine: MachineConfig::paper_2c_8w(),
         jobs,
         policies: PolicySet::full(),
         max_dp_steps: STEPS_1S,
@@ -50,8 +54,7 @@ fn greedy() -> AdaptiveOptions {
 fn run(config: &BatchConfig, selector: &mut SelectorTable) -> BatchResult {
     let blocks = config.source.load().expect("fixture corpus loads");
     let cache = ScheduleCache::in_memory_sharded(config.cache_capacity, config.cache_shards);
-    run_batch_with_selector(config, &blocks, &cache, selector, std::time::Instant::now())
-        .expect("adaptive batch runs")
+    run_batch_on(config, &blocks, &cache, Some(selector))
 }
 
 /// The summary as compact JSON with the run-variable fields pinned.
@@ -130,8 +133,7 @@ fn adaptive_matches_full_race_awct_with_fewer_steps() {
     let full_config = config(4, None);
     let blocks = full_config.source.load().expect("fixture corpus loads");
     let cache = ScheduleCache::in_memory(1 << 16);
-    let full = run_batch_with_cache(&full_config, &blocks, &cache, std::time::Instant::now())
-        .expect("full race runs");
+    let full = run_batch_on(&full_config, &blocks, &cache, None);
 
     // Train the selector on one pass, then replay greedily: every class
     // is now observed, so every block may be narrowed.
@@ -210,4 +212,65 @@ fn selector_table_persists_next_to_the_schedule_cache() {
     let grown = SelectorTable::load(&selector_path(&dir));
     assert_eq!(grown.blocks_observed(), 48, "second run folded in too");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A custom policy: CARS under another name, registered beside the
+/// built-ins.
+struct EchoCars;
+
+impl SchedulePolicy for EchoCars {
+    fn name(&self) -> &'static str {
+        "echo-cars"
+    }
+
+    fn schedule(
+        &self,
+        block: &Superblock,
+        machine: &MachineConfig,
+        homes: &[ClusterId],
+        budget: &PolicyBudget,
+    ) -> PolicyOutcome {
+        vcsched::cars::CarsPolicy.schedule(block, machine, homes, budget)
+    }
+}
+
+/// Narrowing a set built against a custom registry keeps that registry:
+/// once a custom member has a recorded win, the selector narrows to it
+/// and the narrowed set still races through the registry that knows it.
+#[test]
+fn narrowing_keeps_a_custom_registry() {
+    let mut registry = PolicyRegistry::with_builtins();
+    registry
+        .register("echo-cars", "test double of CARS", || Box::new(EchoCars))
+        .expect("fresh name registers");
+    let registry: &'static PolicyRegistry = Box::leak(Box::new(registry));
+    let configured = PolicySet::parse_with("vc,echo-cars", registry).expect("custom set");
+    let echo_only = PolicySet::parse_with("echo-cars", registry).expect("custom set");
+
+    let machine = MachineConfig::paper_2c_8w();
+    let sb = config(1, None).source.load().expect("fixture corpus loads")[0].clone();
+    let homes = vcsched::workload::live_in_placement(&sb, machine.cluster_count(), 0);
+    let race = |policies: PolicySet| {
+        schedule_block(
+            &sb,
+            &machine,
+            &homes,
+            &PolicyOptions {
+                max_dp_steps: STEPS_1S,
+                policies,
+                ..PolicyOptions::default()
+            },
+        )
+    };
+    let won = race(echo_only.clone());
+    assert_eq!(won.winner, "echo-cars");
+
+    let class = BlockClass::of(&sb, &machine);
+    let mut table = SelectorTable::new();
+    table.observe(&class, &won);
+    let (kind, narrowed) = table.select(&class, &configured, &greedy(), 0.5);
+    assert_eq!(kind, DecisionKind::Narrowed);
+    assert_eq!(narrowed, echo_only, "narrowed to the custom winner");
+    assert_eq!(narrowed.versioned_key(), "echo-cars@1");
+    assert_eq!(race(narrowed).winner, "echo-cars");
 }

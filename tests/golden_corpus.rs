@@ -21,7 +21,7 @@
 use std::path::PathBuf;
 
 use serde::Value;
-use vcsched::engine::{run_batch_with_cache, BatchConfig, CorpusSource, ScheduleCache, STEPS_1S};
+use vcsched::engine::{run_batch_on, BatchConfig, CorpusSource, ScheduleCache, STEPS_1S};
 use vcsched::ir::Superblock;
 
 fn fixture_dir() -> PathBuf {
@@ -115,8 +115,7 @@ fn run_golden(jobs: usize, cache_shards: usize) -> vcsched::engine::BatchResult 
     let blocks = config.source.load().expect("fixture corpus loads");
     assert_eq!(blocks.len(), 24, "fixture must hold 24 blocks");
     let cache = ScheduleCache::in_memory_sharded(config.cache_capacity, cache_shards);
-    run_batch_with_cache(&config, &blocks, &cache, std::time::Instant::now())
-        .expect("golden batch runs")
+    run_batch_on(&config, &blocks, &cache, None)
 }
 
 /// Explains a drift block-by-block, then fails.
@@ -214,9 +213,8 @@ fn golden_corpus_warm_cache_is_all_hits_at_every_shard_count() {
         let config = golden_config(2, cache_shards);
         let blocks = config.source.load().expect("fixture corpus loads");
         let cache = ScheduleCache::in_memory_sharded(config.cache_capacity, cache_shards);
-        let t0 = std::time::Instant::now();
-        let cold = run_batch_with_cache(&config, &blocks, &cache, t0).unwrap();
-        let warm = run_batch_with_cache(&config, &blocks, &cache, t0).unwrap();
+        let cold = run_batch_on(&config, &blocks, &cache, None);
+        let warm = run_batch_on(&config, &blocks, &cache, None);
         assert_eq!(warm.summary.cache.hits, 24, "shards={cache_shards}");
         assert_eq!(warm.summary.cache.misses, 0, "shards={cache_shards}");
         // Identical scheduling results, cached or not (everything but

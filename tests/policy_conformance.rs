@@ -14,7 +14,7 @@ use vcsched::baselines::{ClusterOrder, TwoPhaseScheduler, UasScheduler};
 use vcsched::cars::CarsScheduler;
 use vcsched::core::{VcOptions, VcScheduler};
 use vcsched::engine::{
-    schedule_block_with, PolicyBudget, PolicyOptions, PolicyRegistry, PolicySet, SchedulePolicy,
+    schedule_block, PolicyBudget, PolicyOptions, PolicyRegistry, PolicySet, SchedulePolicy,
     STEPS_1S,
 };
 use vcsched::ir::{Schedule, Superblock};
@@ -140,18 +140,21 @@ fn custom_policies_race_through_the_registry() {
     registry
         .register("echo-cars", "test double of CARS", || Box::new(EchoCars))
         .expect("fresh name registers");
+    // A set carries the registry it was validated against, for the
+    // life of the process.
+    let registry: &'static PolicyRegistry = Box::leak(Box::new(registry));
 
     let machine = MachineConfig::paper_2c_8w();
     let sb = golden_blocks().into_iter().next().expect("a block");
     let homes = live_in_placement(&sb, machine.cluster_count(), 0);
     let options = PolicyOptions {
         max_dp_steps: STEPS_1S,
-        policies: PolicySet::parse_with("cars,echo-cars", &registry).expect("custom set"),
+        policies: PolicySet::parse_with("cars,echo-cars", registry).expect("custom set"),
         early_cancel: false,
         max_trail_bytes: None,
         deadline_steps: None,
     };
-    let out = schedule_block_with(&registry, &sb, &machine, &homes, &options);
+    let out = schedule_block(&sb, &machine, &homes, &options);
     // Identical algorithms: cars wins the tie by canonical set order.
     assert_eq!(out.winner, "cars");
     let names: Vec<&str> = out.policy_stats.iter().map(|s| s.policy.as_str()).collect();
