@@ -46,8 +46,8 @@ impl std::error::Error for ConfigError {}
 /// each has `fu_per_cluster[c]` functional units of class `c`. The paper
 /// notes the technique "can be extended to deal with heterogeneous
 /// configurations"; that extension is supported through per-cluster
-/// functional-unit overrides ([`MachineConfigBuilder::cluster_fu_counts`]),
-/// which every scheduler and the validator honour.
+/// functional-unit overrides (see [`MachineConfig::hetero_2c`]), which
+/// every scheduler and the validator honour.
 ///
 /// Each cluster optionally caps total operations issued per cycle, and the
 /// whole machine shares `buses` inter-cluster buses of latency
@@ -297,12 +297,6 @@ impl MachineConfig {
     pub fn branches_per_cycle(&self) -> usize {
         self.branches_per_cycle as usize
     }
-
-    /// Whether the machine has more than one cluster (i.e. cluster
-    /// assignment is a real problem).
-    pub fn is_clustered(&self) -> bool {
-        self.clusters > 1
-    }
 }
 
 impl std::fmt::Display for MachineConfig {
@@ -405,7 +399,7 @@ impl MachineConfigBuilder {
     /// Overrides the functional units `[int, fp, mem, branch]` of one
     /// cluster, making the machine heterogeneous. Clusters without an
     /// override keep the [`Self::fu_counts`] defaults.
-    pub fn cluster_fu_counts(&mut self, cluster: u8, fu: [u8; 4]) -> &mut Self {
+    fn cluster_fu_counts(&mut self, cluster: u8, fu: [u8; 4]) -> &mut Self {
         self.fu_overrides.push((cluster, fu));
         self
     }
@@ -513,7 +507,6 @@ mod tests {
         let c2 = MachineConfig::paper_2c_8w();
         assert_eq!(c2.cluster_count(), 2);
         assert_eq!(c2.bus_latency(), 1);
-        assert!(c2.is_clustered());
         // 8-issue: 4 FUs per cluster × 2 clusters.
         let per_cluster: usize = OpClass::FU_CLASSES.iter().map(|&c| c2.capacity(c)).sum();
         assert_eq!(per_cluster * c2.cluster_count(), 8);
@@ -539,7 +532,7 @@ mod tests {
     #[test]
     fn example_machines() {
         let e1 = MachineConfig::paper_example_1c();
-        assert!(!e1.is_clustered());
+        assert_eq!(e1.cluster_count(), 1);
         assert_eq!(e1.capacity(OpClass::Int), 2);
         assert_eq!(e1.issue_per_cluster(), Some(3));
 

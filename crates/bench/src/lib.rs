@@ -23,12 +23,11 @@
 //! # Fallback policy
 //!
 //! When the virtual-cluster scheduler exceeds the threshold (or fails), the
-//! CARS schedule is used — the paper's policy. Additionally, when both
-//! schedules exist the driver keeps the one with the smaller AWCT: both
-//! costs are known statically at compile time, and the leaner deduction
-//! rule set implemented here (unlike the paper's full set) occasionally
-//! produces a worse schedule that a production driver would reject for
-//! free. EXPERIMENTS.md quantifies how often this matters.
+//! CARS schedule is used — the paper's policy. When both schedules exist,
+//! these drivers also charge VC `min(VC, CARS)`: both costs are known
+//! statically at compile time. That `min` departs from §6.1's rule, which
+//! charges the VC schedule whenever it finishes; ROADMAP items 1 and 2
+//! track the gap.
 
 //! # Parallelism
 //!
@@ -68,8 +67,6 @@ pub struct BlockResult {
     pub vc_awct: Option<f64>,
     /// Deduction steps the virtual-cluster scheduler consumed.
     pub vc_steps: u64,
-    /// Wall time of the virtual-cluster run.
-    pub vc_wall: Duration,
     /// Wall time of the CARS run.
     pub cars_wall: Duration,
 }
@@ -78,7 +75,7 @@ impl BlockResult {
     /// The AWCT charged to the virtual-cluster approach under a step
     /// threshold: the VC schedule if it finished within `threshold` steps
     /// and is no worse than CARS, otherwise the CARS schedule (fallback).
-    pub fn vc_effective_awct(&self, threshold: u64) -> f64 {
+    fn vc_effective_awct(&self, threshold: u64) -> f64 {
         match self.vc_awct {
             Some(v) if self.vc_steps <= threshold => v.min(self.cars_awct),
             _ => self.cars_awct,
@@ -122,9 +119,7 @@ pub fn run_block(
             ..VcOptions::default()
         },
     );
-    let t0 = std::time::Instant::now();
     let vc_res = vc.schedule_with_live_ins(sb, &homes);
-    let vc_wall = t0.elapsed();
 
     let scored = eval.unwrap_or(sb);
     let cars_awct = cars_out.schedule.awct(scored);
@@ -144,7 +139,6 @@ pub fn run_block(
         cars_awct,
         vc_awct,
         vc_steps,
-        vc_wall,
         cars_wall,
     }
 }
@@ -171,18 +165,6 @@ impl AppResult {
         } else {
             1.0
         }
-    }
-
-    /// Fraction of blocks whose VC compilation fits within `steps`.
-    pub fn vc_within(&self, steps: u64) -> f64 {
-        let ok = self.blocks.iter().filter(|b| b.vc_steps <= steps).count();
-        ok as f64 / self.blocks.len().max(1) as f64
-    }
-
-    /// Fraction of blocks whose CARS wall time fits within `wall`.
-    pub fn cars_within(&self, wall: Duration) -> f64 {
-        let ok = self.blocks.iter().filter(|b| b.cars_wall <= wall).count();
-        ok as f64 / self.blocks.len().max(1) as f64
     }
 }
 
@@ -295,7 +277,6 @@ mod tests {
             cars_awct: 8.0,
             vc_awct: Some(7.0),
             vc_steps: 100,
-            vc_wall: Duration::ZERO,
             cars_wall: Duration::ZERO,
         };
         assert_eq!(r.vc_effective_awct(1_000), 7.0);
@@ -319,6 +300,5 @@ mod tests {
         let s = app.speedup(STEPS_1M);
         assert!(s >= 1.0 - 1e-9, "driver never loses to CARS, got {s}");
         assert!(s < 2.0, "speed-ups are bounded, got {s}");
-        assert!(app.vc_within(STEPS_4M) >= app.vc_within(STEPS_1S));
     }
 }

@@ -147,7 +147,7 @@ impl Budget {
     ///
     /// Returns [`DpAbort::Budget`] when `work_bytes` exceeds the cap.
     #[inline]
-    pub fn check_bytes(&self, work_bytes: u64) -> Result<(), DpAbort> {
+    fn check_bytes(&self, work_bytes: u64) -> Result<(), DpAbort> {
         match self.bytes_cap {
             Some(cap) if work_bytes > cap => Err(DpAbort::Budget),
             _ => Ok(()),
@@ -316,7 +316,7 @@ fn lower_lst(
 }
 
 /// Adds a hard dependence edge `from → to` with `lat` and propagates once.
-pub fn add_dep_edge(
+fn add_dep_edge(
     st: &mut SchedulingState,
     q: &mut Queue,
     from: NodeId,
@@ -510,7 +510,7 @@ pub fn discard_comb(
 
 /// Fixes the relative offset `cycle(u) − cycle(v) = delta`, merging the two
 /// connected components and resolving every cross pair's edge.
-pub fn merge_cc(
+fn merge_cc(
     st: &mut SchedulingState,
     q: &mut Queue,
     u: NodeId,
@@ -578,7 +578,7 @@ pub fn merge_cc(
 
 /// Called when the relative offset of `x` and `y` becomes fixed: resolves
 /// their scheduling-graph edge accordingly.
-pub fn resolve_fixed_pair(
+fn resolve_fixed_pair(
     st: &mut SchedulingState,
     x: NodeId,
     y: NodeId,
@@ -624,7 +624,7 @@ fn resolve_fixed_edge(st: &mut SchedulingState, e_idx: usize, d: i64) -> Result<
 /// Audits the group of nodes provably issuing in the same cycle as `n`:
 /// machine-wide class capacity, per-VC class capacity, per-VC issue width,
 /// bus width; deduces Rule 2 incompatibilities for one-unit classes.
-pub fn audit_cycle_group(
+fn audit_cycle_group(
     st: &mut SchedulingState,
     q: &mut Queue,
     n: NodeId,
@@ -965,7 +965,7 @@ pub fn make_incompat(
 
 /// Rule 1 (§3.3.1): if a data edge at `n` has too little slack for a bus
 /// transfer, producer and consumer must share a cluster.
-pub fn rule1_slack_check(
+fn rule1_slack_check(
     st: &mut SchedulingState,
     ctx: &StateCtx,
     q: &mut Queue,
@@ -1016,7 +1016,7 @@ pub fn rule1_slack_check(
 /// other rules had already separated), so communications are keyed by
 /// *(value, destination virtual cluster)*: consumers in the same VC share
 /// one transfer, consumers elsewhere get their own.
-pub fn require_comm(
+fn require_comm(
     st: &mut SchedulingState,
     q: &mut Queue,
     p: NodeId,
@@ -1259,7 +1259,7 @@ fn create_plcs_for_pair(
 /// Rules 6/7: promotes partially-linked communications whose alternative
 /// became determined (fused ⇒ the other pair communicates; incompatible ⇒
 /// that pair communicates).
-pub fn promote_plcs(st: &mut SchedulingState, q: &mut Queue) -> Result<(), Contradiction> {
+fn promote_plcs(st: &mut SchedulingState, q: &mut Queue) -> Result<(), Contradiction> {
     loop {
         let mut action: Option<(usize, NodeId, NodeId)> = None;
         for (ci, comm) in st.comms.iter().enumerate() {
@@ -1322,7 +1322,7 @@ pub fn promote_plcs(st: &mut SchedulingState, q: &mut Queue) -> Result<(), Contr
 }
 
 /// Recomputes min/max-style PLC bounds after `n`'s bounds moved.
-pub fn refresh_plc_bounds(
+fn refresh_plc_bounds(
     st: &mut SchedulingState,
     q: &mut Queue,
     n: NodeId,
@@ -1365,7 +1365,7 @@ pub fn refresh_plc_bounds(
 /// One pass of windowed resource reasoning over every class: detects
 /// saturation contradictions and tightens bounds of excluded instructions.
 /// Returns `true` if any bound changed.
-pub fn resource_pass(
+fn resource_pass(
     st: &mut SchedulingState,
     ctx: &StateCtx,
     q: &mut Queue,

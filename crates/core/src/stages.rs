@@ -191,7 +191,7 @@ fn pick_best(mut survivors: Vec<(Decision, StateScore)>) -> Option<Decision> {
 
 /// Stage 1: treat combinations among original (non-communication)
 /// instructions.
-pub fn stage1_combinations(st: &mut SchedulingState, budget: &mut Budget) -> Result<(), StageFail> {
+fn stage1_combinations(st: &mut SchedulingState, budget: &mut Budget) -> Result<(), StageFail> {
     combination_stage(st, budget, |state, e| {
         matches!(state.kind[e.u], NodeKind::Inst(_)) && matches!(state.kind[e.v], NodeKind::Inst(_))
     })
@@ -281,10 +281,7 @@ fn pinning_stage(
 }
 
 /// Stage 2: fix every remaining non-communication instruction to a cycle.
-pub fn stage2_pin_instructions(
-    st: &mut SchedulingState,
-    budget: &mut Budget,
-) -> Result<(), StageFail> {
+fn stage2_pin_instructions(st: &mut SchedulingState, budget: &mut Budget) -> Result<(), StageFail> {
     pinning_stage(st, budget, |state, n| {
         matches!(state.kind[n], NodeKind::Inst(_))
     })
@@ -292,7 +289,7 @@ pub fn stage2_pin_instructions(
 
 /// Stage 3: eliminate outedges by fusing or separating VC pairs selected
 /// with a maximum-weight matching over the matching graph (§4.4.1.2).
-pub fn stage3_eliminate_outedges(
+fn stage3_eliminate_outedges(
     st: &mut SchedulingState,
     budget: &mut Budget,
 ) -> Result<(), StageFail> {
@@ -353,7 +350,7 @@ pub fn stage3_eliminate_outedges(
 
 /// Stage 4: map every virtual cluster onto a physical cluster by fusing it
 /// with a cluster anchor, walking VCs in decreasing VCG degree (§4.4.1.3).
-pub fn stage4_map_clusters(st: &mut SchedulingState, budget: &mut Budget) -> Result<(), StageFail> {
+fn stage4_map_clusters(st: &mut SchedulingState, budget: &mut Budget) -> Result<(), StageFail> {
     let k = st.ctx.machine.cluster_count();
     loop {
         budget.spend(4).map_err(map_abort)?;
@@ -392,7 +389,7 @@ pub fn stage4_map_clusters(st: &mut SchedulingState, budget: &mut Budget) -> Res
 /// Communication pairs can only overlap on machines with more than one bus;
 /// on the single-bus machines of the paper the stage reduces to a no-op and
 /// the bus is serialised by the resource rules during stage 6.
-pub fn stage5_comm_combinations(
+fn stage5_comm_combinations(
     st: &mut SchedulingState,
     budget: &mut Budget,
 ) -> Result<(), StageFail> {
@@ -432,37 +429,17 @@ pub fn stage5_comm_combinations(
 }
 
 /// Stage 6: fix every remaining live communication to a cycle.
-pub fn stage6_pin_comms(st: &mut SchedulingState, budget: &mut Budget) -> Result<(), StageFail> {
+fn stage6_pin_comms(st: &mut SchedulingState, budget: &mut Budget) -> Result<(), StageFail> {
     pinning_stage(st, budget, |state, n| match state.kind[n] {
         NodeKind::Comm(ci) => state.comms[ci].kind != CommKind::Dead,
         _ => false,
     })
 }
 
-/// Runs all six stages.
-///
-/// The paper's nominal order is 1-2-3-4-5-6 (combinations, instruction
+/// Runs all six stages in the paper's order (combinations, instruction
 /// cycles, outedges, mapping, communication combinations, communication
-/// cycles). This implementation runs the cluster stages *before* the final
-/// cycle pinning (1-3-4-2-5-6): the paper's deduction process anticipates
-/// future communications well enough (via its full PLC rule set) to pin
-/// cycles first; with the leaner rule set implemented here, pinning first
-/// routinely consumed the very slack mandatory communications need, dead-
-/// ending stage 3 at every AWCT value. Eliminating outedges while bounds
-/// are still wide preserves the postponed-assignment property — cluster
-/// decisions are still driven by the accumulated combination constraints —
-/// and the communication nodes then shape the final pins.
-pub fn run_all_stages(st: &mut SchedulingState, budget: &mut Budget) -> Result<(), StageFail> {
-    stage1_combinations(st, budget)?;
-    stage2_pin_instructions(st, budget)?;
-    stage3_eliminate_outedges(st, budget)?;
-    stage4_map_clusters(st, budget)?;
-    stage5_comm_combinations(st, budget)?;
-    stage6_pin_comms(st, budget)
-}
-
-/// Like [`run_all_stages`] but reports *which* stage failed (1–6), letting
-/// the search recognise AWCT-independent dead ends in the cluster stages.
+/// cycles) and reports *which* stage failed (1–6), letting the search
+/// recognise AWCT-independent dead ends in the cluster stages.
 pub fn run_all_stages_indexed(
     st: &mut SchedulingState,
     budget: &mut Budget,

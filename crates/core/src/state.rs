@@ -748,7 +748,7 @@ impl SchedulingState {
 
     /// Whether `m` roots a virtual cluster. Comm nodes live outside the
     /// VC world, so their singletons do not count.
-    pub fn is_vc_root(&self, m: NodeId) -> bool {
+    fn is_vc_root(&self, m: NodeId) -> bool {
         !self.vc_list[m].is_empty() && !matches!(self.kind[m], NodeKind::Comm(_))
     }
 
@@ -762,7 +762,7 @@ impl SchedulingState {
     /// Number of current VC roots — `vc_roots().len()` in O(1): comm
     /// nodes are never fused, so each is one singleton set of the VC
     /// union-find and every other set is rooted at a fixed node.
-    pub fn vc_root_count(&self) -> usize {
+    fn vc_root_count(&self) -> usize {
         self.vc.set_count() - (self.kind.len() - self.ctx.fixed_nodes())
     }
 
@@ -798,7 +798,7 @@ impl SchedulingState {
 
     /// `outedges().len()` without materialising the pair list (the score
     /// heuristic only needs the count).
-    pub fn outedge_count(&mut self) -> usize {
+    fn outedge_count(&mut self) -> usize {
         let mut count = 0;
         self.for_each_outedge(|_, _| count += 1);
         count

@@ -368,7 +368,7 @@ impl SelectorTable {
 
     /// Parses a persisted table. A malformed document or a version
     /// mismatch yields `None` — callers restart with a cold table.
-    pub fn from_json(text: &str) -> Option<SelectorTable> {
+    fn from_json(text: &str) -> Option<SelectorTable> {
         let table: SelectorTable = serde_json::from_str(text).ok()?;
         (table.version == SELECTOR_VERSION).then_some(table)
     }

@@ -387,11 +387,6 @@ impl ScheduleCache {
         self.dir.as_deref()
     }
 
-    /// Number of shards the key space is partitioned over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard a key lives in. FNV output is uniform, so a plain
     /// modulus spreads keys evenly.
     fn shard_of(&self, key: u64) -> &Mutex<Shard> {
@@ -609,7 +604,7 @@ mod tests {
     #[test]
     fn shards_partition_the_key_space() {
         let c = ScheduleCache::in_memory_sharded(64, 4);
-        assert_eq!(c.shard_count(), 4);
+        assert_eq!(c.shard_stats().len(), 4);
         for k in 0..32u64 {
             c.put(k, entry(k, k as f64));
         }

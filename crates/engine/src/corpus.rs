@@ -60,7 +60,7 @@ impl CorpusSource {
 }
 
 /// Reads a JSONL superblock corpus.
-pub fn read_jsonl(path: &Path) -> Result<Vec<Superblock>, String> {
+fn read_jsonl(path: &Path) -> Result<Vec<Superblock>, String> {
     let file = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let mut blocks = Vec::new();
     for (lineno, line) in std::io::BufReader::new(file).lines().enumerate() {

@@ -114,7 +114,7 @@ impl Default for OnlineOptions {
 impl OnlineOptions {
     /// Prices an event's slack into a deduction-step budget:
     /// `clamp(slack_ms × steps_per_ms, step_floor, base_steps)`.
-    pub fn price_steps(&self, slack_ms: u64) -> u64 {
+    fn price_steps(&self, slack_ms: u64) -> u64 {
         slack_ms
             .saturating_mul(self.steps_per_ms)
             .clamp(self.step_floor.min(self.base_steps), self.base_steps)

@@ -128,7 +128,7 @@ impl PolicyRegistry {
 
     /// The algorithm version registered under `name` (see
     /// [`SchedulePolicy::algorithm_version`]).
-    pub fn version_of(&self, name: &str) -> Option<&str> {
+    fn version_of(&self, name: &str) -> Option<&str> {
         self.entries
             .iter()
             .find(|e| e.name == name)
@@ -245,7 +245,7 @@ impl PolicySet {
 
     /// [`PolicySet::from_names`] against an explicit registry, which the
     /// set then carries.
-    pub fn from_names_with<S: AsRef<str>>(
+    fn from_names_with<S: AsRef<str>>(
         names: &[S],
         registry: &'static PolicyRegistry,
     ) -> Result<PolicySet, String> {

@@ -1,76 +1,16 @@
-//! Graph colouring and clique estimation.
+//! Graph colouring for the virtual-cluster-graph clique check.
 //!
-//! The paper uses a Chaitin-style colouring scheme twice:
-//!
-//! * §3.2 — after each candidate decision, a colouring-based check rejects
-//!   decisions that would create a virtual-cluster-graph clique larger than
-//!   the number of physical clusters ([`is_k_colorable`] /
-//!   [`greedy_coloring`]);
-//! * §4.4.1.3 — the final virtual→physical mapping assigns clusters in
-//!   decreasing-degree order ([`degree_order`]).
-
-use crate::Ungraph;
-
-/// Nodes sorted by decreasing degree (ties by index for determinism).
-///
-/// This is the ordering the paper's final mapping stage walks (§4.4.1.3).
-pub fn degree_order(g: &Ungraph) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..g.node_count()).collect();
-    order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
-    order
-}
-
-/// Greedy colouring following `order`; returns one colour index per node.
-///
-/// The number of colours used is `max + 1`. With [`degree_order`] this is
-/// the classic Welsh–Powell bound.
-pub fn greedy_coloring(g: &Ungraph, order: &[usize]) -> Vec<usize> {
-    let n = g.node_count();
-    let mut color = vec![usize::MAX; n];
-    // One scratch row reused across nodes; cleared per node by walking the
-    // same neighbours that set it, so the cost is O(degree), not O(n).
-    let mut taken: Vec<bool> = vec![false; n.max(1)];
-    for &v in order {
-        for u in g.neighbors(v) {
-            if color[u] != usize::MAX {
-                taken[color[u]] = true;
-            }
-        }
-        color[v] = (0..).find(|&c| !taken[c]).expect("always a free colour");
-        for u in g.neighbors(v) {
-            if color[u] != usize::MAX {
-                taken[color[u]] = false;
-            }
-        }
-    }
-    color
-}
-
-/// Number of colours used by a colouring (0 for an empty graph).
-pub fn color_count(coloring: &[usize]) -> usize {
-    coloring.iter().copied().max().map_or(0, |m| m + 1)
-}
-
-/// Exact `k`-colourability test by backtracking, intended for the small
-/// virtual-cluster graphs this workspace produces.
-///
-/// Falls back to the greedy upper bound when the graph is larger than
-/// `exact_limit` nodes: returns `true` iff greedy needs ≤ `k` colours, which
-/// is sound for "accept" but may spuriously reject — the same conservative
-/// behaviour the paper's heuristic clique check exhibits.
-pub fn is_k_colorable(g: &Ungraph, k: usize, exact_limit: usize) -> bool {
-    let mut dense = DenseColoring::default();
-    dense.reset(g.node_count());
-    for (a, b) in g.edges() {
-        dense.add_edge(a, b);
-    }
-    dense.is_k_colorable(k, exact_limit)
-}
+//! After each candidate decision the paper rejects decisions that would
+//! create a virtual-cluster-graph clique larger than the number of physical
+//! clusters, using a Chaitin-style colouring scheme (§3.2).
+//! [`DenseColoring`] is that check. The §4.4.1.3 mapping order is not
+//! computed here: stage 4 of the scheduler sorts virtual clusters by its own
+//! degree key.
 
 /// A graph held as a dense adjacency bit matrix, with the buffers of the
-/// [`is_k_colorable`] check. [`DenseColoring::reset`] keeps every
-/// allocation, so a caller that re-checks small graphs over and over (the
-/// §3.2 test after each studied decision) allocates nothing once warm.
+/// [`DenseColoring::is_k_colorable`] check. [`DenseColoring::reset`] keeps
+/// every allocation, so a caller that re-checks small graphs over and over
+/// (the §3.2 test after each studied decision) allocates nothing once warm.
 #[derive(Debug, Clone, Default)]
 pub struct DenseColoring {
     nodes: usize,
@@ -127,10 +67,13 @@ impl DenseColoring {
         }
     }
 
-    /// [`is_k_colorable`] on this graph: greedy colouring in
-    /// [`degree_order`] accepts at once; otherwise graphs of at most
-    /// `exact_limit` nodes are decided by backtracking and larger ones
-    /// are conservatively rejected.
+    /// Exact `k`-colourability test for the small virtual-cluster graphs
+    /// this workspace produces: greedy colouring in decreasing-degree order
+    /// (ties by index) accepts at once; otherwise graphs of at most
+    /// `exact_limit` nodes are decided by backtracking and larger ones are
+    /// conservatively rejected. A rejection past the limit is sound for
+    /// "accept" but may be spurious — the same conservative behaviour the
+    /// paper's heuristic clique check exhibits.
     pub fn is_k_colorable(&mut self, k: usize, exact_limit: usize) -> bool {
         let n = self.nodes;
         if k == 0 {
@@ -208,173 +151,141 @@ impl DenseColoring {
     }
 }
 
-/// Greedy lower bound on the maximum clique size.
-///
-/// Grows a clique from each of the `seeds` highest-degree nodes by repeatedly
-/// adding the highest-degree common neighbour. Used to *detect* (not prove
-/// absence of) virtual-cluster-graph cliques exceeding the physical cluster
-/// count (§3.2).
-pub fn clique_lower_bound(g: &Ungraph, seeds: usize) -> usize {
-    let order = degree_order(g);
-    let mut best = usize::from(g.node_count() > 0);
-    for &s in order.iter().take(seeds.max(1)) {
-        let mut clique = vec![s];
-        let mut cands: Vec<usize> = g.neighbors(s).collect();
-        while !cands.is_empty() {
-            // Highest-degree candidate.
-            let &v = cands
-                .iter()
-                .max_by_key(|&&v| (g.degree(v), std::cmp::Reverse(v)))
-                .expect("non-empty");
-            clique.push(v);
-            cands.retain(|&u| u != v && g.has_edge(u, v));
-        }
-        best = best.max(clique.len());
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
-    fn complete(n: usize) -> Ungraph {
-        let mut g = Ungraph::new(n);
-        for a in 0..n {
-            for b in a + 1..n {
-                g.add_edge(a, b);
-            }
+    /// Loads `edges` on `n` nodes into `g` through the production calls.
+    fn load(g: &mut DenseColoring, n: usize, edges: &[(usize, usize)]) {
+        g.reset(n);
+        for &(a, b) in edges {
+            g.add_edge(a, b);
         }
+    }
+
+    fn fresh(n: usize, edges: &[(usize, usize)]) -> DenseColoring {
+        let mut g = DenseColoring::default();
+        load(&mut g, n, edges);
         g
     }
 
-    fn cycle(n: usize) -> Ungraph {
-        let mut g = Ungraph::new(n);
-        for v in 0..n {
-            g.add_edge(v, (v + 1) % n);
-        }
-        g
+    fn complete(n: usize) -> Vec<(usize, usize)> {
+        (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .collect()
     }
 
-    #[test]
-    fn coloring_is_proper() {
-        let g = cycle(7);
-        let coloring = greedy_coloring(&g, &degree_order(&g));
-        for (a, b) in g.edges() {
-            assert_ne!(coloring[a], coloring[b]);
+    fn cycle(n: usize) -> Vec<(usize, usize)> {
+        (0..n).map(|v| (v, (v + 1) % n)).collect()
+    }
+
+    /// Self-loop-free edges on `n` nodes from raw proptest pairs.
+    fn simple_edges(n: usize, raw: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
+        raw.into_iter()
+            .filter(|&(a, b)| a != b && a < n && b < n)
+            .collect()
+    }
+
+    /// Reference greedy colouring: nodes in decreasing degree (ties by
+    /// index), each taking the smallest colour no coloured neighbour has.
+    /// Returns the number of colours used.
+    fn greedy_colors(n: usize, edges: &[(usize, usize)]) -> usize {
+        let adjacent = |a: usize, b: usize| {
+            edges
+                .iter()
+                .any(|&(x, y)| (x, y) == (a, b) || (x, y) == (b, a))
+        };
+        let degree = |v: usize| (0..n).filter(|&u| adjacent(u, v)).count();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&v| (std::cmp::Reverse(degree(v)), v));
+        let mut color: Vec<Option<usize>> = vec![None; n];
+        for v in order {
+            let free = (0..)
+                .find(|&c| (0..n).all(|u| !adjacent(u, v) || color[u] != Some(c)))
+                .expect("always a free colour");
+            color[v] = Some(free);
         }
-        assert!(color_count(&coloring) <= 3);
+        color.iter().flatten().max().map_or(0, |m| m + 1)
     }
 
     #[test]
     fn complete_graph_needs_n_colors() {
-        let g = complete(5);
-        assert!(!is_k_colorable(&g, 4, 32));
-        assert!(is_k_colorable(&g, 5, 32));
+        let mut g = fresh(5, &complete(5));
+        assert!(!g.is_k_colorable(4, 32));
+        assert!(g.is_k_colorable(5, 32));
     }
 
     #[test]
     fn odd_cycle_needs_three() {
-        let g = cycle(5);
-        assert!(!is_k_colorable(&g, 2, 32));
-        assert!(is_k_colorable(&g, 3, 32));
+        let mut g = fresh(5, &cycle(5));
+        assert!(!g.is_k_colorable(2, 32));
+        assert!(g.is_k_colorable(3, 32));
     }
 
     #[test]
     fn even_cycle_needs_two() {
-        let g = cycle(6);
-        assert!(is_k_colorable(&g, 2, 32));
+        let mut g = fresh(6, &cycle(6));
+        assert!(g.is_k_colorable(2, 32));
     }
 
     #[test]
     fn empty_graph_one_colorable() {
-        let g = Ungraph::new(4);
-        assert!(is_k_colorable(&g, 1, 32));
-        assert_eq!(color_count(&greedy_coloring(&g, &degree_order(&g))), 1);
+        let mut g = fresh(4, &[]);
+        assert!(g.is_k_colorable(1, 32));
+        assert!(!g.is_k_colorable(0, 32));
+        assert!(g.is_k_colorable(1, 0), "greedy needs one colour");
     }
 
-    #[test]
-    fn clique_bound_finds_k4() {
-        // K4 plus pendant edges.
-        let mut g = complete(4);
-        let v = g.push_node();
-        g.add_edge(0, v);
-        assert!(clique_lower_bound(&g, 4) >= 4);
-    }
-
-    #[test]
-    fn degree_order_is_decreasing() {
-        let mut g = Ungraph::new(4);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
-        g.add_edge(0, 3);
-        g.add_edge(1, 2);
-        let order = degree_order(&g);
-        assert_eq!(order[0], 0);
-        for w in order.windows(2) {
-            assert!(g.degree(w[0]) >= g.degree(w[1]));
-        }
+    thread_local! {
+        /// One instance reused through `reset` across every case of
+        /// `reused_instance_answers_like_a_fresh_one`, as the scheduler
+        /// reuses its scratch copy across studied decisions.
+        static REUSED: RefCell<DenseColoring> = RefCell::new(DenseColoring::default());
     }
 
     proptest::proptest! {
-        #[test]
-        fn greedy_coloring_always_proper(
-            edges in proptest::collection::vec((0usize..12, 0usize..12), 0..40)
-        ) {
-            let mut g = Ungraph::new(12);
-            for (a, b) in edges {
-                if a != b {
-                    g.add_edge(a, b);
-                }
-            }
-            let coloring = greedy_coloring(&g, &degree_order(&g));
-            for (a, b) in g.edges() {
-                proptest::prop_assert_ne!(coloring[a], coloring[b]);
-            }
-            // Colour count never exceeds max degree + 1.
-            let max_deg = (0..12).map(|v| g.degree(v)).max().unwrap_or(0);
-            proptest::prop_assert!(color_count(&coloring) <= max_deg + 1);
-        }
-
         #[test]
         fn k_colorable_matches_brute_force(
             n in 0usize..8,
             k in 0usize..4,
             edges in proptest::collection::vec((0usize..8, 0usize..8), 0..24)
         ) {
-            let mut g = Ungraph::new(n);
-            for (a, b) in edges {
-                if a != b && a < n && b < n {
-                    g.add_edge(a, b);
-                }
-            }
+            let edges = simple_edges(n, edges);
+            let mut g = fresh(n, &edges);
             // Every assignment of k colours to n nodes, as base-k digits.
             let brute = (0..k.pow(n as u32)).any(|code| {
                 let color = |v: usize| code / k.pow(v as u32) % k;
-                g.edges().all(|(a, b)| color(a) != color(b))
+                edges.iter().all(|&(a, b)| color(a) != color(b))
             }) || n == 0;
-            proptest::prop_assert_eq!(is_k_colorable(&g, k, 16), brute);
+            proptest::prop_assert_eq!(g.is_k_colorable(k, 16), brute);
             // Past the exact limit the answer is the greedy bound.
-            let greedy = color_count(&greedy_coloring(&g, &degree_order(&g)));
-            proptest::prop_assert_eq!(is_k_colorable(&g, k, 0), greedy <= k && (k > 0 || n == 0));
+            let greedy = greedy_colors(n, &edges);
+            for colors in 0..=n {
+                proptest::prop_assert_eq!(g.is_k_colorable(colors, 0), greedy <= colors);
+            }
         }
 
         #[test]
-        fn k_colorable_consistent_with_clique(
-            edges in proptest::collection::vec((0usize..9, 0usize..9), 0..30)
+        fn reused_instance_answers_like_a_fresh_one(
+            n in 0usize..80,
+            edges in proptest::collection::vec((0usize..80, 0usize..80), 0..120)
         ) {
-            let mut g = Ungraph::new(9);
-            for (a, b) in edges {
-                if a != b {
-                    g.add_edge(a, b);
+            let edges = simple_edges(n, edges);
+            let mut once = fresh(n, &edges);
+            REUSED.with(|reused| {
+                let mut reused = reused.borrow_mut();
+                load(&mut reused, n, &edges);
+                for k in 0..5 {
+                    for limit in [0, 12] {
+                        proptest::prop_assert_eq!(
+                            reused.is_k_colorable(k, limit),
+                            once.is_k_colorable(k, limit)
+                        );
+                    }
                 }
-            }
-            let clique = clique_lower_bound(&g, 9);
-            if clique > 0 {
-                // A graph with a clique of size c is never (c-1)-colourable.
-                proptest::prop_assert!(!is_k_colorable(&g, clique.saturating_sub(1), 16)
-                    || clique <= 1);
-            }
+                Ok(())
+            })?;
         }
     }
 }

@@ -15,11 +15,9 @@
 /// ```
 /// use vcsched_graph::Csr;
 ///
-/// let mut b = Csr::builder();
-/// b.push_row([(1usize, 2i64), (2, 3)]);
-/// b.push_row([]);
-/// b.push_row([(0, 1)]);
-/// let csr = b.finish();
+/// let csr: Csr<(usize, i64)> = [vec![(1, 2), (2, 3)], vec![], vec![(0, 1)]]
+///     .into_iter()
+///     .collect();
 /// assert_eq!(csr.rows(), 3);
 /// assert_eq!(csr.row(0), &[(1, 2), (2, 3)]);
 /// assert!(csr.row(1).is_empty());
@@ -32,23 +30,7 @@ pub struct Csr<T> {
     data: Vec<T>,
 }
 
-/// Incremental [`Csr`] builder: append rows in order, then
-/// [`CsrBuilder::finish`].
-#[derive(Debug, Clone)]
-pub struct CsrBuilder<T> {
-    offsets: Vec<u32>,
-    data: Vec<T>,
-}
-
 impl<T> Csr<T> {
-    /// Starts building a table row by row.
-    pub fn builder() -> CsrBuilder<T> {
-        CsrBuilder {
-            offsets: vec![0],
-            data: Vec::new(),
-        }
-    }
-
     /// An empty table with zero rows.
     pub fn empty() -> Csr<T> {
         Csr {
@@ -118,34 +100,21 @@ impl<T> Csr<T> {
     }
 }
 
-impl<T> CsrBuilder<T> {
-    /// Appends the next row's payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the total payload would exceed `u32::MAX` entries.
-    pub fn push_row<I: IntoIterator<Item = T>>(&mut self, row: I) {
-        self.data.extend(row);
-        let end = u32::try_from(self.data.len()).expect("CSR payload exceeds u32::MAX entries");
-        self.offsets.push(end);
-    }
-
-    /// Finalizes the table.
-    pub fn finish(self) -> Csr<T> {
-        Csr {
-            offsets: self.offsets,
-            data: self.data,
-        }
-    }
-}
-
+/// Collects one row per item, in order.
+///
+/// # Panics
+///
+/// Panics if the total payload would exceed `u32::MAX` entries.
 impl<T, R: IntoIterator<Item = T>> FromIterator<R> for Csr<T> {
     fn from_iter<I: IntoIterator<Item = R>>(iter: I) -> Self {
-        let mut b = Csr::builder();
+        let mut offsets = vec![0];
+        let mut data = Vec::new();
         for row in iter {
-            b.push_row(row);
+            data.extend(row);
+            let end = u32::try_from(data.len()).expect("CSR payload exceeds u32::MAX entries");
+            offsets.push(end);
         }
-        b.finish()
+        Csr { offsets, data }
     }
 }
 
@@ -173,10 +142,7 @@ mod tests {
 
     #[test]
     fn tuple_payloads_keep_insertion_order() {
-        let mut b = Csr::builder();
-        b.push_row([(4usize, -1i64), (2, 5)]);
-        b.push_row([(0, 0)]);
-        let csr = b.finish();
+        let csr: Csr<(usize, i64)> = [vec![(4, -1), (2, 5)], vec![(0, 0)]].into_iter().collect();
         // Insertion order, NOT sorted: callers depend on Vec-identical
         // iteration for bit-identical propagation order.
         assert_eq!(csr.row(0), &[(4, -1), (2, 5)]);

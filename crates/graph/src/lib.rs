@@ -12,24 +12,27 @@
 //!   components of chosen combinations (members keep fixed cycle offsets),
 //! * **compressed-sparse-row tables** ([`Csr`]) holding the dependence
 //!   graph's per-instruction rows and the scheduler's static adjacency,
-//! * **undirected graphs** ([`Ungraph`]) used by the scheduling graph, the
-//!   virtual cluster graph and the matching graph,
 //! * **maximum-weight matching** ([`matching::max_weight_matching`]) used to
 //!   pick virtual-cluster pairs in the outedge-elimination stage,
-//! * **graph colouring** ([`coloring`]) used both for the final
-//!   virtual-to-physical mapping order and for the clique (colourability)
-//!   check of the virtual cluster graph.
+//! * **graph colouring** ([`coloring::DenseColoring`]) used for the clique
+//!   (colourability) check of the virtual cluster graph.
 //!
 //! # Example
 //!
 //! ```
-//! use vcsched_graph::{matching::max_weight_matching, Ungraph};
+//! use vcsched_graph::{coloring::DenseColoring, matching::max_weight_matching};
 //!
-//! let mut u = Ungraph::new(4);
-//! u.add_edge(0, 1);
-//! u.add_edge(2, 3);
 //! let m = max_weight_matching(4, &[(0, 1, 5), (1, 2, 9), (2, 3, 5)]);
 //! assert_eq!(m.total_weight, 10); // {0-1, 2-3} beats {1-2}
+//!
+//! // A triangle needs three colours.
+//! let mut g = DenseColoring::default();
+//! g.reset(3);
+//! g.add_edge(0, 1);
+//! g.add_edge(1, 2);
+//! g.add_edge(2, 0);
+//! assert!(!g.is_k_colorable(2, 16));
+//! assert!(g.is_k_colorable(3, 16));
 //! ```
 
 #![warn(missing_docs)]
@@ -38,12 +41,8 @@ mod bitset;
 pub mod coloring;
 mod csr;
 pub mod matching;
-mod sortedset;
-mod undirected;
 mod union_find;
 
 pub use bitset::GrowSet;
-pub use csr::{Csr, CsrBuilder};
-pub use sortedset::SortedSet;
-pub use undirected::Ungraph;
+pub use csr::Csr;
 pub use union_find::{OffsetUnion, OffsetUnionFind, UnionFind};

@@ -2,10 +2,9 @@
 //!
 //! `AWCT = Σ (cycle(u) + latency(u)) · P(u)` over superblock exits `u`
 //! (paper §2.2). The scheduler enumerates candidate AWCT values as integer
-//! *target cycles per exit*; [`ExitTargets`] is that assignment plus the
-//! bookkeeping the enumeration needs (which exit to bump next, §4.2).
+//! *target cycles per exit*; [`ExitTargets`] is that assignment. Which
+//! exit to bump next (§4.2) is the search's decision, in `vcsched-core`.
 
-use crate::inst::InstId;
 use crate::superblock::Superblock;
 
 /// AWCT of concrete exit cycles.
@@ -40,7 +39,8 @@ pub fn awct_of_cycles(exits: &[(f64, u32)], cycles: &[i64]) -> f64 {
 /// of one AWCT value during enumeration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExitTargets {
-    exits: Vec<(InstId, f64, u32)>,
+    /// `(probability, latency)` per exit, in program order.
+    exits: Vec<(f64, u32)>,
     cycles: Vec<i64>,
 }
 
@@ -51,22 +51,12 @@ impl ExitTargets {
     ///
     /// Panics if `cycles.len()` differs from the number of exits.
     pub fn new(sb: &Superblock, cycles: Vec<i64>) -> Self {
-        let exits: Vec<(InstId, f64, u32)> = sb
+        let exits: Vec<(f64, u32)> = sb
             .exits()
-            .map(|(id, p)| (id, p, sb.inst(id).latency()))
+            .map(|(id, p)| (p, sb.inst(id).latency()))
             .collect();
         assert_eq!(exits.len(), cycles.len(), "one target cycle per exit");
         ExitTargets { exits, cycles }
-    }
-
-    /// Number of exits.
-    pub fn len(&self) -> usize {
-        self.exits.len()
-    }
-
-    /// Returns `true` when the block has no exits (never for valid blocks).
-    pub fn is_empty(&self) -> bool {
-        self.exits.is_empty()
     }
 
     /// Target cycle of exit `k` (program order).
@@ -74,58 +64,9 @@ impl ExitTargets {
         self.cycles[k]
     }
 
-    /// All target cycles in exit order.
-    pub fn cycles(&self) -> &[i64] {
-        &self.cycles
-    }
-
-    /// Instruction id of exit `k`.
-    pub fn exit_id(&self, k: usize) -> InstId {
-        self.exits[k].0
-    }
-
-    /// Probability of exit `k`.
-    pub fn prob(&self, k: usize) -> f64 {
-        self.exits[k].1
-    }
-
-    /// Index of the exit whose instruction id is `id`.
-    pub fn index_of(&self, id: InstId) -> Option<usize> {
-        self.exits.iter().position(|&(x, _, _)| x == id)
-    }
-
     /// The AWCT this target assignment represents.
     pub fn awct(&self) -> f64 {
-        let pl: Vec<(f64, u32)> = self.exits.iter().map(|&(_, p, l)| (p, l)).collect();
-        awct_of_cycles(&pl, &self.cycles)
-    }
-
-    /// Produces the next enumeration step per the paper's §4.2 rule: bump
-    /// the exit with the *lowest probability* among those whose target can
-    /// grow by one cycle without forcing any other exit to grow.
-    ///
-    /// "Forcing" is conservative and dependence-based: bumping exit `j`
-    /// never forces exit `k ≠ j` here because targets are upper bounds —
-    /// so the candidate set is every exit, and the rule reduces to bumping
-    /// the cheapest exit. The resulting AWCT increase is exactly `P(j)`.
-    pub fn bump_cheapest(&self) -> ExitTargets {
-        let j = self
-            .exits
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.1.partial_cmp(&b.1).expect("probs are finite"))
-            .map(|(i, _)| i)
-            .expect("valid superblocks have exits");
-        let mut next = self.clone();
-        next.cycles[j] += 1;
-        next
-    }
-
-    /// Bumps the target of exit `k` by one cycle.
-    pub fn bump(&self, k: usize) -> ExitTargets {
-        let mut next = self.clone();
-        next.cycles[k] += 1;
-        next
+        awct_of_cycles(&self.exits, &self.cycles)
     }
 }
 
@@ -151,32 +92,15 @@ mod tests {
     }
 
     #[test]
-    fn targets_awct_and_accessors() {
+    fn targets_awct() {
         let sb = two_exit_block();
         let t = ExitTargets::new(&sb, vec![4, 6]);
-        assert_eq!(t.len(), 2);
         assert_eq!(t.cycle(0), 4);
-        assert_eq!(t.exit_id(0), InstId(1));
-        assert_eq!(t.index_of(InstId(2)), Some(1));
-        assert_eq!(t.index_of(InstId(0)), None);
+        assert_eq!(t.cycle(1), 6);
         assert!((t.awct() - 8.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bump_cheapest_raises_low_probability_exit() {
-        let sb = two_exit_block();
-        let t = ExitTargets::new(&sb, vec![4, 6]);
-        let t2 = t.bump_cheapest();
-        // Exit 0 has P = 0.3 < 0.7: its target grows, AWCT grows by 0.3.
-        assert_eq!(t2.cycles(), &[5, 6]);
-        assert!((t2.awct() - t.awct() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn explicit_bump() {
-        let sb = two_exit_block();
-        let t = ExitTargets::new(&sb, vec![4, 6]).bump(1);
-        assert_eq!(t.cycles(), &[4, 7]);
+        // One more cycle on exit 0 (P = 0.3) costs exactly 0.3.
+        let later = ExitTargets::new(&sb, vec![5, 6]);
+        assert!((later.awct() - t.awct() - 0.3).abs() < 1e-12);
     }
 
     #[test]

@@ -127,11 +127,6 @@ impl DepGraph {
         self.estart[u.index()]
     }
 
-    /// Earliest starts for all instructions.
-    pub fn estarts(&self) -> &[i64] {
-        &self.estart
-    }
-
     /// Returns `true` if a dependence path forces `u` strictly before `v`.
     pub fn reaches(&self, u: InstId, v: InstId) -> bool {
         let v = v.index();
@@ -182,11 +177,6 @@ impl DepGraph {
     /// starting point of the paper's minAWCT computation (§2.2).
     pub fn min_exit_cycles(&self) -> Vec<i64> {
         self.exits.iter().map(|x| self.estart(*x)).collect()
-    }
-
-    /// The critical-path length to the final exit.
-    pub fn critical_path(&self) -> i64 {
-        self.min_exit_cycles().into_iter().max().unwrap_or(0)
     }
 
     /// Weighted critical-path priorities of the list schedulers:
@@ -253,7 +243,6 @@ mod tests {
         assert_eq!(dg.estart(InstId(5)), 4); // I4
         assert_eq!(dg.estart(InstId(6)), 6); // B1
         assert_eq!(dg.min_exit_cycles(), vec![4, 6]);
-        assert_eq!(dg.critical_path(), 6);
     }
 
     #[test]

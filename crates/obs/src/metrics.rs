@@ -12,7 +12,7 @@ use std::time::Duration;
 /// Number of cache-line-padded cells a [`Counter`] spreads its increments
 /// over. Each thread hashes to one cell, so concurrent increments from
 /// different threads rarely contend on the same cache line.
-pub const COUNTER_STRIPES: usize = 16;
+const COUNTER_STRIPES: usize = 16;
 
 /// One cache-line-padded atomic cell of a striped counter.
 #[repr(align(64))]
@@ -41,7 +41,7 @@ fn stripe_index() -> usize {
 
 /// A monotonically increasing event counter.
 ///
-/// Increments land on one of [`COUNTER_STRIPES`] cache-line-padded atomic
+/// Increments land on one of `COUNTER_STRIPES` cache-line-padded atomic
 /// cells picked per thread; [`Counter::get`] sums the stripes. Totals are
 /// exact: every increment lands in exactly one atomic cell.
 #[derive(Clone, Default)]
@@ -124,12 +124,6 @@ impl Gauge {
         self.add(1);
     }
 
-    /// Subtracts one.
-    #[inline]
-    pub fn dec(&self) {
-        self.add(-1);
-    }
-
     /// The current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
@@ -145,7 +139,7 @@ const LINEAR_CUTOFF: u64 = 16;
 /// Sub-buckets per power-of-two octave above the linear range.
 const SUBS_PER_OCTAVE: usize = 8;
 /// Total fixed bucket count: 16 linear + 60 octaves × 8 sub-buckets.
-pub const HISTOGRAM_BUCKETS: usize = LINEAR_CUTOFF as usize + 60 * SUBS_PER_OCTAVE;
+const HISTOGRAM_BUCKETS: usize = LINEAR_CUTOFF as usize + 60 * SUBS_PER_OCTAVE;
 
 /// Maps a value to its bucket index. Values `< 16` get exact buckets;
 /// larger values get 8 logarithmic sub-buckets per power of two
@@ -162,7 +156,7 @@ fn bucket_index(v: u64) -> usize {
 
 /// The smallest value that lands in bucket `idx` — the deterministic value
 /// reported for any quantile falling inside that bucket.
-pub fn bucket_lower_bound(idx: usize) -> u64 {
+fn bucket_lower_bound(idx: usize) -> u64 {
     if idx < LINEAR_CUTOFF as usize {
         return idx as u64;
     }
@@ -179,7 +173,7 @@ pub fn bucket_upper_bound_of_value(v: u64) -> u64 {
 }
 
 /// The largest value that lands in bucket `idx` (Prometheus `le` bound).
-pub fn bucket_upper_bound(idx: usize) -> u64 {
+fn bucket_upper_bound(idx: usize) -> u64 {
     if idx + 1 < HISTOGRAM_BUCKETS {
         bucket_lower_bound(idx + 1) - 1
     } else {
@@ -303,7 +297,7 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Builds a snapshot (quantiles included) from a full, dense bucket
     /// count array indexed by bucket index.
-    pub fn from_bucket_counts(counts: &[u64], sum: u64) -> HistogramSnapshot {
+    fn from_bucket_counts(counts: &[u64], sum: u64) -> HistogramSnapshot {
         let count: u64 = counts.iter().sum();
         let quantile = |q: f64| -> u64 {
             if count == 0 {
@@ -434,8 +428,7 @@ mod tests {
         let g = Gauge::new();
         g.set(7);
         g.inc();
-        g.dec();
         g.add(-3);
-        assert_eq!(g.get(), 4);
+        assert_eq!(g.get(), 5);
     }
 }

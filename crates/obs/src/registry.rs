@@ -127,7 +127,7 @@ impl Registry {
     ///
     /// # Panics
     /// If the same name+labels is already registered as a different type.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+    fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         match self.get_or_create(name, labels, || Metric::Gauge(Gauge::new())) {
             Metric::Gauge(g) => g,
             other => panic!("metric `{name}` is a {}, not a gauge", other.kind()),

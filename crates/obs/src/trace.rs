@@ -20,7 +20,7 @@ use crate::metrics::Counter;
 use crate::registry;
 
 /// Capacity of the global span ring (events). Power of two.
-pub const DEFAULT_RING_CAPACITY: usize = 8192;
+const DEFAULT_RING_CAPACITY: usize = 8192;
 
 // ---------------------------------------------------------------------------
 // Span events
@@ -283,7 +283,7 @@ impl Tracer {
 
     /// A private tracer whose dropped-event count lands on `dropped`
     /// (typically a counter registered in some [`Registry`](crate::Registry)).
-    pub fn with_dropped_counter(capacity: usize, dropped: Counter) -> Tracer {
+    fn with_dropped_counter(capacity: usize, dropped: Counter) -> Tracer {
         Tracer {
             ring: Ring::with_capacity(capacity),
             enabled: AtomicBool::new(false),
@@ -321,7 +321,7 @@ impl Tracer {
 
     /// Decides whether the next span should be recorded, consuming one
     /// tick of the sampling sequence when tracing is enabled.
-    pub fn should_record(&self) -> bool {
+    fn should_record(&self) -> bool {
         if !self.enabled.load(Ordering::Relaxed) {
             return false;
         }
@@ -362,7 +362,7 @@ impl Tracer {
     }
 
     /// Microseconds elapsed since this tracer's epoch.
-    pub fn now_us(&self) -> u64 {
+    fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros().min(u64::MAX as u128) as u64
     }
 
@@ -434,11 +434,6 @@ impl SpanGuard {
         if let Some(a) = &mut self.active {
             a.fields.push((key, value.into()));
         }
-    }
-
-    /// Whether this guard is actually recording.
-    pub fn is_recording(&self) -> bool {
-        self.active.is_some()
     }
 }
 

@@ -17,7 +17,6 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 use serde::Deserialize;
 use serde_json::Value;
@@ -77,15 +76,6 @@ impl Client {
         self.wire == Wire::Binary
     }
 
-    /// Bounds how long [`Client::request`] waits for a response (`None` =
-    /// wait forever, the default).
-    pub fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), String> {
-        self.reader
-            .get_ref()
-            .set_read_timeout(timeout)
-            .map_err(|e| e.to_string())
-    }
-
     /// Sends one request and reads its response.
     pub fn request(&mut self, request: &Request) -> Result<Response, String> {
         let line = serde_json::to_string(request).map_err(|e| e.to_string())?;
@@ -127,7 +117,7 @@ impl Client {
 
     /// Sends one raw JSON line without waiting for a reply (transcoded
     /// to a frame on a binary connection).
-    pub fn send_raw(&mut self, line: &str) -> Result<(), String> {
+    fn send_raw(&mut self, line: &str) -> Result<(), String> {
         debug_assert!(!line.contains('\n'), "requests are single lines");
         let stream = self.reader.get_mut();
         match self.wire {

@@ -401,7 +401,7 @@ fn put_str(s: &str, out: &mut Vec<u8>) {
 
 /// Appends one [`Value`] tree in its tag-byte encoding (no frame
 /// length prefix — see [`encode_frame`] for the on-wire form).
-pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
+fn encode_value(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Null => out.push(TAG_NULL),
         Value::Bool(false) => out.push(TAG_FALSE),
