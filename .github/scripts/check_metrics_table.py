@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Checks README's metrics table against a live server's exposition.
 
-Every `engine_*` and `service_*` name in the table must be served, and
-every such name the server serves must be in the table. Table cells may
-hold brace lists such as `engine_pool_{accepted,rejected,completed}_total`
-(expanded) and a trailing label set such as `service_requests_total{type}`
-(dropped).
+Every `engine_*`, `service_*`, `vc_*` and `obs_*` name in the table must
+be served, and every such name the server serves must be in the table.
+Table cells may hold brace lists such as
+`engine_pool_{accepted,rejected,completed}_total` (expanded) and a
+trailing label set such as `service_requests_total{type}` (dropped).
 
 usage: check_metrics_table.py README.md EXPOSITION.txt
 """
@@ -13,7 +13,7 @@ import itertools
 import re
 import sys
 
-PREFIXES = ("engine_", "service_")
+PREFIXES = ("engine_", "service_", "vc_", "obs_")
 
 
 def expand(cell):
@@ -49,14 +49,14 @@ def main():
     readme, exposition = sys.argv[1:3]
     table, served = table_names(readme), served_names(exposition)
     if not table:
-        sys.exit(f"no engine_*/service_* rows found in {readme}")
+        sys.exit(f"no {'/'.join(p + '*' for p in PREFIXES)} rows found in {readme}")
     errors = [f"in {readme} but not served: {n}" for n in sorted(table - served)]
     errors += [f"served but not in {readme}: {n}" for n in sorted(served - table)]
     for e in errors:
         print(e, file=sys.stderr)
     if errors:
         sys.exit(1)
-    print(f"metrics table OK: {len(table)} engine_*/service_* names served")
+    print(f"metrics table OK: {len(table)} names served")
 
 
 if __name__ == "__main__":

@@ -81,7 +81,7 @@ fn main() {
                     cars.awct * w,
                     out.awct.min(cars.awct) * w,
                     true,
-                    out.stats.dp_steps,
+                    out.stats.spec.dp_steps,
                 ),
                 Err(_) => (cars.awct * w, cars.awct * w, false, 0),
             }

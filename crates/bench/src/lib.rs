@@ -124,7 +124,7 @@ pub fn run_block(
     let scored = eval.unwrap_or(sb);
     let cars_awct = cars_out.schedule.awct(scored);
     let (vc_awct, vc_steps) = match vc_res {
-        Ok(out) => (Some(out.schedule.awct(scored)), out.stats.dp_steps),
+        Ok(out) => (Some(out.schedule.awct(scored)), out.stats.spec.dp_steps),
         // No cutoff or deadline is configured, so `Beaten` and
         // `Deadline` cannot occur; lump them with the give-up arms
         // rather than hiding a future bug behind an unreachable!.

@@ -93,6 +93,10 @@ pub struct Budget {
     deadline_steps: Option<u64>,
     preempt: Option<vcsched_policy::AwctBound>,
     deadline_fired: bool,
+    /// The attempt's search facts beside the step meter: minAWCT probes
+    /// and per-stage steps and dead ends. Filled by the search, never
+    /// charged as steps.
+    pub(crate) facts: vcsched_policy::SpecStats,
 }
 
 impl Budget {
@@ -107,6 +111,7 @@ impl Budget {
             deadline_steps: None,
             preempt: None,
             deadline_fired: false,
+            facts: vcsched_policy::SpecStats::default(),
         }
     }
 

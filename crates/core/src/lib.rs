@@ -34,7 +34,6 @@ pub mod scheduler;
 pub mod search;
 pub mod stages;
 pub mod state;
-pub(crate) mod telemetry;
 pub mod trail;
 
 pub use combination::{CombDomain, CombRange};

@@ -56,10 +56,8 @@ impl SchedulePolicy for VcPolicy {
         let attempt = vc.try_schedule_preemptible(block, homes, Some(&budget.best));
         let spec = attempt.spec;
         match attempt.result {
-            Ok(out) => {
-                PolicyOutcome::solved(out.schedule, out.awct, out.stats.dp_steps, attempt.wall)
-                    .with_spec(spec)
-            }
+            Ok(out) => PolicyOutcome::solved(out.schedule, out.awct, spec.dp_steps, attempt.wall)
+                .with_spec(spec),
             Err(e) => {
                 // Legacy §6.1 convention: a burnt budget is reported as
                 // `max + 1` so drivers can distinguish "exhausted" from
@@ -69,8 +67,8 @@ impl SchedulePolicy for VcPolicy {
                 let (fallback, steps) = match e {
                     VcError::BudgetExhausted => (PolicyFallback::Budget, budget.max_dp_steps + 1),
                     VcError::BumpLimitReached => (PolicyFallback::GaveUp, budget.max_dp_steps + 1),
-                    VcError::Beaten => (PolicyFallback::Beaten, attempt.dp_steps),
-                    VcError::Deadline => (PolicyFallback::Deadline, attempt.dp_steps),
+                    VcError::Beaten => (PolicyFallback::Beaten, spec.dp_steps),
+                    VcError::Deadline => (PolicyFallback::Deadline, spec.dp_steps),
                 };
                 PolicyOutcome::abandoned(fallback, steps, attempt.wall).with_spec(spec)
             }

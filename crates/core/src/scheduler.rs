@@ -62,18 +62,12 @@ impl Default for VcOptions {
 /// Statistics of one scheduling run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VcStats {
-    /// Deduction-process steps consumed.
-    pub dp_steps: u64,
-    /// AWCT increases performed before a schedule was found.
-    pub awct_bumps: u32,
-    /// Inter-cluster copies in the final schedule.
-    pub copies: usize,
     /// The enhanced minimum AWCT (lower bound) the search started from.
     pub min_awct: f64,
     /// Wall-clock time spent.
     pub wall: Duration,
-    /// Speculation-engine telemetry: trail entries recorded, rollbacks,
-    /// peak trail depth, and the clone bytes the trail engine avoided.
+    /// The attempt's search and speculation-trail facts, its exact
+    /// deduction steps and AWCT bumps among them (see [`SpecStats`]).
     pub spec: SpecStats,
 }
 
@@ -239,37 +233,24 @@ impl VcScheduler {
             self.options.awct_cutoff,
             &mut arena,
         );
-        // The arena's state carries the whole run's trail telemetry,
-        // success or failure.
-        let spec = arena
-            .state()
-            .map(|st| SpecStats {
-                trail_entries: st.trail.total_entries(),
-                rollbacks: st.trail.rollbacks(),
-                peak_trail_depth: st.trail.peak_depth() as u64,
-                bytes_not_cloned: st.trail.bytes_not_cloned(),
-                redo_replays: st.trail.adoptions(),
-                redo_bytes_replayed: st.trail.adopted_bytes(),
-            })
-            .unwrap_or_default();
-        let m = crate::telemetry::attempt_metrics();
-        m.dp_steps.record(budget.spent());
-        m.trail_entries.record(spec.trail_entries);
-        m.trail_rollbacks.record(spec.rollbacks);
-        m.trail_peak_depth.record(spec.peak_trail_depth);
-        m.bytes_not_cloned.add(spec.bytes_not_cloned);
-        m.redo_replays.add(spec.redo_replays);
-        m.redo_bytes_replayed.add(spec.redo_bytes_replayed);
+        // The budget carries the search's facts; the arena's state carries
+        // the whole run's trail telemetry, success or failure.
+        let mut spec = budget.facts;
+        spec.dp_steps = budget.spent();
+        if let Some(st) = arena.state() {
+            spec.trail_entries = st.trail.total_entries();
+            spec.rollbacks = st.trail.rollbacks();
+            spec.peak_trail_depth = st.trail.peak_depth() as u64;
+            spec.bytes_not_cloned = st.trail.bytes_not_cloned();
+            spec.redo_replays = st.trail.adoptions();
+            spec.redo_bytes_replayed = st.trail.adopted_bytes();
+        }
         let result = match searched {
             Ok(r) => {
-                m.outcome_ok.inc();
-                m.awct_bumps.record(r.bumps as u64);
+                spec.awct_bumps = r.bumps.into();
                 Ok(VcOutcome {
                     awct: r.awct,
                     stats: VcStats {
-                        dp_steps: budget.spent(),
-                        awct_bumps: r.bumps,
-                        copies: r.schedule.copy_count(),
                         min_awct: r.min_awct,
                         wall: start.elapsed(),
                         spec,
@@ -277,29 +258,16 @@ impl VcScheduler {
                     schedule: r.schedule,
                 })
             }
-            Err(SearchFail::Budget) if budget.deadline_fired() => {
-                m.outcome_deadline.inc();
-                Err(VcError::Deadline)
-            }
-            Err(SearchFail::Budget) => {
-                m.outcome_budget.inc();
-                Err(VcError::BudgetExhausted)
-            }
-            Err(SearchFail::BumpLimit) => {
-                m.outcome_bump_limit.inc();
-                Err(VcError::BumpLimitReached)
-            }
-            Err(SearchFail::Beaten) => {
-                m.outcome_beaten.inc();
-                Err(VcError::Beaten)
-            }
+            Err(SearchFail::Budget) if budget.deadline_fired() => Err(VcError::Deadline),
+            Err(SearchFail::Budget) => Err(VcError::BudgetExhausted),
+            Err(SearchFail::BumpLimit) => Err(VcError::BumpLimitReached),
+            Err(SearchFail::Beaten) => Err(VcError::Beaten),
         };
         span.field("dp_steps", budget.spent());
         span.field("ok", result.is_ok());
         drop(span);
         VcAttempt {
             result,
-            dp_steps: budget.spent(),
             wall: start.elapsed(),
             spec,
         }
@@ -311,11 +279,9 @@ impl VcScheduler {
 pub struct VcAttempt {
     /// The outcome (or why the attempt was abandoned).
     pub result: Result<VcOutcome, VcError>,
-    /// Deduction steps consumed, including failed attempts.
-    pub dp_steps: u64,
     /// Wall-clock spent.
     pub wall: Duration,
-    /// Speculation-engine telemetry for the attempt (see
-    /// [`SpecStats`]).
+    /// The attempt's search and speculation-trail facts, failed attempts
+    /// included (see [`SpecStats`]).
     pub spec: SpecStats,
 }

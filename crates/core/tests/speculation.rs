@@ -339,9 +339,9 @@ fn certified_bump_recertifies_against_the_cutoff() {
     let full = run(None);
     let out = full.result.expect("block schedules without a cutoff");
     assert!(
-        out.stats.awct_bumps > 0,
+        out.stats.spec.awct_bumps > 0,
         "fixture must bump (got {} bumps)",
-        out.stats.awct_bumps
+        out.stats.spec.awct_bumps
     );
     assert!(
         out.stats.min_awct < out.awct,
@@ -360,10 +360,10 @@ fn certified_bump_recertifies_against_the_cutoff() {
         "mid-search re-certification must fire"
     );
     assert!(
-        cancelled.dp_steps < full.dp_steps,
+        cancelled.spec.dp_steps < full.spec.dp_steps,
         "cancelling must save work: {} vs {}",
-        cancelled.dp_steps,
-        full.dp_steps
+        cancelled.spec.dp_steps,
+        full.spec.dp_steps
     );
     // Ties survive by construction (strict comparison) — covered by
     // `tying_bound_keeps_the_search_alive` in the policy unit tests.

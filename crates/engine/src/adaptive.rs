@@ -492,6 +492,7 @@ mod tests {
                     wall_ms: 0,
                 })
                 .collect(),
+            vc_spec: Default::default(),
         }
     }
 

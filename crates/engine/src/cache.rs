@@ -196,6 +196,7 @@ fn slot_parts(entry: CacheEntry) -> Option<(u64, BlockOutcome)> {
             vc_timed_out: entry.vc_timed_out,
             schedule: entry.schedule,
             policy_stats: entry.stats,
+            vc_spec: Default::default(),
         },
     ))
 }

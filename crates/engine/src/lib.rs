@@ -47,12 +47,12 @@
 //! against, so none of these takes a registry beside the set.
 //!
 //! Every figure lives in the instance that produces it: a
-//! [`SubmitPool`] counts its admissions and times its queue waits and
-//! solves, a [`ScheduleCache`] counts hits, misses, insertions and
-//! evictions per shard, and an [`OnlineSummary`] carries a replay's
-//! misses and shed. Nothing here records into the process-global
-//! `vcsched_obs` registry; `vcsched serve` renders its metrics from
-//! these instances.
+//! [`SubmitPool`] counts its admissions, times its queue waits and
+//! solves, and folds the VC attempts of its fresh solves into its `vc_*`
+//! series; a [`ScheduleCache`] counts hits, misses, insertions and
+//! evictions per shard; and an [`OnlineSummary`] carries a replay's
+//! misses and shed. `vcsched serve` renders its metrics from these
+//! instances.
 //!
 //! The crate also owns the deduction-step analogues of the paper's
 //! compile-time buckets ([`STEPS_1S`], [`STEPS_1M`], [`STEPS_4M`]);
@@ -97,7 +97,8 @@ pub use adaptive::{AdaptiveOptions, AdaptiveSummary, BlockClass, SelectorTable, 
 pub use cache::{CacheEntry, CacheStats, ScheduleCache, ShardStats};
 pub use corpus::CorpusSource;
 pub use online::{
-    run_trace, BlockResult, DeadlineTimer, OnlineOptions, OnlineSummary, PriorityLatency,
+    price_deadline_steps, run_trace, BlockResult, DeadlineTimer, OnlineOptions, OnlineSummary,
+    PriorityLatency, DEADLINE_FLOOR_STEPS,
 };
 pub use pool::{default_jobs, scatter};
 pub use portfolio::{schedule_block, BlockOutcome, PolicyOptions, PolicyStat};

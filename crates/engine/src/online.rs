@@ -60,6 +60,18 @@ use crate::pool::{ordered, Ordered};
 use crate::registry::PolicySet;
 use crate::{schedule_block, PolicyOptions, STEPS_1M};
 
+/// Default price floor: even a late request keeps enough steps to return
+/// a validated schedule (implicit CARS at worst).
+pub const DEADLINE_FLOOR_STEPS: u64 = 1_000;
+
+/// The one slack-pricing rule of the online executor and the live server:
+/// `clamp(slack_ms × per_ms, floor, max)` steps, or `None` when that
+/// reaches `max` (the plain budget binds first; no deadline can fire).
+pub fn price_deadline_steps(slack_ms: u64, per_ms: u64, floor: u64, max: u64) -> Option<u64> {
+    let priced = slack_ms.saturating_mul(per_ms).clamp(floor.min(max), max);
+    (priced < max).then_some(priced)
+}
+
 /// Options of one online replay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineOptions {
@@ -101,7 +113,7 @@ impl Default for OnlineOptions {
             // STEPS_1S = 5_000 steps model one second of compile time
             // (§6.1), so the virtual exchange rate is 5 steps/ms.
             steps_per_ms: 5,
-            step_floor: 1_000,
+            step_floor: DEADLINE_FLOOR_STEPS,
             queue_capacity: 8,
             jobs: 1,
             placement_seed: 0xC60_2007,
@@ -115,21 +127,14 @@ impl OnlineOptions {
     /// Prices an event's slack into a deduction-step budget:
     /// `clamp(slack_ms × steps_per_ms, step_floor, base_steps)`.
     fn price_steps(&self, slack_ms: u64) -> u64 {
-        slack_ms
-            .saturating_mul(self.steps_per_ms)
-            .clamp(self.step_floor.min(self.base_steps), self.base_steps)
+        self.deadline_steps(slack_ms).unwrap_or(self.base_steps)
     }
 
     /// The [`PolicyOptions::deadline_steps`] for an event with this
-    /// slack — `None` when the priced budget reaches the ceiling (the
-    /// deadline cannot fire before the ordinary budget would).
+    /// slack ([`price_deadline_steps`] against `base_steps`).
     pub fn deadline_steps(&self, slack_ms: u64) -> Option<u64> {
-        let priced = self.price_steps(slack_ms);
-        if priced >= self.base_steps {
-            None
-        } else {
-            Some(priced)
-        }
+        let (rate, floor) = (self.steps_per_ms, self.step_floor);
+        price_deadline_steps(slack_ms, rate, floor, self.base_steps)
     }
 }
 

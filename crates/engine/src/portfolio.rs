@@ -113,7 +113,10 @@ impl PartialEq for PolicyStat {
 }
 
 /// Outcome of scheduling one block under the policy set.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality ignores `vc_spec`: it describes the work of one race, and a
+/// cache hit, which did none, carries zeros.
+#[derive(Debug, Clone)]
 pub struct BlockOutcome {
     /// Name of the policy that won (always a registry name; `"cars"`
     /// even outside the set when the §6.1 fallback fired).
@@ -133,6 +136,20 @@ pub struct BlockOutcome {
     /// Per-policy telemetry, in set order (plus a trailing `cars` entry
     /// if the implicit fallback fired).
     pub policy_stats: Vec<PolicyStat>,
+    /// What the `vc` member's attempt did (zeros when `vc` did not race
+    /// or the cache answered). Never journaled.
+    pub vc_spec: vcsched_policy::SpecStats,
+}
+
+impl PartialEq for BlockOutcome {
+    fn eq(&self, other: &Self) -> bool {
+        self.winner == other.winner
+            && self.awct == other.awct
+            && self.vc_steps == other.vc_steps
+            && self.vc_timed_out == other.vc_timed_out
+            && self.schedule == other.schedule
+            && self.policy_stats == other.policy_stats
+    }
 }
 
 impl BlockOutcome {
@@ -312,6 +329,7 @@ pub(crate) fn schedule_block_bound(
         }),
         schedule,
         policy_stats,
+        vc_spec: vc.map(|r| r.outcome.spec).unwrap_or_default(),
     }
 }
 

@@ -31,10 +31,12 @@
 //! repeated request is answered from memory and counted as a hit.
 //!
 //! The pool is the one home of its own figures: the admission counters
-//! ([`SubmitPool::counters`]), queue depth, busy workers, and the
-//! queue-wait and solve-latency histograms. `vcsched serve` renders its
-//! `stats` reply and its `engine_pool_*`, `engine_queue_*` and
-//! `engine_solve_us` series from these accessors.
+//! ([`SubmitPool::counters`]), queue depth, busy workers, the
+//! queue-wait and solve-latency histograms, and the `vc_*` series of the
+//! VC attempts its fresh solves ran ([`SubmitPool::vc_series`]).
+//! `vcsched serve` renders its `stats` reply and its `engine_pool_*`,
+//! `engine_queue_*`, `engine_solve_us` and `vc_*` series from these
+//! accessors.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -43,7 +45,8 @@ use std::time::{Duration, Instant};
 
 use vcsched_arch::{ClusterId, MachineConfig};
 use vcsched_ir::Superblock;
-use vcsched_obs::Histogram;
+use vcsched_obs::{Counter, Histogram, Registry, Snapshot};
+use vcsched_policy::PolicyFallback;
 
 use crate::cache::ScheduleCache;
 use crate::portfolio::{BlockOutcome, PolicyOptions};
@@ -174,8 +177,94 @@ struct Task {
     enqueued: Instant,
 }
 
-/// Folds one solve into the pool's per-policy lifetime counters.
-fn record_policy_totals(totals: &Mutex<Vec<PolicyTotals>>, outcome: &BlockOutcome, cached: bool) {
+/// `vc_attempts_total`'s `outcome` label for each `vc` fallback.
+const OUTCOMES: [(PolicyFallback, &str); 5] = [
+    (PolicyFallback::None, "ok"),
+    (PolicyFallback::Budget, "budget"),
+    (PolicyFallback::GaveUp, "bump_limit"),
+    (PolicyFallback::Beaten, "beaten"),
+    (PolicyFallback::Deadline, "deadline"),
+];
+
+/// The pool's `vc_*` series: one value per VC attempt of a fresh solve,
+/// from the facts the attempt carried out in its outcome. Every series
+/// exists from the start, so each is served before the first VC solve.
+struct VcSeries {
+    registry: Registry,
+    dp_steps: Histogram,
+    awct_bumps: Histogram,
+    minawct_probes: Histogram,
+    trail_entries: Histogram,
+    trail_rollbacks: Histogram,
+    trail_peak_depth: Histogram,
+    bytes_not_cloned: Counter,
+    redo_replays: Counter,
+    redo_bytes_replayed: Counter,
+    /// Indexed like [`OUTCOMES`].
+    attempts: [Counter; 5],
+    /// Per stage 1–6: `vc_stage_steps` and `vc_stage_failures_total`.
+    stages: [(Histogram, Counter); 6],
+}
+
+impl VcSeries {
+    fn new() -> VcSeries {
+        let r = Registry::new();
+        VcSeries {
+            dp_steps: r.histogram("vc_dp_steps"),
+            awct_bumps: r.histogram("vc_awct_bumps"),
+            minawct_probes: r.histogram("vc_minawct_probes"),
+            trail_entries: r.histogram("vc_trail_entries"),
+            trail_rollbacks: r.histogram("vc_trail_rollbacks"),
+            trail_peak_depth: r.histogram("vc_trail_peak_depth"),
+            bytes_not_cloned: r.counter("vc_bytes_not_cloned_total"),
+            redo_replays: r.counter("vc_redo_replays_total"),
+            redo_bytes_replayed: r.counter("vc_redo_bytes_replayed_total"),
+            attempts: OUTCOMES.map(|(_, o)| r.counter_with("vc_attempts_total", &[("outcome", o)])),
+            stages: ["1", "2", "3", "4", "5", "6"].map(|s| {
+                let steps = r.histogram_with("vc_stage_steps", &[("stage", s)]);
+                (
+                    steps,
+                    r.counter_with("vc_stage_failures_total", &[("stage", s)]),
+                )
+            }),
+            registry: r,
+        }
+    }
+
+    /// Records the `vc` member's attempt of one fresh solve, if it raced.
+    fn record(&self, outcome: &BlockOutcome) {
+        let Some(stat) = outcome.policy_stats.iter().find(|s| s.policy == "vc") else {
+            return;
+        };
+        let spec = &outcome.vc_spec;
+        self.dp_steps.record(spec.dp_steps);
+        if !stat.gave_up() {
+            self.awct_bumps.record(spec.awct_bumps);
+        }
+        self.minawct_probes.record(spec.minawct_probes);
+        self.trail_entries.record(spec.trail_entries);
+        self.trail_rollbacks.record(spec.rollbacks);
+        self.trail_peak_depth.record(spec.peak_trail_depth);
+        self.bytes_not_cloned.add(spec.bytes_not_cloned);
+        self.redo_replays.add(spec.redo_replays);
+        self.redo_bytes_replayed.add(spec.redo_bytes_replayed);
+        let outcome = OUTCOMES.iter().position(|&(f, _)| f == stat.fallback);
+        self.attempts[outcome.expect("every fallback has a label")].inc();
+        for (i, (steps, failures)) in self.stages.iter().enumerate() {
+            steps.record(spec.stage_steps[i]);
+            failures.add(spec.stage_failures[i]);
+        }
+    }
+}
+
+/// Folds one solve into the pool's lifetime counters: per-policy wins
+/// always, per-policy work and the `vc_*` series on a fresh solve only.
+fn record_policy_totals(
+    totals: &Mutex<Vec<PolicyTotals>>,
+    vc: &VcSeries,
+    outcome: &BlockOutcome,
+    cached: bool,
+) {
     let mut totals = totals.lock().unwrap();
     let index_of = |totals: &mut Vec<PolicyTotals>, name: &str| -> usize {
         match totals.iter().position(|t| t.policy == name) {
@@ -192,6 +281,7 @@ fn record_policy_totals(totals: &Mutex<Vec<PolicyTotals>>, outcome: &BlockOutcom
     let i = index_of(&mut totals, &outcome.winner);
     totals[i].wins += 1;
     if !cached {
+        vc.record(outcome);
         for stat in &outcome.policy_stats {
             let i = index_of(&mut totals, &stat.policy);
             totals[i].steps += stat.steps;
@@ -235,6 +325,7 @@ pub struct SubmitPool {
     queue_wait: Histogram,
     solve_latency: Histogram,
     policy_totals: Arc<Mutex<Vec<PolicyTotals>>>,
+    vc_series: Arc<VcSeries>,
     completion_hook: Arc<Mutex<Option<CompletionHook>>>,
 }
 
@@ -256,6 +347,7 @@ impl SubmitPool {
         let queue_wait = Histogram::new();
         let solve_latency = Histogram::new();
         let policy_totals: Arc<Mutex<Vec<PolicyTotals>>> = Arc::new(Mutex::new(Vec::new()));
+        let vc_series = Arc::new(VcSeries::new());
         let completion_hook: Arc<Mutex<Option<CompletionHook>>> = Arc::new(Mutex::new(None));
         let workers = (0..jobs)
             .map(|_| {
@@ -267,6 +359,7 @@ impl SubmitPool {
                 let queue_wait = queue_wait.clone();
                 let solve_latency = solve_latency.clone();
                 let policy_totals = Arc::clone(&policy_totals);
+                let vc_series = Arc::clone(&vc_series);
                 let completion_hook = Arc::clone(&completion_hook);
                 std::thread::spawn(move || loop {
                     // Holding the lock across the blocking recv is the
@@ -298,7 +391,7 @@ impl SubmitPool {
                                 problem.deadline,
                             );
                             solve_latency.record_duration(solve_start.elapsed());
-                            record_policy_totals(&policy_totals, &outcome, cached);
+                            record_policy_totals(&policy_totals, &vc_series, &outcome, cached);
                             done();
                             reply(Solved { outcome, cached });
                         }
@@ -333,6 +426,7 @@ impl SubmitPool {
             queue_wait,
             solve_latency,
             policy_totals,
+            vc_series,
             completion_hook,
         }
     }
@@ -391,6 +485,12 @@ impl SubmitPool {
     /// fallbacks count only fresh solves — work this pool actually did.
     pub fn policy_totals(&self) -> Vec<PolicyTotals> {
         self.policy_totals.lock().unwrap().clone()
+    }
+
+    /// The `vc_*` series of the VC attempts this pool's fresh solves ran;
+    /// cache hits do no work and record nothing.
+    pub fn vc_series(&self) -> Snapshot {
+        self.vc_series.registry.snapshot()
     }
 
     /// Lifetime counters: (accepted, rejected, completed).
@@ -560,6 +660,57 @@ mod tests {
         let (accepted, rejected, completed) = pool.counters();
         assert_eq!((accepted, rejected), (2, 0));
         assert_eq!(completed, 2);
+    }
+
+    /// The `vc_*` series fold the `vc` member's attempt once per fresh
+    /// solve; the cache hit of the same problem folds nothing.
+    #[test]
+    fn vc_series_fold_each_fresh_attempt_once() {
+        use vcsched_obs::MetricValue;
+        let pool = SubmitPool::new(1, 4, Arc::new(ScheduleCache::in_memory(8)));
+        let mut generous = problem(0);
+        generous.options.max_dp_steps = crate::STEPS_4M;
+        let first = pool.try_submit(generous.clone()).expect("accepted");
+        let first = first.wait().expect("solved");
+        let again = pool.try_submit(generous).expect("accepted");
+        assert!(!first.cached && again.wait().expect("solved").cached);
+        let vc = first.outcome.policy_stats.iter().find(|s| s.policy == "vc");
+        let fallback = vc.expect("vc raced").fallback;
+        assert_eq!(fallback, PolicyFallback::None, "the budget lets VC finish");
+
+        let snap = pool.vc_series();
+        let counter = |name: &str, labels: &[(&str, &str)]| match snap.find(name, labels) {
+            Some(m) => match &m.value {
+                MetricValue::Counter(n) => *n,
+                other => panic!("{name} is not a counter: {other:?}"),
+            },
+            None => panic!("{name}{labels:?} is not served"),
+        };
+        let histogram = |name: &str, labels: &[(&str, &str)]| match snap.find(name, labels) {
+            Some(m) => match &m.value {
+                MetricValue::Histogram(h) => (h.count, h.sum),
+                other => panic!("{name} is not a histogram: {other:?}"),
+            },
+            None => panic!("{name}{labels:?} is not served"),
+        };
+        let attempts: Vec<u64> = OUTCOMES
+            .iter()
+            .map(|&(_, o)| counter("vc_attempts_total", &[("outcome", o)]))
+            .collect();
+        assert_eq!(attempts, [1, 0, 0, 0, 0], "one attempt, labelled `ok`");
+        let (count, steps) = histogram("vc_dp_steps", &[]);
+        assert_eq!(count, 1);
+        let totals = pool.policy_totals();
+        let vc_steps = totals.iter().find(|t| t.policy == "vc").expect("vc totals");
+        assert_eq!(steps, vc_steps.steps, "both renderings of VC's steps agree");
+        let stage_steps: u64 = ["1", "2", "3", "4", "5", "6"]
+            .iter()
+            .map(|&s| histogram("vc_stage_steps", &[("stage", s)]).1)
+            .sum();
+        assert!(
+            (1..=steps).contains(&stage_steps),
+            "{stage_steps} stage steps of {steps}"
+        );
     }
 
     #[test]

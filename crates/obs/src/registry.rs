@@ -1,8 +1,8 @@
-//! The sharded metrics [`Registry`], its process-global instance, and the
-//! serializable [`Snapshot`] with Prometheus-style text rendering.
+//! The sharded metrics [`Registry`] and the serializable [`Snapshot`]
+//! with Prometheus-style text rendering.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -41,10 +41,9 @@ struct Entry {
 /// Handles returned by [`counter`](Registry::counter) /
 /// [`gauge`](Registry::gauge) / [`histogram`](Registry::histogram) (and
 /// their `_with` labeled variants) are cheap clones of shared atomic
-/// state: fetch once, cache, and update lock-free. An instance that
-/// produces figures (a server) creates its own with [`Registry::new`];
-/// the process-global instance behind [`global()`] holds only series
-/// with no instance to own them.
+/// state: fetch once, cache, and update lock-free. Each instance that
+/// produces figures (a server, a submission pool) creates its own with
+/// [`Registry::new`].
 #[derive(Default)]
 pub struct Registry {
     shards: [Mutex<HashMap<String, Entry>>; REGISTRY_SHARDS],
@@ -175,32 +174,6 @@ impl Registry {
         }
         Snapshot::from_series(metrics)
     }
-
-    /// Zeroes every counter and histogram. Gauges are left alone — they
-    /// mirror live state (queue depth, connections) that a reset must not
-    /// falsify.
-    pub fn reset(&self) {
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap();
-            for entry in shard.values() {
-                match &entry.metric {
-                    Metric::Counter(c) => c.reset(),
-                    Metric::Histogram(h) => h.reset(),
-                    Metric::Gauge(_) => {}
-                }
-            }
-        }
-    }
-}
-
-/// The process-global registry, for series with no instance to own them:
-/// the core search's `vc_*` counters and the tracer's
-/// `obs_trace_dropped_total`. Everything an instance produces (a
-/// server's request series, a pool's or a cache's counts) belongs to
-/// that instance instead.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 // ---------------------------------------------------------------------------
@@ -558,18 +531,6 @@ mod tests {
             keys,
             ["alpha", "req{type=\"a\"}", "req{type=\"b\"}", "zeta"]
         );
-    }
-
-    #[test]
-    fn reset_clears_counters_and_histograms_not_gauges() {
-        let r = Registry::new();
-        r.counter("c").add(9);
-        r.histogram("h").record(4);
-        r.gauge("g").set(11);
-        r.reset();
-        assert_eq!(r.counter("c").get(), 0);
-        assert_eq!(r.histogram("h").count(), 0);
-        assert_eq!(r.gauge("g").get(), 11);
     }
 
     #[test]

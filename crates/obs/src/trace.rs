@@ -5,8 +5,9 @@
 //! Tracing is **off by default** — an inert guard is two relaxed atomic
 //! loads — and sampled when on ([`Tracer::set_sampling`]), so hot paths
 //! stay hot. When the ring fills, the *oldest* event is dropped and the
-//! `obs_trace_dropped_total` counter (a regular registry metric) is
-//! incremented, so loss is observable rather than silent.
+//! tracer's own dropped-event counter ([`Tracer::dropped`], served as
+//! `obs_trace_dropped_total`) is incremented, so loss is observable
+//! rather than silent.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -17,7 +18,6 @@ use std::time::Instant;
 use serde::Value;
 
 use crate::metrics::Counter;
-use crate::registry;
 
 /// Capacity of the global span ring (events). Power of two.
 const DEFAULT_RING_CAPACITY: usize = 8192;
@@ -275,22 +275,16 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A private tracer with its own ring and a detached dropped-counter.
-    /// `capacity` must be a power of two ≥ 2.
+    /// A tracer with its own ring and dropped-event counter. `capacity`
+    /// must be a power of two ≥ 2.
     pub fn new(capacity: usize) -> Tracer {
-        Tracer::with_dropped_counter(capacity, Counter::new())
-    }
-
-    /// A private tracer whose dropped-event count lands on `dropped`
-    /// (typically a counter registered in some [`Registry`](crate::Registry)).
-    fn with_dropped_counter(capacity: usize, dropped: Counter) -> Tracer {
         Tracer {
             ring: Ring::with_capacity(capacity),
             enabled: AtomicBool::new(false),
             sample_every: AtomicU64::new(1),
             seq: AtomicU64::new(0),
             epoch: Instant::now(),
-            dropped,
+            dropped: Counter::new(),
         }
     }
 
@@ -376,17 +370,12 @@ impl Tracer {
     }
 }
 
-/// The process-global tracer used by the [`span!`](crate::span) macro. Its
-/// dropped-event counter is the `obs_trace_dropped_total` metric in the
-/// global registry.
+/// The process-global tracer used by the [`span!`](crate::span) macro.
+/// A server reports its [`Tracer::dropped`] count as
+/// `obs_trace_dropped_total`.
 pub fn tracer() -> &'static Tracer {
     static GLOBAL: OnceLock<Tracer> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        Tracer::with_dropped_counter(
-            DEFAULT_RING_CAPACITY,
-            registry::global().counter("obs_trace_dropped_total"),
-        )
-    })
+    GLOBAL.get_or_init(|| Tracer::new(DEFAULT_RING_CAPACITY))
 }
 
 // ---------------------------------------------------------------------------

@@ -203,11 +203,29 @@ impl Deserialize for PolicyFallback {
     }
 }
 
-/// Speculation-engine telemetry for one scheduling attempt: what the
-/// trail-based delta/rollback study recorded instead of cloning states.
-/// All-zero for single-pass policies (no speculation).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+/// What one VC scheduling attempt did: its exact deduction steps, the
+/// §4.2 minAWCT probes and AWCT bumps, the step cost and dead ends of
+/// each §4.4 stage, and what the trail-based delta/rollback study
+/// recorded instead of cloning states. All-zero for single-pass
+/// policies (no deduction, no speculation).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpecStats {
+    /// Deduction steps the attempt spent, exactly. Unlike
+    /// [`PolicyOutcome::steps`], a burnt budget is not reported as
+    /// `max + 1`.
+    pub dp_steps: u64,
+    /// AWCT increases before the schedule was found (0 when the attempt
+    /// failed).
+    pub awct_bumps: u64,
+    /// Deduction-process builds the enhanced-minAWCT computation (§4.2)
+    /// consumed.
+    pub minawct_probes: u64,
+    /// Deduction steps charged by each of the six stages of Fig. 6
+    /// (index 0 is stage 1), summed over every pass of the attempt.
+    pub stage_steps: [u64; 6],
+    /// Dead ends per stage (index 0 is stage 1) that forced a restart
+    /// or a bump.
+    pub stage_failures: [u64; 6],
     /// Undo records appended to the trail over the whole attempt.
     pub trail_entries: u64,
     /// Rollbacks performed (candidate studies that were not kept).

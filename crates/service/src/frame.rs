@@ -178,6 +178,20 @@ pub const INTERNED: &[&str] = &[
     "2c",
     "4c1",
     "unspecified",
+    // Metrics snapshot fields and kinds.
+    "name",
+    "labels",
+    "kind",
+    "value",
+    "counter",
+    "gauge",
+    "histogram",
+    "sum",
+    "p50",
+    "p90",
+    "p99",
+    "p999",
+    "buckets",
 ];
 
 /// Slots in [`INTERN_SLOTS`]; kept at least twice the table's length so

@@ -167,8 +167,8 @@ pub enum Request {
     /// Service and cache counters.
     Stats,
     /// Full observability snapshot: every counter, gauge and histogram
-    /// of this server, plus the process-wide `vc_*` and `obs_*` series
-    /// (see `vcsched-obs`).
+    /// of this server and its pool, plus the process tracer's
+    /// `obs_trace_dropped_total` (see `vcsched-obs`).
     Metrics,
     /// Round-trip through the admission queue and worker pool; the
     /// worker sleeps `delay_ms` before answering (0 = pure latency

@@ -38,9 +38,9 @@
 //! Each server owns its figures: its request, reactor, selector-decision
 //! and online series live in a registry of its own, and the pool and
 //! cache figures come from its own pool and cache. `stats` and `metrics`
-//! both read those, so two servers in one process never share a count;
-//! only the core search's `vc_*` series and the tracer's
-//! `obs_trace_dropped_total` are process-wide.
+//! both read those, so two servers in one process never share a count.
+//! The `vc_*` series are the pool's too; only the tracer's
+//! `obs_trace_dropped_total` is process-wide.
 //!
 //! Shutdown (a `shutdown` request or [`ServerHandle::shutdown`]) is
 //! *draining*: the listener closes, every admitted job completes and
@@ -61,9 +61,9 @@ use serde::Deserialize;
 use serde_json::Value;
 use vcsched_engine::{
     adaptive::{explore_draw, DecisionKind},
-    default_jobs, selector_path, AdaptiveOptions, BatchConfig, BatchPlan, BlockClass, CorpusSource,
-    PolicyOptions, PolicySet, Problem, Rejected, ScheduleCache, SelectorTable, Solved, SubmitError,
-    SubmitPool, Ticket, STEPS_1M,
+    default_jobs, price_deadline_steps, selector_path, AdaptiveOptions, BatchConfig, BatchPlan,
+    BlockClass, CorpusSource, PolicyOptions, PolicySet, Problem, Rejected, ScheduleCache,
+    SelectorTable, Solved, SubmitError, SubmitPool, Ticket, DEADLINE_FLOOR_STEPS, STEPS_1M,
 };
 use vcsched_ir::Superblock;
 use vcsched_obs::{MetricSnapshot, MetricValue, Snapshot};
@@ -178,21 +178,12 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Never price a deadline below this many DP steps: a floor keeps an
-/// already-late request able to return *some* validated schedule
-/// (implicit CARS at worst) instead of aborting on its first deduction.
-const DEADLINE_FLOOR_STEPS: u64 = 1_000;
-
-/// Prices `deadline_ms` of wall slack into a DP-step budget, clamped to
-/// `[DEADLINE_FLOOR_STEPS, max_steps]`. `None` means the deadline is so
-/// far out that the plain step budget binds first — no deadline
-/// pressure on the search.
-fn price_deadline_steps(shared: &Shared, deadline_ms: u64, max_steps: u64) -> Option<u64> {
+/// Records `deadline_ms` of wall slack and prices it into a DP-step
+/// deadline by the online executor's rule ([`price_deadline_steps`]).
+fn priced_deadline(shared: &Shared, deadline_ms: u64, max_steps: u64) -> Option<u64> {
     shared.metrics.slack_ms.record(deadline_ms);
-    let priced = deadline_ms
-        .saturating_mul(shared.config.steps_per_ms)
-        .clamp(DEADLINE_FLOOR_STEPS.min(max_steps), max_steps);
-    (priced < max_steps).then_some(priced)
+    let rate = shared.config.steps_per_ms;
+    price_deadline_steps(deadline_ms, rate, DEADLINE_FLOOR_STEPS, max_steps)
 }
 
 /// Resolves a request's effective policy set: explicit `policies` wins,
@@ -1525,7 +1516,7 @@ fn schedule_request(
         placement_seed.unwrap_or(shared.config.default_placement_seed),
     );
     let max_steps = steps.unwrap_or(shared.config.default_steps);
-    let deadline_steps = deadline_ms.and_then(|ms| price_deadline_steps(shared, ms, max_steps));
+    let deadline_steps = deadline_ms.and_then(|ms| priced_deadline(shared, ms, max_steps));
     let problem = Problem {
         block,
         machine,
@@ -1729,7 +1720,7 @@ fn run_service_batch(
     // A batch deadline prices every block's budget identically (one
     // shared slack), so a seeded batch stays bit-deterministic; no
     // wall-clock timer is armed for batches.
-    let deadline_steps = deadline_ms.and_then(|ms| price_deadline_steps(shared, ms, max_dp_steps));
+    let deadline_steps = deadline_ms.and_then(|ms| priced_deadline(shared, ms, max_dp_steps));
     let config = BatchConfig {
         source: CorpusSource::Synth { bench, count, seed },
         machine,
@@ -1871,8 +1862,8 @@ fn stats(shared: &Shared) -> StatsReply {
 
 /// The `metrics` reply, rendered in identity order from three sources:
 /// this server's registry; the figures its pool and cache keep (under
-/// the `engine_*` names), its connection count and its parked fair-queue
-/// work; and the process-wide `vc_*` and `obs_*` series.
+/// the `engine_*` and `vc_*` names), its connection count and its parked
+/// fair-queue work; and the process tracer's dropped-event count.
 fn metrics(shared: &Shared) -> Snapshot {
     fn series(name: &str, labels: &[(&str, &str)], value: MetricValue) -> MetricSnapshot {
         MetricSnapshot {
@@ -1919,7 +1910,11 @@ fn metrics(shared: &Shared) -> Snapshot {
         ),
         gauge("service_fair_queue_parked", parked),
     ]);
-    all.extend(vcsched_obs::global().snapshot().metrics);
+    all.push(counter(
+        "obs_trace_dropped_total",
+        vcsched_obs::tracer().dropped(),
+    ));
+    all.extend(pool.vc_series().metrics);
     Snapshot::from_series(all)
 }
 

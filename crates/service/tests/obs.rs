@@ -101,6 +101,19 @@ fn histogram_count(snapshot: &Snapshot, name: &str, labels: &[(&str, &str)]) -> 
     }
 }
 
+/// `vc_attempts_total` summed over its `outcome` labels.
+fn vc_attempts(snapshot: &Snapshot) -> u64 {
+    snapshot
+        .metrics
+        .iter()
+        .filter(|m| m.name == "vc_attempts_total")
+        .map(|m| match m.value {
+            MetricValue::Counter(n) => n,
+            _ => panic!("vc_attempts_total is a counter: {m:?}"),
+        })
+        .sum()
+}
+
 fn latency_count(stats: &StatsReply, ty: &str) -> u64 {
     stats
         .latency
@@ -488,9 +501,11 @@ fn metrics_exposition_identities_match_the_pinned_list() {
 }
 
 /// Two servers live in one process: each one's latency counts, client
-/// count and request counters describe only its own traffic.
+/// count, request counters and `vc_*` series describe only its own
+/// traffic, and the `vc_*` series count fresh solves only.
 #[test]
 fn two_live_servers_report_only_their_own_traffic() {
+    const COLD: u64 = 3;
     let quiet = small_server(1, 4);
     let busy = small_server(1, 4);
     let mut quiet_client = Client::connect(quiet.addr()).expect("connect quiet");
@@ -500,6 +515,11 @@ fn two_live_servers_report_only_their_own_traffic() {
         assert!(busy_client.request(&ping(0, None)).expect("pong").is_ok());
     }
     assert!(second.request(&ping(0, None)).expect("pong").is_ok());
+    // COLD fresh solves, then a repeat the cache answers.
+    for index in (0..COLD).chain([0]) {
+        let reply = second.request(&block_request(index)).expect("reply");
+        assert!(matches!(reply, Response::Schedule(_)), "{reply:?}");
+    }
 
     let quiet_stats = stats(&mut quiet_client);
     assert_eq!(latency_count(&quiet_stats, "ping"), 0);
@@ -525,8 +545,32 @@ fn two_live_servers_report_only_their_own_traffic() {
         value(&busy_snap, "service_requests_total", &[("type", "ping")]),
         6
     );
-    assert_eq!(value(&busy_snap, "engine_pool_completed_total", &[]), 6);
-    assert_eq!(histogram_count(&busy_snap, "engine_queue_wait_us", &[]), 6);
+    assert_eq!(
+        value(&busy_snap, "engine_pool_completed_total", &[]),
+        6 + COLD as i64 + 1
+    );
+    assert_eq!(
+        histogram_count(&busy_snap, "engine_queue_wait_us", &[]),
+        6 + COLD + 1
+    );
+    assert_eq!(vc_attempts(&busy_snap), COLD);
+    assert_eq!(histogram_count(&busy_snap, "vc_dp_steps", &[]), COLD);
+    let quiet_vc: Vec<_> = quiet_snap
+        .metrics
+        .iter()
+        .filter(|m| m.name.starts_with("vc_"))
+        .collect();
+    assert!(
+        !quiet_vc.is_empty(),
+        "the vc_* series are served from start"
+    );
+    for m in quiet_vc {
+        match &m.value {
+            MetricValue::Counter(n) => assert_eq!(*n, 0, "{m:?}"),
+            MetricValue::Histogram(h) => assert_eq!(h.count, 0, "{m:?}"),
+            MetricValue::Gauge(_) => panic!("no vc_* series is a gauge: {m:?}"),
+        }
+    }
 
     drop(second);
     quiet_client.request(&Request::Shutdown).expect("shutdown");

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use serde::Deserialize;
 use serde_json::Value;
 use vcsched_ir::{Superblock, SuperblockBuilder};
-use vcsched_obs::{MetricValue, Snapshot};
+use vcsched_obs::{MetricValue, Registry, Snapshot};
 use vcsched_service::{
     frame,
     protocol::{request_line, request_value, response_line, response_value},
@@ -189,11 +189,19 @@ fn every_response_type_roundtrips_identically_on_both_wires() {
         uptime_ms: 1234,
         latency: Vec::new(),
     };
+    // One series of each kind, so the case is the same whatever else
+    // runs in this process.
+    let registry = Registry::new();
+    registry.counter("demo_total").add(3);
+    registry.gauge("demo_depth").add(-2);
+    registry
+        .histogram_with("demo_us", &[("type", "unit")])
+        .record(120);
     let mut cases: Vec<Response> = vec![
         Response::Bye,
         Response::Stats(stats),
         Response::Metrics {
-            metrics: serde_json::to_value(&vcsched_obs::global().snapshot()),
+            metrics: serde_json::to_value(&registry.snapshot()),
         },
         Response::Batch {
             summary: Value::Object(vec![
@@ -401,6 +409,9 @@ fn mixed_framing_clients_interleave_with_exact_accounting() {
         CLIENTS as u64 + 1,
         "exactly the six soak clients plus this probe connected"
     );
+    // A live server's whole metrics reply keeps the binary size contract.
+    let live = probe.request(&Request::Metrics).expect("metrics");
+    assert_binary_is_compact(&response_value(&live, None), &response_line(&live, None));
     probe.request(&Request::Shutdown).expect("shutdown");
     server.join();
 }

@@ -89,7 +89,7 @@ fn main() {
     );
     println!(
         "  first valid AWCT {:.1} after {} AWCT increase(s)",
-        out.awct, out.stats.awct_bumps
+        out.awct, out.stats.spec.awct_bumps
     );
     for id in sb.ids() {
         println!(

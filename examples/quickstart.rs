@@ -37,7 +37,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let vc = VcScheduler::new(machine.clone()).schedule(&sb)?;
     println!(
         "virtual-cluster scheduler: AWCT {:.2} (lower bound {:.2}), {} copies, {} DP steps",
-        vc.awct, vc.stats.min_awct, vc.stats.copies, vc.stats.dp_steps
+        vc.awct,
+        vc.stats.min_awct,
+        vc.schedule.copy_count(),
+        vc.stats.spec.dp_steps
     );
     print_schedule(&sb, &vc.schedule);
 

@@ -171,13 +171,13 @@ ONLINE / REPLAY:
     engine_shed_total counters and engine_slack_ms histogram.
 
 OBSERVABILITY:
-    Series belong to their server: each `serve` keeps its engine_* and
-    service_* counters, gauges and log-scale latency histograms
+    Series belong to their server: each `serve` keeps its engine_*,
+    service_* and vc_* counters, gauges and log-scale latency histograms
     (deterministic p50/p90/p99/p999) itself and renders `stats` and
-    `metrics` from them; only the vc_* and obs_* series are
-    process-wide. `vcsched request metrics` dumps the full
-    snapshot as JSON; add --metrics-text for Prometheus exposition
-    text. `vcsched top` renders the same snapshot as a terminal view —
+    `metrics` from them; vc_* count fresh solves only, and only
+    obs_trace_dropped_total is process-wide. `vcsched request
+    metrics` dumps the full snapshot as JSON; add --metrics-text for
+    Prometheus exposition text. `vcsched top` renders the same snapshot as a terminal view —
     one-shot by default, repeating with --interval SECS (--count N
     frames). --trace-out FILE (on batch and serve) appends structured
     span events as JSONL, one object per span:

@@ -117,7 +117,7 @@ fn portfolio_race_allocations_are_halved() {
     let mut total = 0;
     for (i, sb) in golden_blocks().iter().enumerate() {
         let homes = live_in_placement(sb, machine.cluster_count(), 0xC60_2007 ^ i as u64);
-        // The first race also initialises process-wide registries.
+        // The first race also initialises process-wide state (the tracer).
         let warm = schedule_block(sb, &machine, &homes, &options);
         let (out, allocs, _) = counted(|| schedule_block(sb, &machine, &homes, &options));
         assert_eq!(out, warm, "block {i}: races are deterministic");

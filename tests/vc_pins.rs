@@ -114,7 +114,7 @@ fn outcome_text(attempt: &VcAttempt) -> String {
             serde_json::to_string(&out.schedule).expect("schedule serializes"),
             out.awct.to_bits(),
             out.stats.min_awct.to_bits(),
-            out.stats.awct_bumps
+            out.stats.spec.awct_bumps
         ),
         Err(e) => format!("err;{e:?}"),
     }
@@ -124,7 +124,7 @@ fn work_text(attempt: &VcAttempt) -> String {
     let s = &attempt.spec;
     format!(
         "steps={};entries={};rollbacks={};peak={};not_cloned={};adoptions={};adopted_bytes={}",
-        attempt.dp_steps,
+        s.dp_steps,
         s.trail_entries,
         s.rollbacks,
         s.peak_trail_depth,
