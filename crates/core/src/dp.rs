@@ -93,10 +93,14 @@ pub struct Budget {
     deadline_steps: Option<u64>,
     preempt: Option<vcsched_policy::AwctBound>,
     deadline_fired: bool,
-    /// The attempt's search facts beside the step meter: minAWCT probes
-    /// and per-stage steps and dead ends. Filled by the search, never
-    /// charged as steps.
-    pub(crate) facts: vcsched_policy::SpecStats,
+    /// minAWCT probes (§4.2), counted beside the step meter by the
+    /// search and never charged as steps.
+    pub(crate) probes: u64,
+    /// Steps each of the six stages of Fig. 6 charged (index 0 is
+    /// stage 1), over every pass.
+    pub(crate) stage_steps: [u64; 6],
+    /// Dead ends per stage (index 0 is stage 1).
+    pub(crate) stage_failures: [u64; 6],
 }
 
 impl Budget {
@@ -111,7 +115,9 @@ impl Budget {
             deadline_steps: None,
             preempt: None,
             deadline_fired: false,
-            facts: vcsched_policy::SpecStats::default(),
+            probes: 0,
+            stage_steps: [0; 6],
+            stage_failures: [0; 6],
         }
     }
 

@@ -235,8 +235,13 @@ impl VcScheduler {
         );
         // The budget carries the search's facts; the arena's state carries
         // the whole run's trail telemetry, success or failure.
-        let mut spec = budget.facts;
-        spec.dp_steps = budget.spent();
+        let mut spec = SpecStats {
+            dp_steps: budget.spent(),
+            minawct_probes: budget.probes,
+            stage_steps: budget.stage_steps,
+            stage_failures: budget.stage_failures,
+            ..SpecStats::default()
+        };
         if let Some(st) = arena.state() {
             spec.trail_entries = st.trail.total_entries();
             spec.rollbacks = st.trail.rollbacks();

@@ -57,7 +57,7 @@ fn enhanced_min_targets(
     let mut span = vcsched_obs::span!("vc_minawct");
     let mut probes = 0u64;
     let out = enhanced_min_targets_inner(ctx, windows, live_in_homes, budget, arena, &mut probes);
-    budget.facts.minawct_probes += probes;
+    budget.probes += probes;
     span.field("probes", probes);
     span.field("ok", out.is_ok());
     out

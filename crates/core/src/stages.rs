@@ -451,8 +451,8 @@ pub fn run_all_stages_indexed(
      -> Result<(), (usize, StageFail)> {
         let before = budget.spent();
         let out = f(st, budget).map_err(|e| (stage, e));
-        budget.facts.stage_steps[stage - 1] += budget.spent() - before;
-        budget.facts.stage_failures[stage - 1] += u64::from(out.is_err());
+        budget.stage_steps[stage - 1] += budget.spent() - before;
+        budget.stage_failures[stage - 1] += u64::from(out.is_err());
         out
     };
     run(1, st, budget, stage1_combinations)?;

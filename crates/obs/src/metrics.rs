@@ -76,6 +76,14 @@ impl Counter {
             .map(|s| s.0.load(Ordering::Relaxed))
             .sum()
     }
+
+    /// Zeroes the counter. Increments racing with a reset may land before
+    /// or after it; quiesce writers if an exact cut is needed.
+    pub fn reset(&self) {
+        for s in self.stripes.iter() {
+            s.0.store(0, Ordering::Relaxed);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -84,7 +92,8 @@ impl Counter {
 
 /// A point-in-time signed value (queue depth, live connections, occupancy).
 ///
-/// Unlike counters, gauges go up *and* down — they describe live state,
+/// Unlike counters, gauges go up *and* down and are not cleared by
+/// [`Registry::reset`](crate::Registry::reset) — they describe live state,
 /// not accumulated history.
 #[derive(Clone, Default)]
 pub struct Gauge {
@@ -235,6 +244,14 @@ impl Histogram {
     /// Sum of all recorded samples (wraps on overflow).
     pub fn sum(&self) -> u64 {
         self.inner.sum.load(Ordering::Relaxed)
+    }
+
+    /// Zeroes all buckets and the sum (same caveat as [`Counter::reset`]).
+    pub fn reset(&self) {
+        for b in self.inner.buckets.iter() {
+            b.store(0, Ordering::Relaxed);
+        }
+        self.inner.sum.store(0, Ordering::Relaxed);
     }
 
     /// An immutable copy of the current bucket state with precomputed
@@ -405,6 +422,8 @@ mod tests {
         c.inc();
         c.add(41);
         assert_eq!(c.get(), 42);
+        c.reset();
+        assert_eq!(c.get(), 0);
 
         let g = Gauge::new();
         g.set(7);

@@ -174,6 +174,22 @@ impl Registry {
         }
         Snapshot::from_series(metrics)
     }
+
+    /// Zeroes every counter and histogram. Gauges are left alone — they
+    /// mirror live state (queue depth, connections) that a reset must not
+    /// falsify.
+    pub fn reset(&self) {
+        for shard in &self.shards {
+            let shard = shard.lock().unwrap();
+            for entry in shard.values() {
+                match &entry.metric {
+                    Metric::Counter(c) => c.reset(),
+                    Metric::Histogram(h) => h.reset(),
+                    Metric::Gauge(_) => {}
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -531,6 +547,18 @@ mod tests {
             keys,
             ["alpha", "req{type=\"a\"}", "req{type=\"b\"}", "zeta"]
         );
+    }
+
+    #[test]
+    fn reset_clears_counters_and_histograms_not_gauges() {
+        let r = Registry::new();
+        r.counter("c").add(9);
+        r.histogram("h").record(4);
+        r.gauge("g").set(11);
+        r.reset();
+        assert_eq!(r.counter("c").get(), 0);
+        assert_eq!(r.histogram("h").count(), 0);
+        assert_eq!(r.gauge("g").get(), 11);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! request, which all carry the batch's id with `recv` returning them
 //! one frame at a time until the summary arrives.
 //!
-//! [`Client::connect_binary`] negotiates the compact
-//! `vcsched-frame/v1` framing instead of newline JSON. The switch is
+//! [`Client::connect_binary`] negotiates the compact `vcsched-frame`
+//! framing instead of newline JSON. The switch is
 //! transparent: every method keeps its signature, with the raw-line
 //! variants transcoding between JSON text and binary frames at the
 //! socket boundary.
@@ -28,7 +28,7 @@ use crate::protocol::{envelope_id, request_line, request_value, Request, Respons
 #[derive(Clone, Copy, PartialEq)]
 enum Wire {
     Json,
-    Binary,
+    Binary(frame::Version),
 }
 
 /// A connected protocol client. One request/response exchange at a time;
@@ -49,14 +49,24 @@ impl Client {
         })
     }
 
-    /// Connects and negotiates the `vcsched-frame/v1` binary framing:
-    /// sends the magic preamble and waits for the server to echo it
-    /// back before the first request goes out.
+    /// Connects and negotiates the `vcsched-frame` binary framing: sends
+    /// the newest version's preamble and waits for the server to echo
+    /// it back before the first request goes out. A server that
+    /// predates that version answers the unknown preamble as a bad JSON
+    /// line, so the client reconnects and offers `v1`.
     pub fn connect_binary<A: ToSocketAddrs + std::fmt::Debug>(addr: A) -> Result<Client, String> {
+        Client::negotiate(&addr, frame::Version::V2)
+            .or_else(|_| Client::negotiate(&addr, frame::Version::V1))
+    }
+
+    fn negotiate<A: ToSocketAddrs + std::fmt::Debug>(
+        addr: A,
+        version: frame::Version,
+    ) -> Result<Client, String> {
         let mut client = Client::connect(addr)?;
         let stream = client.reader.get_mut();
         stream
-            .write_all(&frame::MAGIC)
+            .write_all(&version.magic())
             .and_then(|()| stream.flush())
             .map_err(|e| format!("send preamble: {e}"))?;
         let mut ack = [0u8; frame::MAGIC.len()];
@@ -64,16 +74,16 @@ impl Client {
             .reader
             .read_exact(&mut ack)
             .map_err(|e| format!("read preamble ack: {e}"))?;
-        if ack != frame::MAGIC {
+        if ack != version.magic() {
             return Err("server did not acknowledge binary framing".to_owned());
         }
-        client.wire = Wire::Binary;
+        client.wire = Wire::Binary(version);
         Ok(client)
     }
 
     /// True when the connection negotiated binary framing.
     pub fn is_binary(&self) -> bool {
-        self.wire == Wire::Binary
+        matches!(self.wire, Wire::Binary(_))
     }
 
     /// Sends one request and reads its response.
@@ -103,15 +113,8 @@ impl Client {
             }
             // Typed requests skip the JSON text round-trip entirely:
             // build the wire value once and encode it straight into a
-            // frame (the fast path `vcsched-frame/v1` exists for).
-            Wire::Binary => {
-                let bytes = frame::encode_frame(&request_value(request, id));
-                let stream = self.reader.get_mut();
-                stream
-                    .write_all(&bytes)
-                    .and_then(|()| stream.flush())
-                    .map_err(|e| format!("send: {e}"))
-            }
+            // frame (the fast path `vcsched-frame` exists for).
+            Wire::Binary(version) => self.send_frame(&request_value(request, id), version),
         }
     }
 
@@ -119,22 +122,28 @@ impl Client {
     /// to a frame on a binary connection).
     fn send_raw(&mut self, line: &str) -> Result<(), String> {
         debug_assert!(!line.contains('\n'), "requests are single lines");
-        let stream = self.reader.get_mut();
         match self.wire {
-            Wire::Json => stream
-                .write_all(format!("{line}\n").as_bytes())
-                .and_then(|()| stream.flush())
-                .map_err(|e| format!("send: {e}")),
-            Wire::Binary => {
+            Wire::Json => self.write(format!("{line}\n").as_bytes()),
+            Wire::Binary(version) => {
                 let value: Value =
                     serde_json::from_str(line).map_err(|e| format!("bad request `{line}`: {e}"))?;
-                let bytes = frame::encode_frame(&value);
-                stream
-                    .write_all(&bytes)
-                    .and_then(|()| stream.flush())
-                    .map_err(|e| format!("send: {e}"))
+                self.send_frame(&value, version)
             }
         }
+    }
+
+    fn send_frame(&mut self, value: &Value, version: frame::Version) -> Result<(), String> {
+        let mut bytes = Vec::new();
+        frame::encode_frame_into(value, version, &mut bytes, &mut Vec::new());
+        self.write(&bytes)
+    }
+
+    fn write(&mut self, bytes: &[u8]) -> Result<(), String> {
+        let stream = self.reader.get_mut();
+        stream
+            .write_all(bytes)
+            .and_then(|()| stream.flush())
+            .map_err(|e| format!("send: {e}"))
     }
 
     /// Reads the next raw reply as a JSON line (a binary reply frame is
@@ -152,8 +161,8 @@ impl Client {
                 }
                 Ok(response.trim_end().to_owned())
             }
-            Wire::Binary => {
-                let value = self.recv_frame()?;
+            Wire::Binary(version) => {
+                let value = self.recv_frame(version)?;
                 serde_json::to_string(&value).map_err(|e| format!("receive: {e}"))
             }
         }
@@ -161,7 +170,7 @@ impl Client {
 
     /// Reads one complete binary frame off the socket: the varint
     /// length prefix byte-at-a-time, then the announced payload.
-    fn recv_frame(&mut self) -> Result<Value, String> {
+    fn recv_frame(&mut self, version: frame::Version) -> Result<Value, String> {
         let mut buf = Vec::new();
         loop {
             let mut byte = [0u8; 1];
@@ -183,7 +192,9 @@ impl Client {
         // The prefix is complete, so the only incomplete-decode cause
         // left is missing payload bytes; read exactly that many.
         loop {
-            match frame::decode_frame(&buf, usize::MAX).map_err(|e| format!("receive: {e}"))? {
+            match frame::decode_frame_as(&buf, version, usize::MAX)
+                .map_err(|e| format!("receive: {e}"))?
+            {
                 Some((value, _)) => return Ok(value),
                 None => {
                     // Decode reported "need more": extend by what the
@@ -209,7 +220,7 @@ impl Client {
                 let raw = self.recv_raw()?;
                 serde_json::from_str(&raw).map_err(|e| format!("bad response `{raw}`: {e}"))?
             }
-            Wire::Binary => self.recv_frame()?,
+            Wire::Binary(version) => self.recv_frame(version)?,
         };
         let id = envelope_id(&value).map_err(|e| format!("bad response: {e}"))?;
         let response = Response::from_value(&value).map_err(|e| format!("bad response: {e}"))?;

@@ -1,4 +1,4 @@
-//! `vcsched-frame/v1` — the compact binary wire framing.
+//! `vcsched-frame` (versions `v1` and `v2`) — the compact binary wire framing.
 //!
 //! The service's canonical wire format is newline-delimited JSON: easy
 //! to debug, stable, and pinned byte-for-byte by tests. It is also the
@@ -12,16 +12,17 @@
 //!
 //! # Negotiation
 //!
-//! A connection is JSON unless its *very first bytes* are the 8-byte
-//! [`MAGIC`] preamble (`F7 76 63 66 72 6D 31 0A`, i.e. `0xF7` +
-//! `"vcfrm1\n"`). `0xF7` can never begin a JSON request — the JSON
-//! parser accepts only `{ [ " t f n -` digits and whitespace as a first
-//! byte — so the sniff is unambiguous. The server answers by echoing
-//! the same 8 bytes (the ack) and both sides switch to frames; a
-//! connection that starts with anything else stays JSON forever, so
-//! existing clients and the golden byte pins are untouched. Binary
-//! junk *mid-stream* on a JSON connection is still a UTF-8 error, not
-//! a late renegotiation.
+//! A connection is JSON unless its *very first bytes* are an 8-byte
+//! preamble: [`MAGIC`] (`F7 76 63 66 72 6D 32 0A`, i.e. `0xF7` +
+//! `"vcfrm2\n"`) or the older [`MAGIC_V1`] (`… 31 0A`, `"vcfrm1\n"`).
+//! `0xF7` can never begin a JSON request — the JSON parser accepts
+//! only `{ [ " t f n -` digits and whitespace as a first byte — so the
+//! sniff is unambiguous. The server answers by echoing the same 8
+//! bytes (the ack) and both sides switch to frames of that
+//! [`Version`]; a connection that starts with anything else stays JSON
+//! forever, so existing clients and the golden byte pins are
+//! untouched. Binary junk *mid-stream* on a JSON connection is still a
+//! UTF-8 error, not a late renegotiation.
 //!
 //! # Frame grammar
 //!
@@ -42,18 +43,60 @@
 //!
 //! Varints are LEB128 (7 bits per byte, low bits first); signed
 //! integers are zigzag-mapped first. The interned table
-//! ([`INTERNED`]) is part of the `v1` wire contract: append-only,
-//! never reordered. Strings outside the table fall back to the
-//! length-prefixed form, so the table is a compression dictionary,
-//! not a schema.
+//! ([`INTERNED`]) is part of the wire contract: append-only, never
+//! reordered. Each version uses a prefix of it, and a decoder rejects
+//! an index past its version's prefix, so new words need a new
+//! version: `v2` is `v1` plus the metrics-snapshot words. Strings
+//! outside a version's words fall back to the length-prefixed form, so
+//! the table is a compression dictionary, not a schema.
 
 use serde::Value;
 
 /// The connection preamble a binary client sends first, and the ack
-/// the server echoes back. `0xF7` is outside the set of bytes that can
-/// begin a JSON value, which is what makes start-of-connection
-/// sniffing unambiguous.
-pub const MAGIC: [u8; 8] = [0xF7, b'v', b'c', b'f', b'r', b'm', b'1', b'\n'];
+/// the server echoes back: [`Version::V2`], the newest framing. `0xF7`
+/// is outside the set of bytes that can begin a JSON value, which is
+/// what makes start-of-connection sniffing unambiguous.
+pub const MAGIC: [u8; 8] = [0xF7, b'v', b'c', b'f', b'r', b'm', b'2', b'\n'];
+
+/// The [`Version::V1`] preamble, still accepted from older clients.
+pub const MAGIC_V1: [u8; 8] = [0xF7, b'v', b'c', b'f', b'r', b'm', b'1', b'\n'];
+
+/// Words of [`INTERNED`] that `v1` frames may carry.
+const V1_WORDS: usize = 89;
+
+/// A negotiated framing version. Versions share the grammar and differ
+/// only in how many words of [`INTERNED`] their frames may carry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Version {
+    /// `"vcfrm1\n"`: the first 89 words of [`INTERNED`].
+    V1,
+    /// `"vcfrm2\n"`: all of [`INTERNED`], metrics-snapshot words included.
+    V2,
+}
+
+impl Version {
+    /// The version a connection preamble offers, if it is one.
+    pub fn from_magic(preamble: &[u8]) -> Option<Version> {
+        [Version::V2, Version::V1]
+            .into_iter()
+            .find(|v| v.magic() == preamble)
+    }
+
+    /// The preamble that offers this version, which is also its ack.
+    pub fn magic(self) -> [u8; 8] {
+        match self {
+            Version::V1 => MAGIC_V1,
+            Version::V2 => MAGIC,
+        }
+    }
+
+    fn words(self) -> &'static [&'static str] {
+        match self {
+            Version::V1 => &INTERNED[..V1_WORDS],
+            Version::V2 => INTERNED,
+        }
+    }
+}
 
 /// Nesting ceiling for decoded values — mirrors the JSON parser's
 /// depth guard so a hostile frame cannot blow the stack.
@@ -78,9 +121,9 @@ const TAG_INTERNED: u8 = 0x07;
 const TAG_ARRAY: u8 = 0x08;
 const TAG_OBJECT: u8 = 0x09;
 
-/// The `v1` interned-string table: the protocol's fixed vocabulary.
-/// Indices are wire format — append new entries at the end, never
-/// reorder or remove.
+/// The interned-string table: the protocol's fixed vocabulary. Indices
+/// are wire format — append new entries at the end, under a new
+/// [`Version`], and never reorder or remove.
 pub const INTERNED: &[&str] = &[
     // Envelope and framing.
     "type",
@@ -178,7 +221,7 @@ pub const INTERNED: &[&str] = &[
     "2c",
     "4c1",
     "unspecified",
-    // Metrics snapshot fields and kinds.
+    // Metrics snapshot fields and kinds (`v2` onwards).
     "name",
     "labels",
     "kind",
@@ -198,6 +241,7 @@ pub const INTERNED: &[&str] = &[
 /// probe runs stay short.
 const INTERN_SLOT_COUNT: usize = 256;
 const _: () = assert!(INTERNED.len() * 2 <= INTERN_SLOT_COUNT && INTERNED.len() < 255);
+const _: () = assert!(V1_WORDS < INTERNED.len());
 
 /// FNV-1a over `bytes`, folded to a slot of [`INTERN_SLOTS`].
 const fn intern_slot(bytes: &[u8]) -> usize {
@@ -291,6 +335,7 @@ fn unzigzag(n: u64) -> i64 {
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
+    words: &'static [&'static str],
 }
 
 impl<'a> Cursor<'a> {
@@ -339,7 +384,7 @@ impl<'a> Cursor<'a> {
             }
             TAG_INTERNED => {
                 let idx = self.varint()? as usize;
-                INTERNED
+                self.words
                     .get(idx)
                     .map(|&s| s.to_owned())
                     .ok_or_else(|| format!("interned index {idx} out of table"))
@@ -398,9 +443,9 @@ impl<'a> Cursor<'a> {
 }
 
 /// Appends one string in its compact form: interned index when the
-/// string is in the `v1` vocabulary, length-prefixed bytes otherwise.
-fn put_str(s: &str, out: &mut Vec<u8>) {
-    match intern_index(s) {
+/// string is among `words`, length-prefixed bytes otherwise.
+fn put_str(s: &str, words: &[&str], out: &mut Vec<u8>) {
+    match intern_index(s).filter(|&idx| idx < words.len()) {
         Some(idx) => {
             out.push(TAG_INTERNED);
             put_varint(idx as u64, out);
@@ -415,7 +460,7 @@ fn put_str(s: &str, out: &mut Vec<u8>) {
 
 /// Appends one [`Value`] tree in its tag-byte encoding (no frame
 /// length prefix — see [`encode_frame`] for the on-wire form).
-fn encode_value(v: &Value, out: &mut Vec<u8>) {
+fn encode_value(v: &Value, words: &[&str], out: &mut Vec<u8>) {
     match v {
         Value::Null => out.push(TAG_NULL),
         Value::Bool(false) => out.push(TAG_FALSE),
@@ -432,46 +477,52 @@ fn encode_value(v: &Value, out: &mut Vec<u8>) {
             out.push(TAG_FLOAT);
             out.extend_from_slice(&x.to_le_bytes());
         }
-        Value::String(s) => put_str(s, out),
+        Value::String(s) => put_str(s, words, out),
         Value::Array(items) => {
             out.push(TAG_ARRAY);
             put_varint(items.len() as u64, out);
             for item in items {
-                encode_value(item, out);
+                encode_value(item, words, out);
             }
         }
         Value::Object(fields) => {
             out.push(TAG_OBJECT);
             put_varint(fields.len() as u64, out);
             for (key, value) in fields {
-                put_str(key, out);
-                encode_value(value, out);
+                put_str(key, words, out);
+                encode_value(value, words, out);
             }
         }
     }
 }
 
-/// Appends one complete frame — `varint(len)` + payload — to `out`,
-/// using `scratch` as the reusable payload staging buffer (cleared on
-/// entry). Callers that keep both buffers alive pay zero allocations
-/// per frame once the high-water mark is reached.
-pub fn encode_frame_into(v: &Value, out: &mut Vec<u8>, scratch: &mut Vec<u8>) {
+/// Appends one complete `version` frame — `varint(len)` + payload — to
+/// `out`, using `scratch` as the reusable payload staging buffer
+/// (cleared on entry). Callers that keep both buffers alive pay zero
+/// allocations per frame once the high-water mark is reached.
+pub fn encode_frame_into(v: &Value, version: Version, out: &mut Vec<u8>, scratch: &mut Vec<u8>) {
     scratch.clear();
-    encode_value(v, scratch);
+    encode_value(v, version.words(), scratch);
     put_varint(scratch.len() as u64, out);
     out.extend_from_slice(scratch);
 }
 
-/// One frame as a fresh byte vector (convenience for clients and
-/// tests; the reactor uses [`encode_frame_into`]).
+/// One newest-version frame as a fresh byte vector (convenience for
+/// clients and tests; the reactor uses [`encode_frame_into`]).
 pub fn encode_frame(v: &Value) -> Vec<u8> {
     let mut out = Vec::new();
     let mut scratch = Vec::new();
-    encode_frame_into(v, &mut out, &mut scratch);
+    encode_frame_into(v, Version::V2, &mut out, &mut scratch);
     out
 }
 
-/// Attempts to decode one frame from the front of `buf`.
+/// Attempts to decode one newest-version frame from the front of `buf`
+/// (see [`decode_frame_as`]).
+pub fn decode_frame(buf: &[u8], max_payload: usize) -> Result<Option<(Value, usize)>, String> {
+    decode_frame_as(buf, Version::V2, max_payload)
+}
+
+/// Attempts to decode one `version` frame from the front of `buf`.
 ///
 /// Returns `Ok(None)` when the buffer does not yet hold a complete
 /// frame (read more bytes), `Ok(Some((value, consumed)))` on success —
@@ -479,7 +530,11 @@ pub fn encode_frame(v: &Value) -> Vec<u8> {
 /// the stream is corrupt or the announced payload exceeds
 /// `max_payload` (the caller should drop the connection; framing
 /// cannot be resynchronized).
-pub fn decode_frame(buf: &[u8], max_payload: usize) -> Result<Option<(Value, usize)>, String> {
+pub fn decode_frame_as(
+    buf: &[u8],
+    version: Version,
+    max_payload: usize,
+) -> Result<Option<(Value, usize)>, String> {
     // Parse the length prefix by hand so an incomplete varint is
     // "not yet", not an error.
     let mut len: u64 = 0;
@@ -509,6 +564,7 @@ pub fn decode_frame(buf: &[u8], max_payload: usize) -> Result<Option<(Value, usi
     let mut cursor = Cursor {
         buf: &buf[prefix..prefix + len],
         pos: 0,
+        words: version.words(),
     };
     let value = cursor.value(0)?;
     if cursor.pos != len {
@@ -622,7 +678,29 @@ mod tests {
         // set of first bytes the JSON parser accepts.
         assert!(serde_json::from_str::<Value>("\u{f7}").is_err());
         assert_eq!(MAGIC[0], 0xF7);
-        assert_eq!(&MAGIC[1..], b"vcfrm1\n");
+        assert_eq!(&MAGIC[1..], b"vcfrm2\n");
+        assert_eq!(MAGIC_V1[0], 0xF7);
+        assert_eq!(&MAGIC_V1[1..], b"vcfrm1\n");
+        for version in [Version::V1, Version::V2] {
+            assert_eq!(Version::from_magic(&version.magic()), Some(version));
+        }
+    }
+
+    #[test]
+    fn v1_frames_carry_only_v1_words() {
+        // "type" is a v1 word; "name" is the first word v2 appended.
+        assert_eq!(INTERNED[V1_WORDS], "name");
+        let v = Value::Object(vec![("name".into(), Value::String("type".into()))]);
+        let mut v1 = Vec::new();
+        encode_frame_into(&v, Version::V1, &mut v1, &mut Vec::new());
+        let (decoded, _) = decode_frame_as(&v1, Version::V1, 1 << 20)
+            .expect("a v1 peer reads a v1 frame")
+            .expect("complete");
+        assert_eq!(decoded, v);
+        // The v2 frame interns "name", which a v1 peer cannot read.
+        let v2 = encode_frame(&v);
+        assert!(v2.len() < v1.len());
+        assert!(decode_frame_as(&v2, Version::V1, 1 << 20).is_err());
     }
 
     #[test]
@@ -715,7 +793,11 @@ mod tests {
         for n in [0, 1, 127, 128, 16_383, 16_384, u64::MAX - 1, u64::MAX] {
             let mut buf = Vec::new();
             put_varint(n, &mut buf);
-            let mut cursor = Cursor { buf: &buf, pos: 0 };
+            let mut cursor = Cursor {
+                buf: &buf,
+                pos: 0,
+                words: INTERNED,
+            };
             assert_eq!(cursor.varint().expect("valid"), n);
             assert_eq!(cursor.pos, buf.len());
         }

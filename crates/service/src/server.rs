@@ -1,6 +1,6 @@
 //! The daemon: a TCP listener speaking the newline-delimited JSON
 //! protocol — or, negotiated per connection, the compact binary
-//! `vcsched-frame/v1` framing — over a [`SubmitPool`].
+//! `vcsched-frame` framing — over a [`SubmitPool`].
 //!
 //! One reactor thread multiplexes the listener and every connection
 //! through a level-triggered readiness poller (the `reactor` module):
@@ -13,9 +13,10 @@
 //! negotiated wire format, batching everything queued since the last
 //! doorbell into one buffer flush.
 //!
-//! A connection's first bytes pick its framing: the exact
-//! [`frame::MAGIC`] preamble switches it to binary frames (the server
-//! echoes the preamble as an ack), anything else — including every
+//! A connection's first bytes pick its framing: an exact
+//! [`frame::MAGIC`] or [`frame::MAGIC_V1`] preamble switches it to
+//! binary frames of that version (the server echoes the preamble as an
+//! ack), anything else — including every
 //! byte a JSON value can start with — leaves it on newline JSON, so
 //! legacy clients are untouched and their replies stay byte-identical.
 //!
@@ -604,9 +605,9 @@ enum Fill {
 enum Wire {
     /// Newline-delimited JSON (the default; legacy clients land here).
     Json,
-    /// `vcsched-frame/v1` length-prefixed binary frames, negotiated by
-    /// the [`frame::MAGIC`] preamble.
-    Binary,
+    /// `vcsched-frame` length-prefixed binary frames of the version its
+    /// preamble negotiated.
+    Binary(frame::Version),
 }
 
 /// One multiplexed connection's state, owned by the reactor thread.
@@ -708,9 +709,9 @@ impl Conn {
                 self.wbuf.extend_from_slice(line.as_bytes());
                 self.wbuf.push(b'\n');
             }
-            Wire::Binary => {
+            Wire::Binary(version) => {
                 let value = response_value(response, id);
-                frame::encode_frame_into(&value, &mut self.wbuf, &mut self.scratch);
+                frame::encode_frame_into(&value, version, &mut self.wbuf, &mut self.scratch);
             }
         }
     }
@@ -718,19 +719,9 @@ impl Conn {
     /// Encodes one reply into an owned buffer (for out-of-order held
     /// slots).
     fn render(&mut self, response: &Response, id: Option<u64>) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        match self.wire {
-            Wire::Json => {
-                let line = response_line(response, id);
-                bytes.extend_from_slice(line.as_bytes());
-                bytes.push(b'\n');
-            }
-            Wire::Binary => {
-                let value = response_value(response, id);
-                frame::encode_frame_into(&value, &mut bytes, &mut self.scratch);
-            }
-        }
-        bytes
+        let pending = std::mem::take(&mut self.wbuf);
+        self.render_to_wbuf(response, id);
+        std::mem::replace(&mut self.wbuf, pending)
     }
 
     /// Writes buffered reply bytes until done or `WouldBlock`. Returns
@@ -952,8 +943,9 @@ fn close_conn(shared: &Shared, poller: &mut Poller, conns: &mut BTreeMap<u64, Co
 /// Consumes every complete request buffered on the connection.
 ///
 /// The connection's very first bytes pick the framing: an exact
-/// [`frame::MAGIC`] preamble switches to binary frames (acked by
-/// echoing the preamble); anything else is newline JSON forever —
+/// [`frame::MAGIC`] or [`frame::MAGIC_V1`] preamble switches to binary
+/// frames of that version (acked by echoing the preamble); anything
+/// else is newline JSON forever —
 /// the magic's first byte can never start a JSON value, so the sniff
 /// is unambiguous and mid-stream bytes are never re-inspected.
 ///
@@ -969,12 +961,12 @@ fn process_buffered(shared: &Arc<Shared>, token: u64, conn: &mut Conn) {
             if conn.rbuf.len() < frame::MAGIC.len() {
                 return; // a partial preamble: wait for the rest
             }
-            if conn.rbuf[..frame::MAGIC.len()] == frame::MAGIC {
+            if let Some(version) = frame::Version::from_magic(&conn.rbuf[..frame::MAGIC.len()]) {
                 conn.rbuf.drain(..frame::MAGIC.len());
-                conn.wire = Wire::Binary;
+                conn.wire = Wire::Binary(version);
                 // Ack by echoing the preamble, so the client knows the
                 // negotiation landed before its first reply frame.
-                conn.wbuf.extend_from_slice(&frame::MAGIC);
+                conn.wbuf.extend_from_slice(&version.magic());
                 shared.metrics.binary_connections.inc();
             }
             // A near-miss preamble falls through as JSON and fails
@@ -984,7 +976,7 @@ fn process_buffered(shared: &Arc<Shared>, token: u64, conn: &mut Conn) {
     }
     match conn.wire {
         Wire::Json => process_json(shared, token, conn),
-        Wire::Binary => process_frames(shared, token, conn),
+        Wire::Binary(version) => process_frames(shared, token, conn, version),
     }
     if !conn.closing && conn.wire == Wire::Json && conn.rbuf.len() > shared.config.max_request_bytes
     {
@@ -1061,11 +1053,11 @@ fn process_json(shared: &Arc<Shared>, token: u64, conn: &mut Conn) {
 /// Consumes buffered binary frames. A corrupt or oversized frame is
 /// unrecoverable (a length-prefixed stream has no resync point), so it
 /// answers with an error and closes.
-fn process_frames(shared: &Arc<Shared>, token: u64, conn: &mut Conn) {
+fn process_frames(shared: &Arc<Shared>, token: u64, conn: &mut Conn, version: frame::Version) {
     let mut buf = std::mem::take(&mut conn.rbuf);
     let mut consumed = 0;
     while !conn.closing {
-        match frame::decode_frame(&buf[consumed..], shared.config.max_request_bytes) {
+        match frame::decode_frame_as(&buf[consumed..], version, shared.config.max_request_bytes) {
             Ok(Some((value, used))) => {
                 consumed += used;
                 handle_value(shared, token, conn, &value);

@@ -72,7 +72,7 @@ pub(crate) struct ServerMetrics {
     /// their buffered replies exceeded `--max-write-buffer`.
     pub slow_reader_closed: Counter,
     /// `service_binary_connections_total`: connections that negotiated
-    /// the `vcsched-frame/v1` binary framing.
+    /// the `vcsched-frame` binary framing (either version).
     pub binary_connections: Counter,
     /// `engine_selector_decisions_total{kind=…}`: adaptive decisions of
     /// solved requests, by kind (see [`ServerMetrics::decision`]).

@@ -1,4 +1,4 @@
-//! Wire-format integration tests: binary `vcsched-frame/v1` framing
+//! Wire-format integration tests: binary `vcsched-frame` framing
 //! against the newline-JSON wire.
 //!
 //! Covers — per the protocol's compatibility contract — a byte-level
@@ -10,10 +10,11 @@
 //! mixed-framing soak (JSON and binary clients interleaved on one
 //! server with exact accounting), and a fair-queuing soak (high
 //! priority pings keep flowing while one connection saturates the pool
-//! with a streamed batch).
+//! with a streamed batch), and `v1` peers on either side of a `v2`
+//! one.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -576,4 +577,116 @@ fn hostile_blocks_get_typed_errors_and_the_pool_survives() {
     }
     server.shutdown();
     server.join();
+}
+
+/// Reads one `version` frame off a raw socket, buffering in `buf`.
+fn read_frame(stream: &mut TcpStream, buf: &mut Vec<u8>, version: frame::Version) -> Value {
+    loop {
+        if let Some((value, used)) =
+            frame::decode_frame_as(buf, version, 1 << 24).expect("frame decodes")
+        {
+            buf.drain(..used);
+            return value;
+        }
+        let mut chunk = [0u8; 4096];
+        let n = stream.read(&mut chunk).expect("read");
+        assert!(n > 0, "peer closed mid-frame");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+fn write_frame(stream: &mut TcpStream, value: &Value, version: frame::Version) {
+    let mut bytes = Vec::new();
+    frame::encode_frame_into(value, version, &mut bytes, &mut Vec::new());
+    stream.write_all(&bytes).expect("write frame");
+}
+
+fn schedule_request() -> Request {
+    Request::Schedule {
+        block: test_block(),
+        machine: "2c".to_owned(),
+        policies: None,
+        mode: Some(ScheduleMode::Single),
+        steps: Some(5_000),
+        budget_bytes: None,
+        early_cancel: None,
+        adaptive: None,
+        placement_seed: None,
+        return_schedule: false,
+        deadline_ms: None,
+        priority: None,
+    }
+}
+
+/// A client that only knows `v1` negotiates it with a current server,
+/// and every reply it gets (a schedule and a metrics reply, whose words
+/// `v2` added to the intern table) carries only `v1` words.
+#[test]
+fn a_v1_client_reads_every_reply_of_a_current_server() {
+    let v1 = frame::Version::V1;
+    let server = small_server(1, 8);
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.write_all(&frame::MAGIC_V1).expect("preamble");
+    let mut ack = [0u8; 8];
+    stream.read_exact(&mut ack).expect("ack");
+    assert_eq!(ack, frame::MAGIC_V1, "the server acks the version offered");
+    let mut buf = Vec::new();
+    write_frame(
+        &mut stream,
+        &request_value(&schedule_request(), Some(1)),
+        v1,
+    );
+    let reply = Response::from_value(&read_frame(&mut stream, &mut buf, v1)).expect("reply");
+    assert!(matches!(reply, Response::Schedule(_)), "{reply:?}");
+    write_frame(&mut stream, &request_value(&Request::Metrics, Some(2)), v1);
+    let reply = Response::from_value(&read_frame(&mut stream, &mut buf, v1)).expect("reply");
+    assert!(matches!(reply, Response::Metrics { .. }), "{reply:?}");
+    write_frame(&mut stream, &request_value(&Request::Shutdown, None), v1);
+    server.join();
+}
+
+/// A current client against a server that predates `v2`: the server
+/// answers the unknown preamble as a bad JSON line, and the client
+/// reconnects, offers `v1` and then sends only `v1` words (the schedule
+/// request's block has a `name` key, a `v2` word).
+#[test]
+fn a_current_client_falls_back_to_v1_with_an_older_server() {
+    let v1 = frame::Version::V1;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let old_server = std::thread::spawn(move || {
+        let mut offered = Vec::new();
+        for stream in listener.incoming().take(2) {
+            let mut stream = stream.expect("accept");
+            let mut preamble = [0u8; 8];
+            stream.read_exact(&mut preamble).expect("preamble");
+            offered.push(preamble);
+            if preamble != frame::MAGIC_V1 {
+                stream
+                    .write_all(b"{\"type\":\"error\",\"error\":\"invalid request\"}\n")
+                    .expect("error line");
+                continue;
+            }
+            stream.write_all(&frame::MAGIC_V1).expect("ack");
+            let mut buf = Vec::new();
+            let request = read_frame(&mut stream, &mut buf, v1);
+            assert_eq!(request.get("type"), Some(&Value::String("schedule".into())));
+            let reply = Response::Error {
+                error: "seen".to_owned(),
+                retry_after_ms: None,
+            };
+            write_frame(&mut stream, &response_value(&reply, None), v1);
+        }
+        offered
+    });
+    let mut client = Client::connect_binary(addr).expect("falls back to v1");
+    assert!(client.is_binary());
+    match client.request(&schedule_request()).expect("reply") {
+        Response::Error { error, .. } => assert_eq!(error, "seen"),
+        other => panic!("expected the fake server's reply, got {other:?}"),
+    }
+    assert_eq!(
+        old_server.join().expect("the older server read a v1 frame"),
+        vec![frame::MAGIC, frame::MAGIC_V1]
+    );
 }

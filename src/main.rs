@@ -129,9 +129,9 @@ SERVE / REQUEST:
     --stream prints batch frames as they arrive); `--json LINE` sends
     a raw protocol line. A `shutdown` request drains in-flight work,
     then exits.
-    The wire defaults to newline JSON; a client opening with the
-    vcsched-frame/v1 magic preamble (`request --binary`, `replay
-    --addr --binary`, or Client::connect_binary) switches its
+    The wire defaults to newline JSON; a client opening with a
+    vcsched-frame magic preamble, v2 or the older v1 (`request
+    --binary`, `replay --addr --binary`, or Client::connect_binary) switches its
     connection to compact binary frames — same requests and replies,
     ~1.5-2x the request throughput. Admission into the worker queue is
     fair-queued per connection (weighted round-robin by priority

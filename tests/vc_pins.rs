@@ -15,7 +15,12 @@
 //!
 //! * `.../out`: the outcome kind, and for a schedule its cycles,
 //!   clusters, copies, AWCT, minimum AWCT and bump count;
-//! * `.../work`: deduction steps and every `SpecStats` field.
+//! * `.../work`: deduction steps and the `SpecStats` trail and adoption
+//!   fields. The minAWCT probes and per-stage steps and dead ends that
+//!   `SpecStats` also carries are in neither line (the bump count is in
+//!   `/out`); `vc_series_fold_each_fresh_attempt_once` in
+//!   `crates/engine/src/submit.rs` and the service's obs tests check
+//!   them.
 //!
 //! `tests/fixtures/vc_pins.txt` holds one `label digest` line per output.
 //! If a change is meant to move these outputs, regenerate with:
