@@ -219,8 +219,10 @@ pub struct PolicySummary {
     pub policy: String,
     /// Blocks this policy won.
     pub wins: usize,
-    /// Total deduction steps it consumed (cached blocks contribute the
-    /// steps recorded when they were first scheduled).
+    /// Total deduction steps it reported (cached blocks contribute the
+    /// steps recorded when they were first scheduled). A `vc` give-up
+    /// (burnt budget or bump limit) counts the legacy `max_dp_steps + 1`,
+    /// not the steps it spent, as [`PolicyStat::steps`] does.
     pub steps: u64,
     /// Blocks where it abandoned (budget, beaten, or gave up).
     pub fallbacks: usize,

@@ -284,7 +284,13 @@ fn record_policy_totals(
         vc.record(outcome);
         for stat in &outcome.policy_stats {
             let i = index_of(&mut totals, &stat.policy);
-            totals[i].steps += stat.steps;
+            // `vc`'s stat reports a give-up as the legacy `max + 1`; its
+            // spec holds the steps the attempt actually spent.
+            totals[i].steps += if stat.policy == "vc" {
+                outcome.vc_spec.dp_steps
+            } else {
+                stat.steps
+            };
             if stat.gave_up() {
                 totals[i].fallbacks += 1;
             }
@@ -711,6 +717,32 @@ mod tests {
             (1..=steps).contains(&stage_steps),
             "{stage_steps} stage steps of {steps}"
         );
+    }
+
+    /// A burnt budget folds the steps VC actually spent into
+    /// `policy_totals`, not the legacy `max_dp_steps + 1` its stat keeps.
+    #[test]
+    fn policy_totals_count_the_steps_a_burnt_budget_spent() {
+        use vcsched_obs::MetricValue;
+        let pool = SubmitPool::new(1, 4, Arc::new(ScheduleCache::in_memory(8)));
+        // Block 3's last charge overshoots a 20-step budget, so the steps
+        // spent exceed the legacy figure.
+        let mut tight = problem(3);
+        tight.options.max_dp_steps = 20;
+        let solved = pool.try_submit(tight).expect("accepted").wait();
+        let outcome = solved.expect("solved").outcome;
+        let vc = outcome.policy_stats.iter().find(|s| s.policy == "vc");
+        assert_eq!(vc.expect("vc raced").fallback, PolicyFallback::Budget);
+        assert_eq!(outcome.vc_steps, 21, "the stat keeps the legacy max + 1");
+
+        let snap = pool.vc_series();
+        let spent = match snap.find("vc_dp_steps", &[]).map(|m| &m.value) {
+            Some(MetricValue::Histogram(h)) => h.sum,
+            other => panic!("vc_dp_steps is not a served histogram: {other:?}"),
+        };
+        let totals = pool.policy_totals();
+        let vc_totals = totals.iter().find(|t| t.policy == "vc").expect("vc totals");
+        assert_eq!(vc_totals.steps, spent, "policy_totals counts steps spent");
     }
 
     #[test]

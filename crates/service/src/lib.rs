@@ -58,9 +58,9 @@ pub use server::{serve, ServerHandle, ServiceConfig};
 
 use vcsched_arch::MachineConfig;
 
-/// Resolves a machine preset name from the wire protocol (the same
-/// [`MachineConfig::preset`] table the CLI uses), with a protocol-ready
-/// error message.
+/// Resolves a machine preset name through [`MachineConfig::preset`],
+/// with a protocol-ready error message. The wire protocol and the CLI's
+/// `--machine` flag both resolve through it.
 pub fn machine_by_name(name: &str) -> Result<MachineConfig, String> {
     MachineConfig::preset(name).ok_or_else(|| {
         format!(

@@ -8,8 +8,6 @@
 //! * [`cars`] — the CARS baseline the paper compares against;
 //! * [`baselines`] — UAS and two-phase partition-then-schedule, the other
 //!   two families in the paper's related work;
-//! * [`mod@cfg`] — control-flow graphs, profiles, trace selection, superblock
-//!   formation (the IMPACT-style front end);
 //! * [`workload`] — synthetic SpecInt95/MediaBench superblock corpora;
 //! * [`sim`] — schedule validation, trace-driven execution, register
 //!   pressure, VLIW listings;
@@ -28,7 +26,6 @@
 pub use vcsched_arch as arch;
 pub use vcsched_baselines as baselines;
 pub use vcsched_cars as cars;
-pub use vcsched_cfg as cfg;
 pub use vcsched_core as core;
 pub use vcsched_engine as engine;
 pub use vcsched_graph as graph;

@@ -22,6 +22,7 @@ use vcsched::arch::{MachineConfig, OpClass};
 use vcsched::cars::CarsScheduler;
 use vcsched::core::VcScheduler;
 use vcsched::ir::{Schedule, Superblock, SuperblockBuilder};
+use vcsched::service::machine_by_name;
 use vcsched::sim::{execute, listing, pressure, validate, ExecOptions};
 use vcsched::workload::{benchmark, benchmarks, generate_block, InputSet};
 
@@ -241,16 +242,6 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 
 fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
-}
-
-fn machine_by_name(name: &str) -> Result<MachineConfig, String> {
-    // One preset table for the CLI and the service wire protocol.
-    MachineConfig::preset(name).ok_or_else(|| {
-        format!(
-            "unknown machine `{name}` (one of {})",
-            MachineConfig::PRESET_KEYS.join(", ")
-        )
-    })
 }
 
 fn cmd_machines() -> Result<(), String> {

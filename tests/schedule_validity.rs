@@ -13,6 +13,9 @@
 //!   being routed through an in-time copy;
 //! * **resource constraints respected** — the same validator checks
 //!   per-cycle FU capacity, issue width, branch caps and bus bandwidth.
+//!
+//! One plain test also runs CARS schedules through the trace-driven
+//! executor and checks the measured mean cycles against the static AWCT.
 
 use proptest::prelude::*;
 use vcsched::arch::MachineConfig;
@@ -20,6 +23,7 @@ use vcsched::baselines::{ClusterOrder, TwoPhaseScheduler, UasScheduler};
 use vcsched::cars::CarsScheduler;
 use vcsched::engine::{schedule_block, PolicyOptions, PolicySet, STEPS_1S};
 use vcsched::ir::{Schedule, Superblock};
+use vcsched::sim::{execute, ExecOptions};
 use vcsched::workload::{benchmarks, generate_block, live_in_placement, InputSet};
 
 fn machines() -> Vec<MachineConfig> {
@@ -151,5 +155,38 @@ proptest! {
         let homes = live_in_placement(&sb, machine.cluster_count(), block);
         let out = TwoPhaseScheduler::new(machine.clone()).schedule_with_live_ins(&sb, &homes);
         assert_valid("two-phase", &sb, &machine, &out.schedule);
+    }
+}
+
+#[test]
+fn dynamic_executor_agrees_with_static_awct_on_workload_blocks() {
+    let machine = MachineConfig::paper_4c_16w_lat2();
+    let cars = CarsScheduler::new(machine.clone());
+    for spec in benchmarks().iter().take(12) {
+        // A single-exit block runs the same path every iteration, so
+        // take the first block with a side exit for the executor to sample.
+        let sb = (0..)
+            .map(|index| generate_block(spec, 59, index, InputSet::Ref))
+            .find(|sb| sb.exits().count() >= 2)
+            .expect("every application yields multi-exit blocks");
+        let out = cars.schedule(&sb);
+        let report = execute(
+            &sb,
+            &machine,
+            &out.schedule,
+            &ExecOptions {
+                iterations: 40_000,
+                ..ExecOptions::default()
+            },
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", sb.name()));
+        let tol = 0.05 * report.static_awct.max(1.0);
+        assert!(
+            (report.mean_cycles - report.static_awct).abs() <= tol,
+            "{}: dynamic {} vs static {}",
+            sb.name(),
+            report.mean_cycles,
+            report.static_awct
+        );
     }
 }
