@@ -23,7 +23,17 @@
 //!   ([`Deserialize::from_owned_value`]), so a `Value` result is the
 //!   parse itself rather than a deep copy of it;
 //! * object keys keep insertion order, which makes serialized output
-//!   deterministic — the schedule cache relies on that.
+//!   deterministic — the schedule cache relies on that;
+//! * besides the tree, [`Deserialize::read`] decodes straight from a
+//!   pull [`Reader`] (JSON text in `serde_json`, binary frames in the
+//!   service crate). The default reads the tree and converts it; the
+//!   derive and the request-path types override it to build the value
+//!   with no tree. An override may refuse input the tree path accepts —
+//!   its caller then decodes the same bytes through the tree for the
+//!   answer or the error — but never accepts input the tree path refuses
+//!   or decodes differently.
+
+use std::borrow::Cow;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -109,6 +119,11 @@ impl DeError {
     pub fn missing(ty: &str, field: &str) -> DeError {
         DeError(format!("missing field `{field}` of {ty}"))
     }
+
+    /// An unknown-field error of a typed decode.
+    pub fn unknown(ty: &str, field: &str) -> DeError {
+        DeError(format!("unknown field `{field}` of {ty}"))
+    }
 }
 
 impl std::fmt::Display for DeError {
@@ -143,11 +158,100 @@ pub trait Deserialize: Sized {
     fn from_owned_value(v: Value) -> Result<Self, DeError> {
         Self::from_value(&v)
     }
+
+    /// Deserializes straight from a pull reader. The default reads the
+    /// next value as a tree ([`Reader::value`]) and converts it, so it
+    /// accepts exactly what the tree path does. An override builds the
+    /// value with no tree; it must never accept input the tree path
+    /// refuses or decodes differently, and it refuses what it does not
+    /// handle (an unknown or repeated key, say) so the caller can fall
+    /// back to the tree.
+    fn read<'de, R: Reader<'de>>(r: &mut R) -> Result<Self, DeError> {
+        Self::from_owned_value(r.value()?)
+    }
+}
+
+/// The kind of the next value a [`Reader`] holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool,
+    /// An integer or a float.
+    Number,
+    /// A string.
+    String,
+    /// An array.
+    Array,
+    /// An object.
+    Object,
+}
+
+/// An open array or object of a [`Reader`]: the reader's own position
+/// in it (a JSON reader's first-element flag, a binary reader's count
+/// of elements left).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Seq(pub u64);
+
+/// A pull reader over one encoded value: the typed decode path. Every
+/// method consumes input only on success; an error leaves the reader
+/// unusable, and the caller decodes the same bytes through the tree.
+pub trait Reader<'de> {
+    /// The kind of the next value, without consuming it.
+    fn peek(&mut self) -> Result<Kind, DeError>;
+
+    /// Consumes a `null`, boolean or number as the scalar [`Value`] the
+    /// tree decoder would build for it (never a string or container).
+    fn scalar(&mut self) -> Result<Value, DeError>;
+
+    /// Consumes a string, borrowed from the input when it needs no
+    /// unescaping.
+    fn str(&mut self) -> Result<Cow<'de, str>, DeError>;
+
+    /// Consumes the start of an array.
+    fn array(&mut self) -> Result<Seq, DeError>;
+
+    /// Whether the open array has another element; consumes the
+    /// separator before it, or the array's end.
+    fn element(&mut self, seq: &mut Seq) -> Result<bool, DeError>;
+
+    /// Consumes the start of an object.
+    fn object(&mut self) -> Result<Seq, DeError>;
+
+    /// The open object's next key, or `None` at its end; the key's value
+    /// is the reader's next value.
+    fn key(&mut self, seq: &mut Seq) -> Result<Option<Cow<'de, str>>, DeError>;
+
+    /// Consumes the next value whole, as the tree decoder builds it.
+    fn value(&mut self) -> Result<Value, DeError>;
 }
 
 /// Fetches a required object field (used by derived impls).
 pub fn field<'a>(v: &'a Value, ty: &str, name: &str) -> Result<&'a Value, DeError> {
     v.get(name).ok_or_else(|| DeError::missing(ty, name))
+}
+
+/// Reads one field's value into its slot during a typed struct decode,
+/// refusing a repeated key: the tree keeps a repeat's first occurrence,
+/// and a typed read refuses rather than decide (used by derived impls).
+pub fn read_field<'de, R: Reader<'de>, T: Deserialize>(
+    r: &mut R,
+    slot: &mut Option<T>,
+    ty: &str,
+    name: &str,
+) -> Result<(), DeError> {
+    if slot.is_some() {
+        return Err(DeError(format!("repeated field `{name}` of {ty}")));
+    }
+    *slot = Some(T::read(r)?);
+    Ok(())
+}
+
+/// A typed struct decode's value for a required field (used by derived
+/// impls).
+pub fn required<T>(slot: Option<T>, ty: &str, name: &str) -> Result<T, DeError> {
+    slot.ok_or_else(|| DeError::missing(ty, name))
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
@@ -177,6 +281,10 @@ impl Deserialize for bool {
             other => Err(DeError::expected("bool", other)),
         }
     }
+
+    fn read<'de, R: Reader<'de>>(r: &mut R) -> Result<Self, DeError> {
+        Self::from_value(&r.scalar()?)
+    }
 }
 
 macro_rules! impl_uint {
@@ -200,6 +308,10 @@ macro_rules! impl_uint {
                 <$t>::try_from(n).map_err(|_| DeError(format!(
                     "integer {n} out of range for {}", stringify!($t)
                 )))
+            }
+
+            fn read<'de, R: Reader<'de>>(r: &mut R) -> Result<Self, DeError> {
+                Self::from_value(&r.scalar()?)
             }
         }
     )*};
@@ -229,6 +341,10 @@ macro_rules! impl_int {
                     "integer {n} out of range for {}", stringify!($t)
                 )))
             }
+
+            fn read<'de, R: Reader<'de>>(r: &mut R) -> Result<Self, DeError> {
+                Self::from_value(&r.scalar()?)
+            }
         }
     )*};
 }
@@ -253,6 +369,10 @@ impl Deserialize for f64 {
             ref other => Err(DeError::expected("number", other)),
         }
     }
+
+    fn read<'de, R: Reader<'de>>(r: &mut R) -> Result<Self, DeError> {
+        Self::from_value(&r.scalar()?)
+    }
 }
 
 impl Serialize for f32 {
@@ -268,6 +388,10 @@ impl Serialize for f32 {
 impl Deserialize for f32 {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         f64::from_value(v).map(|x| x as f32)
+    }
+
+    fn read<'de, R: Reader<'de>>(r: &mut R) -> Result<Self, DeError> {
+        Self::from_value(&r.scalar()?)
     }
 }
 
@@ -304,6 +428,10 @@ impl Deserialize for String {
             Value::String(s) => Ok(s),
             other => Err(DeError::expected("string", &other)),
         }
+    }
+
+    fn read<'de, R: Reader<'de>>(r: &mut R) -> Result<Self, DeError> {
+        r.str().map(Cow::into_owned)
     }
 }
 
@@ -347,6 +475,14 @@ impl<T: Deserialize> Deserialize for Option<T> {
             other => T::from_value(other).map(Some),
         }
     }
+
+    fn read<'de, R: Reader<'de>>(r: &mut R) -> Result<Self, DeError> {
+        if r.peek()? == Kind::Null {
+            r.scalar()?;
+            return Ok(None);
+        }
+        T::read(r).map(Some)
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
@@ -382,6 +518,15 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             Value::Array(a) => a.iter().map(T::from_value).collect(),
             other => Err(DeError::expected("array", other)),
         }
+    }
+
+    fn read<'de, R: Reader<'de>>(r: &mut R) -> Result<Self, DeError> {
+        let mut seq = r.array()?;
+        let mut items = Vec::new();
+        while r.element(&mut seq)? {
+            items.push(T::read(r)?);
+        }
+        Ok(items)
     }
 }
 
@@ -439,5 +584,9 @@ impl Deserialize for Value {
 
     fn from_owned_value(v: Value) -> Result<Self, DeError> {
         Ok(v)
+    }
+
+    fn read<'de, R: Reader<'de>>(r: &mut R) -> Result<Self, DeError> {
+        r.value()
     }
 }

@@ -18,7 +18,11 @@
 //!
 //! Named structs, newtypes and unit-only enums also get a direct
 //! `write_json` that prints compact JSON without building the `Value`
-//! tree; its bytes equal printing `to_value()`.
+//! tree; its bytes equal printing `to_value()`. The same shapes get a
+//! typed `read` from a pull reader, with no tree: it accepts what
+//! `from_value` accepts and decodes it the same way, except that it
+//! refuses an unknown or repeated key, which the tree path ignores or
+//! resolves to its first occurrence.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -472,14 +476,83 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
             )
         }
     };
+    let read = typed_reader(&name, &shape)
+        .map(|body| {
+            format!(
+                "fn read<'de, R: ::serde::Reader<'de>>(r: &mut R) -> \
+                 ::std::result::Result<Self, ::serde::DeError> {{\n{body}\n}}\n"
+            )
+        })
+        .unwrap_or_default();
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
          fn from_value(v: &::serde::Value) -> \
          ::std::result::Result<Self, ::serde::DeError> {{\n\
          {body}\n\
          }}\n\
+         {read}\
          }}"
     )
     .parse()
     .unwrap()
+}
+
+/// The body of a typed `read` for the shapes on the request path: named
+/// structs, newtypes and unit-only enums. Other shapes keep the trait's
+/// default (read the tree, then convert it).
+fn typed_reader(name: &str, shape: &Shape) -> Option<String> {
+    match shape {
+        Shape::Named(fields) => {
+            let slots: Vec<String> = fields
+                .iter()
+                .map(|f| format!("let mut f_{f} = ::std::option::Option::None;"))
+                .collect();
+            let arms: Vec<String> = fields
+                .iter()
+                .map(|f| format!("{f:?} => ::serde::read_field(r, &mut f_{f}, {name:?}, {f:?})?,"))
+                .collect();
+            let inits: Vec<String> = fields
+                .iter()
+                .map(|f| format!("{f}: ::serde::required(f_{f}, {name:?}, {f:?})?"))
+                .collect();
+            Some(format!(
+                "let mut seq = ::serde::Reader::object(r)?;\n\
+                 {}\n\
+                 while let ::std::option::Option::Some(key) = ::serde::Reader::key(r, &mut seq)? {{\n\
+                 match &*key {{\n\
+                 {}\n\
+                 other => return ::std::result::Result::Err(\
+                 ::serde::DeError::unknown({name:?}, other)),\n\
+                 }}\n\
+                 }}\n\
+                 ::std::result::Result::Ok({name} {{ {} }})",
+                slots.join(" "),
+                arms.join("\n"),
+                inits.join(", ")
+            ))
+        }
+        Shape::Tuple(1) => Some(format!(
+            "::std::result::Result::Ok({name}(::serde::Deserialize::read(r)?))"
+        )),
+        Shape::Enum(variants)
+            if variants
+                .iter()
+                .all(|(_, vs)| matches!(vs, VariantShape::Unit)) =>
+        {
+            let arms: Vec<String> = variants
+                .iter()
+                .map(|(v, _)| format!("{v:?} => ::std::result::Result::Ok({name}::{v}),"))
+                .collect();
+            Some(format!(
+                "let s = ::serde::Reader::str(r)?;\n\
+                 match &*s {{\n\
+                 {}\n\
+                 other => ::std::result::Result::Err(::serde::DeError(\
+                 ::std::format!(\"unknown variant `{{other}}` of {name}\"))),\n\
+                 }}",
+                arms.join("\n")
+            ))
+        }
+        _ => None,
+    }
 }

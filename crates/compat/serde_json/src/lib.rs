@@ -7,9 +7,16 @@
 //! serializer, floats print via Rust's shortest round-trip `{:?}`). The
 //! printer itself lives in [`serde::json`], next to the
 //! [`Serialize::write_json`] writers that share it.
+//!
+//! [`JsonReader`] is the typed decode path: a pull reader over the same
+//! tokenizer the tree parser runs, so a string, number or literal reads
+//! the same either way, and a key or string with no escapes is borrowed
+//! from the text instead of copied.
+
+use std::borrow::Cow;
 
 pub use serde::Value;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Kind, Seq, Serialize};
 
 /// Serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,6 +33,12 @@ impl std::error::Error for Error {}
 impl From<serde::DeError> for Error {
     fn from(e: serde::DeError) -> Error {
         Error(e.0)
+    }
+}
+
+impl From<Error> for DeError {
+    fn from(e: Error) -> DeError {
+        DeError(e.0)
     }
 }
 
@@ -57,27 +70,74 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
 /// ([`Deserialize::from_owned_value`]), so parsing to a [`Value`] copies
 /// nothing.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser {
-        s: s.as_bytes(),
-        pos: 0,
-    };
+    let mut p = JsonReader::new(s);
     p.skip_ws();
     let v = p.parse_value(0)?;
-    p.skip_ws();
-    if p.pos != p.s.len() {
-        return Err(Error(format!("trailing characters at byte {}", p.pos)));
-    }
+    p.end()?;
     Ok(T::from_owned_value(v)?)
 }
 
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
+/// The JSON tokenizer: the tree parser behind [`from_str`], and a pull
+/// [`serde::Reader`] for typed decodes ([`Deserialize::read`]).
+pub struct JsonReader<'a> {
+    text: &'a str,
     s: &'a [u8],
     pos: usize,
+    /// Containers the typed reader is inside: the depth the tree parser
+    /// would be at for the next value.
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> JsonReader<'a> {
+        JsonReader {
+            text,
+            s: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Checks that only whitespace follows the value read.
+    pub fn end(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos != self.s.len() {
+            return Err(Error(format!("trailing characters at byte {}", self.pos)));
+        }
+        Ok(())
+    }
+
+    /// Skips whitespace before the next value, refusing one nested
+    /// deeper than the tree parser allows.
+    fn next_value(&mut self) -> Result<(), Error> {
+        if self.depth > MAX_DEPTH {
+            return Err(Error("JSON nesting too deep".to_owned()));
+        }
+        self.skip_ws();
+        Ok(())
+    }
+
+    /// A string borrowed from the text when it holds no escape; the
+    /// cursor is on its opening quote.
+    fn parse_str(&mut self) -> Result<Cow<'a, str>, Error> {
+        if self.peek_byte() == Some(b'"') {
+            let start = self.pos + 1;
+            let rest = &self.s[start..];
+            if let Some(len) = rest.iter().position(|&b| b == b'"' || b == b'\\') {
+                if rest[len] == b'"' {
+                    // Both delimiters are ASCII, so the run ends on a
+                    // char boundary of the text.
+                    self.pos = start + len + 1;
+                    return Ok(Cow::Borrowed(&self.text[start..start + len]));
+                }
+            }
+        }
+        self.parse_string().map(Cow::Owned)
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.s.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -88,12 +148,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    fn peek_byte(&self) -> Option<u8> {
         self.s.get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
+        if self.peek_byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -117,7 +177,7 @@ impl<'a> Parser<'a> {
         if depth > MAX_DEPTH {
             return Err(Error("JSON nesting too deep".to_owned()));
         }
-        match self.peek() {
+        match self.peek_byte() {
             Some(b'n') => self.eat_lit("null", Value::Null),
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
@@ -126,7 +186,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 let mut items = Vec::new();
                 self.skip_ws();
-                if self.peek() == Some(b']') {
+                if self.peek_byte() == Some(b']') {
                     self.pos += 1;
                     return Ok(Value::Array(items));
                 }
@@ -134,7 +194,7 @@ impl<'a> Parser<'a> {
                     self.skip_ws();
                     items.push(self.parse_value(depth + 1)?);
                     self.skip_ws();
-                    match self.peek() {
+                    match self.peek_byte() {
                         Some(b',') => self.pos += 1,
                         Some(b']') => {
                             self.pos += 1;
@@ -150,7 +210,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 let mut entries = Vec::new();
                 self.skip_ws();
-                if self.peek() == Some(b'}') {
+                if self.peek_byte() == Some(b'}') {
                     self.pos += 1;
                     return Ok(Value::Object(entries));
                 }
@@ -163,7 +223,7 @@ impl<'a> Parser<'a> {
                     let val = self.parse_value(depth + 1)?;
                     entries.push((key, val));
                     self.skip_ws();
-                    match self.peek() {
+                    match self.peek_byte() {
                         Some(b',') => self.pos += 1,
                         Some(b'}') => {
                             self.pos += 1;
@@ -188,7 +248,7 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
+            match self.peek_byte() {
                 None => return Err(Error("unterminated string".to_owned())),
                 Some(b'"') => {
                     self.pos += 1;
@@ -196,7 +256,7 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
+                    match self.peek_byte() {
                         Some(b'"') => out.push('"'),
                         Some(b'\\') => out.push('\\'),
                         Some(b'/') => out.push('/'),
@@ -210,11 +270,11 @@ impl<'a> Parser<'a> {
                             let c = if (0xD800..0xDC00).contains(&cp) {
                                 // Surrogate pair: expect a following \uXXXX.
                                 self.pos += 1;
-                                if self.peek() != Some(b'\\') {
+                                if self.peek_byte() != Some(b'\\') {
                                     return Err(Error("lone high surrogate".to_owned()));
                                 }
                                 self.pos += 1;
-                                if self.peek() != Some(b'u') {
+                                if self.peek_byte() != Some(b'u') {
                                     return Err(Error("lone high surrogate".to_owned()));
                                 }
                                 let lo = self.parse_hex4()?;
@@ -277,11 +337,11 @@ impl<'a> Parser<'a> {
 
     fn parse_number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        if self.peek_byte() == Some(b'-') {
             self.pos += 1;
         }
         let mut is_float = false;
-        while let Some(b) = self.peek() {
+        while let Some(b) = self.peek_byte() {
             match b {
                 b'0'..=b'9' => self.pos += 1,
                 b'.' | b'e' | b'E' | b'+' | b'-' => {
@@ -305,6 +365,98 @@ impl<'a> Parser<'a> {
         text.parse::<f64>()
             .map(Value::Float)
             .map_err(|_| Error(format!("invalid number `{text}`")))
+    }
+}
+
+impl<'a> serde::Reader<'a> for JsonReader<'a> {
+    fn peek(&mut self) -> Result<Kind, DeError> {
+        self.next_value()?;
+        match self.peek_byte() {
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
+            Some(b'"') => Ok(Kind::String),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'{') => Ok(Kind::Object),
+            _ => Err(DeError(format!("no value at byte {}", self.pos))),
+        }
+    }
+
+    fn scalar(&mut self) -> Result<Value, DeError> {
+        self.next_value()?;
+        match self.peek_byte() {
+            Some(b'n' | b't' | b'f' | b'-' | b'0'..=b'9') => Ok(self.parse_value(self.depth)?),
+            _ => Err(DeError(format!("expected a scalar at byte {}", self.pos))),
+        }
+    }
+
+    fn str(&mut self) -> Result<Cow<'a, str>, DeError> {
+        self.next_value()?;
+        Ok(self.parse_str()?)
+    }
+
+    fn array(&mut self) -> Result<Seq, DeError> {
+        self.next_value()?;
+        self.eat(b'[')?;
+        self.depth += 1;
+        Ok(Seq(0))
+    }
+
+    fn element(&mut self, seq: &mut Seq) -> Result<bool, DeError> {
+        self.skip_ws();
+        let more = match (seq.0, self.peek_byte()) {
+            (_, Some(b']')) => false,
+            (0, _) => true,
+            (_, Some(b',')) => true,
+            _ => return Err(DeError(format!("expected `,` or `]` at byte {}", self.pos))),
+        };
+        if more {
+            self.pos += usize::from(seq.0 == 1);
+            seq.0 = 1;
+        } else {
+            self.pos += 1;
+            self.depth -= 1;
+        }
+        Ok(more)
+    }
+
+    fn object(&mut self) -> Result<Seq, DeError> {
+        self.next_value()?;
+        self.eat(b'{')?;
+        self.depth += 1;
+        Ok(Seq(0))
+    }
+
+    fn key(&mut self, seq: &mut Seq) -> Result<Option<Cow<'a, str>>, DeError> {
+        self.skip_ws();
+        match (seq.0, self.peek_byte()) {
+            (_, Some(b'}')) => {
+                self.pos += 1;
+                self.depth -= 1;
+                return Ok(None);
+            }
+            (0, _) => {}
+            (_, Some(b',')) => {
+                self.pos += 1;
+                self.skip_ws();
+            }
+            _ => {
+                return Err(DeError(format!(
+                    "expected `,` or `}}` at byte {}",
+                    self.pos
+                )))
+            }
+        }
+        seq.0 = 1;
+        let key = self.parse_str()?;
+        self.skip_ws();
+        self.eat(b':')?;
+        Ok(Some(key))
+    }
+
+    fn value(&mut self) -> Result<Value, DeError> {
+        self.next_value()?;
+        Ok(self.parse_value(self.depth)?)
     }
 }
 
@@ -383,6 +535,72 @@ mod tests {
         assert_eq!(err(r#""\ud834\u0041""#), "invalid low surrogate");
         assert_eq!(err(r#""\u12zz""#), "invalid \\u escape");
         assert_eq!(err(r#""\u12""#), "truncated \\u escape");
+    }
+
+    /// Reads `s` through `T`'s typed [`Deserialize::read`].
+    fn from_str_typed<T: Deserialize>(s: &str) -> Result<T, DeError> {
+        let mut r = JsonReader::new(s);
+        let v = T::read(&mut r)?;
+        r.end()?;
+        Ok(v)
+    }
+
+    /// The typed reader gives back what the tree parser does, for the
+    /// std types' overrides (scalars, strings, options, vectors) and for
+    /// a `Value` read whole; a refusal is where the tree refuses too.
+    #[test]
+    fn typed_reads_equal_tree_reads() {
+        for json in [
+            "[1,null,3]",
+            " [ ] ",
+            "[\n 7 ,\t-0 , 01]",
+            "[1.5]",
+            "[18446744073709551616]",
+            "[1,]",
+            "[,1]",
+            "[1 2]",
+            "[\"1\"]",
+        ] {
+            assert_eq!(
+                from_str_typed::<Vec<Option<u64>>>(json).ok(),
+                from_str::<Vec<Option<u64>>>(json).ok(),
+                "{json}"
+            );
+        }
+        for json in [r#""plain""#, r#""esc\u00e9\"q""#, r#""x" y"#, r#""open"#] {
+            assert_eq!(
+                from_str_typed::<String>(json).ok(),
+                from_str::<String>(json).ok(),
+                "{json}"
+            );
+        }
+        for json in [r#"{"a":[1,{"b":null}],"c":"d"}"#, "{} x", "[[[]]]"] {
+            assert_eq!(
+                from_str_typed::<Value>(json).ok(),
+                from_str::<Value>(json).ok(),
+                "{json}"
+            );
+        }
+        // The depth guard holds where the typed reader opens the
+        // containers itself.
+        let deep = format!("{}{}", "[".repeat(200), "]".repeat(200));
+        assert!(from_str::<Value>(&deep).is_err());
+        assert!(from_str_typed::<Vec<Vec<Value>>>(&deep).is_err());
+    }
+
+    #[test]
+    fn escape_free_strings_and_keys_are_borrowed() {
+        use serde::Reader as _;
+        let mut r = JsonReader::new(r#"{"key":"value","k\u0065y":"v\n"}"#);
+        let mut seq = r.object().unwrap();
+        let key = r.key(&mut seq).unwrap().unwrap();
+        assert!(matches!(key, Cow::Borrowed("key")), "{key:?}");
+        assert!(matches!(r.str().unwrap(), Cow::Borrowed("value")));
+        let key = r.key(&mut seq).unwrap().unwrap();
+        assert!(matches!(key, Cow::Owned(ref k) if k == "key"), "{key:?}");
+        assert!(matches!(r.str().unwrap(), Cow::Owned(ref v) if v == "v\n"));
+        assert_eq!(r.key(&mut seq).unwrap(), None);
+        r.end().unwrap();
     }
 
     #[test]

@@ -399,6 +399,18 @@ impl ScheduleCache {
     /// problem's [`fnv1a_check`] hash; an entry whose stored check hash
     /// differs is a primary-hash collision and is treated as a miss.
     pub fn get(&self, key: u64, check: u64) -> Option<BlockOutcome> {
+        self.lookup(key, check, true)
+    }
+
+    /// Looks up a problem hash like [`ScheduleCache::get`], but counts
+    /// only a hit. For a caller that answers hits itself and hands a
+    /// miss to a solver, which looks the key up again with
+    /// [`ScheduleCache::get`]: the miss is counted once, there.
+    pub fn probe(&self, key: u64, check: u64) -> Option<BlockOutcome> {
+        self.lookup(key, check, false)
+    }
+
+    fn lookup(&self, key: u64, check: u64, count_miss: bool) -> Option<BlockOutcome> {
         let mut shard = self.shard_of(key).lock().unwrap();
         shard.tick += 1;
         let tick = shard.tick;
@@ -411,7 +423,7 @@ impl ScheduleCache {
                 Some(outcome)
             }
             _ => {
-                shard.misses += 1;
+                shard.misses += u64::from(count_miss);
                 None
             }
         };

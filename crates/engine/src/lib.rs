@@ -373,6 +373,19 @@ pub fn solve_one(
     solve_through_cache(sb, machine, homes, options, cache, None)
 }
 
+/// The remembered outcome of a problem the cache holds, counting the
+/// hit; a miss counts nothing (see [`ScheduleCache::probe`]).
+pub(crate) fn cached_outcome(
+    sb: &Superblock,
+    machine: &MachineConfig,
+    homes: &[ClusterId],
+    options: &PolicyOptions,
+    cache: &ScheduleCache,
+) -> Option<BlockOutcome> {
+    let (key, check) = problem_key(sb, machine, homes, options);
+    cache.probe(key, check)
+}
+
 /// The one solve body behind [`solve_one`] and the [`SubmitPool`]
 /// workers: key the canonical problem, answer a hit from the cache,
 /// otherwise race the portfolio and remember the outcome.

@@ -16,6 +16,9 @@
 //!   handing back a [`Ticket`] — the service reactor's path, where no
 //!   thread may park per request. The ticket forms are the same
 //!   callback with a channel sender behind it;
+//! * [`SubmitPool::answer_cached`] answers a problem the cache already
+//!   holds on the caller's thread, with no queue or worker, counting it
+//!   as the worker would — the service reactor's path for cache hits;
 //! * [`SubmitPool::probe`] runs a no-op (optionally delayed) job through
 //!   the same queue and workers, measuring true end-to-end service time —
 //!   and giving tests a deterministic way to hold workers busy;
@@ -578,6 +581,34 @@ impl SubmitPool {
             reply: Box::new(notify),
         })
         .map_err(rejected_solve)
+    }
+
+    /// Answers `problem` from the cache on the caller's thread, if the
+    /// cache holds it: no queue, no worker. A hit counts as one admitted
+    /// and completed job, one cache hit, one solve in
+    /// [`SubmitPool::solve_latency`] and one win for the remembered
+    /// winner, as the same hit on a worker would; it never waited in the
+    /// queue, so [`SubmitPool::queue_wait`] records nothing. A miss
+    /// counts nothing: the worker that solves the problem looks it up
+    /// again and counts the miss there, so a cold request queued behind
+    /// an identical one is still answered by that one's solve.
+    pub fn answer_cached(&self, problem: &Problem) -> Option<Solved> {
+        let start = Instant::now();
+        let outcome = crate::cached_outcome(
+            &problem.block,
+            &problem.machine,
+            &problem.homes,
+            &problem.options,
+            &self.cache,
+        )?;
+        self.solve_latency.record_duration(start.elapsed());
+        record_policy_totals(&self.policy_totals, &self.vc_series, &outcome, true);
+        self.accepted.fetch_add(1, Ordering::Relaxed);
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        Some(Solved {
+            outcome,
+            cached: true,
+        })
     }
 
     /// Runs a no-op job (sleeping `delay_ms` on the worker) through the

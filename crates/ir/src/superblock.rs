@@ -1,6 +1,6 @@
 //! Superblock container and validating builder.
 
-use serde::{field, DeError, Deserialize, Serialize, Value};
+use serde::{field, read_field, required, DeError, Deserialize, Reader, Serialize, Value};
 use vcsched_arch::OpClass;
 
 use crate::inst::{Dep, DepKind, InstId, Instruction};
@@ -153,9 +153,38 @@ impl Deserialize for Superblock {
             deps: Deserialize::from_value(field(v, "Superblock", "deps")?)?,
             weight: Deserialize::from_value(field(v, "Superblock", "weight")?)?,
         };
-        validate(&sb.insts, &sb.deps)
-            .map_err(|e| DeError(format!("invalid superblock `{}`: {e}", sb.name)))?;
-        Ok(sb)
+        sb.validated()
+    }
+
+    fn read<'de, R: Reader<'de>>(r: &mut R) -> Result<Self, DeError> {
+        const TY: &str = "Superblock";
+        let mut seq = r.object()?;
+        let (mut name, mut insts, mut deps, mut weight) = (None, None, None, None);
+        while let Some(key) = r.key(&mut seq)? {
+            match &*key {
+                "name" => read_field(r, &mut name, TY, "name")?,
+                "insts" => read_field(r, &mut insts, TY, "insts")?,
+                "deps" => read_field(r, &mut deps, TY, "deps")?,
+                "weight" => read_field(r, &mut weight, TY, "weight")?,
+                other => return Err(DeError::unknown(TY, other)),
+            }
+        }
+        Superblock {
+            name: required(name, TY, "name")?,
+            insts: required(insts, TY, "insts")?,
+            deps: required(deps, TY, "deps")?,
+            weight: required(weight, TY, "weight")?,
+        }
+        .validated()
+    }
+}
+
+impl Superblock {
+    /// The decoded block, once it holds every [`BuildError`] invariant.
+    fn validated(self) -> Result<Superblock, DeError> {
+        validate(&self.insts, &self.deps)
+            .map_err(|e| DeError(format!("invalid superblock `{}`: {e}", self.name)))?;
+        Ok(self)
     }
 }
 

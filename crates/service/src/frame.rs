@@ -49,8 +49,19 @@
 //! version: `v2` is `v1` plus the metrics-snapshot words. Strings
 //! outside a version's words fall back to the length-prefixed form, so
 //! the table is a compression dictionary, not a schema.
+//!
+//! # Two decoders
+//!
+//! [`decode_frame_as`] builds the payload's [`Value`] tree.
+//! [`read_frame_as`] runs a typed decode over the same bytes through a
+//! [`FrameReader`], a pull [`serde::Reader`] that borrows every string
+//! from the frame (an interned one from the table) and builds no tree.
+//! Both split frames with the same length-prefix parser, so they agree
+//! on where a frame ends and on when a buffer holds no whole frame yet.
 
-use serde::Value;
+use std::borrow::Cow;
+
+use serde::{DeError, Kind, Seq, Value};
 
 /// The connection preamble a binary client sends first, and the ack
 /// the server echoes back: [`Version::V2`], the newest framing. `0xF7`
@@ -331,14 +342,27 @@ fn unzigzag(n: u64) -> i64 {
     ((n >> 1) as i64) ^ -((n & 1) as i64)
 }
 
-/// Cursor over a frame payload during decode.
-struct Cursor<'a> {
+/// A cursor over one frame payload: the tree decoder's, and a pull
+/// [`serde::Reader`] for typed decodes ([`read_frame_as`]).
+pub struct FrameReader<'a> {
     buf: &'a [u8],
     pos: usize,
     words: &'static [&'static str],
+    /// Containers the typed reader is inside: the depth the tree decoder
+    /// would be at for the next value.
+    depth: usize,
 }
 
-impl<'a> Cursor<'a> {
+impl<'a> FrameReader<'a> {
+    fn new(buf: &'a [u8], words: &'static [&'static str]) -> FrameReader<'a> {
+        FrameReader {
+            buf,
+            pos: 0,
+            words,
+            depth: 0,
+        }
+    }
+
     fn byte(&mut self) -> Result<u8, String> {
         let b = *self
             .buf
@@ -376,21 +400,62 @@ impl<'a> Cursor<'a> {
     }
 
     fn string(&mut self) -> Result<String, String> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// A string value or key, borrowed from the frame or the table.
+    fn str_ref(&mut self) -> Result<&'a str, String> {
         match self.byte()? {
             TAG_STR => {
                 let len = self.varint()? as usize;
                 let bytes = self.take(len)?;
-                String::from_utf8(bytes.to_vec()).map_err(|_| "string is not UTF-8".to_owned())
+                std::str::from_utf8(bytes).map_err(|_| "string is not UTF-8".to_owned())
             }
             TAG_INTERNED => {
                 let idx = self.varint()? as usize;
                 self.words
                     .get(idx)
-                    .map(|&s| s.to_owned())
+                    .copied()
                     .ok_or_else(|| format!("interned index {idx} out of table"))
             }
             tag => Err(format!("expected a string tag, found 0x{tag:02x}")),
         }
+    }
+
+    /// The next value's tag, not consumed, once the depth is in bounds.
+    fn next_tag(&self) -> Result<u8, DeError> {
+        if self.depth > MAX_DEPTH {
+            return Err(DeError(format!("value nested deeper than {MAX_DEPTH}")));
+        }
+        self.buf
+            .get(self.pos)
+            .copied()
+            .ok_or_else(|| DeError("frame truncated inside a value".to_owned()))
+    }
+
+    /// Opens an array or object: its tag, then its count, bounded by
+    /// the bytes left as in the tree decoder.
+    fn open(&mut self, tag: u8) -> Result<Seq, DeError> {
+        if self.next_tag()? != tag {
+            return Err(DeError("expected a container".to_owned()));
+        }
+        self.pos += 1;
+        let count = self.varint().map_err(DeError)?;
+        if count > (self.buf.len() - self.pos) as u64 {
+            return Err(DeError("container count exceeds frame size".to_owned()));
+        }
+        self.depth += 1;
+        Ok(Seq(count))
+    }
+
+    /// Takes one element of an open container off its count.
+    fn advance(&mut self, seq: &mut Seq) -> bool {
+        if seq.0 == 0 {
+            self.depth -= 1;
+            return false;
+        }
+        seq.0 -= 1;
+        true
     }
 
     fn value(&mut self, depth: usize) -> Result<Value, String> {
@@ -439,6 +504,59 @@ impl<'a> Cursor<'a> {
             }
             tag => Err(format!("unknown value tag 0x{tag:02x}")),
         }
+    }
+}
+
+impl<'a> serde::Reader<'a> for FrameReader<'a> {
+    fn peek(&mut self) -> Result<Kind, DeError> {
+        match self.next_tag()? {
+            TAG_NULL => Ok(Kind::Null),
+            TAG_FALSE | TAG_TRUE => Ok(Kind::Bool),
+            TAG_INT | TAG_UINT | TAG_FLOAT => Ok(Kind::Number),
+            TAG_STR | TAG_INTERNED => Ok(Kind::String),
+            TAG_ARRAY => Ok(Kind::Array),
+            TAG_OBJECT => Ok(Kind::Object),
+            tag => Err(DeError(format!("unknown value tag 0x{tag:02x}"))),
+        }
+    }
+
+    fn scalar(&mut self) -> Result<Value, DeError> {
+        match self.next_tag()? {
+            TAG_NULL | TAG_FALSE | TAG_TRUE | TAG_INT | TAG_UINT | TAG_FLOAT => {
+                self.value(self.depth).map_err(DeError)
+            }
+            _ => Err(DeError("expected a scalar".to_owned())),
+        }
+    }
+
+    fn str(&mut self) -> Result<Cow<'a, str>, DeError> {
+        self.next_tag()?;
+        self.str_ref().map(Cow::Borrowed).map_err(DeError)
+    }
+
+    fn array(&mut self) -> Result<Seq, DeError> {
+        self.open(TAG_ARRAY)
+    }
+
+    fn element(&mut self, seq: &mut Seq) -> Result<bool, DeError> {
+        Ok(self.advance(seq))
+    }
+
+    fn object(&mut self) -> Result<Seq, DeError> {
+        self.open(TAG_OBJECT)
+    }
+
+    fn key(&mut self, seq: &mut Seq) -> Result<Option<Cow<'a, str>>, DeError> {
+        if !self.advance(seq) {
+            return Ok(None);
+        }
+        self.str_ref()
+            .map(|k| Some(Cow::Borrowed(k)))
+            .map_err(DeError)
+    }
+
+    fn value(&mut self) -> Result<Value, DeError> {
+        self.value(self.depth).map_err(DeError)
     }
 }
 
@@ -535,6 +653,46 @@ pub fn decode_frame_as(
     version: Version,
     max_payload: usize,
 ) -> Result<Option<(Value, usize)>, String> {
+    let Some((prefix, len)) = split_frame(buf, max_payload)? else {
+        return Ok(None);
+    };
+    let mut cursor = FrameReader::new(&buf[prefix..prefix + len], version.words());
+    let value = cursor.value(0)?;
+    if cursor.pos != len {
+        return Err(format!(
+            "frame has {} trailing bytes after the value",
+            len - cursor.pos
+        ));
+    }
+    Ok(Some((value, prefix + len)))
+}
+
+/// The typed twin of [`decode_frame_as`]: runs `read` over the payload
+/// of the `version` frame at the front of `buf`, which must consume it
+/// exactly. `Ok(None)` exactly when [`decode_frame_as`] answers it too
+/// (no whole frame yet); an error, framing or typed, leaves the reply
+/// to [`decode_frame_as`] on the same bytes.
+pub fn read_frame_as<T>(
+    buf: &[u8],
+    version: Version,
+    max_payload: usize,
+    read: impl FnOnce(&mut FrameReader<'_>) -> Result<T, DeError>,
+) -> Result<Option<(T, usize)>, DeError> {
+    let Some((prefix, len)) = split_frame(buf, max_payload).map_err(DeError)? else {
+        return Ok(None);
+    };
+    let mut reader = FrameReader::new(&buf[prefix..prefix + len], version.words());
+    let value = read(&mut reader)?;
+    if reader.pos != len {
+        return Err(DeError("trailing bytes after the value".to_owned()));
+    }
+    Ok(Some((value, prefix + len)))
+}
+
+/// Splits the frame at the front of `buf` into its length prefix's size
+/// and its payload's, once both are whole (`Ok(None)` before that). An
+/// over-long prefix or a payload over `max_payload` is an error.
+fn split_frame(buf: &[u8], max_payload: usize) -> Result<Option<(usize, usize)>, String> {
     // Parse the length prefix by hand so an incomplete varint is
     // "not yet", not an error.
     let mut len: u64 = 0;
@@ -561,19 +719,7 @@ pub fn decode_frame_as(
     if buf.len() < prefix + len {
         return Ok(None);
     }
-    let mut cursor = Cursor {
-        buf: &buf[prefix..prefix + len],
-        pos: 0,
-        words: version.words(),
-    };
-    let value = cursor.value(0)?;
-    if cursor.pos != len {
-        return Err(format!(
-            "frame has {} trailing bytes after the value",
-            len - cursor.pos
-        ));
-    }
-    Ok(Some((value, prefix + len)))
+    Ok(Some((prefix, len)))
 }
 
 #[cfg(test)]
@@ -793,11 +939,7 @@ mod tests {
         for n in [0, 1, 127, 128, 16_383, 16_384, u64::MAX - 1, u64::MAX] {
             let mut buf = Vec::new();
             put_varint(n, &mut buf);
-            let mut cursor = Cursor {
-                buf: &buf,
-                pos: 0,
-                words: INTERNED,
-            };
+            let mut cursor = FrameReader::new(&buf, INTERNED);
             assert_eq!(cursor.varint().expect("valid"), n);
             assert_eq!(cursor.pos, buf.len());
         }

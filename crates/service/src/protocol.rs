@@ -57,9 +57,20 @@
 //! ← {"ok":true,"type":"batch","id":9,"summary":{…}}
 //! ```
 
-use serde::{DeError, Deserialize, Serialize, Value};
-use vcsched_engine::PolicyStat;
+use serde::{read_field, DeError, Deserialize, Kind, Reader, Serialize, Value};
+use vcsched_engine::{PolicySet, PolicyStat};
 use vcsched_ir::{Schedule, Superblock};
+
+use crate::frame;
+
+/// Machine preset of a `schedule` or `batch` request that names none.
+const DEFAULT_MACHINE: &str = "2c";
+/// Benchmark a `batch` request synthesizes when it names none.
+const DEFAULT_BENCH: &str = "099.go";
+/// Block count of a `batch` request that gives none.
+const DEFAULT_COUNT: usize = 100;
+/// Corpus seed of a `batch` request that gives none.
+const DEFAULT_SEED: u64 = 7;
 
 /// Legacy scheduling mode of a `schedule` request — shorthand for the
 /// two canonical policy sets. The `"policies"` field supersedes it.
@@ -581,7 +592,7 @@ fn opt<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, DeError> {
 fn opt_policies(v: &Value) -> Result<Option<Vec<String>>, DeError> {
     match v.get("policies") {
         None | Some(Value::Null) => Ok(None),
-        Some(Value::String(spec)) => Ok(Some(vcsched_engine::PolicySet::split_spec(spec))),
+        Some(Value::String(spec)) => Ok(Some(PolicySet::split_spec(spec))),
         Some(field) => Vec::<String>::from_value(field).map(Some),
     }
 }
@@ -598,7 +609,7 @@ impl Deserialize for Request {
                     v.get("block")
                         .ok_or_else(|| DeError::missing("schedule request", "block"))?,
                 )?,
-                machine: opt(v, "machine")?.unwrap_or_else(|| "2c".to_owned()),
+                machine: opt(v, "machine")?.unwrap_or_else(|| DEFAULT_MACHINE.to_owned()),
                 policies: opt_policies(v)?,
                 mode: match opt::<String>(v, "mode")? {
                     Some(s) => Some(ScheduleMode::parse(&s)?),
@@ -614,10 +625,10 @@ impl Deserialize for Request {
                 priority: opt(v, "priority")?,
             }),
             "batch" => Ok(Request::Batch {
-                bench: opt(v, "bench")?.unwrap_or_else(|| "099.go".to_owned()),
-                count: opt(v, "count")?.unwrap_or(100),
-                seed: opt(v, "seed")?.unwrap_or(7),
-                machine: opt(v, "machine")?.unwrap_or_else(|| "2c".to_owned()),
+                bench: opt(v, "bench")?.unwrap_or_else(|| DEFAULT_BENCH.to_owned()),
+                count: opt(v, "count")?.unwrap_or(DEFAULT_COUNT),
+                seed: opt(v, "seed")?.unwrap_or(DEFAULT_SEED),
+                machine: opt(v, "machine")?.unwrap_or_else(|| DEFAULT_MACHINE.to_owned()),
                 policies: opt_policies(v)?,
                 portfolio: opt(v, "portfolio")?,
                 steps: opt(v, "steps")?,
@@ -635,11 +646,198 @@ impl Deserialize for Request {
                 priority: opt(v, "priority")?,
             }),
             "shutdown" => Ok(Request::Shutdown),
-            other => Err(DeError(format!(
-                "unknown request type `{other}` (schedule, batch, stats, metrics, ping, shutdown)"
-            ))),
+            other => Err(unknown_request_type(other)),
         }
     }
+
+    fn read<'de, R: Reader<'de>>(r: &mut R) -> Result<Self, DeError> {
+        read_request(r).map(|(request, _)| request)
+    }
+}
+
+fn unknown_request_type(ty: &str) -> DeError {
+    DeError(format!(
+        "unknown request type `{ty}` (schedule, batch, stats, metrics, ping, shutdown)"
+    ))
+}
+
+/// Reads one request object through a pull reader: the request and its
+/// envelope `id`, with no `Value` tree. It decodes what
+/// [`Request::from_value`] and [`envelope_id`] decode from the same
+/// bytes, but refuses an unknown or repeated key and an `id` that is
+/// not an unsigned integer or `null`; a caller then decodes the bytes
+/// through the tree for the error (or the request) that path gives.
+pub fn read_request<'de, R: Reader<'de>>(r: &mut R) -> Result<(Request, Option<u64>), DeError> {
+    const TY: &str = "request";
+    let mut seq = r.object()?;
+    // Each slot: `None` until its key is read; `Some(None)` for `null`.
+    let (mut ty, mut id, mut block) = (None, None, None);
+    let (mut machine, mut policies, mut mode) = (None, None, None);
+    let (mut steps, mut budget_bytes, mut early_cancel) = (None, None, None);
+    let (mut adaptive, mut placement_seed, mut return_schedule) = (None, None, None);
+    let (mut deadline_ms, mut priority, mut bench) = (None, None, None);
+    let (mut count, mut seed, mut portfolio) = (None, None, None);
+    let (mut stream, mut delay_ms) = (None, None);
+    let repeated = |key: &str| DeError(format!("repeated field `{key}` of {TY}"));
+    while let Some(key) = r.key(&mut seq)? {
+        match &*key {
+            "type" if ty.is_some() => return Err(repeated(&key)),
+            "type" => ty = Some(r.str()?),
+            "id" if id.is_some() => return Err(repeated(&key)),
+            "id" => id = Some(id_value(Some(&r.scalar()?))?),
+            "policies" if policies.is_some() => return Err(repeated(&key)),
+            "policies" => {
+                policies = Some(match r.peek()? {
+                    Kind::Null => r.scalar().map(|_| None)?,
+                    Kind::String => Some(PolicySet::split_spec(&r.str()?)),
+                    _ => Some(Vec::<String>::read(r)?),
+                })
+            }
+            "block" => read_field::<_, Superblock>(r, &mut block, TY, &key)?,
+            "machine" => read_field::<_, Option<String>>(r, &mut machine, TY, &key)?,
+            "mode" => read_field::<_, Option<String>>(r, &mut mode, TY, &key)?,
+            "steps" => read_field::<_, Option<u64>>(r, &mut steps, TY, &key)?,
+            "budget_bytes" => read_field::<_, Option<u64>>(r, &mut budget_bytes, TY, &key)?,
+            "early_cancel" => read_field::<_, Option<bool>>(r, &mut early_cancel, TY, &key)?,
+            "adaptive" => read_field::<_, Option<bool>>(r, &mut adaptive, TY, &key)?,
+            "placement_seed" => read_field::<_, Option<u64>>(r, &mut placement_seed, TY, &key)?,
+            "return_schedule" => read_field::<_, Option<bool>>(r, &mut return_schedule, TY, &key)?,
+            "deadline_ms" => read_field::<_, Option<u64>>(r, &mut deadline_ms, TY, &key)?,
+            "priority" => read_field::<_, Option<u8>>(r, &mut priority, TY, &key)?,
+            "bench" => read_field::<_, Option<String>>(r, &mut bench, TY, &key)?,
+            "count" => read_field::<_, Option<usize>>(r, &mut count, TY, &key)?,
+            "seed" => read_field::<_, Option<u64>>(r, &mut seed, TY, &key)?,
+            "portfolio" => read_field::<_, Option<bool>>(r, &mut portfolio, TY, &key)?,
+            "stream" => read_field::<_, Option<bool>>(r, &mut stream, TY, &key)?,
+            "delay_ms" => read_field::<_, Option<u64>>(r, &mut delay_ms, TY, &key)?,
+            other => return Err(DeError::unknown(TY, other)),
+        }
+    }
+    let ty = ty.ok_or_else(|| DeError("request needs a string `type` field".into()))?;
+    let request = match &*ty {
+        "schedule" => Request::Schedule {
+            block: block.ok_or_else(|| DeError::missing("schedule request", "block"))?,
+            machine: machine
+                .flatten()
+                .unwrap_or_else(|| DEFAULT_MACHINE.to_owned()),
+            policies: policies.flatten(),
+            mode: mode
+                .flatten()
+                .map(|m| ScheduleMode::parse(&m))
+                .transpose()?,
+            steps: steps.flatten(),
+            budget_bytes: budget_bytes.flatten(),
+            early_cancel: early_cancel.flatten(),
+            adaptive: adaptive.flatten(),
+            placement_seed: placement_seed.flatten(),
+            return_schedule: return_schedule.flatten().unwrap_or(false),
+            deadline_ms: deadline_ms.flatten(),
+            priority: priority.flatten(),
+        },
+        "batch" => Request::Batch {
+            bench: bench.flatten().unwrap_or_else(|| DEFAULT_BENCH.to_owned()),
+            count: count.flatten().unwrap_or(DEFAULT_COUNT),
+            seed: seed.flatten().unwrap_or(DEFAULT_SEED),
+            machine: machine
+                .flatten()
+                .unwrap_or_else(|| DEFAULT_MACHINE.to_owned()),
+            policies: policies.flatten(),
+            portfolio: portfolio.flatten(),
+            steps: steps.flatten(),
+            budget_bytes: budget_bytes.flatten(),
+            early_cancel: early_cancel.flatten(),
+            adaptive: adaptive.flatten(),
+            stream: stream.flatten().unwrap_or(false),
+            deadline_ms: deadline_ms.flatten(),
+            priority: priority.flatten(),
+        },
+        "stats" => Request::Stats,
+        "metrics" => Request::Metrics,
+        "ping" => Request::Ping {
+            delay_ms: delay_ms.flatten().unwrap_or(0),
+            priority: priority.flatten(),
+        },
+        "shutdown" => Request::Shutdown,
+        other => return Err(unknown_request_type(other)),
+    };
+    Ok((request, id.flatten()))
+}
+
+/// A request the server decoded, with its envelope id.
+pub type Decoded = Result<(Request, Option<u64>), Invalid>;
+
+/// A request line or frame that decoded as a value but not as a request:
+/// the error the server answers with, and the id that answer echoes (the
+/// request's own, once it was read).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Invalid {
+    /// The error reply's text.
+    pub error: String,
+    /// The id the error reply echoes.
+    pub id: Option<u64>,
+}
+
+/// Decodes one JSON request line as the server does: typed
+/// ([`read_request`]), and through the `Value` tree
+/// ([`tree_request_line`]) when the typed decoder refuses it, so that
+/// every answer, request or error, is the tree path's.
+pub fn decode_request_line(line: &str) -> Decoded {
+    let mut r = serde_json::JsonReader::new(line);
+    let typed = read_request(&mut r).and_then(|decoded| {
+        r.end()?;
+        Ok(decoded)
+    });
+    typed.or_else(|_| tree_request_line(line))
+}
+
+/// Decodes one JSON request line through the `Value` tree alone.
+pub fn tree_request_line(line: &str) -> Decoded {
+    match serde_json::from_str::<Value>(line) {
+        Ok(value) => request_of_value(&value),
+        Err(e) => Err(Invalid {
+            error: format!("invalid request: {e}"),
+            id: None,
+        }),
+    }
+}
+
+/// Decodes the binary request frame at the front of `buf` as the server
+/// does: typed ([`frame::read_frame_as`]), and through the `Value` tree
+/// ([`tree_request_frame`]) when the typed decoder refuses it. `Ok(None)`
+/// while `buf` holds no whole frame; `Err` for a corrupt or oversized
+/// frame, which ends the connection.
+pub fn decode_request_frame(
+    buf: &[u8],
+    version: frame::Version,
+    max_payload: usize,
+) -> Result<Option<(Decoded, usize)>, String> {
+    match frame::read_frame_as(buf, version, max_payload, |r| read_request(r)) {
+        Ok(Some((decoded, used))) => Ok(Some((Ok(decoded), used))),
+        Ok(None) => Ok(None),
+        Err(_) => tree_request_frame(buf, version, max_payload),
+    }
+}
+
+/// Decodes the binary request frame at the front of `buf` through the
+/// `Value` tree alone (see [`decode_request_frame`]).
+pub fn tree_request_frame(
+    buf: &[u8],
+    version: frame::Version,
+    max_payload: usize,
+) -> Result<Option<(Decoded, usize)>, String> {
+    Ok(frame::decode_frame_as(buf, version, max_payload)?
+        .map(|(value, used)| (request_of_value(&value), used)))
+}
+
+/// The request and envelope id of a decoded tree.
+fn request_of_value(value: &Value) -> Decoded {
+    let invalid = |e: DeError, id| Invalid {
+        error: format!("invalid request: {e}"),
+        id,
+    };
+    let id = envelope_id(value).map_err(|e| invalid(e, None))?;
+    let request = Request::from_value(value).map_err(|e| invalid(e, id))?;
+    Ok((request, id))
 }
 
 impl Serialize for Response {
@@ -720,7 +918,12 @@ impl Deserialize for Response {
 /// Reads the optional `id` envelope field from a raw request or response
 /// object (absence and JSON `null` both mean "no id").
 pub fn envelope_id(v: &Value) -> Result<Option<u64>, DeError> {
-    match v.get("id") {
+    id_value(v.get("id"))
+}
+
+/// An envelope `id` field's value: absent and `null` both mean no id.
+fn id_value(v: Option<&Value>) -> Result<Option<u64>, DeError> {
+    match v {
         None | Some(Value::Null) => Ok(None),
         Some(Value::UInt(n)) => Ok(Some(*n)),
         Some(Value::Int(n)) if *n >= 0 => Ok(Some(*n as u64)),

@@ -9,14 +9,18 @@
 //! the poller never owns a descriptor's lifetime.
 //!
 //! The [`WakePipe`] is the cross-thread doorbell: worker threads finish
-//! scheduling jobs, push completions onto the server's queue, and write
-//! one byte into the pipe — the reactor's blocked `wait` returns
-//! immediately. This replaces both the old 100 ms stop-flag poll on
-//! every connection read and the throwaway self-connect that used to
-//! unblock the accept loop on shutdown.
+//! scheduling jobs, push completions onto the server's queue, and ring
+//! it — the reactor's blocked `wait` returns immediately. A ring writes
+//! a byte only when the bell is not already armed, so however many
+//! completions land between two reactor passes, the pipe carries one
+//! byte and the reactor reads it with one `read`. This replaces both
+//! the old 100 ms stop-flag poll on every connection read and the
+//! throwaway self-connect that used to unblock the accept loop on
+//! shutdown.
 
 use std::io;
 use std::os::unix::io::RawFd;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Readiness interest / readiness report for one registered descriptor.
 #[derive(Debug, Clone, Copy, Default)]
@@ -278,13 +282,10 @@ pub use backend::Poller;
 pub struct WakePipe {
     read_fd: RawFd,
     write_fd: RawFd,
+    /// Set by the first `wake` after a `drain`: later wakes see a byte
+    /// already on its way and write nothing.
+    armed: AtomicBool,
 }
-
-// The struct only carries descriptors; both ends are safe to use from
-// any thread (reads are reactor-only by construction, writes are atomic
-// single bytes).
-unsafe impl Send for WakePipe {}
-unsafe impl Sync for WakePipe {}
 
 impl WakePipe {
     /// Opens the pipe, both ends nonblocking and close-on-exec.
@@ -313,6 +314,7 @@ impl WakePipe {
         Ok(WakePipe {
             read_fd: fds[0],
             write_fd: fds[1],
+            armed: AtomicBool::new(false),
         })
     }
 
@@ -321,28 +323,43 @@ impl WakePipe {
         self.read_fd
     }
 
-    /// Rings the doorbell. Never blocks: `EAGAIN` (pipe already full)
-    /// means a wakeup is pending, which is all a wake needs.
+    /// Rings the doorbell: writes one byte unless a ring since the last
+    /// [`WakePipe::drain`] already did. Never blocks: `EAGAIN` (pipe
+    /// already full) means a wakeup is pending, which is all a wake
+    /// needs.
     pub fn wake(&self) {
+        // Acquire pairs with `drain`'s Release store: a wake that finds
+        // the bell disarmed writes after the read that emptied the pipe.
+        // A completion pushed before a wake that finds it armed is
+        // ordered against the reactor's take by the completion queue's
+        // mutex, so the take after the next `drain` sees it.
+        if self.armed.swap(true, Ordering::AcqRel) {
+            return;
+        }
         let byte = [1u8];
+        // SAFETY: `write_fd` is this pipe's open write end until `drop`,
+        // and `byte` is a live one-byte buffer.
         let _ = unsafe { libc::write(self.write_fd, byte.as_ptr() as *const libc::c_void, 1) };
     }
 
-    /// Swallows every pending wakeup byte (reactor side, on readiness).
+    /// Swallows the pending wakeup bytes with one `read` and disarms the
+    /// bell (reactor side, on readiness). The reactor drains before it
+    /// takes the completion queue, so a completion pushed after that
+    /// take rings a disarmed bell and wakes the next `wait`. A byte the
+    /// read leaves behind keeps the pipe readable, and level-triggered
+    /// polling reports it again.
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
-        loop {
-            let n = unsafe {
-                libc::read(
-                    self.read_fd,
-                    buf.as_mut_ptr() as *mut libc::c_void,
-                    buf.len(),
-                )
-            };
-            if n <= 0 {
-                return;
-            }
-        }
+        // SAFETY: `read_fd` is this pipe's open read end until `drop`,
+        // and `buf` is a live buffer of the length passed.
+        let _ = unsafe {
+            libc::read(
+                self.read_fd,
+                buf.as_mut_ptr() as *mut libc::c_void,
+                buf.len(),
+            )
+        };
+        self.armed.store(false, Ordering::Release);
     }
 }
 
@@ -383,6 +400,63 @@ mod tests {
         // Fully drained: an immediate wait times out with no events.
         poller.wait(&mut events, 0).expect("wait");
         assert!(events.is_empty(), "{events:?}");
+    }
+
+    /// Bytes waiting in the pipe, read without disarming the bell.
+    fn pending_bytes(pipe: &WakePipe) -> usize {
+        let mut buf = [0u8; 64];
+        // SAFETY: `read_fd` is the pipe's open read end while `pipe`
+        // lives, and `buf` is a live buffer of the length passed.
+        let n = unsafe {
+            libc::read(
+                pipe.read_fd,
+                buf.as_mut_ptr() as *mut libc::c_void,
+                buf.len(),
+            )
+        };
+        n.max(0) as usize
+    }
+
+    #[test]
+    fn many_wakes_between_two_drains_leave_one_byte() {
+        let pipe = WakePipe::new().expect("pipe");
+        for _ in 0..1_000 {
+            pipe.wake();
+        }
+        assert_eq!(pending_bytes(&pipe), 1);
+        // Still armed: the byte was taken without a drain, so further
+        // wakes write nothing.
+        pipe.wake();
+        assert_eq!(pending_bytes(&pipe), 0);
+        pipe.drain();
+        for _ in 0..10 {
+            pipe.wake();
+        }
+        assert_eq!(pending_bytes(&pipe), 1);
+    }
+
+    #[test]
+    fn a_wake_right_after_drain_ends_the_next_wait() {
+        let pipe = WakePipe::new().expect("pipe");
+        let mut poller = Poller::new().expect("poller");
+        poller
+            .register(pipe.read_fd(), 3, true, false)
+            .expect("register");
+        let mut events = Vec::new();
+        for _ in 0..3 {
+            pipe.wake();
+            pipe.wake();
+            poller.wait(&mut events, 5_000).expect("wait");
+            assert!(events.iter().any(|e| e.token == 3 && e.readable));
+            pipe.drain();
+            poller.wait(&mut events, 0).expect("wait");
+            assert!(events.is_empty(), "drained: {events:?}");
+        }
+        // The ring that follows a drain reaches the reactor.
+        pipe.drain();
+        pipe.wake();
+        poller.wait(&mut events, 5_000).expect("wait");
+        assert!(events.iter().any(|e| e.token == 3 && e.readable));
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! negotiated wire format, batching everything queued since the last
 //! doorbell into one buffer flush.
 //!
+//! Requests decode typed, with no `Value` tree; what the typed decoder
+//! refuses goes through the tree decoder, which answers it (see the
+//! protocol module's `decode_request_line`). A non-adaptive `schedule`
+//! whose problem the cache already holds never reaches the pool: the
+//! reactor answers it in the same pass that read it.
+//!
 //! A connection's first bytes pick its framing: an exact
 //! [`frame::MAGIC`] or [`frame::MAGIC_V1`] preamble switches it to
 //! binary frames of that version (the server echoes the preamble as an
@@ -58,8 +64,6 @@ use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use serde::Deserialize;
-use serde_json::Value;
 use vcsched_engine::{
     adaptive::{explore_draw, DecisionKind},
     default_jobs, price_deadline_steps, selector_path, AdaptiveOptions, BatchConfig, BatchPlan,
@@ -72,8 +76,9 @@ use vcsched_workload::live_in_placement;
 
 use crate::frame;
 use crate::protocol::{
-    envelope_id, response_line, response_value, BlockReply, CacheReply, PolicyTotalsReply, Request,
-    Response, ScheduleMode, ScheduleReply, SelectorStatsReply, ShardReply, StatsReply,
+    decode_request_frame, decode_request_line, response_line, response_value, BlockReply,
+    CacheReply, Decoded, Invalid, PolicyTotalsReply, Request, Response, ScheduleMode,
+    ScheduleReply, SelectorStatsReply, ShardReply, StatsReply,
 };
 use crate::reactor::{Poller, WakePipe};
 use crate::telemetry::ServerMetrics;
@@ -415,23 +420,39 @@ fn reply_submit_error(cell: &ReplyCell, e: SubmitError) {
 }
 
 impl PendingReply {
-    fn send(&mut self, response: Response, done: bool) {
-        if done {
-            self.done = true;
-            self.shared
-                .metrics
-                .record_latency(self.ty, self.priority, self.start.elapsed());
-            if let Some(mut span) = self.span.take() {
-                span.field("ok", response.is_ok());
-            }
+    /// Retires the request with its done-reply: records its latency and
+    /// closes its span. The caller routes the returned completion.
+    fn finish(&mut self, response: Response) -> Completion {
+        self.done = true;
+        self.shared
+            .metrics
+            .record_latency(self.ty, self.priority, self.start.elapsed());
+        if let Some(mut span) = self.span.take() {
+            span.field("ok", response.is_ok());
         }
-        self.shared.push(Completion {
+        Completion {
             token: self.token,
             slot: self.slot,
             response,
             id: self.id,
-            done,
-        });
+            done: true,
+        }
+    }
+
+    /// Queues a reply for the reactor from a worker or batch thread.
+    fn send(&mut self, response: Response, done: bool) {
+        let completion = if done {
+            self.finish(response)
+        } else {
+            Completion {
+                token: self.token,
+                slot: self.slot,
+                response,
+                id: self.id,
+                done,
+            }
+        };
+        self.shared.push(completion);
     }
 }
 
@@ -590,9 +611,9 @@ fn trace_flusher(path: &Path, stop: &AtomicBool) {
     }
 }
 
-/// What a nonblocking read drain left the connection in.
+/// What a nonblocking read left the connection in.
 enum Fill {
-    /// Drained to `WouldBlock`; the peer may send more.
+    /// Read what was there; the peer may send more.
     Open,
     /// Orderly EOF: process what's buffered, then close after flushing.
     Eof,
@@ -741,13 +762,22 @@ impl Conn {
         true
     }
 
-    /// Drains the nonblocking socket into `rbuf`.
+    /// Reads the nonblocking socket into `rbuf` until a read comes back
+    /// short: what the socket still holds after that (or an EOF behind
+    /// it) keeps it readable, and level-triggered polling reports it
+    /// again, so a readiness event costs one `read` rather than one
+    /// more that only says `WouldBlock`.
     fn fill(&mut self) -> Fill {
         let mut chunk = [0u8; 4096];
         loop {
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Fill::Eof,
-                Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    self.rbuf.extend_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        return Fill::Open;
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Fill::Open,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => return Fill::Dead,
@@ -1057,10 +1087,10 @@ fn process_frames(shared: &Arc<Shared>, token: u64, conn: &mut Conn, version: fr
     let mut buf = std::mem::take(&mut conn.rbuf);
     let mut consumed = 0;
     while !conn.closing {
-        match frame::decode_frame_as(&buf[consumed..], version, shared.config.max_request_bytes) {
-            Ok(Some((value, used))) => {
+        match decode_request_frame(&buf[consumed..], version, shared.config.max_request_bytes) {
+            Ok(Some((decoded, used))) => {
                 consumed += used;
-                handle_value(shared, token, conn, &value);
+                handle_decoded(shared, token, conn, decoded);
             }
             Ok(None) => break,
             Err(e) => {
@@ -1086,61 +1116,49 @@ fn process_frames(shared: &Arc<Shared>, token: u64, conn: &mut Conn, version: fr
     conn.rbuf = buf;
 }
 
-/// Parses and executes one JSON request line (the JSON-wire twin of the
-/// binary path's direct `handle_value`).
+/// Parses and executes one JSON request line.
 fn handle_line(shared: &Arc<Shared>, token: u64, conn: &mut Conn, line: &str) {
-    let value: Value = match serde_json::from_str(line) {
-        Ok(v) => v,
-        Err(e) => {
+    handle_decoded(shared, token, conn, decode_request_line(line));
+}
+
+/// Executes a decoded request, or answers the error it decoded to.
+fn handle_decoded(shared: &Arc<Shared>, token: u64, conn: &mut Conn, decoded: Decoded) {
+    match decoded {
+        Ok((request, id)) => handle_request(shared, token, conn, request, id),
+        Err(Invalid { error, id }) => {
             shared.metrics.invalid_requests.inc();
-            let slot = Some(conn.take_slot());
+            let slot = if id.is_some() {
+                None
+            } else {
+                Some(conn.take_slot())
+            };
             conn.emit(
                 slot,
                 &Response::Error {
-                    error: format!("invalid request: {e}"),
+                    error,
                     retry_after_ms: None,
                 },
-                None,
+                id,
             );
-            return;
         }
-    };
-    handle_value(shared, token, conn, &value);
+    }
 }
 
-/// Executes one decoded request value on the reactor thread. Cheap
-/// requests (`stats`, `metrics`, `shutdown`) answer inline; everything
-/// that touches the pool lands in the connection's fair-queue ring and
-/// completes asynchronously.
+/// Executes one decoded request on the reactor thread. Cheap requests
+/// (`stats`, `metrics`, `shutdown`) and cache-hot `schedule`s answer
+/// inline; everything else that touches the pool lands in the
+/// connection's fair-queue ring and completes asynchronously.
 ///
 /// Every parsed request is counted and timed end-to-end under its wire
 /// type (`service_requests_total{type=…}`, `service_request_us{type=…}`)
 /// and wrapped in a `service_request` span.
-fn handle_value(shared: &Arc<Shared>, token: u64, conn: &mut Conn, value: &Value) {
-    fn invalid(shared: &Shared, conn: &mut Conn, id: Option<u64>, msg: String) {
-        shared.metrics.invalid_requests.inc();
-        let slot = if id.is_some() {
-            None
-        } else {
-            Some(conn.take_slot())
-        };
-        conn.emit(
-            slot,
-            &Response::Error {
-                error: msg,
-                retry_after_ms: None,
-            },
-            id,
-        );
-    }
-    let id = match envelope_id(value) {
-        Ok(id) => id,
-        Err(e) => return invalid(shared, conn, None, format!("invalid request: {e}")),
-    };
-    let request = match Request::from_value(value) {
-        Ok(r) => r,
-        Err(e) => return invalid(shared, conn, id, format!("invalid request: {e}")),
-    };
+fn handle_request(
+    shared: &Arc<Shared>,
+    token: u64,
+    conn: &mut Conn,
+    request: Request,
+    id: Option<u64>,
+) {
     let ty = match &request {
         Request::Schedule { .. } => "schedule",
         Request::Batch { .. } => "batch",
@@ -1216,8 +1234,7 @@ fn handle_value(shared: &Arc<Shared>, token: u64, conn: &mut Conn, value: &Value
             deadline_ms,
             priority,
         } => {
-            conn.open += 1;
-            schedule_request(
+            match schedule_request(
                 shared,
                 block,
                 machine,
@@ -1232,7 +1249,10 @@ fn handle_value(shared: &Arc<Shared>, token: u64, conn: &mut Conn, value: &Value
                 deadline_ms,
                 priority,
                 pending(span, priority),
-            );
+            ) {
+                Some(done) => conn.emit(done.slot, &done.response, done.id),
+                None => conn.open += 1,
+            }
         }
         Request::Batch {
             bench,
@@ -1458,9 +1478,16 @@ fn admit_one(shared: &Shared, work: Work) -> Option<Work> {
 }
 
 /// Resolves a `schedule` request on the reactor thread (machine,
-/// policies, placement, budgets) and parks it in the connection's
-/// fair-queue ring; adaptive narrowing and pool admission happen at
-/// drain time (`admit_one`).
+/// policies, placement, budgets). A non-adaptive request whose problem
+/// the cache holds is answered right here, with the completion
+/// bookkeeping a worker's answer gets: it is never queued, parked or
+/// shed. Any other request parks in the connection's fair-queue ring;
+/// adaptive narrowing (its ε-draw) and pool admission happen at drain
+/// time (`admit_one`).
+///
+/// Returns the done-reply of a request answered here (a hit or an
+/// invalid request) for the caller to route; `None` once the request is
+/// queued.
 #[allow(clippy::too_many_arguments)] // mirrors the wire request's fields
 fn schedule_request(
     shared: &Shared,
@@ -1477,15 +1504,12 @@ fn schedule_request(
     deadline_ms: Option<u64>,
     priority: Option<u8>,
     mut pending: PendingReply,
-) {
+) -> Option<Completion> {
     let fail = |pending: &mut PendingReply, msg: String| {
-        pending.send(
-            Response::Error {
-                error: msg,
-                retry_after_ms: None,
-            },
-            true,
-        );
+        Some(pending.finish(Response::Error {
+            error: msg,
+            retry_after_ms: None,
+        }))
     };
     let machine_name = machine;
     let machine = match crate::machine_by_name(&machine_name) {
@@ -1522,6 +1546,21 @@ fn schedule_request(
         },
         deadline: deadline_ms.map(Duration::from_millis),
     };
+    let adaptive = adaptive.unwrap_or(shared.config.default_adaptive);
+    if !adaptive {
+        if let Some(solved) = shared.pool.answer_cached(&problem) {
+            let reply = schedule_reply(
+                shared,
+                pending.start,
+                None,
+                &class,
+                return_schedule,
+                deadline_ms,
+                solved,
+            );
+            return Some(pending.finish(reply));
+        }
+    }
     let token = pending.token;
     enqueue_work(
         shared,
@@ -1529,7 +1568,7 @@ fn schedule_request(
         Work::Schedule(Box::new(ScheduleWork {
             priority: priority.unwrap_or(0),
             shed_signal: priority.is_some() || deadline_ms.is_some(),
-            adaptive: adaptive.unwrap_or(shared.config.default_adaptive),
+            adaptive,
             configured,
             class,
             problem: Box::new(problem),
@@ -1538,12 +1577,13 @@ fn schedule_request(
             cell: reply_cell(pending),
         })),
     );
+    None
 }
 
-/// Builds the completion callback for a `schedule` request: selector
-/// bookkeeping, online deadline metrics, and the wire reply. Rebuilt
-/// per admission attempt (the pool drops an unrun callback on
-/// rejection); the shared `cell` guarantees at most one reply.
+/// Builds the completion callback for a `schedule` request that went
+/// through the pool. Rebuilt per admission attempt (the pool drops an
+/// unrun callback on rejection); the shared `cell` guarantees at most
+/// one reply.
 fn schedule_completion(
     cell: ReplyCell,
     decision: Option<DecisionKind>,
@@ -1553,43 +1593,64 @@ fn schedule_completion(
 ) -> impl FnOnce(Solved) + Send + 'static {
     move |solved| {
         if let Some(mut p) = cell.lock().unwrap().take() {
-            // Count the decision only for work that completed — a
-            // rejected or lost job never reached the race, so it must
-            // not skew the selector counters.
-            if let Some(kind) = decision {
-                p.shared.metrics.decision(kind).inc();
-            }
-            p.shared
-                .selector
-                .lock()
-                .unwrap()
-                .observe(&class, &solved.outcome);
-            let copies = solved.outcome.schedule.copy_count();
-            let deadline_fired = solved.outcome.deadline_fired();
-            if deadline_fired {
-                p.shared.metrics.preemptions.inc();
-            }
-            if let Some(ms) = deadline_ms {
-                if p.start.elapsed().as_millis() as u64 > ms {
-                    p.shared.metrics.deadline_misses.inc();
-                }
-            }
-            p.send(
-                Response::Schedule(ScheduleReply {
-                    winner: solved.outcome.winner,
-                    awct: solved.outcome.awct,
-                    vc_steps: solved.outcome.vc_steps,
-                    vc_timed_out: solved.outcome.vc_timed_out,
-                    cached: solved.cached,
-                    copies,
-                    policies: solved.outcome.policy_stats,
-                    schedule: return_schedule.then_some(solved.outcome.schedule),
-                    deadline_fired,
-                }),
-                true,
+            let reply = schedule_reply(
+                &p.shared,
+                p.start,
+                decision,
+                &class,
+                return_schedule,
+                deadline_ms,
+                solved,
             );
+            p.send(reply, true);
         }
     }
+}
+
+/// A solved `schedule` request's reply and its bookkeeping, wherever it
+/// was answered: the adaptive decision, the selector observation and
+/// the online deadline metrics.
+fn schedule_reply(
+    shared: &Shared,
+    start: Instant,
+    decision: Option<DecisionKind>,
+    class: &BlockClass,
+    return_schedule: bool,
+    deadline_ms: Option<u64>,
+    solved: Solved,
+) -> Response {
+    // Count the decision only for work that completed — a rejected or
+    // lost job never reached the race, so it must not skew the selector
+    // counters.
+    if let Some(kind) = decision {
+        shared.metrics.decision(kind).inc();
+    }
+    shared
+        .selector
+        .lock()
+        .unwrap()
+        .observe(class, &solved.outcome);
+    let copies = solved.outcome.schedule.copy_count();
+    let deadline_fired = solved.outcome.deadline_fired();
+    if deadline_fired {
+        shared.metrics.preemptions.inc();
+    }
+    if let Some(ms) = deadline_ms {
+        if start.elapsed().as_millis() as u64 > ms {
+            shared.metrics.deadline_misses.inc();
+        }
+    }
+    Response::Schedule(ScheduleReply {
+        winner: solved.outcome.winner,
+        awct: solved.outcome.awct,
+        vc_steps: solved.outcome.vc_steps,
+        vc_timed_out: solved.outcome.vc_timed_out,
+        cached: solved.cached,
+        copies,
+        policies: solved.outcome.policy_stats,
+        schedule: return_schedule.then_some(solved.outcome.schedule),
+        deadline_fired,
+    })
 }
 
 /// The `batch` request's wire fields, bundled for the helper thread.

@@ -1,13 +1,16 @@
 //! Service protocol tests over real loopback sockets: malformed input,
-//! oversized requests, queue-full backpressure, and the draining
-//! `shutdown` contract.
+//! oversized requests, queue-full backpressure, cache hits answered on
+//! the reactor, and the draining `shutdown` contract.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use serde::Deserialize;
+use vcsched_obs::{MetricValue, Snapshot};
 use vcsched_service::{
-    serve, Client, Request, Response, ScheduleMode, ServerHandle, ServiceConfig,
+    serve, Client, Request, Response, ScheduleMode, ScheduleReply, ServerHandle, ServiceConfig,
+    StatsReply,
 };
 use vcsched_workload::{benchmark, generate_block, InputSet};
 
@@ -452,6 +455,116 @@ fn per_machine_defaults_and_adaptive_narrowing() {
         other => panic!("expected stats, got {other:?}"),
     }
 
+    client.request(&Request::Shutdown).expect("shutdown");
+    server.join();
+}
+
+fn stats(client: &mut Client) -> StatsReply {
+    match client.request(&Request::Stats).expect("stats") {
+        Response::Stats(stats) => stats,
+        other => panic!("expected stats, got {other:?}"),
+    }
+}
+
+fn schedule(client: &mut Client, request: &Request) -> ScheduleReply {
+    match client.request(request).expect("reply") {
+        Response::Schedule(reply) => reply,
+        other => panic!("expected schedule reply, got {other:?}"),
+    }
+}
+
+/// A cold `schedule`, then a repeat on each wire: the repeats are cache
+/// hits answered on the reactor, and every count stays what it was when
+/// a worker answered them — one miss, two hits, three admitted and
+/// completed jobs, one VC attempt. Looking the key up on the reactor
+/// counts no second miss.
+#[test]
+fn counts_stay_exact_when_the_reactor_answers_hits() {
+    let server = small_server(1, 4);
+    let mut json = Client::connect(server.addr()).expect("connect");
+    let mut binary = Client::connect_binary(server.addr()).expect("connect binary");
+    let request = block_request(11);
+    let cold = schedule(&mut json, &request);
+    assert!(!cold.cached);
+    for client in [&mut json, &mut binary] {
+        let warm = schedule(client, &request);
+        assert!(warm.cached, "a repeat is answered from the cache");
+        assert_eq!(
+            (warm.winner.as_str(), warm.awct),
+            (cold.winner.as_str(), cold.awct)
+        );
+    }
+    let stats = stats(&mut json);
+    assert_eq!((stats.cache.misses, stats.cache.hits), (1, 2), "{stats:?}");
+    assert_eq!((stats.accepted, stats.completed), (3, 3), "{stats:?}");
+    let Response::Metrics { metrics } = json.request(&Request::Metrics).expect("metrics") else {
+        panic!("expected metrics");
+    };
+    let snapshot = Snapshot::from_value(&metrics).expect("snapshot parses");
+    let vc_attempts: u64 = snapshot
+        .metrics
+        .iter()
+        .filter(|m| m.name == "vc_attempts_total")
+        .map(|m| match m.value {
+            MetricValue::Counter(n) => n,
+            _ => panic!("vc_attempts_total is a counter: {m:?}"),
+        })
+        .sum();
+    assert_eq!(vc_attempts, 1);
+    json.request(&Request::Shutdown).expect("shutdown");
+    server.join();
+}
+
+/// With the one worker busy and the one queue slot taken, a cache-hot
+/// `schedule` is still answered (from the cache, on the reactor), while
+/// a cold one is shed with a backoff hint.
+#[test]
+fn a_busy_pool_still_answers_cache_hits() {
+    let server = small_server(1, 1);
+    let addr = server.addr();
+    let mut client = Client::connect(addr).expect("connect");
+    let hot = block_request(21);
+    assert!(!schedule(&mut client, &hot).cached);
+
+    // Occupy the worker, then the queue slot, each confirmed in stats.
+    let admitted = stats(&mut client).accepted;
+    let mut holders = Vec::new();
+    for (delay_ms, queued) in [(1_000, 0), (0, 1)] {
+        holders.push(std::thread::spawn(move || {
+            let mut c = Client::connect(addr).expect("connect");
+            c.request(&Request::Ping {
+                delay_ms,
+                priority: None,
+            })
+            .expect("pong")
+        }));
+        let want = admitted + holders.len() as u64;
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let s = stats(&mut client);
+            if s.accepted == want && s.queue_depth == queued {
+                break;
+            }
+            assert!(Instant::now() < deadline, "holder {want} never admitted");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    let warm = schedule(&mut client, &hot);
+    assert!(warm.cached, "a hit needs no worker");
+    match client.request(&block_request(22)).expect("reply") {
+        Response::Error {
+            error,
+            retry_after_ms,
+        } => {
+            assert!(error.contains("queue full"), "{error}");
+            assert!(retry_after_ms.is_some(), "a shed carries a backoff hint");
+        }
+        other => panic!("expected the cold request to be shed, got {other:?}"),
+    }
+    for h in holders {
+        assert!(matches!(h.join().expect("holder"), Response::Pong { .. }));
+    }
     client.request(&Request::Shutdown).expect("shutdown");
     server.join();
 }

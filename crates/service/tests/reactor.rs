@@ -1,10 +1,11 @@
 //! Reactor-core integration tests over real loopback sockets: request
 //! ids and out-of-order pipelining, streamed batch framing, byte-level
-//! compatibility for id-less clients, invalid-request accounting, and a
-//! 64-connection soak with exact connection/request bookkeeping.
+//! compatibility for id-less clients, reads of bursts and EOFs,
+//! invalid-request accounting, and a 64-connection soak with exact
+//! connection/request bookkeeping.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -155,6 +156,66 @@ fn legacy_idless_replies_are_byte_identical() {
 
     let raw = client.request_raw(r#"{"type":"shutdown"}"#).expect("bye");
     assert_eq!(raw, r#"{"ok":true,"type":"bye"}"#);
+    server.join();
+}
+
+/// The reactor reads a connection in 4 KiB chunks and stops at a short
+/// read: a pipelined burst several chunks long still gets every reply,
+/// in request order, pool work (parked at a high priority) and inline
+/// work interleaved.
+#[test]
+fn pipelined_burst_larger_than_a_read_chunk_gets_every_reply_in_order() {
+    const PAIRS: usize = 150;
+    let server = small_server(1, 2);
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    let burst =
+        "{\"type\":\"ping\",\"delay_ms\":0,\"priority\":3}\n{\"type\":\"stats\"}\n".repeat(PAIRS);
+    assert!(burst.len() > 2 * 4096, "{} bytes", burst.len());
+    raw.write_all(burst.as_bytes()).expect("send burst");
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let mut line = String::new();
+    for i in 0..2 * PAIRS {
+        line.clear();
+        reader.read_line(&mut line).expect("reply");
+        let want = if i % 2 == 0 {
+            r#""type":"pong""#
+        } else {
+            r#""type":"stats""#
+        };
+        assert!(line.contains(want), "reply {i}: {line}");
+    }
+    drop(reader);
+    drop(raw);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.request(&Request::Shutdown).expect("shutdown");
+    server.join();
+}
+
+/// A client that half-closes right after its last request still gets
+/// every reply, and then the server closes the connection: the EOF
+/// behind the requests is seen on a later readiness pass.
+#[test]
+fn eof_right_after_the_last_request_closes_cleanly() {
+    let server = small_server(1, 4);
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    raw.write_all(b"{\"type\":\"ping\",\"delay_ms\":20}\n{\"type\":\"stats\"}\n")
+        .expect("send");
+    raw.shutdown(Shutdown::Write).expect("half-close");
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut replies = String::new();
+    raw.read_to_string(&mut replies)
+        .expect("replies, then EOF from the server");
+    let lines: Vec<&str> = replies.lines().collect();
+    assert_eq!(lines.len(), 2, "{replies}");
+    assert_eq!(lines[0], r#"{"ok":true,"type":"pong","delay_ms":20}"#);
+    assert!(lines[1].contains(r#""type":"stats""#), "{}", lines[1]);
+    // Closed on the server side too: only the new client is open.
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let Response::Stats(stats) = client.request(&Request::Stats).expect("stats") else {
+        panic!("expected stats");
+    };
+    assert_eq!(stats.connections_open, 1, "{stats:?}");
+    client.request(&Request::Shutdown).expect("shutdown");
     server.join();
 }
 

@@ -16,8 +16,9 @@
 //!   without reserving memory for the claimed elements.
 //! * An exact stage-3 matching on 20 matchable nodes requests under
 //!   1 MiB.
-//! * A cache-hit `solve_one`, parsing a `schedule` line into a `Value`
-//!   and printing a block each make an exact, pinned number of
+//! * A cache-hit `solve_one`, parsing a `schedule` line into a `Value`,
+//!   the server's typed decode of the same lines and of their binary
+//!   frames, and printing a block each make an exact, pinned number of
 //!   allocations over the golden corpus.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -36,8 +37,8 @@ use vcsched::engine::{
 };
 use vcsched::graph::matching::{max_weight_matching, EXACT_NODE_LIMIT};
 use vcsched::ir::Superblock;
-use vcsched::service::frame::decode_frame;
-use vcsched::service::protocol::{request_line, Request};
+use vcsched::service::frame::{decode_frame, encode_frame, read_frame_as, Version};
+use vcsched::service::protocol::{read_request, request_line, request_value, Request};
 use vcsched::workload::live_in_placement;
 
 struct Counting;
@@ -347,26 +348,27 @@ fn exact_matching_memory_is_bounded_by_reachable_subsets() {
     );
 }
 
+/// A `schedule` request for `sb`, as a client sends it.
+fn schedule_request(sb: &Superblock) -> Request {
+    Request::Schedule {
+        block: sb.clone(),
+        machine: "2c".to_owned(),
+        policies: None,
+        mode: None,
+        steps: None,
+        budget_bytes: None,
+        early_cancel: None,
+        adaptive: None,
+        placement_seed: None,
+        return_schedule: false,
+        deadline_ms: None,
+        priority: None,
+    }
+}
+
 /// A `schedule` request line for `sb`, as a client writes it.
 fn schedule_line(sb: &Superblock, id: u64) -> String {
-    request_line(
-        &Request::Schedule {
-            block: sb.clone(),
-            machine: "2c".to_owned(),
-            policies: None,
-            mode: None,
-            steps: None,
-            budget_bytes: None,
-            early_cancel: None,
-            adaptive: None,
-            placement_seed: None,
-            return_schedule: false,
-            deadline_ms: None,
-            priority: None,
-        },
-        Some(id),
-    )
-    .expect("requests serialize")
+    request_line(&schedule_request(sb), Some(id)).expect("requests serialize")
 }
 
 /// Allocations of a cache-hit `solve_one` per golden-corpus block
@@ -427,6 +429,47 @@ fn parsing_a_request_line_allocates_one_tree() {
     assert_eq!(
         parse, SCHEDULE_LINE_PARSE_ALLOCS,
         "parsing the golden corpus's schedule lines made {parse} allocations"
+    );
+}
+
+/// Allocations of the server's typed decode of one `schedule` line per
+/// golden-corpus block, summed over the corpus: the request it returns
+/// (the block's name, instruction and dependence vectors, the machine
+/// name), and no `Value` tree. Decoding the same lines through the tree
+/// takes [`SCHEDULE_LINE_PARSE_ALLOCS`] for the parse alone.
+const SCHEDULE_LINE_TYPED_ALLOCS: u64 = 296;
+
+/// The same figure for the lines' `v2` binary frames.
+const SCHEDULE_FRAME_TYPED_ALLOCS: u64 = 296;
+
+#[test]
+fn typed_request_decode_allocates_only_the_request() {
+    let (mut lines, mut frames) = (0, 0);
+    for (i, sb) in golden_blocks().iter().enumerate() {
+        let request = schedule_request(sb);
+        let id = Some(i as u64);
+        let line = schedule_line(sb, i as u64);
+        let (decoded, allocs, _) = counted(|| {
+            let mut r = serde_json::JsonReader::new(&line);
+            let decoded = read_request(&mut r).expect("decodes");
+            r.end().expect("one request");
+            decoded
+        });
+        assert_eq!(decoded, (request.clone(), id), "block {i}");
+        lines += allocs;
+        let frame = encode_frame(&request_value(&request, id));
+        let (decoded, allocs, _) = counted(|| {
+            read_frame_as(&frame, Version::V2, 1 << 20, |r| read_request(r))
+                .expect("decodes")
+                .expect("whole")
+        });
+        assert_eq!(decoded, ((request, id), frame.len()), "block {i}");
+        frames += allocs;
+    }
+    assert_eq!(
+        (lines, frames),
+        (SCHEDULE_LINE_TYPED_ALLOCS, SCHEDULE_FRAME_TYPED_ALLOCS),
+        "typed decodes of the golden corpus's schedule lines and frames"
     );
 }
 

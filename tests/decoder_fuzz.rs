@@ -1,16 +1,22 @@
-//! Seeded mutation fuzzing of the request decoders.
+//! Seeded mutation fuzzing of the request decoders, and the typed
+//! decoder checked against the tree decoder it stands in for.
 //!
-//! Valid request lines and binary frames are truncated, bit-flipped,
-//! spliced together, and have bytes inserted or dropped; each mutant
-//! goes through the decode path the server runs: `from_str::<Value>` (or
-//! `decode_frame`), then `envelope_id` and `Request::from_value`. Every
-//! step must end in `Ok` or a typed error; a panic fails the test with
-//! the input that caused it.
+//! Valid request lines and binary frames of every request type, and
+//! rewrites of them (keys reordered, a key repeated, a key escaped,
+//! whitespace added), are truncated, bit-flipped, spliced together, and
+//! have bytes inserted or dropped. Each input goes through the server's
+//! decode (typed, falling back to the tree) and through the tree alone:
+//! both must end in `Ok` or a typed error, and they must agree — the
+//! same request and id, or the same error reply bytes. A panic or a
+//! disagreement fails the test with the input that caused it.
 
 use proptest::prelude::*;
-use serde::{Deserialize, Value};
-use vcsched::service::frame::{decode_frame, encode_frame};
-use vcsched::service::protocol::{envelope_id, request_line, request_value, Request};
+use serde::Value;
+use vcsched::service::frame::{encode_frame, read_frame_as, Version};
+use vcsched::service::protocol::{
+    decode_request_frame, decode_request_line, read_request, request_line, request_value,
+    response_line, tree_request_frame, tree_request_line, Decoded, Invalid, Request, Response,
+};
 use vcsched::workload::{benchmarks, generate_block, InputSet};
 
 /// SplitMix64, seeded by proptest.
@@ -116,34 +122,99 @@ fn mutate(g: &mut Gen, bytes: &[u8], other: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The server's post-parse steps on a decoded value.
-fn interpret(v: &Value) {
-    let _ = envelope_id(v);
-    let _ = Request::from_value(v);
+/// The reply bytes of a decode: the request's own serialization (a
+/// request re-encodes to one line), or the error line the server sends.
+fn reply_bytes(decoded: &Decoded) -> String {
+    match decoded {
+        Ok((request, id)) => request_line(request, *id).expect("requests serialize"),
+        Err(Invalid { error, id }) => response_line(
+            &Response::Error {
+                error: error.clone(),
+                retry_after_ms: None,
+            },
+            *id,
+        ),
+    }
 }
 
-fn decode_json(bytes: &[u8]) {
+/// The server's decode of a JSON line agrees with the tree's.
+fn json_agrees(bytes: &[u8]) -> Result<(), String> {
     let text = String::from_utf8_lossy(bytes);
-    if let Ok(v) = serde_json::from_str::<Value>(&text) {
-        interpret(&v);
+    let (server, tree) = (decode_request_line(&text), tree_request_line(&text));
+    if server != tree || reply_bytes(&server) != reply_bytes(&tree) {
+        return Err(format!(
+            "JSON decoders disagree on {text:?}: {server:?} vs {tree:?}"
+        ));
     }
+    Ok(())
 }
 
-fn decode_binary(bytes: &[u8]) {
-    if let Ok(Some((v, _))) = decode_frame(bytes, 1 << 20) {
-        interpret(&v);
+/// The server's decode of a binary frame agrees with the tree's.
+fn binary_agrees(bytes: &[u8]) -> Result<(), String> {
+    let server = decode_request_frame(bytes, Version::V2, 1 << 20);
+    let tree = tree_request_frame(bytes, Version::V2, 1 << 20);
+    let same_bytes = match (&server, &tree) {
+        (Ok(Some((s, _))), Ok(Some((t, _)))) => reply_bytes(s) == reply_bytes(t),
+        _ => true,
+    };
+    if server != tree || !same_bytes {
+        return Err(format!(
+            "frame decoders disagree on {:?}: {server:?} vs {tree:?}",
+            String::from_utf8_lossy(bytes)
+        ));
     }
+    Ok(())
 }
 
-/// Runs `decode` on `input`, turning a panic into an error naming the
+/// Runs `check` on `input`, turning a panic into an error naming the
 /// input.
-fn survives(wire: &str, decode: fn(&[u8]), input: &[u8]) -> Result<(), String> {
-    std::panic::catch_unwind(|| decode(input)).map_err(|_| {
+fn survives(
+    wire: &str,
+    check: fn(&[u8]) -> Result<(), String>,
+    input: &[u8],
+) -> Result<(), String> {
+    std::panic::catch_unwind(|| check(input)).map_err(|_| {
         format!(
             "{wire} decoder panicked on {:?}",
             String::from_utf8_lossy(input)
         )
-    })
+    })?
+}
+
+/// The typed decoder alone on a JSON line: `None` where it refuses.
+fn typed_line(text: &str) -> Option<(Request, Option<u64>)> {
+    let mut r = serde_json::JsonReader::new(text);
+    let decoded = read_request(&mut r).ok()?;
+    r.end().ok()?;
+    Some(decoded)
+}
+
+/// The typed decoder alone on a binary frame: `None` where it refuses.
+fn typed_frame(bytes: &[u8]) -> Option<(Request, Option<u64>)> {
+    read_frame_as(bytes, Version::V2, 1 << 20, |r| read_request(r))
+        .ok()
+        .flatten()
+        .map(|(decoded, _)| decoded)
+}
+
+/// Rewrites of a request's tree: its keys in reverse order, which
+/// decodes to the same request on both paths; only its `type`, `id` and
+/// `block`, which both paths complete with the defaults; and its first
+/// key repeated, which the tree resolves to the first occurrence and the
+/// typed decoder refuses.
+fn rewrites(value: &Value) -> [Value; 3] {
+    let Value::Object(fields) = value else {
+        panic!("requests are objects");
+    };
+    let reversed = fields.iter().rev().cloned().collect();
+    let sparse = fields
+        .iter()
+        .filter(|(k, _)| ["type", "id", "block"].contains(&k.as_str()))
+        .cloned()
+        .collect();
+    let mut repeated = fields.clone();
+    repeated.push((fields[0].0.clone(), Value::Bool(true)));
+    [reversed, sparse, repeated].map(Value::Object)
 }
 
 proptest! {
@@ -153,28 +224,57 @@ proptest! {
     fn mutated_requests_decode_to_ok_or_a_typed_error(seed in any::<u64>()) {
         let mut g = Gen(seed);
         let requests = seeds(&mut g);
-        let lines: Vec<Vec<u8>> = requests
-            .iter()
-            .map(|(r, id)| request_line(r, *id).expect("requests serialize").into_bytes())
-            .collect();
-        let frames: Vec<Vec<u8>> = requests
-            .iter()
-            .map(|(r, id)| encode_frame(&request_value(r, *id)))
-            .collect();
-        // The unmutated inputs decode back to their requests.
-        for ((request, _), (line, frame)) in requests.iter().zip(lines.iter().zip(&frames)) {
-            let v: Value = serde_json::from_str(std::str::from_utf8(line).unwrap()).unwrap();
-            prop_assert_eq!(&Request::from_value(&v).unwrap(), request);
-            let (v, used) = decode_frame(frame, 1 << 20).unwrap().unwrap();
+        let mut lines: Vec<Vec<u8>> = Vec::new();
+        let mut frames: Vec<Vec<u8>> = Vec::new();
+        for (request, id) in &requests {
+            let value = request_value(request, *id);
+            let line = request_line(request, *id).expect("requests serialize");
+            // Unmutated, both decoders give back the request.
+            let decoded = Ok((request.clone(), *id));
+            prop_assert_eq!(&decode_request_line(&line), &decoded);
+            let frame = encode_frame(&value);
+            let Ok(Some((from_frame, used))) = decode_request_frame(&frame, Version::V2, 1 << 20)
+            else {
+                panic!("a whole frame decodes");
+            };
             prop_assert_eq!(used, frame.len());
-            prop_assert_eq!(&Request::from_value(&v).unwrap(), request);
+            prop_assert_eq!(&from_frame, &decoded);
+            // The typed decoder itself reads the compact line, an escaped
+            // key, indented text and reordered keys, on both wires; it
+            // refuses a repeated key, which the tree answers.
+            let escaped = line.replacen("\"type\"", "\"typ\\u0065\"", 1);
+            let pretty = serde_json::to_string_pretty(&value).expect("prints");
+            let [reversed, sparse, repeated] = rewrites(&value);
+            let print = |v: &Value| serde_json::to_string(v).expect("prints");
+            let typed = Some((request.clone(), *id));
+            for text in [&line, &escaped, &pretty, &print(&reversed)] {
+                prop_assert_eq!(&typed_line(text), &typed);
+            }
+            prop_assert_eq!(typed_frame(&frame), typed.clone());
+            prop_assert_eq!(typed_frame(&encode_frame(&reversed)), typed);
+            prop_assert!(typed_line(&print(&sparse)).is_some());
+            prop_assert_eq!(typed_line(&print(&repeated)), None);
+            prop_assert_eq!(typed_frame(&encode_frame(&repeated)), None);
+            lines.extend([line, escaped, pretty].map(String::into_bytes));
+            for rewrite in [&reversed, &sparse, &repeated] {
+                lines.push(print(rewrite).into_bytes());
+                frames.push(encode_frame(rewrite));
+            }
+            frames.push(frame);
+        }
+        for line in &lines {
+            survives("JSON", json_agrees, line)?;
+        }
+        for frame in &frames {
+            survives("binary", binary_agrees, frame)?;
         }
         for _ in 0..24 {
             let (a, b) = (g.below(lines.len()), g.below(lines.len()));
             let mutant = mutate(&mut g, &lines[a], &lines[b]);
-            survives("JSON", decode_json, &mutant)?;
+            survives("JSON", json_agrees, &mutant)?;
+            let (a, b) = (g.below(frames.len()), g.below(frames.len()));
             let mutant = mutate(&mut g, &frames[a], &frames[b]);
-            survives("binary", decode_binary, &mutant)?;
+            survives("binary", binary_agrees, &mutant)?;
         }
     }
 }
