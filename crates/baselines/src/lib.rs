@@ -68,8 +68,9 @@ use vcsched_policy::{PolicyBudget, PolicyOutcome, SchedulePolicy};
 ///
 /// Each cluster order is a distinct registry identity — `uas` (CWP, the
 /// paper's §6.1 pick), `uas-mwp`, `uas-none` and `uas-balance` — so a
-/// portfolio can race the orders against each other and the adaptive
-/// selector can learn which one wins a given block class.
+/// portfolio can race the orders against each other. Racing all eight
+/// built-in policies instead of the §6.1 four lowers aggregate AWCT on
+/// every corpus and machine ROADMAP.md records.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UasPolicy {
     /// Cluster-priority heuristic handed to [`UasScheduler`].

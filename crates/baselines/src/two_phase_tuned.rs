@@ -8,8 +8,9 @@
 //! chains instead of packing them onto the home cluster, which wins on
 //! blocks where the default partition saturates one cluster's issue
 //! width. A distinct registry identity (like the UAS order variants)
-//! lets portfolios race the two tunings and the adaptive selector learn
-//! per block class which one to keep.
+//! lets portfolios race the two tunings; racing all eight built-in
+//! policies instead of the §6.1 four lowers aggregate AWCT on every
+//! corpus and machine ROADMAP.md records.
 
 use vcsched_arch::{ClusterId, MachineConfig};
 use vcsched_ir::Superblock;

@@ -35,12 +35,11 @@
 //! * [`solve_one`] — the one cached solve: key the problem, answer a hit,
 //!   otherwise race and remember (the [`SubmitPool`] workers share its
 //!   body);
-//! * [`BatchPlan`] — the one batch pipeline: each block's homes and
-//!   [`PolicyOptions`], then the fold of the outcomes into a
+//! * [`BatchPlan`] — the one batch pipeline: each block's homes and the
+//!   batch's one [`PolicyOptions`], then the fold of the outcomes into a
 //!   [`BatchResult`]. [`run_batch`] drives it from a [`BatchConfig`]
-//!   (corpus, cache, persisted selector), [`run_batch_on`] over
-//!   caller-held blocks, cache and optional [`SelectorTable`], and
-//!   `vcsched serve`'s `batch` verb through its fair queue;
+//!   (corpus and cache), [`run_batch_on`] over caller-held blocks and
+//!   cache, and `vcsched serve`'s `batch` verb through its fair queue;
 //! * [`run_trace`] — the online executor, in virtual time.
 //!
 //! A [`PolicySet`] carries the [`PolicyRegistry`] it was validated
@@ -75,7 +74,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod cache;
 pub mod corpus;
 pub mod online;
@@ -84,7 +82,7 @@ pub mod portfolio;
 pub mod registry;
 pub mod submit;
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
@@ -92,8 +90,6 @@ use vcsched_arch::{ClusterId, MachineConfig};
 use vcsched_ir::Superblock;
 use vcsched_workload::live_in_placement;
 
-use adaptive::Decision;
-pub use adaptive::{AdaptiveOptions, AdaptiveSummary, BlockClass, SelectorTable, SELECTOR_FILE};
 pub use cache::{CacheEntry, CacheStats, ScheduleCache, ShardStats};
 pub use corpus::CorpusSource;
 pub use online::{
@@ -128,11 +124,6 @@ pub struct BatchConfig {
     /// Cooperative early-cancel for exhaustive policies (see
     /// [`PolicyOptions::early_cancel`]).
     pub early_cancel: bool,
-    /// Adaptive portfolio selection: `Some` narrows each block's race to
-    /// the top policies its class has been won by (see [`adaptive`]),
-    /// falling back to the full configured set for unseen classes.
-    /// `None` (the default) races the configured set on every block.
-    pub adaptive: Option<AdaptiveOptions>,
     /// VC deduction-step budget per block.
     pub max_dp_steps: u64,
     /// Optional VC trail-work budget per block, in bytes of state touched
@@ -164,7 +155,6 @@ impl Default for BatchConfig {
             jobs: default_jobs(),
             policies: PolicySet::single(),
             early_cancel: false,
-            adaptive: None,
             max_dp_steps: STEPS_1M,
             max_trail_bytes: None,
             placement_seed: 0xC60_2007,
@@ -289,9 +279,6 @@ pub struct BatchSummary {
     /// policy-set order (the authoritative table; [`Wins`] keeps the
     /// fixed legacy shape).
     pub policies: Vec<PolicySummary>,
-    /// Selector accounting when the batch ran adaptively (`None` for a
-    /// plain full race).
-    pub adaptive: Option<AdaptiveSummary>,
 }
 
 /// Full result of a batch run: the summary plus every block's outcome (in
@@ -306,8 +293,17 @@ pub struct BatchResult {
     pub outcomes: Vec<BlockOutcome>,
 }
 
-/// Hashes one scheduling problem into its cache key plus the independent
-/// verification hash checked on lookup.
+/// One scheduling problem's cache key plus the independent verification
+/// hash checked on lookup. A missed [`SubmitPool::answer_cached`] hands
+/// it back, and the caller submits it with the problem, so the solve that
+/// follows the miss does not print the block again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProblemKey {
+    key: u64,
+    check: u64,
+}
+
+/// Hashes one scheduling problem into its [`ProblemKey`].
 ///
 /// The composite covers the *entire* policy configuration — the
 /// **version-qualified** policy-set spelling (each member as
@@ -324,7 +320,7 @@ fn problem_key(
     machine: &MachineConfig,
     homes: &[ClusterId],
     options: &PolicyOptions,
-) -> (u64, u64) {
+) -> ProblemKey {
     use std::fmt::Write as _;
     thread_local! {
         /// The composite's buffer, reused so a warm key allocates nothing.
@@ -349,7 +345,8 @@ fn problem_key(
         if let Some(deadline) = options.deadline_steps {
             let _ = write!(composite, "|deadline_steps={deadline}");
         }
-        cache::fnv1a_pair(composite.as_bytes())
+        let (key, check) = cache::fnv1a_pair(composite.as_bytes());
+        ProblemKey { key, check }
     })
 }
 
@@ -370,25 +367,13 @@ pub fn solve_one(
     options: &PolicyOptions,
     cache: &ScheduleCache,
 ) -> (BlockOutcome, bool) {
-    solve_through_cache(sb, machine, homes, options, cache, None)
-}
-
-/// The remembered outcome of a problem the cache holds, counting the
-/// hit; a miss counts nothing (see [`ScheduleCache::probe`]).
-pub(crate) fn cached_outcome(
-    sb: &Superblock,
-    machine: &MachineConfig,
-    homes: &[ClusterId],
-    options: &PolicyOptions,
-    cache: &ScheduleCache,
-) -> Option<BlockOutcome> {
-    let (key, check) = problem_key(sb, machine, homes, options);
-    cache.probe(key, check)
+    solve_through_cache(sb, machine, homes, options, cache, None, None)
 }
 
 /// The one solve body behind [`solve_one`] and the [`SubmitPool`]
-/// workers: key the canonical problem, answer a hit from the cache,
-/// otherwise race the portfolio and remember the outcome.
+/// workers: key the canonical problem (unless the caller carries its
+/// `key` already), answer a hit from the cache, otherwise race the
+/// portfolio and remember the outcome.
 ///
 /// With a wall-clock `deadline`, the race runs against a sealed
 /// [`AwctBound`] watched by a [`DeadlineTimer`]; if the timer fires
@@ -403,10 +388,11 @@ pub(crate) fn solve_through_cache(
     homes: &[ClusterId],
     options: &PolicyOptions,
     cache: &ScheduleCache,
+    key: Option<ProblemKey>,
     deadline: Option<Duration>,
 ) -> (BlockOutcome, bool) {
     let mut span = vcsched_obs::span!("engine_solve", insts = sb.len());
-    let (key, check) = problem_key(sb, machine, homes, options);
+    let ProblemKey { key, check } = key.unwrap_or_else(|| problem_key(sb, machine, homes, options));
     if let Some(outcome) = cache.get(key, check) {
         span.field("cached", true);
         return (outcome, true);
@@ -438,38 +424,16 @@ pub(crate) fn solve_through_cache(
     (outcome, false)
 }
 
-/// The path the selector table persists at for a [`BatchConfig`] with a
-/// cache directory (next to the schedule cache's journal).
-pub fn selector_path(cache_dir: &Path) -> PathBuf {
-    cache_dir.join(SELECTOR_FILE)
-}
-
 /// Runs a whole batch: load the corpus, open the cache the config asks
 /// for, race every block through [`run_batch_on`], flush the cache.
-///
-/// With [`BatchConfig::adaptive`] set, the selector table is loaded from
-/// (and saved back to) [`selector_path`] when the cache is persistent,
-/// so successive runs keep learning. Without a cache directory the table
-/// starts cold and is discarded at the end — and since the plan is fixed
-/// *before* any observation folds in, such a run can never narrow: it is
-/// a full race plus bookkeeping. Callers that want within-process
-/// learning across batches hold their own table and call
-/// [`run_batch_on`].
 pub fn run_batch(config: &BatchConfig) -> Result<BatchResult, String> {
     let blocks = config.source.load()?;
-    let dir = config.cache_dir.as_deref();
-    let cache = ScheduleCache::open(dir, config.cache_capacity, config.cache_shards)?;
-    let table_path = dir.map(selector_path);
-    let mut selector = config.adaptive.as_ref().map(|_| {
-        table_path
-            .as_deref()
-            .map(SelectorTable::load)
-            .unwrap_or_default()
-    });
-    let result = run_batch_on(config, &blocks, &cache, selector.as_mut());
-    if let (Some(selector), Some(path)) = (&selector, &table_path) {
-        selector.save(path)?;
-    }
+    let cache = ScheduleCache::open(
+        config.cache_dir.as_deref(),
+        config.cache_capacity,
+        config.cache_shards,
+    )?;
+    let result = run_batch_on(config, &blocks, &cache);
     cache.flush();
     Ok(result)
 }
@@ -477,71 +441,45 @@ pub fn run_batch(config: &BatchConfig) -> Result<BatchResult, String> {
 /// Races `blocks` under `config` against a caller-managed cache (one
 /// cache can serve many batches in a long-lived process), fanning the
 /// blocks over [`BatchConfig::jobs`] workers.
-///
-/// With a `selector`, every outcome folds back into it in corpus order
-/// once the race is done; with [`BatchConfig::adaptive`] set as well,
-/// each block's set is first narrowed against the table as it stood
-/// when the batch started (see [`BatchPlan`]). Without a selector the
-/// configured set races on every block.
 pub fn run_batch_on(
     config: &BatchConfig,
     blocks: &[Superblock],
     cache: &ScheduleCache,
-    selector: Option<&mut SelectorTable>,
 ) -> BatchResult {
-    let plan = BatchPlan::new(config, blocks, selector.as_deref());
+    let plan = BatchPlan::new(config, blocks);
+    let options = plan.options();
     let per_block = scatter(blocks.len(), config.jobs, |i| {
-        solve_one(
-            &blocks[i],
-            &config.machine,
-            &plan.homes(i),
-            &plan.options(i),
-            cache,
-        )
+        solve_one(&blocks[i], &config.machine, &plan.homes(i), options, cache)
     });
-    plan.finish(per_block, selector)
+    plan.finish(per_block)
 }
 
-/// One batch's plan: each block's live-in homes and policy options,
-/// fixed before any block races, and the fold of the outcomes into a
-/// [`BatchResult`] — aggregation, selector observations and the
-/// adaptive summary. [`run_batch_on`] and the service's `batch` verb
-/// both race through it, so the same problems yield the same summary.
-///
-/// An adaptive plan reads the selector once, when it is built, and
-/// decides each block by its corpus index, so a parallel batch makes
-/// exactly the decisions a serial one would.
+/// One batch's plan: each block's live-in homes and the policy options
+/// every block races under, fixed before any block races, and the fold
+/// of the outcomes into a [`BatchResult`]. [`run_batch_on`] and the
+/// service's `batch` verb both race through it, so the same problems
+/// yield the same summary.
 pub struct BatchPlan<'a> {
     config: &'a BatchConfig,
     blocks: &'a [Superblock],
-    /// Each block's adaptive decision and the classes the selector knew
-    /// when planning; `None` races the configured set everywhere.
-    decisions: Option<(Vec<Decision>, usize)>,
+    options: PolicyOptions,
     /// When the plan was made: the summary's `wall_ms` runs from here.
     t0: Instant,
 }
 
 impl<'a> BatchPlan<'a> {
-    /// Plans `blocks` under `config`. Narrows each block's set against
-    /// `selector` when [`BatchConfig::adaptive`] is set and a selector
-    /// is given; otherwise every block races the configured set.
-    pub fn new(
-        config: &'a BatchConfig,
-        blocks: &'a [Superblock],
-        selector: Option<&SelectorTable>,
-    ) -> BatchPlan<'a> {
-        let decisions = config
-            .adaptive
-            .as_ref()
-            .zip(selector)
-            .map(|(options, table)| {
-                let plan = table.plan(blocks, &config.machine, &config.policies, options);
-                (plan, table.classes.len())
-            });
+    /// Plans `blocks` under `config`.
+    pub fn new(config: &'a BatchConfig, blocks: &'a [Superblock]) -> BatchPlan<'a> {
         BatchPlan {
             config,
             blocks,
-            decisions,
+            options: PolicyOptions {
+                max_dp_steps: config.max_dp_steps,
+                max_trail_bytes: config.max_trail_bytes,
+                policies: config.policies.clone(),
+                early_cancel: config.early_cancel,
+                deadline_steps: None,
+            },
             t0: Instant::now(),
         }
     }
@@ -556,44 +494,19 @@ impl<'a> BatchPlan<'a> {
         )
     }
 
-    /// Block `i`'s policy options: the configured budgets and the set
-    /// the plan races on it.
-    pub fn options(&self, i: usize) -> PolicyOptions {
-        let policies = match &self.decisions {
-            Some((plan, _)) => &plan[i].policies,
-            None => &self.config.policies,
-        };
-        PolicyOptions {
-            max_dp_steps: self.config.max_dp_steps,
-            max_trail_bytes: self.config.max_trail_bytes,
-            policies: policies.clone(),
-            early_cancel: self.config.early_cancel,
-            deadline_steps: None,
-        }
-    }
-
-    /// The per-block adaptive decisions, when the plan narrows.
-    pub fn decisions(&self) -> Option<&[Decision]> {
-        self.decisions.as_ref().map(|(plan, _)| plan.as_slice())
+    /// The policy options every block races under: the configured set
+    /// and budgets.
+    pub fn options(&self) -> &PolicyOptions {
+        &self.options
     }
 
     /// Folds the per-block outcomes (in corpus order, with whether the
-    /// cache answered each) into the batch's result, and each outcome
-    /// into `selector` when given. Cache accounting comes from the
-    /// per-block flags, so a shared long-lived cache serving other
-    /// traffic concurrently (the service case) cannot skew this batch's
-    /// hit rate.
-    pub fn finish(
-        self,
-        per_block: Vec<(BlockOutcome, bool)>,
-        selector: Option<&mut SelectorTable>,
-    ) -> BatchResult {
+    /// cache answered each) into the batch's result. Cache accounting
+    /// comes from the per-block flags, so a shared long-lived cache
+    /// serving other traffic concurrently (the service case) cannot skew
+    /// this batch's hit rate.
+    pub fn finish(self, per_block: Vec<(BlockOutcome, bool)>) -> BatchResult {
         let config = self.config;
-        if let Some(selector) = selector {
-            for (sb, (outcome, _)) in self.blocks.iter().zip(&per_block) {
-                selector.observe(&BlockClass::of(sb, &config.machine), outcome);
-            }
-        }
         let mut wins = Wins::default();
         let mut vc_timeouts = 0usize;
         let mut weighted_cycles = 0.0f64;
@@ -662,11 +575,6 @@ impl<'a> BatchPlan<'a> {
             hits,
             misses: self.blocks.len() as u64 - hits,
         };
-        let adaptive = self.decisions.as_ref().zip(config.adaptive.as_ref()).map(
-            |((plan, classes_known), options)| {
-                adaptive::summarize(plan, &config.policies, options.seed, *classes_known)
-            },
-        );
         let summary = BatchSummary {
             corpus: config.source.describe(),
             machine: config.machine.name().to_owned(),
@@ -689,7 +597,6 @@ impl<'a> BatchPlan<'a> {
             },
             wall_ms: self.t0.elapsed().as_millis() as u64,
             policies,
-            adaptive,
         };
         BatchResult {
             summary,
@@ -743,10 +650,10 @@ mod tests {
         };
         let blocks = config.source.load().unwrap();
         let cache = ScheduleCache::in_memory(64);
-        let first = run_batch_on(&config, &blocks, &cache, None);
+        let first = run_batch_on(&config, &blocks, &cache);
         assert_eq!(first.summary.cache.hits, 0);
         assert_eq!(first.summary.cache.misses, 6);
-        let second = run_batch_on(&config, &blocks, &cache, None);
+        let second = run_batch_on(&config, &blocks, &cache);
         assert_eq!(second.summary.cache.hits, 6);
         assert_eq!(
             second.summary.cache.misses, 0,
@@ -805,10 +712,10 @@ mod tests {
             }
             assert_eq!(
                 problem_key(&sb, &machine, &homes, &options),
-                (
-                    cache::fnv1a(composite.as_bytes()),
-                    cache::fnv1a_check(composite.as_bytes())
-                ),
+                ProblemKey {
+                    key: cache::fnv1a(composite.as_bytes()),
+                    check: cache::fnv1a_check(composite.as_bytes())
+                },
                 "deadline_steps {deadline_steps:?}"
             );
         }
@@ -837,6 +744,7 @@ mod tests {
                 &homes,
                 &options,
                 &cache,
+                None,
                 Some(Duration::ZERO),
             )
         };

@@ -196,9 +196,11 @@ impl PolicySet {
         PolicySet::builtin(&["vc", "cars", "uas", "two-phase"])
     }
 
-    /// Every registered built-in policy (the §6.1 four plus the UAS
-    /// cluster-order variants) — the widest portfolio the adaptive
-    /// selector can learn over.
+    /// Every registered built-in policy: the §6.1 four plus the UAS
+    /// cluster-order and two-phase tuning variants. Racing all eight
+    /// instead of the four lowered aggregate AWCT on `130.li` and
+    /// `mpeg2enc`, on `2c` and `4c2` alike (ROADMAP.md records the
+    /// figures).
     pub fn all() -> PolicySet {
         PolicySet::builtin(&PolicyRegistry::builtin().names())
     }
@@ -273,15 +275,6 @@ impl PolicySet {
             names: indexed.into_iter().map(|(_, n)| n.to_owned()).collect(),
             registry,
         })
-    }
-
-    /// The members `keep` accepts, in the same canonical order and
-    /// against the same registry (the adaptive selector's narrowing).
-    pub(crate) fn filtered(&self, keep: impl Fn(&str) -> bool) -> PolicySet {
-        PolicySet {
-            names: self.names.iter().filter(|n| keep(n)).cloned().collect(),
-            registry: self.registry,
-        }
     }
 
     /// Constructs every member, in canonical order, through the set's

@@ -18,7 +18,10 @@
 //!   callback with a channel sender behind it;
 //! * [`SubmitPool::answer_cached`] answers a problem the cache already
 //!   holds on the caller's thread, with no queue or worker, counting it
-//!   as the worker would — the service reactor's path for cache hits;
+//!   as the worker would — the service reactor's path for cache hits.
+//!   A miss hands back the problem's [`ProblemKey`], which the caller
+//!   passes to [`SubmitPool::try_submit_with`] so the worker does not
+//!   key the problem again;
 //! * [`SubmitPool::probe`] runs a no-op (optionally delayed) job through
 //!   the same queue and workers, measuring true end-to-end service time —
 //!   and giving tests a deterministic way to hold workers busy;
@@ -53,6 +56,7 @@ use vcsched_policy::PolicyFallback;
 
 use crate::cache::ScheduleCache;
 use crate::portfolio::{BlockOutcome, PolicyOptions};
+use crate::ProblemKey;
 
 /// One scheduling problem in canonical form.
 #[derive(Debug, Clone)]
@@ -165,6 +169,8 @@ enum TaskKind {
         // Boxed: a Problem is an order of magnitude larger than the
         // Probe variant, and tasks move through a channel by value.
         problem: Box<Problem>,
+        /// The problem's key, when the submitter already built it.
+        key: Option<ProblemKey>,
         reply: Reply<Solved>,
     },
     Probe {
@@ -389,7 +395,11 @@ impl SubmitPool {
                         completed.fetch_add(1, Ordering::Relaxed);
                     };
                     match task.kind {
-                        TaskKind::Solve { problem, reply } => {
+                        TaskKind::Solve {
+                            problem,
+                            key,
+                            reply,
+                        } => {
                             let solve_start = Instant::now();
                             let (outcome, cached) = crate::solve_through_cache(
                                 &problem.block,
@@ -397,6 +407,7 @@ impl SubmitPool {
                                 &problem.homes,
                                 &problem.options,
                                 &cache,
+                                key,
                                 problem.deadline,
                             );
                             solve_latency.record_duration(solve_start.elapsed());
@@ -558,7 +569,7 @@ impl SubmitPool {
     /// with the backpressure signal and hands the problem back.
     pub fn try_submit(&self, problem: impl Into<Box<Problem>>) -> Result<Ticket<Solved>, Rejected> {
         let (reply, ticket) = ticket();
-        self.try_submit_with(problem, reply)?;
+        self.try_submit_with(problem, None, reply)?;
         Ok(ticket)
     }
 
@@ -571,13 +582,20 @@ impl SubmitPool {
     /// completion queue, wake an event loop); the worker is busy for as
     /// long as it runs. A refusal drops `notify` and hands the problem
     /// back, as [`SubmitPool::try_submit`] does.
+    ///
+    /// `key` is the problem's key as a missed
+    /// [`SubmitPool::answer_cached`] handed it back; the worker then
+    /// looks the problem up under it instead of keying it again. `None`
+    /// lets the worker key the problem itself.
     pub fn try_submit_with(
         &self,
         problem: impl Into<Box<Problem>>,
+        key: Option<ProblemKey>,
         notify: impl FnOnce(Solved) + Send + 'static,
     ) -> Result<(), Rejected> {
         self.dispatch(TaskKind::Solve {
             problem: problem.into(),
+            key,
             reply: Box::new(notify),
         })
         .map_err(rejected_solve)
@@ -588,24 +606,28 @@ impl SubmitPool {
     /// and completed job, one cache hit, one solve in
     /// [`SubmitPool::solve_latency`] and one win for the remembered
     /// winner, as the same hit on a worker would; it never waited in the
-    /// queue, so [`SubmitPool::queue_wait`] records nothing. A miss
-    /// counts nothing: the worker that solves the problem looks it up
-    /// again and counts the miss there, so a cold request queued behind
-    /// an identical one is still answered by that one's solve.
-    pub fn answer_cached(&self, problem: &Problem) -> Option<Solved> {
+    /// queue, so [`SubmitPool::queue_wait`] records nothing.
+    ///
+    /// A miss counts nothing and hands back the problem's key, for the
+    /// caller to submit with the problem (see
+    /// [`SubmitPool::try_submit_with`]). The worker that solves the
+    /// problem looks it up again under that key and counts the miss
+    /// there, so a cold request queued behind an identical one is still
+    /// answered by that one's solve.
+    pub fn answer_cached(&self, problem: &Problem) -> Result<Solved, ProblemKey> {
         let start = Instant::now();
-        let outcome = crate::cached_outcome(
+        let key = crate::problem_key(
             &problem.block,
             &problem.machine,
             &problem.homes,
             &problem.options,
-            &self.cache,
-        )?;
+        );
+        let outcome = self.cache.probe(key.key, key.check).ok_or(key)?;
         self.solve_latency.record_duration(start.elapsed());
         record_policy_totals(&self.policy_totals, &self.vc_series, &outcome, true);
         self.accepted.fetch_add(1, Ordering::Relaxed);
         self.completed.fetch_add(1, Ordering::Relaxed);
-        Some(Solved {
+        Ok(Solved {
             outcome,
             cached: true,
         })
@@ -697,6 +719,27 @@ mod tests {
         let (accepted, rejected, completed) = pool.counters();
         assert_eq!((accepted, rejected), (2, 0));
         assert_eq!(completed, 2);
+    }
+
+    /// A miss hands back the problem's own key; the worker solves under
+    /// it, so the repeat is a hit on the caller's thread.
+    #[test]
+    fn a_missed_probe_carries_the_problem_key_to_the_worker() {
+        let pool = SubmitPool::new(1, 4, Arc::new(ScheduleCache::in_memory(8)));
+        let p = problem(2);
+        let key = pool.answer_cached(&p).expect_err("a cold cache misses");
+        let expected = crate::problem_key(&p.block, &p.machine, &p.homes, &p.options);
+        assert_eq!(key, expected);
+        assert_eq!(pool.counters(), (0, 0, 0), "a miss counts nothing");
+        let (reply, ticket) = ticket();
+        pool.try_submit_with(p.clone(), Some(key), reply)
+            .expect("accepted");
+        let first = ticket.wait().expect("solved");
+        assert!(!first.cached);
+        let again = pool.answer_cached(&p).expect("the solve was remembered");
+        assert!(again.cached);
+        assert_eq!(again.outcome, first.outcome);
+        assert_eq!(pool.counters(), (2, 0, 2));
     }
 
     /// The `vc_*` series fold the `vc` member's attempt once per fresh
@@ -811,7 +854,7 @@ mod tests {
         let mut problem = Box::new(problem(0));
         let at = (&*problem as *const Problem, problem.block.insts().as_ptr());
         for _ in 0..8 {
-            problem = match pool.try_submit_with(problem, |_| {}) {
+            problem = match pool.try_submit_with(problem, None, |_| {}) {
                 Err(Rejected {
                     error: SubmitError::Saturated { .. },
                     problem,
@@ -846,7 +889,7 @@ mod tests {
                 .unwrap();
         })
         .expect("probe accepted");
-        pool.try_submit_with(problem(0), move |solved| {
+        pool.try_submit_with(problem(0), None, move |solved| {
             tx.send(format!("solve:{}", solved.outcome.winner)).unwrap();
         })
         .expect("solve accepted");
@@ -861,7 +904,7 @@ mod tests {
         assert_eq!(pool.counters().2, 2, "both callback jobs completed");
         // After shutdown the callback paths refuse like the ticket ones.
         assert!(matches!(
-            pool.try_submit_with(problem(1), |_| {}),
+            pool.try_submit_with(problem(1), None, |_| {}),
             Err(Rejected {
                 error: SubmitError::ShutDown,
                 ..

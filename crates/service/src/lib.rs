@@ -52,7 +52,7 @@ pub(crate) mod telemetry;
 pub use client::Client;
 pub use protocol::{
     BlockReply, CacheReply, LatencyReply, PolicyTotalsReply, Request, Response, ScheduleMode,
-    ScheduleReply, SelectorStatsReply, ShardReply, StatsReply,
+    ScheduleReply, ShardReply, StatsReply,
 };
 pub use server::{serve, ServerHandle, ServiceConfig};
 

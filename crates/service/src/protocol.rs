@@ -125,8 +125,10 @@ pub enum Request {
         budget_bytes: Option<u64>,
         /// Cooperative early-cancel (`None` = server default).
         early_cancel: Option<bool>,
-        /// Adaptive portfolio selection: narrow the race to the block
-        /// class's learned winners (`None` = server default).
+        /// Accepted on both wires and ignored: the request races the
+        /// policy set it names, which returns what any narrowing that
+        /// kept the winner would have returned. Kept so that clients
+        /// which send it keep working.
         adaptive: Option<bool>,
         /// Live-in placement seed (`None` = server default).
         placement_seed: Option<u64>,
@@ -163,8 +165,7 @@ pub enum Request {
         budget_bytes: Option<u64>,
         /// Cooperative early-cancel (`None` = server default).
         early_cancel: Option<bool>,
-        /// Adaptive portfolio selection over the batch (`None` = server
-        /// default).
+        /// Accepted on both wires and ignored, as on `schedule`.
         adaptive: Option<bool>,
         /// Stream one `block` frame per solved block before the summary.
         /// Requires a request id (frames are matched by id).
@@ -303,21 +304,6 @@ pub struct CacheReply {
     pub shards: Vec<ShardReply>,
 }
 
-/// Adaptive-selector section of a `stats` response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SelectorStatsReply {
-    /// Block classes the selector has learned.
-    pub classes: usize,
-    /// Blocks folded into the table since start.
-    pub blocks_observed: u64,
-    /// Adaptive decisions that raced a narrowed set.
-    pub narrowed: u64,
-    /// Adaptive decisions that raced full (class unseen/under-observed).
-    pub full_unseen: u64,
-    /// Adaptive decisions that raced full on the ε-exploration schedule.
-    pub full_explore: u64,
-}
-
 /// Per-priority latency quantiles nested in a [`LatencyReply`], read
 /// from the `service_request_us{type=…,priority=…}` histograms.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -381,7 +367,9 @@ impl Deserialize for LatencyReply {
 ///
 /// Deserialization is backward-compatible: replies from servers predating
 /// the obs layer (no `uptime_ms`, no `latency`) parse with those fields
-/// defaulted, so newer clients keep working against older daemons.
+/// defaulted, and fields this client no longer reads (an older server's
+/// `adaptive` section) are skipped, so newer clients keep working against
+/// older daemons.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StatsReply {
     /// Worker threads.
@@ -405,13 +393,10 @@ pub struct StatsReply {
     pub policies: Vec<PolicyTotalsReply>,
     /// Sharded cache counters.
     pub cache: CacheReply,
-    /// Adaptive-selector counters (`None` from servers predating the
-    /// selector).
-    pub adaptive: Option<SelectorStatsReply>,
     /// Milliseconds since the server started.
     pub uptime_ms: u64,
-    /// Per-request-type end-to-end latency quantiles. Process-global:
-    /// embedded servers sharing one process also share these histograms.
+    /// Per-request-type end-to-end latency quantiles, from this server's
+    /// own histograms: servers sharing one process never share a count.
     pub latency: Vec<LatencyReply>,
 }
 
@@ -429,7 +414,6 @@ impl Deserialize for StatsReply {
             cache: Deserialize::from_value(serde::field(v, TY, "cache")?)?,
             connections_open: opt(v, "connections_open")?.unwrap_or(0),
             connections_total: opt(v, "connections_total")?.unwrap_or(0),
-            adaptive: opt(v, "adaptive")?,
             // Fields the pre-obs protocol did not have: default, do not
             // require.
             uptime_ms: opt(v, "uptime_ms")?.unwrap_or(0),
@@ -1128,13 +1112,6 @@ mod tests {
                         len: 4,
                     }],
                 },
-                adaptive: Some(SelectorStatsReply {
-                    classes: 3,
-                    blocks_observed: 9,
-                    narrowed: 4,
-                    full_unseen: 4,
-                    full_explore: 1,
-                }),
                 uptime_ms: 12_345,
                 latency: vec![LatencyReply {
                     request: "schedule".into(),
@@ -1162,40 +1139,6 @@ mod tests {
             let back: Response = serde_json::from_str(&line).unwrap();
             assert_eq!(resp, back);
         }
-    }
-
-    #[test]
-    fn adaptive_flag_parses_and_selector_stats_may_be_absent() {
-        let req: Request = serde_json::from_str(r#"{"type":"batch","adaptive":true}"#).unwrap();
-        match req {
-            Request::Batch { adaptive, .. } => assert_eq!(adaptive, Some(true)),
-            other => panic!("parsed as {other:?}"),
-        }
-        // A pre-selector server omits the stats section entirely.
-        let stats = Response::Stats(StatsReply {
-            jobs: 1,
-            queue_capacity: 1,
-            queue_depth: 0,
-            accepted: 0,
-            rejected: 0,
-            completed: 0,
-            connections_open: 0,
-            connections_total: 0,
-            policies: vec![],
-            cache: CacheReply {
-                hits: 0,
-                misses: 0,
-                hit_rate: 0.0,
-                len: 0,
-                shards: vec![],
-            },
-            adaptive: None,
-            uptime_ms: 0,
-            latency: vec![],
-        });
-        let line = serde_json::to_string(&stats).unwrap();
-        let back: Response = serde_json::from_str(&line).unwrap();
-        assert_eq!(stats, back);
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //!
 //! Requests decode typed, with no `Value` tree; what the typed decoder
 //! refuses goes through the tree decoder, which answers it (see the
-//! protocol module's `decode_request_line`). A non-adaptive `schedule`
-//! whose problem the cache already holds never reaches the pool: the
-//! reactor answers it in the same pass that read it.
+//! protocol module's `decode_request_line`). A `schedule` whose problem
+//! the cache already holds never reaches the pool: the reactor answers
+//! it in the same pass that read it. On a miss, the key the reactor
+//! built rides with the queued work, so the worker does not build it
+//! again.
 //!
 //! A connection's first bytes pick its framing: an exact
 //! [`frame::MAGIC`] or [`frame::MAGIC_V1`] preamble switches it to
@@ -42,10 +44,10 @@
 //! is closed as a slow reader (counted) instead of buffering without
 //! bound.
 //!
-//! Each server owns its figures: its request, reactor, selector-decision
-//! and online series live in a registry of its own, and the pool and
-//! cache figures come from its own pool and cache. `stats` and `metrics`
-//! both read those, so two servers in one process never share a count.
+//! Each server owns its figures: its request, reactor and online series
+//! live in a registry of its own, and the pool and cache figures come
+//! from its own pool and cache. `stats` and `metrics` both read those,
+//! so two servers in one process never share a count.
 //! The `vc_*` series are the pool's too; only the tracer's
 //! `obs_trace_dropped_total` is process-wide.
 //!
@@ -65,10 +67,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use vcsched_engine::{
-    adaptive::{explore_draw, DecisionKind},
-    default_jobs, price_deadline_steps, selector_path, AdaptiveOptions, BatchConfig, BatchPlan,
-    BlockClass, CorpusSource, PolicyOptions, PolicySet, Problem, Rejected, ScheduleCache,
-    SelectorTable, Solved, SubmitError, SubmitPool, Ticket, DEADLINE_FLOOR_STEPS, STEPS_1M,
+    default_jobs, price_deadline_steps, BatchConfig, BatchPlan, CorpusSource, PolicyOptions,
+    PolicySet, Problem, ProblemKey, Rejected, ScheduleCache, Solved, SubmitError, SubmitPool,
+    Ticket, DEADLINE_FLOOR_STEPS, STEPS_1M,
 };
 use vcsched_ir::Superblock;
 use vcsched_obs::{MetricSnapshot, MetricValue, Snapshot};
@@ -78,7 +79,7 @@ use crate::frame;
 use crate::protocol::{
     decode_request_frame, decode_request_line, response_line, response_value, BlockReply,
     CacheReply, Decoded, Invalid, PolicyTotalsReply, Request, Response, ScheduleMode,
-    ScheduleReply, SelectorStatsReply, ShardReply, StatsReply,
+    ScheduleReply, ShardReply, StatsReply,
 };
 use crate::reactor::{Poller, WakePipe};
 use crate::telemetry::ServerMetrics;
@@ -136,11 +137,6 @@ pub struct ServiceConfig {
     /// Default early-cancel switch for requests that omit
     /// `early_cancel`.
     pub default_early_cancel: bool,
-    /// Default adaptive-selection switch for requests that omit
-    /// `adaptive`.
-    pub default_adaptive: bool,
-    /// Selector tuning used for adaptive requests.
-    pub adaptive: AdaptiveOptions,
     /// Default live-in placement seed for `schedule` requests.
     pub default_placement_seed: u64,
     /// Deadline exchange rate: DP steps of budget bought per
@@ -174,8 +170,6 @@ impl Default for ServiceConfig {
             default_policies: PolicySet::single(),
             preset_policies: Vec::new(),
             default_early_cancel: false,
-            default_adaptive: false,
-            adaptive: AdaptiveOptions::default(),
             default_placement_seed: 0xC60_2007,
             steps_per_ms: 5,
             trace_out: None,
@@ -266,18 +260,15 @@ struct ProbeWork {
     cell: ReplyCell,
 }
 
-/// A parked `schedule` request, fully resolved at parse time; the
-/// ε-draw and adaptive narrowing happen at *admission* time (see
-/// `admit_one`).
+/// A parked `schedule` request, fully resolved at parse time.
 struct ScheduleWork {
     priority: u8,
     /// Count a shed on `engine_shed_total` if this request is shed — set
     /// when the request carried a priority or deadline.
     shed_signal: bool,
-    adaptive: bool,
-    /// The request's configured (pre-narrowing) policy set.
-    configured: PolicySet,
-    class: BlockClass,
+    /// The problem's cache key, built by the reactor's cache probe and
+    /// handed to the worker with the problem.
+    key: ProblemKey,
     /// Boxed once at parse time; a saturated attempt hands the same box
     /// back, so retries never copy the problem.
     problem: Box<Problem>,
@@ -310,16 +301,7 @@ struct Shared {
     config: ServiceConfig,
     addr: SocketAddr,
     stop: AtomicBool,
-    /// The adaptive selector's learned table. Every solved `schedule`
-    /// and `batch` block folds in (seeding the table even before the
-    /// first adaptive request); narrowing happens only when a request
-    /// asks for it.
-    selector: Mutex<SelectorTable>,
-    /// Position in the ε-exploration stream for one-off `schedule`
-    /// requests (batches use their own corpus indices). Advanced only
-    /// after the pool admits the job — see `admit_one`.
-    explore_seq: AtomicU64,
-    /// This server's request, reactor, decision and online series.
+    /// This server's request, reactor and online series.
     metrics: ServerMetrics,
     /// When the server started, for the stats reply's `uptime_ms`.
     started: Instant,
@@ -331,7 +313,7 @@ struct Shared {
     /// Typed replies from worker/batch threads awaiting reactor pickup.
     completions: Mutex<Vec<Completion>>,
     /// Per-connection fair-queue rings feeding pool admission. Lock
-    /// order: `queues` before `selector`/`completions`, never reverse.
+    /// order: `queues` before `completions`, never reverse.
     queues: Mutex<FairQueues>,
     /// Doorbell into the reactor's blocked `wait`.
     waker: WakePipe,
@@ -514,13 +496,6 @@ pub fn serve(config: ServiceConfig) -> Result<ServerHandle, String> {
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
-    // A persistent cache dir also persists the selector table: the
-    // service resumes with everything a previous run learned.
-    let selector = config
-        .cache_dir
-        .as_deref()
-        .map(|dir| SelectorTable::load(&selector_path(dir)))
-        .unwrap_or_default();
     let waker = WakePipe::new().map_err(|e| format!("wakeup pipe: {e}"))?;
     let mut poller = Poller::new().map_err(|e| format!("poller: {e}"))?;
     poller
@@ -534,8 +509,6 @@ pub fn serve(config: ServiceConfig) -> Result<ServerHandle, String> {
         config,
         addr,
         stop: AtomicBool::new(false),
-        selector: Mutex::new(selector),
-        explore_seq: AtomicU64::new(0),
         metrics: ServerMetrics::new(),
         started: Instant::now(),
         conns_open: AtomicU64::new(0),
@@ -567,13 +540,6 @@ pub fn serve(config: ServiceConfig) -> Result<ServerHandle, String> {
         // with its reply bytes flushed; the pool then completes
         // everything it admitted.
         reactor_shared.pool.shutdown();
-        if let Some(dir) = &reactor_shared.config.cache_dir {
-            let _ = reactor_shared
-                .selector
-                .lock()
-                .unwrap()
-                .save(&selector_path(dir));
-        }
         if let Some((stop, flusher)) = trace {
             stop.store(true, Ordering::SeqCst);
             let _ = flusher.join();
@@ -1228,7 +1194,7 @@ fn handle_request(
             steps,
             budget_bytes,
             early_cancel,
-            adaptive,
+            adaptive: _,
             placement_seed,
             return_schedule,
             deadline_ms,
@@ -1243,7 +1209,6 @@ fn handle_request(
                 steps,
                 budget_bytes,
                 early_cancel,
-                adaptive,
                 placement_seed,
                 return_schedule,
                 deadline_ms,
@@ -1264,7 +1229,7 @@ fn handle_request(
             steps,
             budget_bytes,
             early_cancel,
-            adaptive,
+            adaptive: _,
             stream,
             deadline_ms,
             priority,
@@ -1294,7 +1259,6 @@ fn handle_request(
                         steps,
                         budget_bytes,
                         early_cancel,
-                        adaptive,
                         deadline_ms,
                         priority,
                     },
@@ -1326,8 +1290,7 @@ fn enqueue_work(shared: &Shared, token: u64, work: Work) {
 /// per visit, and repeats until a full cycle makes no progress (all
 /// remaining heads are parked on saturation) or the rings are empty.
 ///
-/// Serialized by the `queues` lock — which also makes it the only
-/// ε-draw consumer (see `admit_one`). Called on enqueue, from the
+/// Serialized by the `queues` lock. Called on enqueue, from the
 /// reactor's completion pass, and from the pool's completion hook, so
 /// parked work is re-driven exactly when capacity can have freed.
 fn drain_fair_queues(shared: &Shared) {
@@ -1376,11 +1339,6 @@ fn drain_fair_queues(shared: &Shared) {
 /// One admission attempt. Returns the work back when it parked (pool
 /// saturated and the work rides it out); `None` means it was admitted
 /// or definitively answered (shed or failed).
-///
-/// The caller holds the `queues` lock, making this the ε-exploration
-/// stream's only consumer: the draw happens here, at admission time,
-/// and the sequence advances only when the pool actually accepts the
-/// job — a shed or parked request never consumes a draw.
 fn admit_one(shared: &Shared, work: Work) -> Option<Work> {
     match work {
         Work::Probe(w) => {
@@ -1405,37 +1363,13 @@ fn admit_one(shared: &Shared, work: Work) -> Option<Work> {
             }
         }
         Work::Schedule(mut w) => {
-            let (decision, seq_used, policies) = if w.adaptive {
-                let seq = shared.explore_seq.load(Ordering::Relaxed);
-                let draw = explore_draw(shared.config.adaptive.seed, seq);
-                let (kind, narrowed) = shared.selector.lock().unwrap().select(
-                    &w.class,
-                    &w.configured,
-                    &shared.config.adaptive,
-                    draw,
-                );
-                (Some(kind), Some(seq), narrowed)
-            } else {
-                (None, None, w.configured.clone())
-            };
-            w.problem.options.policies = policies;
-            let callback = schedule_completion(
-                Arc::clone(&w.cell),
-                decision,
-                w.class.clone(),
-                w.return_schedule,
-                w.deadline_ms,
-            );
-            let advance = |seq_used: Option<u64>| {
-                if let Some(seq) = seq_used {
-                    shared.explore_seq.store(seq + 1, Ordering::Relaxed);
-                }
-            };
-            match shared.pool.try_submit_with(w.problem, callback) {
-                Ok(()) => {
-                    advance(seq_used);
-                    None
-                }
+            let callback =
+                schedule_completion(Arc::clone(&w.cell), w.return_schedule, w.deadline_ms);
+            match shared
+                .pool
+                .try_submit_with(w.problem, Some(w.key), callback)
+            {
+                Ok(()) => None,
                 // High priority rides out saturation parked at its
                 // ring's head, holding the problem the pool handed back.
                 Err(Rejected {
@@ -1478,12 +1412,11 @@ fn admit_one(shared: &Shared, work: Work) -> Option<Work> {
 }
 
 /// Resolves a `schedule` request on the reactor thread (machine,
-/// policies, placement, budgets). A non-adaptive request whose problem
-/// the cache holds is answered right here, with the completion
-/// bookkeeping a worker's answer gets: it is never queued, parked or
-/// shed. Any other request parks in the connection's fair-queue ring;
-/// adaptive narrowing (its ε-draw) and pool admission happen at drain
-/// time (`admit_one`).
+/// policies, placement, budgets). A request whose problem the cache
+/// holds is answered right here, with the completion bookkeeping a
+/// worker's answer gets: it is never queued, parked or shed. Any other
+/// request parks in the connection's fair-queue ring, with the key the
+/// cache probe built, until the drain admits it (`admit_one`).
 ///
 /// Returns the done-reply of a request answered here (a hit or an
 /// invalid request) for the caller to route; `None` once the request is
@@ -1498,7 +1431,6 @@ fn schedule_request(
     steps: Option<u64>,
     budget_bytes: Option<u64>,
     early_cancel: Option<bool>,
-    adaptive: Option<bool>,
     placement_seed: Option<u64>,
     return_schedule: bool,
     deadline_ms: Option<u64>,
@@ -1516,7 +1448,7 @@ fn schedule_request(
         Ok(m) => m,
         Err(e) => return fail(&mut pending, e),
     };
-    let configured = match resolve_policies(
+    let policies = match resolve_policies(
         policies,
         mode.map(|m| m == ScheduleMode::Portfolio),
         &machine_name,
@@ -1525,7 +1457,6 @@ fn schedule_request(
         Ok(p) => p,
         Err(e) => return fail(&mut pending, e),
     };
-    let class = BlockClass::of(&block, &machine);
     let homes = live_in_placement(
         &block,
         machine.cluster_count(),
@@ -1540,27 +1471,19 @@ fn schedule_request(
         options: PolicyOptions {
             max_dp_steps: max_steps,
             max_trail_bytes: budget_bytes.or(shared.config.default_budget_bytes),
-            policies: configured.clone(),
+            policies,
             early_cancel: early_cancel.unwrap_or(shared.config.default_early_cancel),
             deadline_steps,
         },
         deadline: deadline_ms.map(Duration::from_millis),
     };
-    let adaptive = adaptive.unwrap_or(shared.config.default_adaptive);
-    if !adaptive {
-        if let Some(solved) = shared.pool.answer_cached(&problem) {
-            let reply = schedule_reply(
-                shared,
-                pending.start,
-                None,
-                &class,
-                return_schedule,
-                deadline_ms,
-                solved,
-            );
+    let key = match shared.pool.answer_cached(&problem) {
+        Ok(solved) => {
+            let reply = schedule_reply(shared, pending.start, return_schedule, deadline_ms, solved);
             return Some(pending.finish(reply));
         }
-    }
+        Err(key) => key,
+    };
     let token = pending.token;
     enqueue_work(
         shared,
@@ -1568,9 +1491,7 @@ fn schedule_request(
         Work::Schedule(Box::new(ScheduleWork {
             priority: priority.unwrap_or(0),
             shed_signal: priority.is_some() || deadline_ms.is_some(),
-            adaptive,
-            configured,
-            class,
+            key,
             problem: Box::new(problem),
             return_schedule,
             deadline_ms,
@@ -1586,50 +1507,26 @@ fn schedule_request(
 /// one reply.
 fn schedule_completion(
     cell: ReplyCell,
-    decision: Option<DecisionKind>,
-    class: BlockClass,
     return_schedule: bool,
     deadline_ms: Option<u64>,
 ) -> impl FnOnce(Solved) + Send + 'static {
     move |solved| {
         if let Some(mut p) = cell.lock().unwrap().take() {
-            let reply = schedule_reply(
-                &p.shared,
-                p.start,
-                decision,
-                &class,
-                return_schedule,
-                deadline_ms,
-                solved,
-            );
+            let reply = schedule_reply(&p.shared, p.start, return_schedule, deadline_ms, solved);
             p.send(reply, true);
         }
     }
 }
 
 /// A solved `schedule` request's reply and its bookkeeping, wherever it
-/// was answered: the adaptive decision, the selector observation and
-/// the online deadline metrics.
+/// was answered: the online deadline metrics.
 fn schedule_reply(
     shared: &Shared,
     start: Instant,
-    decision: Option<DecisionKind>,
-    class: &BlockClass,
     return_schedule: bool,
     deadline_ms: Option<u64>,
     solved: Solved,
 ) -> Response {
-    // Count the decision only for work that completed — a rejected or
-    // lost job never reached the race, so it must not skew the selector
-    // counters.
-    if let Some(kind) = decision {
-        shared.metrics.decision(kind).inc();
-    }
-    shared
-        .selector
-        .lock()
-        .unwrap()
-        .observe(class, &solved.outcome);
     let copies = solved.outcome.schedule.copy_count();
     let deadline_fired = solved.outcome.deadline_fired();
     if deadline_fired {
@@ -1664,7 +1561,6 @@ struct BatchArgs {
     steps: Option<u64>,
     budget_bytes: Option<u64>,
     early_cancel: Option<bool>,
-    adaptive: Option<bool>,
     deadline_ms: Option<u64>,
     priority: Option<u8>,
 }
@@ -1721,12 +1617,7 @@ fn submit_block(
 /// Runs a `batch` request through the engine's [`BatchPlan`]: every
 /// block is admitted through the fair-queue ring into the shared pool,
 /// solved blocks are reported through `emit_block` in corpus order, and
-/// the plan folds the outcomes into the summary and the server's
-/// selector.
-///
-/// An adaptive batch plans every block's set against the server's
-/// selector as it stands when the batch starts, then folds the outcomes
-/// back into the live table.
+/// the plan folds the outcomes into the summary.
 ///
 /// If admission fails mid-batch, every already-admitted ticket is still
 /// waited out before the error returns — abandoning live tickets would
@@ -1752,7 +1643,6 @@ fn run_service_batch(
         steps,
         budget_bytes,
         early_cancel,
-        adaptive,
         deadline_ms,
         priority,
     } = args;
@@ -1768,7 +1658,6 @@ fn run_service_batch(
         Ok(p) => p,
         Err(e) => return error(e),
     };
-    let adaptive_on = adaptive.unwrap_or(shared.config.default_adaptive);
     let max_dp_steps = steps.unwrap_or(shared.config.default_steps);
     // A batch deadline prices every block's budget identically (one
     // shared slack), so a seeded batch stays bit-deterministic; no
@@ -1780,7 +1669,6 @@ fn run_service_batch(
         jobs: shared.pool.jobs(),
         policies,
         early_cancel: early_cancel.unwrap_or(shared.config.default_early_cancel),
-        adaptive: adaptive_on.then(|| shared.config.adaptive.clone()),
         max_dp_steps,
         max_trail_bytes: budget_bytes.or(shared.config.default_budget_bytes),
         ..BatchConfig::default()
@@ -1789,7 +1677,7 @@ fn run_service_batch(
         Ok(b) => b,
         Err(e) => return error(e),
     };
-    let plan = BatchPlan::new(&config, &blocks, Some(&shared.selector.lock().unwrap()));
+    let plan = BatchPlan::new(&config, &blocks);
     // Admit every block through the fair-queue ring, then collect in
     // corpus order — the same order-preserving contract as the batch
     // engine's scatter, so summaries match `vcsched batch` exactly.
@@ -1802,7 +1690,7 @@ fn run_service_batch(
             homes: plan.homes(i),
             options: PolicyOptions {
                 deadline_steps,
-                ..plan.options(i)
+                ..plan.options().clone()
             },
             deadline: None,
         };
@@ -1844,14 +1732,7 @@ fn run_service_batch(
             "{msg}; drained {drained} admitted jobs before aborting"
         ));
     }
-    // Count decisions and fold observations only now that every block
-    // completed — an aborted batch must not skew the selector counters.
-    // The fold runs adaptive or not: every full race seeds the table the
-    // next adaptive request narrows from.
-    for d in plan.decisions().unwrap_or_default() {
-        shared.metrics.decision(d.kind).inc();
-    }
-    let result = plan.finish(per_block, Some(&mut shared.selector.lock().unwrap()));
+    let result = plan.finish(per_block);
     Response::Batch {
         summary: serde_json::to_value(&result.summary),
     }
@@ -1898,16 +1779,6 @@ fn stats(shared: &Shared) -> StatsReply {
         },
         connections_open: shared.conns_open.load(Ordering::Relaxed),
         connections_total: shared.conns_total.load(Ordering::Relaxed),
-        adaptive: Some({
-            let selector = shared.selector.lock().unwrap();
-            SelectorStatsReply {
-                classes: selector.classes.len(),
-                blocks_observed: selector.blocks_observed(),
-                narrowed: shared.metrics.decision(DecisionKind::Narrowed).get(),
-                full_unseen: shared.metrics.decision(DecisionKind::FullUnseen).get(),
-                full_explore: shared.metrics.decision(DecisionKind::FullExplore).get(),
-            }
-        }),
         uptime_ms: shared.started.elapsed().as_millis() as u64,
         latency: shared.metrics.latency_replies(),
     }
@@ -1974,8 +1845,6 @@ fn metrics(shared: &Shared) -> Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcsched_arch::OpClass;
-    use vcsched_ir::SuperblockBuilder;
 
     fn test_shared(jobs: usize, queue: usize) -> Arc<Shared> {
         let cache = Arc::new(ScheduleCache::in_memory_sharded(1 << 16, 8));
@@ -1984,8 +1853,6 @@ mod tests {
             config: ServiceConfig::default(),
             addr: "127.0.0.1:0".parse().unwrap(),
             stop: AtomicBool::new(false),
-            selector: Mutex::new(SelectorTable::default()),
-            explore_seq: AtomicU64::new(0),
             metrics: ServerMetrics::new(),
             started: Instant::now(),
             conns_open: AtomicU64::new(0),
@@ -1996,14 +1863,6 @@ mod tests {
         });
         install_completion_hook(&shared);
         shared
-    }
-
-    fn test_block() -> Superblock {
-        let mut b = SuperblockBuilder::new("p");
-        let i = b.inst(OpClass::Int, 1);
-        let x = b.exit(1, 1.0);
-        b.data_dep(i, x);
-        b.build().unwrap()
     }
 
     fn test_pending(shared: &Arc<Shared>, token: u64) -> PendingReply {
@@ -2064,64 +1923,6 @@ mod tests {
             }
         }
         done_rx
-    }
-
-    fn schedule_adaptive(shared: &Arc<Shared>) {
-        schedule_request(
-            shared,
-            test_block(),
-            "2c".to_owned(),
-            None,
-            None,
-            None,
-            None,
-            None,
-            Some(true),
-            None,
-            false,
-            None,
-            None,
-            test_pending(shared, 7),
-        );
-    }
-
-    /// Satellite fix: a queue-full rejection must not consume an
-    /// ε-exploration draw — the sequence advances only once the pool
-    /// actually admits the adaptive schedule request.
-    #[test]
-    fn rejected_adaptive_schedule_does_not_consume_an_explore_draw() {
-        let shared = test_shared(1, 1);
-        let done_rx = saturate_pool(&shared);
-        // Saturated pool: the adaptive schedule (best-effort priority)
-        // is shed and must leave the exploration sequence untouched.
-        schedule_adaptive(&shared);
-        let rejected = wait_completion(&shared);
-        assert!(rejected.done);
-        assert!(
-            matches!(
-                rejected.response,
-                Response::Error {
-                    retry_after_ms: Some(_),
-                    ..
-                }
-            ),
-            "expected a saturation rejection, got {:?}",
-            rejected.response
-        );
-        assert_eq!(shared.explore_seq.load(Ordering::Relaxed), 0);
-        // Let both probes finish, then the same request is admitted and
-        // consumes exactly the first draw.
-        done_rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        done_rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        schedule_adaptive(&shared);
-        let solved = wait_completion(&shared);
-        assert!(solved.done);
-        assert!(
-            matches!(solved.response, Response::Schedule(_)),
-            "expected a schedule reply, got {:?}",
-            solved.response
-        );
-        assert_eq!(shared.explore_seq.load(Ordering::Relaxed), 1);
     }
 
     /// A priority ≥ 2 ping parks in its fair-queue ring through
@@ -2233,7 +2034,6 @@ mod tests {
             None,
             None,
             None,
-            None,
             false,
             None,
             Some(2),
@@ -2308,7 +2108,6 @@ mod tests {
                 steps: None,
                 budget_bytes: None,
                 early_cancel: None,
-                adaptive: None,
                 deadline_ms: None,
                 priority: None,
             },

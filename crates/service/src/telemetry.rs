@@ -2,17 +2,15 @@
 //!
 //! Every server owns a private [`Registry`] and fetches its handles from
 //! it once, at start: the per-type and per-priority request series, the
-//! reactor's series, the rejection and invalid-line counters, the
-//! selector decisions, and the online deadline series. Two servers in
-//! one process therefore never share a count. The `stats` reply and the
-//! `metrics` snapshot both read these handles; the pool and cache
-//! figures come from the engine instances themselves (see
-//! `server::metrics`).
+//! reactor's series, the rejection and invalid-line counters, and the
+//! online deadline series. Two servers in one process therefore never
+//! share a count. The `stats` reply and the `metrics` snapshot both read
+//! these handles; the pool and cache figures come from the engine
+//! instances themselves (see `server::metrics`).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::Duration;
 
-use vcsched_engine::adaptive::DecisionKind;
 use vcsched_obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::protocol::{LatencyReply, PriorityLatencyReply};
@@ -23,13 +21,6 @@ const REQUEST_TYPES: &[&str] = &["schedule", "batch", "stats", "metrics", "ping"
 /// Request types that can carry a wire `priority` (per-priority latency
 /// histograms exist only for these).
 const PRIORITY_TYPES: &[&str] = &["schedule", "batch"];
-
-/// Adaptive decision kinds, in `decisions` order.
-const DECISION_KINDS: [DecisionKind; 3] = [
-    DecisionKind::FullUnseen,
-    DecisionKind::FullExplore,
-    DecisionKind::Narrowed,
-];
 
 /// Per-request-type dispatch metrics.
 pub(crate) struct RequestMetrics {
@@ -74,9 +65,6 @@ pub(crate) struct ServerMetrics {
     /// `service_binary_connections_total`: connections that negotiated
     /// the `vcsched-frame` binary framing (either version).
     pub binary_connections: Counter,
-    /// `engine_selector_decisions_total{kind=…}`: adaptive decisions of
-    /// solved requests, by kind (see [`ServerMetrics::decision`]).
-    decisions: [Counter; 3],
     /// `engine_deadline_misses_total`: deadline requests answered past
     /// their deadline.
     pub deadline_misses: Counter,
@@ -118,9 +106,6 @@ impl ServerMetrics {
             reactor_write_buffer: registry.gauge("service_reactor_write_buffer_bytes"),
             slow_reader_closed: registry.counter("service_slow_reader_closed_total"),
             binary_connections: registry.counter("service_binary_connections_total"),
-            decisions: DECISION_KINDS.map(|kind| {
-                registry.counter_with("engine_selector_decisions_total", &[("kind", kind.name())])
-            }),
             deadline_misses: registry.counter("engine_deadline_misses_total"),
             preemptions: registry.counter("engine_preemptions_total"),
             shed: registry.counter("engine_shed_total"),
@@ -136,16 +121,6 @@ impl ServerMetrics {
             .position(|&t| t == ty)
             .expect("known request type");
         &self.requests[idx]
-    }
-
-    /// The decision counter for one kind. A decision counts once its
-    /// request is solved: a shed or lost request never reached the race.
-    pub(crate) fn decision(&self, kind: DecisionKind) -> &Counter {
-        let idx = DECISION_KINDS
-            .iter()
-            .position(|&k| k == kind)
-            .expect("every decision kind is listed");
-        &self.decisions[idx]
     }
 
     /// Records a finished request's latency under its type and, when it

@@ -1,6 +1,6 @@
 //! Observability through the wire: the `metrics` verb, the Prometheus
 //! exposition derived from it, the stats reply's latency section, and
-//! rejection and decision accounting.
+//! rejection accounting.
 //!
 //! Every `engine_*` and `service_*` series belongs to the server that
 //! produced it, so each test asserts exact counts against its own
@@ -46,18 +46,14 @@ fn block_request(index: u64) -> Request {
     }
 }
 
-/// An adaptive `schedule` at the given priority.
-fn adaptive_request(index: u64, priority: Option<u8>) -> Request {
+/// A portfolio `schedule` at the given priority.
+fn portfolio_request(index: u64, priority: Option<u8>) -> Request {
     let mut request = block_request(index);
     if let Request::Schedule {
-        mode,
-        adaptive,
-        priority: p,
-        ..
+        mode, priority: p, ..
     } = &mut request
     {
         *mode = Some(ScheduleMode::Portfolio);
-        *adaptive = Some(true);
         *p = priority;
     }
     request
@@ -121,19 +117,6 @@ fn latency_count(stats: &StatsReply, ty: &str) -> u64 {
         .find(|l| l.request == ty)
         .unwrap_or_else(|| panic!("latency row for {ty}"))
         .count
-}
-
-/// Decisions the selector made, as `stats` reports them and as the
-/// `engine_selector_decisions_total` series does.
-fn decisions(client: &mut Client) -> (u64, u64) {
-    let adaptive = stats(client).adaptive.expect("adaptive stats");
-    let from_stats = adaptive.narrowed + adaptive.full_unseen + adaptive.full_explore;
-    let snap = snapshot(client);
-    let from_metrics = ["full-unseen", "full-explore", "narrowed"]
-        .iter()
-        .map(|kind| value(&snap, "engine_selector_decisions_total", &[("kind", kind)]) as u64)
-        .sum();
-    (from_stats, from_metrics)
 }
 
 /// Occupies a 1-worker/1-slot server: a ping holding the worker for
@@ -340,9 +323,6 @@ const PINNED_IDENTITIES: &[&str] = &[
     "engine_preemptions_total counter",
     "engine_queue_depth gauge",
     "engine_queue_wait_us histogram",
-    "engine_selector_decisions_total{kind=full-explore} counter",
-    "engine_selector_decisions_total{kind=full-unseen} counter",
-    "engine_selector_decisions_total{kind=narrowed} counter",
     "engine_shed_total counter",
     "engine_slack_ms histogram",
     "engine_solve_us histogram",
@@ -381,17 +361,12 @@ const PINNED_IDENTITIES: &[&str] = &[
 /// `service_*` series through a 1-worker/1-slot server whose write
 /// buffer cap is 64 KiB.
 fn drive_every_path(server: &ServerHandle, client: &mut Client) {
-    // A single, a portfolio and an adaptive schedule.
+    // A single and two portfolio schedules.
     assert!(client.request(&block_request(1)).expect("reply").is_ok());
-    let mut portfolio = block_request(2);
-    if let Request::Schedule { mode, .. } = &mut portfolio {
-        *mode = Some(ScheduleMode::Portfolio);
+    for index in [2, 3] {
+        let portfolio = portfolio_request(index, None);
+        assert!(client.request(&portfolio).expect("reply").is_ok());
     }
-    assert!(client.request(&portfolio).expect("reply").is_ok());
-    assert!(client
-        .request(&adaptive_request(3, None))
-        .expect("reply")
-        .is_ok());
     // A streamed batch.
     client
         .send(
@@ -585,12 +560,12 @@ fn two_live_servers_report_only_their_own_traffic() {
     busy.join();
 }
 
-/// A shed adaptive request never reached the race, so it counts no
-/// selector decision; a parked priority-2 request retried through
-/// saturation counts exactly one, once it is solved. A second server is
-/// live throughout and counts none.
+/// Best-effort schedules are shed at saturation; a priority-2 one parks
+/// through it and is solved once the holders complete. Each lands in
+/// this server's rejection and latency figures, and a second server
+/// live throughout counts none of them.
 #[test]
-fn selector_decisions_count_solved_requests_only() {
+fn shed_and_parked_schedules_count_on_their_own_server() {
     let other = small_server(1, 4);
     let mut other_client = Client::connect(other.addr()).expect("connect other");
     let server = small_server(1, 1);
@@ -599,26 +574,44 @@ fn selector_decisions_count_solved_requests_only() {
     let holders = saturate(&server, &mut client, 1_000);
     for i in 0..6 {
         match client
-            .request(&adaptive_request(10 + i, None))
+            .request(&portfolio_request(10 + i, None))
             .expect("reply")
         {
             Response::Error { retry_after_ms, .. } => assert!(retry_after_ms.is_some()),
             other => panic!("expected a shed, got {other:?}"),
         }
     }
-    assert_eq!(decisions(&mut client), (0, 0));
+    assert_eq!(stats(&mut client).rejected, 6);
 
     // Parked at saturation, retried as the holders complete, then solved.
     let parked = client
-        .request(&adaptive_request(20, Some(2)))
+        .request(&portfolio_request(20, Some(2)))
         .expect("reply");
     assert!(
         matches!(parked, Response::Schedule(_)),
         "expected a schedule reply, got {parked:?}"
     );
     join_pongs(holders);
-    assert_eq!(decisions(&mut client), (1, 1));
-    assert_eq!(decisions(&mut other_client), (0, 0));
+    let snap = snapshot(&mut client);
+    assert_eq!(value(&snap, "service_rejections_total", &[]), 6);
+    assert_eq!(
+        histogram_count(&snap, "service_request_us", &[("type", "schedule")]),
+        7
+    );
+    assert_eq!(
+        histogram_count(
+            &snap,
+            "service_request_us",
+            &[("type", "schedule"), ("priority", "2")]
+        ),
+        1
+    );
+    let other_snap = snapshot(&mut other_client);
+    assert_eq!(value(&other_snap, "service_rejections_total", &[]), 0);
+    assert_eq!(
+        histogram_count(&other_snap, "service_request_us", &[("type", "schedule")]),
+        0
+    );
 
     client.request(&Request::Shutdown).expect("shutdown");
     other_client.request(&Request::Shutdown).expect("shutdown");

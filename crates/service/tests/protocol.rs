@@ -1,13 +1,15 @@
 //! Service protocol tests over real loopback sockets: malformed input,
 //! oversized requests, queue-full backpressure, cache hits answered on
-//! the reactor, and the draining `shutdown` contract.
+//! the reactor, the ignored `adaptive` field, and the draining
+//! `shutdown` contract.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use serde::Deserialize;
+use serde::{Deserialize, Value};
 use vcsched_obs::{MetricValue, Snapshot};
+use vcsched_service::protocol::request_value;
 use vcsched_service::{
     serve, Client, Request, Response, ScheduleMode, ScheduleReply, ServerHandle, ServiceConfig,
     StatsReply,
@@ -372,12 +374,10 @@ fn per_request_policy_sets_and_stats_telemetry() {
     server.join();
 }
 
-/// Per-machine default portfolios and the adaptive selector, end to end:
-/// a preset-mapped machine races its own default set, adaptive requests
-/// narrow once their class is observed, and `stats` reports the selector
-/// counters.
+/// Per-machine default portfolios, end to end: a preset-mapped machine
+/// races its own default set, an unmapped one the server-wide default.
 #[test]
-fn per_machine_defaults_and_adaptive_narrowing() {
+fn per_machine_default_policy_sets() {
     let server = serve(ServiceConfig {
         addr: "127.0.0.1:0".into(),
         jobs: 2,
@@ -387,19 +387,12 @@ fn per_machine_defaults_and_adaptive_narrowing() {
             "4c2".to_owned(),
             vcsched_engine::PolicySet::parse("two-phase,cars").expect("valid set"),
         )],
-        // Greedy selector: narrow after one observation, never explore —
-        // makes the second request's narrowing deterministic.
-        adaptive: vcsched_engine::AdaptiveOptions {
-            epsilon: 0.0,
-            min_observations: 1,
-            ..vcsched_engine::AdaptiveOptions::default()
-        },
         ..ServiceConfig::default()
     })
     .expect("server starts");
     let mut client = Client::connect(server.addr()).expect("connect");
     let spec = benchmark("099.go").expect("known benchmark");
-    let request = |machine: &str, adaptive: Option<bool>| Request::Schedule {
+    let request = |machine: &str| Request::Schedule {
         block: generate_block(&spec, 17, 4, InputSet::Ref),
         machine: machine.into(),
         policies: None,
@@ -407,56 +400,135 @@ fn per_machine_defaults_and_adaptive_narrowing() {
         steps: Some(5_000),
         budget_bytes: None,
         early_cancel: None,
-        adaptive,
+        adaptive: None,
         placement_seed: Some(4),
         return_schedule: false,
         deadline_ms: None,
         priority: None,
     };
-    let schedule = |client: &mut Client, req: &Request| match client.request(req).expect("reply") {
-        Response::Schedule(reply) => reply,
-        other => panic!("expected schedule reply, got {other:?}"),
-    };
 
-    // The preset-mapped machine races its own default set...
-    let on_4c2 = schedule(&mut client, &request("4c2", None));
+    let on_4c2 = schedule(&mut client, &request("4c2"));
     let raced: Vec<&str> = on_4c2.policies.iter().map(|s| s.policy.as_str()).collect();
     assert_eq!(raced, vec!["cars", "two-phase"], "4c2 default portfolio");
-    // ...while an unmapped machine keeps the server-wide default.
-    let on_2c = schedule(&mut client, &request("2c", None));
+    let on_2c = schedule(&mut client, &request("2c"));
     let raced: Vec<&str> = on_2c.policies.iter().map(|s| s.policy.as_str()).collect();
     assert_eq!(raced, vec!["vc", "cars"], "server-wide §6.1 default");
 
-    // First adaptive request: its (2c) class has one observation, so the
-    // greedy selector already narrows to the recorded winner — and the
-    // result must match the full race's.
-    let narrowed = schedule(&mut client, &request("2c", Some(true)));
-    assert_eq!(narrowed.winner, on_2c.winner, "narrowing kept the winner");
-    assert_eq!(
-        narrowed.awct.to_bits(),
-        on_2c.awct.to_bits(),
-        "narrowing kept the AWCT"
-    );
-    assert_eq!(
-        narrowed.policies.len(),
-        1,
-        "one recorded winner => one raced policy: {:?}",
-        narrowed.policies
-    );
-
-    // The selector counters surface through stats.
-    match client.request(&Request::Stats).expect("reply") {
-        Response::Stats(stats) => {
-            let selector = stats.adaptive.expect("selector stats present");
-            assert!(selector.classes >= 2, "{selector:?}");
-            assert_eq!(selector.blocks_observed, 3, "every solve folds in");
-            assert_eq!(selector.narrowed, 1, "{selector:?}");
-        }
-        other => panic!("expected stats, got {other:?}"),
-    }
-
     client.request(&Request::Shutdown).expect("shutdown");
     server.join();
+}
+
+/// `request`'s JSON line with its `adaptive` field dropped (`None`) or
+/// set to `Some(b)`.
+fn with_adaptive(request: &Request, adaptive: Option<bool>) -> String {
+    let Value::Object(mut fields) = request_value(request, None) else {
+        panic!("a request is an object");
+    };
+    fields.retain(|(k, _)| k != "adaptive");
+    if let Some(b) = adaptive {
+        fields.push(("adaptive".to_owned(), Value::Bool(b)));
+    }
+    serde_json::to_string(&Value::Object(fields)).expect("request prints")
+}
+
+/// A reply line as a value, without the run's `wall_ms`.
+fn reply_without_wall_ms(raw: &str) -> Value {
+    fn strip(v: &mut Value) {
+        if let Value::Object(fields) = v {
+            fields.retain(|(k, _)| k != "wall_ms");
+            for (_, v) in fields {
+                strip(v);
+            }
+        }
+    }
+    let mut v: Value = serde_json::from_str(raw).expect("reply parses");
+    strip(&mut v);
+    v
+}
+
+/// `"adaptive"` is accepted on both wires and ignored: on `schedule` and
+/// on `batch`, `true` and `false` get the reply the same request gets
+/// without the field. A cold `"adaptive": true` schedule is remembered
+/// under the problem's own key, so the plain repeat is a hit.
+#[test]
+fn the_adaptive_field_is_accepted_and_ignored() {
+    let server = small_server(2, 16);
+    let mut json = Client::connect(server.addr()).expect("connect");
+    let mut binary = Client::connect_binary(server.addr()).expect("connect binary");
+    let mut portfolio = block_request(31);
+    if let Request::Schedule { mode, .. } = &mut portfolio {
+        *mode = Some(ScheduleMode::Portfolio);
+    }
+    let batch = Request::Batch {
+        bench: "130.li".into(),
+        count: 4,
+        seed: 9,
+        machine: "2c".into(),
+        policies: None,
+        portfolio: Some(true),
+        steps: Some(5_000),
+        budget_bytes: None,
+        early_cancel: None,
+        adaptive: None,
+        stream: false,
+        deadline_ms: None,
+        priority: None,
+    };
+
+    let cold = json
+        .request_raw(&with_adaptive(&portfolio, Some(true)))
+        .expect("cold reply");
+    let plain = json
+        .request_raw(&with_adaptive(&portfolio, None))
+        .expect("plain reply");
+    assert!(cold.contains(r#""cached":false"#), "{cold}");
+    assert_eq!(cold.replace(r#""cached":false"#, r#""cached":true"#), plain);
+    // Warm the batch's blocks, so every batch below is all hits.
+    json.request_raw(&with_adaptive(&batch, None))
+        .expect("batch reply");
+    let plain_batch = json
+        .request_raw(&with_adaptive(&batch, None))
+        .expect("batch reply");
+    assert!(plain_batch.contains(r#""hit_rate":1.0"#), "{plain_batch}");
+
+    for client in [&mut json, &mut binary] {
+        for adaptive in [None, Some(true), Some(false)] {
+            let reply = client
+                .request_raw(&with_adaptive(&portfolio, adaptive))
+                .expect("schedule reply");
+            assert_eq!(reply, plain, "schedule, adaptive {adaptive:?}");
+            let reply = client
+                .request_raw(&with_adaptive(&batch, adaptive))
+                .expect("batch reply");
+            assert_eq!(
+                reply_without_wall_ms(&reply),
+                reply_without_wall_ms(&plain_batch),
+                "batch, adaptive {adaptive:?}"
+            );
+        }
+    }
+    json.request(&Request::Shutdown).expect("shutdown");
+    server.join();
+}
+
+/// An older server's `stats` reply carries an `"adaptive"` section; this
+/// client skips it and reads everything else.
+#[test]
+fn a_stats_reply_with_an_adaptive_section_still_parses() {
+    let server = small_server(1, 4);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let line = client.request_raw(r#"{"type":"stats"}"#).expect("stats");
+    client.request(&Request::Shutdown).expect("shutdown");
+    server.join();
+    let current: Response = serde_json::from_str(&line).expect("stats parses");
+    let older = line.replacen(
+        r#","uptime_ms""#,
+        r#","adaptive":{"classes":3,"blocks_observed":9,"narrowed":4,"full_unseen":4,"full_explore":1},"uptime_ms""#,
+        1,
+    );
+    assert_ne!(older, line, "the section went in");
+    let parsed: Response = serde_json::from_str(&older).expect("an older stats line parses");
+    assert_eq!(parsed, current);
 }
 
 fn stats(client: &mut Client) -> StatsReply {

@@ -186,7 +186,6 @@ fn every_response_type_roundtrips_identically_on_both_wires() {
             len: 15,
             shards: Vec::new(),
         },
-        adaptive: None,
         uptime_ms: 1234,
         latency: Vec::new(),
     };

@@ -35,7 +35,7 @@ fn main() -> Result<(), String> {
         config.jobs
     );
 
-    let cold = run_batch_on(&config, &blocks, &cache, None);
+    let cold = run_batch_on(&config, &blocks, &cache);
     let s = &cold.summary;
     println!("cold run: {} blocks in {} ms", s.blocks, s.wall_ms);
     println!(
@@ -44,7 +44,7 @@ fn main() -> Result<(), String> {
     );
     println!("  aggregate AWCT {:.3}", s.aggregate_awct);
 
-    let warm = run_batch_on(&config, &blocks, &cache, None);
+    let warm = run_batch_on(&config, &blocks, &cache);
     let w = &warm.summary;
     println!(
         "\nwarm run: {} blocks in {} ms ({} hits, {} misses)",

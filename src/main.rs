@@ -37,17 +37,13 @@ USAGE:
                      [--steps N] [--listing] [--execute] [--pressure]
     vcsched batch [--corpus FILE | --bench NAME] [--count N] [--seed N]
                   [--machine M] [--jobs N] [--policies P,P,… | --portfolio]
-                  [--early-cancel] [--adaptive] [--adaptive-seed N]
-                  [--adaptive-epsilon F] [--adaptive-top-k N]
-                  [--adaptive-min-obs N] [--cache DIR] [--cache-shards N]
+                  [--early-cancel] [--cache DIR] [--cache-shards N]
                   [--steps N] [--budget-bytes N] [--details]
                   [--trace-out FILE [--obs-sample N]]
     vcsched serve [--addr HOST:PORT] [--jobs N] [--queue N] [--cache DIR]
                   [--cache-shards N] [--steps N] [--budget-bytes N]
                   [--policies P,P,…]
                   [--machine-policies M=P,P[;M=P,P…]] [--early-cancel]
-                  [--adaptive] [--adaptive-seed N] [--adaptive-epsilon F]
-                  [--adaptive-top-k N] [--adaptive-min-obs N]
                   [--max-request BYTES] [--max-conns N]
                   [--max-write-buffer BYTES]
                   [--trace-out FILE [--obs-sample N]]
@@ -56,11 +52,11 @@ USAGE:
                   | shutdown | ping [--delay-ms N] [--priority 0..3]
                   | schedule --block FILE [--machine M] [--policies P,P,…]
                     [--mode single|portfolio] [--steps N] [--budget-bytes N]
-                    [--early-cancel] [--adaptive] [--placement-seed N]
+                    [--early-cancel] [--placement-seed N]
                     [--deadline-ms N] [--priority 0..3] [--return-schedule]
                   | batch [--bench NAME] [--count N] [--seed N] [--machine M]
                     [--policies P,P,…] [--portfolio] [--steps N]
-                    [--budget-bytes N] [--early-cancel] [--adaptive] [--stream]
+                    [--budget-bytes N] [--early-cancel] [--stream]
                     [--deadline-ms N] [--priority 0..3]
                   | --json LINE)
     vcsched replay [--profile poisson-burst|diurnal|adversarial-spike]
@@ -89,19 +85,13 @@ BATCH:
     --policies picks any subset of the registered policies (see
     `vcsched policies`); --portfolio is shorthand for all of them.
     --early-cancel lets a provably beaten search abandon its work (same
-    winners, less work, different loser telemetry). --adaptive learns,
-    per block class (op-count bucket x exit count x machine), which
-    policies win, and races only the class's top winners — full set for
-    unseen classes, and on a seeded epsilon-exploration schedule
-    (--adaptive-seed/-epsilon/-top-k/-min-obs tune it; runs are
-    reproducible at any --jobs). --cache DIR persists a
-    content-addressed schedule cache so repeated runs are near-instant
-    (the key covers the policy set, so different portfolios never
-    alias) plus the adaptive selector table (selector.json);
-    --cache-shards partitions the cache N ways (one lock per shard,
-    default 8). Prints a JSON summary (per-policy win counts and step
-    totals, aggregate AWCT, wall-clock, cache hit rate, selector
-    stats); --details adds per-block JSONL on stderr.
+    winners, less work, different loser telemetry). --cache DIR
+    persists a content-addressed schedule cache so repeated runs are
+    near-instant (the key covers the policy set, so different
+    portfolios never alias); --cache-shards partitions the cache N ways
+    (one lock per shard, default 8). Prints a JSON summary (per-policy
+    win counts and step totals, aggregate AWCT, wall-clock, cache hit
+    rate); --details adds per-block JSONL on stderr.
 
 SERVE / REQUEST:
     `serve` runs the engine as a daemon: a TCP listener (default
@@ -114,12 +104,10 @@ SERVE / REQUEST:
     request (\"policies\"); --policies sets the server default and
     --machine-policies maps machine presets to their own defaults
     (e.g. --machine-policies \"4c2=two-phase,cars;2c=vc,cars\").
-    --adaptive turns on adaptive narrowing by default (requests can
-    override with \"adaptive\"); the server folds every solved block
-    into its selector table either way and persists it next to the
-    cache. All schedules flow through the sharded cache; `stats`
-    reports queue depth, per-policy win/step totals, per-shard
-    hit/eviction counters and selector counters. The server runs one
+    Every request races the set it names; a request's \"adaptive\"
+    field is accepted and ignored. All schedules flow through the
+    sharded cache; `stats` reports queue depth, per-policy win/step
+    totals and per-shard hit/eviction counters. The server runs one
     readiness-driven reactor thread (epoll) over all connections
     (--max-conns caps them, default 1024); requests may carry an
     \"id\" for pipelining — id'd replies echo the id and may complete
@@ -273,54 +261,6 @@ fn policy_set_flags(args: &[String]) -> Result<Option<vcsched::engine::PolicySet
         (None, true) => Ok(Some(vcsched::engine::PolicySet::full())),
         (None, false) => Ok(None),
     }
-}
-
-/// Parses the `--adaptive*` flag family for `batch`: `None` when
-/// `--adaptive` is absent (tuning flags without the switch are an error
-/// — they would be silently ignored otherwise).
-fn adaptive_flags(args: &[String]) -> Result<Option<vcsched::engine::AdaptiveOptions>, String> {
-    let tuning = [
-        "--adaptive-seed",
-        "--adaptive-epsilon",
-        "--adaptive-top-k",
-        "--adaptive-min-obs",
-    ];
-    if !has_flag(args, "--adaptive") {
-        for flag in tuning {
-            if has_flag(args, flag) {
-                return Err(format!("{flag} requires --adaptive"));
-            }
-        }
-        return Ok(None);
-    }
-    adaptive_tuning(args).map(Some)
-}
-
-/// Parses the adaptive tuning flags alone (no `--adaptive` switch
-/// required). `serve` uses this directly: clients can opt in per
-/// request with `"adaptive":true`, so tuning must be configurable even
-/// when the server-wide default stays off.
-fn adaptive_tuning(args: &[String]) -> Result<vcsched::engine::AdaptiveOptions, String> {
-    let mut options = vcsched::engine::AdaptiveOptions::default();
-    if let Some(v) = flag_value(args, "--adaptive-seed") {
-        options.seed = v.parse().map_err(|e| format!("--adaptive-seed: {e}"))?;
-    }
-    if let Some(v) = flag_value(args, "--adaptive-epsilon") {
-        options.epsilon = v.parse().map_err(|e| format!("--adaptive-epsilon: {e}"))?;
-        if !(0.0..=1.0).contains(&options.epsilon) {
-            return Err("--adaptive-epsilon must be in [0, 1]".into());
-        }
-    }
-    if let Some(v) = flag_value(args, "--adaptive-top-k") {
-        options.top_k = v.parse().map_err(|e| format!("--adaptive-top-k: {e}"))?;
-        if options.top_k == 0 {
-            return Err("--adaptive-top-k must be at least 1".into());
-        }
-    }
-    if let Some(v) = flag_value(args, "--adaptive-min-obs") {
-        options.min_observations = v.parse().map_err(|e| format!("--adaptive-min-obs: {e}"))?;
-    }
-    Ok(options)
 }
 
 /// Parses the `--trace-out FILE` / `--obs-sample N` pair shared by
@@ -512,7 +452,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         },
         policies: policy_set_flags(args)?.unwrap_or_default(),
         early_cancel: has_flag(args, "--early-cancel"),
-        adaptive: adaptive_flags(args)?,
         max_dp_steps: flag_value(args, "--steps")
             .unwrap_or("300000")
             .parse()
@@ -528,15 +467,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("--cache-shards: {e}"))?,
         ..vcsched::engine::BatchConfig::default()
     };
-    if config.adaptive.is_some() && config.cache_dir.is_none() {
-        // The plan is fixed before any observation, so a one-shot run
-        // with nowhere to persist the table can never narrow anything.
-        eprintln!(
-            "warning: --adaptive without --cache DIR cannot narrow: the selector \
-             table is learned during the run but discarded at exit; add --cache \
-             to persist it across runs"
-        );
-    }
     let trace = trace_flags(args)?;
     if let Some((_, sample)) = &trace {
         let tracer = vcsched::obs::tracer();
@@ -608,8 +538,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         default_policies: policy_set_flags(args)?.unwrap_or_default(),
         preset_policies: machine_policies_flag(args)?,
         default_early_cancel: has_flag(args, "--early-cancel"),
-        default_adaptive: has_flag(args, "--adaptive"),
-        adaptive: adaptive_tuning(args)?,
         trace_out: trace.as_ref().map(|(path, _)| path.clone()),
         trace_sample: trace.map(|(_, sample)| sample).unwrap_or(1),
         ..vcsched::service::ServiceConfig::default()
@@ -655,7 +583,6 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
         "--portfolio",
         "--return-schedule",
         "--early-cancel",
-        "--adaptive",
         "--metrics-text",
         "--stream",
         "--binary",
@@ -693,7 +620,6 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
     let policies: Option<Vec<String>> =
         flag_value(args, "--policies").map(vcsched::engine::PolicySet::split_spec);
     let early_cancel = has_flag(args, "--early-cancel").then_some(true);
-    let adaptive = has_flag(args, "--adaptive").then_some(true);
     let deadline_ms = match flag_value(args, "--deadline-ms") {
         Some(n) => Some(n.parse().map_err(|e| format!("--deadline-ms: {e}"))?),
         None => None,
@@ -729,7 +655,7 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
                 steps,
                 budget_bytes,
                 early_cancel,
-                adaptive,
+                adaptive: None,
                 placement_seed: match flag_value(args, "--placement-seed") {
                     Some(n) => Some(n.parse().map_err(|e| format!("--placement-seed: {e}"))?),
                     None => None,
@@ -755,7 +681,7 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
             steps,
             budget_bytes,
             early_cancel,
-            adaptive,
+            adaptive: None,
             stream: has_flag(args, "--stream"),
             deadline_ms,
             priority,

@@ -71,12 +71,10 @@ fn strip(value: &mut Value, field: &str) {
 /// fixture path) pinned, as a compact JSON string.
 ///
 /// The per-policy telemetry table (`policies`, added after the fixture
-/// was recorded) and the adaptive-selector section (`adaptive`, always
-/// null for these full races) are stripped rather than re-recorded:
-/// keeping the checked-in fixture byte-identical proves the refactors
-/// changed no scheduling result. The telemetry's own consistency is
-/// covered by `golden_corpus_policy_telemetry_is_consistent`; adaptive
-/// mode has its own golden-corpus parity test in `tests/adaptive.rs`.
+/// was recorded) is stripped rather than re-recorded: keeping the
+/// checked-in fixture byte-identical proves the refactors changed no
+/// scheduling result. The telemetry's own consistency is covered by
+/// `golden_corpus_policy_telemetry_is_consistent`.
 fn normalized_summary(summary: &vcsched::engine::BatchSummary) -> String {
     let mut v = serde_json::to_value(summary);
     patch(
@@ -87,7 +85,6 @@ fn normalized_summary(summary: &vcsched::engine::BatchSummary) -> String {
     patch(&mut v, "jobs", Value::UInt(0));
     patch(&mut v, "wall_ms", Value::UInt(0));
     strip(&mut v, "policies");
-    strip(&mut v, "adaptive");
     serde_json::to_string(&v).expect("summary serializes")
 }
 
@@ -115,7 +112,7 @@ fn run_golden(jobs: usize, cache_shards: usize) -> vcsched::engine::BatchResult 
     let blocks = config.source.load().expect("fixture corpus loads");
     assert_eq!(blocks.len(), 24, "fixture must hold 24 blocks");
     let cache = ScheduleCache::in_memory_sharded(config.cache_capacity, cache_shards);
-    run_batch_on(&config, &blocks, &cache, None)
+    run_batch_on(&config, &blocks, &cache)
 }
 
 /// Explains a drift block-by-block, then fails.
@@ -213,8 +210,8 @@ fn golden_corpus_warm_cache_is_all_hits_at_every_shard_count() {
         let config = golden_config(2, cache_shards);
         let blocks = config.source.load().expect("fixture corpus loads");
         let cache = ScheduleCache::in_memory_sharded(config.cache_capacity, cache_shards);
-        let cold = run_batch_on(&config, &blocks, &cache, None);
-        let warm = run_batch_on(&config, &blocks, &cache, None);
+        let cold = run_batch_on(&config, &blocks, &cache);
+        let warm = run_batch_on(&config, &blocks, &cache);
         assert_eq!(warm.summary.cache.hits, 24, "shards={cache_shards}");
         assert_eq!(warm.summary.cache.misses, 0, "shards={cache_shards}");
         // Identical scheduling results, cached or not (everything but

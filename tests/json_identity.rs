@@ -13,14 +13,12 @@ use serde::{Serialize, Value};
 use vcsched::arch::ClusterId;
 use vcsched::engine::cache::CacheEntry;
 use vcsched::engine::portfolio::PolicyStat;
-use vcsched::engine::{
-    run_batch, AdaptiveOptions, BatchConfig, BatchSummary, CorpusSource, PolicySet, STEPS_1S,
-};
+use vcsched::engine::{run_batch, BatchConfig, BatchSummary, CorpusSource, PolicySet, STEPS_1S};
 use vcsched::ir::{CopyOp, InstId, Schedule, Superblock};
 use vcsched::policy::PolicyFallback;
 use vcsched::service::protocol::{
     response_line, BlockReply, CacheReply, LatencyReply, PolicyTotalsReply, PriorityLatencyReply,
-    Request, Response, ScheduleMode, ScheduleReply, SelectorStatsReply, ShardReply, StatsReply,
+    Request, Response, ScheduleMode, ScheduleReply, ShardReply, StatsReply,
 };
 use vcsched::workload::{benchmarks, generate_block, InputSet};
 
@@ -271,13 +269,6 @@ fn stats_reply(g: &mut Gen) -> StatsReply {
                 })
                 .collect(),
         },
-        adaptive: g.maybe(|g| SelectorStatsReply {
-            classes: g.next() as usize,
-            blocks_observed: g.u64(),
-            narrowed: g.u64(),
-            full_unseen: g.u64(),
-            full_explore: g.u64(),
-        }),
         uptime_ms: g.u64(),
         latency: (0..g.below(3))
             .map(|_| LatencyReply {
@@ -341,33 +332,29 @@ fn cache_entry(g: &mut Gen) -> CacheEntry {
     }
 }
 
-/// Summaries of two small real batches, one full race and one
-/// adaptive, so every nested summary type is present.
-fn real_summaries() -> &'static [BatchSummary; 2] {
-    static SUMMARIES: std::sync::OnceLock<[BatchSummary; 2]> = std::sync::OnceLock::new();
-    SUMMARIES.get_or_init(|| {
-        let run = |adaptive: Option<AdaptiveOptions>| {
-            run_batch(&BatchConfig {
-                source: CorpusSource::Synth {
-                    bench: "130.li".to_owned(),
-                    count: 3,
-                    seed: 5,
-                },
-                jobs: 1,
-                max_dp_steps: STEPS_1S,
-                policies: PolicySet::full(),
-                adaptive,
-                ..BatchConfig::default()
-            })
-            .expect("batch runs")
-            .summary
-        };
-        [run(None), run(Some(AdaptiveOptions::default()))]
+/// The summary of a small real batch, so every nested summary type is
+/// present.
+fn real_summary() -> &'static BatchSummary {
+    static SUMMARY: std::sync::OnceLock<BatchSummary> = std::sync::OnceLock::new();
+    SUMMARY.get_or_init(|| {
+        run_batch(&BatchConfig {
+            source: CorpusSource::Synth {
+                bench: "130.li".to_owned(),
+                count: 3,
+                seed: 5,
+            },
+            jobs: 1,
+            max_dp_steps: STEPS_1S,
+            policies: PolicySet::full(),
+            ..BatchConfig::default()
+        })
+        .expect("batch runs")
+        .summary
     })
 }
 
 fn batch_summary(g: &mut Gen) -> BatchSummary {
-    let mut s = real_summaries()[g.below(2) as usize].clone();
+    let mut s = real_summary().clone();
     s.corpus = g.string();
     s.machine = g.string();
     s.aggregate_awct = g.float();
