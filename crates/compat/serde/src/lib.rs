@@ -31,7 +31,34 @@
 //!   with no tree. An override may refuse input the tree path accepts —
 //!   its caller then decodes the same bytes through the tree for the
 //!   answer or the error — but never accepts input the tree path refuses
-//!   or decodes differently.
+//!   or decodes differently;
+//! * the derive understands four `#[serde(...)]` attributes: field
+//!   `default`, field `skip_serializing_if = "Option::is_none"`, enum
+//!   `rename_all = "lowercase" | "kebab-case"`, and enum `tag = "..."`
+//!   on `Serialize` only. Unlike real serde, `default` also turns a
+//!   `null` field into the default. `tests/codec_pins.rs` pins what
+//!   each does to the wire types' bytes.
+//!
+//! Any other attribute fails to compile rather than being ignored:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Renamed {
+//!     #[serde(rename = "b")]
+//!     a: u64,
+//! }
+//! ```
+//!
+//! and so does `tag` on a `Deserialize`, which the derive does not
+//! implement:
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! #[serde(tag = "type")]
+//! enum Tagged {
+//!     Ping { delay_ms: u64 },
+//! }
+//! ```
 
 use std::borrow::Cow;
 
@@ -225,11 +252,28 @@ pub trait Reader<'de> {
 
     /// Consumes the next value whole, as the tree decoder builds it.
     fn value(&mut self) -> Result<Value, DeError>;
+
+    /// How many elements to reserve for the array `seq` just opened:
+    /// its stated element count where the encoding states one up front
+    /// (binary frames do, bounded there), 0 otherwise. Only a capacity
+    /// hint; the elements themselves decide the length.
+    fn len_hint(&self, _seq: &Seq) -> usize {
+        0
+    }
 }
 
 /// Fetches a required object field (used by derived impls).
 pub fn field<'a>(v: &'a Value, ty: &str, name: &str) -> Result<&'a Value, DeError> {
     v.get(name).ok_or_else(|| DeError::missing(ty, name))
+}
+
+/// Decodes the object field a `#[serde(default)]` marks: absent and
+/// `null` both give `T::default()` (used by derived impls).
+pub fn field_or_default<T: Deserialize + Default>(v: &Value, name: &str) -> Result<T, DeError> {
+    match v.get(name) {
+        None | Some(Value::Null) => Ok(T::default()),
+        Some(field) => T::from_value(field),
+    }
 }
 
 /// Reads one field's value into its slot during a typed struct decode,
@@ -252,6 +296,13 @@ pub fn read_field<'de, R: Reader<'de>, T: Deserialize>(
 /// impls).
 pub fn required<T>(slot: Option<T>, ty: &str, name: &str) -> Result<T, DeError> {
     slot.ok_or_else(|| DeError::missing(ty, name))
+}
+
+/// A typed struct decode's value for a `#[serde(default)]` field, read
+/// as an `Option`: absent (`None`) and `null` (`Some(None)`) both give
+/// `T::default()` (used by derived impls).
+pub fn or_default<T: Default>(slot: Option<Option<T>>) -> T {
+    slot.flatten().unwrap_or_default()
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
@@ -522,7 +573,7 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 
     fn read<'de, R: Reader<'de>>(r: &mut R) -> Result<Self, DeError> {
         let mut seq = r.array()?;
-        let mut items = Vec::new();
+        let mut items = Vec::with_capacity(r.len_hint(&seq));
         while r.element(&mut seq)? {
             items.push(T::read(r)?);
         }

@@ -94,10 +94,10 @@ fn journal_ends_mid_line(path: &Path) -> bool {
 
 /// What the cache remembers for one scheduling problem.
 ///
-/// `Deserialize` is implemented by hand (not derived) so journals written
-/// before per-policy telemetry existed still replay: a missing `stats`
-/// field defaults to empty instead of failing the line.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Journals written before per-policy telemetry existed still replay:
+/// `stats` is `#[serde(default)]`, so a line without it (or with `null`)
+/// decodes with it empty instead of failing.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheEntry {
     /// Hex form of the problem hash (the JSONL join key).
     pub key: String,
@@ -116,26 +116,8 @@ pub struct CacheEntry {
     /// The winning schedule itself.
     pub schedule: Schedule,
     /// Per-policy telemetry of the run that produced this entry.
+    #[serde(default)]
     pub stats: Vec<PolicyStat>,
-}
-
-impl Deserialize for CacheEntry {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let req = |name: &str| serde::field(v, "CacheEntry", name);
-        Ok(CacheEntry {
-            key: Deserialize::from_value(req("key")?)?,
-            check: Deserialize::from_value(req("check")?)?,
-            winner: Deserialize::from_value(req("winner")?)?,
-            awct: Deserialize::from_value(req("awct")?)?,
-            vc_steps: Deserialize::from_value(req("vc_steps")?)?,
-            vc_timed_out: Deserialize::from_value(req("vc_timed_out")?)?,
-            schedule: Deserialize::from_value(req("schedule")?)?,
-            stats: match v.get("stats") {
-                None | Some(serde::Value::Null) => Vec::new(),
-                Some(field) => Deserialize::from_value(field)?,
-            },
-        })
-    }
 }
 
 /// Hit/miss counters, snapshotted into the batch summary.

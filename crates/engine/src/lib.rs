@@ -449,7 +449,13 @@ pub fn run_batch_on(
     let plan = BatchPlan::new(config, blocks);
     let options = plan.options();
     let per_block = scatter(blocks.len(), config.jobs, |i| {
-        solve_one(&blocks[i], &config.machine, &plan.homes(i), options, cache)
+        solve_one(
+            &blocks[i],
+            &config.machine,
+            &plan.homes(i, &blocks[i]),
+            options,
+            cache,
+        )
     });
     plan.finish(per_block)
 }
@@ -458,10 +464,12 @@ pub fn run_batch_on(
 /// every block races under, fixed before any block races, and the fold
 /// of the outcomes into a [`BatchResult`]. [`run_batch_on`] and the
 /// service's `batch` verb both race through it, so the same problems
-/// yield the same summary.
+/// yield the same summary. It keeps only each block's name and weight,
+/// so a caller that owns the blocks can move them into its problems.
 pub struct BatchPlan<'a> {
     config: &'a BatchConfig,
-    blocks: &'a [Superblock],
+    /// Each block's name and weight, in corpus order.
+    blocks: Vec<(String, u64)>,
     options: PolicyOptions,
     /// When the plan was made: the summary's `wall_ms` runs from here.
     t0: Instant,
@@ -469,10 +477,13 @@ pub struct BatchPlan<'a> {
 
 impl<'a> BatchPlan<'a> {
     /// Plans `blocks` under `config`.
-    pub fn new(config: &'a BatchConfig, blocks: &'a [Superblock]) -> BatchPlan<'a> {
+    pub fn new(config: &'a BatchConfig, blocks: &[Superblock]) -> BatchPlan<'a> {
         BatchPlan {
             config,
-            blocks,
+            blocks: blocks
+                .iter()
+                .map(|sb| (sb.name().to_owned(), sb.weight()))
+                .collect(),
             options: PolicyOptions {
                 max_dp_steps: config.max_dp_steps,
                 max_trail_bytes: config.max_trail_bytes,
@@ -484,11 +495,11 @@ impl<'a> BatchPlan<'a> {
         }
     }
 
-    /// Block `i`'s live-in homes: the seeded §6.1 placement every racer
-    /// of the block shares.
-    pub fn homes(&self, i: usize) -> Vec<ClusterId> {
+    /// Block `i`'s live-in homes, given the block: the seeded §6.1
+    /// placement every racer of the block shares.
+    pub fn homes(&self, i: usize, block: &Superblock) -> Vec<ClusterId> {
         live_in_placement(
-            &self.blocks[i],
+            block,
             self.config.machine.cluster_count(),
             self.config.placement_seed ^ i as u64,
         )
@@ -542,7 +553,8 @@ impl<'a> BatchPlan<'a> {
                 }
             }
         };
-        for (sb, (outcome, cached)) in self.blocks.iter().zip(per_block) {
+        let blocks = self.blocks.len();
+        for ((name, weight), (outcome, cached)) in self.blocks.into_iter().zip(per_block) {
             wins.add(&outcome.winner);
             let i = tally(&mut policies, &outcome.winner);
             policies[i].wins += 1;
@@ -559,13 +571,13 @@ impl<'a> BatchPlan<'a> {
             if cached {
                 hits += 1;
             }
-            weighted_cycles += outcome.awct * sb.weight() as f64;
-            total_weight += sb.weight();
+            weighted_cycles += outcome.awct * weight as f64;
+            total_weight += weight;
             lines.push(BlockLine {
-                name: sb.name().to_owned(),
+                name,
                 winner: outcome.winner.clone(),
                 awct: outcome.awct,
-                weight: sb.weight(),
+                weight,
                 cached,
             });
             outcomes.push(outcome);
@@ -573,7 +585,7 @@ impl<'a> BatchPlan<'a> {
 
         let stats = CacheStats {
             hits,
-            misses: self.blocks.len() as u64 - hits,
+            misses: blocks as u64 - hits,
         };
         let summary = BatchSummary {
             corpus: config.source.describe(),
@@ -581,7 +593,7 @@ impl<'a> BatchPlan<'a> {
             jobs: config.jobs.max(1),
             portfolio: config.policies == PolicySet::full(),
             steps: config.max_dp_steps,
-            blocks: self.blocks.len(),
+            blocks,
             wins,
             vc_timeouts,
             aggregate_awct: if total_weight == 0 {

@@ -9,6 +9,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use serde::{Deserialize, Serialize};
+
 /// Number of cache-line-padded cells a [`Counter`] spreads its increments
 /// over. Each thread hashes to one cell, so concurrent increments from
 /// different threads rarely contend on the same cache line.
@@ -276,7 +278,7 @@ impl Histogram {
 
 /// A point-in-time copy of a [`Histogram`]: count, sum, fixed quantiles,
 /// and the non-empty buckets as `(bucket lower bound, count)` pairs.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Number of samples.
     pub count: u64,

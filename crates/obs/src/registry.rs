@@ -222,7 +222,7 @@ pub struct MetricSnapshot {
 /// sorted by metric identity. Roundtrips through the JSON value model, so
 /// a remote client can rebuild it from the `metrics` protocol verb and
 /// render [`Snapshot::to_prometheus_text`] locally.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Snapshot {
     /// All metrics, sorted by `name{labels}` identity.
     pub metrics: Vec<MetricSnapshot>,
@@ -344,63 +344,9 @@ impl Snapshot {
 // Wire format (compat-serde value model)
 // ---------------------------------------------------------------------------
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-impl Serialize for HistogramSnapshot {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("count", self.count.to_value()),
-            ("sum", self.sum.to_value()),
-            ("p50", self.p50.to_value()),
-            ("p90", self.p90.to_value()),
-            ("p99", self.p99.to_value()),
-            ("p999", self.p999.to_value()),
-            (
-                "buckets",
-                Value::Array(
-                    self.buckets
-                        .iter()
-                        .map(|(lo, c)| Value::Array(vec![lo.to_value(), c.to_value()]))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for HistogramSnapshot {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        const TY: &str = "HistogramSnapshot";
-        let mut buckets = Vec::new();
-        for b in serde::field(v, TY, "buckets")?
-            .as_array()
-            .ok_or_else(|| DeError::expected("array", v))?
-        {
-            let pair = b.as_array().ok_or_else(|| DeError::expected("array", b))?;
-            if pair.len() != 2 {
-                return Err(DeError::expected("bucket pair", b));
-            }
-            buckets.push((u64::from_value(&pair[0])?, u64::from_value(&pair[1])?));
-        }
-        Ok(HistogramSnapshot {
-            count: u64::from_value(serde::field(v, TY, "count")?)?,
-            sum: u64::from_value(serde::field(v, TY, "sum")?)?,
-            p50: u64::from_value(serde::field(v, TY, "p50")?)?,
-            p90: u64::from_value(serde::field(v, TY, "p90")?)?,
-            p99: u64::from_value(serde::field(v, TY, "p99")?)?,
-            p999: u64::from_value(serde::field(v, TY, "p999")?)?,
-            buckets,
-        })
-    }
-}
-
+/// Written by hand, not derived: `kind` and `value` form an adjacent
+/// tag (`"kind":"histogram","value":{…}`), which the derive does not
+/// implement.
 impl Serialize for MetricSnapshot {
     fn to_value(&self) -> Value {
         let (kind, value) = match &self.value {
@@ -408,72 +354,31 @@ impl Serialize for MetricSnapshot {
             MetricValue::Gauge(v) => ("gauge", v.to_value()),
             MetricValue::Histogram(h) => ("histogram", h.to_value()),
         };
-        obj(vec![
-            ("name", self.name.to_value()),
-            (
-                "labels",
-                Value::Array(
-                    self.labels
-                        .iter()
-                        .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                        .collect(),
-                ),
-            ),
-            ("kind", Value::String(kind.to_string())),
-            ("value", value),
+        Value::Object(vec![
+            ("name".to_owned(), self.name.to_value()),
+            ("labels".to_owned(), self.labels.to_value()),
+            ("kind".to_owned(), Value::String(kind.to_owned())),
+            ("value".to_owned(), value),
         ])
     }
 }
 
+/// Written by hand, as its `Serialize` is: the adjacent `kind` tag.
 impl Deserialize for MetricSnapshot {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        const TY: &str = "MetricSnapshot";
-        let mut labels = Vec::new();
-        for l in serde::field(v, TY, "labels")?
-            .as_array()
-            .ok_or_else(|| DeError::expected("array", v))?
-        {
-            let pair = l.as_array().ok_or_else(|| DeError::expected("array", l))?;
-            if pair.len() != 2 {
-                return Err(DeError::expected("label pair", l));
-            }
-            labels.push((String::from_value(&pair[0])?, String::from_value(&pair[1])?));
-        }
-        let kind = String::from_value(serde::field(v, TY, "kind")?)?;
-        let raw = serde::field(v, TY, "value")?;
-        let value = match kind.as_str() {
+        let field = |name| serde::field(v, "MetricSnapshot", name);
+        let raw = field("value")?;
+        let value = match String::from_value(field("kind")?)?.as_str() {
             "counter" => MetricValue::Counter(u64::from_value(raw)?),
             "gauge" => MetricValue::Gauge(i64::from_value(raw)?),
             "histogram" => MetricValue::Histogram(HistogramSnapshot::from_value(raw)?),
-            _ => return Err(DeError(format!("unknown metric kind `{kind}`"))),
+            kind => return Err(DeError(format!("unknown metric kind `{kind}`"))),
         };
         Ok(MetricSnapshot {
-            name: String::from_value(serde::field(v, TY, "name")?)?,
-            labels,
+            name: String::from_value(field("name")?)?,
+            labels: Deserialize::from_value(field("labels")?)?,
             value,
         })
-    }
-}
-
-impl Serialize for Snapshot {
-    fn to_value(&self) -> Value {
-        obj(vec![(
-            "metrics",
-            Value::Array(self.metrics.iter().map(|m| m.to_value()).collect()),
-        )])
-    }
-}
-
-impl Deserialize for Snapshot {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let mut metrics = Vec::new();
-        for m in serde::field(v, "Snapshot", "metrics")?
-            .as_array()
-            .ok_or_else(|| DeError::expected("array", v))?
-        {
-            metrics.push(MetricSnapshot::from_value(m)?);
-        }
-        Ok(Snapshot { metrics })
     }
 }
 

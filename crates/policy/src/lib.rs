@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use vcsched_arch::{ClusterId, MachineConfig};
 use vcsched_ir::{Schedule, Superblock};
 
@@ -137,7 +137,8 @@ impl PolicyBudget {
 /// Why a policy returned without a schedule (or `None` if it produced
 /// one). The "fallback taken" bit of the telemetry: a driver seeing
 /// anything but `None` applies its fallback policy (§6.1: CARS).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum PolicyFallback {
     /// The policy produced a schedule; no fallback needed.
     None,
@@ -167,39 +168,11 @@ impl PolicyFallback {
             PolicyFallback::Deadline => "deadline",
         }
     }
-
-    /// Parses a wire name.
-    pub fn parse(s: &str) -> Option<PolicyFallback> {
-        [
-            PolicyFallback::None,
-            PolicyFallback::Budget,
-            PolicyFallback::Beaten,
-            PolicyFallback::GaveUp,
-            PolicyFallback::Deadline,
-        ]
-        .into_iter()
-        .find(|f| f.name() == s)
-    }
 }
 
 impl std::fmt::Display for PolicyFallback {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl Serialize for PolicyFallback {
-    fn to_value(&self) -> Value {
-        Value::String(self.name().to_owned())
-    }
-}
-
-impl Deserialize for PolicyFallback {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| DeError::expected("policy fallback name", v))?;
-        PolicyFallback::parse(s).ok_or_else(|| DeError(format!("unknown policy fallback `{s}`")))
     }
 }
 
@@ -387,9 +360,11 @@ mod tests {
             PolicyFallback::GaveUp,
             PolicyFallback::Deadline,
         ] {
-            assert_eq!(PolicyFallback::parse(f.name()), Some(f));
+            let wire = f.to_value();
+            assert_eq!(wire, serde::Value::String(f.name().to_owned()));
+            assert_eq!(PolicyFallback::from_value(&wire), Ok(f));
         }
-        assert_eq!(PolicyFallback::parse("bogus"), None);
+        assert!(PolicyFallback::from_value(&serde::Value::String("bogus".into())).is_err());
     }
 
     #[test]

@@ -542,6 +542,12 @@ impl<'a> serde::Reader<'a> for FrameReader<'a> {
         Ok(self.advance(seq))
     }
 
+    /// The stated count, which `open` bounded by the bytes left, capped
+    /// at `MAX_PREALLOC` as the tree decoder caps its reservations.
+    fn len_hint(&self, seq: &Seq) -> usize {
+        (seq.0 as usize).min(MAX_PREALLOC)
+    }
+
     fn object(&mut self) -> Result<Seq, DeError> {
         self.open(TAG_OBJECT)
     }

@@ -74,7 +74,8 @@ const DEFAULT_SEED: u64 = 7;
 
 /// Legacy scheduling mode of a `schedule` request — shorthand for the
 /// two canonical policy sets. The `"policies"` field supersedes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[serde(rename_all = "lowercase")]
 pub enum ScheduleMode {
     /// VC under the step budget, CARS fallback (§6.1): the `vc,cars` set.
     #[default]
@@ -84,14 +85,6 @@ pub enum ScheduleMode {
 }
 
 impl ScheduleMode {
-    /// Stable wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ScheduleMode::Single => "single",
-            ScheduleMode::Portfolio => "portfolio",
-        }
-    }
-
     /// Parses a wire name.
     pub fn parse(s: &str) -> Result<ScheduleMode, DeError> {
         match s {
@@ -105,7 +98,13 @@ impl ScheduleMode {
 }
 
 /// One client request.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `Serialize` is derived: `{"type":"<verb>", fields…}`, each optional
+/// field written as `null` when unset, except `Ping.priority`, which is
+/// left out so legacy ping lines stay byte-identical. `Deserialize` is
+/// written by hand (see its impl).
+#[derive(Debug, Clone, PartialEq, Serialize)]
+#[serde(tag = "type", rename_all = "lowercase")]
 pub enum Request {
     /// Schedule one superblock.
     Schedule {
@@ -192,6 +191,7 @@ pub enum Request {
         /// and saturation behavior, same bands as `schedule`. Omitted
         /// from the wire when `None` so legacy ping lines stay
         /// byte-identical.
+        #[serde(skip_serializing_if = "Option::is_none")]
         priority: Option<u8>,
     },
     /// Stop accepting work, drain in-flight jobs, exit.
@@ -202,8 +202,8 @@ pub enum Request {
 ///
 /// Deserialization is backward-compatible: replies from servers
 /// predating the online path (no `deadline_fired`) parse with the field
-/// defaulted to `false`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// defaulted to `false`, and a reply without `schedule` parses as `None`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleReply {
     /// Winning policy name.
     pub winner: String,
@@ -221,28 +221,12 @@ pub struct ScheduleReply {
     /// recorded race, when the answer came from the cache).
     pub policies: Vec<PolicyStat>,
     /// The schedule itself, if `return_schedule` was set.
+    #[serde(default)]
     pub schedule: Option<Schedule>,
     /// Whether a deadline preempted the race and this is the best-so-far
     /// validated schedule rather than a full race's answer.
+    #[serde(default)]
     pub deadline_fired: bool,
-}
-
-impl Deserialize for ScheduleReply {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        const TY: &str = "ScheduleReply";
-        Ok(ScheduleReply {
-            winner: Deserialize::from_value(serde::field(v, TY, "winner")?)?,
-            awct: Deserialize::from_value(serde::field(v, TY, "awct")?)?,
-            vc_steps: Deserialize::from_value(serde::field(v, TY, "vc_steps")?)?,
-            vc_timed_out: Deserialize::from_value(serde::field(v, TY, "vc_timed_out")?)?,
-            cached: Deserialize::from_value(serde::field(v, TY, "cached")?)?,
-            copies: Deserialize::from_value(serde::field(v, TY, "copies")?)?,
-            policies: Deserialize::from_value(serde::field(v, TY, "policies")?)?,
-            schedule: opt(v, "schedule")?,
-            // Pre-online servers do not send this: default, do not require.
-            deadline_fired: opt(v, "deadline_fired")?.unwrap_or(false),
-        })
-    }
 }
 
 /// One streamed per-block frame of a `batch` request with
@@ -328,7 +312,7 @@ pub struct PriorityLatencyReply {
 ///
 /// Deserialization is backward-compatible: replies predating the
 /// per-priority breakdown parse with `by_priority` empty.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyReply {
     /// Request type (`schedule`, `batch`, `stats`, `ping`, `metrics`).
     pub request: String,
@@ -344,23 +328,8 @@ pub struct LatencyReply {
     pub p999_us: u64,
     /// Per-priority breakdown (only request types that carry a priority
     /// populate it; empty from servers predating the online path).
+    #[serde(default)]
     pub by_priority: Vec<PriorityLatencyReply>,
-}
-
-impl Deserialize for LatencyReply {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        const TY: &str = "LatencyReply";
-        Ok(LatencyReply {
-            request: Deserialize::from_value(serde::field(v, TY, "request")?)?,
-            count: Deserialize::from_value(serde::field(v, TY, "count")?)?,
-            p50_us: Deserialize::from_value(serde::field(v, TY, "p50_us")?)?,
-            p90_us: Deserialize::from_value(serde::field(v, TY, "p90_us")?)?,
-            p99_us: Deserialize::from_value(serde::field(v, TY, "p99_us")?)?,
-            p999_us: Deserialize::from_value(serde::field(v, TY, "p999_us")?)?,
-            // Absent before the per-priority breakdown existed.
-            by_priority: opt(v, "by_priority")?.unwrap_or_default(),
-        })
-    }
 }
 
 /// A `stats` response body.
@@ -370,7 +339,7 @@ impl Deserialize for LatencyReply {
 /// defaulted, and fields this client no longer reads (an older server's
 /// `adaptive` section) are skipped, so newer clients keep working against
 /// older daemons.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatsReply {
     /// Worker threads.
     pub jobs: usize,
@@ -385,8 +354,10 @@ pub struct StatsReply {
     /// Jobs completed since start.
     pub completed: u64,
     /// Client connections currently registered with the reactor.
+    #[serde(default)]
     pub connections_open: u64,
     /// Client connections accepted since start.
+    #[serde(default)]
     pub connections_total: u64,
     /// Per-policy win counts and step totals since start, in
     /// first-encounter order.
@@ -394,32 +365,12 @@ pub struct StatsReply {
     /// Sharded cache counters.
     pub cache: CacheReply,
     /// Milliseconds since the server started.
+    #[serde(default)]
     pub uptime_ms: u64,
     /// Per-request-type end-to-end latency quantiles, from this server's
     /// own histograms: servers sharing one process never share a count.
+    #[serde(default)]
     pub latency: Vec<LatencyReply>,
-}
-
-impl Deserialize for StatsReply {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        const TY: &str = "StatsReply";
-        Ok(StatsReply {
-            jobs: Deserialize::from_value(serde::field(v, TY, "jobs")?)?,
-            queue_capacity: Deserialize::from_value(serde::field(v, TY, "queue_capacity")?)?,
-            queue_depth: Deserialize::from_value(serde::field(v, TY, "queue_depth")?)?,
-            accepted: Deserialize::from_value(serde::field(v, TY, "accepted")?)?,
-            rejected: Deserialize::from_value(serde::field(v, TY, "rejected")?)?,
-            completed: Deserialize::from_value(serde::field(v, TY, "completed")?)?,
-            policies: Deserialize::from_value(serde::field(v, TY, "policies")?)?,
-            cache: Deserialize::from_value(serde::field(v, TY, "cache")?)?,
-            connections_open: opt(v, "connections_open")?.unwrap_or(0),
-            connections_total: opt(v, "connections_total")?.unwrap_or(0),
-            // Fields the pre-obs protocol did not have: default, do not
-            // require.
-            uptime_ms: opt(v, "uptime_ms")?.unwrap_or(0),
-            latency: opt(v, "latency")?.unwrap_or_default(),
-        })
-    }
 }
 
 /// One server response.
@@ -480,88 +431,6 @@ fn tagged(head: Vec<(&str, Value)>, body: Value) -> Value {
     Value::Object(fields)
 }
 
-impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        match self {
-            Request::Schedule {
-                block,
-                machine,
-                policies,
-                mode,
-                steps,
-                budget_bytes,
-                early_cancel,
-                adaptive,
-                placement_seed,
-                return_schedule,
-                deadline_ms,
-                priority,
-            } => obj(vec![
-                ("type", Value::String("schedule".into())),
-                ("block", block.to_value()),
-                ("machine", Value::String(machine.clone())),
-                ("policies", policies.to_value()),
-                ("mode", mode.map(ScheduleMode::name).to_value()),
-                ("steps", steps.to_value()),
-                ("budget_bytes", budget_bytes.to_value()),
-                ("early_cancel", early_cancel.to_value()),
-                ("adaptive", adaptive.to_value()),
-                ("placement_seed", placement_seed.to_value()),
-                ("return_schedule", Value::Bool(*return_schedule)),
-                ("deadline_ms", deadline_ms.to_value()),
-                ("priority", priority.to_value()),
-            ]),
-            Request::Batch {
-                bench,
-                count,
-                seed,
-                machine,
-                policies,
-                portfolio,
-                steps,
-                budget_bytes,
-                early_cancel,
-                adaptive,
-                stream,
-                deadline_ms,
-                priority,
-            } => obj(vec![
-                ("type", Value::String("batch".into())),
-                ("bench", Value::String(bench.clone())),
-                ("count", Value::UInt(*count as u64)),
-                ("seed", Value::UInt(*seed)),
-                ("machine", Value::String(machine.clone())),
-                ("policies", policies.to_value()),
-                ("portfolio", portfolio.to_value()),
-                ("steps", steps.to_value()),
-                ("budget_bytes", budget_bytes.to_value()),
-                ("early_cancel", early_cancel.to_value()),
-                ("adaptive", adaptive.to_value()),
-                ("stream", Value::Bool(*stream)),
-                ("deadline_ms", deadline_ms.to_value()),
-                ("priority", priority.to_value()),
-            ]),
-            Request::Stats => obj(vec![("type", Value::String("stats".into()))]),
-            Request::Metrics => obj(vec![("type", Value::String("metrics".into()))]),
-            Request::Ping { delay_ms, priority } => {
-                let mut fields = vec![
-                    ("type", Value::String("ping".into())),
-                    ("delay_ms", Value::UInt(*delay_ms)),
-                ];
-                // Unlike schedule/batch (which always emit their
-                // optional fields as null), ping pre-dates priorities:
-                // emitting the field only when set keeps legacy ping
-                // lines byte-identical.
-                if priority.is_some() {
-                    fields.push(("priority", priority.to_value()));
-                }
-                obj(fields)
-            }
-            Request::Shutdown => obj(vec![("type", Value::String("shutdown".into()))]),
-        }
-    }
-}
-
 /// Reads an optional field, treating both absence and JSON `null` as
 /// `None`.
 fn opt<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, DeError> {
@@ -581,6 +450,12 @@ fn opt_policies(v: &Value) -> Result<Option<Vec<String>>, DeError> {
     }
 }
 
+/// Written by hand, not derived: a request accepts `policies` as an array
+/// or one comma-separated string, fills absent fields with the wire
+/// defaults (`DEFAULT_*`) rather than `Default::default()`, and carries
+/// an envelope `id` the derive knows nothing of. With [`read_request`],
+/// its typed twin, it is also the reference pair that
+/// `tests/decoder_fuzz.rs` checks against each other.
 impl Deserialize for Request {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let ty = v
@@ -651,6 +526,7 @@ fn unknown_request_type(ty: &str) -> DeError {
 /// bytes, but refuses an unknown or repeated key and an `id` that is
 /// not an unsigned integer or `null`; a caller then decodes the bytes
 /// through the tree for the error (or the request) that path gives.
+/// Written by hand for the reasons `Request`'s `Deserialize` is.
 pub fn read_request<'de, R: Reader<'de>>(r: &mut R) -> Result<(Request, Option<u64>), DeError> {
     const TY: &str = "request";
     let mut seq = r.object()?;
@@ -824,6 +700,8 @@ fn request_of_value(value: &Value) -> Decoded {
     Ok((request, id))
 }
 
+/// Written by hand, not derived: `ok` comes before the `type` tag, which
+/// an internally tagged derive cannot place.
 impl Serialize for Response {
     fn to_value(&self) -> Value {
         let ok = |ty: &str| {
@@ -864,6 +742,8 @@ impl Serialize for Response {
     }
 }
 
+/// Written by hand, as its `Serialize` is: `ok` precedes the tag, and
+/// the derive implements `tag` on `Serialize` only.
 impl Deserialize for Response {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let ty = v

@@ -1683,11 +1683,11 @@ fn run_service_batch(
     // engine's scatter, so summaries match `vcsched batch` exactly.
     let mut tickets = Vec::with_capacity(blocks.len());
     let mut failure = None;
-    for (i, sb) in blocks.iter().enumerate() {
+    for (i, block) in blocks.into_iter().enumerate() {
         let problem = Problem {
-            block: sb.clone(),
+            homes: plan.homes(i, &block),
+            block,
             machine: config.machine.clone(),
-            homes: plan.homes(i),
             options: PolicyOptions {
                 deadline_steps,
                 ..plan.options().clone()

@@ -41,8 +41,8 @@ USAGE:
                   [--steps N] [--budget-bytes N] [--details]
                   [--trace-out FILE [--obs-sample N]]
     vcsched serve [--addr HOST:PORT] [--jobs N] [--queue N] [--cache DIR]
-                  [--cache-shards N] [--steps N] [--budget-bytes N]
-                  [--policies P,P,…]
+                  [--cache-capacity N] [--cache-shards N] [--steps N]
+                  [--budget-bytes N] [--policies P,P,… | --portfolio]
                   [--machine-policies M=P,P[;M=P,P…]] [--early-cancel]
                   [--max-request BYTES] [--max-conns N]
                   [--max-write-buffer BYTES]
@@ -62,8 +62,9 @@ USAGE:
     vcsched replay [--profile poisson-burst|diurnal|adversarial-spike]
                   [--events N] [--seed N] [--horizon-ms N]
                   [--mean-slack-ms N] [--trace FILE] [--emit-trace FILE]
-                  [--machine M] [--jobs N] [--steps N] [--step-floor N]
-                  [--steps-per-ms N] [--queue N] [--details]
+                  [--machine M] [--jobs N] [--policies P,P,…] [--steps N]
+                  [--step-floor N] [--steps-per-ms N] [--budget-bytes N]
+                  [--placement-seed N] [--early-cancel] [--queue N] [--details]
                   [--addr HOST:PORT [--time-scale N] [--binary]]
     vcsched top [--addr HOST:PORT] [--interval SECS] [--count N]
     vcsched demo
@@ -192,25 +193,141 @@ POLICIES (for --policies / --scheduler; see `vcsched policies`):
     (--portfolio spells the first four — the paper's Section 6.1 race)
 ";
 
+/// Each verb's flags: a trailing `=` marks a flag that takes a value,
+/// the rest are switches. [`Args::parse`] refuses any other flag; a unit
+/// test checks these tables against [`HELP`].
+const FLAGS: &[(&str, &str)] = &[
+    ("machines", ""),
+    ("policies", ""),
+    ("gen", "--bench= --index= --seed= --out="),
+    (
+        "schedule",
+        "--block= --machine= --scheduler= --steps= --listing --execute --pressure",
+    ),
+    (
+        "batch",
+        "--corpus= --bench= --count= --seed= --machine= --jobs= --policies= --portfolio \
+         --early-cancel --cache= --cache-shards= --steps= --budget-bytes= --details \
+         --trace-out= --obs-sample=",
+    ),
+    (
+        "serve",
+        "--addr= --jobs= --queue= --cache= --cache-capacity= --cache-shards= --steps= \
+         --budget-bytes= --policies= --portfolio --machine-policies= --early-cancel \
+         --max-request= --max-conns= --max-write-buffer= --trace-out= --obs-sample=",
+    ),
+    (
+        "request",
+        "--addr= --id= --binary --metrics-text --delay-ms= --priority= --block= --machine= \
+         --policies= --mode= --steps= --budget-bytes= --early-cancel --placement-seed= \
+         --deadline-ms= --return-schedule --bench= --count= --seed= --portfolio --stream \
+         --json=",
+    ),
+    (
+        "replay",
+        "--profile= --events= --seed= --horizon-ms= --mean-slack-ms= --trace= --emit-trace= \
+         --machine= --jobs= --policies= --steps= --step-floor= --steps-per-ms= \
+         --budget-bytes= --placement-seed= --early-cancel --queue= --details --addr= \
+         --time-scale= --binary",
+    ),
+    ("top", "--addr= --interval= --count="),
+    ("demo", ""),
+];
+
+/// A verb's arguments, every flag checked against its [`FLAGS`] table.
+struct Args<'a> {
+    /// Each flag given, with its value (`None` for a switch).
+    flags: Vec<(&'a str, Option<&'a str>)>,
+    /// `request`'s one word besides its flags: the request verb.
+    verb: Option<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    fn parse(command: &str, args: &'a [String]) -> Result<Args<'a>, String> {
+        let (_, table) = FLAGS
+            .iter()
+            .find(|(name, _)| *name == command)
+            .ok_or_else(|| format!("unknown command `{command}` (try `vcsched help`)"))?;
+        let mut parsed = Args {
+            flags: Vec::new(),
+            verb: None,
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let takes_value =
+                table
+                    .split_whitespace()
+                    .find_map(|flag| match flag.strip_suffix('=') {
+                        Some(name) => (name == arg).then_some(true),
+                        None => (flag == arg).then_some(false),
+                    });
+            match takes_value {
+                Some(true) => {
+                    let value = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                    parsed.flags.push((arg, Some(value)));
+                }
+                Some(false) => parsed.flags.push((arg, None)),
+                None if arg.starts_with('-') => {
+                    return Err(format!(
+                        "unknown flag `{arg}` for `vcsched {command}` (try `vcsched help`)"
+                    ))
+                }
+                None if command == "request" && parsed.verb.is_none() => parsed.verb = Some(arg),
+                None => {
+                    return Err(format!(
+                        "unexpected argument `{arg}` for `vcsched {command}`"
+                    ))
+                }
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// The value of flag `name`, if it was given.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .find(|(flag, _)| *flag == name)
+            .and_then(|(_, value)| *value)
+    }
+
+    /// Flag `name`'s value parsed as a `T`, if it was given.
+    fn get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(name)
+            .map(|v| v.parse().map_err(|e| format!("{name}: {e}")))
+            .transpose()
+    }
+
+    /// Whether flag `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(flag, _)| *flag == name)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let r = match cmd {
+    let run = |args: &Args| match cmd {
         "machines" => cmd_machines(),
         "policies" => cmd_policies(),
-        "gen" => cmd_gen(&args[1..]),
-        "schedule" => cmd_schedule(&args[1..]),
-        "batch" => cmd_batch(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "request" => cmd_request(&args[1..]),
-        "replay" => cmd_replay(&args[1..]),
-        "top" => cmd_top(&args[1..]),
-        "demo" => cmd_demo(),
+        "gen" => cmd_gen(args),
+        "schedule" => cmd_schedule(args),
+        "batch" => cmd_batch(args),
+        "serve" => cmd_serve(args),
+        "request" => cmd_request(args),
+        "replay" => cmd_replay(args),
+        "top" => cmd_top(args),
+        _ => cmd_demo(), // the one verb left in FLAGS
+    };
+    let r = match cmd {
         "help" | "--help" | "-h" => {
             print!("{HELP}");
             Ok(())
         }
-        other => Err(format!("unknown command `{other}` (try `vcsched help`)")),
+        _ => Args::parse(cmd, &args[1..]).and_then(|args| run(&args)),
     };
     match r {
         Ok(()) => ExitCode::SUCCESS,
@@ -219,17 +336,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
 }
 
 fn cmd_machines() -> Result<(), String> {
@@ -251,11 +357,8 @@ fn cmd_policies() -> Result<(), String> {
 
 /// Parses the `--policies`/`--portfolio` pair shared by `batch` and
 /// `serve`. `None` means "use the default set".
-fn policy_set_flags(args: &[String]) -> Result<Option<vcsched::engine::PolicySet>, String> {
-    match (
-        flag_value(args, "--policies"),
-        has_flag(args, "--portfolio"),
-    ) {
+fn policy_set_flags(args: &Args) -> Result<Option<vcsched::engine::PolicySet>, String> {
+    match (args.value("--policies"), args.has("--portfolio")) {
         (Some(_), true) => Err("--policies and --portfolio are mutually exclusive".into()),
         (Some(spec), false) => vcsched::engine::PolicySet::parse(spec).map(Some),
         (None, true) => Ok(Some(vcsched::engine::PolicySet::full())),
@@ -266,12 +369,9 @@ fn policy_set_flags(args: &[String]) -> Result<Option<vcsched::engine::PolicySet
 /// Parses the `--trace-out FILE` / `--obs-sample N` pair shared by
 /// `batch` and `serve`. Sampling without an output file would silently
 /// record nothing, so it is rejected.
-fn trace_flags(args: &[String]) -> Result<Option<(std::path::PathBuf, u64)>, String> {
-    let sample = match flag_value(args, "--obs-sample") {
-        Some(n) => Some(n.parse::<u64>().map_err(|e| format!("--obs-sample: {e}"))?),
-        None => None,
-    };
-    match flag_value(args, "--trace-out") {
+fn trace_flags(args: &Args) -> Result<Option<(std::path::PathBuf, u64)>, String> {
+    let sample = args.get("--obs-sample")?;
+    match args.value("--trace-out") {
         Some(path) => Ok(Some((path.into(), sample.unwrap_or(1)))),
         None if sample.is_some() => Err("--obs-sample requires --trace-out".into()),
         None => Ok(None),
@@ -281,10 +381,8 @@ fn trace_flags(args: &[String]) -> Result<Option<(std::path::PathBuf, u64)>, Str
 /// Parses `--machine-policies "4c2=two-phase,cars;2c=vc,cars"` into
 /// per-preset default policy sets (entries separated by `;`, each
 /// `PRESET=SET` with the usual comma-separated set grammar).
-fn machine_policies_flag(
-    args: &[String],
-) -> Result<Vec<(String, vcsched::engine::PolicySet)>, String> {
-    let Some(spec) = flag_value(args, "--machine-policies") else {
+fn machine_policies_flag(args: &Args) -> Result<Vec<(String, vcsched::engine::PolicySet)>, String> {
+    let Some(spec) = args.value("--machine-policies") else {
         return Ok(Vec::new());
     };
     let mut pairs = Vec::new();
@@ -306,23 +404,17 @@ fn machine_policies_flag(
     Ok(pairs)
 }
 
-fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let bench_name = flag_value(args, "--bench").unwrap_or("099.go");
-    let index: u64 = flag_value(args, "--index")
-        .unwrap_or("0")
-        .parse()
-        .map_err(|e| format!("--index: {e}"))?;
-    let seed: u64 = flag_value(args, "--seed")
-        .unwrap_or("7")
-        .parse()
-        .map_err(|e| format!("--seed: {e}"))?;
+fn cmd_gen(args: &Args) -> Result<(), String> {
+    let bench_name = args.value("--bench").unwrap_or("099.go");
+    let index: u64 = args.get("--index")?.unwrap_or(0);
+    let seed: u64 = args.get("--seed")?.unwrap_or(7);
     let spec = benchmark(bench_name).ok_or_else(|| {
         let names: Vec<&str> = benchmarks().iter().map(|b| b.name).collect();
         format!("unknown benchmark `{bench_name}`; one of {names:?}")
     })?;
     let sb = generate_block(&spec, seed, index, InputSet::Ref);
     let json = serde_json::to_string_pretty(&sb).map_err(|e| e.to_string())?;
-    match flag_value(args, "--out") {
+    match args.value("--out") {
         Some(path) => {
             std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
             eprintln!(
@@ -338,16 +430,13 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_schedule(args: &[String]) -> Result<(), String> {
-    let path = flag_value(args, "--block").ok_or("--block FILE is required")?;
+fn cmd_schedule(args: &Args) -> Result<(), String> {
+    let path = args.value("--block").ok_or("--block FILE is required")?;
     let data = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let sb: Superblock = serde_json::from_str(&data).map_err(|e| format!("{path}: {e}"))?;
-    let machine = machine_by_name(flag_value(args, "--machine").unwrap_or("2c"))?;
-    let steps: u64 = flag_value(args, "--steps")
-        .unwrap_or("1200000")
-        .parse()
-        .map_err(|e| format!("--steps: {e}"))?;
-    let scheduler = flag_value(args, "--scheduler").unwrap_or("vc");
+    let machine = machine_by_name(args.value("--machine").unwrap_or("2c"))?;
+    let steps: u64 = args.get("--steps")?.unwrap_or(1_200_000);
+    let scheduler = args.value("--scheduler").unwrap_or("vc");
 
     // Resolve through the registry: any registered policy (built-in or
     // plugin) is a valid --scheduler, and the error message lists the
@@ -392,10 +481,10 @@ fn cmd_schedule(args: &[String]) -> Result<(), String> {
         "validated: AWCT {:.3}, makespan {}, {} copies",
         report.awct, report.makespan, report.copies
     );
-    if has_flag(args, "--listing") {
+    if args.has("--listing") {
         println!("{}", listing(&sb, &machine, &schedule));
     }
-    if has_flag(args, "--pressure") {
+    if args.has("--pressure") {
         let p = pressure(&sb, &machine, &schedule);
         println!(
             "register pressure: max {} (peak at cycle {}); per cluster {:?}",
@@ -404,7 +493,7 @@ fn cmd_schedule(args: &[String]) -> Result<(), String> {
             p.max_per_cluster
         );
     }
-    if has_flag(args, "--execute") {
+    if args.has("--execute") {
         let r = execute(&sb, &machine, &schedule, &ExecOptions::default())
             .map_err(|e| e.to_string())?;
         println!(
@@ -418,14 +507,14 @@ fn cmd_schedule(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_batch(args: &[String]) -> Result<(), String> {
-    let source = match (flag_value(args, "--corpus"), flag_value(args, "--bench")) {
+fn cmd_batch(args: &Args) -> Result<(), String> {
+    let source = match (args.value("--corpus"), args.value("--bench")) {
         (Some(_), Some(_)) => return Err("--corpus and --bench are mutually exclusive".into()),
         (Some(path), None) => {
             // Synthesis-only flags would be silently ignored; reject them
             // so nobody believes they sampled or reseeded a corpus file.
             for flag in ["--count", "--seed"] {
-                if has_flag(args, flag) {
+                if args.has(flag) {
                     return Err(format!("{flag} only applies to --bench synthesis"));
                 }
             }
@@ -433,38 +522,22 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         }
         (None, bench) => vcsched::engine::CorpusSource::Synth {
             bench: bench.unwrap_or("099.go").to_owned(),
-            count: flag_value(args, "--count")
-                .unwrap_or("200")
-                .parse()
-                .map_err(|e| format!("--count: {e}"))?,
-            seed: flag_value(args, "--seed")
-                .unwrap_or("7")
-                .parse()
-                .map_err(|e| format!("--seed: {e}"))?,
+            count: args.get("--count")?.unwrap_or(200),
+            seed: args.get("--seed")?.unwrap_or(7),
         },
     };
     let config = vcsched::engine::BatchConfig {
         source,
-        machine: machine_by_name(flag_value(args, "--machine").unwrap_or("2c"))?,
-        jobs: match flag_value(args, "--jobs") {
-            Some(n) => n.parse().map_err(|e| format!("--jobs: {e}"))?,
-            None => vcsched::engine::default_jobs(),
-        },
+        machine: machine_by_name(args.value("--machine").unwrap_or("2c"))?,
+        jobs: args
+            .get("--jobs")?
+            .unwrap_or_else(vcsched::engine::default_jobs),
         policies: policy_set_flags(args)?.unwrap_or_default(),
-        early_cancel: has_flag(args, "--early-cancel"),
-        max_dp_steps: flag_value(args, "--steps")
-            .unwrap_or("300000")
-            .parse()
-            .map_err(|e| format!("--steps: {e}"))?,
-        max_trail_bytes: match flag_value(args, "--budget-bytes") {
-            Some(n) => Some(n.parse().map_err(|e| format!("--budget-bytes: {e}"))?),
-            None => None,
-        },
-        cache_dir: flag_value(args, "--cache").map(Into::into),
-        cache_shards: flag_value(args, "--cache-shards")
-            .unwrap_or("8")
-            .parse()
-            .map_err(|e| format!("--cache-shards: {e}"))?,
+        early_cancel: args.has("--early-cancel"),
+        max_dp_steps: args.get("--steps")?.unwrap_or(300_000),
+        max_trail_bytes: args.get("--budget-bytes")?,
+        cache_dir: args.value("--cache").map(Into::into),
+        cache_shards: args.get("--cache-shards")?.unwrap_or(8),
         ..vcsched::engine::BatchConfig::default()
     };
     let trace = trace_flags(args)?;
@@ -489,7 +562,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("{}: {e}", path.display()))?;
         eprintln!("wrote {} trace events to {}", events.len(), path.display());
     }
-    if has_flag(args, "--details") {
+    if args.has("--details") {
         for line in &result.lines {
             eprintln!(
                 "{}",
@@ -504,40 +577,25 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let parse = |flag: &str, default: &str| -> Result<usize, String> {
-        flag_value(args, flag)
-            .unwrap_or(default)
-            .parse()
-            .map_err(|e| format!("{flag}: {e}"))
-    };
+fn cmd_serve(args: &Args) -> Result<(), String> {
     let trace = trace_flags(args)?;
     let config = vcsched::service::ServiceConfig {
-        addr: flag_value(args, "--addr")
-            .unwrap_or("127.0.0.1:7411")
-            .to_owned(),
-        jobs: match flag_value(args, "--jobs") {
-            Some(n) => n.parse().map_err(|e| format!("--jobs: {e}"))?,
-            None => vcsched::engine::default_jobs(),
-        },
-        queue_capacity: parse("--queue", "64")?,
-        cache_capacity: parse("--cache-capacity", "65536")?,
-        cache_shards: parse("--cache-shards", "8")?,
-        cache_dir: flag_value(args, "--cache").map(Into::into),
-        max_request_bytes: parse("--max-request", "1048576")?,
-        max_connections: parse("--max-conns", "1024")?,
-        max_write_buffer: parse("--max-write-buffer", "4194304")?,
-        default_steps: flag_value(args, "--steps")
-            .unwrap_or("300000")
-            .parse()
-            .map_err(|e| format!("--steps: {e}"))?,
-        default_budget_bytes: match flag_value(args, "--budget-bytes") {
-            Some(n) => Some(n.parse().map_err(|e| format!("--budget-bytes: {e}"))?),
-            None => None,
-        },
+        addr: args.value("--addr").unwrap_or("127.0.0.1:7411").to_owned(),
+        jobs: args
+            .get("--jobs")?
+            .unwrap_or_else(vcsched::engine::default_jobs),
+        queue_capacity: args.get("--queue")?.unwrap_or(64),
+        cache_capacity: args.get("--cache-capacity")?.unwrap_or(65_536),
+        cache_shards: args.get("--cache-shards")?.unwrap_or(8),
+        cache_dir: args.value("--cache").map(Into::into),
+        max_request_bytes: args.get("--max-request")?.unwrap_or(1_048_576),
+        max_connections: args.get("--max-conns")?.unwrap_or(1024),
+        max_write_buffer: args.get("--max-write-buffer")?.unwrap_or(4_194_304),
+        default_steps: args.get("--steps")?.unwrap_or(300_000),
+        default_budget_bytes: args.get("--budget-bytes")?,
         default_policies: policy_set_flags(args)?.unwrap_or_default(),
         preset_policies: machine_policies_flag(args)?,
-        default_early_cancel: has_flag(args, "--early-cancel"),
+        default_early_cancel: args.has("--early-cancel"),
         trace_out: trace.as_ref().map(|(path, _)| path.clone()),
         trace_sample: trace.map(|(_, sample)| sample).unwrap_or(1),
         ..vcsched::service::ServiceConfig::default()
@@ -555,18 +613,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_request(args: &[String]) -> Result<(), String> {
+fn cmd_request(args: &Args) -> Result<(), String> {
     use vcsched::service::{Client, Request, ScheduleMode};
 
-    let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:7411");
-    let mut client = if has_flag(args, "--binary") {
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7411");
+    let mut client = if args.has("--binary") {
         Client::connect_binary(addr)?
     } else {
         Client::connect(addr)?
     };
 
     // Raw escape hatch first: forward the line verbatim, print the reply.
-    if let Some(line) = flag_value(args, "--json") {
+    if let Some(line) = args.value("--json") {
         let raw = client.request_raw(line)?;
         println!("{raw}");
         let parsed: vcsched::service::Response =
@@ -578,121 +636,71 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
         };
     }
 
-    // The verb is the first token that is not a flag or a flag's value.
-    let boolean_flags = [
-        "--portfolio",
-        "--return-schedule",
-        "--early-cancel",
-        "--metrics-text",
-        "--stream",
-        "--binary",
-    ];
-    let mut verb = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += if boolean_flags.contains(&args[i].as_str()) {
-                1
-            } else {
-                2
-            };
-        } else {
-            verb = Some(args[i].clone());
-            break;
-        }
-    }
-    let verb = verb.ok_or(
+    let verb = args.verb.ok_or(
         "request verb required: stats, metrics, shutdown, ping, schedule, batch (or --json LINE)",
     )?;
-    if has_flag(args, "--metrics-text") && verb != "metrics" {
+    if args.has("--metrics-text") && verb != "metrics" {
         return Err("--metrics-text only applies to the metrics verb".into());
     }
-    let steps = match flag_value(args, "--steps") {
-        Some(n) => Some(n.parse().map_err(|e| format!("--steps: {e}"))?),
-        None => None,
-    };
-    let budget_bytes = match flag_value(args, "--budget-bytes") {
-        Some(n) => Some(n.parse().map_err(|e| format!("--budget-bytes: {e}"))?),
-        None => None,
-    };
+    let steps = args.get("--steps")?;
+    let budget_bytes = args.get("--budget-bytes")?;
     // Forwarded verbatim: the server validates names against its
     // registry and answers a clean protocol error for unknown ones.
-    let policies: Option<Vec<String>> =
-        flag_value(args, "--policies").map(vcsched::engine::PolicySet::split_spec);
-    let early_cancel = has_flag(args, "--early-cancel").then_some(true);
-    let deadline_ms = match flag_value(args, "--deadline-ms") {
-        Some(n) => Some(n.parse().map_err(|e| format!("--deadline-ms: {e}"))?),
-        None => None,
-    };
-    let priority = match flag_value(args, "--priority") {
-        Some(n) => Some(n.parse().map_err(|e| format!("--priority: {e}"))?),
-        None => None,
-    };
-    let request = match verb.as_str() {
+    let policies: Option<Vec<String>> = args
+        .value("--policies")
+        .map(vcsched::engine::PolicySet::split_spec);
+    let early_cancel = args.has("--early-cancel").then_some(true);
+    let deadline_ms = args.get("--deadline-ms")?;
+    let priority = args.get("--priority")?;
+    let request = match verb {
         "stats" => Request::Stats,
         "metrics" => Request::Metrics,
         "shutdown" => Request::Shutdown,
         "ping" => Request::Ping {
-            delay_ms: flag_value(args, "--delay-ms")
-                .unwrap_or("0")
-                .parse()
-                .map_err(|e| format!("--delay-ms: {e}"))?,
+            delay_ms: args.get("--delay-ms")?.unwrap_or(0),
             priority,
         },
         "schedule" => {
-            let path = flag_value(args, "--block").ok_or("--block FILE is required")?;
+            let path = args.value("--block").ok_or("--block FILE is required")?;
             let data = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             Request::Schedule {
                 block: serde_json::from_str(&data).map_err(|e| format!("{path}: {e}"))?,
-                machine: flag_value(args, "--machine").unwrap_or("2c").to_owned(),
+                machine: args.value("--machine").unwrap_or("2c").to_owned(),
                 policies,
-                mode: match flag_value(args, "--mode") {
-                    None => None,
-                    Some("single") => Some(ScheduleMode::Single),
-                    Some("portfolio") => Some(ScheduleMode::Portfolio),
-                    Some(other) => return Err(format!("--mode: unknown mode `{other}`")),
-                },
+                mode: args
+                    .value("--mode")
+                    .map(ScheduleMode::parse)
+                    .transpose()
+                    .map_err(|e| format!("--mode: {e}"))?,
                 steps,
                 budget_bytes,
                 early_cancel,
                 adaptive: None,
-                placement_seed: match flag_value(args, "--placement-seed") {
-                    Some(n) => Some(n.parse().map_err(|e| format!("--placement-seed: {e}"))?),
-                    None => None,
-                },
-                return_schedule: has_flag(args, "--return-schedule"),
+                placement_seed: args.get("--placement-seed")?,
+                return_schedule: args.has("--return-schedule"),
                 deadline_ms,
                 priority,
             }
         }
         "batch" => Request::Batch {
-            bench: flag_value(args, "--bench").unwrap_or("099.go").to_owned(),
-            count: flag_value(args, "--count")
-                .unwrap_or("100")
-                .parse()
-                .map_err(|e| format!("--count: {e}"))?,
-            seed: flag_value(args, "--seed")
-                .unwrap_or("7")
-                .parse()
-                .map_err(|e| format!("--seed: {e}"))?,
-            machine: flag_value(args, "--machine").unwrap_or("2c").to_owned(),
+            bench: args.value("--bench").unwrap_or("099.go").to_owned(),
+            count: args.get("--count")?.unwrap_or(100),
+            seed: args.get("--seed")?.unwrap_or(7),
+            machine: args.value("--machine").unwrap_or("2c").to_owned(),
             policies,
-            portfolio: has_flag(args, "--portfolio").then_some(true),
+            portfolio: args.has("--portfolio").then_some(true),
             steps,
             budget_bytes,
             early_cancel,
             adaptive: None,
-            stream: has_flag(args, "--stream"),
+            stream: args.has("--stream"),
             deadline_ms,
             priority,
         },
         other => return Err(format!("unknown request verb `{other}`")),
     };
-    let id: Option<u64> = match flag_value(args, "--id") {
-        Some(n) => Some(n.parse().map_err(|e| format!("--id: {e}"))?),
-        None => None,
-    };
-    if has_flag(args, "--stream") {
+    let id: Option<u64> = args.get("--id")?;
+    if args.has("--stream") {
         if verb != "batch" {
             return Err("--stream only applies to the batch verb".into());
         }
@@ -726,7 +734,7 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
         (None, client.request(&request)?)
     };
     match &response {
-        vcsched::service::Response::Metrics { metrics } if has_flag(args, "--metrics-text") => {
+        vcsched::service::Response::Metrics { metrics } if args.has("--metrics-text") => {
             use serde::Deserialize;
             let snapshot = vcsched::obs::Snapshot::from_value(metrics)
                 .map_err(|e| format!("bad metrics snapshot: {e}"))?;
@@ -754,25 +762,19 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
 /// `vcsched replay`: synthesize (or load) an arrival trace and replay
 /// it — offline through the engine's virtual-time online executor, or
 /// against a live server (`--addr`) with wall-clock deadline timers.
-fn cmd_replay(args: &[String]) -> Result<(), String> {
+fn cmd_replay(args: &Args) -> Result<(), String> {
     use vcsched::engine::{run_trace, OnlineOptions};
     use vcsched::workload::{
         synthesize_trace, trace_from_jsonl, trace_to_jsonl, ArrivalProfile, TraceOptions,
     };
 
-    let parse = |name: &str, default: u64| -> Result<u64, String> {
-        match flag_value(args, name) {
-            Some(n) => n.parse().map_err(|e| format!("{name}: {e}")),
-            None => Ok(default),
-        }
-    };
-    let events = match flag_value(args, "--trace") {
+    let events = match args.value("--trace") {
         Some(path) => {
             let data = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             trace_from_jsonl(&data)?
         }
         None => {
-            let profile = match flag_value(args, "--profile") {
+            let profile = match args.value("--profile") {
                 Some(name) => ArrivalProfile::parse(name)
                     .ok_or_else(|| format!("--profile: unknown profile `{name}`"))?,
                 None => ArrivalProfile::PoissonBurst,
@@ -780,46 +782,48 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             let defaults = TraceOptions::default();
             synthesize_trace(&TraceOptions {
                 profile,
-                events: parse("--events", defaults.events as u64)? as usize,
-                seed: parse("--seed", defaults.seed)?,
-                horizon_ms: parse("--horizon-ms", defaults.horizon_ms)?,
-                mean_slack_ms: parse("--mean-slack-ms", defaults.mean_slack_ms)?,
+                events: args.get("--events")?.unwrap_or(defaults.events as u64) as usize,
+                seed: args.get("--seed")?.unwrap_or(defaults.seed),
+                horizon_ms: args.get("--horizon-ms")?.unwrap_or(defaults.horizon_ms),
+                mean_slack_ms: args
+                    .get("--mean-slack-ms")?
+                    .unwrap_or(defaults.mean_slack_ms),
             })
         }
     };
-    if let Some(path) = flag_value(args, "--emit-trace") {
+    if let Some(path) = args.value("--emit-trace") {
         std::fs::write(path, trace_to_jsonl(&events)).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote {} events to {path}", events.len());
         return Ok(());
     }
-    if let Some(addr) = flag_value(args, "--addr") {
+    if let Some(addr) = args.value("--addr") {
         return replay_live(args, addr, &events);
     }
 
     let defaults = OnlineOptions::default();
     let options = OnlineOptions {
-        machine: machine_by_name(flag_value(args, "--machine").unwrap_or("2c"))?,
-        policies: match flag_value(args, "--policies") {
+        machine: machine_by_name(args.value("--machine").unwrap_or("2c"))?,
+        policies: match args.value("--policies") {
             Some(spec) => vcsched::engine::PolicySet::parse(spec)?,
             None => defaults.policies,
         },
-        base_steps: parse("--steps", defaults.base_steps)?,
-        steps_per_ms: parse("--steps-per-ms", defaults.steps_per_ms)?,
-        step_floor: parse("--step-floor", defaults.step_floor)?,
-        queue_capacity: parse("--queue", defaults.queue_capacity as u64)? as usize,
-        jobs: match flag_value(args, "--jobs") {
-            Some(n) => n.parse().map_err(|e| format!("--jobs: {e}"))?,
-            None => vcsched::engine::default_jobs(),
-        },
-        placement_seed: parse("--placement-seed", defaults.placement_seed)?,
-        max_trail_bytes: match flag_value(args, "--budget-bytes") {
-            Some(n) => Some(n.parse().map_err(|e| format!("--budget-bytes: {e}"))?),
-            None => None,
-        },
-        early_cancel: has_flag(args, "--early-cancel"),
+        base_steps: args.get("--steps")?.unwrap_or(defaults.base_steps),
+        steps_per_ms: args.get("--steps-per-ms")?.unwrap_or(defaults.steps_per_ms),
+        step_floor: args.get("--step-floor")?.unwrap_or(defaults.step_floor),
+        queue_capacity: args
+            .get("--queue")?
+            .unwrap_or(defaults.queue_capacity as u64) as usize,
+        jobs: args
+            .get("--jobs")?
+            .unwrap_or_else(vcsched::engine::default_jobs),
+        placement_seed: args
+            .get("--placement-seed")?
+            .unwrap_or(defaults.placement_seed),
+        max_trail_bytes: args.get("--budget-bytes")?,
+        early_cancel: args.has("--early-cancel"),
     };
     let (summary, results) = run_trace(&events, &options);
-    if has_flag(args, "--details") {
+    if args.has("--details") {
         for r in &results {
             eprintln!("{}", serde_json::to_string(r).map_err(|e| e.to_string())?);
         }
@@ -835,22 +839,16 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
 /// event carrying the event's remaining slack as `deadline_ms` and its
 /// `priority`, paced by arrival time compressed `--time-scale`×.
 fn replay_live(
-    args: &[String],
+    args: &Args,
     addr: &str,
     events: &[vcsched::workload::TraceEvent],
 ) -> Result<(), String> {
     use vcsched::service::{Client, Request, Response};
 
-    let time_scale: u64 = match flag_value(args, "--time-scale") {
-        Some(n) => n.parse().map_err(|e| format!("--time-scale: {e}"))?,
-        None => 50,
-    };
-    let machine = flag_value(args, "--machine").unwrap_or("2c").to_owned();
-    let steps = match flag_value(args, "--steps") {
-        Some(n) => Some(n.parse().map_err(|e| format!("--steps: {e}"))?),
-        None => None,
-    };
-    let mut client = if has_flag(args, "--binary") {
+    let time_scale: u64 = args.get("--time-scale")?.unwrap_or(50);
+    let machine = args.value("--machine").unwrap_or("2c").to_owned();
+    let steps = args.get("--steps")?;
+    let mut client = if args.has("--binary") {
         Client::connect_binary(addr)?
     } else {
         Client::connect(addr)?
@@ -930,22 +928,18 @@ fn replay_live(
 
 /// `vcsched top`: renders a running server's metrics snapshot as a
 /// terminal view — one frame by default, repeating with `--interval`.
-fn cmd_top(args: &[String]) -> Result<(), String> {
+fn cmd_top(args: &Args) -> Result<(), String> {
     use serde::Deserialize;
     use vcsched::obs::Snapshot;
     use vcsched::service::{Client, Request, Response};
 
-    let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:7411");
-    let interval: Option<u64> = match flag_value(args, "--interval") {
-        Some(v) => Some(v.parse().map_err(|e| format!("--interval: {e}"))?),
-        None => None,
-    };
-    let frames: u64 = match flag_value(args, "--count") {
-        Some(v) => v.parse().map_err(|e| format!("--count: {e}"))?,
-        // --interval without --count watches until interrupted.
-        None if interval.is_some() => u64::MAX,
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7411");
+    let interval: Option<u64> = args.get("--interval")?;
+    // --interval without --count watches until interrupted.
+    let frames: u64 = args.get("--count")?.unwrap_or(match interval {
+        Some(_) => u64::MAX,
         None => 1,
-    };
+    });
     if frames == 0 {
         return Err("--count must be at least 1".into());
     }
@@ -1071,16 +1065,85 @@ mod tests {
         assert!(machine_by_name("8c").is_err());
     }
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn flag_parsing() {
-        let args: Vec<String> = ["--bench", "130.li", "--listing"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(flag_value(&args, "--bench"), Some("130.li"));
-        assert_eq!(flag_value(&args, "--index"), None);
-        assert!(has_flag(&args, "--listing"));
-        assert!(!has_flag(&args, "--execute"));
+        let args = strings(&["--bench", "130.li", "--details"]);
+        let args = Args::parse("batch", &args).unwrap();
+        assert_eq!(args.value("--bench"), Some("130.li"));
+        assert_eq!(args.value("--count"), None);
+        assert!(args.has("--details"));
+        assert!(!args.has("--portfolio"));
+        for (command, bad, named) in [
+            (
+                "batch",
+                &["--bench", "130.li", "--bogus-flag"][..],
+                "--bogus-flag",
+            ),
+            ("batch", &["--listing"][..], "--listing"),
+            ("batch", &["--count"][..], "--count"),
+            ("batch", &["stray"][..], "stray"),
+            ("request", &["--adaptive", "ping"][..], "--adaptive"),
+            ("request", &["ping", "stats"][..], "stats"),
+        ] {
+            let err = Args::parse(command, &strings(bad)).err().expect("refused");
+            assert!(err.contains(named), "{command} {bad:?}: {err}");
+        }
+        // A switch never swallows the request verb after it.
+        let args = strings(&["--binary", "ping", "--delay-ms", "0"]);
+        let args = Args::parse("request", &args).unwrap();
+        assert_eq!(
+            (args.verb, args.value("--delay-ms")),
+            (Some("ping"), Some("0"))
+        );
+    }
+
+    /// Each verb's table lists exactly the flags its `USAGE` entry in
+    /// HELP lists, each marked as HELP shows it: a flag followed by a
+    /// placeholder takes a value, one followed by `]`, `|` or `[` is a
+    /// switch.
+    #[test]
+    fn flag_tables_match_help() {
+        let usage = HELP.split("\n\n").nth(1).expect("USAGE section");
+        let mut entries: Vec<(&str, String)> = Vec::new();
+        for line in usage.lines().skip(1) {
+            match line.trim_start().strip_prefix("vcsched ") {
+                Some(rest) => {
+                    let verb = rest.split_whitespace().next().unwrap();
+                    entries.push((verb, rest[verb.len()..].to_owned()));
+                }
+                None => entries.last_mut().unwrap().1.push_str(line),
+            }
+        }
+        let mut checked = 0;
+        for (verb, text) in entries.iter().filter(|(verb, _)| *verb != "help") {
+            let mut listed: Vec<String> = text
+                .match_indices("--")
+                .map(|(at, _)| {
+                    let rest = &text[at..];
+                    let end = rest
+                        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                        .unwrap_or(rest.len());
+                    let takes_value = rest[end..].starts_with(' ')
+                        && !rest[end + 1..].starts_with(['[', '|', '(']);
+                    format!("{}{}", &rest[..end], if takes_value { "=" } else { "" })
+                })
+                .collect();
+            listed.sort();
+            listed.dedup();
+            let (_, table) = FLAGS
+                .iter()
+                .find(|(name, _)| name == verb)
+                .expect("verb has a table");
+            let mut flags: Vec<String> = table.split_whitespace().map(str::to_owned).collect();
+            flags.sort();
+            assert_eq!(flags, listed, "vcsched {verb}");
+            checked += 1;
+        }
+        assert_eq!(checked, FLAGS.len(), "every verb has a USAGE entry");
     }
 
     #[test]

@@ -43,7 +43,10 @@ fn block() -> Superblock {
     let m = b.inst(OpClass::Mem, 2);
     let x = b.exit(1, 0.25);
     let y = b.exit(1, 0.75);
-    b.data_dep(i, m).data_dep(i, x).data_dep(m, y).ctrl_dep(x, y);
+    b.data_dep(i, m)
+        .data_dep(i, x)
+        .data_dep(m, y)
+        .ctrl_dep(x, y);
     b.build().expect("pin block is valid")
 }
 
@@ -227,7 +230,10 @@ fn default_field_pins(out: &mut Vec<(String, String)>) {
     );
     for (case, tail) in [
         ("absent", String::new()),
-        ("null", r#","schedule":null,"deadline_fired":null"#.to_owned()),
+        (
+            "null",
+            r#","schedule":null,"deadline_fired":null"#.to_owned(),
+        ),
         (
             "present",
             format!(r#","schedule":{sched},"deadline_fired":true"#),
